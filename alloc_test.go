@@ -16,14 +16,15 @@ import (
 
 // allocCeiling is the allowed steady-state allocation count for one
 // sequential 64-processor LimitLESS(4) Weather run — the configuration of
-// BenchmarkSimulatorThroughput. Measured ~14.7k after the zero-alloc work
-// and fused processor execution (dominated by per-thread workload setup
-// and network buffers; parked pends replaced the pooled-event churn of
-// the instruction pipeline); the ceiling leaves ~20% headroom for benign
-// drift while staying far below the ~114k of the pre-arena simulator, and
-// orders of magnitude below the ~150k actions per run that a per-event
-// allocation would cost.
-const allocCeiling = 18000
+// BenchmarkSimulatorThroughput. Measured ~12.2k after the zero-alloc work,
+// fused processor execution and processor-side spin-waits (dominated by
+// per-thread workload setup and network buffers; parked pends replaced the
+// pooled-event churn of the instruction pipeline, and spin-waits no longer
+// allocate poll/retry closures); the ceiling leaves ~20% headroom for
+// benign drift while staying far below the ~114k of the pre-arena
+// simulator, and orders of magnitude below the ~150k actions per run that
+// a per-event allocation would cost.
+const allocCeiling = 14600
 
 // dirBytesCeiling bounds the packed directory's measured bytes per entry
 // for the same run. A LimitLESS(4) entry holds its four hardware pointers

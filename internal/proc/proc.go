@@ -57,16 +57,27 @@ type Op struct {
 	Kind   Kind
 	Addr   directory.Addr
 	Value  uint64                  // store value
-	Cycles sim.Time                // compute duration
+	Cycles sim.Time                // compute duration; spin backoff for an OpLoad with Until
 	Shared bool                    // shared datum (private-only baseline refuses to cache)
 	Modify func(old uint64) uint64 // OpRMW transform
+	// Until turns an OpLoad into a spin-wait. The processor polls Addr
+	// until Until(value) holds, burning Cycles (at least 1) of compute
+	// between polls, and only then calls Next with the satisfying value.
+	// Every poll and backoff is an ordinary instruction — same pipeline
+	// claims, cache accesses, sequence keys and Stats counts as plain loads
+	// and computes returned from Next one at a time — so the result is the
+	// same as that loop's; only the host-side Next calls are saved. Until
+	// must be nil on every other Kind (the processor panics).
+	Until func(v uint64) bool
 }
 
 // Workload is one thread of execution bound to a processor context. Next
 // is called with the value produced by the previous operation (the loaded
 // word for OpLoad, the stored value for OpStore, 0 for OpCompute), which
 // lets workloads express data-dependent control flow — spin loops,
-// combining trees, lock retries — without any extra machinery.
+// combining trees, lock retries — without any extra machinery. A spin
+// loop is best returned as one OpLoad carrying Until, which the processor
+// runs without calling Next per poll.
 type Workload interface {
 	Next(prev uint64) (Op, bool)
 }
@@ -133,7 +144,7 @@ type Stats struct {
 	TrapsServiced   uint64
 	TrapCycles      sim.Time
 	BusyCycles      sim.Time
-	// StallStarted counts memory references the processor stalled on
+	// Stalls counts memory references the processor stalled on
 	// (hits, local misses, and remote misses with no other context ready).
 	Stalls uint64
 	// FaultTraps counts trap executions lengthened by an injected
@@ -161,7 +172,17 @@ type context struct {
 	pendingOp   Op             // memory op parked across the one-cycle issue slot
 	hitVal      uint64         // committed value parked across the CacheHit latency
 	done        func(v uint64) // per-context completion callback, allocated once
+	spin        spinPhase      // spin-wait progress; pendingOp holds the spin load meanwhile
 }
+
+// spinPhase tracks a context through the poll loop of an OpLoad with Until.
+type spinPhase uint8
+
+const (
+	spinNone    spinPhase = iota
+	spinPolled            // the spin load was issued; the next step tests its value
+	spinBackoff           // the backoff was issued; the next step re-polls
+)
 
 // Processor is one node's SPARCLE. It owns the node's execution: workload
 // instructions, context switches, and LimitLESS trap service all serialize
@@ -459,14 +480,35 @@ func (p *Processor) dispatch() {
 	// Nothing ready: idle until a memory completion re-dispatches.
 }
 
-// step executes one instruction of ctx.
+// step executes one instruction of ctx. A context in a spin-wait runs the
+// poll loop here without calling Next: an unsatisfied poll is followed by
+// its backoff and then by the same load again, and a satisfied one falls
+// through to Next with the satisfying value.
 func (p *Processor) step(c *context) {
-	op, ok := c.wl.Next(c.prev)
-	if !ok {
-		c.state = ctxFinished
-		p.finished++
-		p.dispatch()
-		return
+	var op Op
+	switch {
+	case c.spin == spinPolled && !c.pendingOp.Until(c.prev):
+		c.spin = spinBackoff
+		op = Op{Kind: OpCompute, Cycles: c.pendingOp.Cycles}
+	case c.spin == spinBackoff:
+		c.spin = spinPolled
+		op = c.pendingOp
+	default:
+		c.spin = spinNone
+		var ok bool
+		op, ok = c.wl.Next(c.prev)
+		if !ok {
+			c.state = ctxFinished
+			p.finished++
+			p.dispatch()
+			return
+		}
+		if op.Until != nil {
+			if op.Kind != OpLoad {
+				panic(fmt.Sprintf("proc: Until on a %v op", op.Kind))
+			}
+			c.spin = spinPolled
+		}
 	}
 	p.stats.Instructions++
 

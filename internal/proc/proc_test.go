@@ -320,14 +320,20 @@ func (w *recordingWL) Next(prev uint64) (proc.Op, bool) {
 	return op, true
 }
 
+// longCompute is the home node's workload in the trap-boundary scenario: a
+// 5000-cycle compute starting at cycle 0 (slice boundaries at multiples of
+// the 16-cycle compute slice).
+func longCompute() proc.Workload {
+	return &script{ops: []proc.Op{{Kind: proc.OpCompute, Cycles: 5000}}}
+}
+
 // runTrapBoundary drives the trap-interleave scenario under one execution
-// mode: node 0 starts a long compute at cycle 0 (slice boundaries at
-// multiples of the 16-cycle compute slice), node 1 takes the block's only
+// mode: node 0 runs home (long local work), node 1 takes the block's only
 // hardware pointer, and node 2 — after delay cycles of local work — reads
 // the same block, overflowing the directory and trapping node 0's
-// processor mid-compute. It returns the run's end time, the cycle node
-// 2's overflowing load completed, and node 0's serviced-trap count.
-func runTrapBoundary(t *testing.T, mode proc.Mode, delay sim.Time) (end, loadDone sim.Time, traps uint64) {
+// processor mid-work. It returns the run's end time, the cycle node 2's
+// overflowing load completed, and node 0's serviced-trap count.
+func runTrapBoundary(t *testing.T, mode proc.Mode, delay sim.Time, home proc.Workload) (end, loadDone sim.Time, traps uint64) {
 	t.Helper()
 	params := coherence.DefaultParams(4)
 	params.Scheme = coherence.LimitLESS
@@ -336,7 +342,7 @@ func runTrapBoundary(t *testing.T, mode proc.Mode, delay sim.Time) (end, loadDon
 	for _, p := range r.procs {
 		p.SetMode(mode)
 	}
-	r.procs[0].SetWorkload(0, &script{ops: []proc.Op{{Kind: proc.OpCompute, Cycles: 5000}}})
+	r.procs[0].SetWorkload(0, home)
 	r.procs[1].SetWorkload(0, &script{ops: []proc.Op{
 		{Kind: proc.OpLoad, Addr: addr(0, 2), Shared: true},
 	}})
@@ -380,7 +386,7 @@ func TestTrapClaimsNextSliceBoundary(t *testing.T) {
 	wantDone := map[sim.Time]sim.Time{30: 114, 34: 130, 38: 130, 42: 130, 46: 130, 50: 146}
 	for _, mode := range []proc.Mode{proc.ModeFused, proc.ModeEvent} {
 		for d, want := range wantDone {
-			end, done, traps := runTrapBoundary(t, mode, d)
+			end, done, traps := runTrapBoundary(t, mode, d, longCompute())
 			if traps != 1 {
 				t.Fatalf("mode=%v delay=%d: %d traps serviced, want 1", mode, d, traps)
 			}

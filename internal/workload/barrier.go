@@ -28,6 +28,7 @@ type Barrier struct {
 	fanIn  int
 	arrive []directory.Addr // written by p, read by parent(p)
 	releas []directory.Addr // written by parent(p), read by p
+	ids    []int            // 0..nprocs-1, sliced by children
 	// SpinBackoff is the delay between polls (the paper's barrier study
 	// [25] examines exactly such backoffs).
 	SpinBackoff sim.Time
@@ -49,25 +50,24 @@ func NewBarrier(nprocs, fanIn int, alloc AddrAllocator) *Barrier {
 		fanIn:       fanIn,
 		arrive:      make([]directory.Addr, nprocs),
 		releas:      make([]directory.Addr, nprocs),
+		ids:         make([]int, nprocs),
 		SpinBackoff: 12,
 	}
 	for p := 0; p < nprocs; p++ {
 		b.arrive[p] = alloc(mesh.NodeID(p))
 		b.releas[p] = alloc(mesh.NodeID(p))
+		b.ids[p] = p
 	}
 	return b
 }
 
-// children returns processor p's tree children (heap layout).
+// children returns processor p's tree children (heap layout). They are a
+// contiguous run of processor ids, so the result is a subslice of the
+// precomputed id table and barrier entry allocates nothing.
 func (b *Barrier) children(p int) []int {
-	var out []int
-	for i := 0; i < b.fanIn; i++ {
-		c := p*b.fanIn + 1 + i
-		if c < b.nprocs {
-			out = append(out, c)
-		}
-	}
-	return out
+	lo := min(p*b.fanIn+1, b.nprocs)
+	hi := min(lo+b.fanIn, b.nprocs)
+	return b.ids[lo:hi]
 }
 
 // parent returns p's tree parent (p must not be the root).

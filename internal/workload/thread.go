@@ -98,23 +98,13 @@ func (t *Thread) Compute(cycles sim.Time, then Cont) {
 }
 
 // SpinUntil polls addr (with backoff cycles between polls) until
-// pred(value) holds, then continues with the satisfying value.
+// pred(value) holds, then continues with the satisfying value. It pushes a
+// single OpLoad carrying pred as Until and backoff as Cycles; the
+// processor runs the poll loop itself (see proc.Op.Until), so a spin-wait
+// costs one Next call however many polls it takes. The loop runs to
+// completion before any operation queued behind it.
 func (t *Thread) SpinUntil(addr directory.Addr, pred func(uint64) bool, backoff sim.Time, then Cont) {
-	// poll and retry are allocated once per SpinUntil, not once per poll:
-	// spin loops dominate barrier-heavy workloads, and a fresh closure per
-	// retry was one of the largest steady-state allocation sources.
-	var poll, retry Cont
-	poll = func(v uint64, t *Thread) {
-		if pred(v) {
-			then(v, t)
-			return
-		}
-		t.Compute(backoff, retry)
-	}
-	retry = func(_ uint64, t *Thread) {
-		t.Load(addr, poll)
-	}
-	t.Load(addr, poll)
+	t.push(proc.Op{Kind: proc.OpLoad, Addr: addr, Shared: true, Cycles: backoff, Until: pred}, then)
 }
 
 // Next implements proc.Workload.

@@ -70,29 +70,37 @@ func TestThreadLoadValueFlows(t *testing.T) {
 	}
 }
 
+// TestThreadSpinUntilPolls pins the spin-wait contract: SpinUntil hands
+// the processor one shared OpLoad carrying the predicate as Until and the
+// backoff as Cycles, and the continuation runs once, with the value that
+// satisfied the predicate.
 func TestThreadSpinUntilPolls(t *testing.T) {
-	count := 0
-	done := false
+	var got []uint64
 	th := NewThread(func(t *Thread) {
 		t.SpinUntil(0x30, func(v uint64) bool { return v >= 3 }, 7,
-			func(v uint64, t *Thread) { done = true })
+			func(v uint64, t *Thread) { got = append(got, v) })
 	})
 	ops := drive(t, th, func(op proc.Op) uint64 {
-		if op.Kind == proc.OpLoad {
-			count++
-			return uint64(count) // 1, 2, 3: satisfied on the third poll
+		// Play the processor's poll loop over the values 1, 2, 3, …:
+		// satisfied on the third poll.
+		v := uint64(1)
+		for !op.Until(v) {
+			v++
 		}
-		if op.Kind == proc.OpCompute && op.Cycles != 7 {
-			t.Fatalf("backoff = %d, want 7", op.Cycles)
-		}
-		return 0
-	}, 20)
-	if !done {
-		t.Fatal("spin never satisfied")
+		return v
+	}, 5)
+	if len(ops) != 1 {
+		t.Fatalf("ops = %d (%v), want one spin load", len(ops), ops)
 	}
-	// loads: 3; backoffs between polls: 2.
-	if len(ops) != 5 {
-		t.Fatalf("ops = %d (%v), want 5", len(ops), ops)
+	op := ops[0]
+	if op.Kind != proc.OpLoad || op.Addr != 0x30 || !op.Shared || op.Cycles != 7 || op.Until == nil {
+		t.Fatalf("spin op = %+v, want a shared load of 0x30 with Until and a 7-cycle backoff", op)
+	}
+	if op.Until(2) || !op.Until(3) {
+		t.Fatal("Until is not the SpinUntil predicate")
+	}
+	if len(got) != 1 || got[0] != 3 {
+		t.Fatalf("continuation saw %v, want [3]", got)
 	}
 }
 

@@ -141,7 +141,7 @@ func Weather(cfg WeatherConfig) []proc.Workload {
 			}
 			// Every continuation below is allocated once per thread and
 			// reused across iterations; the loop indices are mutable
-			// captured state (the Loop/SpinUntil pattern in thread.go).
+			// captured state (the Loop pattern in thread.go).
 			// The phases run strictly sequentially, so advancing an index
 			// inside one continuation before re-entering the phase closure
 			// is safe. A fresh closure per executed operation — the

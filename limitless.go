@@ -724,7 +724,9 @@ func (p *Prog) Compute(cycles int64, then func(p *Prog)) {
 	p.t.Compute(sim.Time(cycles), func(_ uint64, t *workload.Thread) { then(&Prog{t}) })
 }
 
-// SpinUntil polls addr until pred holds.
+// SpinUntil polls addr, with a 12-cycle backoff between polls, until pred
+// holds; then receives the satisfying value. The processor runs the polls
+// itself, so a wait costs the program one step however long it spins.
 func (p *Prog) SpinUntil(addr Addr, pred func(uint64) bool, then func(v uint64, p *Prog)) {
 	p.t.SpinUntil(directory.Addr(addr), pred, 12, func(v uint64, t *workload.Thread) { then(v, &Prog{t}) })
 }
