@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	limitless "limitless"
+	"limitless/internal/machine"
 )
 
 const benchProcs = 64
@@ -154,7 +155,7 @@ func BenchmarkAblationUpdateModeProducerConsumer(b *testing.B) {
 // --- Simulator throughput (engineering metric, not a paper figure) ---
 
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	benchThroughput(b, "", "", "")
+	benchThroughput(b, 0)
 }
 
 // BenchmarkSimulatorThroughputEventProc is the same run with processors on
@@ -162,26 +163,25 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // simulation, measured on the identical (bit-identical, by construction)
 // workload.
 func BenchmarkSimulatorThroughputEventProc(b *testing.B) {
-	benchThroughput(b, "", "", "event")
+	benchThroughput(b, machine.OracleEventProc)
 }
 
 // BenchmarkSimulatorThroughputHeap is the same run on the binary-heap
 // oracle scheduler: the wheel-vs-heap gap on a whole simulation, measured
 // on the identical (bit-identical, by construction) workload.
 func BenchmarkSimulatorThroughputHeap(b *testing.B) {
-	benchThroughput(b, "heap", "", "")
+	benchThroughput(b, machine.OracleHeap)
 }
 
 // BenchmarkSimulatorThroughputInterp is the same run on the interpreted
 // protocol tables (the compiled dispatch's oracle): the compiled-vs-interp
 // gap on a whole simulation, again on a bit-identical workload.
 func BenchmarkSimulatorThroughputInterp(b *testing.B) {
-	benchThroughput(b, "", "interp", "")
+	benchThroughput(b, machine.OracleInterp)
 }
 
-func benchThroughput(b *testing.B, sched, tableMode, procMode string) {
-	cfg := limitless.Config{Procs: benchProcs, Scheme: limitless.LimitLESS, Pointers: 4,
-		Scheduler: sched, TableMode: tableMode, ProcMode: procMode}
+func benchThroughput(b *testing.B, mask machine.Oracles) {
+	cfg := limitless.WithOracles(limitless.Config{Procs: benchProcs, Scheme: limitless.LimitLESS, Pointers: 4}, mask)
 	var cycles int64
 	var events uint64
 	var last limitless.Result

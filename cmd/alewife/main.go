@@ -6,9 +6,7 @@
 //	alewife [-scheme limitless] [-pointers 4] [-ts 50] [-procs 64]
 //	        [-workload weather|weather-opt|multigrid|synthetic|migratory|locks|prodcons]
 //	        [-workerset 8] [-contexts 1] [-trace file] [-verify]
-//	        [-shards 0] [-shard-workers 0] [-window adaptive|fixed]
-//	        [-sched wheel|heap] [-table-mode compiled|interp]
-//	        [-proc-mode fused|event] [-dir-storage packed|boxed]
+//	        [-shards 0] [-shard-workers 0]
 //	        [-faults seed:key=value,...] [-watchdog cycles]
 //	        [-cpuprofile file] [-memprofile file]
 //	alewife -list-schemes
@@ -37,11 +35,6 @@ var (
 	verifyFlag   = flag.Bool("verify", false, "run the coherence checker after the workload finishes")
 	shardsFlag   = flag.Int("shards", 0, "run on the windowed sharded engine with this many mesh tiles (0 = sequential engine)")
 	shardWFlag   = flag.Int("shard-workers", 0, "goroutines executing shards concurrently (0 = GOMAXPROCS; never changes results)")
-	windowFlag   = flag.String("window", "adaptive", "sharded window sizing: adaptive (slack-derived windows, default) or fixed (lockstep lookahead-width oracle; never changes results)")
-	schedFlag    = flag.String("sched", "wheel", "event scheduler: wheel (O(1) timing wheel, default) or heap (binary-heap oracle; never changes results)")
-	tableFlag    = flag.String("table-mode", "compiled", "protocol table dispatch: compiled (generated direct-threaded code, default) or interp (declarative-table oracle; never changes results)")
-	procFlag     = flag.String("proc-mode", "fused", "processor execution: fused (horizon-fused instruction chains, default) or event (event-per-instruction oracle; never changes results)")
-	storageFlag  = flag.String("dir-storage", "packed", "directory sharer-set storage: packed (inline + arena spill, default) or boxed (heap pointer-set oracle; never changes results)")
 	faultsFlag   = flag.String("faults", "", "deterministic fault injection, \"seed:key=value,...\" (keys: delay, delaymax, dup, dupdelay, stall, stallperiod, stallcycles, trap, trapextra, drop, corrupt, rto, rmax; drop/corrupt arm the reliable transport)")
 	watchdogFlag = flag.Int64("watchdog", 0, "halt with a diagnostic dump after this many cycles without forward progress (0 = off)")
 	cpuProfFlag  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
@@ -103,11 +96,6 @@ func main() {
 		Verify:         *verifyFlag,
 		Shards:         *shardsFlag,
 		ShardWorkers:   *shardWFlag,
-		WindowMode:     *windowFlag,
-		Scheduler:      *schedFlag,
-		TableMode:      *tableFlag,
-		ProcMode:       *procFlag,
-		DirStorage:     *storageFlag,
 		Faults:         *faultsFlag,
 		WatchdogCycles: *watchdogFlag,
 	}
@@ -194,18 +182,6 @@ func main() {
 		cfg.Procs, cfg.Scheme, cfg.Pointers, cfg.TrapService, maxInt(cfg.Contexts, 1))
 	if cfg.Shards > 0 {
 		fmt.Printf("engine:    windowed sharded, %d shards\n", cfg.Shards)
-		if cfg.WindowMode != "" && cfg.WindowMode != "adaptive" {
-			fmt.Printf("windows:   %s width (results identical to the default adaptive)\n", cfg.WindowMode)
-		}
-	}
-	if cfg.Scheduler != "" && cfg.Scheduler != "wheel" {
-		fmt.Printf("scheduler: %s (results identical to the default wheel)\n", cfg.Scheduler)
-	}
-	if cfg.TableMode != "" && cfg.TableMode != "compiled" {
-		fmt.Printf("tables:    %s dispatch (results identical to the default compiled)\n", cfg.TableMode)
-	}
-	if cfg.ProcMode != "" && cfg.ProcMode != "fused" {
-		fmt.Printf("proc:      %s execution (results identical to the default fused)\n", cfg.ProcMode)
 	}
 	if faultSpec != "" {
 		fmt.Printf("faults:    %s\n", faultSpec)
@@ -216,8 +192,7 @@ func main() {
 	fmt.Printf("cycles:    %d (%.3f Mcycles)\n", res.Cycles, float64(res.Cycles)/1e6)
 	fmt.Printf("T_h:       %.1f cycles average remote access latency\n", res.AvgRemoteLatency)
 	fmt.Printf("hit rate:  %.3f\n", res.HitRate)
-	fmt.Printf("directory: %s storage, %d bytes live (%.1f B/entry)\n",
-		res.DirectoryStorage, res.DirectoryBytes, res.DirectoryBytesPerEntry)
+	fmt.Printf("directory: %d bytes live (%.1f B/entry)\n", res.DirectoryBytes, res.DirectoryBytesPerEntry)
 	fmt.Printf("misses:    %d remote, %d local\n", res.RemoteMisses, res.LocalMisses)
 	fmt.Printf("messages:  %d protocol messages, %d invalidations\n", res.Messages, res.Invalidations)
 	fmt.Printf("software:  %d traps (m=%.3f), %d trap cycles\n", res.Traps, res.SoftwareFraction, res.TrapCycles)

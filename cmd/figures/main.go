@@ -193,25 +193,9 @@ func memory() {
 func storage() {
 	header("Directory storage — measured bytes/entry, packed vs boxed (Weather)")
 	tb := stats.NewTable("Nodes", "Scheme", "Packed B/entry", "Boxed B/entry", "Reduction")
-	for _, p := range []int{64, 256, 1024} {
-		for _, sc := range []struct {
-			name   string
-			scheme limitless.Scheme
-			ptrs   int
-		}{
-			{"Full-Map", limitless.FullMap, 0},
-			{"LimitLESS4", limitless.LimitLESS, 4},
-		} {
-			var per [2]float64
-			for i, st := range []string{"packed", "boxed"} {
-				cfg := limitless.Config{Procs: p, Scheme: sc.scheme, Pointers: sc.ptrs,
-					TrapService: 50, DirStorage: st}
-				res := must(limitless.Run(cfg, limitless.Weather(p)))
-				per[i] = res.DirectoryBytesPerEntry
-			}
-			tb.Row(p, sc.name, fmt.Sprintf("%.1f", per[0]), fmt.Sprintf("%.1f", per[1]),
-				fmt.Sprintf("%.2fx", per[1]/per[0]))
-		}
+	for _, r := range must(experiments.Storage()) {
+		tb.Row(r.Nodes, r.Scheme, fmt.Sprintf("%.1f", r.Packed), fmt.Sprintf("%.1f", r.Boxed),
+			fmt.Sprintf("%.2fx", r.Reduction()))
 	}
 	fmt.Println(tb)
 	fmt.Println("Packed sets hold up to four 16-bit pointers inline in the 24-byte entry")

@@ -1,6 +1,9 @@
 package limitless
 
-import "limitless/internal/proc"
+import (
+	"limitless/internal/machine"
+	"limitless/internal/proc"
+)
 
 // WrapPrograms returns w with every per-processor program passed through
 // wrap when the workload is built, so tests can interpose on the
@@ -15,4 +18,11 @@ func WrapPrograms(w Workload, wrap func(proc.Workload) proc.Workload) Workload {
 		return wls
 	}
 	return w
+}
+
+// WithOracles returns cfg with the reference implementations in mask
+// selected in place of the fast paths.
+func WithOracles(cfg Config, mask machine.Oracles) Config {
+	cfg.oracles = mask
+	return cfg
 }

@@ -1,8 +1,6 @@
 package coherence
 
 import (
-	"fmt"
-
 	"limitless/internal/protocol"
 	"limitless/internal/sim"
 )
@@ -42,27 +40,6 @@ const (
 	// TableInterp runs the protocol.Table interpreter over the registry.
 	TableInterp
 )
-
-// String names the mode as the -table-mode flag spells it.
-func (m TableMode) String() string {
-	if m == TableInterp {
-		return "interp"
-	}
-	return "compiled"
-}
-
-// ParseTableMode parses a -table-mode flag value; "" selects the default
-// compiled dispatch.
-func ParseTableMode(s string) (TableMode, error) {
-	switch s {
-	case "", "compiled":
-		return TableCompiled, nil
-	case "interp":
-		return TableInterp, nil
-	default:
-		return TableCompiled, fmt.Errorf("unknown table mode %q (want compiled or interp)", s)
-	}
-}
 
 // EvictPolicy selects the victim when a limited directory overflows.
 type EvictPolicy uint8

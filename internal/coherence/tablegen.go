@@ -17,8 +17,8 @@ import (
 // cell's candidate-row program becomes straight-line Go — guard test,
 // coverage hit, direct action call — inside one switch per table, so the
 // declarative layer costs nothing at runtime. The interpreter
-// (protocol.Table.Dispatch) stays as the behavioral oracle; the
-// differential tests in tablemode_test.go hold the two bit-identical.
+// (protocol.Table.Dispatch) stays as the behavioral oracle; the oracle
+// differential tests (oracle_test.go) hold the two bit-identical.
 //
 // The compiler resolves each row's Guard and Action function values back
 // to their package-level symbols via the runtime's PC-to-name table, which

@@ -64,19 +64,6 @@ func (m StorageMode) String() string {
 	}
 }
 
-// ParseStorageMode resolves the public storage-mode names. The empty
-// string selects the packed default.
-func ParseStorageMode(s string) (StorageMode, error) {
-	switch s {
-	case "", "packed":
-		return StoragePacked, nil
-	case "boxed":
-		return StorageBoxed, nil
-	default:
-		return StoragePacked, fmt.Errorf("unknown storage mode %q (want packed or boxed)", s)
-	}
-}
-
 // Space is a per-store word arena: the backing storage every packed set of
 // one node's directory (hardware entries and software-extended vectors
 // alike) spills into. Offsets into the flat word slice stay valid across

@@ -10,8 +10,11 @@ import (
 	"fmt"
 
 	limitless "limitless"
+	"limitless/internal/coherence"
 	"limitless/internal/machine"
+	"limitless/internal/mesh"
 	"limitless/internal/protocol"
+	"limitless/internal/workload"
 )
 
 // bitsPerEntry maps the facade scheme names onto the machine package's
@@ -264,4 +267,70 @@ func MemoryModel() []MemoryRow {
 		}
 	}
 	return rows
+}
+
+// StorageRow is one line of the measured directory-storage comparison:
+// the simulator's own bytes per directory entry under packed sharer sets
+// and under the boxed pointer-set oracle.
+type StorageRow struct {
+	Nodes         int
+	Scheme        string
+	Packed, Boxed float64 // measured bytes per directory entry
+}
+
+// Reduction is the boxed footprint over the packed one.
+func (r StorageRow) Reduction() float64 { return r.Boxed / r.Packed }
+
+// Storage measures Weather's directory footprint, packed and boxed, for
+// full-map and LimitLESS4 at the paper's machine size and the P=256 and
+// P=1024 scale points.
+func Storage() ([]StorageRow, error) {
+	var rows []StorageRow
+	for _, p := range []int{64, 256, 1024} {
+		for _, sc := range []struct {
+			name   string
+			scheme limitless.Scheme
+			ptrs   int
+		}{{"Full-Map", limitless.FullMap, 0}, {"LimitLESS4", limitless.LimitLESS, 4}} {
+			row, err := StoragePoint(p, sc.scheme, sc.ptrs)
+			if err != nil {
+				return nil, err
+			}
+			row.Scheme = sc.name
+			rows = append(rows, row)
+		}
+	}
+	return rows, nil
+}
+
+// StoragePoint runs Weather on a square machine of procs processors,
+// built as limitless.Run builds it (default T_s = 50), once with packed
+// and once with boxed sharer sets, and reports both measured footprints.
+func StoragePoint(procs int, scheme limitless.Scheme, pointers int) (StorageRow, error) {
+	info, ok := protocol.ByName(string(scheme))
+	if !ok {
+		return StorageRow{}, fmt.Errorf("experiments: unknown scheme %q", scheme)
+	}
+	side := 1
+	for side*side < procs {
+		side++
+	}
+	if side*side != procs {
+		return StorageRow{}, fmt.Errorf("experiments: %d processors is not a square mesh", procs)
+	}
+	params := coherence.DefaultParams(procs)
+	params.Scheme = info.ID
+	if pointers > 0 {
+		params.Pointers = pointers
+	}
+	bytesPerEntry := func(oracles machine.Oracles) float64 {
+		m := machine.New(machine.Config{Width: side, Height: side, Contexts: 1, Params: params, Oracles: oracles})
+		defer m.Release()
+		for i, w := range workload.Weather(workload.DefaultWeather(procs)) {
+			m.SetWorkload(mesh.NodeID(i), 0, w)
+		}
+		m.Run()
+		return m.DirectoryMemory().MeasuredBytesPerEntry
+	}
+	return StorageRow{Nodes: procs, Packed: bytesPerEntry(0), Boxed: bytesPerEntry(machine.OracleBoxed)}, nil
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	limitless "limitless"
 )
 
 // The shape assertions of the paper's evaluation, at the paper's
@@ -192,5 +194,28 @@ func TestMemoryModelAsymptotics(t *testing.T) {
 	l4096 := byKey["limitless-4096"]
 	if l4096 > 3*l64 {
 		t.Errorf("LimitLESS growth 64->4096 = %d->%d, want O(log N)", l64, l4096)
+	}
+}
+
+// TestPackedStorageReducesFootprint is the packed directory's memory claim:
+// on a full-map machine the packed representation must measure at least 4x
+// smaller than the boxed pointer-set objects it replaces. Weather is the
+// paper's own workload mix — mostly small worker-sets, a few wide blocks
+// that spill — and the run is bit-deterministic, so the measured ratio
+// (4.10x at P=256) is stable, and it grows with P: a boxed full-map
+// vector costs 200 B/entry at P=1024 against the packed header's 24 B.
+// TestSpaceFootprintP1024 in internal/directory checks the P=1024 ratio
+// at the unit level; EXPERIMENTS.md records measured full-run numbers.
+func TestPackedStorageReducesFootprint(t *testing.T) {
+	row, err := StoragePoint(256, limitless.FullMap, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row.Packed <= 0 || row.Boxed <= 0 {
+		t.Fatalf("measured footprints missing: %+v", row)
+	}
+	if row.Reduction() < 4 {
+		t.Errorf("full-map P=256: boxed %.1f B/entry / packed %.1f B/entry = %.2fx, want >= 4x",
+			row.Boxed, row.Packed, row.Reduction())
 	}
 }

@@ -45,29 +45,10 @@ type Config struct {
 	// CacheWays sets the cache associativity (default 1, Alewife's
 	// direct-mapped geometry).
 	CacheWays int
-	// DisableEventPool turns off engine event recycling (cross-checking
-	// and memory debugging only; results are identical either way).
-	DisableEventPool bool
-	// Scheduler selects the engines' pending-event structure: the default
-	// timing wheel (sim.SchedWheel) or the binary-heap fallback
-	// (sim.SchedHeap). Both fire events in identical (time, sequence)
-	// order, so cycle counts are bit-identical under either; the heap
-	// exists as a cross-check oracle.
-	Scheduler sim.SchedulerKind
-	// ProcMode selects how processors advance through instruction chains:
-	// the default horizon-fused execution (proc.ModeFused) runs hit and
-	// compute chains synchronously below the engine's next-event horizon,
-	// while proc.ModeEvent schedules one event per pipeline step. Both
-	// produce bit-identical results; the event mode exists as a
-	// cross-check oracle.
-	ProcMode proc.Mode
-	// WindowMode selects how the sharded engine sizes its windows: the
-	// default slack-adaptive lookahead (sim.WindowAdaptive) or the
-	// fixed-width oracle (sim.WindowFixed). Both flush deferred sends in
-	// identical canonical order, so results are bit-identical under
-	// either; the fixed mode exists as a cross-check oracle. Ignored when
-	// Shards == 0.
-	WindowMode sim.WindowMode
+	// Oracles selects reference implementations in place of the fast
+	// paths (see DESIGN.md, "Reference configuration"). Every combination
+	// gives bit-identical results; the zero value runs every fast path.
+	Oracles Oracles
 	// Shards, when positive, runs the simulation on the windowed sharded
 	// engine: nodes are split into Shards contiguous tiles, each with its
 	// own event heap, executed concurrently in conservative time windows
@@ -94,6 +75,31 @@ type Config struct {
 	// Diagnostic instead of spinning forever.
 	Watchdog sim.Time
 }
+
+// Oracles is a bitmask of reference implementations, each the slow twin a
+// fast path was built from and is cross-checked against.
+type Oracles uint8
+
+const (
+	// OracleHeap runs the engines on the binary heap instead of the timing
+	// wheel.
+	OracleHeap Oracles = 1 << iota
+	// OracleInterp runs the protocol-table interpreter instead of the
+	// compiled dispatch.
+	OracleInterp
+	// OracleBoxed keeps directory sharer sets in heap pointer-set objects
+	// instead of packed inline/arena storage.
+	OracleBoxed
+	// OracleEventProc schedules one event per processor pipeline step
+	// instead of fusing hit and compute chains.
+	OracleEventProc
+	// OracleFixedWindows advances the sharded engine in fixed
+	// lookahead-wide windows instead of slack-adaptive ones.
+	OracleFixedWindows
+
+	// AllOracles selects every reference implementation at once.
+	AllOracles = OracleHeap | OracleInterp | OracleBoxed | OracleEventProc | OracleFixedWindows
+)
 
 // DefaultConfig returns the paper's evaluation machine: 64 processors,
 // LimitLESS with four pointers.
@@ -170,6 +176,16 @@ func New(cfg Config) *Machine {
 	if cfg.Faults != nil && cfg.Params.Timing.RetryBackoffMax == 0 {
 		cfg.Params.Timing.RetryBackoffMax = 256
 	}
+	sched := sim.SchedWheel
+	if cfg.Oracles&OracleHeap != 0 {
+		sched = sim.SchedHeap
+	}
+	if cfg.Oracles&OracleInterp != 0 {
+		cfg.Params.TableMode = coherence.TableInterp
+	}
+	if cfg.Oracles&OracleBoxed != 0 {
+		cfg.Params.Storage = directory.StorageBoxed
+	}
 
 	mcfg := mesh.DefaultConfig(cfg.Width, cfg.Height)
 	if cfg.Mesh != nil {
@@ -187,11 +203,8 @@ func New(cfg Config) *Machine {
 		m.engines = make([]*sim.Engine, k)
 		for i := range m.engines {
 			e := sim.New()
-			e.SetScheduler(cfg.Scheduler)
+			e.SetScheduler(sched)
 			e.SetCycleSeq(true)
-			if cfg.DisableEventPool {
-				e.SetPooling(false)
-			}
 			m.engines[i] = e
 		}
 		m.Eng = m.engines[0]
@@ -206,14 +219,13 @@ func New(cfg Config) *Machine {
 		m.sharded = sim.NewShardedEngine(m.engines, window,
 			func(before sim.Time, mins []sim.Time) { m.Net.FlushWindow(before, mins) },
 			cfg.ShardWorkers)
-		m.sharded.SetWindowMode(cfg.WindowMode)
+		if cfg.Oracles&OracleFixedWindows != 0 {
+			m.sharded.SetWindowMode(sim.WindowFixed)
+		}
 		m.sharded.SetHeldProbe(m.Net.HeldMin)
 	} else {
 		eng := sim.New()
-		eng.SetScheduler(cfg.Scheduler)
-		if cfg.DisableEventPool {
-			eng.SetPooling(false)
-		}
+		eng.SetScheduler(sched)
 		m.Eng = eng
 		m.Net = mesh.New(eng, mcfg)
 	}
@@ -252,7 +264,9 @@ func (m *Machine) buildNode(id mesh.NodeID) *Node {
 	c := cache.New(cache.Config{Lines: cfg.CacheLines, Ways: cfg.CacheWays, BlockWords: cfg.Params.BlockWords})
 	cc := coherence.NewCacheController(eng, port, id, cfg.Params, HomeOf, c)
 	p := proc.New(eng, cc, cfg.Params.Timing, cfg.Contexts)
-	p.SetMode(cfg.ProcMode)
+	if cfg.Oracles&OracleEventProc != 0 {
+		p.SetMode(proc.ModeEvent)
+	}
 	mc := coherence.NewMemoryController(eng, port, id, cfg.Params, p)
 
 	node := &Node{ID: id, Cache: c, CC: cc, MC: mc, Proc: p}

@@ -454,3 +454,44 @@ func TestDirectoryMemoryAccounting(t *testing.T) {
 		t.Fatalf("software peak = %d bits, want 16 (one vector of 16 bits)", dm.SoftwareVectorBitsPeak)
 	}
 }
+
+// TestOraclesReachEveryLayer checks that each bit of Config.Oracles, alone
+// and with every other, selects the reference implementation in the layer
+// it names and nowhere else, so a differential test over the mask can never
+// pass because a bit reaches nothing.
+func TestOraclesReachEveryLayer(t *testing.T) {
+	masks := []Oracles{0, AllOracles}
+	for bit := OracleHeap; bit&AllOracles != 0; bit <<= 1 {
+		masks = append(masks, bit)
+	}
+	for _, mask := range masks {
+		for _, shards := range []int{0, 2} {
+			m := New(Config{Width: 4, Height: 4, Contexts: 1, Params: coherence.DefaultParams(16),
+				Shards: shards, ShardWorkers: 1, Oracles: mask})
+			for i, w := range workload.Weather(workload.DefaultWeather(16)) {
+				m.SetWorkload(mesh.NodeID(i), 0, w)
+			}
+			m.Run()
+			check := func(layer string, selected bool, bit Oracles) {
+				if selected != (mask&bit != 0) {
+					t.Errorf("oracles=%05b shards=%d: %s oracle selected = %v", mask, shards, layer, selected)
+				}
+			}
+			engines := m.engines
+			if shards == 0 {
+				engines = []*sim.Engine{m.Eng}
+			}
+			for _, e := range engines {
+				check("heap scheduler", e.Scheduler() == sim.SchedHeap, OracleHeap)
+				check("event-per-instruction processor", e.Inlined() == 0, OracleEventProc)
+			}
+			if m.sharded != nil {
+				check("fixed windows", m.sharded.Mode() == sim.WindowFixed, OracleFixedWindows)
+			}
+			for _, n := range m.Nodes {
+				check("interpreted tables", n.MC.Params().TableMode == coherence.TableInterp, OracleInterp)
+			}
+			check("boxed storage", m.DirectoryMemory().Storage == "boxed", OracleBoxed)
+		}
+	}
+}

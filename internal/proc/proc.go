@@ -113,28 +113,6 @@ const (
 	ModeEvent
 )
 
-func (m Mode) String() string {
-	switch m {
-	case ModeFused:
-		return "fused"
-	case ModeEvent:
-		return "event"
-	default:
-		return fmt.Sprintf("Mode(%d)", uint8(m))
-	}
-}
-
-// ParseMode maps a CLI/config spelling to a Mode; "" selects the default.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "", "fused":
-		return ModeFused, nil
-	case "event":
-		return ModeEvent, nil
-	}
-	return 0, fmt.Errorf("unknown proc mode %q (want fused or event)", s)
-}
-
 // Stats counts processor activity.
 type Stats struct {
 	Instructions    uint64

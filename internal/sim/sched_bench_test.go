@@ -13,6 +13,12 @@ import "testing"
 //
 // and compare the wheel and heap sub-benchmarks directly.
 
+// schedulers names the two pending-event structures for sub-benchmarks.
+var schedulers = []struct {
+	name string
+	kind SchedulerKind
+}{{"wheel", SchedWheel}, {"heap", SchedHeap}}
+
 func benchDelay(i int, far bool) Time {
 	if far && i&7 == 0 {
 		return 4096 + Time(i&1023)
@@ -24,12 +30,12 @@ func benchDelay(i int, far bool) Time {
 // pattern: armed, then cancelled on success) over a standing population of
 // pending events, with the clock never advancing.
 func BenchmarkSchedule(b *testing.B) {
-	for _, kind := range []SchedulerKind{SchedWheel, SchedHeap} {
+	for _, sched := range schedulers {
 		for _, mix := range []string{"near", "far"} {
 			far := mix == "far"
-			b.Run(kind.String()+"/"+mix, func(b *testing.B) {
+			b.Run(sched.name+"/"+mix, func(b *testing.B) {
 				e := New()
-				e.SetScheduler(kind)
+				e.SetScheduler(sched.kind)
 				nop := nopHandler{}
 				// Standing population so the heap pays a realistic depth;
 				// deadlines 512..911 stay clear of the churn deadlines below
@@ -56,12 +62,12 @@ func BenchmarkSchedule(b *testing.B) {
 // across wheel epochs.
 func BenchmarkFireDrain(b *testing.B) {
 	const burst = 1024
-	for _, kind := range []SchedulerKind{SchedWheel, SchedHeap} {
+	for _, sched := range schedulers {
 		for _, mix := range []string{"near", "far"} {
 			far := mix == "far"
-			b.Run(kind.String()+"/"+mix, func(b *testing.B) {
+			b.Run(sched.name+"/"+mix, func(b *testing.B) {
 				e := New()
-				e.SetScheduler(kind)
+				e.SetScheduler(sched.kind)
 				nop := nopHandler{}
 				b.ReportAllocs()
 				b.ResetTimer()

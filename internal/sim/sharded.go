@@ -17,7 +17,7 @@ import (
 // barrier count collapses. The fixed mode is the original W-wide lockstep
 // window, kept as the cross-check oracle: both modes execute the identical
 // canonical event order, so every result is bit-identical under either —
-// the window-mode differential tests and fuzz target assert it.
+// the oracle differential tests and fuzz target assert it.
 type WindowMode uint8
 
 const (
@@ -28,29 +28,6 @@ const (
 	// barrier — the reference discipline.
 	WindowFixed
 )
-
-// String returns the name used by ParseWindowMode.
-func (m WindowMode) String() string {
-	switch m {
-	case WindowAdaptive:
-		return "adaptive"
-	case WindowFixed:
-		return "fixed"
-	}
-	return fmt.Sprintf("WindowMode(%d)", uint8(m))
-}
-
-// ParseWindowMode maps a window-mode name onto its kind. The empty string
-// selects the default (adaptive).
-func ParseWindowMode(name string) (WindowMode, error) {
-	switch name {
-	case "", "adaptive":
-		return WindowAdaptive, nil
-	case "fixed":
-		return WindowFixed, nil
-	}
-	return 0, fmt.Errorf("sim: unknown window mode %q (want adaptive or fixed)", name)
-}
 
 // ShardedEngine drives several engines in conservative lockstep time
 // windows — the classic Chandy-Misra lookahead discipline. The caller

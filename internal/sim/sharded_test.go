@@ -344,24 +344,6 @@ func TestShardedEngineWindowValidation(t *testing.T) {
 	NewShardedEngine([]*Engine{New()}, 0, func(Time, []Time) {}, 1)
 }
 
-func TestParseWindowMode(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		want WindowMode
-	}{{"", WindowAdaptive}, {"adaptive", WindowAdaptive}, {"fixed", WindowFixed}} {
-		got, err := ParseWindowMode(tc.name)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseWindowMode(%q) = %v, %v", tc.name, got, err)
-		}
-		if got.String() == "" {
-			t.Fatalf("WindowMode %d has no name", got)
-		}
-	}
-	if _, err := ParseWindowMode("lockstep"); err == nil {
-		t.Fatal("unknown window mode accepted")
-	}
-}
-
 // TestShardedEngineStopRestart: the worker pool must survive
 // Stop → Run → Stop cycles, with each restarted run producing the same
 // results as an uninterrupted one.

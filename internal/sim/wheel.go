@@ -25,29 +25,6 @@ const (
 	SchedHeap
 )
 
-// String returns the name used by ParseScheduler.
-func (k SchedulerKind) String() string {
-	switch k {
-	case SchedWheel:
-		return "wheel"
-	case SchedHeap:
-		return "heap"
-	}
-	return fmt.Sprintf("SchedulerKind(%d)", uint8(k))
-}
-
-// ParseScheduler maps a scheduler name onto its kind. The empty string
-// selects the default (the timing wheel).
-func ParseScheduler(name string) (SchedulerKind, error) {
-	switch name {
-	case "", "wheel":
-		return SchedWheel, nil
-	case "heap":
-		return SchedHeap, nil
-	}
-	return 0, fmt.Errorf("sim: unknown scheduler %q (want wheel or heap)", name)
-}
-
 // Wheel geometry. The ring holds one bucket per cycle over a power-of-two
 // near-future horizon; events beyond the horizon wait in the overflow heap
 // and are promoted into the ring as the clock crosses wheel epochs. 1024

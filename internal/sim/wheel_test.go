@@ -293,31 +293,6 @@ func TestSetSchedulerPanicsWithPending(t *testing.T) {
 	e.SetScheduler(SchedHeap)
 }
 
-func TestParseScheduler(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want SchedulerKind
-		err  bool
-	}{
-		{"", SchedWheel, false},
-		{"wheel", SchedWheel, false},
-		{"heap", SchedHeap, false},
-		{"splay", 0, true},
-	} {
-		got, err := ParseScheduler(tc.in)
-		if (err != nil) != tc.err {
-			t.Errorf("ParseScheduler(%q) error = %v, want error = %v", tc.in, err, tc.err)
-			continue
-		}
-		if err == nil && got != tc.want {
-			t.Errorf("ParseScheduler(%q) = %v, want %v", tc.in, got, tc.want)
-		}
-	}
-	if SchedWheel.String() != "wheel" || SchedHeap.String() != "heap" {
-		t.Error("SchedulerKind names drifted from ParseScheduler")
-	}
-}
-
 // TestHeapSchedulerStillWorks drives the canonical ordering tests through
 // the heap fallback so the oracle itself keeps its own coverage.
 func TestHeapSchedulerStillWorks(t *testing.T) {

@@ -226,58 +226,6 @@ type Config struct {
 	// ShardWorkers caps the goroutines executing shards concurrently
 	// (0 = GOMAXPROCS). It affects only wall-clock speed, never results.
 	ShardWorkers int
-	// WindowMode selects how the sharded engine sizes its time windows:
-	// "adaptive" (the default; window ends derived from the global slack —
-	// every shard's next pending deadline and the earliest deferred send —
-	// so quiet phases run wide windows with few barriers) or "fixed" (the
-	// original lockstep window of exactly the lookahead width, kept as the
-	// cross-check oracle). Both flush cross-shard sends in the same
-	// canonical order, so every cycle count and statistic is bit-identical
-	// under either — the window-mode differential tests and fuzz target
-	// assert it; the choice affects only wall-clock speed. Ignored when
-	// Shards == 0.
-	WindowMode string
-	// DisableEventPool turns off the simulation engine's event recycling.
-	// Results are bit-identical either way (the pooled-determinism tests
-	// assert it); the switch exists for that cross-check and for memory
-	// debugging, not for normal use.
-	DisableEventPool bool
-	// Scheduler selects the engine's pending-event structure: "wheel" (the
-	// default; an O(1) timing wheel of per-cycle buckets with an overflow
-	// tier, per-cycle batch dispatch, and dead-cycle skipping) or "heap"
-	// (the O(log n) binary heap kept as a cross-check oracle). Both fire
-	// events in identical (time, sequence) order, so every cycle count is
-	// bit-identical under either scheduler — the determinism tests assert
-	// it; the choice affects only wall-clock speed.
-	Scheduler string
-	// TableMode selects how the coherence controllers execute the protocol
-	// tables: "compiled" (the default; go:generate'd direct-threaded
-	// dispatch) or "interp" (the declarative table interpreter kept as the
-	// cross-checking oracle). The two are bit-identical in every cycle
-	// count and statistic — the differential tests and the table-mode fuzz
-	// target assert it — so the choice affects only wall-clock speed,
-	// exactly like Scheduler.
-	TableMode string
-	// ProcMode selects how processors advance through instruction chains:
-	// "fused" (the default; runs of cache hits, issue cycles, and compute
-	// slices execute synchronously, advancing a pipeline cursor strictly
-	// below the engine's next-event horizon, with exactly one scheduled
-	// event per run as the fallback) or "event" (the original
-	// event-per-instruction path kept as the cross-checking oracle). The
-	// two are bit-identical in every cycle count and statistic — the
-	// proc-mode differential tests and fuzz target assert it — so the
-	// choice affects only wall-clock speed, exactly like Scheduler and
-	// TableMode.
-	ProcMode string
-	// DirStorage selects the directory's sharer-set representation:
-	// "packed" (the default; node IDs inline in each entry, spilling to
-	// words bump-allocated from a per-store arena) or "boxed" (the original
-	// heap-allocated pointer-set objects, kept as the cross-checking
-	// oracle). The two are bit-identical in every cycle count and
-	// statistic — the storage differential tests and fuzz target assert
-	// it — so the choice affects only memory footprint, exactly like
-	// Scheduler and TableMode affect only wall-clock speed.
-	DirStorage string
 	// Faults is a deterministic fault-injection spec, "seed:key=value,...".
 	// Keys: delay/delaymax (per-packet delivery jitter), dup/dupdelay
 	// (duplicate deliveries), stall/stallperiod/stallcycles (link stall
@@ -302,6 +250,10 @@ type Config struct {
 	// returns an error carrying a structured diagnostic of the wedged state
 	// instead of spinning forever.
 	WatchdogCycles int64
+
+	// oracles selects the reference implementations the fast paths are
+	// cross-checked against; tests set it, results never depend on it.
+	oracles machine.Oracles
 }
 
 // DefaultConfig returns the paper's evaluation machine: 64 processors,
@@ -361,35 +313,12 @@ func (c Config) build() (*machine.Machine, error) {
 		params.Timing.TrapService = sim.Time(c.TrapService)
 	}
 	params.ModifyGrant = c.ModifyGrant
-	tm, err := coherence.ParseTableMode(c.TableMode)
-	if err != nil {
-		return nil, fmt.Errorf("limitless: bad TableMode: %w", err)
-	}
-	params.TableMode = tm
-	st, err := directory.ParseStorageMode(c.DirStorage)
-	if err != nil {
-		return nil, fmt.Errorf("limitless: bad DirStorage: %w", err)
-	}
-	params.Storage = st
 	contexts := c.Contexts
 	if contexts <= 0 {
 		contexts = 1
 	}
-	sched, err := sim.ParseScheduler(c.Scheduler)
-	if err != nil {
-		return nil, fmt.Errorf("limitless: bad Scheduler: %w", err)
-	}
-	wm, err := sim.ParseWindowMode(c.WindowMode)
-	if err != nil {
-		return nil, fmt.Errorf("limitless: bad WindowMode: %w", err)
-	}
-	pm, err := proc.ParseMode(c.ProcMode)
-	if err != nil {
-		return nil, fmt.Errorf("limitless: bad ProcMode: %w", err)
-	}
 	mc := machine.Config{Width: w, Height: h, Contexts: contexts, Params: params, CacheWays: c.CacheWays,
-		DisableEventPool: c.DisableEventPool, Scheduler: sched, WindowMode: wm, ProcMode: pm,
-		Shards: c.Shards, ShardWorkers: c.ShardWorkers,
+		Oracles: c.oracles, Shards: c.Shards, ShardWorkers: c.ShardWorkers,
 		Watchdog: sim.Time(c.WatchdogCycles)}
 	if c.Faults != "" {
 		fcfg, err := fault.Parse(c.Faults)
@@ -486,12 +415,9 @@ type Result struct {
 	// DirectoryBitsPerEntry is the hardware directory cost of the chosen
 	// scheme at this machine size (the O(N) vs O(N^2) comparison).
 	DirectoryBitsPerEntry int
-	// DirectoryStorage names the simulator's sharer-set representation
-	// for the run ("packed" or "boxed"; see Config.DirStorage).
-	DirectoryStorage string
 	// DirectoryBytes is the simulator's measured directory footprint at
-	// the end of the run: per-entry set headers plus spill words (packed)
-	// or heap pointer-set objects (boxed), summed over all nodes.
+	// the end of the run: per-entry set headers plus spill words, summed
+	// over all nodes.
 	DirectoryBytes int
 	// DirectoryBytesPerEntry is DirectoryBytes over the number of touched
 	// directory entries (0 when the run touched none).
@@ -760,7 +686,6 @@ func finishResult(m *machine.Machine, r machine.Result) Result {
 	}
 	dm := m.DirectoryMemory()
 	out.DirectoryBitsPerEntry = dm.HardwareBitsPerEntry
-	out.DirectoryStorage = dm.Storage
 	out.DirectoryBytes = dm.MeasuredBytes
 	out.DirectoryBytesPerEntry = dm.MeasuredBytesPerEntry
 	return out

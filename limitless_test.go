@@ -151,6 +151,30 @@ func TestSweepParallel(t *testing.T) {
 	}
 }
 
+// TestSweepNBounded checks that SweepN with a single worker produces the
+// same order-stable results as the default pool.
+func TestSweepNBounded(t *testing.T) {
+	cfgs := []limitless.Config{
+		{Procs: 16, Scheme: limitless.FullMap, TrapService: 50},
+		{Procs: 16, Scheme: limitless.LimitLESS, Pointers: 4, TrapService: 50},
+		{Procs: 16, Scheme: limitless.LimitedNB, Pointers: 4, TrapService: 50},
+	}
+	mk := func(cfg limitless.Config) limitless.Workload { return limitless.Weather(cfg.Procs) }
+	serial, err := limitless.SweepN(cfgs, mk, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled, err := limitless.Sweep(cfgs, mk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range cfgs {
+		if serial[i] != pooled[i] {
+			t.Fatalf("config %d: SweepN(1) and Sweep disagree:\nserial: %+v\npooled: %+v", i, serial[i], pooled[i])
+		}
+	}
+}
+
 func TestFIFOLockConfig(t *testing.T) {
 	cfg := limitless.Config{Procs: 16, Scheme: limitless.LimitLESS, Pointers: 4,
 		FIFOLocks: []limitless.Addr{limitless.LockAddr()}}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	limitless "limitless"
+	"limitless/internal/machine"
 )
 
 // lossSpec is the full chaos mix with the loss classes armed: every fault
@@ -67,15 +68,15 @@ func TestLossEquivalenceMatrix(t *testing.T) {
 				}
 			}
 			// Orthogonal engine knobs must not interact with the transport.
-			fixed := base
-			fixed.Shards, fixed.WindowMode = 4, "fixed"
-			if got := runLossy(t, fixed, string(scheme)+"/fixed-window"); got != ref {
-				t.Errorf("fixed windows diverged under loss:\n got %+v\nwant %+v", got, ref)
-			}
-			heap := base
-			heap.Shards, heap.Scheduler = 4, "heap"
-			if got := runLossy(t, heap, string(scheme)+"/heap"); got != ref {
-				t.Errorf("heap scheduler diverged under loss:\n got %+v\nwant %+v", got, ref)
+			for _, o := range []struct {
+				name string
+				mask machine.Oracles
+			}{{"fixed-window", machine.OracleFixedWindows}, {"heap", machine.OracleHeap}} {
+				cfg := base
+				cfg.Shards = 4
+				if got := runLossy(t, limitless.WithOracles(cfg, o.mask), string(scheme)+"/"+o.name); got != ref {
+					t.Errorf("%s diverged under loss:\n got %+v\nwant %+v", o.name, got, ref)
+				}
 			}
 		})
 	}
