@@ -173,13 +173,6 @@ func BenchmarkSimulatorThroughputHeap(b *testing.B) {
 	benchThroughput(b, machine.OracleHeap)
 }
 
-// BenchmarkSimulatorThroughputInterp is the same run on the interpreted
-// protocol tables (the compiled dispatch's oracle): the compiled-vs-interp
-// gap on a whole simulation, again on a bit-identical workload.
-func BenchmarkSimulatorThroughputInterp(b *testing.B) {
-	benchThroughput(b, machine.OracleInterp)
-}
-
 func benchThroughput(b *testing.B, mask machine.Oracles) {
 	cfg := limitless.WithOracles(limitless.Config{Procs: benchProcs, Scheme: limitless.LimitLESS, Pointers: 4}, mask)
 	var cycles int64
@@ -234,8 +227,10 @@ func BenchmarkFaultedThroughput(b *testing.B) {
 // parallelism gain (BenchmarkSimulatorThroughput remains the single-thread
 // Shards=0 baseline). shards-16 and shards-64 (one node per shard) probe
 // the coordinator's O(shards) window pass and the flush merge at high
-// fan-in; run with several GOMAXPROCS values (scripts/bench.sh sweeps
-// 1/2/4) to separate coordination overhead from parallel speedup.
+// fan-in; run with several GOMAXPROCS values (-cpu 1,2,4) to separate
+// coordination overhead from parallel speedup. It is for ad hoc profiling:
+// the gated sharded throughput is the weather-p256-shards16 workload of
+// bash bench/run.sh.
 func BenchmarkShardedThroughput(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8, 16, 64} {
 		shards := shards

@@ -109,10 +109,10 @@ type line struct {
 type Cache struct {
 	cfg     Config
 	sets    int
-	setMask int // sets-1 when sets is a power of two (every real geometry), else -1
+	setMask int    // sets-1 when sets is a power of two (every real geometry), else -1
 	lines   []line // sets * Ways, set-major
-	tick  uint64
-	stats Stats
+	tick    uint64
+	stats   Stats
 
 	// filled records the index of every line Fill has installed into, so
 	// Release can return the array to the pool after zeroing only the lines

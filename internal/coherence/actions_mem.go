@@ -276,9 +276,7 @@ func memWTUpdate(c *memCtx) {
 }
 
 // The memBug* actions report explicitly-modelled protocol violations (the
-// rows the old code expressed as protocolBug calls). They are named
-// top-level functions — not a closure factory — so the table compiler can
-// resolve each row's action to a symbol it can emit a direct call to.
+// rows the old code expressed as protocolBug calls).
 
 // memBugOwnerRREQ reports an owner re-reading before its REPM arrived.
 func memBugOwnerRREQ(c *memCtx) { c.mc.protocolBug("Read-Write(owner-RREQ)", c.src, c.m) }
@@ -290,7 +288,9 @@ func memBugForeignREPM(c *memCtx) { c.mc.protocolBug("Read-Write(foreign-REPM)",
 func memBugAckUnderflow(c *memCtx) { c.mc.protocolBug("Write-Transaction(ack-underflow)", c.src, c.m) }
 
 // memBugUpdateUnderflow reports an UPDATE with no invalidation outstanding.
-func memBugUpdateUnderflow(c *memCtx) { c.mc.protocolBug("Write-Transaction(update-underflow)", c.src, c.m) }
+func memBugUpdateUnderflow(c *memCtx) {
+	c.mc.protocolBug("Write-Transaction(update-underflow)", c.src, c.m)
+}
 
 // --- row assembly helpers shared by the policy modules ---
 

@@ -152,14 +152,11 @@ type CacheController struct {
 	freeTxns  []*txn
 	arena     msgArena
 
-	// tbl is the scheme's cache-side transition table. fastTbl, when
-	// non-nil, is the generated direct-threaded dispatcher for the same
-	// table (TableCompiled); HandleMem falls back to interpreting tbl when
-	// it is nil. sharedUncached caches SchemeInfo.SharedUncached (the
-	// private-only baseline routes shared references around the cache), and
-	// cctx is the reusable dispatch scratch context.
+	// tbl is the scheme's cache-side transition table. sharedUncached
+	// caches SchemeInfo.SharedUncached (the private-only baseline routes
+	// shared references around the cache), and cctx is the reusable
+	// dispatch scratch context.
 	tbl            *protocol.Table[cacheCtx]
-	fastTbl        cacheDispatch
 	sharedUncached bool
 	cctx           cacheCtx
 }
@@ -240,9 +237,6 @@ func NewCacheController(eng *sim.Engine, nw NetPort, id mesh.NodeID, params Para
 	cc.sendH = txnSendHandler{cc}
 	cc.compH = completionHandler{cc}
 	cc.tbl = policyFor(params.Scheme).cache
-	if params.TableMode == TableCompiled {
-		cc.fastTbl = compiledFor(params.Scheme).cache
-	}
 	cc.sharedUncached = params.Scheme.Info().SharedUncached
 	cc.cctx.cc = cc
 	return cc
@@ -525,13 +519,7 @@ func (cc *CacheController) HandleMem(src mesh.NodeID, m *Msg) {
 	st := txnState(t)
 	c := &cc.cctx
 	c.src, c.m, c.t = src, m, t
-	var v protocol.Verdict
-	if cc.fastTbl != nil {
-		v = cc.fastTbl(cc.tbl, c, st, uint8(m.Type))
-	} else {
-		v = cc.tbl.Dispatch(st, protocol.Any, uint8(m.Type), c)
-	}
-	if v != protocol.Matched {
+	if v := cc.tbl.Dispatch(st, protocol.Any, uint8(m.Type), c); v != protocol.Matched {
 		cc.tableViolation(v, st, src, m)
 	}
 }

@@ -26,21 +26,6 @@ const (
 	Chained = protocol.Chained
 )
 
-// TableMode selects how the controllers execute the protocol tables: the
-// generated direct-threaded dispatch (default) or the declarative table
-// interpreter it was compiled from. The two are bit-identical — the
-// interpreter is kept as the cross-checking oracle, exactly like the
-// binary-heap scheduler backs the timing wheel.
-type TableMode uint8
-
-const (
-	// TableCompiled runs the go:generate'd per-scheme switch dispatch
-	// (tables_compiled.go). The zero value, so it is the default.
-	TableCompiled TableMode = iota
-	// TableInterp runs the protocol.Table interpreter over the registry.
-	TableInterp
-)
-
 // EvictPolicy selects the victim when a limited directory overflows.
 type EvictPolicy uint8
 

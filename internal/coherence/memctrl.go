@@ -45,10 +45,6 @@ type Params struct {
 	// of this transition that would send a modify grant (MODG), rather
 	// than write data (WDATA)").
 	ModifyGrant bool
-	// TableMode selects compiled (default) or interpreted table dispatch.
-	// The two are bit-identical; interp keeps the declarative tables as a
-	// cross-checking oracle.
-	TableMode TableMode
 	// Storage selects the sharer-set backend: packed inline sets spilling
 	// to a per-store word arena (the default), or the original boxed
 	// PointerSet implementations kept as a cross-checking oracle. The two
@@ -146,13 +142,10 @@ type MemoryController struct {
 	shBuf  []directory.Node
 	ownBuf []directory.Node
 
-	// tbl is the scheme's memory-side transition table. fastTbl, when
-	// non-nil, is the generated direct-threaded dispatcher for the same
-	// table (TableCompiled); process falls back to interpreting tbl when it
-	// is nil. chained caches SchemeInfo.ChainedList for the duplicate-RREQ
-	// echo check, and mctx is the reusable dispatch scratch context.
+	// tbl is the scheme's memory-side transition table. chained caches
+	// SchemeInfo.ChainedList for the duplicate-RREQ echo check, and mctx is
+	// the reusable dispatch scratch context.
 	tbl     *protocol.Table[memCtx]
-	fastTbl memDispatch
 	chained bool
 	mctx    memCtx
 }
@@ -215,9 +208,6 @@ func NewMemoryController(eng *sim.Engine, nw NetPort, id mesh.NodeID, params Par
 		evictSeed: uint64(id)*2654435761 + 1,
 		tbl:       policyFor(params.Scheme).mem,
 		chained:   info.ChainedList,
-	}
-	if params.TableMode == TableCompiled {
-		mc.fastTbl = compiledFor(params.Scheme).mem
 	}
 	mc.procH = processHandler{mc}
 	mc.mctx.mc = mc
@@ -332,13 +322,7 @@ func (mc *MemoryController) process(src mesh.NodeID, m *Msg) {
 
 	c := &mc.mctx
 	c.reset(src, m, e)
-	var v protocol.Verdict
-	if mc.fastTbl != nil {
-		v = mc.fastTbl(mc.tbl, c, uint8(e.State), uint8(e.Meta), uint8(m.Type))
-	} else {
-		v = mc.tbl.Dispatch(uint8(e.State), uint8(e.Meta), uint8(m.Type), c)
-	}
-	if v != protocol.Matched {
+	if v := mc.tbl.Dispatch(uint8(e.State), uint8(e.Meta), uint8(m.Type), c); v != protocol.Matched {
 		mc.tableViolation(v, e, src, m)
 	}
 }

@@ -149,47 +149,6 @@ type policy struct {
 
 var policies [protocol.NumSchemes]*policy
 
-//go:generate go run limitless/cmd/tablegen
-
-// memDispatch and cacheDispatch are the signatures of the generated
-// direct-threaded dispatchers (tables_compiled.go): straight-line switch
-// code equivalent to t.Dispatch over the same table. The table is passed
-// in for coverage counting and verdict bookkeeping only — the transition
-// logic is compiled into the function body.
-type (
-	memDispatch   func(t *protocol.Table[memCtx], c *memCtx, state, meta, msg uint8) protocol.Verdict
-	cacheDispatch func(t *protocol.Table[cacheCtx], c *cacheCtx, state, msg uint8) protocol.Verdict
-)
-
-// compiledPolicy pairs one scheme's generated dispatchers.
-type compiledPolicy struct {
-	mem   memDispatch
-	cache cacheDispatch
-}
-
-var compiled [protocol.NumSchemes]compiledPolicy
-
-// registerCompiled installs a scheme's generated dispatch functions; the
-// go:generate'd tables_compiled.go calls it from init. Controllers built
-// with TableCompiled fall back to the interpreter for any scheme without a
-// registered compiled dispatcher, so the tree still builds (and runs
-// correctly) while tables_compiled.go is being regenerated.
-func registerCompiled(id Scheme, mem memDispatch, cache cacheDispatch) {
-	if compiled[id].mem != nil {
-		panic(fmt.Sprintf("coherence: compiled dispatch for scheme %v registered twice", id))
-	}
-	compiled[id] = compiledPolicy{mem: mem, cache: cache}
-}
-
-// compiledFor returns the scheme's generated dispatchers (zero-valued if
-// none are registered).
-func compiledFor(id Scheme) compiledPolicy {
-	if int(id) >= len(compiled) {
-		return compiledPolicy{}
-	}
-	return compiled[id]
-}
-
 // registerPolicy installs a scheme's tables; each policy_*.go file calls
 // it from init.
 func registerPolicy(id Scheme, mem *protocol.Table[memCtx], cache *protocol.Table[cacheCtx]) {

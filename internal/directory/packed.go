@@ -28,9 +28,9 @@ import (
 // instead of leaking it.
 //
 // The boxed implementations stay selectable as a cross-checked oracle
-// (StorageBoxed), following the repo's wheel-vs-heap and compiled-vs-interp
-// discipline: every scheme must produce bit-identical cycle counts under
-// either backend, and the differential matrix plus fuzz targets assert it.
+// (StorageBoxed), following the repo's wheel-vs-heap discipline: every
+// scheme must produce bit-identical cycle counts under either backend, and
+// the differential matrix plus fuzz targets assert it.
 
 // Node is the compact node-ID type of the packed directory: a 16-bit
 // hardware pointer, wide enough for the ROADMAP's P=1024 meshes with room

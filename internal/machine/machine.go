@@ -84,9 +84,6 @@ const (
 	// OracleHeap runs the engines on the binary heap instead of the timing
 	// wheel.
 	OracleHeap Oracles = 1 << iota
-	// OracleInterp runs the protocol-table interpreter instead of the
-	// compiled dispatch.
-	OracleInterp
 	// OracleBoxed keeps directory sharer sets in heap pointer-set objects
 	// instead of packed inline/arena storage.
 	OracleBoxed
@@ -98,7 +95,7 @@ const (
 	OracleFixedWindows
 
 	// AllOracles selects every reference implementation at once.
-	AllOracles = OracleHeap | OracleInterp | OracleBoxed | OracleEventProc | OracleFixedWindows
+	AllOracles = OracleHeap | OracleBoxed | OracleEventProc | OracleFixedWindows
 )
 
 // DefaultConfig returns the paper's evaluation machine: 64 processors,
@@ -179,9 +176,6 @@ func New(cfg Config) *Machine {
 	sched := sim.SchedWheel
 	if cfg.Oracles&OracleHeap != 0 {
 		sched = sim.SchedHeap
-	}
-	if cfg.Oracles&OracleInterp != 0 {
-		cfg.Params.TableMode = coherence.TableInterp
 	}
 	if cfg.Oracles&OracleBoxed != 0 {
 		cfg.Params.Storage = directory.StorageBoxed

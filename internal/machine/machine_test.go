@@ -474,7 +474,7 @@ func TestOraclesReachEveryLayer(t *testing.T) {
 			m.Run()
 			check := func(layer string, selected bool, bit Oracles) {
 				if selected != (mask&bit != 0) {
-					t.Errorf("oracles=%05b shards=%d: %s oracle selected = %v", mask, shards, layer, selected)
+					t.Errorf("oracles=%04b shards=%d: %s oracle selected = %v", mask, shards, layer, selected)
 				}
 			}
 			engines := m.engines
@@ -487,9 +487,6 @@ func TestOraclesReachEveryLayer(t *testing.T) {
 			}
 			if m.sharded != nil {
 				check("fixed windows", m.sharded.Mode() == sim.WindowFixed, OracleFixedWindows)
-			}
-			for _, n := range m.Nodes {
-				check("interpreted tables", n.MC.Params().TableMode == coherence.TableInterp, OracleInterp)
 			}
 			check("boxed storage", m.DirectoryMemory().Storage == "boxed", OracleBoxed)
 		}

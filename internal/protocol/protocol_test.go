@@ -29,6 +29,7 @@ func TestDispatchDeclarationOrderAndGuards(t *testing.T) {
 		{State: 0, Meta: Any, Msg: 10, ID: "fallback", Action: fire("fallback")},
 		{State: Any, Meta: Any, Msg: 11, ID: "wild-y", Action: fire("wild-y")},
 		{State: 1, Meta: 0, Msg: 10, ID: "b-x", Action: fire("b-x")},
+		{State: 1, Meta: 1, Msg: 10, ID: "b-x-m1-absorb", Guard: func(c *tctx) bool { return c.flag }},
 		{State: 1, Meta: 1, Msg: 10, ID: "b-x-m1", Action: fire("b-x-m1")},
 	}, nil)
 
@@ -46,12 +47,25 @@ func TestDispatchDeclarationOrderAndGuards(t *testing.T) {
 	if v := tbl.Dispatch(1, 0, 10, c); v != Matched || c.fired[len(c.fired)-1] != "b-x" {
 		t.Fatalf("meta-specific row: %v fired=%v", v, c.fired)
 	}
-	// Out-of-spec message and out-of-range state are NoRow, not a panic.
+	// A row without an action absorbs the message: Matched, nothing fired.
+	n := len(c.fired)
+	if v := tbl.Dispatch(1, 1, 10, c); v != Matched || len(c.fired) != n {
+		t.Fatalf("absorbing row: %v fired=%v", v, c.fired)
+	}
+	c.flag = false
+	if v := tbl.Dispatch(1, 1, 10, c); v != Matched || c.fired[len(c.fired)-1] != "b-x-m1" {
+		t.Fatalf("refused absorb falls through: %v fired=%v", v, c.fired)
+	}
+	// Out-of-spec message and out-of-range state or meta are NoRow, not a
+	// panic.
 	if v := tbl.Dispatch(0, 0, 99, c); v != NoRow {
 		t.Fatalf("unknown message: %v", v)
 	}
 	if v := tbl.Dispatch(7, 0, 10, c); v != NoRow {
 		t.Fatalf("unknown state: %v", v)
+	}
+	if v := tbl.Dispatch(0, 7, 10, c); v != NoRow {
+		t.Fatalf("unknown meta: %v", v)
 	}
 }
 
@@ -118,6 +132,7 @@ func TestCheckFindsHoles(t *testing.T) {
 func TestCoverageCounters(t *testing.T) {
 	tbl := New(spec2x2(), []Row[tctx]{
 		{State: Any, Meta: Any, Msg: 10, ID: "x", Action: fire("x")},
+		{State: 1, Meta: Any, Msg: 11, ID: "absorb"},
 		{State: Any, Meta: Any, Msg: 11, ID: "y", Action: fire("y")},
 	}, nil)
 	c := &tctx{}
@@ -125,9 +140,14 @@ func TestCoverageCounters(t *testing.T) {
 	tbl.SetCoverage(true)
 	tbl.Dispatch(0, 0, 10, c)
 	tbl.Dispatch(1, 1, 10, c)
+	tbl.Dispatch(1, 0, 11, c) // absorbed: counted though no action runs
+	tbl.Dispatch(0, 7, 10, c) // out-of-range meta: NoRow, counted nowhere
 	cov := tbl.Coverage()
-	if cov[0].Count != 2 || cov[1].Count != 0 {
+	if cov[0].Count != 2 || cov[1].Count != 1 || cov[2].Count != 0 {
 		t.Fatalf("coverage = %+v", cov)
+	}
+	if len(c.fired) != 3 {
+		t.Fatalf("fired = %v, want three x", c.fired)
 	}
 	if cov[0].Table != "test/table" || cov[0].Row != "x" || cov[0].Keys != "*/*/X" {
 		t.Fatalf("coverage identity = %+v", cov[0])

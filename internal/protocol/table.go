@@ -301,64 +301,6 @@ func (t *Table[C]) describeKeys(state, meta, msg uint8) string {
 	return name(t.spec.States, state) + "/" + name(t.spec.Metas, meta) + "/" + msgName
 }
 
-// CellProgram is the dispatch program of one dense (state, meta, msg)
-// cell: the candidate rows tried in declaration order, and whether the
-// cell is declared impossible when every candidate refuses. It is the
-// table compiler's view of the table — a generator walks the programs and
-// emits equivalent straight-line code.
-type CellProgram struct {
-	// State, Meta, Msg are the concrete (non-wildcard) axis values of the
-	// cell. Msg is the protocol message value, not the dense index. For
-	// tables without a meta axis Meta is always 0.
-	State, Meta, Msg uint8
-	// Rows holds the indices (into the table's declaration order) of the
-	// candidate rows, in trial order. Index rows via RowAt.
-	Rows []int32
-	// Impossible reports whether the cell carries an impossibility
-	// declaration, i.e. exhausting Rows yields VerdictImpossible rather
-	// than NoRow.
-	Impossible bool
-}
-
-// CellPrograms returns the dispatch program of every dense cell, in cell
-// order. The slices alias the table's internals; callers must not mutate
-// them.
-func (t *Table[C]) CellPrograms() []CellProgram {
-	out := make([]CellProgram, 0, len(t.dispatch))
-	for s := 0; s < t.nStates; s++ {
-		for mt := 0; mt < t.nMetas; mt++ {
-			for mg := 0; mg < t.nMsgs; mg++ {
-				cell := (s*t.nMetas+mt)*t.nMsgs + mg
-				out = append(out, CellProgram{
-					State:      uint8(s),
-					Meta:       uint8(mt),
-					Msg:        t.spec.Msgs[mg].Val,
-					Rows:       t.dispatch[cell],
-					Impossible: t.impossFor[cell] >= 0,
-				})
-			}
-		}
-	}
-	return out
-}
-
-// NumRows returns the number of declared rows.
-func (t *Table[C]) NumRows() int { return len(t.rows) }
-
-// RowAt returns the i-th declared row. The Guard and Action fields are the
-// very function values the interpreter dispatches, so compiled code that
-// resolves them to symbols stays behaviorally identical.
-func (t *Table[C]) RowAt(i int) Row[C] { return t.rows[i] }
-
-// CoverageEnabled reports whether the per-row hit counters are recording.
-// Compiled dispatch checks it exactly where the interpreter checks its
-// internal flag, so coverage numbers agree between modes.
-func (t *Table[C]) CoverageEnabled() bool { return t.coverOn.Load() }
-
-// Hit increments row i's coverage counter; compiled dispatch calls it when
-// CoverageEnabled, mirroring the interpreter.
-func (t *Table[C]) Hit(i int) { t.cover[i].Add(1) }
-
 // RowCoverage reports one row's identity and hit count.
 type RowCoverage struct {
 	Table string

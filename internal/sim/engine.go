@@ -114,7 +114,7 @@ type Engine struct {
 	processed uint64
 	inlined   uint64    // continuations dispatched through the pend path (subset of processed)
 	pq        pendQueue // parked inline continuations, co-scheduled with the event queue
-	free      []*Event // recycled events; see SetPooling
+	free      []*Event  // recycled events; see SetPooling
 	noPool    bool
 	batch     []any // reusable arg buffer for fireBatch (wheel batch dispatch)
 
@@ -281,9 +281,6 @@ type Pend struct {
 
 // NewPend returns an idle pend that dispatches through fn.
 func NewPend(fn func()) *Pend { return &Pend{index: -1, fn: fn} }
-
-// Parked reports whether the pend is waiting in the engine.
-func (p *Pend) Parked() bool { return p.index >= 0 }
 
 // Park files p to run at cycle t. The pend receives the sequence key the
 // equivalent AtHandler call would have stamped on an event — it consumes
@@ -687,12 +684,3 @@ func (e *Engine) Abort() {
 
 // Aborted reports whether Abort was called.
 func (e *Engine) Aborted() bool { return e.abort }
-
-// RunWhile executes events for as long as cond returns true and work
-// remains. cond is evaluated before each action.
-func (e *Engine) RunWhile(cond func() bool) Time {
-	for e.Pending() > 0 && cond() {
-		e.Step()
-	}
-	return e.now
-}

@@ -144,18 +144,6 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
-func TestEngineRunWhile(t *testing.T) {
-	e := New()
-	count := 0
-	for i := 0; i < 100; i++ {
-		e.At(Time(i), func() { count++ })
-	}
-	e.RunWhile(func() bool { return count < 10 })
-	if count != 10 {
-		t.Fatalf("RunWhile stopped at count=%d, want 10", count)
-	}
-}
-
 func TestEngineProcessedCount(t *testing.T) {
 	e := New()
 	for i := 0; i < 25; i++ {

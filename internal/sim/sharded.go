@@ -157,12 +157,6 @@ func (s *ShardedEngine) Mode() WindowMode { return s.mode }
 // probe the engine assumes no sends are ever held.
 func (s *ShardedEngine) SetHeldProbe(f func() Time) { s.heldMin = f }
 
-// Engines returns the underlying shard engines.
-func (s *ShardedEngine) Engines() []*Engine { return s.engines }
-
-// Window returns the lookahead window width in cycles.
-func (s *ShardedEngine) Window() Time { return s.window }
-
 // Windows returns the number of window barriers run so far.
 func (s *ShardedEngine) Windows() uint64 { return s.windows }
 

@@ -190,10 +190,10 @@ func TestWheelOverflowPromotion(t *testing.T) {
 	var order []Time
 	rec := func() { order = append(order, e.Now()) }
 	e.At(5, rec)
-	e.At(2000, rec)             // beyond the 1024-cycle horizon: overflow tier
-	far := e.At(50_000, rec)    // deep overflow
-	e.At(wheelSpan+5, rec)      // same bucket index as cycle 5, next epoch
-	e.Cancel(far)               // overflow cancellation
+	e.At(2000, rec)          // beyond the 1024-cycle horizon: overflow tier
+	far := e.At(50_000, rec) // deep overflow
+	e.At(wheelSpan+5, rec)   // same bucket index as cycle 5, next epoch
+	e.Cancel(far)            // overflow cancellation
 	if end := e.Run(); end != 2000 {
 		t.Fatalf("final time = %d, want 2000", end)
 	}

@@ -3,7 +3,6 @@ package workload
 import (
 	"limitless/internal/coherence"
 	"limitless/internal/directory"
-	"limitless/internal/mesh"
 	"limitless/internal/proc"
 	"limitless/internal/sim"
 )
@@ -138,11 +137,6 @@ func ProducerConsumer(cfg ProducerConsumerConfig) []proc.Workload {
 		})
 	}
 	return wls
-}
-
-// Sweep helpers shared by benchmarks: distinct-home block for scratch use.
-func ScratchBlock(p mesh.NodeID, k uint64) directory.Addr {
-	return coherence.BlockAt(p, 4000+k)
 }
 
 // RotatingConfig drives a rotating-reader pattern: each processor reads a

@@ -148,11 +148,11 @@ func Weather(cfg WeatherConfig) []proc.Workload {
 			// straightforward CPS phrasing — was the simulator's largest
 			// steady-state allocation source.
 			var (
-				iter           int
-				j, ti, ni, si  int
-				phase, hot     func(*Thread)
-				rest, tables   func(*Thread)
-				own, succReads func(*Thread)
+				iter                                       int
+				j, ti, ni, si                              int
+				phase, hot                                 func(*Thread)
+				rest, tables                               func(*Thread)
+				own, succReads                             func(*Thread)
 				afterHotRead, afterPrivStore, afterCompute Cont
 				afterPublish, afterTable                   Cont
 				ownLoaded, ownStored, afterSucc            Cont

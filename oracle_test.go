@@ -39,13 +39,13 @@ func runOracles(t testing.TB, cfg limitless.Config, mk func() limitless.Workload
 	}
 	got, err := limitless.Run(limitless.WithOracles(cfg, mask), mk())
 	if err != nil {
-		t.Fatalf("%s oracles=%05b: %v", label, mask, err)
+		t.Fatalf("%s oracles=%04b: %v", label, mask, err)
 	}
 	if mask&machine.OracleBoxed != 0 {
 		got.DirectoryBytes, got.DirectoryBytesPerEntry = want.DirectoryBytes, want.DirectoryBytesPerEntry
 	}
 	if got != want {
-		t.Fatalf("%s: oracles=%05b disagree with the fast paths:\nfast:   %+v\noracle: %+v", label, mask, want, got)
+		t.Fatalf("%s: oracles=%04b disagree with the fast paths:\nfast:   %+v\noracle: %+v", label, mask, want, got)
 	}
 	return want
 }
@@ -68,7 +68,6 @@ func oracleMatrix(t *testing.T, mask machine.Oracles) {
 }
 
 func TestSchedulerEquivalence(t *testing.T)   { oracleMatrix(t, machine.OracleHeap) }
-func TestTableModeEquivalence(t *testing.T)   { oracleMatrix(t, machine.OracleInterp) }
 func TestStorageModeEquivalence(t *testing.T) { oracleMatrix(t, machine.OracleBoxed) }
 func TestProcModeEquivalence(t *testing.T)    { oracleMatrix(t, machine.OracleEventProc) }
 func TestWindowModeEquivalence(t *testing.T)  { oracleMatrix(t, machine.OracleFixedWindows) }
@@ -150,10 +149,6 @@ func oracleRandom(t *testing.T, must machine.Oracles, seed int64) {
 	}
 }
 
-func TestTableModeEquivalenceRandom(t *testing.T) {
-	oracleRandom(t, machine.OracleInterp, 0x11771e55)
-}
-
 func TestStorageModeEquivalenceRandom(t *testing.T) {
 	oracleRandom(t, machine.OracleBoxed, 0x9acced)
 }
@@ -169,17 +164,16 @@ func TestWindowModeEquivalenceRandom(t *testing.T) {
 // fuzzOracles lets the fuzzer pick the mask (always including must), the
 // scheme, the workload, the engine and the protocol knobs.
 func fuzzOracles(f *testing.F, must machine.Oracles) {
-	f.Add(byte(30), byte(2), byte(0), byte(0), byte(0x42))   // all oracles, limitless/weather/sequential
+	f.Add(byte(14), byte(2), byte(0), byte(0), byte(0x42))   // all oracles, limitless/weather/sequential
 	f.Add(byte(0), byte(0), byte(1), byte(1), byte(0x10))    // heap, full-map/synthetic/2 shards
-	f.Add(byte(7), byte(5), byte(2), byte(0x11), byte(0xff)) // event proc, chained/migratory/4 shards, 2 workers
-	f.Add(byte(15), byte(3), byte(3), byte(2), byte(0x07))   // fixed windows, software-only/multigrid/4 shards
+	f.Add(byte(3), byte(5), byte(2), byte(0x11), byte(0xff)) // event proc, chained/migratory/4 shards, 2 workers
+	f.Add(byte(7), byte(3), byte(3), byte(2), byte(0x07))    // fixed windows, software-only/multigrid/4 shards
 	f.Fuzz(func(t *testing.T, maskB, schemeB, wlB, shardsB, knobsB byte) {
 		oracleTrial(t, must, maskB, schemeB, wlB, shardsB, knobsB)
 	})
 }
 
 func FuzzOracleEquivalence(f *testing.F)      { fuzzOracles(f, 0) }
-func FuzzTableModeEquivalence(f *testing.F)   { fuzzOracles(f, machine.OracleInterp) }
 func FuzzStorageModeEquivalence(f *testing.F) { fuzzOracles(f, machine.OracleBoxed) }
 func FuzzProcModeEquivalence(f *testing.F)    { fuzzOracles(f, machine.OracleEventProc) }
 func FuzzWindowModeEquivalence(f *testing.F)  { fuzzOracles(f, machine.OracleFixedWindows) }
