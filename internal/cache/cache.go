@@ -92,10 +92,7 @@ func (s Stats) HitRate() float64 {
 
 // line is one cache line. Field order matters: the three words lead and the
 // three byte-sized fields share the tail word, so the struct packs into 32
-// bytes instead of 48. A node's line array is the largest single allocation
-// in the machine (4096 lines by default), so the packing cuts a third off
-// both the construction memclr and the heap footprint, and keeps the array
-// pointer-free (the GC never scans it).
+// bytes instead of 48 and stays pointer-free (the GC never scans a page).
 type line struct {
 	tag   directory.Addr
 	value uint64
@@ -105,39 +102,35 @@ type line struct {
 	dirty bool
 }
 
-// Cache is one node's cache, indexed by block address.
+// pageLines is the number of lines in one page: 2 KiB of line storage.
+const pageLines = 64
+
+// page is a run of pageLines consecutive lines of the set-major line
+// array.
+type page [pageLines]line
+
+// absent stands in for every page no Fill has reached yet. Its lines are
+// all invalid, so a lookup in it is a miss that needs no nil check and
+// allocates nothing. It is shared by every cache and never written: only
+// lines a lookup found valid are modified in place, and Fill swaps in a
+// real page before installing a line.
+var absent page
+
+// pagePool recycles zeroed pages across Cache instances: Release hands a
+// cache's pages back and the next machine's fills draw on them.
+var pagePool sync.Pool
+
+// Cache is one node's cache, indexed by block address. Its lines are
+// stored in pages allocated on first fill, so a node's footprint follows
+// the blocks it actually caches: the paper's workloads touch a few pages
+// of the 64 a 4096-line cache spans.
 type Cache struct {
 	cfg     Config
 	sets    int
-	setMask int    // sets-1 when sets is a power of two (every real geometry), else -1
-	lines   []line // sets * Ways, set-major
+	setMask int     // sets-1 when sets is a power of two (every real geometry), else -1
+	pages   []*page // line i lives in pages[i/pageLines]; &absent until filled
 	tick    uint64
 	stats   Stats
-
-	// filled records the index of every line Fill has installed into, so
-	// Release can return the array to the pool after zeroing only the lines
-	// this run dirtied. fullClear falls back to a whole-array clear once the
-	// list stops being cheaper than the memclr it avoids.
-	filled    []int32
-	fullClear bool
-}
-
-// linePool recycles line arrays across Cache instances. A 64-node machine
-// allocates and zeroes 4 MB of line arrays per construction, yet the
-// paper's workloads fill a few dozen lines per node — recycling released
-// arrays (zeroed fill-by-fill on release) makes repeated simulation runs,
-// the benchmark and sweep pattern, nearly free of their largest allocation.
-var linePool sync.Pool
-
-// newLines returns a zeroed line array of length n, recycled if possible.
-func newLines(n int) []line {
-	if v := linePool.Get(); v != nil {
-		if sl := v.([]line); len(sl) == n {
-			return sl
-		}
-		// Wrong geometry: drop it and let the GC reclaim.
-	}
-	return make([]line, n)
 }
 
 // New returns an empty cache.
@@ -163,41 +156,25 @@ func New(cfg Config) *Cache {
 		// whole simulator.
 		setMask = sets - 1
 	}
-	return &Cache{cfg: cfg, sets: sets, setMask: setMask, lines: newLines(cfg.Lines)}
+	pages := make([]*page, (cfg.Lines+pageLines-1)/pageLines)
+	for i := range pages {
+		pages[i] = &absent
+	}
+	return &Cache{cfg: cfg, sets: sets, setMask: setMask, pages: pages}
 }
 
-// Release zeroes every line this cache dirtied and returns the line array
-// to the pool for the next Cache of the same geometry. The cache must not
-// be used afterwards. Callers that inspect cache contents after a run
-// (tests, diagnostics) simply never call Release.
+// Release zeroes the cache's pages and returns them to the pool for the
+// next Cache. The cache must not be used afterwards; a second Release does
+// nothing. Callers that inspect cache contents after a run (tests,
+// diagnostics) simply never call Release.
 func (c *Cache) Release() {
-	if c.lines == nil {
-		return
-	}
-	if c.fullClear {
-		clear(c.lines)
-	} else {
-		for _, i := range c.filled {
-			c.lines[i] = line{}
+	for _, p := range c.pages {
+		if p != &absent {
+			*p = page{}
+			pagePool.Put(p)
 		}
 	}
-	linePool.Put(c.lines)
-	c.lines = nil
-	c.filled = nil
-}
-
-// recordFill notes that lines[i] is no longer zero.
-func (c *Cache) recordFill(i int) {
-	if c.fullClear {
-		return
-	}
-	if len(c.filled) >= len(c.lines)/8 {
-		// The list outgrew its advantage over a plain memclr.
-		c.fullClear = true
-		c.filled = nil
-		return
-	}
-	c.filled = append(c.filled, int32(i))
+	c.pages = nil
 }
 
 // Config returns the cache geometry.
@@ -214,18 +191,17 @@ func (c *Cache) setIndex(addr directory.Addr) int {
 	return int(addr) % c.sets
 }
 
-// set returns the ways of addr's set.
-func (c *Cache) set(addr directory.Addr) []line {
-	s := c.setIndex(addr)
-	return c.lines[s*c.cfg.Ways : (s+1)*c.cfg.Ways]
+// at returns line i of the set-major line array.
+func (c *Cache) at(i int) *line {
+	return &c.pages[uint(i)/pageLines][uint(i)%pageLines]
 }
 
 // slot returns the way holding addr, or nil.
 func (c *Cache) slot(addr directory.Addr) *line {
-	set := c.set(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == addr {
-			return &set[i]
+	i := c.setIndex(addr) * c.cfg.Ways
+	for end := i + c.cfg.Ways; i < end; i++ {
+		if l := c.at(i); l.valid && l.tag == addr {
+			return l
 		}
 	}
 	return nil
@@ -304,24 +280,32 @@ func (c *Cache) Fill(addr directory.Addr, state LineState, value uint64) (v Vict
 		return Victim{}, false
 	}
 	// Pick a way: first invalid, else LRU victim.
-	set := c.set(addr)
-	victim, vi := &set[0], 0
-	for i := range set {
-		w := &set[i]
+	i := c.setIndex(addr) * c.cfg.Ways
+	vi := i
+	for end := i + c.cfg.Ways; i < end; i++ {
+		w := c.at(i)
 		if !w.valid || w.state == Invalid {
-			victim, vi = w, i
+			vi = i
 			break
 		}
-		if w.used < victim.used {
-			victim, vi = w, i
+		if w.used < c.at(vi).used {
+			vi = i
 		}
 	}
+	victim := c.at(vi)
 	if victim.valid && victim.state != Invalid {
 		v = Victim{Addr: victim.tag, State: victim.state, Value: victim.value, Dirty: victim.dirty}
 		displaced = true
 		c.stats.Replacements++
 	}
-	c.recordFill(c.setIndex(addr)*c.cfg.Ways + vi)
+	if p := &c.pages[uint(vi)/pageLines]; *p == &absent {
+		// The first fill into this page: give it storage of its own.
+		*p, _ = pagePool.Get().(*page)
+		if *p == nil {
+			*p = new(page)
+		}
+		victim = c.at(vi)
+	}
 	*victim = line{valid: true, tag: addr, state: state, value: value}
 	c.touch(victim)
 	return v, displaced
@@ -369,9 +353,11 @@ func (c *Cache) Update(addr directory.Addr, value uint64) bool {
 // Occupancy returns the number of valid lines.
 func (c *Cache) Occupancy() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid && c.lines[i].state != Invalid {
-			n++
+	for _, p := range c.pages {
+		for i := range p {
+			if p[i].valid && p[i].state != Invalid {
+				n++
+			}
 		}
 	}
 	return n

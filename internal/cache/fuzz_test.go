@@ -1,0 +1,242 @@
+package cache
+
+import (
+	"math/rand"
+	"testing"
+
+	"limitless/internal/directory"
+)
+
+// flatCache is the reference model for the paged cache: the same
+// set-major line array, held flat and allocated up front.
+type flatCache struct {
+	ways, sets int
+	lines      []line
+	tick       uint64
+	stats      Stats
+}
+
+func newFlat(cfg Config) *flatCache {
+	return &flatCache{ways: cfg.Ways, sets: cfg.Lines / cfg.Ways, lines: make([]line, cfg.Lines)}
+}
+
+func (f *flatCache) set(addr directory.Addr) []line {
+	s := int(addr) % f.sets
+	return f.lines[s*f.ways : (s+1)*f.ways]
+}
+
+func (f *flatCache) slot(addr directory.Addr) *line {
+	set := f.set(addr)
+	for i := range set {
+		if set[i].valid && set[i].tag == addr {
+			return &set[i]
+		}
+	}
+	return nil
+}
+
+func (f *flatCache) touch(l *line) {
+	f.tick++
+	l.used = f.tick
+}
+
+func (f *flatCache) State(addr directory.Addr) LineState {
+	if l := f.slot(addr); l != nil {
+		return l.state
+	}
+	return Invalid
+}
+
+func (f *flatCache) Peek(addr directory.Addr) (uint64, bool) {
+	l := f.slot(addr)
+	if l == nil || l.state == Invalid {
+		return 0, false
+	}
+	return l.value, true
+}
+
+func (f *flatCache) Read(addr directory.Addr) (uint64, bool) {
+	l := f.slot(addr)
+	if l != nil && l.state != Invalid {
+		f.touch(l)
+		f.stats.ReadHits++
+		return l.value, true
+	}
+	f.stats.ReadMisses++
+	return 0, false
+}
+
+func (f *flatCache) Write(addr directory.Addr, value uint64) bool {
+	l := f.slot(addr)
+	if l != nil && l.state == ReadWrite {
+		f.touch(l)
+		l.value = value
+		l.dirty = true
+		f.stats.WriteHits++
+		return true
+	}
+	f.stats.WriteMisses++
+	return false
+}
+
+func (f *flatCache) Fill(addr directory.Addr, state LineState, value uint64) (v Victim, displaced bool) {
+	if l := f.slot(addr); l != nil {
+		f.touch(l)
+		l.state, l.value, l.dirty = state, value, false
+		return Victim{}, false
+	}
+	set := f.set(addr)
+	victim := &set[0]
+	for i := range set {
+		w := &set[i]
+		if !w.valid || w.state == Invalid {
+			victim = w
+			break
+		}
+		if w.used < victim.used {
+			victim = w
+		}
+	}
+	if victim.valid && victim.state != Invalid {
+		v = Victim{Addr: victim.tag, State: victim.state, Value: victim.value, Dirty: victim.dirty}
+		displaced = true
+		f.stats.Replacements++
+	}
+	*victim = line{valid: true, tag: addr, state: state, value: value}
+	f.touch(victim)
+	return v, displaced
+}
+
+func (f *flatCache) Invalidate(addr directory.Addr) (uint64, bool, bool) {
+	l := f.slot(addr)
+	if l == nil || l.state == Invalid {
+		return 0, false, false
+	}
+	value, dirty := l.value, l.dirty
+	*l = line{}
+	f.stats.Invalidations++
+	return value, dirty, true
+}
+
+func (f *flatCache) Downgrade(addr directory.Addr) (uint64, bool) {
+	l := f.slot(addr)
+	if l == nil || l.state != ReadWrite {
+		return 0, false
+	}
+	l.state, l.dirty = ReadOnly, false
+	return l.value, true
+}
+
+func (f *flatCache) Update(addr directory.Addr, value uint64) bool {
+	l := f.slot(addr)
+	if l == nil || l.state == Invalid {
+		return false
+	}
+	l.value = value
+	return true
+}
+
+func (f *flatCache) Occupancy() int {
+	n := 0
+	for _, l := range f.lines {
+		if l.valid && l.state != Invalid {
+			n++
+		}
+	}
+	return n
+}
+
+// equivGeometries are the fuzzed cache shapes: Ways 1 to 4, power-of-two
+// and odd set counts, and sets of three ways that straddle page boundaries
+// (96 lines: set 21 holds lines 63-65).
+var equivGeometries = []Config{
+	{Lines: 128, Ways: 1, BlockWords: 4},
+	{Lines: 128, Ways: 2, BlockWords: 4},
+	{Lines: 96, Ways: 3, BlockWords: 4},
+	{Lines: 192, Ways: 4, BlockWords: 4},
+	{Lines: 384, Ways: 3, BlockWords: 4},
+	{Lines: 8, Ways: 4, BlockWords: 4},
+}
+
+// FuzzCacheEquivalence drives one op stream through the paged cache and the
+// flat reference model and demands identical return values, victims and
+// Stats after every operation, and State and Peek of the touched block.
+// The first byte picks the geometry; each op is four bytes: kind, a
+// two-byte address over four times the line count (so sets conflict), and
+// a value. The paged cache is released at the end, so later inputs run on
+// recycled pages.
+func FuzzCacheEquivalence(f *testing.F) {
+	f.Add([]byte{2, 2, 0, 0, 5, 1, 0, 0, 6, 0, 1, 0, 7, 4, 0, 0, 0})
+	rng := rand.New(rand.NewSource(1))
+	for g := range equivGeometries {
+		seed := make([]byte, 1+4*400)
+		rng.Read(seed)
+		seed[0] = byte(g)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		cfg := equivGeometries[int(data[0])%len(equivGeometries)]
+		c, ref := New(cfg), newFlat(cfg)
+		defer c.Release()
+		for i := 1; i+3 < len(data); i += 4 {
+			op := i / 4
+			addr := directory.Addr((int(data[i+1]) | int(data[i+2])<<8) % (4 * cfg.Lines))
+			val := uint64(data[i+3])
+			switch data[i] % 8 {
+			case 0:
+				v, hit := c.Read(addr)
+				rv, rhit := ref.Read(addr)
+				if v != rv || hit != rhit {
+					t.Fatalf("op %d Read(%#x) = (%d,%v), reference (%d,%v)", op, addr, v, hit, rv, rhit)
+				}
+			case 1:
+				if hit, rhit := c.Write(addr, val), ref.Write(addr, val); hit != rhit {
+					t.Fatalf("op %d Write(%#x) = %v, reference %v", op, addr, hit, rhit)
+				}
+			case 2, 3:
+				st := ReadOnly
+				if data[i]%8 == 3 {
+					st = ReadWrite
+				}
+				v, d := c.Fill(addr, st, val)
+				rv, rd := ref.Fill(addr, st, val)
+				if v != rv || d != rd {
+					t.Fatalf("op %d Fill(%#x, %v) = (%+v,%v), reference (%+v,%v)", op, addr, st, v, d, rv, rd)
+				}
+			case 4:
+				v, d, p := c.Invalidate(addr)
+				rv, rd, rp := ref.Invalidate(addr)
+				if v != rv || d != rd || p != rp {
+					t.Fatalf("op %d Invalidate(%#x) = (%d,%v,%v), reference (%d,%v,%v)", op, addr, v, d, p, rv, rd, rp)
+				}
+			case 5:
+				v, ok := c.Downgrade(addr)
+				rv, rok := ref.Downgrade(addr)
+				if v != rv || ok != rok {
+					t.Fatalf("op %d Downgrade(%#x) = (%d,%v), reference (%d,%v)", op, addr, v, ok, rv, rok)
+				}
+			case 6:
+				if ok, rok := c.Update(addr, val), ref.Update(addr, val); ok != rok {
+					t.Fatalf("op %d Update(%#x) = %v, reference %v", op, addr, ok, rok)
+				}
+			}
+			if st, rst := c.State(addr), ref.State(addr); st != rst {
+				t.Fatalf("op %d State(%#x) = %v, reference %v", op, addr, st, rst)
+			}
+			v, ok := c.Peek(addr)
+			rv, rok := ref.Peek(addr)
+			if v != rv || ok != rok {
+				t.Fatalf("op %d Peek(%#x) = (%d,%v), reference (%d,%v)", op, addr, v, ok, rv, rok)
+			}
+			if c.Stats() != ref.stats {
+				t.Fatalf("op %d Stats = %+v, reference %+v", op, c.Stats(), ref.stats)
+			}
+		}
+		if n, rn := c.Occupancy(), ref.Occupancy(); n != rn {
+			t.Fatalf("Occupancy = %d, reference %d", n, rn)
+		}
+	})
+}

@@ -311,6 +311,13 @@ func (cc *CacheController) send(dst mesh.NodeID, m *Msg) {
 // newMsg builds an outgoing message in the controller's bump arena.
 func (cc *CacheController) newMsg(m Msg) *Msg { return cc.arena.newMsg(m) }
 
+// Recycle returns the controller's message chunks to the pool for the next
+// machine. Every message the controller sent is invalid afterwards, so it
+// may only be called once nothing of the run is reachable any more
+// (Machine.Release); the controller must not be used again. A second
+// Recycle does nothing.
+func (cc *CacheController) Recycle() { cc.arena.recycle() }
+
 // newTxn takes an MSHR record from the free list (or the heap) and stamps
 // it with the primary request and issue time.
 func (cc *CacheController) newTxn(req Request) *txn {

@@ -268,6 +268,16 @@ func (mc *MemoryController) Send(dst mesh.NodeID, m *Msg) {
 // newMsg builds an outgoing message in the controller's bump arena.
 func (mc *MemoryController) newMsg(m Msg) *Msg { return mc.arena.newMsg(m) }
 
+// Recycle returns the controller's message chunks and directory storage to
+// their pools for the next machine. Every message the controller sent and
+// every directory entry it held are invalid afterwards, so it may only be
+// called once nothing of the run is reachable any more (Machine.Release);
+// the controller must not be used again. A second Recycle does nothing.
+func (mc *MemoryController) Recycle() {
+	mc.arena.recycle()
+	mc.dir.Recycle()
+}
+
 // cost returns the controller occupancy for processing an incoming message.
 func (mc *MemoryController) cost(t MsgType) sim.Time {
 	c := mc.params.Timing.CtrlOccupancy

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"sync"
 
 	"limitless/internal/mesh"
 )
@@ -364,11 +365,13 @@ func (e *Entry) Sharers() int {
 // the runtime map's hash-seed and bucket indirection while keeping exact
 // map semantics. Entries themselves are placed in chunked arenas so
 // directory growth costs one allocation per chunk, not per block, and every
-// *Entry stays stable for the life of the store.
+// *Entry stays stable for the life of the store. Recycle hands the initial
+// table and the chunks to process-wide pools for the next store.
 type Store struct {
 	slots  []slot
 	count  int
-	arena  []Entry
+	chunk  *entryChunk // chunk new entries come from
+	used   int         // entries handed out from chunk
 	sp     *Space
 	setMax int
 }
@@ -382,14 +385,48 @@ const (
 	// storeInitSlots pre-sizes the table for a typical per-node working
 	// set (a few hundred blocks at 64 nodes); must be a power of two.
 	storeInitSlots = 256
-	// entryChunk is the arena granularity.
-	entryChunk = 128
+	// entryChunkLen is the arena granularity.
+	entryChunkLen = 128
 )
+
+// entryChunk is one arena chunk, linked to the chunk the store filled
+// before it so Recycle can walk every chunk without a side list.
+type entryChunk struct {
+	entries [entryChunkLen]Entry
+	prev    *entryChunk
+}
+
+// tablePool and chunkPool recycle zeroed initial tables and entry chunks
+// across stores.
+var tablePool, chunkPool sync.Pool
 
 // NewStore returns an empty directory whose entries draw sharer sets of
 // capacity setMax (-1: unbounded full-map vectors) from sp.
 func NewStore(sp *Space, setMax int) *Store {
-	return &Store{slots: make([]slot, storeInitSlots), sp: sp, setMax: setMax}
+	t, _ := tablePool.Get().(*[storeInitSlots]slot)
+	if t == nil {
+		t = new([storeInitSlots]slot)
+	}
+	return &Store{slots: t[:], sp: sp, setMax: setMax}
+}
+
+// Recycle zeroes the store's entry chunks and its table, if the table
+// never grew past its initial size, and returns them to the pools. Every
+// *Entry the store handed out is invalid afterwards, and the store must
+// not be used again; a second Recycle does nothing.
+func (s *Store) Recycle() {
+	if len(s.slots) == storeInitSlots {
+		t := (*[storeInitSlots]slot)(s.slots)
+		*t = [storeInitSlots]slot{}
+		tablePool.Put(t)
+	}
+	for c := s.chunk; c != nil; {
+		prev := c.prev
+		*c = entryChunk{}
+		chunkPool.Put(c)
+		c = prev
+	}
+	s.slots, s.chunk, s.used, s.count = nil, nil, 0, 0
 }
 
 // Space returns the store's word arena — shared with the software
@@ -466,13 +503,17 @@ func (s *Store) Lookup(addr Addr) (*Entry, bool) {
 
 // newEntry takes a zeroed entry from the current arena chunk.
 func (s *Store) newEntry() *Entry {
-	if len(s.arena) == cap(s.arena) {
-		// The retired chunk stays alive through the *Entry pointers held
-		// in slots; the store only drops its append reference.
-		s.arena = make([]Entry, 0, entryChunk)
+	if s.chunk == nil || s.used == entryChunkLen {
+		c, _ := chunkPool.Get().(*entryChunk)
+		if c == nil {
+			c = new(entryChunk)
+		}
+		c.prev = s.chunk
+		s.chunk, s.used = c, 0
 	}
-	s.arena = append(s.arena, Entry{})
-	return &s.arena[len(s.arena)-1]
+	e := &s.chunk.entries[s.used]
+	s.used++
+	return e
 }
 
 // grow doubles the table and reinserts every live slot.

@@ -412,13 +412,30 @@ func (m *Machine) Recorder() *fault.Recorder { return m.rec }
 // event queue with processors still blocked.
 func (m *Machine) Diagnostic() *Diagnostic { return m.diag }
 
-// Release returns the machine's pooled resources — the per-node cache line
-// arrays, its largest allocations — for reuse by future machines. The
-// machine must not be used afterwards; callers that inspect node state
-// after a run simply never call Release.
+// Release hands the machine's run-scoped memory — cache pages, message
+// chunks, directory tables and entry chunks, engine buckets and event free
+// lists — to process-wide pools, so the next machine built in the process
+// reuses it instead of allocating. It stops the sharded engine's workers
+// first, and accepts a machine halted in any state: events still queued,
+// pends parked, a cycle-limit cut, a watchdog trip or a transport abort.
+// The machine must not be used afterwards, and a second Release does
+// nothing. Callers that inspect node state after a run simply never call
+// Release.
 func (m *Machine) Release() {
+	if m.sharded != nil {
+		m.sharded.Stop()
+	}
 	for _, n := range m.Nodes {
 		n.Cache.Release()
+		n.CC.Recycle()
+		n.MC.Recycle()
+	}
+	if m.engines != nil {
+		for _, e := range m.engines {
+			e.Recycle()
+		}
+	} else {
+		m.Eng.Recycle()
 	}
 }
 

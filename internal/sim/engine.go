@@ -28,6 +28,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Time is a point in simulated time, in processor cycles.
@@ -136,12 +137,46 @@ type Engine struct {
 }
 
 // New returns an engine with the clock at cycle 0, using the timing-wheel
-// scheduler. Call SetScheduler to select the heap fallback.
+// scheduler. Call SetScheduler to select the heap fallback. The wheel's
+// buckets and the event free list come from a recycled engine when one is
+// pooled (see Recycle).
 func New() *Engine {
 	e := &Engine{}
+	if m, _ := memPool.Get().(*engineMem); m != nil {
+		e.wh.buckets, e.free = m.buckets, m.free
+	}
 	e.wh.init()
 	e.pq.minAt = Forever
 	return e
+}
+
+// engineMem is the run-scoped memory an engine hands to the next one: the
+// wheel's buckets, with the capacities their slices grew to, and the free
+// list of recycled events.
+type engineMem struct {
+	buckets []wheelBucket
+	free    []*Event
+}
+
+var memPool sync.Pool
+
+// Recycle empties the wheel's buckets and hands them, together with the
+// event free list, to the pool New draws on. Events still queued — a run
+// cut off by a cycle limit, a watchdog or an abort — are dropped with the
+// engine. The engine must not be used afterwards; a second Recycle does
+// nothing.
+func (e *Engine) Recycle() {
+	if e.wh.buckets == nil {
+		return
+	}
+	for i := range e.wh.buckets {
+		b := &e.wh.buckets[i]
+		clear(b.evs)
+		b.reset()
+		b.live = 0
+	}
+	memPool.Put(&engineMem{buckets: e.wh.buckets, free: e.free})
+	e.wh.buckets, e.free = nil, nil
 }
 
 // SetScheduler selects the pending-event data structure. Both schedulers

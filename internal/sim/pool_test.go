@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -81,6 +82,57 @@ func TestPoolRecycledEventAliasing(t *testing.T) {
 	e.Cancel(old)
 	if !fresh.Scheduled() {
 		t.Fatal("stale-handle Cancel removed a live incarnation")
+	}
+}
+
+// An engine built on a recycled engine's memory — its grown buckets and its
+// event free list — fires a schedule exactly as a fresh engine does, even
+// when the recycled engine was dropped with events still queued in the ring
+// and in the overflow tier. A second Recycle puts nothing back.
+func TestRecycledEngineMatchesFresh(t *testing.T) {
+	t.Cleanup(func() {
+		for memPool.Get() != nil { // leave the pool empty for later tests
+		}
+	})
+	run := func(e *Engine) []int {
+		var order []int
+		for i := 0; i < 200; i++ {
+			i := i
+			e.At(Time(i*37%61), func() { order = append(order, i) })
+		}
+		e.At(3*wheelSpan, func() { order = append(order, -1) })
+		e.Run()
+		return order
+	}
+	want := run(New())
+
+	dirty := New()
+	for i := 0; i < 500; i++ {
+		dirty.At(Time(i%20), func() {})
+		dirty.At(Time(i%9)+2*wheelSpan, func() {})
+	}
+	dirty.RunUntil(10)
+	buckets := &dirty.wh.buckets[0]
+	dirty.Recycle()
+	dirty.Recycle()
+
+	e := New()
+	if &e.wh.buckets[0] == buckets { // the pool may drop a put under the race detector
+		if len(e.free) == 0 {
+			t.Error("recycled engine came without its event free list")
+		}
+		if cap(e.wh.buckets[15].evs) <= 8 {
+			t.Error("recycled bucket lost the capacity it grew to")
+		}
+		if other := New(); &other.wh.buckets[0] == buckets {
+			t.Fatal("a second Recycle handed the same buckets to two engines")
+		}
+	}
+	if _, ok := e.NextEventTime(); ok {
+		t.Fatal("engine built on recycled memory starts with events pending")
+	}
+	if got := run(e); !slices.Equal(got, want) {
+		t.Fatalf("recycled engine fired %v, fresh engine %v", got, want)
 	}
 }
 

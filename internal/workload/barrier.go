@@ -24,14 +24,32 @@ import (
 // Arrival and release words carry epoch numbers and are spun on with >=,
 // so no resets are needed and epochs never race.
 type Barrier struct {
-	nprocs int
-	fanIn  int
-	arrive []directory.Addr // written by p, read by parent(p)
-	releas []directory.Addr // written by parent(p), read by p
-	ids    []int            // 0..nprocs-1, sliced by children
+	nprocs  int
+	fanIn   int
+	arrive  []directory.Addr // written by p, read by parent(p)
+	releas  []directory.Addr // written by parent(p), read by p
+	ids     []int            // 0..nprocs-1, sliced by children
+	waiters []waiter         // one per participant, built by NewBarrier
 	// SpinBackoff is the delay between polls (the paper's barrier study
 	// [25] examines exactly such backoffs).
 	SpinBackoff sim.Time
+}
+
+// waiter carries one participant through a Wait. Its continuations are
+// built once, by NewBarrier, and the per-call state lives in its fields, so
+// Wait allocates nothing per call. A participant is one thread and so has
+// at most one Wait in progress.
+type waiter struct {
+	b     *Barrier
+	pid   int
+	kids  []int
+	epoch uint64
+	i     int           // next child to await, then to release
+	then  func(*Thread) // the caller's continuation; nil between Waits
+
+	reached                    func(v uint64) bool // v >= epoch
+	awaited, arrived, released Cont
+	releasedKid                Cont
 }
 
 // AddrAllocator hands out fresh block addresses homed near a given
@@ -58,12 +76,30 @@ func NewBarrier(nprocs, fanIn int, alloc AddrAllocator) *Barrier {
 		b.releas[p] = alloc(mesh.NodeID(p))
 		b.ids[p] = p
 	}
+	b.waiters = make([]waiter, nprocs)
+	for p := range b.waiters {
+		w := &b.waiters[p]
+		w.b, w.pid, w.kids = b, p, b.children(p)
+		w.reached = func(v uint64) bool { return v >= w.epoch }
+		w.awaited = func(_ uint64, t *Thread) {
+			w.i++
+			w.combine(t)
+		}
+		w.arrived = func(_ uint64, t *Thread) {
+			t.SpinUntil(b.releas[w.pid], w.reached, b.SpinBackoff, w.released)
+		}
+		w.released = func(_ uint64, t *Thread) { w.release(t) }
+		w.releasedKid = func(_ uint64, t *Thread) {
+			w.i++
+			w.release(t)
+		}
+	}
 	return b
 }
 
 // children returns processor p's tree children (heap layout). They are a
 // contiguous run of processor ids, so the result is a subslice of the
-// precomputed id table and barrier entry allocates nothing.
+// precomputed id table.
 func (b *Barrier) children(p int) []int {
 	lo := min(p*b.fanIn+1, b.nprocs)
 	hi := min(lo+b.fanIn, b.nprocs)
@@ -92,39 +128,40 @@ func (b *Barrier) NumNodes() int { return b.nprocs }
 // start at 1 and increase by 1 per barrier) and continues when every
 // processor has arrived and the release wave reaches pid.
 func (b *Barrier) Wait(t *Thread, pid int, epoch uint64, then func(*Thread)) {
-	kids := b.children(pid)
-	// Phase 1: combine — wait for each child's arrival word.
-	b.awaitKids(t, kids, 0, epoch, func(t *Thread) {
-		if pid != 0 {
-			// Publish arrival to the parent, then wait for the release.
-			t.Store(b.arrive[pid], epoch, func(_ uint64, t *Thread) {
-				t.SpinUntil(b.releas[pid], func(v uint64) bool { return v >= epoch }, b.SpinBackoff,
-					func(_ uint64, t *Thread) { b.releaseKids(t, kids, 0, epoch, then) })
-			})
-			return
-		}
-		// Root: everyone has arrived; start the release wave.
-		b.releaseKids(t, kids, 0, epoch, then)
-	})
+	w := &b.waiters[pid]
+	if w.then != nil {
+		panic("workload: Barrier.Wait entered twice by one participant")
+	}
+	w.epoch, w.i, w.then = epoch, 0, then
+	w.combine(t)
 }
 
-func (b *Barrier) awaitKids(t *Thread, kids []int, i int, epoch uint64, then func(*Thread)) {
-	if i >= len(kids) {
-		then(t)
+// combine is phase 1: wait for each child's arrival word, then publish
+// this processor's arrival to its parent and wait for the release. The
+// root, having heard from everyone, starts the release wave instead.
+func (w *waiter) combine(t *Thread) {
+	b := w.b
+	if w.i < len(w.kids) {
+		t.SpinUntil(b.arrive[w.kids[w.i]], w.reached, b.SpinBackoff, w.awaited)
 		return
 	}
-	t.SpinUntil(b.arrive[kids[i]], func(v uint64) bool { return v >= epoch }, b.SpinBackoff,
-		func(_ uint64, t *Thread) { b.awaitKids(t, kids, i+1, epoch, then) })
+	w.i = 0
+	if w.pid == 0 {
+		w.release(t)
+		return
+	}
+	t.Store(b.arrive[w.pid], w.epoch, w.arrived)
 }
 
-func (b *Barrier) releaseKids(t *Thread, kids []int, i int, epoch uint64, then func(*Thread)) {
-	if i >= len(kids) {
-		then(t)
+// release is phase 2: pass the release wave to each child, then continue.
+func (w *waiter) release(t *Thread) {
+	if w.i < len(w.kids) {
+		t.Store(w.b.releas[w.kids[w.i]], w.epoch, w.releasedKid)
 		return
 	}
-	t.Store(b.releas[kids[i]], epoch, func(_ uint64, t *Thread) {
-		b.releaseKids(t, kids, i+1, epoch, then)
-	})
+	then := w.then
+	w.then = nil
+	then(t)
 }
 
 // SequentialAllocator returns an AddrAllocator that hands out consecutive

@@ -86,33 +86,81 @@ func Multigrid(cfg MultigridConfig) []proc.Workload {
 	wls := make([]proc.Workload, cfg.Procs)
 	for p := 0; p < cfg.Procs; p++ {
 		p := p
+		me := mesh.NodeID(p)
 		nbs, sides := cfg.neighbours(p)
 		wls[p] = NewThread(func(t *Thread) {
-			Loop(t, cfg.Iters, func(iter int, t *Thread, next func(*Thread)) {
-				// Local smoothing over the interior.
-				t.Compute(cfg.ComputeCycles, func(_ uint64, t *Thread) {
-					Each(t, cfg.PrivateBlocks, func(k int, t *Thread, nx func(*Thread)) {
-						t.StorePrivate(cfg.private(mesh.NodeID(p), k), uint64(iter), func(_ uint64, t *Thread) { nx(t) })
-					}, func(t *Thread) {
-						// Read each neighbour's facing boundary.
-						Each(t, len(nbs), func(ni int, t *Thread, nx func(*Thread)) {
-							q, s := nbs[ni], sides[ni]
-							Each(t, cfg.BoundaryBlocks, func(k int, t *Thread, nx2 func(*Thread)) {
-								t.Load(cfg.boundary(q, s, k), func(_ uint64, t *Thread) { nx2(t) })
-							}, nx)
-						}, func(t *Thread) {
-							// Publish this processor's own boundaries.
-							Each(t, 4*cfg.BoundaryBlocks, func(j int, t *Thread, nx func(*Thread)) {
-								side, k := j/cfg.BoundaryBlocks, j%cfg.BoundaryBlocks
-								t.Store(cfg.boundary(mesh.NodeID(p), side, k), uint64(iter+1),
-									func(_ uint64, t *Thread) { nx(t) })
-							}, func(t *Thread) {
-								bar.Wait(t, p, uint64(iter+1), next)
-							})
-						})
-					})
-				})
-			}, func(*Thread) {})
+			// A phase machine, like Weather's: every continuation is
+			// allocated once per thread, and the iteration and block
+			// indices are mutable captured state. The steps run strictly
+			// sequentially, so advancing an index before re-entering a step
+			// is safe.
+			var (
+				iter, ni, k                int
+				phase, smooth, read, write func(*Thread)
+				afterCompute, afterSmooth  Cont
+				afterRead, afterWrite      Cont
+				done                       func(*Thread)
+			)
+			// phase runs one iteration: local smoothing, the boundary
+			// exchange, then the barrier.
+			phase = func(t *Thread) {
+				if iter >= cfg.Iters {
+					return
+				}
+				t.Compute(cfg.ComputeCycles, afterCompute)
+			}
+			afterCompute = func(_ uint64, t *Thread) {
+				k = 0
+				smooth(t)
+			}
+			// Local smoothing over the interior.
+			smooth = func(t *Thread) {
+				if k >= cfg.PrivateBlocks {
+					ni, k = 0, 0
+					read(t)
+					return
+				}
+				t.StorePrivate(cfg.private(me, k), uint64(iter), afterSmooth)
+			}
+			afterSmooth = func(_ uint64, t *Thread) {
+				k++
+				smooth(t)
+			}
+			// Read each neighbour's facing boundary.
+			read = func(t *Thread) {
+				for ni < len(nbs) && k >= cfg.BoundaryBlocks {
+					ni, k = ni+1, 0
+				}
+				if ni >= len(nbs) {
+					k = 0
+					write(t)
+					return
+				}
+				t.Load(cfg.boundary(nbs[ni], sides[ni], k), afterRead)
+			}
+			afterRead = func(_ uint64, t *Thread) {
+				k++
+				read(t)
+			}
+			// Publish this processor's own boundaries, then join the
+			// barrier.
+			write = func(t *Thread) {
+				if k >= 4*cfg.BoundaryBlocks {
+					bar.Wait(t, p, uint64(iter+1), done)
+					return
+				}
+				side, j := k/cfg.BoundaryBlocks, k%cfg.BoundaryBlocks
+				t.Store(cfg.boundary(me, side, j), uint64(iter+1), afterWrite)
+			}
+			afterWrite = func(_ uint64, t *Thread) {
+				k++
+				write(t)
+			}
+			done = func(t *Thread) {
+				iter++
+				phase(t)
+			}
+			phase(t)
 		})
 	}
 	return wls

@@ -1,0 +1,183 @@
+package limitless_test
+
+// Run-scoped memory is recycled through process-wide pools when a machine
+// is released: cache pages, message chunks, directory tables and entry
+// chunks, engine buckets and event free lists. These tests check that a
+// machine built on recycled memory is indistinguishable from one built on
+// fresh memory, whatever state the previous machines were released in.
+
+import (
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	limitless "limitless"
+	"limitless/internal/check"
+	"limitless/internal/coherence"
+	"limitless/internal/directory"
+	"limitless/internal/machine"
+	"limitless/internal/mesh"
+	"limitless/internal/proc"
+	"limitless/internal/workload"
+)
+
+// TestRecycleAfterDissimilarRuns releases machines of other sizes, engines
+// and oracle configurations, halted in every way a run can halt (finished,
+// cut at a cycle limit, tripped by the watchdog, aborted by the transport),
+// between two identical runs; the two must give equal Results.
+func TestRecycleAfterDissimilarRuns(t *testing.T) {
+	ref := limitless.Config{Procs: 16, Scheme: limitless.LimitLESS, Pointers: 4, TrapService: 50, Verify: true}
+	first, err := limitless.Run(ref, limitless.Weather(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := []struct {
+		name    string
+		cfg     limitless.Config
+		wl      limitless.Workload
+		wantErr string // substring of the expected error; empty for none
+	}{
+		{"p256-shards4", limitless.Config{Procs: 256, Shards: 4, ShardWorkers: 2}, limitless.Weather(256), ""},
+		{"lossy", limitless.Config{Procs: 64,
+			Faults: "42:delay=0.05,dup=0.02,stall=0.1,trap=0.1,drop=0.02,corrupt=0.01"}, limitless.Weather(64), ""},
+		{"heap-boxed", limitless.WithOracles(limitless.Config{Procs: 64, Scheme: limitless.FullMap},
+			machine.OracleHeap|machine.OracleBoxed), limitless.Multigrid(64), ""},
+		{"max-cycles", limitless.Config{Procs: 64, MaxCycles: 3000}, limitless.Weather(64), "exceeded"},
+		{"watchdog", limitless.Config{Procs: 16, Pointers: 2, TrapService: 400_000, WatchdogCycles: 2_000,
+			MaxCycles: 50_000_000}, limitless.Weather(16), "watchdog"},
+		{"transport-abort", limitless.Config{Procs: 16, Scheme: limitless.FullMap, Faults: "1:drop=1,rto=16,rmax=3",
+			Shards: 2, ShardWorkers: 2, WatchdogCycles: 500_000, MaxCycles: 10_000_000},
+			limitless.Weather(16), "retransmit budget"},
+	}
+	for _, c := range chain {
+		_, err := limitless.Run(c.cfg, c.wl)
+		switch {
+		case c.wantErr == "" && err != nil:
+			t.Fatalf("%s: %v", c.name, err)
+		case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
+			t.Fatalf("%s: error %v, want one containing %q", c.name, err, c.wantErr)
+		}
+	}
+	last, err := limitless.Run(ref, limitless.Weather(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, last) {
+		t.Fatalf("Weather P=16 on recycled memory differs from the first run:\nfirst %+v\nlast  %+v", first, last)
+	}
+}
+
+// TestRecycleDoubleRelease releases a machine twice, then keeps a machine
+// that was cut off mid-run (transactions outstanding, messages in flight,
+// events queued) alive while a second machine runs to completion. A second
+// Release that put anything back twice would hand one page, chunk or table
+// to both machines, and the second run would overwrite the first machine's
+// state.
+func TestRecycleDoubleRelease(t *testing.T) {
+	build := func(wls []proc.Workload) *machine.Machine {
+		m := machine.New(machine.Config{Width: 4, Height: 4, Contexts: 1, Params: coherence.DefaultParams(16)})
+		for i, w := range wls {
+			m.SetWorkload(mesh.NodeID(i), 0, w)
+		}
+		return m
+	}
+	weather := func() []proc.Workload { return workload.Weather(workload.DefaultWeather(16)) }
+	multigrid := func() []proc.Workload { return workload.Multigrid(workload.DefaultMultigrid(16)) }
+
+	fresh := build(multigrid())
+	want := fresh.Run()
+
+	a := build(weather())
+	a.Run()
+	a.Release()
+	a.Release()
+
+	b := build(weather())
+	if _, done := b.RunUntil(3000); done {
+		t.Fatal("weather P=16 finished within 3000 cycles; the cut must leave work in flight")
+	}
+	before := snapshot(b)
+	if !strings.Contains(before, "outstanding") {
+		t.Fatal("the cut left no outstanding transaction to watch")
+	}
+	c := build(multigrid())
+	if got := c.Run(); !reflect.DeepEqual(got, want) {
+		t.Errorf("a machine built after a double Release ran differently:\ngot  %+v\nwant %+v", got, want)
+	}
+	if bad := check.EndState(c); len(bad) > 0 {
+		t.Errorf("coherence violations after a double Release: %v", bad)
+	}
+	if after := snapshot(b); after != before {
+		t.Errorf("running one machine changed another's state: a second Release handed memory to both")
+	}
+	c.Release()
+	b.Release()
+}
+
+// snapshot renders a machine's observable state: every directory entry,
+// every cache's view of each entry's block, each node's outstanding
+// transactions, and the pending event count.
+func snapshot(m *machine.Machine) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "pending %d\n", m.Eng.Pending())
+	for _, home := range m.Nodes {
+		home.MC.Dir().ForEach(func(addr directory.Addr, e *directory.Entry) {
+			fmt.Fprintf(&sb, "entry %#x %v %v %v ack=%d local=%v value=%d pending=%d\n",
+				addr, e.State, e.Meta, e.Ptrs.Nodes(), e.AckCtr, e.Local, e.Value, e.Pending)
+			for _, n := range m.Nodes {
+				v, ok := n.Cache.Peek(addr)
+				fmt.Fprintf(&sb, "  node %d %v %d %v\n", n.ID, n.Cache.State(addr), v, ok)
+			}
+		})
+	}
+	for _, n := range m.Nodes {
+		for _, op := range n.CC.OutstandingOps() {
+			fmt.Fprintf(&sb, "outstanding node %d %+v\n", n.ID, op)
+		}
+		fmt.Fprintf(&sb, "cache %d %+v occupancy %d\n", n.ID, n.Cache.Stats(), n.Cache.Occupancy())
+	}
+	return sb.String()
+}
+
+// TestRecycleSweepMatchesSequential runs a mixed sweep on four workers,
+// whose machines recycle each other's memory concurrently, and demands the
+// Results of one sequential Run per configuration.
+func TestRecycleSweepMatchesSequential(t *testing.T) {
+	schemes := []limitless.Scheme{limitless.LimitLESS, limitless.FullMap, limitless.LimitedNB, limitless.Chained}
+	var cfgs []limitless.Config
+	wls := map[int64]func(int) limitless.Workload{}
+	for i := 0; i < 16; i++ {
+		cfg := limitless.Config{Procs: 16, Scheme: schemes[i%len(schemes)], Pointers: 2 + i%3,
+			TrapService: int64(40 + i)} // a distinct T_s per point lets mk find its workload
+		if i%4 == 3 {
+			cfg.Procs = 64
+		}
+		if i%3 == 1 {
+			cfg.Shards, cfg.ShardWorkers = 2, 2
+		}
+		if i == 5 {
+			cfg.Faults = "7:delay=0.05,dup=0.02,drop=0.02,corrupt=0.01"
+		}
+		wls[cfg.TrapService] = limitless.Weather
+		if i%2 == 1 {
+			wls[cfg.TrapService] = limitless.Multigrid
+		}
+		cfgs = append(cfgs, cfg)
+	}
+	mk := func(cfg limitless.Config) limitless.Workload { return wls[cfg.TrapService](cfg.Procs) }
+	got, err := limitless.SweepN(cfgs, mk, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cfg := range cfgs {
+		want, err := limitless.Run(cfg, mk(cfg))
+		if err != nil {
+			t.Fatalf("point %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("point %d (%+v): sweep result differs from a sequential Run:\nsweep %+v\nrun   %+v",
+				i, cfg, got[i], want)
+		}
+	}
+}
