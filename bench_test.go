@@ -221,16 +221,15 @@ func BenchmarkFaultedThroughput(b *testing.B) {
 }
 
 // BenchmarkShardedThroughput measures the windowed sharded engine on the
-// same 64-processor LimitLESS4 Weather run across the shard-count sweep.
-// shards-1 is the sequential reference for the windowed semantics; the
-// speedup of the multi-shard points over it is the intra-simulation
+// same 64-processor LimitLESS4 Weather run at requested shard counts 1 to
+// 64. Each point sets only Shards, and the machine builds one shard per
+// worker, so at -cpu N a point runs min(shards, N) shards: the -cpu list is
+// the real shard sweep, and every point at or above N repeats the shards-N
+// point. shards-1 is the sequential reference for the windowed semantics;
+// the speedup of the -cpu 2, 4, ... runs over it is the intra-simulation
 // parallelism gain (BenchmarkSimulatorThroughput remains the single-thread
-// Shards=0 baseline). shards-16 and shards-64 (one node per shard) probe
-// the coordinator's O(shards) window pass and the flush merge at high
-// fan-in; run with several GOMAXPROCS values (-cpu 1,2,4) to separate
-// coordination overhead from parallel speedup. It is for ad hoc profiling:
-// the gated sharded throughput is the weather-p256-shards16 workload of
-// bash bench/run.sh.
+// Shards=0 baseline). It is for ad hoc profiling: the gated sharded
+// throughput is the weather-p256-shards16 workload of bash bench/run.sh.
 func BenchmarkShardedThroughput(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8, 16, 64} {
 		shards := shards
@@ -253,7 +252,8 @@ func BenchmarkShardedThroughput(b *testing.B) {
 }
 
 // BenchmarkShardedP256 is the scale point: a 256-processor (16×16 mesh)
-// LimitLESS4 Weather run on 16 shards. Larger machines are where windowed
+// LimitLESS4 Weather run with Shards: 16, which builds one shard per
+// worker: min(16, N) shards at -cpu N. Larger machines are where windowed
 // sharding has to pay off — per-engine working sets stay cache-sized while
 // the coordinator still runs one O(shards) pass per window.
 func BenchmarkShardedP256(b *testing.B) {
@@ -277,11 +277,12 @@ func BenchmarkShardedP256(b *testing.B) {
 }
 
 // BenchmarkShardedP1024 is the machine the packed directory exists for: a
-// 1024-processor (32x32 mesh) LimitLESS4 Weather run on 64 shards. At this
-// size the boxed sharer sets cost ~200 B/entry where the packed inline
-// representation stays at its 24 B header until a set spills, and the
-// compact node walks touch a quarter of the cache lines — the dirbytes
-// metric pins the footprint alongside the throughput.
+// 1024-processor (32x32 mesh) LimitLESS4 Weather run with Shards: 64, so
+// min(64, N) shards at -cpu N, one per worker. At this size the boxed
+// sharer sets cost ~200 B/entry where the packed inline representation
+// stays at its 24 B header until a set spills, and the compact node walks
+// touch a quarter of the cache lines — the dirbytes metric pins the
+// footprint alongside the throughput.
 func BenchmarkShardedP1024(b *testing.B) {
 	const procs = 1024
 	cfg := limitless.Config{Procs: procs, Scheme: limitless.LimitLESS, Pointers: 4, Shards: 64}

@@ -21,6 +21,7 @@ import (
 	"runtime/pprof"
 
 	limitless "limitless"
+	"limitless/internal/machine"
 )
 
 var (
@@ -33,8 +34,8 @@ var (
 	ctxFlag      = flag.Int("contexts", 1, "processor hardware contexts")
 	traceFlag    = flag.String("trace", "", "replay a trace file instead of a built-in workload")
 	verifyFlag   = flag.Bool("verify", false, "run the coherence checker after the workload finishes")
-	shardsFlag   = flag.Int("shards", 0, "run on the windowed sharded engine with this many mesh tiles (0 = sequential engine)")
-	shardWFlag   = flag.Int("shard-workers", 0, "goroutines executing shards concurrently (0 = GOMAXPROCS; never changes results)")
+	shardsFlag   = flag.Int("shards", 0, "run on the windowed sharded engine with up to this many mesh tiles, one per shard worker (0 = sequential engine)")
+	shardWFlag   = flag.Int("shard-workers", 0, "goroutines executing shards, one shard each, so it caps the tiles -shards builds (0 = GOMAXPROCS; never changes results)")
 	faultsFlag   = flag.String("faults", "", "deterministic fault injection, \"seed:key=value,...\" (keys: delay, delaymax, dup, dupdelay, stall, stallperiod, stallcycles, trap, trapextra, drop, corrupt, rto, rmax; drop/corrupt arm the reliable transport)")
 	watchdogFlag = flag.Int64("watchdog", 0, "halt with a diagnostic dump after this many cycles without forward progress (0 = off)")
 	cpuProfFlag  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
@@ -181,7 +182,8 @@ func main() {
 	fmt.Printf("machine:   %d processors, %s with %d pointers, T_s=%d, %d context(s)\n",
 		cfg.Procs, cfg.Scheme, cfg.Pointers, cfg.TrapService, maxInt(cfg.Contexts, 1))
 	if cfg.Shards > 0 {
-		fmt.Printf("engine:    windowed sharded, %d shards\n", cfg.Shards)
+		fmt.Printf("engine:    windowed sharded, %d of %d requested shards ran (one per worker)\n",
+			machine.ShardCount(cfg.Shards, cfg.ShardWorkers, cfg.Procs), cfg.Shards)
 	}
 	if faultSpec != "" {
 		fmt.Printf("faults:    %s\n", faultSpec)

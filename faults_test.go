@@ -13,7 +13,7 @@ func runWeather16(t *testing.T, faults string, watchdog int64, shards int) limit
 	t.Helper()
 	cfg := limitless.Config{Procs: 16, Scheme: limitless.LimitLESS, Pointers: 4,
 		TrapService: 50, Faults: faults, WatchdogCycles: watchdog,
-		Shards: shards, ShardWorkers: 4}
+		Shards: shards, ShardWorkers: shards}
 	res, err := limitless.Run(cfg, limitless.Weather(16))
 	if err != nil {
 		t.Fatalf("faults=%q shards=%d: %v", faults, shards, err)

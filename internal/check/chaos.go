@@ -35,7 +35,8 @@ type ChaosConfig struct {
 	Seeds int
 	// Faults is the fault mix (Seed is overridden per run).
 	Faults fault.Config
-	// Shards selects the engine: 0 sequential, >= 1 windowed sharded.
+	// Shards selects the engine: 0 sequential, >= 1 windowed sharded with
+	// that many shards, each on its own worker.
 	Shards int
 	// Watchdog is the per-run no-progress budget in cycles.
 	Watchdog sim.Time
@@ -94,6 +95,8 @@ func chaosOne(cfg ChaosConfig, seed uint64, rep *Report) []string {
 		Faults:   fault.New(fcfg),
 		Watchdog: cfg.Watchdog,
 		Shards:   cfg.Shards,
+		// One worker per shard, so the partition built is the one asked for.
+		ShardWorkers: cfg.Shards,
 	})
 
 	obs := NewObserver()

@@ -74,7 +74,7 @@ func TestTransportStuckHaltsMachine(t *testing.T) {
 		}
 		m := New(Config{
 			Width: 4, Height: 4, Contexts: 1, Params: params,
-			Shards: shards, Faults: fault.New(fc), Watchdog: 200_000,
+			Shards: shards, ShardWorkers: shards, Faults: fault.New(fc), Watchdog: 200_000,
 		})
 		m.SetWorkload(1, 0, workload.NewThread(func(th *workload.Thread) {
 			th.Load(Block(0, 1), func(_ uint64, th *workload.Thread) {})

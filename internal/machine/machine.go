@@ -6,6 +6,7 @@ package machine
 
 import (
 	"fmt"
+	"runtime"
 
 	"limitless/internal/cache"
 	"limitless/internal/coherence"
@@ -50,16 +51,20 @@ type Config struct {
 	// gives bit-identical results; the zero value runs every fast path.
 	Oracles Oracles
 	// Shards, when positive, runs the simulation on the windowed sharded
-	// engine: nodes are split into Shards contiguous tiles, each with its
-	// own event heap, executed concurrently in conservative time windows
-	// with all network traffic applied at the window barriers. Results are
-	// bit-identical for every Shards >= 1 value and any worker count;
-	// Shards == 0 (the default) is the original sequential engine, whose
-	// same-cycle network arbitration order differs, so its cycle counts are
-	// a distinct deterministic baseline. Clamped to the node count.
+	// engine: nodes are split into contiguous tiles, each with its own
+	// event heap and its own goroutine, executed concurrently in
+	// conservative time windows with all network traffic applied at the
+	// window barriers. Results are bit-identical for every Shards >= 1
+	// value; Shards == 0 (the default) is the original sequential engine,
+	// whose same-cycle network arbitration order differs, so its cycle
+	// counts are a distinct deterministic baseline. The partition never
+	// shows in results and only goroutines buy speed, so New builds one
+	// tile per worker: ShardCount clamps Shards to the worker count and to
+	// the node count.
 	Shards int
-	// ShardWorkers caps the goroutines executing shards concurrently
-	// (0 = GOMAXPROCS). It affects only wall-clock speed, never results.
+	// ShardWorkers is the number of goroutines executing shards
+	// concurrently (0 = GOMAXPROCS), and so caps the shards built. It
+	// affects only wall-clock speed, never results.
 	ShardWorkers int
 	// Faults, when non-nil, injects the plan's deterministic faults —
 	// packet delays, link stall windows, duplicate deliveries, trap
@@ -167,9 +172,7 @@ func New(cfg Config) *Machine {
 		cfg.Params.DefaultMeta = directory.TrapAlways
 	}
 
-	if cfg.Shards > n {
-		cfg.Shards = n
-	}
+	cfg.Shards = ShardCount(cfg.Shards, cfg.ShardWorkers, n)
 	if cfg.Faults != nil && cfg.Params.Timing.RetryBackoffMax == 0 {
 		cfg.Params.Timing.RetryBackoffMax = 256
 	}
@@ -211,8 +214,7 @@ func New(cfg Config) *Machine {
 		window := mcfg.MinPacketLatency(coherence.MinMsgFlits)
 		m.ports = m.Net.ShardPorts(m.engines, m.nodeShard, window)
 		m.sharded = sim.NewShardedEngine(m.engines, window,
-			func(before sim.Time, mins []sim.Time) { m.Net.FlushWindow(before, mins) },
-			cfg.ShardWorkers)
+			func(before sim.Time, mins []sim.Time) { m.Net.FlushWindow(before, mins) })
 		if cfg.Oracles&OracleFixedWindows != 0 {
 			m.sharded.SetWindowMode(sim.WindowFixed)
 		}
@@ -245,6 +247,20 @@ func New(cfg Config) *Machine {
 		m.Nodes = append(m.Nodes, m.buildNode(id))
 	}
 	return m
+}
+
+// ShardCount returns the number of shards New builds for the requested
+// shard and worker counts on a machine of the given node count: 0 (the
+// sequential engine) when shards is 0, else one shard per worker, at most
+// shards and at most one per node. workers <= 0 means GOMAXPROCS.
+func ShardCount(shards, workers, nodes int) int {
+	if shards <= 0 {
+		return 0
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return min(shards, workers, nodes)
 }
 
 func (m *Machine) buildNode(id mesh.NodeID) *Node {

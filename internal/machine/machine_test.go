@@ -467,7 +467,7 @@ func TestOraclesReachEveryLayer(t *testing.T) {
 	for _, mask := range masks {
 		for _, shards := range []int{0, 2} {
 			m := New(Config{Width: 4, Height: 4, Contexts: 1, Params: coherence.DefaultParams(16),
-				Shards: shards, ShardWorkers: 1, Oracles: mask})
+				Shards: shards, ShardWorkers: shards, Oracles: mask})
 			for i, w := range workload.Weather(workload.DefaultWeather(16)) {
 				m.SetWorkload(mesh.NodeID(i), 0, w)
 			}

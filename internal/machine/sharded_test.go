@@ -2,6 +2,7 @@ package machine
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"limitless/internal/coherence"
@@ -44,9 +45,9 @@ func shardedTestMachine(shards, workers int) *Machine {
 	return m
 }
 
-// TestShardedWorkerInvariance: the same sharded machine must produce
-// bit-identical results no matter how many goroutines execute the shards —
-// the worker pool is a wall-clock knob, never a semantic one.
+// TestShardedWorkerInvariance: ShardWorkers is a wall-clock knob, never a
+// semantic one. Four requested shards on one, two and four workers build
+// one, two and four engines, and all three give the same Result.
 func TestShardedWorkerInvariance(t *testing.T) {
 	ref := shardedTestMachine(4, 1).Run()
 	for _, workers := range []int{2, 4} {
@@ -57,15 +58,15 @@ func TestShardedWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestShardedShardCountInvariance: shard counts 1..16 all yield the
-// windowed semantics' one deterministic answer.
+// TestShardedShardCountInvariance: shard counts 1..16, each shard on its
+// own worker, all yield the windowed semantics' one deterministic answer.
 func TestShardedShardCountInvariance(t *testing.T) {
 	ref := shardedTestMachine(1, 1).Run()
 	if ref.Cycles == 0 || ref.Network.Packets == 0 {
 		t.Fatalf("degenerate reference run: %+v", ref)
 	}
 	for _, shards := range []int{2, 4, 8, 16} {
-		got := shardedTestMachine(shards, 2).Run()
+		got := shardedTestMachine(shards, shards).Run()
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("shards=%d diverged:\n got %+v\nwant %+v", shards, got, ref)
 		}
@@ -81,26 +82,55 @@ func TestShardedRunUntil(t *testing.T) {
 		t.Skipf("limit %d no longer interrupts the run; lower it", limit)
 	}
 	for _, shards := range []int{2, 4} {
-		res, done := shardedTestMachine(shards, 2).RunUntil(400)
+		res, done := shardedTestMachine(shards, shards).RunUntil(400)
 		if done != refDone || !reflect.DeepEqual(res, refRes) {
 			t.Fatalf("shards=%d RunUntil diverged (done=%v):\n got %+v\nwant %+v", shards, done, res, refRes)
 		}
 	}
 }
 
-// TestShardsClampedToNodes: more shards than nodes must degrade gracefully.
-func TestShardsClampedToNodes(t *testing.T) {
-	params := coherence.DefaultParams(4)
-	m := New(Config{Width: 2, Height: 2, Contexts: 1, Params: params, Shards: 64})
-	if got := len(m.engines); got != 4 {
-		t.Fatalf("built %d engines for 4 nodes", got)
-	}
-	for id := mesh.NodeID(0); id < 4; id++ {
-		m.SetWorkload(id, 0, workload.NewThread(func(th *workload.Thread) {
-			th.Store(Block(id, 1), 1, func(_ uint64, th *workload.Thread) {})
-		}))
-	}
-	if res := m.Run(); res.Cycles == 0 {
-		t.Fatal("clamped machine did not run")
+// TestShardedEngineCount: New builds one shard per worker, never more than
+// requested and never more than one per node, and every such machine runs.
+func TestShardedEngineCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []struct {
+		name                       string
+		side, shards, workers, gmp int
+		want                       int
+	}{
+		{"shards above nodes", 2, 64, 64, 0, 4},
+		{"workers above shards", 4, 4, 8, 0, 4},
+		{"shards above workers", 4, 4, 2, 0, 2},
+		{"one worker", 4, 16, 1, 0, 1},
+		{"GOMAXPROCS workers", 4, 8, 0, 3, 3},
+		{"GOMAXPROCS 1", 4, 8, 0, 1, 1},
+		{"sequential", 4, 0, 4, 0, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if c.gmp > 0 {
+				runtime.GOMAXPROCS(c.gmp)
+			}
+			nodes := c.side * c.side
+			m := New(Config{Width: c.side, Height: c.side, Contexts: 1, Params: coherence.DefaultParams(nodes),
+				Shards: c.shards, ShardWorkers: c.workers})
+			if got := len(m.engines); got != c.want {
+				t.Fatalf("Shards=%d ShardWorkers=%d GOMAXPROCS=%d on %d nodes: built %d engines, want %d",
+					c.shards, c.workers, runtime.GOMAXPROCS(0), nodes, got, c.want)
+			}
+			if got := m.Config().Shards; got != c.want {
+				t.Errorf("Config().Shards = %d, want the %d shards built", got, c.want)
+			}
+			if (m.sharded != nil) != (c.shards > 0) {
+				t.Errorf("windowed engine built = %v for Shards=%d", m.sharded != nil, c.shards)
+			}
+			for id := mesh.NodeID(0); int(id) < nodes; id++ {
+				m.SetWorkload(id, 0, workload.NewThread(func(th *workload.Thread) {
+					th.Store(Block(id, 1), 1, func(_ uint64, th *workload.Thread) {})
+				}))
+			}
+			if res := m.Run(); res.Cycles == 0 {
+				t.Fatal("machine did not run")
+			}
+		})
 	}
 }

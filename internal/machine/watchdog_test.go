@@ -21,8 +21,9 @@ func wedgeMachine(t *testing.T, shards int) (*Machine, directory.Addr) {
 	params.Scheme = coherence.FullMap
 	cfg := Config{
 		Width: 4, Height: 4, Contexts: 1, Params: params,
-		Shards:   shards,
-		Watchdog: 20_000,
+		Shards:       shards,
+		ShardWorkers: shards,
+		Watchdog:     20_000,
 	}
 	m := New(cfg)
 	addr := Block(0, 1)

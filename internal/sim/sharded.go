@@ -38,13 +38,16 @@ const (
 // lower bound on the latency of any cross-shard interaction (for the mesh
 // network, the minimum inject-to-eject packet latency).
 //
-// Execution is deterministic and invariant under both the worker count and
+// Execution is deterministic and invariant under both the shard count and
 // the window mode: window boundaries are derived from partition-independent
 // quantities, deferred sends are flushed in one canonical (send cycle,
 // source, program order) sequence regardless of how windows carve it into
 // batches, and the flush callback runs alone between windows. A
 // ShardedEngine over one engine is the sequential reference for the same
-// windowed semantics.
+// windowed semantics. Each engine has its own runner: the coordinator (the
+// goroutine calling Run) executes engine 0 and goroutine r executes engine
+// r, so the caller buys parallelism by partitioning its model into one
+// engine per goroutine it wants, and one engine never starts a goroutine.
 //
 // The model side of the contract, in adaptive mode:
 //
@@ -66,8 +69,8 @@ type ShardedEngine struct {
 	mode    WindowMode
 
 	// deadlines caches each engine's next pending deadline (Forever when
-	// its queue is empty). Runners publish their engines' slots after each
-	// window share; the coordinator folds flush insertions in via the mins
+	// its queue is empty). Runners publish their engine's slot after each
+	// window; the coordinator folds flush insertions in via the mins
 	// slice. One cache line per slot so concurrent publishes do not bounce.
 	deadlines []paddedTime
 	caps      []Time // per-shard window end, written by the coordinator before dispatch
@@ -77,12 +80,11 @@ type ShardedEngine struct {
 	flushes uint64 // flush callbacks actually invoked (coordinator-only)
 
 	// Worker-pool coordination. The coordinator (the goroutine calling
-	// Run) executes runner 0's share inline; runners 1..nrun-1 are
-	// goroutines with per-runner go/done epochs on private cache lines:
-	// each worker spins only on its own line, and the coordinator's
-	// completion wait reads each runner's done word instead of all workers
-	// hammering one shared pending counter.
-	nrun    int
+	// Run) executes engine 0 inline; runners[r-1] is the goroutine for
+	// engine r, with go/done epochs on private cache lines: each worker
+	// spins only on its own line, and the coordinator's completion wait
+	// reads each runner's done word instead of all workers hammering one
+	// shared pending counter.
 	runners []*shardRunner
 	started bool
 	epoch   uint64 // coordinator-private dispatch epoch
@@ -99,10 +101,11 @@ type paddedTime struct {
 	_ [120]byte
 }
 
-// shardRunner is one worker's coordination block. goEpoch is written by the
-// coordinator and spun on by the worker; done is written by the worker and
-// spun on by the coordinator. The pads keep each runner's words off every
-// other runner's (and the coordinator's) cache lines.
+// shardRunner is one engine's worker: the engine's index and its
+// coordination block. goEpoch is written by the coordinator and spun on by
+// the worker; done is written by the worker and spun on by the coordinator.
+// The pads keep each runner's words off every other runner's (and the
+// coordinator's) cache lines.
 type shardRunner struct {
 	_       [64]byte
 	goEpoch atomic.Uint64
@@ -114,31 +117,21 @@ type shardRunner struct {
 	_       [64]byte
 }
 
-// NewShardedEngine builds a window driver over engines. window is the
-// lookahead in cycles (≥ 1); flush is invoked between windows with an
-// exclusive send-cycle threshold and must apply all deferred cross-shard
-// sends below it (see the ShardedEngine contract). workers caps the
-// goroutines executing shards concurrently; 0 means GOMAXPROCS. Engine i is
-// always executed by runner i mod nrun, so each engine stays affine to one
-// goroutine within a window.
-func NewShardedEngine(engines []*Engine, window Time, flush func(before Time, mins []Time), workers int) *ShardedEngine {
+// NewShardedEngine builds a window driver over engines, one runner per
+// engine. window is the lookahead in cycles (≥ 1); flush is invoked between
+// windows with an exclusive send-cycle threshold and must apply all
+// deferred cross-shard sends below it (see the ShardedEngine contract).
+func NewShardedEngine(engines []*Engine, window Time, flush func(before Time, mins []Time)) *ShardedEngine {
 	if len(engines) == 0 {
 		panic("sim: sharded engine with no shards")
 	}
 	if window < 1 {
 		panic(fmt.Sprintf("sim: window width %d < 1", window))
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(engines) {
-		workers = len(engines)
-	}
 	return &ShardedEngine{
 		engines:   engines,
 		window:    window,
 		flush:     flush,
-		nrun:      workers,
 		deadlines: make([]paddedTime, len(engines)),
 		caps:      make([]Time, len(engines)),
 		mins:      make([]Time, len(engines)),
@@ -335,18 +328,14 @@ func (s *ShardedEngine) drainHeld(limit Time) bool {
 }
 
 // runWindow executes one window under the caps the coordinator just
-// published, inline when only one shard (or one runner) is active.
+// published: inline when only one shard is active, else on every runner.
 func (s *ShardedEngine) runWindow(active, lone int) {
 	s.windows++
 	switch {
+	case active > 1:
+		s.dispatch()
 	case active == 1:
 		s.runEngine(lone)
-	case active == 0 || s.nrun == 1:
-		for i := range s.engines {
-			s.runEngine(i)
-		}
-	default:
-		s.dispatch()
 	}
 }
 
@@ -385,14 +374,7 @@ func nextOrForever(e *Engine) Time {
 	return Forever
 }
 
-// runShare executes every engine owned by runner r for the current window.
-func (s *ShardedEngine) runShare(r int) {
-	for i := r; i < len(s.engines); i += s.nrun {
-		s.runEngine(i)
-	}
-}
-
-// dispatch runs one window across the worker pool and waits for every
+// dispatch runs one window on every engine's runner and waits for every
 // runner's done epoch — a flat sense-free barrier: each worker spins only
 // on its own goEpoch line and the coordinator sweeps the done lines, so no
 // shared word is write-contended.
@@ -411,7 +393,7 @@ func (s *ShardedEngine) dispatch() {
 			}
 		}
 	}
-	s.runShare(0)
+	s.runEngine(0)
 	for _, r := range s.runners {
 		for r.done.Load() != ep {
 			runtime.Gosched()
@@ -420,8 +402,8 @@ func (s *ShardedEngine) dispatch() {
 }
 
 func (s *ShardedEngine) startWorkers() {
-	s.runners = make([]*shardRunner, 0, s.nrun-1)
-	for i := 1; i < s.nrun; i++ {
+	s.runners = make([]*shardRunner, 0, len(s.engines)-1)
+	for i := 1; i < len(s.engines); i++ {
 		r := &shardRunner{idx: i, wake: make(chan struct{}, 1)}
 		r.goEpoch.Store(s.epoch)
 		r.done.Store(s.epoch)
@@ -473,7 +455,7 @@ func (s *ShardedEngine) workerLoop(r *shardRunner) {
 			// race with an epoch store between the Load above and the park
 			// flag becoming visible; a stale token in the buffered channel
 			// only causes one extra loop iteration — the epoch comparison,
-			// not the wake, decides whether a window share runs.
+			// not the wake, decides whether the engine runs a window.
 			r.parked.Store(true)
 			if r.goEpoch.Load() == seen {
 				<-r.wake
@@ -488,7 +470,7 @@ func (s *ShardedEngine) workerLoop(r *shardRunner) {
 			r.done.Store(g)
 			return
 		}
-		s.runShare(r.idx)
+		s.runEngine(r.idx)
 		r.done.Store(g)
 	}
 }

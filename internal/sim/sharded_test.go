@@ -134,6 +134,7 @@ type shardedHarness struct {
 	traces  [][]string  // per node: execution record
 	rounds  []int
 	buf     [][3]Time // flush merge scratch
+	runners int       // runner goroutines the last run started
 }
 
 func newShardedHarness(nodes, shards int, latency Time, rounds int) *shardedHarness {
@@ -230,26 +231,31 @@ func (h *shardedHarness) flush(before Time, mins []Time) {
 	h.buf = buf[:0]
 }
 
-func (h *shardedHarness) engine(workers int, mode WindowMode) *ShardedEngine {
-	s := NewShardedEngine(h.engines, h.latency, h.flush, workers)
+func (h *shardedHarness) engine(mode WindowMode) *ShardedEngine {
+	s := NewShardedEngine(h.engines, h.latency, h.flush)
 	s.SetWindowMode(mode)
 	s.SetHeldProbe(h.heldMin)
 	return s
 }
 
-func (h *shardedHarness) run(workers int, mode WindowMode) ([][]string, Time) {
-	s := h.engine(workers, mode)
+func (h *shardedHarness) run(mode WindowMode) ([][]string, Time) {
+	s := h.engine(mode)
 	for n := range h.nodeOf {
 		node := n
 		h.engineOf(node).AtHandler(Time(n%3), fnHandler(func(any) { h.receive(node) }), nil)
 	}
 	end := s.Run()
+	h.runners = len(s.runners)
 	s.Stop()
 	return h.traces, end
 }
 
-func TestShardedEngineDeterministicAcrossShardsAndWorkers(t *testing.T) {
-	ref, refEnd := newShardedHarness(8, 1, 4, 20).run(1, WindowFixed)
+// TestShardedEngineDeterministicAcrossShards: every shard count, each
+// shard on its own runner, executes the one-shard reference's events at the
+// same cycles in the same order, in both window modes. A run starts one
+// goroutine per engine beyond the coordinator, so one engine starts none.
+func TestShardedEngineDeterministicAcrossShards(t *testing.T) {
+	ref, refEnd := newShardedHarness(8, 1, 4, 20).run(WindowFixed)
 	total := 0
 	for _, tr := range ref {
 		total += len(tr)
@@ -259,21 +265,23 @@ func TestShardedEngineDeterministicAcrossShardsAndWorkers(t *testing.T) {
 	}
 	for _, mode := range []WindowMode{WindowFixed, WindowAdaptive} {
 		for _, shards := range []int{1, 2, 4, 8} {
-			for _, workers := range []int{1, 2, 4} {
-				got, end := newShardedHarness(8, shards, 4, 20).run(workers, mode)
-				if end != refEnd {
-					t.Fatalf("mode=%v shards=%d workers=%d: end %d != %d", mode, shards, workers, end, refEnd)
+			h := newShardedHarness(8, shards, 4, 20)
+			got, end := h.run(mode)
+			if h.runners != shards-1 {
+				t.Fatalf("mode=%v shards=%d: started %d runner goroutines, want %d", mode, shards, h.runners, shards-1)
+			}
+			if end != refEnd {
+				t.Fatalf("mode=%v shards=%d: end %d != %d", mode, shards, end, refEnd)
+			}
+			for node := range ref {
+				if len(got[node]) != len(ref[node]) {
+					t.Fatalf("mode=%v shards=%d: node %d ran %d events, want %d",
+						mode, shards, node, len(got[node]), len(ref[node]))
 				}
-				for node := range ref {
-					if len(got[node]) != len(ref[node]) {
-						t.Fatalf("mode=%v shards=%d workers=%d: node %d ran %d events, want %d",
-							mode, shards, workers, node, len(got[node]), len(ref[node]))
-					}
-					for i := range ref[node] {
-						if got[node][i] != ref[node][i] {
-							t.Fatalf("mode=%v shards=%d workers=%d: node %d event %d at %s, want %s",
-								mode, shards, workers, node, i, got[node][i], ref[node][i])
-						}
+				for i := range ref[node] {
+					if got[node][i] != ref[node][i] {
+						t.Fatalf("mode=%v shards=%d: node %d event %d at %s, want %s",
+							mode, shards, node, i, got[node][i], ref[node][i])
 					}
 				}
 			}
@@ -284,7 +292,7 @@ func TestShardedEngineDeterministicAcrossShardsAndWorkers(t *testing.T) {
 func TestShardedEngineRunUntil(t *testing.T) {
 	for _, mode := range []WindowMode{WindowFixed, WindowAdaptive} {
 		h := newShardedHarness(4, 2, 4, 100)
-		s := h.engine(1, mode)
+		s := h.engine(mode)
 		for n := range h.nodeOf {
 			node := n
 			h.engineOf(node).AtHandler(Time(n), fnHandler(func(any) { h.receive(node) }), nil)
@@ -309,10 +317,10 @@ func TestShardedEngineRunUntil(t *testing.T) {
 // boundaries must not change the executed event sequence in either mode —
 // held sends carry across the boundary and flush in the same canonical order.
 func TestShardedEngineRunUntilResume(t *testing.T) {
-	ref, refEnd := newShardedHarness(8, 4, 4, 20).run(1, WindowFixed)
+	ref, refEnd := newShardedHarness(8, 4, 4, 20).run(WindowFixed)
 	for _, mode := range []WindowMode{WindowFixed, WindowAdaptive} {
 		h := newShardedHarness(8, 4, 4, 20)
-		s := h.engine(2, mode)
+		s := h.engine(mode)
 		for n := range h.nodeOf {
 			node := n
 			h.engineOf(node).AtHandler(Time(n%3), fnHandler(func(any) { h.receive(node) }), nil)
@@ -341,16 +349,16 @@ func TestShardedEngineWindowValidation(t *testing.T) {
 			t.Fatal("window width 0 did not panic")
 		}
 	}()
-	NewShardedEngine([]*Engine{New()}, 0, func(Time, []Time) {}, 1)
+	NewShardedEngine([]*Engine{New()}, 0, func(Time, []Time) {})
 }
 
 // TestShardedEngineStopRestart: the worker pool must survive
 // Stop → Run → Stop cycles, with each restarted run producing the same
 // results as an uninterrupted one.
 func TestShardedEngineStopRestart(t *testing.T) {
-	ref, refEnd := newShardedHarness(8, 4, 4, 30).run(1, WindowFixed)
+	ref, refEnd := newShardedHarness(8, 4, 4, 30).run(WindowFixed)
 	h := newShardedHarness(8, 4, 4, 30)
-	s := h.engine(4, WindowAdaptive)
+	s := h.engine(WindowAdaptive)
 	for n := range h.nodeOf {
 		node := n
 		h.engineOf(node).AtHandler(Time(n%3), fnHandler(func(any) { h.receive(node) }), nil)
@@ -377,8 +385,8 @@ func TestShardedEngineStopRestart(t *testing.T) {
 }
 
 // TestShardedEngineStaleWakeToken: a spurious token in a parked runner's wake
-// channel must not make it execute a window share — the epoch word, not the
-// wake, gates execution. The runner must then still run exactly one share per
+// channel must not make it execute a window — the epoch word, not the wake,
+// gates execution. The runner must then still run its engine exactly once per
 // real dispatch.
 func TestShardedEngineStaleWakeToken(t *testing.T) {
 	engines := []*Engine{New(), New()}
@@ -386,7 +394,7 @@ func TestShardedEngineStaleWakeToken(t *testing.T) {
 		e.SetCycleSeq(true)
 	}
 	var ran [2]int
-	s := NewShardedEngine(engines, 1, func(Time, []Time) {}, 2)
+	s := NewShardedEngine(engines, 1, func(Time, []Time) {})
 	defer s.Stop()
 	engines[0].AtHandler(0, fnHandler(func(any) { ran[0]++ }), nil)
 	engines[1].AtHandler(0, fnHandler(func(any) { ran[1]++ }), nil)
@@ -401,7 +409,7 @@ func TestShardedEngineStaleWakeToken(t *testing.T) {
 	}
 	s.runners[0].wake <- struct{}{}
 	// Give each engine several events across distinct windows; each dispatch
-	// must execute every pending share exactly once despite the stale token.
+	// must run every engine exactly once despite the stale token.
 	for i := 0; i < 4; i++ {
 		engines[0].AtHandler(Time(10+i*10), fnHandler(func(any) { ran[0]++ }), nil)
 		engines[1].AtHandler(Time(10+i*10), fnHandler(func(any) { ran[1]++ }), nil)

@@ -85,7 +85,7 @@ func TestShardedRunGuardedTrips(t *testing.T) {
 	engines[0].AtHandler(0, r, nil)
 
 	var progress uint64
-	s := NewShardedEngine(engines, 2, func(Time, []Time) {}, 2)
+	s := NewShardedEngine(engines, 2, func(Time, []Time) {})
 	defer s.Stop()
 	w := Watchdog{Interval: 64, Progress: func() uint64 { return progress }}
 	now, tripped := s.RunGuarded(w, 1_000_000)
@@ -107,7 +107,7 @@ func TestShardedRunGuardedBitIdenticalToRun(t *testing.T) {
 		engines[0].AtHandler(0, r, nil)
 		r2 := &selfRescheduler{eng: engines[1], period: 7, limit: 90}
 		engines[1].AtHandler(1, r2, nil)
-		return NewShardedEngine(engines, 2, func(Time, []Time) {}, 1), r
+		return NewShardedEngine(engines, 2, func(Time, []Time) {}), r
 	}
 	sa, ra := build()
 	sb, rb := build()

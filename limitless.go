@@ -214,17 +214,23 @@ type Config struct {
 	// MaxCycles aborts a run that exceeds this many cycles (0 = no bound).
 	MaxCycles int64
 	// Shards, when positive, runs the simulation on the windowed sharded
-	// engine: the mesh is split into that many contiguous node tiles, each
-	// with its own event heap, executed concurrently in conservative time
-	// windows (see DESIGN.md, "Parallel simulation"). Results are
-	// deterministic and bit-identical for every Shards >= 1 value; the
-	// default 0 keeps the sequential engine, whose same-cycle network
-	// arbitration differs, so its cycle counts form a separate
-	// deterministic baseline. Trace workloads (FromTrace/FromEvents) share
-	// replay state across processors and refuse Shards > 1.
+	// engine: the mesh is split into contiguous node tiles, each with its
+	// own event heap and its own goroutine, executed concurrently in
+	// conservative time windows (see DESIGN.md, "Parallel simulation").
+	// Shards is an upper bound: the machine builds one tile per shard
+	// worker, min(Shards, workers, processors) tiles, since only
+	// goroutines buy speed. Results are deterministic and bit-identical
+	// for every Shards >= 1 value; the default 0 keeps the sequential
+	// engine, whose same-cycle network arbitration differs, so its cycle
+	// counts form a separate deterministic baseline. Trace workloads
+	// (FromTrace/FromEvents) share replay state across processors and
+	// refuse Shards > 1 as requested, even where one worker would build
+	// a single tile, so whether a run is accepted never depends on the
+	// host.
 	Shards int
-	// ShardWorkers caps the goroutines executing shards concurrently
-	// (0 = GOMAXPROCS). It affects only wall-clock speed, never results.
+	// ShardWorkers is the number of goroutines executing shards, each
+	// running one tile, so it also caps the tiles built (0 = GOMAXPROCS).
+	// It affects only wall-clock speed, never results.
 	ShardWorkers int
 	// Faults is a deterministic fault-injection spec, "seed:key=value,...".
 	// Keys: delay/delaymax (per-packet delivery jitter), dup/dupdelay

@@ -40,7 +40,7 @@ func TestLossEquivalenceMatrix(t *testing.T) {
 		scheme := scheme
 		t.Run(string(scheme), func(t *testing.T) {
 			base := limitless.Config{Procs: 16, Scheme: scheme, Pointers: 4,
-				TrapService: 50, ShardWorkers: 2}
+				TrapService: 50}
 
 			// Sequential engine: its arbitration differs from the sharded
 			// engine's, so it is its own deterministic baseline.
@@ -53,14 +53,14 @@ func TestLossEquivalenceMatrix(t *testing.T) {
 			}
 
 			shardCfg := base
-			shardCfg.Shards = 1
+			shardCfg.Shards, shardCfg.ShardWorkers = 1, 1
 			ref := runLossy(t, shardCfg, string(scheme)+"/shards=1")
 			if ref.FaultStats.Drops == 0 || ref.FaultStats.Retransmits == 0 {
 				t.Errorf("sharded: loss classes never fired: %+v", ref.FaultStats)
 			}
 			for _, shards := range []int{2, 4} {
 				cfg := base
-				cfg.Shards = shards
+				cfg.Shards, cfg.ShardWorkers = shards, shards
 				got := runLossy(t, cfg, fmt.Sprintf("%s/shards=%d", scheme, shards))
 				if got != ref {
 					t.Errorf("shards=%d diverged from shards=1 under loss:\n got %+v\nwant %+v",
@@ -73,7 +73,7 @@ func TestLossEquivalenceMatrix(t *testing.T) {
 				mask machine.Oracles
 			}{{"fixed-window", machine.OracleFixedWindows}, {"heap", machine.OracleHeap}} {
 				cfg := base
-				cfg.Shards = 4
+				cfg.Shards, cfg.ShardWorkers = 4, 4
 				if got := runLossy(t, limitless.WithOracles(cfg, o.mask), string(scheme)+"/"+o.name); got != ref {
 					t.Errorf("%s diverged under loss:\n got %+v\nwant %+v", o.name, got, ref)
 				}
@@ -115,7 +115,7 @@ func TestLossActuallyPerturbs(t *testing.T) {
 func TestTransportStuckDiagnostic(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		cfg := limitless.Config{Procs: 16, Scheme: limitless.FullMap,
-			Faults: "1:drop=1,rto=16,rmax=3", Shards: shards,
+			Faults: "1:drop=1,rto=16,rmax=3", Shards: shards, ShardWorkers: shards,
 			WatchdogCycles: 500_000, MaxCycles: 10_000_000}
 		_, err := limitless.Run(cfg, limitless.Weather(16))
 		if err == nil {
@@ -143,11 +143,11 @@ func lossTrial(t testing.TB, schemeB, ratesB, knobsB byte) {
 	spec := fmt.Sprintf("%d:drop=%.2f,corrupt=%.3f,delay=0.03,dup=0.01", seed, drop, corrupt)
 
 	cfg := limitless.Config{Procs: 16, Scheme: scheme, Pointers: 1 + int(knobsB>>4)%4,
-		TrapService: 50, ShardWorkers: 2, Faults: spec, Shards: 1}
+		TrapService: 50, Faults: spec, Shards: 1, ShardWorkers: 1}
 	label := fmt.Sprintf("%s/%s", scheme, spec)
 	ref := runLossy(t, cfg, label+"/shards=1")
 	for _, shards := range []int{2, 4} {
-		cfg.Shards = shards
+		cfg.Shards, cfg.ShardWorkers = shards, shards
 		if got := runLossy(t, cfg, fmt.Sprintf("%s/shards=%d", label, shards)); got != ref {
 			t.Fatalf("%s: shards=%d diverged from shards=1:\n got %+v\nwant %+v",
 				label, shards, got, ref)

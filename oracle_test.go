@@ -53,15 +53,15 @@ func runOracles(t testing.TB, cfg limitless.Config, mk func() limitless.Workload
 func weather16() limitless.Workload { return limitless.Weather(16) }
 
 // oracleMatrix runs Weather at P=16 under mask on every scheme, on the
-// sequential engine and at 2 and 4 shards with one and two workers.
+// sequential engine and at 1, 2 and 4 shards, each shard on its own worker.
 func oracleMatrix(t *testing.T, mask machine.Oracles) {
 	for _, scheme := range allSchemes(t) {
 		scheme := scheme
 		t.Run(string(scheme), func(t *testing.T) {
-			for _, e := range []struct{ shards, workers int }{{0, 1}, {2, 1}, {2, 2}, {4, 1}, {4, 2}} {
+			for _, shards := range []int{0, 1, 2, 4} {
 				cfg := limitless.Config{Procs: 16, Scheme: scheme, Pointers: 4, TrapService: 50,
-					Verify: true, Shards: e.shards, ShardWorkers: e.workers}
-				runOracles(t, cfg, weather16, mask, fmt.Sprintf("%s/shards=%d/workers=%d", scheme, e.shards, e.workers))
+					Verify: true, Shards: shards, ShardWorkers: shards}
+				runOracles(t, cfg, weather16, mask, fmt.Sprintf("%s/shards=%d", scheme, shards))
 			}
 		})
 	}
@@ -74,8 +74,8 @@ func TestWindowModeEquivalence(t *testing.T)  { oracleMatrix(t, machine.OracleFi
 func TestAllOraclesEquivalence(t *testing.T)  { oracleMatrix(t, machine.AllOracles) }
 
 // oraclePins holds the canonical Weather P=16 pins — 10423 cycles on the
-// sequential engine, 10411 at four shards — on the fast paths, under bit
-// alone and under every oracle at once.
+// sequential engine, 10411 at four shards on four workers — on the fast
+// paths, under bit alone and under every oracle at once.
 func oraclePins(t *testing.T, bit machine.Oracles) {
 	for _, mask := range []machine.Oracles{bit, machine.AllOracles} {
 		for _, pin := range []struct {
@@ -83,7 +83,7 @@ func oraclePins(t *testing.T, bit machine.Oracles) {
 			want   int64
 		}{{0, 10423}, {4, 10411}} {
 			cfg := limitless.Config{Procs: 16, Scheme: limitless.LimitLESS, Pointers: 4, TrapService: 50,
-				Verify: true, Shards: pin.shards, ShardWorkers: 1}
+				Verify: true, Shards: pin.shards, ShardWorkers: pin.shards}
 			res := runOracles(t, cfg, weather16, mask, fmt.Sprintf("shards=%d", pin.shards))
 			if res.Cycles != pin.want {
 				t.Errorf("shards=%d: cycles = %d, want %d", pin.shards, res.Cycles, pin.want)
@@ -97,8 +97,9 @@ func TestProcModePins(t *testing.T)    { oraclePins(t, machine.OracleEventProc) 
 
 // oracleTrial builds one random configuration and workload from fuzz bytes
 // and checks it under the bits of must plus the nonzero mask maskB picks.
-// Its axes are scheme, four workloads, engine, shard workers, pointers,
-// T_s, ModifyGrant and one or two hardware contexts.
+// Its axes are scheme, four workloads, engine (sequential, or two or four
+// shards on as many workers), pointers, T_s, ModifyGrant and one or two
+// hardware contexts.
 func oracleTrial(t testing.TB, must machine.Oracles, maskB, schemeB, wlB, shardsB, knobsB byte) {
 	mask := must | machine.Oracles(1+int(maskB)%int(machine.AllOracles))
 	schemes := allSchemes(t)
@@ -121,6 +122,7 @@ func oracleTrial(t testing.TB, must machine.Oracles, maskB, schemeB, wlB, shards
 		wlName = "multigrid"
 	}
 
+	shards := []int{0, 2, 4}[int(shardsB)%3]
 	cfg := limitless.Config{
 		Procs:        procs,
 		Scheme:       scheme,
@@ -128,11 +130,11 @@ func oracleTrial(t testing.TB, must machine.Oracles, maskB, schemeB, wlB, shards
 		TrapService:  25 + int64(knobsB%4)*25,
 		ModifyGrant:  knobsB&1 != 0,
 		Contexts:     1 + int(knobsB>>2)%2,
-		Shards:       []int{0, 2, 4}[int(shardsB)%3],
-		ShardWorkers: 1 + int(shardsB>>4)%2,
+		Shards:       shards,
+		ShardWorkers: shards,
 	}
-	label := fmt.Sprintf("%s/%s/ptrs=%d/ts=%d/mg=%v/ctx=%d/shards=%d/workers=%d",
-		scheme, wlName, cfg.Pointers, cfg.TrapService, cfg.ModifyGrant, cfg.Contexts, cfg.Shards, cfg.ShardWorkers)
+	label := fmt.Sprintf("%s/%s/ptrs=%d/ts=%d/mg=%v/ctx=%d/shards=%d",
+		scheme, wlName, cfg.Pointers, cfg.TrapService, cfg.ModifyGrant, cfg.Contexts, cfg.Shards)
 	runOracles(t, cfg, mk, mask, label)
 }
 
@@ -166,7 +168,7 @@ func TestWindowModeEquivalenceRandom(t *testing.T) {
 func fuzzOracles(f *testing.F, must machine.Oracles) {
 	f.Add(byte(14), byte(2), byte(0), byte(0), byte(0x42))   // all oracles, limitless/weather/sequential
 	f.Add(byte(0), byte(0), byte(1), byte(1), byte(0x10))    // heap, full-map/synthetic/2 shards
-	f.Add(byte(3), byte(5), byte(2), byte(0x11), byte(0xff)) // event proc, chained/migratory/4 shards, 2 workers
+	f.Add(byte(3), byte(5), byte(2), byte(0x11), byte(0xff)) // event proc, chained/migratory/4 shards
 	f.Add(byte(7), byte(3), byte(3), byte(2), byte(0x07))    // fixed windows, software-only/multigrid/4 shards
 	f.Fuzz(func(t *testing.T, maskB, schemeB, wlB, shardsB, knobsB byte) {
 		oracleTrial(t, must, maskB, schemeB, wlB, shardsB, knobsB)

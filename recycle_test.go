@@ -38,7 +38,7 @@ func TestRecycleAfterDissimilarRuns(t *testing.T) {
 		wl      limitless.Workload
 		wantErr string // substring of the expected error; empty for none
 	}{
-		{"p256-shards4", limitless.Config{Procs: 256, Shards: 4, ShardWorkers: 2}, limitless.Weather(256), ""},
+		{"p256-shards4", limitless.Config{Procs: 256, Shards: 4, ShardWorkers: 4}, limitless.Weather(256), ""},
 		{"lossy", limitless.Config{Procs: 64,
 			Faults: "42:delay=0.05,dup=0.02,stall=0.1,trap=0.1,drop=0.02,corrupt=0.01"}, limitless.Weather(64), ""},
 		{"heap-boxed", limitless.WithOracles(limitless.Config{Procs: 64, Scheme: limitless.FullMap},

@@ -10,11 +10,12 @@ import (
 
 // TestShardedEquivalenceAllSchemes is the cross-engine determinism table:
 // every directory scheme at P=16 must produce bit-identical Results — cycle
-// counts and all aggregated statistics — for Shards ∈ {1, 2, 4}. Shards=1
-// is the sequential execution of the windowed semantics, so any divergence
-// at 2 or 4 shards means the parallel engine leaked nondeterminism (merge
-// order, shared state, or a lookahead bug). Run in CI under -race, where it
-// doubles as the data-race probe for the worker pool.
+// counts and all aggregated statistics — for Shards ∈ {1, 2, 4}, each shard
+// on its own worker. Shards=1 is the sequential execution of the windowed
+// semantics, so any divergence at 2 or 4 shards means the parallel engine
+// leaked nondeterminism (merge order, shared state, or a lookahead bug).
+// Run in CI under -race, where it doubles as the data-race probe for the
+// worker pool.
 func TestShardedEquivalenceAllSchemes(t *testing.T) {
 	schemes := []struct {
 		name     string
@@ -33,7 +34,7 @@ func TestShardedEquivalenceAllSchemes(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			run := func(shards int) limitless.Result {
 				cfg := limitless.Config{Procs: procs, Scheme: sc.scheme, Pointers: sc.pointers,
-					TrapService: 50, Shards: shards, ShardWorkers: 4}
+					TrapService: 50, Shards: shards, ShardWorkers: shards}
 				res, err := limitless.Run(cfg, limitless.Weather(procs))
 				if err != nil {
 					t.Fatalf("shards=%d: %v", shards, err)
@@ -85,18 +86,23 @@ func TestShardedRejectsTraceWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := limitless.Config{Scheme: limitless.FullMap, Shards: 2}
-	_, err = limitless.Run(cfg, wl)
-	if err == nil {
-		t.Fatal("trace workload with Shards=2 did not error")
-	}
-	// The refusal must name both sides of the conflict and the way out.
-	for _, want := range []string{"trace", "Shards=2", "-shards", "Shards <= 1"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("rejection %q does not mention %q", err, want)
+	// The refusal depends on the requested Shards alone, never on the shards
+	// the host's workers would build: with one worker the machine would run
+	// one shard, and the trace workload is still refused.
+	for _, workers := range []int{0, 1, 2} {
+		cfg := limitless.Config{Scheme: limitless.FullMap, Shards: 2, ShardWorkers: workers}
+		_, err = limitless.Run(cfg, wl)
+		if err == nil {
+			t.Fatalf("trace workload with Shards=2 ShardWorkers=%d did not error", workers)
+		}
+		// The refusal must name both sides of the conflict and the way out.
+		for _, want := range []string{"trace", "Shards=2", "-shards", "Shards <= 1"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("rejection %q does not mention %q", err, want)
+			}
 		}
 	}
-	cfg.Shards = 1
+	cfg := limitless.Config{Scheme: limitless.FullMap, Shards: 1}
 	if _, err := limitless.Run(cfg, wl); err != nil {
 		t.Fatalf("trace workload with Shards=1 should run sequentially: %v", err)
 	}

@@ -127,7 +127,7 @@ func TestSpinExpansionEquivalence(t *testing.T) {
 			for _, shards := range []int{0, 2, 4} {
 				cfg := limitless.Config{
 					Procs: procs, Scheme: scheme, Pointers: 4, TrapService: 50,
-					Verify: true, Shards: shards, ShardWorkers: 1,
+					Verify: true, Shards: shards, ShardWorkers: shards,
 				}
 				for _, w := range workloads {
 					runSpinExpanded(t, cfg, w.mk, fmt.Sprintf("%s/shards=%d/%s", scheme, shards, w.name))
