@@ -1,6 +1,6 @@
 package limitless_test
 
-// Allocation-regression gate for the sequential engine's hot path. The
+// Allocation-regression gate for the one-engine hot path. The
 // zero-alloc work (message arenas, MSHR free lists, hoisted workload
 // continuations) and run-scoped memory (cache pages, message chunks,
 // directory tables and entry chunks, and engine buckets recycled through

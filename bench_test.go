@@ -225,11 +225,10 @@ func BenchmarkFaultedThroughput(b *testing.B) {
 // 64. Each point sets only Shards, and the machine builds one shard per
 // worker, so at -cpu N a point runs min(shards, N) shards: the -cpu list is
 // the real shard sweep, and every point at or above N repeats the shards-N
-// point. shards-1 is the sequential reference for the windowed semantics;
+// point. shards-1 runs one engine, as BenchmarkSimulatorThroughput does;
 // the speedup of the -cpu 2, 4, ... runs over it is the intra-simulation
-// parallelism gain (BenchmarkSimulatorThroughput remains the single-thread
-// Shards=0 baseline). It is for ad hoc profiling: the gated sharded
-// throughput is the weather-p256-shards16 workload of bash bench/run.sh.
+// parallelism gain, with the same Result at every point. It is for ad hoc
+// profiling: bash bench/run.sh gates no windowed run.
 func BenchmarkShardedThroughput(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8, 16, 64} {
 		shards := shards

@@ -34,7 +34,7 @@ var (
 	ctxFlag      = flag.Int("contexts", 1, "processor hardware contexts")
 	traceFlag    = flag.String("trace", "", "replay a trace file instead of a built-in workload")
 	verifyFlag   = flag.Bool("verify", false, "run the coherence checker after the workload finishes")
-	shardsFlag   = flag.Int("shards", 0, "run on the windowed sharded engine with up to this many mesh tiles, one per shard worker (0 = sequential engine)")
+	shardsFlag   = flag.Int("shards", 0, "run on the windowed sharded engine with up to this many mesh tiles, one per shard worker (0 or one tile = one engine; never changes results)")
 	shardWFlag   = flag.Int("shard-workers", 0, "goroutines executing shards, one shard each, so it caps the tiles -shards builds (0 = GOMAXPROCS; never changes results)")
 	faultsFlag   = flag.String("faults", "", "deterministic fault injection, \"seed:key=value,...\" (keys: delay, delaymax, dup, dupdelay, stall, stallperiod, stallcycles, trap, trapextra, drop, corrupt, rto, rmax; drop/corrupt arm the reliable transport)")
 	watchdogFlag = flag.Int64("watchdog", 0, "halt with a diagnostic dump after this many cycles without forward progress (0 = off)")
@@ -182,8 +182,11 @@ func main() {
 	fmt.Printf("machine:   %d processors, %s with %d pointers, T_s=%d, %d context(s)\n",
 		cfg.Procs, cfg.Scheme, cfg.Pointers, cfg.TrapService, maxInt(cfg.Contexts, 1))
 	if cfg.Shards > 0 {
-		fmt.Printf("engine:    windowed sharded, %d of %d requested shards ran (one per worker)\n",
-			machine.ShardCount(cfg.Shards, cfg.ShardWorkers, cfg.Procs), cfg.Shards)
+		if k := machine.ShardCount(cfg.Shards, cfg.ShardWorkers, cfg.Procs); k > 1 {
+			fmt.Printf("engine:    %d windowed shards of %d requested (one per worker)\n", k, cfg.Shards)
+		} else {
+			fmt.Printf("engine:    one engine (%d shards requested)\n", cfg.Shards)
+		}
 	}
 	if faultSpec != "" {
 		fmt.Printf("faults:    %s\n", faultSpec)

@@ -35,8 +35,9 @@ type ChaosConfig struct {
 	Seeds int
 	// Faults is the fault mix (Seed is overridden per run).
 	Faults fault.Config
-	// Shards selects the engine: 0 sequential, >= 1 windowed sharded with
-	// that many shards, each on its own worker.
+	// Shards is the machine's shard count, each shard on its own worker:
+	// 0 or 1 runs one engine, more runs windowed shards. Every value gives
+	// the same results.
 	Shards int
 	// Watchdog is the per-run no-progress budget in cycles.
 	Watchdog sim.Time

@@ -64,11 +64,12 @@ func TestChaosMatrix(t *testing.T) {
 	}
 }
 
-// TestChaosSharded runs the matrix's default scheme on the windowed
-// engine: the same fault plans must be survivable under sharded execution
+// TestChaosSharded runs the matrix's default scheme on four windowed
+// shards: the same fault plans must be survivable under sharded execution
 // (the watchdog and recorder plumbing cross the barrier machinery there).
+// One engine is the matrix itself.
 func TestChaosSharded(t *testing.T) {
-	for _, shards := range []int{1, 4} {
+	for _, shards := range []int{4} {
 		cfg := DefaultChaos(coherence.LimitLESS, 4)
 		cfg.Shards = shards
 		cfg.Seeds = 2

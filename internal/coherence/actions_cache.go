@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"limitless/internal/cache"
+	"limitless/internal/directory"
 	"limitless/internal/mesh"
 	"limitless/internal/protocol"
 )
@@ -29,16 +30,21 @@ func cacheReadFill(c *cacheCtx) {
 // cacheReadFillChained is cacheReadFill for the chained scheme: the RDATA
 // also carries the previous list head, which this cache records as its
 // next pointer (unless the fill merely re-supplies a position it already
-// holds).
+// holds). A walk parked on the read resumes once the read completes, as if
+// the CINV had arrived just after the RDATA.
 func cacheReadFillChained(c *cacheCtx) {
 	cc, m := c.cc, c.m
+	parked := c.t.walkParked // finish recycles the transaction
 	cc.fill(m.Addr, cache.ReadOnly, m.Value)
 	if m.Next != ChainResupply {
 		// Prepend the new list position; older (possibly zombie) positions
 		// stay behind it in walk order.
-		cc.chainNext[m.Addr] = append([]mesh.NodeID{m.Next}, cc.chainNext[m.Addr]...)
+		cc.chainNext[m.Addr] = append([]chainLink{{next: m.Next, pos: m.Pos}}, cc.chainNext[m.Addr]...)
 	}
 	cc.finish(m.Addr, m.Value)
+	if parked {
+		cc.chainWalk(m.Addr)
+	}
 }
 
 // cacheWriteFill installs the WDATA block read-write, applies the waiting
@@ -130,27 +136,37 @@ func cacheBusyRetry(c *cacheCtx) {
 // cacheChainWalk services a chained invalidation: invalidate the copy,
 // consume one recorded list position and forward the CINV to its next
 // pointer — or, at the tail, acknowledge to the home.
-func cacheChainWalk(c *cacheCtx) {
-	cc, m := c.cc, c.m
-	cc.cache.Invalidate(m.Addr)
-	stack := cc.chainNext[m.Addr]
-	if len(stack) == 0 {
-		// Defensive: a walk reached a cache with no recorded position.
-		cc.send(cc.home(m.Addr), cc.newMsg(Msg{Type: ACKC, Addr: m.Addr, Next: -1}))
-		return
-	}
-	next := stack[0]
-	if len(stack) == 1 {
-		delete(cc.chainNext, m.Addr)
-	} else {
-		cc.chainNext[m.Addr] = stack[1:]
-	}
-	if next >= 0 {
-		cc.send(next, cc.newMsg(Msg{Type: CINV, Addr: m.Addr, Next: -1}))
-		return
-	}
-	// Tail of the list: acknowledge to the home.
-	cc.send(cc.home(m.Addr), cc.newMsg(Msg{Type: ACKC, Addr: m.Addr, Next: -1}))
+func cacheChainWalk(c *cacheCtx) { c.cc.chainWalk(c.m.Addr) }
+
+// cacheChainParkWalk holds a CINV that reached a cache with a read of the
+// block outstanding, for a position newer than any the cache records. The
+// walk has reached the position the read's RDATA will record: the home
+// added this cache to the list and sent the RDATA, a later reader's RDATA
+// made it the next pointer of a new head, and the walk from that head
+// overtook the first RDATA (a lost or delayed packet). Walking on with a
+// recorded position would end the walk early at this cache, or forward it
+// past the nodes between the two positions, and leave their copies stale;
+// so the RDATA resumes it after the fill.
+func cacheChainParkWalk(c *cacheCtx) { c.t.walkParked = true }
+
+// guardWalkAhead accepts a CINV for a list position newer than any this
+// cache records for the block.
+func guardWalkAhead(c *cacheCtx) bool {
+	stack := c.cc.chainNext[c.m.Addr]
+	return len(stack) == 0 || c.m.Pos > stack[0].pos
+}
+
+// guardWalkParked accepts when a chained walk is parked on the read.
+func guardWalkParked(c *cacheCtx) bool { return c.t.walkParked }
+
+// cacheBusyRetryWalk runs the walk parked on a refused read, then retries
+// the read. A refused read created no position, so the walk cannot wait
+// for one; it goes on as an unparked walk would, and the home never stays
+// stuck in the write transaction behind it.
+func cacheBusyRetryWalk(c *cacheCtx) {
+	c.t.walkParked = false
+	c.cc.chainWalk(c.m.Addr)
+	cacheBusyRetry(c)
 }
 
 // cacheUncachedData completes an uncached read with the UDATA value.
@@ -229,4 +245,36 @@ func centralizedCacheTable(scheme Scheme) *protocol.Table[cacheCtx] {
 		protocol.Impossible{State: anyKey, Msg: uint8(CINV), Reason: "chained walk messages do not exist outside the chained scheme"},
 	)
 	return protocol.New(cacheSpec(scheme), rows, imposs)
+}
+
+// chainLink is one list position a chained-scheme cache occupies: its
+// number (Msg.Pos) and its next pointer, negative at the tail.
+type chainLink struct {
+	next mesh.NodeID
+	pos  int32
+}
+
+// chainWalk invalidates the copy of addr, consumes this cache's most recent
+// list position and forwards the CINV to its next pointer — or, at the
+// tail, acknowledges to the home.
+func (cc *CacheController) chainWalk(addr directory.Addr) {
+	cc.cache.Invalidate(addr)
+	stack := cc.chainNext[addr]
+	if len(stack) == 0 {
+		// Defensive: a walk reached a cache with no recorded position.
+		cc.send(cc.home(addr), cc.newMsg(Msg{Type: ACKC, Addr: addr, Next: -1}))
+		return
+	}
+	link := stack[0]
+	if len(stack) == 1 {
+		delete(cc.chainNext, addr)
+	} else {
+		cc.chainNext[addr] = stack[1:]
+	}
+	if link.next >= 0 {
+		cc.send(link.next, cc.newMsg(Msg{Type: CINV, Addr: addr, Next: -1, Pos: link.pos - 1}))
+		return
+	}
+	// Tail of the list: acknowledge to the home.
+	cc.send(cc.home(addr), cc.newMsg(Msg{Type: ACKC, Addr: addr, Next: -1}))
 }

@@ -108,6 +108,10 @@ type txn struct {
 	// retries counts consecutive BUSY responses; it drives the bounded
 	// exponential backoff when Timing.RetryBackoffMax is set.
 	retries int
+	// walkParked records a chained invalidation walk that reached this
+	// cache while the read was outstanding; the read's reply resumes it
+	// (see cacheChainParkWalk).
+	walkParked bool
 }
 
 // CacheController is the cache side of one node: it satisfies processor
@@ -115,7 +119,7 @@ type txn struct {
 // and answers the directory's invalidations.
 type CacheController struct {
 	eng    *sim.Engine
-	nw     NetPort
+	nw     *mesh.ShardPort
 	id     mesh.NodeID
 	params Params
 	home   Placement
@@ -126,14 +130,14 @@ type CacheController struct {
 	// rarely has more than a couple of misses in flight (one per processor
 	// context), so the scan beats map hashing on the dispatch hot path.
 	txns []txnEntry
-	// chainNext holds this cache's next pointers for the chained scheme,
-	// one stack entry per list position this cache occupies. A cache can
+	// chainNext holds this cache's list positions for the chained scheme,
+	// newest first: each position's number and next pointer. A cache can
 	// occupy several positions: when its line is displaced it keeps the
 	// pointer (a zombie) so a CINV walk can continue, and a re-read then
 	// prepends a fresh position at the head. Each CINV visit consumes
 	// exactly one entry, so no position — and in particular no tail
 	// marker — is ever lost or duplicated.
-	chainNext map[directory.Addr][]mesh.NodeID
+	chainNext map[directory.Addr][]chainLink
 	// updateMode marks blocks registered for the Section 6 update-mode
 	// extension: stores travel as value-carrying UWREQ round trips and the
 	// block is only ever cached read-only.
@@ -219,7 +223,7 @@ func (h *completionHandler) OnEvent(arg any) {
 }
 
 // NewCacheController builds the cache side of node id.
-func NewCacheController(eng *sim.Engine, nw NetPort, id mesh.NodeID, params Params, home Placement, c *cache.Cache) *CacheController {
+func NewCacheController(eng *sim.Engine, nw *mesh.ShardPort, id mesh.NodeID, params Params, home Placement, c *cache.Cache) *CacheController {
 	params.validate()
 	if home == nil {
 		panic("coherence: nil placement")
@@ -231,7 +235,7 @@ func NewCacheController(eng *sim.Engine, nw NetPort, id mesh.NodeID, params Para
 		params:     params,
 		home:       home,
 		cache:      c,
-		chainNext:  make(map[directory.Addr][]mesh.NodeID),
+		chainNext:  make(map[directory.Addr][]chainLink),
 		updateMode: make(map[directory.Addr]bool),
 	}
 	cc.sendH = txnSendHandler{cc}
@@ -493,6 +497,7 @@ func (cc *CacheController) finish(addr directory.Addr, value uint64) {
 	t.req = Request{}
 	t.msg = nil
 	t.retries = 0
+	t.walkParked = false
 	cc.freeTxns = append(cc.freeTxns, t)
 }
 

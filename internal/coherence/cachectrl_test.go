@@ -3,8 +3,10 @@ package coherence_test
 import (
 	"testing"
 
+	"limitless/internal/cache"
 	"limitless/internal/coherence"
 	"limitless/internal/directory"
+	"limitless/internal/mesh"
 )
 
 // --- MSHR behaviour: one transaction per block, later requests queue ---
@@ -174,4 +176,90 @@ func TestNilPlacementPanics(t *testing.T) {
 		}
 	}()
 	coherence.NewCacheController(nil, nil, 0, params(coherence.FullMap, 0), nil, nil)
+}
+
+// --- Chained walk overtaking an RDATA ---
+
+// TestChainedWalkWaitsForInFlightRDATA delivers a chained CINV to a reader
+// before the RDATA that records the reader's list position. The walk must
+// wait for the fill and then continue along the RDATA's next pointer: every
+// reader behind it must be invalidated too, and the writer must complete.
+// In the second case the late reader already holds an older position (its
+// line was displaced and it read again), which the walk must not take for
+// the new one.
+func TestChainedWalkWaitsForInFlightRDATA(t *testing.T) {
+	conflict := directory.Addr(2<<coherence.HomeShift | 0x10) // same cache set as blk
+	for _, tc := range []struct {
+		name   string
+		before func(r *rig) // list set-up ahead of the late read
+		after  []mesh.NodeID
+	}{
+		{"no older position", func(r *rig) { r.read(2, blk) }, []mesh.NodeID{4}},
+		{"older position held", func(r *rig) {
+			r.read(3, blk)      // position 1 for the late reader
+			r.read(3, conflict) // displace its line; the position stays
+			r.read(2, blk)      // position 2
+		}, []mesh.NodeID{4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, 3, 3, params(coherence.Chained, 1)) // blk's home is node 1
+			const late = 3                                     // the reader whose RDATA is held back
+			tc.before(r)
+
+			// Hold node 3's RDATA in the network's hands until the walk arrives.
+			var heldSrc mesh.NodeID
+			var held *coherence.Msg
+			cinvs := 0
+			n3 := r.nodes[late]
+			r.nw.Register(late, func(pkt *mesh.Packet) {
+				m := pkt.Payload.(*coherence.Msg)
+				switch {
+				case m.Type == coherence.RDATA && m.Addr == blk && held == nil && heldSrc == 0:
+					heldSrc, held = pkt.Src, m
+				case m.Type.ToMemory():
+					n3.mc.Handle(pkt.Src, m)
+				default:
+					if m.Type == coherence.CINV && held != nil {
+						cinvs++
+					}
+					n3.cc.HandleMem(pkt.Src, m)
+				}
+			})
+			readDone := false
+			n3.cc.Access(coherence.Request{Op: coherence.Load, Addr: blk, Shared: true,
+				Done: func(uint64) { readDone = true }})
+			r.eng.Run()
+			if held == nil || readDone {
+				t.Fatal("node 3's RDATA was not held back")
+			}
+			for _, id := range tc.after {
+				r.read(id, blk) // a later reader points at node 3's in-flight position
+			}
+
+			writeDone := false
+			r.nodes[5].cc.Access(coherence.Request{Op: coherence.Store, Addr: blk, Value: 9, Shared: true,
+				Done: func(uint64) { writeDone = true }})
+			r.eng.Run()
+			if cinvs != 1 {
+				t.Fatalf("walk reached node 3 %d times before its RDATA, want once", cinvs)
+			}
+			if writeDone {
+				t.Fatal("write completed while node 3's list position was still in flight")
+			}
+
+			n3.cc.HandleMem(heldSrc, held)
+			r.eng.Run()
+			if !readDone || !writeDone {
+				t.Fatalf("read done=%v, write done=%v after the RDATA arrived", readDone, writeDone)
+			}
+			for _, id := range []mesh.NodeID{2, 3, 4} {
+				if st := r.nodes[id].cc.Cache().State(blk); st != cache.Invalid {
+					t.Errorf("reader %d holds %v after the chained write", id, st)
+				}
+			}
+			if got := r.read(2, blk); got != 9 {
+				t.Errorf("reader 2 re-read %d, want 9", got)
+			}
+		})
+	}
 }

@@ -48,13 +48,14 @@ func newRig(t *testing.T, w, h int, params coherence.Params) *rig {
 	t.Helper()
 	eng := sim.New()
 	params.Nodes = w * h
-	nw := mesh.New(eng, mesh.DefaultConfig(w, h))
+	nw := mesh.New(mesh.DefaultConfig(w, h))
+	port := nw.ShardPorts([]*sim.Engine{eng}, make([]int, w*h), 1)[0]
 	r := &rig{t: t, eng: eng, nw: nw}
 	for id := mesh.NodeID(0); int(id) < w*h; id++ {
 		n := &rigNode{id: id, eng: eng, latency: params.Timing.TrapEntry + params.Timing.TrapService}
 		c := cache.New(cache.Config{Lines: 64, BlockWords: params.BlockWords})
-		n.cc = coherence.NewCacheController(eng, nw, id, params, coherence.HomeOf, c)
-		n.mc = coherence.NewMemoryController(eng, nw, id, params, n)
+		n.cc = coherence.NewCacheController(eng, port, id, params, coherence.HomeOf, c)
+		n.mc = coherence.NewMemoryController(eng, port, id, params, n)
 		if params.Scheme.Info().TrapDefault {
 			n.hnd = swdir.NewSoftware(n.mc)
 		} else {

@@ -106,7 +106,7 @@ type deferredPkt struct {
 // and the IPI forwarding machinery of the LimitLESS scheme.
 type MemoryController struct {
 	eng    *sim.Engine
-	nw     NetPort
+	nw     *mesh.ShardPort
 	id     mesh.NodeID
 	params Params
 
@@ -185,7 +185,7 @@ func (h *processHandler) OnEvents(args []any) {
 
 // NewMemoryController builds the directory side of node id. The sink may
 // be nil for schemes that never trap (full-map, limited, private, chained).
-func NewMemoryController(eng *sim.Engine, nw NetPort, id mesh.NodeID, params Params, sink TrapSink) *MemoryController {
+func NewMemoryController(eng *sim.Engine, nw *mesh.ShardPort, id mesh.NodeID, params Params, sink TrapSink) *MemoryController {
 	params.validate()
 	if params.IPIQueueCap < 1 {
 		params.IPIQueueCap = 8
@@ -453,10 +453,11 @@ func (mc *MemoryController) finishReadTransaction(e *directory.Entry, addr direc
 		return
 	}
 	e.State = directory.ReadOnly
+	var pos int32
 	if chain {
-		e.Chain = 1
+		e.Chain, pos = 1, 1
 	}
-	mc.Send(reader, mc.newMsg(Msg{Type: RDATA, Addr: addr, Value: e.Value, Next: -1}))
+	mc.Send(reader, mc.newMsg(Msg{Type: RDATA, Addr: addr, Value: e.Value, Next: -1, Pos: pos}))
 }
 
 func (mc *MemoryController) finishWriteTransaction(e *directory.Entry, addr directory.Addr) {
@@ -530,5 +531,5 @@ func (mc *MemoryController) chainedRead(src mesh.NodeID, e *directory.Entry, add
 	e.Ptrs.Clear()
 	e.Ptrs.Add(src)
 	e.Chain++
-	mc.Send(src, mc.newMsg(Msg{Type: RDATA, Addr: addr, Value: e.Value, Next: next}))
+	mc.Send(src, mc.newMsg(Msg{Type: RDATA, Addr: addr, Value: e.Value, Next: next, Pos: int32(e.Chain)}))
 }

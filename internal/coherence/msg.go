@@ -172,12 +172,22 @@ type Msg struct {
 	// duplicates instead of running them through the protocol engine; the
 	// flag is what lets them tell a re-delivery from the original.
 	Dup bool
+	// Pos numbers a chained-directory list position: on RDATA the position
+	// the fill records, on CINV the position the walk reaches. Positions
+	// count from the tail, 1 up to the list length, so a cache that holds
+	// several positions can tell which one a walk is for.
+	Pos int32
 	// Modify, on an UWREQ, asks the home controller to apply an atomic
 	// read-modify-write; the UACK then carries the old value. (The
 	// simulator passes the closure in-process; a real machine would
 	// encode a fetch-op opcode.)
 	Modify func(old uint64) uint64
 }
+
+// MinMsgFlits is the length of the shortest protocol message (header +
+// address operand; see Msg.Flits). The sharded engine's lookahead window is
+// derived from the network latency of a packet this short.
+const MinMsgFlits = 2
 
 // Flits returns the packet length in flits for this message given the
 // block size: one header word, one address operand, one extra operand for

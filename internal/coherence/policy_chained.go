@@ -25,9 +25,13 @@ func init() {
 
 	cacheRows := []cacheRow{
 		{State: cacheReadTxn, Msg: uint8(RDATA), ID: "rdata-fill-chain", Action: cacheReadFillChained,
-			Doc: "read miss completes: install read-only and record the next pointer"},
+			Doc: "read miss completes: install read-only, record the next pointer, resume a parked walk"},
 		{State: cacheWriteTxn, Msg: uint8(WDATA), ID: "wdata-fill-chain", Action: cacheWriteFillChained,
 			Doc: "write miss completes: drop any list position, install read-write, apply the store"},
+		{State: cacheReadTxn, Msg: uint8(BUSY), ID: "busy-retry-read-walk", Guard: guardWalkParked, Action: cacheBusyRetryWalk,
+			Doc: "the refused read created no position: run the parked walk as it stands, then retry"},
+		{State: cacheReadTxn, Msg: uint8(CINV), ID: "cinv-park-read", Guard: guardWalkAhead, Action: cacheChainParkWalk,
+			Doc: "walk overtook the RDATA that records this cache's position: park it until the fill"},
 		{State: anyKey, Msg: uint8(CINV), ID: "cinv-walk", Action: cacheChainWalk,
 			Doc: "chained invalidation: consume one list position, forward or acknowledge at the tail"},
 	}
@@ -66,12 +70,12 @@ func memChainedWriteInvalidate(c *memCtx) {
 	sh := c.sharerList()
 	mc.stats.WriteTxns++
 	e.State = directory.WriteTransaction
-	head := mesh.NodeID(sh[0])
+	head, pos := mesh.NodeID(sh[0]), int32(e.Chain)
 	e.AckCtr = 1
 	mc.clearSharers(e)
 	e.Ptrs.Add(c.src)
 	e.Chain = 0
-	mc.Send(head, mc.newMsg(Msg{Type: CINV, Addr: c.m.Addr, Next: -1}))
+	mc.Send(head, mc.newMsg(Msg{Type: CINV, Addr: c.m.Addr, Next: -1, Pos: pos}))
 }
 
 // memChainedRTUpdate / memChainedRTAck complete a read transaction and

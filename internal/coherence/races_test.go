@@ -46,9 +46,10 @@ func newNaked(t *testing.T, params coherence.Params) *naked {
 	t.Helper()
 	eng := sim.New()
 	params.Nodes = 3
-	nw := mesh.New(eng, mesh.DefaultConfig(3, 1))
+	nw := mesh.New(mesh.DefaultConfig(3, 1))
+	port := nw.ShardPorts([]*sim.Engine{eng}, make([]int, 3), 1)[0]
 	n := &naked{t: t, eng: eng}
-	n.mc = coherence.NewMemoryController(eng, nw, 1, params, &nakedSink{n})
+	n.mc = coherence.NewMemoryController(eng, port, 1, params, &nakedSink{n})
 	n.hnd = swdir.New(n.mc)
 	record := func(id mesh.NodeID) mesh.Handler {
 		return func(pkt *mesh.Packet) {
@@ -292,8 +293,8 @@ func TestParamsValidation(t *testing.T) {
 				}
 			}()
 			eng := sim.New()
-			nw := mesh.New(eng, mesh.DefaultConfig(2, 2))
-			coherence.NewMemoryController(eng, nw, 0, p, nil)
+			port := mesh.New(mesh.DefaultConfig(2, 2)).ShardPorts([]*sim.Engine{eng}, make([]int, 4), 1)[0]
+			coherence.NewMemoryController(eng, port, 0, p, nil)
 		}()
 	}
 }

@@ -49,11 +49,11 @@ func TestPolicyRegistryComplete(t *testing.T) {
 // drive dispatch-violation paths directly.
 func violationRig(scheme Scheme) (*MemoryController, *CacheController) {
 	eng := sim.New()
-	nw := mesh.New(eng, mesh.DefaultConfig(1, 1))
+	port := mesh.New(mesh.DefaultConfig(1, 1)).ShardPorts([]*sim.Engine{eng}, []int{0}, 1)[0]
 	p := DefaultParams(1)
 	p.Scheme = scheme
-	mc := NewMemoryController(eng, nw, 0, p, nil)
-	cc := NewCacheController(eng, nw, 0, p, HomeOf, cache.New(cache.Config{Lines: 8, BlockWords: p.BlockWords}))
+	mc := NewMemoryController(eng, port, 0, p, nil)
+	cc := NewCacheController(eng, port, 0, p, HomeOf, cache.New(cache.Config{Lines: 8, BlockWords: p.BlockWords}))
 	return mc, cc
 }
 

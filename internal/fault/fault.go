@@ -5,9 +5,8 @@
 // checksum corruption. A Plan is a pure function family over (seed,
 // simulated time, endpoints, sequence number): every decision is a
 // stateless hash of partition-independent quantities, so the same seed
-// reproduces the identical fault schedule on the sequential engine, on the
-// windowed sharded engine at any shard count, and across reruns — faults
-// perturb the protocol, never the determinism.
+// reproduces the identical fault schedule at any shard count and across
+// reruns — faults perturb the protocol, never the determinism.
 //
 // The latency classes (delay, dup, stall, trap) only ever *add* latency.
 // The loss classes (drop, corrupt) destroy packets outright; the mesh's

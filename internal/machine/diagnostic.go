@@ -121,12 +121,8 @@ func (d *Diagnostic) String() string {
 // after the engines have stopped, so reading controller state is safe.
 func (m *Machine) buildDiagnostic(end sim.Time, reason string) *Diagnostic {
 	d := &Diagnostic{Cycle: end, Reason: reason, InFlight: m.Net.InFlight()}
-	if m.sharded != nil {
-		for _, e := range m.engines {
-			d.PendingEvents += e.Pending()
-		}
-	} else {
-		d.PendingEvents = m.Eng.Pending()
+	for _, e := range m.engines {
+		d.PendingEvents += e.Pending()
 	}
 	for _, n := range m.Nodes {
 		for _, op := range n.CC.OutstandingOps() {

@@ -50,17 +50,15 @@ type Config struct {
 	// paths (see DESIGN.md, "Reference configuration"). Every combination
 	// gives bit-identical results; the zero value runs every fast path.
 	Oracles Oracles
-	// Shards, when positive, runs the simulation on the windowed sharded
-	// engine: nodes are split into contiguous tiles, each with its own
-	// event heap and its own goroutine, executed concurrently in
-	// conservative time windows with all network traffic applied at the
-	// window barriers. Results are bit-identical for every Shards >= 1
-	// value; Shards == 0 (the default) is the original sequential engine,
-	// whose same-cycle network arbitration order differs, so its cycle
-	// counts are a distinct deterministic baseline. The partition never
-	// shows in results and only goroutines buy speed, so New builds one
-	// tile per worker: ShardCount clamps Shards to the worker count and to
-	// the node count.
+	// Shards, when above one, splits the nodes into contiguous tiles, each
+	// with its own engine and its own goroutine, executed concurrently in
+	// conservative time windows with all network traffic claimed at the
+	// window barriers. Every Shards value gives the same Result: one engine
+	// (Shards 0 or 1, or any Shards on one worker) claims each cycle's
+	// network traffic at the end of that cycle in the same canonical
+	// order. The partition never shows in results and only goroutines buy
+	// speed, so New builds one tile per worker: ShardCount clamps Shards to
+	// the worker count and to the node count.
 	Shards int
 	// ShardWorkers is the number of goroutines executing shards
 	// concurrently (0 = GOMAXPROCS), and so caps the shards built. It
@@ -129,14 +127,16 @@ type Node struct {
 
 // Machine is the assembled multiprocessor.
 type Machine struct {
-	// Eng is the simulation engine — in sharded mode, shard 0's engine.
+	// Eng is the first engine: the only one unless the machine runs
+	// windowed shards.
 	Eng   *sim.Engine
 	Net   *mesh.Network
 	Nodes []*Node
 	cfg   Config
 
-	// Sharded-mode wiring: one engine and network port per shard, the
-	// node→shard map, and the window driver. All nil/empty when Shards == 0.
+	// One engine and network port per shard, the node→shard map, and the
+	// driver, which runs one engine straight through and several in
+	// windows.
 	engines   []*sim.Engine
 	ports     []*mesh.ShardPort
 	nodeShard []int
@@ -196,52 +196,41 @@ func New(cfg Config) *Machine {
 	if cfg.Faults != nil || cfg.Watchdog > 0 {
 		m.rec = &fault.Recorder{}
 	}
-	if k := cfg.Shards; k > 0 {
-		m.engines = make([]*sim.Engine, k)
-		for i := range m.engines {
-			e := sim.New()
-			e.SetScheduler(sched)
-			e.SetCycleSeq(true)
-			m.engines[i] = e
-		}
-		m.Eng = m.engines[0]
-		m.Net = mesh.New(m.Eng, mcfg)
-		// Contiguous balanced tiles: node id lives on shard id·k/n.
-		m.nodeShard = make([]int, n)
-		for id := range m.nodeShard {
-			m.nodeShard[id] = id * k / n
-		}
-		window := mcfg.MinPacketLatency(coherence.MinMsgFlits)
-		m.ports = m.Net.ShardPorts(m.engines, m.nodeShard, window)
-		m.sharded = sim.NewShardedEngine(m.engines, window,
-			func(before sim.Time, mins []sim.Time) { m.Net.FlushWindow(before, mins) })
-		if cfg.Oracles&OracleFixedWindows != 0 {
-			m.sharded.SetWindowMode(sim.WindowFixed)
-		}
-		m.sharded.SetHeldProbe(m.Net.HeldMin)
-	} else {
-		eng := sim.New()
-		eng.SetScheduler(sched)
-		m.Eng = eng
-		m.Net = mesh.New(eng, mcfg)
+	// One engine per shard. Several engines run in windows and need
+	// partition-independent cycle-tagged sequence keys; one engine keeps
+	// plain keys, and its port flushes at the end of every cycle.
+	k := max(1, cfg.Shards)
+	m.engines = make([]*sim.Engine, k)
+	for i := range m.engines {
+		e := sim.New()
+		e.SetScheduler(sched)
+		e.SetCycleSeq(k > 1)
+		m.engines[i] = e
 	}
+	m.Eng = m.engines[0]
+	m.Net = mesh.New(mcfg)
+	// Contiguous balanced tiles: node id lives on shard id·k/n.
+	m.nodeShard = make([]int, n)
+	for id := range m.nodeShard {
+		m.nodeShard[id] = id * k / n
+	}
+	window := mcfg.MinPacketLatency(coherence.MinMsgFlits)
+	m.ports = m.Net.ShardPorts(m.engines, m.nodeShard, window)
+	m.sharded = sim.NewShardedEngine(m.engines, window,
+		func(before sim.Time, mins []sim.Time) { m.Net.FlushWindow(before, mins) })
+	if cfg.Oracles&OracleFixedWindows != 0 {
+		m.sharded.SetWindowMode(sim.WindowFixed)
+	}
+	m.sharded.SetHeldProbe(m.Net.HeldMin)
 	if cfg.Faults != nil && cfg.Faults.Config().LossEnabled() {
 		// Loss classes active: interpose the reliable transport. The
 		// retransmit timeout is floored at the lookahead window and the
 		// backoff cap reuses the coherence layer's RetryBackoffMax. Budget
-		// exhaustion aborts the run (from a single-threaded context: a
-		// sequential event or the flush barrier) so drive() can report a
-		// structured diagnostic instead of hanging into the watchdog.
-		m.Net.EnableTransport(cfg.Faults,
-			mcfg.MinPacketLatency(coherence.MinMsgFlits),
-			cfg.Params.Timing.RetryBackoffMax)
-		m.Net.OnTransportStuck(func(mesh.StuckLink) {
-			if m.sharded != nil {
-				m.sharded.Abort()
-			} else {
-				m.Eng.Abort()
-			}
-		})
+		// exhaustion aborts the run (from the single-threaded flush) so
+		// drive() can report a structured diagnostic instead of hanging
+		// into the watchdog.
+		m.Net.EnableTransport(cfg.Faults, window, cfg.Params.Timing.RetryBackoffMax)
+		m.Net.OnTransportStuck(func(mesh.StuckLink) { m.sharded.Abort() })
 	}
 	for id := mesh.NodeID(0); int(id) < n; id++ {
 		m.Nodes = append(m.Nodes, m.buildNode(id))
@@ -250,9 +239,9 @@ func New(cfg Config) *Machine {
 }
 
 // ShardCount returns the number of shards New builds for the requested
-// shard and worker counts on a machine of the given node count: 0 (the
-// sequential engine) when shards is 0, else one shard per worker, at most
-// shards and at most one per node. workers <= 0 means GOMAXPROCS.
+// shard and worker counts on a machine of the given node count: 0 when
+// shards is 0 (New then builds its one engine), else one shard per worker,
+// at most shards and at most one per node. workers <= 0 means GOMAXPROCS.
 func ShardCount(shards, workers, nodes int) int {
 	if shards <= 0 {
 		return 0
@@ -265,12 +254,8 @@ func ShardCount(shards, workers, nodes int) int {
 
 func (m *Machine) buildNode(id mesh.NodeID) *Node {
 	cfg := m.cfg
-	eng := m.Eng
-	var port coherence.NetPort = m.Net
-	if m.sharded != nil {
-		eng = m.engines[m.nodeShard[id]]
-		port = m.ports[m.nodeShard[id]]
-	}
+	eng := m.engines[m.nodeShard[id]]
+	port := m.ports[m.nodeShard[id]]
 	c := cache.New(cache.Config{Lines: cfg.CacheLines, Ways: cfg.CacheWays, BlockWords: cfg.Params.BlockWords})
 	cc := coherence.NewCacheController(eng, port, id, cfg.Params, HomeOf, c)
 	p := proc.New(eng, cc, cfg.Params.Timing, cfg.Contexts)
@@ -430,29 +415,24 @@ func (m *Machine) Diagnostic() *Diagnostic { return m.diag }
 
 // Release hands the machine's run-scoped memory — cache pages, message
 // chunks, directory tables and entry chunks, engine buckets and event free
-// lists — to process-wide pools, so the next machine built in the process
-// reuses it instead of allocating. It stops the sharded engine's workers
-// first, and accepts a machine halted in any state: events still queued,
+// lists, port send logs and delivery records — to process-wide pools, so the next machine built in the process
+// reuses it instead of allocating. It stops the shard workers first, and
+// accepts a machine halted in any state: events still queued,
 // pends parked, a cycle-limit cut, a watchdog trip or a transport abort.
 // The machine must not be used afterwards, and a second Release does
 // nothing. Callers that inspect node state after a run simply never call
 // Release.
 func (m *Machine) Release() {
-	if m.sharded != nil {
-		m.sharded.Stop()
-	}
+	m.sharded.Stop()
 	for _, n := range m.Nodes {
 		n.Cache.Release()
 		n.CC.Recycle()
 		n.MC.Recycle()
 	}
-	if m.engines != nil {
-		for _, e := range m.engines {
-			e.Recycle()
-		}
-	} else {
-		m.Eng.Recycle()
+	for _, e := range m.engines {
+		e.Recycle()
 	}
+	m.Net.Recycle()
 }
 
 // Result summarizes a run.
@@ -518,20 +498,11 @@ func (m *Machine) drive(limit sim.Time) sim.Time {
 	var tripped bool
 	if m.cfg.Watchdog > 0 {
 		w := sim.Watchdog{Interval: m.cfg.Watchdog, Progress: m.progress}
-		if m.sharded != nil {
-			end, tripped = m.sharded.RunGuarded(w, limit)
-			m.sharded.Stop()
-		} else {
-			end, tripped = m.Eng.RunGuarded(w, limit)
-		}
+		end, tripped = m.sharded.RunGuarded(w, limit)
 	} else {
-		if m.sharded != nil {
-			end = m.sharded.RunUntil(limit)
-			m.sharded.Stop()
-		} else {
-			end = m.Eng.RunUntil(limit)
-		}
+		end = m.sharded.RunUntil(limit)
 	}
+	m.sharded.Stop()
 	if stuck := m.Net.StuckLinks(); len(stuck) > 0 {
 		// The reliable transport gave up on a link and aborted the run;
 		// report the first exhaustion (canonical order, so deterministic).
@@ -590,15 +561,8 @@ func (m *Machine) RunUntil(limit sim.Time) (Result, bool) {
 	return m.collect(end), done
 }
 
-func (m *Machine) processed() uint64 {
-	if m.sharded != nil {
-		return m.sharded.Processed()
-	}
-	return m.Eng.Processed()
-}
-
 func (m *Machine) collect(end sim.Time) Result {
-	res := Result{Cycles: end, Events: m.processed(), Network: m.Net.Stats()}
+	res := Result{Cycles: end, Events: m.sharded.Processed(), Network: m.Net.Stats()}
 	if m.rec != nil {
 		res.Violations = uint64(m.rec.Len())
 	}

@@ -90,7 +90,8 @@ func TestShardedRunUntil(t *testing.T) {
 }
 
 // TestShardedEngineCount: New builds one shard per worker, never more than
-// requested and never more than one per node, and every such machine runs.
+// requested and never more than one per node, Shards: 0 builds one engine
+// (and reports Shards 0), and every such machine runs.
 func TestShardedEngineCount(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, c := range []struct {
@@ -104,7 +105,7 @@ func TestShardedEngineCount(t *testing.T) {
 		{"one worker", 4, 16, 1, 0, 1},
 		{"GOMAXPROCS workers", 4, 8, 0, 3, 3},
 		{"GOMAXPROCS 1", 4, 8, 0, 1, 1},
-		{"sequential", 4, 0, 4, 0, 0},
+		{"sequential", 4, 0, 4, 0, 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if c.gmp > 0 {
@@ -117,11 +118,15 @@ func TestShardedEngineCount(t *testing.T) {
 				t.Fatalf("Shards=%d ShardWorkers=%d GOMAXPROCS=%d on %d nodes: built %d engines, want %d",
 					c.shards, c.workers, runtime.GOMAXPROCS(0), nodes, got, c.want)
 			}
-			if got := m.Config().Shards; got != c.want {
-				t.Errorf("Config().Shards = %d, want the %d shards built", got, c.want)
+			wantCfg := c.want
+			if c.shards == 0 {
+				wantCfg = 0
 			}
-			if (m.sharded != nil) != (c.shards > 0) {
-				t.Errorf("windowed engine built = %v for Shards=%d", m.sharded != nil, c.shards)
+			if got := m.Config().Shards; got != wantCfg {
+				t.Errorf("Config().Shards = %d, want %d", got, wantCfg)
+			}
+			if m.Eng != m.engines[0] {
+				t.Error("Eng is not the first engine")
 			}
 			for id := mesh.NodeID(0); int(id) < nodes; id++ {
 				m.SetWorkload(id, 0, workload.NewThread(func(th *workload.Thread) {

@@ -100,10 +100,9 @@ type Packet struct {
 }
 
 // Handler receives packets ejected at a node. The packet is only valid for
-// the duration of the call: packets injected through SendFrom are recycled
-// as soon as the handler returns, so handlers must copy out anything they
-// need (retaining the Payload pointer is fine — the network never touches
-// it after delivery).
+// the duration of the call: the network recycles it as soon as the handler
+// returns, so handlers must copy out anything they need (retaining the
+// Payload pointer is fine — the network never touches it after delivery).
 type Handler func(pkt *Packet)
 
 // Config sets the network shape and timing.
@@ -175,9 +174,11 @@ type channel struct {
 	res sim.Resource
 }
 
-// Network is the interconnect instance bound to one simulation engine.
+// Network is the interconnect: the shared contention model (channels,
+// ejection ports, jitter, FIFO bookkeeping) and the node handlers. Traffic
+// enters and leaves through the ports ShardPorts binds to the engines that
+// run the nodes; see sharded.go.
 type Network struct {
-	eng      *sim.Engine
 	cfg      Config
 	n        int
 	handlers []Handler
@@ -189,7 +190,6 @@ type Network struct {
 	// omegaStages and omegaWidth describe the shuffle network (width is
 	// the node count rounded up to a power of two).
 	omegaStages, omegaWidth int
-	stats                   Stats
 
 	// widthShift/widthMask hold log2(Width) and Width-1 when the mesh width
 	// is a power of two (every square machine up to P=1024), replacing the
@@ -200,17 +200,13 @@ type Network struct {
 
 	rng      uint64
 	pairLast map[uint64]sim.Time // last scheduled delivery per (src,dst)
-	inflight int                 // deliveries scheduled but not yet ejected
 
-	// Hot-path scratch: route() reuses one path buffer (consumed within
-	// Send, never retained), and packets/delivery records cycle through
-	// free lists so steady-state traffic allocates nothing.
+	// routeBuf is route()'s reusable path buffer, consumed within one
+	// claim and never retained.
 	routeBuf []int
-	freePkts []*Packet
-	freeDels []*delivery
 
-	// Sharded mode (see sharded.go): per-shard injection ports, the
-	// node→shard map, and the lookahead width.
+	// The ports (see sharded.go): one per engine, the node→engine map, and
+	// the lookahead width.
 	ports     []*ShardPort
 	nodeShard []int
 	window    sim.Time
@@ -218,10 +214,7 @@ type Network struct {
 	// Reliable transport (see transport.go): nil unless a fault plan with
 	// an active loss class is installed via EnableTransport, so lossless
 	// runs pay nothing and stay bit-identical to the pre-transport engine.
-	tp          *transport
-	xr          *xrecv // sequential-mode receiver state
-	retransH    seqRetrans
-	freeRetrans []*deferredSend
+	tp *transport
 
 	// Latency-fault injection counters (claims run in canonical order, so
 	// these are partition-independent).
@@ -229,13 +222,14 @@ type Network struct {
 }
 
 // delivery carries one in-flight packet from its delivery event to the
-// ejection handler without a per-packet closure. Sequenced deliveries
-// (kind dSeq) additionally carry the reliable transport's framing: the
-// per-link sequence number and the header checksum the receiver validates.
+// ejection handler without a per-packet closure; the handler receives a
+// pointer to the embedded packet, and the record returns to its port's free
+// list once the handler is done with it. Sequenced deliveries (kind dSeq)
+// additionally carry the reliable transport's framing: the per-link
+// sequence number and the header checksum the receiver validates.
 type delivery struct {
-	pkt      *Packet
+	pkt      Packet
 	injected sim.Time
-	pooled   bool  // pkt belongs to the network's packet pool
 	kind     uint8 // dPlain or dSeq
 	seq      uint64
 	sum      uint32
@@ -250,9 +244,9 @@ const (
 	numDirs
 )
 
-// New creates a network. Handlers are registered per node with Register
-// before any traffic is sent.
-func New(eng *sim.Engine, cfg Config) *Network {
+// New creates a network. Bind it to its engines with ShardPorts, and
+// register a handler per node with Register before any traffic is sent.
+func New(cfg Config) *Network {
 	if cfg.Width <= 0 || cfg.Height <= 0 {
 		panic("mesh: non-positive dimensions")
 	}
@@ -262,7 +256,6 @@ func New(eng *sim.Engine, cfg Config) *Network {
 		seed = 0x9E3779B97F4A7C15
 	}
 	nw := &Network{
-		eng:      eng,
 		cfg:      cfg,
 		n:        n,
 		handlers: make([]Handler, n),
@@ -309,11 +302,11 @@ func (nw *Network) Nodes() int { return nw.n }
 // Config returns the network configuration.
 func (nw *Network) Config() Config { return nw.cfg }
 
-// Stats returns a copy of the accumulated statistics. In sharded mode the
-// per-shard port counters are folded in; all of them are sums or maxima, so
-// the merge is independent of the partition.
+// Stats returns the accumulated statistics, folded from the ports'
+// counters; all of them are sums or maxima, so the merge is independent of
+// the partition.
 func (nw *Network) Stats() Stats {
-	s := nw.stats
+	var s Stats
 	for _, p := range nw.ports {
 		s.Packets += p.stats.Packets
 		s.Flits += p.stats.Flits
@@ -362,130 +355,84 @@ func (nw *Network) linkIndex(from NodeID, dir int) int {
 	return int(from)*numDirs + dir
 }
 
+// leg is one straight stretch of a dimension-order route: hops channels in
+// direction dir, the node id advancing by step per hop.
+type leg struct{ hops, dir, step int }
+
+// legs returns the dimension-order route from src to dst as its two legs,
+// X first, then Y. It is the one definition of the route: route lists its
+// channels, and the wormhole claim walks it without building the list.
+func (nw *Network) legs(src, dst NodeID) [2]leg {
+	sx, sy := nw.XY(src)
+	dx, dy := nw.XY(dst)
+	x := leg{dx - sx, dirEast, 1}
+	if x.hops < 0 {
+		x = leg{sx - dx, dirWest, -1}
+	}
+	y := leg{dy - sy, dirSouth, nw.cfg.Width}
+	if y.hops < 0 {
+		y = leg{sy - dy, dirNorth, -nw.cfg.Width}
+	}
+	return [2]leg{x, y}
+}
+
 // route returns the dimension-order (X then Y) sequence of channel indices
 // from src to dst. The returned slice aliases the network's reusable route
 // buffer; it is valid only until the next route call, which is fine because
-// Send consumes it synchronously.
+// claimPath consumes it synchronously.
 func (nw *Network) route(src, dst NodeID) []int {
-	sx, sy := nw.XY(src)
-	dx, dy := nw.XY(dst)
 	path := nw.routeBuf[:0]
-	if need := abs(sx-dx) + abs(sy-dy); cap(path) < need {
-		path = make([]int, 0, need)
-	}
-	x, y := sx, sy
-	for x != dx {
-		if x < dx {
-			path = append(path, nw.linkIndex(nw.ID(x, y), dirEast))
-			x++
-		} else {
-			path = append(path, nw.linkIndex(nw.ID(x, y), dirWest))
-			x--
-		}
-	}
-	for y != dy {
-		if y < dy {
-			path = append(path, nw.linkIndex(nw.ID(x, y), dirSouth))
-			y++
-		} else {
-			path = append(path, nw.linkIndex(nw.ID(x, y), dirNorth))
-			y--
+	id := src
+	for _, l := range nw.legs(src, dst) {
+		for k := 0; k < l.hops; k++ {
+			path = append(path, nw.linkIndex(id, l.dir))
+			id += NodeID(l.step)
 		}
 	}
 	nw.routeBuf = path
 	return path
 }
 
-// Send injects a caller-owned packet at the current engine time. Delivery
-// is scheduled as an engine event invoking the destination's handler. The
-// network never retains the packet past the handler call, but it also never
-// recycles it — use SendFrom on hot paths to borrow a pooled packet.
-func (nw *Network) Send(pkt *Packet) {
-	nw.send(pkt, false)
-}
-
-// SendFrom injects a packet assembled from a pooled buffer: the allocation-
-// free fast path. The packet is recycled as soon as the destination handler
-// returns, so the handler must not retain it (the payload may be retained).
-func (nw *Network) SendFrom(src, dst NodeID, flits int, payload any) {
-	var pkt *Packet
-	if n := len(nw.freePkts); n > 0 {
-		pkt = nw.freePkts[n-1]
-		nw.freePkts[n-1] = nil
-		nw.freePkts = nw.freePkts[:n-1]
-	} else {
-		pkt = &Packet{}
-	}
-	pkt.Src, pkt.Dst, pkt.Flits, pkt.Payload = src, dst, flits, payload
-	nw.send(pkt, true)
-}
-
-func (nw *Network) send(pkt *Packet, pooled bool) {
-	if pkt.Flits <= 0 {
-		panic("mesh: packet with no flits")
-	}
-	if int(pkt.Src) >= nw.n || int(pkt.Dst) >= nw.n || pkt.Src < 0 || pkt.Dst < 0 {
-		panic(fmt.Sprintf("mesh: packet endpoints out of range: %d->%d", pkt.Src, pkt.Dst))
-	}
-	now := nw.eng.Now()
-	if pkt.Src == pkt.Dst {
-		nw.stats.LocalPackets++
-		nw.deliverAt(now+nw.cfg.LocalLatency, pkt, now, pooled)
-		return
-	}
-	if nw.tp != nil {
-		// Reliable transport: the attempt re-enters through xmit (claim,
-		// loss verdict, delivery and/or retransmission timer). The payload
-		// is carried by the attempt record, so the caller's packet can be
-		// recycled immediately.
-		e := deferredSend{at: now, src: pkt.Src, dst: pkt.Dst, flits: pkt.Flits, payload: pkt.Payload}
-		if pooled {
-			pkt.Payload = nil
-			nw.freePkts = append(nw.freePkts, pkt)
-		}
-		nw.xmit(&e)
-		return
-	}
-	at := nw.claimPath(now, pkt.Src, pkt.Dst, pkt.Flits)
-	nw.deliverAt(at, pkt, now, pooled)
-}
-
 // claimPath walks a packet's route for an injection at cycle now, claiming
 // the traversed channels and the destination's ejection port, and returns
-// the delivery cycle. This is the network's entire contention model; both
-// the sequential send path and the sharded window flush go through it.
+// the delivery cycle. This is the network's entire contention model; every
+// packet between distinct nodes goes through it from FlushWindow.
 func (nw *Network) claimPath(now sim.Time, src, dst NodeID, flits int) sim.Time {
 	serial := sim.Time(flits) * nw.cfg.FlitCycle
 	head := now + nw.cfg.InjectLatency
 
 	switch nw.cfg.Topology {
 	case Mesh2D:
-		path := nw.route(src, dst)
-		if nw.cfg.Switching == Circuit {
-			// Circuit switching: find when every channel on the path is
-			// simultaneously free (fixpoint over the path), then hold the
-			// whole circuit for the setup sweep plus the transfer.
-			start := head
-			for changed := true; changed; {
-				changed = false
-				for _, li := range path {
-					if f := nw.chans[li].res.FreeAt(start); f > start {
-						start = f
-						changed = true
-					}
+		if nw.cfg.Switching == Wormhole {
+			id := src
+			for _, l := range nw.legs(src, dst) {
+				for k := 0; k < l.hops; k++ {
+					start := nw.chans[nw.linkIndex(id, l.dir)].res.Claim(head, serial)
+					head = start + nw.cfg.HopLatency
+					id += NodeID(l.step)
 				}
 			}
-			hold := sim.Time(len(path))*nw.cfg.HopLatency + serial
-			for _, li := range path {
-				nw.chans[li].res.Claim(start, hold)
-			}
-			head = start + sim.Time(len(path))*nw.cfg.HopLatency
 			break
 		}
-		for _, li := range path {
-			start := nw.chans[li].res.Claim(head, serial)
-			head = start + nw.cfg.HopLatency
+		// Circuit switching: find when every channel on the path is
+		// simultaneously free (fixpoint over the path), then hold the whole
+		// circuit for the setup sweep plus the transfer.
+		path := nw.route(src, dst)
+		start := head
+		for changed := true; changed; {
+			changed = false
+			for _, li := range path {
+				if f := nw.chans[li].res.FreeAt(start); f > start {
+					start = f
+					changed = true
+				}
+			}
 		}
+		hold := sim.Time(len(path))*nw.cfg.HopLatency + serial
+		for _, li := range path {
+			nw.chans[li].res.Claim(start, hold)
+		}
+		head = start + sim.Time(len(path))*nw.cfg.HopLatency
 	case Ideal:
 		head += nw.cfg.IdealLatency
 	case Omega:
@@ -561,73 +508,44 @@ func (cfg Config) MinPacketLatency(minFlits int) sim.Time {
 	return w
 }
 
-// deliverAt schedules the ejection event through the closure-free handler
-// path, threading the packet via a pooled delivery record.
-func (nw *Network) deliverAt(at sim.Time, pkt *Packet, injected sim.Time, pooled bool) {
-	var d *delivery
-	if n := len(nw.freeDels); n > 0 {
-		d = nw.freeDels[n-1]
-		nw.freeDels[n-1] = nil
-		nw.freeDels = nw.freeDels[:n-1]
-	} else {
-		d = &delivery{}
-	}
-	d.pkt, d.injected, d.pooled = pkt, injected, pooled
-	d.kind, d.seq, d.sum = dPlain, 0, 0
-	nw.inflight++
-	nw.eng.AtHandler(at, nw, d)
-}
-
 // InFlight returns the number of packets currently between injection and
-// ejection — scheduled deliveries plus, in sharded mode, sends deferred in
-// the per-shard logs, plus the reliable transport's pending retransmission
-// timers and receiver-held out-of-order arrivals. It must only be called
-// while no shard is executing (between windows or after the engines have
-// halted); the watchdog's diagnostic dump is the intended caller.
+// ejection — scheduled deliveries, sends deferred in the port logs, the
+// reliable transport's pending retransmission timers and receiver-held
+// out-of-order arrivals. It must only be called while no engine is
+// executing (between windows or after the engines have halted); the
+// watchdog's diagnostic dump is the intended caller.
 func (nw *Network) InFlight() int {
-	n := nw.inflight
+	n := 0
 	for _, p := range nw.ports {
 		n += p.inflight + len(p.log) - p.logHead + p.pendingRetrans
 		if p.xr != nil {
 			n += p.xr.heldNow
 		}
 	}
-	if nw.tp != nil {
-		n += nw.tp.pending
-	}
-	if nw.xr != nil {
-		n += nw.xr.heldNow
-	}
 	return n
 }
 
-// OnEvent implements sim.Handler: it ejects one packet at its destination.
-func (nw *Network) OnEvent(arg any) {
-	nw.eject1(arg, nw.eng.Now())
+// lookaheadPanic reports a delivery at cycle at that lands inside the
+// lookahead window of e's send.
+func (nw *Network) lookaheadPanic(e *deferredSend, at sim.Time) {
+	panic(fmt.Sprintf("mesh: lookahead violation — packet %d->%d sent at %d delivered at %d, inside the %d-cycle shard window (network latency below the lookahead)",
+		e.src, e.dst, e.at, at, nw.window))
 }
 
-// OnEvents implements sim.BatchHandler: every packet whose ejection lands in
-// the same cycle is delivered through one call, saving a virtual dispatch
-// and a clock read per packet. Ejection order is the engine's (deadline,
-// sequence) order, so delivery is identical to OnEvent per arg.
-func (nw *Network) OnEvents(args []any) {
-	now := nw.eng.Now()
-	for _, arg := range args {
-		nw.eject1(arg, now)
+// Recycle hands every port's send log and free delivery records to the
+// pool ShardPorts draws on, so the next network built in the process reuses
+// them. Sends still logged and packets still in flight — a run cut off by
+// a cycle limit, a watchdog or an abort — are dropped with the network.
+// The network must not be used afterwards; a second Recycle does nothing.
+func (nw *Network) Recycle() {
+	for _, p := range nw.ports {
+		if p.log == nil && p.freeDels == nil {
+			continue
+		}
+		clear(p.log[:cap(p.log)])
+		portPool.Put(&portMem{log: p.log[:0], dels: p.freeDels})
+		p.log, p.freeDels = nil, nil
 	}
-}
-
-// eject1 delivers one scheduled packet at cycle now. Sequenced deliveries
-// detour through the receiver's transport state (checksum, per-link order,
-// duplicate detection); everything else releases directly.
-func (nw *Network) eject1(arg any, now sim.Time) {
-	d := arg.(*delivery)
-	nw.inflight--
-	if d.kind == dSeq {
-		nw.xr.receive(nw, d, now)
-		return
-	}
-	nw.finishX(d, now, false)
 }
 
 // ChannelUtilization returns the mean busy fraction across all mesh

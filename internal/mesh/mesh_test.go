@@ -7,14 +7,21 @@ import (
 	"limitless/internal/sim"
 )
 
-func newTest(w, h int) (*sim.Engine, *Network) {
+// newTest builds a w×h network on one engine and returns the engine, the
+// network and its one port.
+func newTest(w, h int) (*sim.Engine, *Network, *ShardPort) {
 	eng := sim.New()
-	nw := New(eng, DefaultConfig(w, h))
-	return eng, nw
+	nw := New(DefaultConfig(w, h))
+	return eng, nw, onePort(eng, nw)
+}
+
+// onePort binds every node of nw to eng through one port.
+func onePort(eng *sim.Engine, nw *Network) *ShardPort {
+	return nw.ShardPorts([]*sim.Engine{eng}, make([]int, nw.Nodes()), nw.Config().MinPacketLatency(1))[0]
 }
 
 func TestCoordinateRoundTrip(t *testing.T) {
-	_, nw := newTest(8, 8)
+	_, nw, _ := newTest(8, 8)
 	for id := NodeID(0); id < 64; id++ {
 		x, y := nw.XY(id)
 		if nw.ID(x, y) != id {
@@ -27,7 +34,7 @@ func TestCoordinateRoundTrip(t *testing.T) {
 }
 
 func TestDistance(t *testing.T) {
-	_, nw := newTest(8, 8)
+	_, nw, _ := newTest(8, 8)
 	cases := []struct {
 		a, b NodeID
 		want int
@@ -48,7 +55,7 @@ func TestDistance(t *testing.T) {
 }
 
 func TestRouteLengthEqualsDistance(t *testing.T) {
-	_, nw := newTest(8, 8)
+	_, nw, _ := newTest(8, 8)
 	for a := NodeID(0); a < 64; a += 3 {
 		for b := NodeID(0); b < 64; b += 5 {
 			if got := len(nw.route(a, b)); got != nw.Distance(a, b) {
@@ -59,12 +66,12 @@ func TestRouteLengthEqualsDistance(t *testing.T) {
 }
 
 func TestUncontendedLatency(t *testing.T) {
-	eng, nw := newTest(8, 8)
+	eng, nw, p := newTest(8, 8)
 	cfg := nw.Config()
 	src, dst := nw.ID(0, 0), nw.ID(3, 0) // 3 hops
 	var arrived sim.Time
 	nw.Register(dst, func(p *Packet) { arrived = eng.Now() })
-	nw.Send(&Packet{Src: src, Dst: dst, Flits: 6})
+	p.SendFrom(src, dst, 6, nil)
 	eng.Run()
 	// inject(1) + 3 hops * HopLatency(1) + serialization 6 flits = 10
 	want := cfg.InjectLatency + 3*cfg.HopLatency + 6*cfg.FlitCycle
@@ -74,10 +81,10 @@ func TestUncontendedLatency(t *testing.T) {
 }
 
 func TestLocalDelivery(t *testing.T) {
-	eng, nw := newTest(4, 4)
+	eng, nw, p := newTest(4, 4)
 	var arrived sim.Time
 	nw.Register(5, func(p *Packet) { arrived = eng.Now() })
-	nw.Send(&Packet{Src: 5, Dst: 5, Flits: 2})
+	p.SendFrom(5, 5, 2, nil)
 	eng.Run()
 	if arrived != nw.Config().LocalLatency {
 		t.Fatalf("local delivery at %d, want %d", arrived, nw.Config().LocalLatency)
@@ -88,14 +95,14 @@ func TestLocalDelivery(t *testing.T) {
 }
 
 func TestEjectionSerializesHotSpot(t *testing.T) {
-	eng, nw := newTest(8, 8)
+	eng, nw, p := newTest(8, 8)
 	hot := nw.ID(4, 4)
 	var deliveries []sim.Time
 	nw.Register(hot, func(p *Packet) { deliveries = append(deliveries, eng.Now()) })
 	// Many distinct sources, all sending to the same node at cycle 0.
 	senders := []NodeID{nw.ID(3, 4), nw.ID(5, 4), nw.ID(4, 3), nw.ID(4, 5)}
 	for _, s := range senders {
-		nw.Send(&Packet{Src: s, Dst: hot, Flits: 6})
+		p.SendFrom(s, hot, 6, nil)
 	}
 	eng.Run()
 	if len(deliveries) != len(senders) {
@@ -113,13 +120,13 @@ func TestEjectionSerializesHotSpot(t *testing.T) {
 }
 
 func TestChannelContentionDelaysSecondPacket(t *testing.T) {
-	eng, nw := newTest(8, 1)
+	eng, nw, p := newTest(8, 1)
 	dst := nw.ID(4, 0)
 	var times []sim.Time
 	nw.Register(dst, func(p *Packet) { times = append(times, eng.Now()) })
 	// Two packets from the same source share every channel on the path.
-	nw.Send(&Packet{Src: 0, Dst: dst, Flits: 8})
-	nw.Send(&Packet{Src: 0, Dst: dst, Flits: 8})
+	p.SendFrom(0, dst, 8, nil)
+	p.SendFrom(0, dst, 8, nil)
 	eng.Run()
 	if len(times) != 2 {
 		t.Fatalf("got %d deliveries", len(times))
@@ -133,12 +140,13 @@ func TestIdealTopologyFixedLatency(t *testing.T) {
 	eng := sim.New()
 	cfg := DefaultConfig(8, 8)
 	cfg.Topology = Ideal
-	nw := New(eng, cfg)
+	nw := New(cfg)
+	p := onePort(eng, nw)
 	var near, far sim.Time
 	nw.Register(1, func(p *Packet) { near = eng.Now() })
 	nw.Register(63, func(p *Packet) { far = eng.Now() })
-	nw.Send(&Packet{Src: 0, Dst: 1, Flits: 2})
-	nw.Send(&Packet{Src: 0, Dst: 63, Flits: 2})
+	p.SendFrom(0, 1, 2, nil)
+	p.SendFrom(0, 63, 2, nil)
 	eng.Run()
 	if near != far {
 		t.Fatalf("ideal topology latency depends on distance: %d vs %d", near, far)
@@ -146,12 +154,12 @@ func TestIdealTopologyFixedLatency(t *testing.T) {
 }
 
 func TestStatsAccumulate(t *testing.T) {
-	eng, nw := newTest(4, 4)
+	eng, nw, p := newTest(4, 4)
 	for i := NodeID(0); i < 16; i++ {
 		nw.Register(i, func(p *Packet) {})
 	}
-	nw.Send(&Packet{Src: 0, Dst: 15, Flits: 2})
-	nw.Send(&Packet{Src: 3, Dst: 12, Flits: 6})
+	p.SendFrom(0, 15, 2, nil)
+	p.SendFrom(3, 12, 6, nil)
 	eng.Run()
 	st := nw.Stats()
 	if st.Packets != 2 {
@@ -169,27 +177,26 @@ func TestStatsAccumulate(t *testing.T) {
 }
 
 func TestSendPanicsOnBadPacket(t *testing.T) {
-	_, nw := newTest(2, 2)
-	for _, p := range []*Packet{
+	_, _, port := newTest(2, 2)
+	for _, p := range []Packet{
 		{Src: 0, Dst: 1, Flits: 0},
 		{Src: 0, Dst: 99, Flits: 1},
 		{Src: -1, Dst: 1, Flits: 1},
 	} {
-		p := p
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("Send(%+v) did not panic", *p)
+					t.Errorf("SendFrom(%+v) did not panic", p)
 				}
 			}()
-			nw.Send(p)
+			port.SendFrom(p.Src, p.Dst, p.Flits, nil)
 		}()
 	}
 }
 
 func TestUnregisteredHandlerPanics(t *testing.T) {
-	eng, nw := newTest(2, 2)
-	nw.Send(&Packet{Src: 0, Dst: 3, Flits: 1})
+	eng, _, p := newTest(2, 2)
+	p.SendFrom(0, 3, 1, nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("delivery to unregistered node did not panic")
@@ -204,7 +211,8 @@ func TestDeliveryProperty(t *testing.T) {
 	prop := func(pairs []struct{ S, D uint8 }) bool {
 		eng := sim.New()
 		cfg := DefaultConfig(8, 8)
-		nw := New(eng, cfg)
+		nw := New(cfg)
+		p := onePort(eng, nw)
 		type rec struct {
 			node NodeID
 			at   sim.Time
@@ -218,7 +226,7 @@ func TestDeliveryProperty(t *testing.T) {
 		var mins []sim.Time
 		for _, pr := range pairs {
 			src, dst := NodeID(pr.S%64), NodeID(pr.D%64)
-			nw.Send(&Packet{Src: src, Dst: dst, Flits: 2})
+			p.SendFrom(src, dst, 2, nil)
 			want = append(want, dst)
 			if src == dst {
 				mins = append(mins, cfg.LocalLatency)
@@ -262,7 +270,7 @@ func TestDeliveryProperty(t *testing.T) {
 // Property: dimension-order routes never exceed Width+Height hops and are
 // deterministic.
 func TestRouteProperty(t *testing.T) {
-	_, nw := newTest(8, 8)
+	_, nw, _ := newTest(8, 8)
 	prop := func(a, b uint8) bool {
 		s, d := NodeID(a%64), NodeID(b%64)
 		r1 := nw.route(s, d)
@@ -286,16 +294,18 @@ func TestOmegaUniformPathLength(t *testing.T) {
 	eng := sim.New()
 	cfg := DefaultConfig(8, 8)
 	cfg.Topology = Omega
-	nw := New(eng, cfg)
+	nw := New(cfg)
+	p := onePort(eng, nw)
 	var near, far sim.Time
 	nw.Register(1, func(p *Packet) { near = eng.Now() })
 	nw.Register(63, func(p *Packet) { far = eng.Now() })
-	nw.Send(&Packet{Src: 0, Dst: 1, Flits: 2})
+	p.SendFrom(0, 1, 2, nil)
 	eng.Run()
 	eng2 := sim.New()
-	nw2 := New(eng2, cfg)
+	nw2 := New(cfg)
+	p2 := onePort(eng2, nw2)
 	nw2.Register(63, func(p *Packet) { far = eng2.Now() })
-	nw2.Send(&Packet{Src: 0, Dst: 63, Flits: 2})
+	p2.SendFrom(0, 63, 2, nil)
 	eng2.Run()
 	if near != far {
 		t.Fatalf("omega latency depends on destination: %d vs %d (all routes are log N stages)", near, far)
@@ -311,13 +321,14 @@ func TestOmegaContentionOnSharedStageChannels(t *testing.T) {
 	eng := sim.New()
 	cfg := DefaultConfig(8, 8)
 	cfg.Topology = Omega
-	nw := New(eng, cfg)
+	nw := New(cfg)
+	p := onePort(eng, nw)
 	var times []sim.Time
 	nw.Register(5, func(p *Packet) { times = append(times, eng.Now()) })
 	// Two packets to the same destination share at least the final stage
 	// channel, so they serialize even before the ejection port.
-	nw.Send(&Packet{Src: 0, Dst: 5, Flits: 8})
-	nw.Send(&Packet{Src: 1, Dst: 5, Flits: 8})
+	p.SendFrom(0, 5, 8, nil)
+	p.SendFrom(1, 5, 8, nil)
 	eng.Run()
 	if len(times) != 2 {
 		t.Fatalf("deliveries = %d", len(times))
@@ -331,7 +342,8 @@ func TestOmegaDeliversEverywhere(t *testing.T) {
 	eng := sim.New()
 	cfg := DefaultConfig(4, 4)
 	cfg.Topology = Omega
-	nw := New(eng, cfg)
+	nw := New(cfg)
+	p := onePort(eng, nw)
 	got := make(map[NodeID]int)
 	for i := NodeID(0); i < 16; i++ {
 		i := i
@@ -339,7 +351,7 @@ func TestOmegaDeliversEverywhere(t *testing.T) {
 	}
 	for s := NodeID(0); s < 16; s++ {
 		for d := NodeID(0); d < 16; d++ {
-			nw.Send(&Packet{Src: s, Dst: d, Flits: 2})
+			p.SendFrom(s, d, 2, nil)
 		}
 	}
 	eng.Run()
@@ -355,11 +367,12 @@ func TestJitterPreservesPairFIFO(t *testing.T) {
 	cfg := DefaultConfig(4, 4)
 	cfg.JitterMax = 50
 	cfg.JitterSeed = 12345
-	nw := New(eng, cfg)
+	nw := New(cfg)
+	p := onePort(eng, nw)
 	var seq []int
 	nw.Register(15, func(p *Packet) { seq = append(seq, p.Payload.(int)) })
 	for i := 0; i < 20; i++ {
-		nw.Send(&Packet{Src: 0, Dst: 15, Flits: 2, Payload: i})
+		p.SendFrom(0, 15, 2, i)
 	}
 	eng.Run()
 	for i := 1; i < len(seq); i++ {
@@ -378,13 +391,14 @@ func TestJitterIsDeterministic(t *testing.T) {
 		cfg := DefaultConfig(4, 4)
 		cfg.JitterMax = 30
 		cfg.JitterSeed = 7
-		nw := New(eng, cfg)
+		nw := New(cfg)
+		p := onePort(eng, nw)
 		var times []sim.Time
 		for i := NodeID(0); i < 16; i++ {
 			nw.Register(i, func(p *Packet) { times = append(times, eng.Now()) })
 		}
 		for s := NodeID(0); s < 8; s++ {
-			nw.Send(&Packet{Src: s, Dst: 15 - s, Flits: 3})
+			p.SendFrom(s, 15-s, 3, nil)
 		}
 		eng.Run()
 		return times
@@ -406,13 +420,14 @@ func TestJitterChangesWithSeed(t *testing.T) {
 		cfg := DefaultConfig(4, 4)
 		cfg.JitterMax = 40
 		cfg.JitterSeed = seed
-		nw := New(eng, cfg)
+		nw := New(cfg)
+		p := onePort(eng, nw)
 		var last sim.Time
 		for i := NodeID(0); i < 16; i++ {
 			nw.Register(i, func(p *Packet) { last = eng.Now() })
 		}
 		for s := NodeID(0); s < 8; s++ {
-			nw.Send(&Packet{Src: s, Dst: 15 - s, Flits: 3})
+			p.SendFrom(s, 15-s, 3, nil)
 		}
 		eng.Run()
 		return last
@@ -426,11 +441,12 @@ func TestCircuitSwitchedLatency(t *testing.T) {
 	eng := sim.New()
 	cfg := DefaultConfig(8, 1)
 	cfg.Switching = Circuit
-	nw := New(eng, cfg)
+	nw := New(cfg)
+	p := onePort(eng, nw)
 	dst := nw.ID(3, 0) // 3 hops
 	var arrived sim.Time
 	nw.Register(dst, func(p *Packet) { arrived = eng.Now() })
-	nw.Send(&Packet{Src: 0, Dst: dst, Flits: 6})
+	p.SendFrom(0, dst, 6, nil)
 	eng.Run()
 	// inject(1) + 3-hop setup sweep + 6-flit transfer = 10, same as
 	// wormhole when uncontended.
@@ -448,14 +464,15 @@ func TestCircuitHoldsWholePath(t *testing.T) {
 		eng := sim.New()
 		cfg := DefaultConfig(8, 1)
 		cfg.Switching = sw
-		nw := New(eng, cfg)
+		nw := New(cfg)
+		p := onePort(eng, nw)
 		var last sim.Time
 		for i := NodeID(0); i < 8; i++ {
 			nw.Register(i, func(p *Packet) { last = eng.Now() })
 		}
 		// First circuit: 0 -> 6 (long). Second: 5 -> 7 shares channel 5->6.
-		nw.Send(&Packet{Src: 0, Dst: 6, Flits: 8})
-		nw.Send(&Packet{Src: 5, Dst: 7, Flits: 8})
+		p.SendFrom(0, 6, 8, nil)
+		p.SendFrom(5, 7, 8, nil)
 		eng.Run()
 		return last
 	}
@@ -478,9 +495,9 @@ func TestSwitchingStrings(t *testing.T) {
 }
 
 func TestChannelUtilizationAndEjectBusy(t *testing.T) {
-	eng, nw := newTest(4, 1)
+	eng, nw, p := newTest(4, 1)
 	nw.Register(3, func(p *Packet) {})
-	nw.Send(&Packet{Src: 0, Dst: 3, Flits: 8})
+	p.SendFrom(0, 3, 8, nil)
 	eng.Run()
 	if u := nw.ChannelUtilization(eng.Now()); u <= 0 || u > 1 {
 		t.Fatalf("channel utilization = %v", u)
@@ -500,7 +517,7 @@ func TestChannelUtilizationAndEjectBusy(t *testing.T) {
 // correct, self-consistent path, and growing paths must not corrupt the
 // shorter ones computed before them.
 func TestRouteBufferReuse(t *testing.T) {
-	_, nw := newTest(8, 8)
+	_, nw, _ := newTest(8, 8)
 	long := nw.route(nw.ID(0, 0), nw.ID(7, 7))
 	if len(long) != 14 {
 		t.Fatalf("long route has %d hops, want 14", len(long))
@@ -523,14 +540,14 @@ func TestRouteBufferReuse(t *testing.T) {
 // SendFrom recycles packets: steady-state traffic must not grow the pool
 // beyond the number of simultaneously in-flight packets.
 func TestSendFromRecyclesPackets(t *testing.T) {
-	eng, nw := newTest(4, 4)
+	eng, nw, p := newTest(4, 4)
 	got := 0
 	var lastPayload any
 	for i := NodeID(0); i < 16; i++ {
 		nw.Register(i, func(p *Packet) { got++; lastPayload = p.Payload })
 	}
 	for round := 0; round < 50; round++ {
-		nw.SendFrom(0, 5, 2, round)
+		p.SendFrom(0, 5, 2, round)
 		eng.Run()
 	}
 	if got != 50 {
@@ -539,34 +556,36 @@ func TestSendFromRecyclesPackets(t *testing.T) {
 	if lastPayload != 49 {
 		t.Fatalf("last payload = %v, want 49", lastPayload)
 	}
-	if len(nw.freePkts) != 1 {
-		t.Fatalf("packet pool holds %d packets after serial sends, want 1", len(nw.freePkts))
+	if len(p.freeDels) != 1 {
+		t.Fatalf("delivery pool holds %d records after serial sends, want 1", len(p.freeDels))
 	}
-	if len(nw.freeDels) != 1 {
-		t.Fatalf("delivery pool holds %d records after serial sends, want 1", len(nw.freeDels))
+	if len(p.log) != 0 {
+		t.Fatalf("send log holds %d entries after every flush, want 0", len(p.log))
 	}
 }
 
-// Send (caller-owned packets) must never place foreign packets in the pool.
-func TestSendDoesNotPoolCallerPackets(t *testing.T) {
-	eng, nw := newTest(4, 4)
-	for i := NodeID(0); i < 16; i++ {
-		nw.Register(i, func(p *Packet) {})
-	}
-	mine := &Packet{Src: 0, Dst: 3, Flits: 1, Payload: "keep"}
-	nw.Send(mine)
+// TestSameCycleSendsClaimInSourceOrder: two packets sent in one cycle onto
+// a shared channel claim it in ascending source order, whatever order the
+// sends executed in. Node 2's packet is sent first, yet node 1's claims the
+// 2->3 channel first, arrives first, and delays node 2's by its length.
+func TestSameCycleSendsClaimInSourceOrder(t *testing.T) {
+	eng, nw, p := newTest(8, 1)
+	arrived := map[string]sim.Time{}
+	nw.Register(5, func(pkt *Packet) { arrived[pkt.Payload.(string)] = eng.Now() })
+	eng.At(3, func() { p.SendFrom(2, 5, 4, "from2") })
+	eng.At(3, func() { p.SendFrom(1, 5, 4, "from1") })
 	eng.Run()
-	if len(nw.freePkts) != 0 {
-		t.Fatal("caller-owned packet was captured by the pool")
-	}
-	if mine.Payload != "keep" {
-		t.Fatal("caller-owned packet payload was cleared")
+	// from1: inject at 4, four hops to node 5, then 4 flits through the
+	// ejection port: 12. from2 waits for the 2->3 channel until 9, then
+	// trails from1 by its 4 flits: 16.
+	if arrived["from1"] != 12 || arrived["from2"] != 16 {
+		t.Fatalf("arrivals %v, want from1 at 12 and from2 at 16", arrived)
 	}
 }
 
 // BenchmarkMeshRoute guards the allocation-free routing fast path.
 func BenchmarkMeshRoute(b *testing.B) {
-	_, nw := newTest(8, 8)
+	_, nw, _ := newTest(8, 8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		src := NodeID(i % 64)
@@ -575,15 +594,16 @@ func BenchmarkMeshRoute(b *testing.B) {
 	}
 }
 
-// BenchmarkMeshSend measures the full injection path with pooled packets.
+// BenchmarkMeshSend measures the full injection path with pooled packets:
+// log, end-of-cycle flush, claim and delivery.
 func BenchmarkMeshSend(b *testing.B) {
-	eng, nw := newTest(8, 8)
+	eng, nw, p := newTest(8, 8)
 	for i := NodeID(0); i < 64; i++ {
 		nw.Register(i, func(p *Packet) {})
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		nw.SendFrom(NodeID(i%64), NodeID((i*13+5)%64), 4, nil)
+		p.SendFrom(NodeID(i%64), NodeID((i*13+5)%64), 4, nil)
 		eng.Run()
 	}
 }

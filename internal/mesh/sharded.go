@@ -2,30 +2,32 @@ package mesh
 
 import (
 	"fmt"
+	"sync"
 
 	"limitless/internal/sim"
 )
 
-// Sharded execution support. In sharded mode each shard's controllers
-// inject through their own ShardPort instead of the Network: purely local
-// (src == dst) deliveries stay on the shard's engine, and every packet
-// between distinct nodes — whether or not the destination lies in the same
-// shard — is deferred into the port's send log. At each window barrier
-// FlushWindow replays deferred sends in one canonical order through the
-// shared contention model (channels, ejection ports, jitter), then inserts
-// the delivery events into the destination shards' engines under
-// partition-independent sequence keys.
+// Ports and the canonical claim order. Each engine's controllers inject
+// through that engine's ShardPort: purely local (src == dst) deliveries stay
+// on the engine, and every packet between distinct nodes — whether or not
+// the destination runs on the same engine — is deferred into the port's
+// send log. FlushWindow replays deferred sends in one canonical order
+// through the shared contention model (channels, ejection ports, jitter),
+// then inserts the delivery events into the destination engines.
 //
 // Deferring *all* non-local traffic, not just boundary crossings, is what
-// makes the simulation invariant under the shard count: the channel and
+// makes the simulation invariant under the engine count: the channel and
 // ejection resources, the jitter stream, and the FIFO bookkeeping are only
-// ever touched at the single-threaded barrier, in an order derived from
-// (send cycle, source node, per-source program order) — quantities that do
-// not depend on how nodes are partitioned. The price is that in windowed
-// mode same-cycle sends arbitrate for channels in canonical order rather
-// than in the sequential engine's event-interleaving order, so windowed
-// results are a distinct (equally valid, equally deterministic) timing
-// semantics from the Shards=0 engine.
+// ever touched by a single-threaded flush, in an order derived from (send
+// cycle, source node, per-source program order) — quantities that do not
+// depend on how nodes are partitioned. With several engines the flush runs
+// at the window barriers and stamps each delivery with a cycle-tagged
+// barrier key (sim.WindowSeq). With one engine the port arms the engine's
+// end-of-cycle hook instead, which flushes the cycle's sends as soon as the
+// cycle's last event has run; the deliveries then take the engine's own
+// next sequence numbers, which order them exactly where the barrier keys
+// would: after every event allocated during the send cycle, before any
+// allocated during a later one. Both builds therefore give one timing.
 //
 // FlushWindow takes an exclusive send-cycle threshold rather than flushing
 // everything: under adaptive windows a shard may run far ahead and log
@@ -52,11 +54,12 @@ type deferredSend struct {
 	kind     uint8    // xFirst, xRetrans, or xReplay
 }
 
-// sendLog holds one shard's deferred sends. Between barriers the region
-// past the consumed head is the concatenation of a (cycle, src)-sorted
-// prefix retained by the previous partial flush and newer appends in
-// engine-time order; sortPending restores full (cycle, src, program-order)
-// order with a stable insertion sort — near-linear on the almost-sorted log.
+// sendLog holds one port's deferred sends. Between flushes the region past
+// the consumed head is the concatenation of a (cycle, src)-sorted prefix
+// retained by the previous partial flush and newer appends in engine-time
+// order; when an append lands before its predecessor, sortPending restores
+// full (cycle, src, program-order) order with a stable insertion sort —
+// near-linear on the almost-sorted log.
 type sendLog []deferredSend
 
 // before orders log entries by (send cycle, source node).
@@ -82,22 +85,24 @@ func (l sendLog) sortPending() {
 	}
 }
 
-// ShardPort is one shard's interface to the network. It satisfies the same
-// SendFrom contract as Network and is bound to the shard's engine; it may
-// only be used from the goroutine currently executing that engine.
+// ShardPort is one engine's interface to the network: the controllers of
+// the nodes that engine runs send through it, and it delivers their
+// incoming packets. It is bound to its engine and may only be used from the
+// goroutine currently executing that engine.
 type ShardPort struct {
-	nw    *Network
-	eng   *sim.Engine
-	shard int
+	nw       *Network
+	eng      *sim.Engine
+	handlers []Handler // the network's, shared: Register fills them in
+	shard    int
+	solo     bool // the network's only port: flushed by its engine's end-of-cycle hook
 
 	stats    Stats
 	log      sendLog
 	logHead  int      // entries below logHead were consumed by earlier flushes
-	logDirty bool     // true when appends since the last flush may be out of order
+	logDirty bool     // true when an append since the last flush landed out of order
 	logMin   sim.Time // earliest pending send cycle in log; Forever when empty
-	freePkts []*Packet
 	freeDels []*delivery
-	inflight int // deliveries scheduled on this shard's engine, not yet ejected
+	inflight int // deliveries scheduled on this port's engine, not yet ejected
 
 	// Reliable transport (see transport.go): the receiver state for nodes
 	// owned by this shard, the pending retransmission-timer count, and the
@@ -115,48 +120,65 @@ func (p *ShardPort) Engine() *sim.Engine { return p.eng }
 // Stats returns this port's share of the network statistics.
 func (p *ShardPort) Stats() Stats { return p.stats }
 
-// SendFrom injects a packet from a node owned by this shard. Local
-// deliveries are scheduled immediately on the shard engine; everything else
-// is deferred to a window barrier. Deferring also clamps the shard's
-// current run one lookahead width past the send cycle, so under adaptive
-// windows the shard never outruns the delivery of its own earliest send
-// (under fixed windows the clamp is at or beyond the window end — a no-op).
+// SendFrom injects a packet from a node this port's engine runs, at the
+// engine's current cycle. Local deliveries are scheduled immediately on the
+// engine; everything else is logged for FlushWindow. The payload reaches
+// the destination's handler; the packet around it is the network's own.
 func (p *ShardPort) SendFrom(src, dst NodeID, flits int, payload any) {
 	if flits <= 0 {
 		panic("mesh: packet with no flits")
 	}
 	nw := p.nw
-	if int(src) >= nw.n || int(dst) >= nw.n || src < 0 || dst < 0 {
+	if uint(src) >= uint(nw.n) || uint(dst) >= uint(nw.n) {
 		panic(fmt.Sprintf("mesh: packet endpoints out of range: %d->%d", src, dst))
 	}
 	now := p.eng.Now()
 	if src == dst {
 		p.stats.LocalPackets++
-		p.schedule(now+nw.cfg.LocalLatency, 0, false, src, dst, flits, payload, now, dPlain, 0, 0)
+		p.deliver(p.newDelivery(src, dst, flits, payload, now), now+nw.cfg.LocalLatency, 0, false)
 		return
 	}
-	p.log = append(p.log, deferredSend{at: now, src: src, dst: dst, flits: flits, payload: payload})
-	p.logDirty = true
-	if now < p.logMin {
-		p.logMin = now
-	}
-	p.eng.ClampRunLimit(now + nw.window - 1)
+	e := p.logSend(now, src)
+	e.dst, e.flits, e.payload = dst, flits, payload
+	e.seq, e.first, e.attempt, e.kind = 0, 0, 0, xFirst
 }
 
-// schedule borrows a pooled packet and delivery record and queues the
-// ejection event on this port's engine — under the engine's own sequence
-// key, or under an explicit barrier key when seqKey is set. kind/xseq/sum
-// are the reliable transport's delivery framing (dPlain, 0, 0 outside it).
-func (p *ShardPort) schedule(at sim.Time, seq uint64, seqKey bool, src, dst NodeID, flits int, payload any, injected sim.Time, kind uint8, xseq uint64, sum uint32) {
-	var pkt *Packet
-	if n := len(p.freePkts); n > 0 {
-		pkt = p.freePkts[n-1]
-		p.freePkts[n-1] = nil
-		p.freePkts = p.freePkts[:n-1]
-	} else {
-		pkt = &Packet{}
+// logSend appends a slot for one non-local attempt sent by src at cycle at
+// to the send log, and makes sure a flush will claim it; the caller fills
+// in the rest of the slot. The network's only port arms its engine's
+// end-of-cycle hook, so the attempt is claimed once its send cycle has
+// run. Any other port clamps its engine's current run one lookahead width
+// past the send cycle, so under adaptive windows the shard never outruns
+// the delivery of its own earliest send (under fixed windows the clamp is
+// at or beyond the window end — a no-op).
+func (p *ShardPort) logSend(at sim.Time, src NodeID) *deferredSend {
+	n := len(p.log)
+	if n > p.logHead {
+		if last := &p.log[n-1]; at < last.at || at == last.at && src < last.src {
+			p.logDirty = true
+		}
 	}
-	pkt.Src, pkt.Dst, pkt.Flits, pkt.Payload = src, dst, flits, payload
+	if n < cap(p.log) {
+		p.log = p.log[:n+1]
+	} else {
+		p.log = append(p.log, deferredSend{})
+	}
+	if at < p.logMin {
+		p.logMin = at
+	}
+	if p.solo {
+		p.eng.ArmCycleHook()
+	} else {
+		p.eng.ClampRunLimit(at + p.nw.window - 1)
+	}
+	e := &p.log[n]
+	e.at, e.src = at, src
+	return e
+}
+
+// newDelivery borrows a pooled delivery record for a packet injected at
+// cycle injected, with plain framing; the reliable transport sets its own.
+func (p *ShardPort) newDelivery(src, dst NodeID, flits int, payload any, injected sim.Time) *delivery {
 	var d *delivery
 	if n := len(p.freeDels); n > 0 {
 		d = p.freeDels[n-1]
@@ -165,8 +187,16 @@ func (p *ShardPort) schedule(at sim.Time, seq uint64, seqKey bool, src, dst Node
 	} else {
 		d = &delivery{}
 	}
-	d.pkt, d.injected, d.pooled = pkt, injected, true
-	d.kind, d.seq, d.sum = kind, xseq, sum
+	d.pkt.Src, d.pkt.Dst, d.pkt.Flits, d.pkt.Payload = src, dst, flits, payload
+	d.injected = injected
+	d.kind = dPlain
+	return d
+}
+
+// deliver queues d's ejection at cycle at on this port's engine — under
+// the engine's own sequence key, or under the explicit barrier key seq
+// when seqKey is set.
+func (p *ShardPort) deliver(d *delivery, at sim.Time, seq uint64, seqKey bool) {
 	p.inflight++
 	if seqKey {
 		p.eng.AtHandlerSeq(at, seq, p, d)
@@ -176,14 +206,16 @@ func (p *ShardPort) schedule(at sim.Time, seq uint64, seqKey bool, src, dst Node
 }
 
 // OnEvent implements sim.Handler: it ejects one packet at its destination,
-// accounting stats to this shard.
+// accounting stats to this port.
 func (p *ShardPort) OnEvent(arg any) {
 	p.eject1(arg, p.eng.Now())
 }
 
 // OnEvents implements sim.BatchHandler: every packet whose ejection lands
-// in the same cycle on this shard is delivered through one call, exactly
-// like the sequential Network's batch ejection.
+// in the same cycle on this port's engine is delivered through one call,
+// saving a virtual dispatch and a clock read per packet. Ejection order is
+// the engine's (deadline, sequence) order, so delivery is identical to
+// OnEvent per arg.
 func (p *ShardPort) OnEvents(args []any) {
 	now := p.eng.Now()
 	for _, arg := range args {
@@ -192,7 +224,7 @@ func (p *ShardPort) OnEvents(args []any) {
 }
 
 // eject1 delivers one scheduled packet at cycle now. Sequenced deliveries
-// detour through this shard's receiver transport state (checksum, per-link
+// detour through this port's receiver transport state (checksum, per-link
 // order, duplicate detection); everything else releases directly.
 func (p *ShardPort) eject1(arg any, now sim.Time) {
 	d := arg.(*delivery)
@@ -204,12 +236,15 @@ func (p *ShardPort) eject1(arg any, now sim.Time) {
 	p.finishX(d, now, false)
 }
 
-// ShardPorts switches the network into sharded mode: nodeShard maps each
-// node to the index of the engine that executes it, window is the shard
-// driver's lookahead width (MinPacketLatency of the smallest message), and
-// the returned ports (one per engine) replace the Network as the
-// controllers' injection interface. Register handlers as usual; deliveries
-// invoke them on the destination node's shard engine.
+// ShardPorts binds the network to the engines that run its nodes: nodeShard
+// maps each node to the index of its engine, window is the lookahead width
+// (MinPacketLatency of the smallest message), and the returned ports (one
+// per engine) are the controllers' injection interface. Register handlers
+// as usual; deliveries invoke them on the destination node's engine. Over
+// one engine the port installs that engine's end-of-cycle hook as its
+// flush, so the engine runs straight through with no window driver; over
+// several, the window driver must call FlushWindow at its barriers, with
+// every engine in cycle-tagged sequencing (sim.Engine.SetCycleSeq).
 func (nw *Network) ShardPorts(engines []*sim.Engine, nodeShard []int, window sim.Time) []*ShardPort {
 	if len(nodeShard) != nw.n {
 		panic(fmt.Sprintf("mesh: nodeShard has %d entries for %d nodes", len(nodeShard), nw.n))
@@ -226,15 +261,32 @@ func (nw *Network) ShardPorts(engines []*sim.Engine, nodeShard []int, window sim
 	nw.window = window
 	nw.ports = make([]*ShardPort, len(engines))
 	for i, eng := range engines {
-		p := &ShardPort{nw: nw, eng: eng, shard: i, logMin: sim.Forever}
+		p := &ShardPort{nw: nw, eng: eng, handlers: nw.handlers, shard: i, logMin: sim.Forever}
+		if m, _ := portPool.Get().(*portMem); m != nil {
+			p.log, p.freeDels = m.log, m.dels
+		}
 		p.retransH.p = p
 		if nw.tp != nil {
 			p.xr = newXrecv()
 		}
 		nw.ports[i] = p
 	}
+	if len(engines) == 1 {
+		eng := engines[0]
+		nw.ports[0].solo = true
+		eng.SetCycleHook(func() { nw.FlushWindow(eng.Now()+1, nil) })
+	}
 	return nw.ports
 }
+
+// portMem is the run-scoped memory a port hands to the next one: its send
+// log's backing array and its free delivery records (see Network.Recycle).
+type portMem struct {
+	log  sendLog
+	dels []*delivery
+}
+
+var portPool sync.Pool
 
 // HeldMin returns the earliest deferred send cycle still logged across all
 // shard ports, or sim.Forever when nothing is held. Like FlushWindow it
@@ -250,18 +302,16 @@ func (nw *Network) HeldMin() sim.Time {
 }
 
 // FlushWindow applies every deferred send with send cycle strictly below
-// before; later sends stay logged. It runs single-threaded between
-// windows: each port's log is restored to (send cycle, source, program
-// order) with a near-linear stable insertion sort, then a k-way merge
-// across the per-port logs replays the heads in canonical order through
-// the contention model — no combined buffer, no comparison-sort of the
-// merged batch — and inserts the resulting deliveries into the destination
-// shards' engines with barrier-phase sequence keys. Every delivery must
-// land at least one lookahead width after its send — the guarantee that
-// makes windowed execution sound — and a violation panics rather than
-// silently corrupting the timing model. When mins is non-nil, mins[k] is
-// lowered to the earliest delivery time inserted into shard k's engine, so
-// the window driver can maintain its deadline cache without re-probing.
+// before; later sends stay logged. It runs single-threaded — between
+// windows, or from a one-engine network's end-of-cycle hook: each port's
+// log is restored to (send cycle, source, program order) with a
+// near-linear stable insertion sort, then a k-way merge across the
+// per-port logs replays the heads in canonical order through the
+// contention model — no combined buffer, no comparison-sort of the merged
+// batch — and inserts the resulting deliveries into the destination
+// engines. When mins is non-nil, mins[k] is lowered to the earliest delivery
+// time inserted into shard k's engine, so the window driver can maintain
+// its deadline cache without re-probing.
 func (nw *Network) FlushWindow(before sim.Time, mins []sim.Time) {
 	ports := nw.ports
 	for _, p := range ports {
@@ -270,7 +320,7 @@ func (nw *Network) FlushWindow(before sim.Time, mins []sim.Time) {
 			p.logDirty = false
 		}
 	}
-
+	keyed := len(ports) > 1
 	cycle := sim.Time(-1)
 	ctr := uint32(0)
 	for {
@@ -305,23 +355,7 @@ func (nw *Network) FlushWindow(before sim.Time, mins []sim.Time) {
 				cycle = e.at
 				ctr = 0
 			}
-			at := nw.claimPath(e.at, e.src, e.dst, e.flits)
-			if at < e.at+nw.window {
-				panic(fmt.Sprintf("mesh: lookahead violation — packet %d->%d sent at %d delivered at %d, inside the %d-cycle shard window (network latency below the lookahead)",
-					e.src, e.dst, e.at, at, nw.window))
-			}
-			if nw.tp == nil {
-				seq := sim.WindowSeq(e.at, true, ctr)
-				ctr++
-				dp := ports[nw.nodeShard[e.dst]]
-				dp.schedule(at, seq, true, e.src, e.dst, e.flits, e.payload, e.at, dPlain, 0, 0)
-				if mins != nil && at < mins[dp.shard] {
-					mins[dp.shard] = at
-				}
-			} else {
-				ctr = nw.flushX(e, sp, at, ctr, mins)
-			}
-			e.payload = nil // consumed entries keep no references
+			ctr = sp.claim(e, keyed, ctr, mins)
 			h := sp.logHead
 			if h >= len(sp.log) {
 				break
@@ -333,24 +367,60 @@ func (nw *Network) FlushWindow(before sim.Time, mins []sim.Time) {
 			e = c
 		}
 	}
-
-	// Refresh each port's held minimum (the surviving region is sorted, so
-	// it is the head entry). A fully consumed log resets in place; a mostly
-	// consumed one compacts so the consumed prefix cannot grow without
-	// bound across partial flushes.
 	for _, p := range ports {
-		switch h := p.logHead; {
-		case h == len(p.log):
-			p.log = p.log[:0]
-			p.logHead = 0
-			p.logMin = sim.Forever
-		case h > 64 && h > len(p.log)/2:
-			n := copy(p.log, p.log[h:])
-			p.log = p.log[:n]
-			p.logHead = 0
-			p.logMin = p.log[0].at
-		default:
-			p.logMin = p.log[h].at
+		p.refreshLog()
+	}
+}
+
+// claim replays one logged attempt from this port through the contention
+// model and inserts the delivery, and under the reliable transport the
+// follow-up attempt, into the engines that run their nodes. Several engines
+// take barrier-phase keys (keyed) counted from ctr, which claim returns
+// advanced; one engine numbers them itself. Every delivery must land at
+// least one lookahead width after its send — the guarantee that makes
+// windowed execution sound — and a violation panics rather than silently
+// corrupting the timing model.
+func (sp *ShardPort) claim(e *deferredSend, keyed bool, ctr uint32, mins []sim.Time) uint32 {
+	nw := sp.nw
+	at := nw.claimPath(e.at, e.src, e.dst, e.flits)
+	if at < e.at+nw.window {
+		nw.lookaheadPanic(e, at)
+	}
+	if nw.tp != nil {
+		ctr = nw.flushX(e, sp, at, keyed, ctr, mins)
+	} else {
+		var seq uint64
+		dp := sp
+		if keyed {
+			seq = sim.WindowSeq(e.at, true, ctr)
+			ctr++
+			dp = nw.ports[nw.nodeShard[e.dst]]
 		}
+		dp.deliver(dp.newDelivery(e.src, e.dst, e.flits, e.payload, e.at), at, seq, keyed)
+		if mins != nil && at < mins[dp.shard] {
+			mins[dp.shard] = at
+		}
+	}
+	e.payload = nil // consumed entries keep no references
+	return ctr
+}
+
+// refreshLog re-derives the held minimum after a flush (the surviving
+// region is sorted, so it is the head entry). A fully consumed log resets
+// in place; a mostly consumed one compacts so the consumed prefix cannot
+// grow without bound across partial flushes.
+func (p *ShardPort) refreshLog() {
+	switch h := p.logHead; {
+	case h == len(p.log):
+		p.log = p.log[:0]
+		p.logHead = 0
+		p.logMin = sim.Forever
+	case h > 64 && h > len(p.log)/2:
+		n := copy(p.log, p.log[h:])
+		p.log = p.log[:n]
+		p.logHead = 0
+		p.logMin = p.log[0].at
+	default:
+		p.logMin = p.log[h].at
 	}
 }

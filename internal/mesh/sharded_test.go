@@ -18,7 +18,7 @@ func shardedNet(t *testing.T, cfg Config, shards int) ([]*sim.Engine, []*ShardPo
 	for id := range nodeShard {
 		nodeShard[id] = id * shards / n
 	}
-	nw := New(engines[0], cfg)
+	nw := New(cfg)
 	ports := nw.ShardPorts(engines, nodeShard, cfg.MinPacketLatency(2))
 	return engines, ports, nw, nodeShard
 }
@@ -142,18 +142,20 @@ func TestMinPacketLatency(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesSequentialTiming: an uncontended packet delivered via
-// the flush path takes exactly the same cycles as through Network.Send.
+// TestShardedMatchesSequentialTiming: an uncontended packet flushed at a
+// window barrier takes exactly the same cycles as on one engine, whose port
+// flushes at the end of the send cycle.
 func TestShardedMatchesSequentialTiming(t *testing.T) {
 	cfg := DefaultConfig(4, 4)
-	// Sequential reference.
+	// One-engine reference.
 	seqEng := sim.New()
-	seqNW := New(seqEng, cfg)
+	seqNW := New(cfg)
+	seqPort := onePort(seqEng, seqNW)
 	var seqAt sim.Time
 	for id := 0; id < 16; id++ {
 		seqNW.Register(NodeID(id), func(*Packet) { seqAt = seqEng.Now() })
 	}
-	seqNW.SendFrom(0, 15, 3, nil)
+	seqPort.SendFrom(0, 15, 3, nil)
 	seqEng.Run()
 
 	engines, ports, nw, nodeShard := shardedNet(t, cfg, 4)

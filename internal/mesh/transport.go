@@ -95,8 +95,7 @@ type StuckLink struct {
 }
 
 // transport is the sender-side reliable-delivery state. It is touched only
-// in single-threaded contexts — sequential event execution or the sharded
-// window-flush barrier — so it needs no locking.
+// by FlushWindow, which runs single-threaded, so it needs no locking.
 type transport struct {
 	plan       *fault.Plan
 	rto        sim.Time // base retransmit timeout, floored at the lookahead window
@@ -110,8 +109,6 @@ type transport struct {
 
 	stuck   []StuckLink
 	onStuck func(StuckLink)
-
-	pending int // sequential-mode retransmissions scheduled but not yet re-sent
 }
 
 // xverdict is the outcome of one transmission attempt: whether an arrival
@@ -219,10 +216,9 @@ type heldDel struct {
 }
 
 // xrecv is one receiver's transport state: per-link expected sequence
-// numbers and the out-of-order hold buffer. Sequential mode has a single
-// instance on the Network; sharded mode has one per ShardPort — each link's
-// destination lives on exactly one shard, so no receiver state is shared
-// between goroutines.
+// numbers and the out-of-order hold buffer. Each ShardPort has one — each
+// link's destination lives on exactly one engine, so no receiver state is
+// shared between goroutines.
 type xrecv struct {
 	expected map[uint64]uint64
 	held     map[uint64][]heldDel
@@ -236,18 +232,11 @@ func newXrecv() *xrecv {
 	return &xrecv{expected: make(map[uint64]uint64), held: make(map[uint64][]heldDel)}
 }
 
-// xsink is where a receiver releases (or discards) transport deliveries:
-// the Network in sequential mode, a ShardPort in sharded mode.
-type xsink interface {
-	finishX(d *delivery, now sim.Time, replay bool)
-	discardX(d *delivery)
-}
-
 // receive classifies one sequenced arrival: checksum-discard, in-order
 // release (plus any consecutive held successors), out-of-order hold, or
 // duplicate. Releases happen in strict per-link sequence order.
-func (r *xrecv) receive(s xsink, d *delivery, now sim.Time) {
-	pkt := d.pkt
+func (r *xrecv) receive(s *ShardPort, d *delivery, now sim.Time) {
+	pkt := &d.pkt
 	if d.sum != xsum(pkt.Src, pkt.Dst, pkt.Flits, d.seq) {
 		r.csumDrops++
 		s.discardX(d)
@@ -301,8 +290,8 @@ func (r *xrecv) receive(s xsink, d *delivery, now sim.Time) {
 // smallest protocol message): the effective retransmit timeout is floored
 // there so a retransmission never departs before the engines could have
 // advanced past its scheduling point. backoffMax caps the exponential
-// backoff (the coherence layer's RetryBackoffMax semantics). Call after
-// ShardPorts when running sharded; must be called before any traffic.
+// backoff (the coherence layer's RetryBackoffMax semantics). Call before
+// any traffic, before or after ShardPorts.
 func (nw *Network) EnableTransport(plan *fault.Plan, window, backoffMax sim.Time) {
 	if plan == nil || !plan.Config().LossEnabled() {
 		panic("mesh: EnableTransport requires a plan with an active loss class")
@@ -326,8 +315,6 @@ func (nw *Network) EnableTransport(plan *fault.Plan, window, backoffMax sim.Time
 		rmax:       cfg.RetransMax,
 		nextSeq:    make(map[uint64]uint64),
 	}
-	nw.retransH.nw = nw
-	nw.xr = newXrecv()
 	for _, p := range nw.ports {
 		p.xr = newXrecv()
 	}
@@ -336,9 +323,9 @@ func (nw *Network) EnableTransport(plan *fault.Plan, window, backoffMax sim.Time
 // TransportActive reports whether the reliable transport is interposed.
 func (nw *Network) TransportActive() bool { return nw.tp != nil }
 
-// OnTransportStuck installs the callback invoked (in a single-threaded
-// context: a sequential event or the flush barrier) when a packet exhausts
-// its retransmit budget. The machine uses it to abort the run.
+// OnTransportStuck installs the callback invoked (from FlushWindow, in a
+// single-threaded context) when a packet exhausts its retransmit budget.
+// The machine uses it to abort the run.
 func (nw *Network) OnTransportStuck(fn func(StuckLink)) {
 	if nw.tp == nil {
 		panic("mesh: OnTransportStuck without EnableTransport")
@@ -365,10 +352,6 @@ func (nw *Network) TransportStats() TransportStats {
 	}
 	ts.Seqs, ts.Drops, ts.Corrupts = tp.seqs, tp.drops, tp.corrupts
 	ts.Retransmits, ts.Replays = tp.retransmits, tp.replays
-	if nw.xr != nil {
-		ts.ChecksumDrops += nw.xr.csumDrops
-		ts.DupArrivals += nw.xr.dupArrivals
-	}
 	for _, p := range nw.ports {
 		if p.xr != nil {
 			ts.ChecksumDrops += p.xr.csumDrops
@@ -385,118 +368,25 @@ func (nw *Network) FaultCounts() (delays, stalls uint64) {
 	return nw.fDelays, nw.fStalls
 }
 
-// xmit processes one transmission attempt on the sequential engine: claim
-// the path, apply the loss verdict, and schedule the arrival and/or the
-// follow-up attempt directly as engine events.
-func (nw *Network) xmit(e *deferredSend) {
-	at := nw.claimPath(e.at, e.src, e.dst, e.flits)
+// flushX applies the loss verdict to one canonical-order attempt in
+// FlushWindow: the arrival (if any) is inserted into the destination
+// engine, and the follow-up attempt (if any) becomes a retransmission timer
+// on the source port's engine — both under barrier-phase sequence keys
+// drawn from the shared counter stream when keyed (several engines), else
+// under the engine's own numbering, and both fed back into the window
+// driver's deadline cache. Returns the advanced counter.
+func (nw *Network) flushX(e *deferredSend, sp *ShardPort, at sim.Time, keyed bool, ctr uint32, mins []sim.Time) uint32 {
 	v := nw.tp.verdict(e, at)
 	if v.deliver {
-		var pkt *Packet
-		if n := len(nw.freePkts); n > 0 {
-			pkt = nw.freePkts[n-1]
-			nw.freePkts[n-1] = nil
-			nw.freePkts = nw.freePkts[:n-1]
-		} else {
-			pkt = &Packet{}
+		var seq uint64
+		if keyed {
+			seq = sim.WindowSeq(e.at, true, ctr)
+			ctr++
 		}
-		pkt.Src, pkt.Dst, pkt.Flits, pkt.Payload = e.src, e.dst, e.flits, e.payload
-		var d *delivery
-		if n := len(nw.freeDels); n > 0 {
-			d = nw.freeDels[n-1]
-			nw.freeDels[n-1] = nil
-			nw.freeDels = nw.freeDels[:n-1]
-		} else {
-			d = &delivery{}
-		}
-		d.pkt, d.injected, d.pooled = pkt, e.first, true
-		d.kind, d.seq, d.sum = dSeq, e.seq, v.sum
-		nw.inflight++
-		nw.eng.AtHandler(at, nw, d)
-	}
-	if v.resend {
-		r := nw.takeRetrans()
-		*r = v.next
-		nw.tp.pending++
-		nw.eng.AtHandler(r.at, &nw.retransH, r)
-	}
-}
-
-func (nw *Network) takeRetrans() *deferredSend {
-	if n := len(nw.freeRetrans); n > 0 {
-		r := nw.freeRetrans[n-1]
-		nw.freeRetrans[n-1] = nil
-		nw.freeRetrans = nw.freeRetrans[:n-1]
-		return r
-	}
-	return &deferredSend{}
-}
-
-// seqRetrans fires a sequential-mode retransmission timer: the recorded
-// attempt re-enters the claim/verdict path at its departure cycle.
-type seqRetrans struct{ nw *Network }
-
-func (h *seqRetrans) OnEvent(arg any) {
-	nw := h.nw
-	r := arg.(*deferredSend)
-	nw.tp.pending--
-	nw.xmit(r)
-	r.payload = nil
-	nw.freeRetrans = append(nw.freeRetrans, r)
-}
-
-// finishX releases one transport delivery to the destination handler,
-// marked as a replay when the receiver identified a duplicate.
-func (nw *Network) finishX(d *delivery, now sim.Time, replay bool) {
-	pkt, pooled, injected := d.pkt, d.pooled, d.injected
-	d.pkt = nil
-	nw.freeDels = append(nw.freeDels, d)
-
-	lat := now - injected
-	nw.stats.Packets++
-	nw.stats.Flits += uint64(pkt.Flits)
-	nw.stats.TotalLatency += lat
-	if lat > nw.stats.MaxLatency {
-		nw.stats.MaxLatency = lat
-	}
-	h := nw.handlers[pkt.Dst]
-	if h == nil {
-		panic(fmt.Sprintf("mesh: no handler registered for node %d", pkt.Dst))
-	}
-	pkt.Replay = replay
-	h(pkt)
-	if pooled {
-		pkt.Payload = nil
-		pkt.Replay = false
-		nw.freePkts = append(nw.freePkts, pkt)
-	}
-}
-
-// discardX recycles a delivery the receiver refused (checksum failure or
-// duplicate-of-held) without invoking the handler.
-func (nw *Network) discardX(d *delivery) {
-	pkt := d.pkt
-	d.pkt = nil
-	nw.freeDels = append(nw.freeDels, d)
-	pkt.Payload = nil
-	pkt.Replay = false
-	nw.freePkts = append(nw.freePkts, pkt)
-}
-
-// flushX applies the loss verdict to one canonical-order attempt at the
-// window-flush barrier: the arrival (if any) is inserted into the
-// destination shard's engine, and the follow-up attempt (if any) becomes a
-// retransmission timer on the source shard's engine — both under
-// barrier-phase sequence keys drawn from the shared counter stream, both
-// fed back into the window driver's deadline cache. Returns the advanced
-// counter.
-func (nw *Network) flushX(e *deferredSend, sp *ShardPort, at sim.Time, ctr uint32, mins []sim.Time) uint32 {
-	v := nw.tp.verdict(e, at)
-	if v.deliver {
-		seq := sim.WindowSeq(e.at, true, ctr)
-		ctr++
 		dp := nw.ports[nw.nodeShard[e.dst]]
-		dp.schedule(at, seq, true, e.src, e.dst, e.flits, e.payload, e.first, dSeq, e.seq, v.sum)
+		d := dp.newDelivery(e.src, e.dst, e.flits, e.payload, e.first)
+		d.kind, d.seq, d.sum = dSeq, e.seq, v.sum
+		dp.deliver(d, at, seq, keyed)
 		if mins != nil && at < mins[dp.shard] {
 			mins[dp.shard] = at
 		}
@@ -504,10 +394,13 @@ func (nw *Network) flushX(e *deferredSend, sp *ShardPort, at sim.Time, ctr uint3
 	if v.resend {
 		r := sp.takeRetrans()
 		*r = v.next
-		seq := sim.WindowSeq(e.at, true, ctr)
-		ctr++
 		sp.pendingRetrans++
-		sp.eng.AtHandlerSeq(r.at, seq, &sp.retransH, r)
+		if keyed {
+			sp.eng.AtHandlerSeq(r.at, sim.WindowSeq(e.at, true, ctr), &sp.retransH, r)
+			ctr++
+		} else {
+			sp.eng.AtHandler(r.at, &sp.retransH, r)
+		}
 		if mins != nil && r.at < mins[sp.shard] {
 			mins[sp.shard] = r.at
 		}
@@ -525,42 +418,35 @@ func (p *ShardPort) takeRetrans() *deferredSend {
 	return &deferredSend{}
 }
 
-// portRetrans fires a sharded-mode retransmission timer on the source
-// shard's engine: the recorded attempt rejoins the port's send log (it was
-// allocated at a flush barrier and is freed here on the shard's goroutine —
-// the phases never overlap) and the shard self-clamps exactly as SendFrom
-// does, so the attempt is flushed at a coming barrier in canonical order.
+// portRetrans fires a retransmission timer on the source port's engine:
+// the recorded attempt rejoins the port's send log exactly as SendFrom logs
+// a first attempt (it was allocated by a flush and is freed here on the
+// engine's goroutine — the phases never overlap), so the attempt is
+// flushed in canonical order.
 type portRetrans struct{ p *ShardPort }
 
 func (h *portRetrans) OnEvent(arg any) {
 	p := h.p
 	r := arg.(*deferredSend)
 	p.pendingRetrans--
-	p.log = append(p.log, *r)
-	p.logDirty = true
-	if r.at < p.logMin {
-		p.logMin = r.at
-	}
+	*p.logSend(r.at, r.src) = *r
 	r.payload = nil
 	p.freeRetrans = append(p.freeRetrans, r)
-	p.eng.ClampRunLimit(r.at + p.nw.window - 1)
 }
 
-// finishX releases one transport delivery on this shard, marked as a replay
-// when the receiver identified a duplicate.
+// finishX releases one delivery to the destination handler, marked as a
+// replay when the transport's receiver identified a duplicate, and then
+// recycles the record.
 func (p *ShardPort) finishX(d *delivery, now sim.Time, replay bool) {
-	pkt, injected := d.pkt, d.injected
-	d.pkt = nil
-	p.freeDels = append(p.freeDels, d)
-
-	lat := now - injected
+	pkt := &d.pkt
+	lat := now - d.injected
 	p.stats.Packets++
 	p.stats.Flits += uint64(pkt.Flits)
 	p.stats.TotalLatency += lat
 	if lat > p.stats.MaxLatency {
 		p.stats.MaxLatency = lat
 	}
-	h := p.nw.handlers[pkt.Dst]
+	h := p.handlers[pkt.Dst]
 	if h == nil {
 		panic(fmt.Sprintf("mesh: no handler registered for node %d", pkt.Dst))
 	}
@@ -568,15 +454,13 @@ func (p *ShardPort) finishX(d *delivery, now sim.Time, replay bool) {
 	h(pkt)
 	pkt.Payload = nil
 	pkt.Replay = false
-	p.freePkts = append(p.freePkts, pkt)
+	p.freeDels = append(p.freeDels, d)
 }
 
-// discardX recycles a refused delivery on this shard.
+// discardX recycles a delivery the receiver refused (checksum failure or
+// duplicate-of-held) without invoking the handler.
 func (p *ShardPort) discardX(d *delivery) {
-	pkt := d.pkt
-	d.pkt = nil
+	d.pkt.Payload = nil
+	d.pkt.Replay = false
 	p.freeDels = append(p.freeDels, d)
-	pkt.Payload = nil
-	pkt.Replay = false
-	p.freePkts = append(p.freePkts, pkt)
 }

@@ -7,22 +7,23 @@ import (
 	"limitless/internal/sim"
 )
 
-// newLossyTest builds a sequential-engine network with the reliable
-// transport armed under the given fault config (loss rates must be nonzero).
-func newLossyTest(t *testing.T, w, h int, fc fault.Config) (*sim.Engine, *Network) {
+// newLossyTest builds a one-engine network with the reliable transport
+// armed under the given fault config (loss rates must be nonzero) and
+// returns the engine, the network and its one port.
+func newLossyTest(t *testing.T, w, h int, fc fault.Config) (*sim.Engine, *Network, *ShardPort) {
 	t.Helper()
 	eng := sim.New()
-	nw := New(eng, DefaultConfig(w, h))
+	nw := New(DefaultConfig(w, h))
 	plan := fault.New(fc)
 	if plan == nil {
 		t.Fatal("fault config produced a nil plan")
 	}
 	nw.EnableTransport(plan, nw.Config().MinPacketLatency(2), 0)
-	return eng, nw
+	return eng, nw, onePort(eng, nw)
 }
 
 func TestTransportInOrderDeliveryUnderDrops(t *testing.T) {
-	eng, nw := newLossyTest(t, 4, 4, fault.Config{Seed: 11, DropRate: 0.4})
+	eng, nw, p := newLossyTest(t, 4, 4, fault.Config{Seed: 11, DropRate: 0.4})
 	src, dst := NodeID(0), NodeID(5)
 	const n = 60
 	var got []uint64
@@ -35,7 +36,7 @@ func TestTransportInOrderDeliveryUnderDrops(t *testing.T) {
 		got = append(got, p.Payload.(uint64))
 	})
 	for i := 0; i < n; i++ {
-		nw.Send(&Packet{Src: src, Dst: dst, Flits: 2, Payload: uint64(i)})
+		p.SendFrom(src, dst, 2, uint64(i))
 	}
 	eng.Run()
 	if len(got) != n {
@@ -71,7 +72,7 @@ func TestTransportInOrderDeliveryUnderDrops(t *testing.T) {
 }
 
 func TestTransportCorruptionDetectedAndRecovered(t *testing.T) {
-	eng, nw := newLossyTest(t, 4, 4, fault.Config{Seed: 7, CorruptRate: 0.5})
+	eng, nw, p := newLossyTest(t, 4, 4, fault.Config{Seed: 7, CorruptRate: 0.5})
 	src, dst := NodeID(2), NodeID(13)
 	const n = 40
 	delivered := 0
@@ -81,7 +82,7 @@ func TestTransportCorruptionDetectedAndRecovered(t *testing.T) {
 		}
 	})
 	for i := 0; i < n; i++ {
-		nw.Send(&Packet{Src: src, Dst: dst, Flits: 2})
+		p.SendFrom(src, dst, 2, nil)
 	}
 	eng.Run()
 	if delivered != n {
@@ -102,7 +103,7 @@ func TestTransportCorruptionDetectedAndRecovered(t *testing.T) {
 }
 
 func TestTransportBudgetExhaustionReportsStuckLink(t *testing.T) {
-	eng, nw := newLossyTest(t, 4, 4, fault.Config{
+	eng, nw, p := newLossyTest(t, 4, 4, fault.Config{
 		Seed: 3, DropRate: 1, RetransTimeout: 16, RetransMax: 3})
 	src, dst := NodeID(1), NodeID(14)
 	nw.Register(dst, func(p *Packet) { t.Fatal("drop=1 must never deliver") })
@@ -113,7 +114,7 @@ func TestTransportBudgetExhaustionReportsStuckLink(t *testing.T) {
 			t.Fatalf("stuck link %d->%d, want %d->%d", s.Src, s.Dst, src, dst)
 		}
 	})
-	nw.Send(&Packet{Src: src, Dst: dst, Flits: 2})
+	p.SendFrom(src, dst, 2, nil)
 	eng.Run()
 	if fired != 1 {
 		t.Fatalf("onStuck fired %d times, want 1", fired)
@@ -142,9 +143,10 @@ func TestTransportBudgetExhaustionReportsStuckLink(t *testing.T) {
 func TestTransportDeterministicRerun(t *testing.T) {
 	run := func() ([]sim.Time, TransportStats) {
 		eng := sim.New()
-		nw := New(eng, DefaultConfig(4, 4))
+		nw := New(DefaultConfig(4, 4))
 		nw.EnableTransport(fault.New(fault.Config{Seed: 21, DropRate: 0.3, CorruptRate: 0.2}),
 			nw.Config().MinPacketLatency(2), 0)
+		p := onePort(eng, nw)
 		var times []sim.Time
 		for d := NodeID(0); d < 16; d++ {
 			d := d
@@ -155,7 +157,7 @@ func TestTransportDeterministicRerun(t *testing.T) {
 			})
 		}
 		for i := 0; i < 50; i++ {
-			nw.Send(&Packet{Src: NodeID(i % 16), Dst: NodeID((i * 7) % 16), Flits: 2})
+			p.SendFrom(NodeID(i%16), NodeID((i*7)%16), 2, nil)
 		}
 		eng.Run()
 		return times, nw.TransportStats()
@@ -176,8 +178,7 @@ func TestTransportDeterministicRerun(t *testing.T) {
 }
 
 func TestEnableTransportRequiresLoss(t *testing.T) {
-	eng := sim.New()
-	nw := New(eng, DefaultConfig(4, 4))
+	nw := New(DefaultConfig(4, 4))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("EnableTransport without a loss class must panic")

@@ -24,13 +24,14 @@ func newProcRig(t *testing.T, nodes int, contexts int, params coherence.Params) 
 	t.Helper()
 	eng := sim.New()
 	params.Nodes = nodes
-	nw := mesh.New(eng, mesh.DefaultConfig(nodes, 1))
+	nw := mesh.New(mesh.DefaultConfig(nodes, 1))
+	port := nw.ShardPorts([]*sim.Engine{eng}, make([]int, nodes), 1)[0]
 	r := &procRig{eng: eng}
 	for id := mesh.NodeID(0); int(id) < nodes; id++ {
 		c := cache.New(cache.Config{Lines: 64, BlockWords: params.BlockWords})
-		cc := coherence.NewCacheController(eng, nw, id, params, coherence.HomeOf, c)
+		cc := coherence.NewCacheController(eng, port, id, params, coherence.HomeOf, c)
 		p := proc.New(eng, cc, params.Timing, contexts)
-		mc := coherence.NewMemoryController(eng, nw, id, params, p)
+		mc := coherence.NewMemoryController(eng, port, id, params, p)
 		p.Attach(mc, swdir.New(mc))
 		r.procs = append(r.procs, p)
 		r.ccs = append(r.ccs, cc)

@@ -134,6 +134,11 @@ type Engine struct {
 
 	// abort permanently halts event execution (see Abort).
 	abort bool
+
+	// hook is the end-of-cycle hook (see SetCycleHook); hookArmed records
+	// that it must run before the engine leaves the current cycle.
+	hook      func()
+	hookArmed bool
 }
 
 // New returns an engine with the clock at cycle 0, using the timing-wheel
@@ -253,6 +258,29 @@ func WindowSeq(cycle Time, flush bool, ctr uint32) uint64 {
 		s |= 1 << seqPhaseShift
 	}
 	return s
+}
+
+// SetCycleHook installs fn as the engine's end-of-cycle hook. The hook is
+// not an event: it runs only in a cycle that armed it (ArmCycleHook), once,
+// after every event and parked pend of that cycle — including any scheduled
+// into the cycle while it runs — and before the engine executes anything
+// later, or before a run whose queue has drained returns. Processed does
+// not count it, and the wheel and the heap run it at the same point of the
+// (deadline, sequence) order. The hook may schedule events, and anything it
+// schedules draws its sequence key after every event allocated during the
+// cycle and before any allocated during a later one; this is what lets a
+// one-engine network claim a whole cycle's sends in one canonical batch.
+func (e *Engine) SetCycleHook(fn func()) { e.hook = fn }
+
+// ArmCycleHook requests one run of the installed end-of-cycle hook at the
+// end of the current cycle; arming it again within the cycle changes
+// nothing. The engine must have a hook.
+func (e *Engine) ArmCycleHook() { e.hookArmed = true }
+
+// runHook disarms and runs the end-of-cycle hook.
+func (e *Engine) runHook() {
+	e.hookArmed = false
+	e.hook()
 }
 
 // Now returns the current simulation time.
@@ -454,7 +482,7 @@ func (e *Engine) fireSlot() {
 // stamps it with deadline t, leaving the sequence key to the caller.
 func (e *Engine) allocEvent(t Time) *Event {
 	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
+		e.pastPanic(t)
 	}
 	var ev *Event
 	if n := len(e.free); n > 0 {
@@ -468,36 +496,45 @@ func (e *Engine) allocEvent(t Time) *Event {
 	return ev
 }
 
+// pastPanic reports an attempt to schedule before the clock. It is out of
+// line so that the scheduling fast path stays small.
+func (e *Engine) pastPanic(t Time) {
+	panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
+}
+
 // nextSeq draws the next sequence key: cycle-tagged in windowed mode,
 // plain monotone otherwise. Events and parked pends share the counter, so
 // the merged dispatch order is identical to the all-events schedule.
 func (e *Engine) nextSeq() uint64 {
 	if e.cycleSeq {
-		if e.now != e.seqCycle {
-			e.seqCycle = e.now
-			e.cycleCtr = 0
-		}
-		s := WindowSeq(e.now, false, e.cycleCtr)
-		e.cycleCtr++
-		return s
+		return e.nextCycleSeq()
 	}
 	s := e.seq
 	e.seq++
 	return s
 }
 
-// alloc stamps a fresh event with deadline t and the next sequence number.
-func (e *Engine) alloc(t Time) *Event {
-	ev := e.allocEvent(t)
-	ev.seq = e.nextSeq()
-	return ev
+// nextCycleSeq draws the next cycle-tagged key: the per-cycle counter
+// restarts whenever the clock has moved since the last draw.
+func (e *Engine) nextCycleSeq() uint64 {
+	if e.now != e.seqCycle {
+		e.seqCycle = e.now
+		e.cycleCtr = 0
+	}
+	s := WindowSeq(e.now, false, e.cycleCtr)
+	e.cycleCtr++
+	return s
 }
 
-// enqueue files a stamped event with the active scheduler.
+// enqueue files a stamped event with the active scheduler. An event inside
+// the wheel's horizon, the common case, goes straight into its bucket.
 func (e *Engine) enqueue(ev *Event) {
-	if e.useHeap {
+	switch {
+	case e.useHeap:
 		e.heap.push(ev)
-	} else {
+	case ev.at-e.wh.base < wheelSpan:
+		e.wh.ringInsert(ev)
+	default:
 		e.wh.schedule(ev)
 	}
 	e.queued++
@@ -518,7 +555,8 @@ func (e *Engine) release(ev *Event) {
 // At schedules fn to run at absolute cycle t. Scheduling in the past
 // panics: it would silently reorder causality.
 func (e *Engine) At(t Time, fn func()) EventRef {
-	ev := e.alloc(t)
+	ev := e.allocEvent(t)
+	ev.seq = e.nextSeq()
 	ev.fn = fn
 	e.enqueue(ev)
 	return EventRef{ev, ev.gen}
@@ -535,7 +573,8 @@ func (e *Engine) After(delay Time, fn func()) EventRef {
 // AtHandler schedules h.OnEvent(arg) at absolute cycle t without allocating
 // a closure. Pass pointer-shaped args to keep the call allocation-free.
 func (e *Engine) AtHandler(t Time, h Handler, arg any) EventRef {
-	ev := e.alloc(t)
+	ev := e.allocEvent(t)
+	ev.seq = e.nextSeq()
 	ev.h = h
 	ev.arg = arg
 	e.enqueue(ev)
@@ -589,8 +628,15 @@ func (e *Engine) Cancel(r EventRef) {
 // Step executes the single earliest pending action — scheduled event or
 // parked pend — advancing the clock to its deadline. It reports false when
 // nothing remains. The event object is recycled before the callback runs,
-// so the callback can immediately schedule into the freed slot.
+// so the callback can immediately schedule into the freed slot. An armed
+// end-of-cycle hook runs first when the next action lies in a later cycle
+// or nothing remains; it is not the step.
 func (e *Engine) Step() bool {
+	if e.hookArmed {
+		if t, ok := e.NextEventTime(); !ok || t > e.now {
+			e.runHook()
+		}
+	}
 	if !e.useHeap {
 		return e.stepWheel()
 	}
@@ -653,19 +699,27 @@ func (e *Engine) RunUntil(limit Time) Time {
 // runHeap is the heap scheduler's run loop: it merges the event heap and
 // the pend heap in (deadline, sequence) order, dispatching whichever is
 // earlier until both are past the run limit. It returns the next pending
-// deadline (Forever when everything drained), mirroring runWheel.
+// deadline (Forever when everything drained), mirroring runWheel, and runs
+// an armed end-of-cycle hook exactly where runWheel does.
 func (e *Engine) runHeap() Time {
 	for {
-		var next Time
-		var pend bool
+		next := Forever
+		var pend, empty bool
 		switch {
 		case len(e.heap) == 0 && e.pq.count == 0:
-			return Forever
+			empty = true
 		case len(e.heap) == 0 || e.pq.minAt < e.heap[0].at ||
 			(e.pq.minAt == e.heap[0].at && e.pq.minSeq < e.heap[0].seq):
 			next, pend = e.pq.minAt, true
 		default:
 			next = e.heap[0].at
+		}
+		if e.hookArmed && (empty || next > e.now) {
+			e.runHook()
+			continue
+		}
+		if empty {
+			return Forever
 		}
 		if next > e.runLimit {
 			return next

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -290,5 +291,88 @@ func TestForeverIsLaterThanAnything(t *testing.T) {
 	e.RunUntil(Forever)
 	if e.Pending() != 0 {
 		t.Fatal("RunUntil(Forever) left events queued")
+	}
+}
+
+// hookTrace runs a small script against an engine with an end-of-cycle
+// hook and returns its execution log. Cycle 1 holds two events, a pend and
+// an event one of them schedules into the same cycle; the first event arms
+// the hook, and the hook schedules an event two cycles out. Cycle 5's event
+// arms it again as the run's last action, so a drained RunUntil must run
+// the hook before it returns.
+func hookTrace(t *testing.T, kind SchedulerKind) ([]string, uint64) {
+	t.Helper()
+	e := New()
+	e.SetScheduler(kind)
+	var log []string
+	add := func(s string) { log = append(log, fmt.Sprintf("%s@%d", s, e.Now())) }
+	e.SetCycleHook(func() {
+		add("hook")
+		if e.Now() == 1 {
+			e.At(e.Now()+2, func() { add("fromhook") })
+		}
+	})
+	p := NewPend(func() { add("pend") })
+	e.At(1, func() {
+		add("a")
+		e.ArmCycleHook()
+		e.At(1, func() { add("child") })
+		e.ArmCycleHook() // arming twice in a cycle still runs the hook once
+	})
+	e.At(1, func() { add("b") })
+	e.Park(p, 1)
+	e.At(5, func() {
+		add("c")
+		e.ArmCycleHook()
+	})
+	if end := e.RunUntil(4); end != 3 {
+		t.Fatalf("%v: RunUntil(4) ended at %d, want 3", kind, end)
+	}
+	add("paused")
+	e.Run()
+	add("drained")
+	return log, e.Processed()
+}
+
+// TestCycleHook: the end-of-cycle hook runs once per armed cycle, after
+// every event and pend of that cycle (including events scheduled into the
+// cycle), before anything later and before a drained run returns. What it
+// schedules runs in the same run, and Processed does not count it. The
+// wheel and the heap run it at the same points.
+func TestCycleHook(t *testing.T) {
+	want := []string{"a@1", "b@1", "pend@1", "child@1", "hook@1", "fromhook@3",
+		"paused@3", "c@5", "hook@5", "drained@5"}
+	for _, kind := range []SchedulerKind{SchedWheel, SchedHeap} {
+		got, processed := hookTrace(t, kind)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%v: trace %v, want %v", kind, got, want)
+		}
+		if processed != 6 {
+			t.Errorf("%v: processed %d, want 6 (the hook is not an event)", kind, processed)
+		}
+	}
+}
+
+// TestCycleHookStep: Step runs an armed hook before it executes an action
+// of a later cycle, and when nothing remains, without counting it as the
+// step.
+func TestCycleHookStep(t *testing.T) {
+	for _, kind := range []SchedulerKind{SchedWheel, SchedHeap} {
+		e := New()
+		e.SetScheduler(kind)
+		var log []string
+		e.SetCycleHook(func() { log = append(log, fmt.Sprintf("hook@%d", e.Now())) })
+		e.At(2, func() { log = append(log, "x@2"); e.ArmCycleHook() })
+		e.At(2, func() { log = append(log, "y@2") })
+		e.At(4, func() { log = append(log, "z@4"); e.ArmCycleHook() })
+		for e.Step() {
+		}
+		want := "[x@2 y@2 hook@2 z@4 hook@4]"
+		if got := fmt.Sprint(log); got != want {
+			t.Errorf("%v: stepped trace %s, want %s", kind, got, want)
+		}
+		if e.Processed() != 3 {
+			t.Errorf("%v: processed %d, want 3", kind, e.Processed())
+		}
 	}
 }

@@ -42,12 +42,21 @@ const (
 // the window mode: window boundaries are derived from partition-independent
 // quantities, deferred sends are flushed in one canonical (send cycle,
 // source, program order) sequence regardless of how windows carve it into
-// batches, and the flush callback runs alone between windows. A
-// ShardedEngine over one engine is the sequential reference for the same
-// windowed semantics. Each engine has its own runner: the coordinator (the
-// goroutine calling Run) executes engine 0 and goroutine r executes engine
-// r, so the caller buys parallelism by partitioning its model into one
-// engine per goroutine it wants, and one engine never starts a goroutine.
+// batches, and the flush callback runs alone between windows. Each engine
+// has its own runner: the coordinator (the goroutine calling Run) executes
+// engine 0 and goroutine r executes engine r, so the caller buys
+// parallelism by partitioning its model into one engine per goroutine it
+// wants.
+//
+// A ShardedEngine over one engine runs no windows and starts no goroutine:
+// it runs that engine straight through, and the model flushes its deferred
+// sends from the engine's end-of-cycle hook (SetCycleHook) instead of from
+// the flush callback, which is never invoked. Flushing every cycle's sends
+// at the end of that cycle claims them in the same canonical order as the
+// windowed flush, and numbers the deliveries after every event allocated
+// during the send cycle and before any allocated during a later one — the
+// order the windowed flush's cycle-tagged keys encode — so one engine gives
+// the same results as any number of windowed shards.
 //
 // The model side of the contract, in adaptive mode:
 //
@@ -175,12 +184,19 @@ func (s *ShardedEngine) Run() Time { return s.run(Forever) }
 // Engine.RunUntil, and returns the time of the last executed event.
 func (s *ShardedEngine) RunUntil(limit Time) Time { return s.run(limit) }
 
-// Abort permanently stops the window loop: the run in progress returns at
-// the current barrier and later runs return immediately. It may only be
-// called from a single-threaded context — the flush callback or between
-// runs — never from inside a shard's event execution. The machine's
-// reliable transport aborts a run whose retransmit budget is exhausted.
-func (s *ShardedEngine) Abort() { s.aborted = true }
+// Abort permanently stops the window loop and every engine: the run in
+// progress returns at the current barrier (over one engine, at the end of
+// the current cycle) and later runs return immediately. It may only be
+// called from a single-threaded context — the flush callback, a one-engine
+// driver's end-of-cycle hook, or between runs — never from inside a
+// windowed shard's event execution. The machine's reliable transport aborts
+// a run whose retransmit budget is exhausted.
+func (s *ShardedEngine) Abort() {
+	s.aborted = true
+	for _, e := range s.engines {
+		e.Abort()
+	}
+}
 
 // Aborted reports whether Abort was called.
 func (s *ShardedEngine) Aborted() bool { return s.aborted }
@@ -194,6 +210,9 @@ func (s *ShardedEngine) held() Time {
 }
 
 func (s *ShardedEngine) run(limit Time) Time {
+	if len(s.engines) == 1 {
+		return s.engines[0].RunUntil(limit)
+	}
 	// Refresh the deadline cache: events may have been scheduled between
 	// runs (model setup, a previous partial run) behind our back. Within
 	// the loop the cache is maintained incrementally — runners publish

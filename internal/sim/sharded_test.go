@@ -122,6 +122,8 @@ func TestNextEventTime(t *testing.T) {
 // rounds, and each round sends a "message" to two other nodes, deferred to
 // the window barrier and delivered after exactly `latency` cycles. It
 // exercises the full window/flush/insert machinery without the mesh on top.
+// Over one engine it flushes from the end-of-cycle hook instead, as a
+// one-port network does.
 // State obeys the sharding discipline: every mutable slice has a single
 // writing goroutine (per-node traces and rounds written only by the node's
 // shard, per-shard send logs written only by that shard, and the merge
@@ -141,8 +143,13 @@ func newShardedHarness(nodes, shards int, latency Time, rounds int) *shardedHarn
 	h := &shardedHarness{latency: latency, logs: make([][][3]Time, shards)}
 	for i := 0; i < shards; i++ {
 		e := New()
-		e.SetCycleSeq(true)
+		e.SetCycleSeq(shards > 1)
 		h.engines = append(h.engines, e)
+	}
+	if shards == 1 {
+		e := h.engines[0]
+		mins := []Time{Forever}
+		e.SetCycleHook(func() { h.flush(e.Now()+1, mins) })
 	}
 	h.traces = make([][]string, nodes)
 	for n := 0; n < nodes; n++ {
@@ -168,8 +175,12 @@ func (h *shardedHarness) receive(node int) {
 	h.logs[shard] = append(h.logs[shard], [3]Time{e.Now(), Time(node), Time((node + 1) % n)})
 	h.logs[shard] = append(h.logs[shard], [3]Time{e.Now(), Time(node), Time((node + 3) % n)})
 	// The model contract: a deferred send caps the sending shard's run one
-	// lookahead past the send cycle.
-	e.ClampRunLimit(e.Now() + h.latency - 1)
+	// lookahead past the send cycle; one engine arms its flush instead.
+	if len(h.engines) == 1 {
+		e.ArmCycleHook()
+	} else {
+		e.ClampRunLimit(e.Now() + h.latency - 1)
+	}
 }
 
 // heldMin is the harness's deferred-send probe.
@@ -188,7 +199,8 @@ func (h *shardedHarness) heldMin() Time {
 func (h *shardedHarness) flush(before Time, mins []Time) {
 	// Mirror mesh.FlushWindow: gather the sends below the threshold, keep
 	// the rest logged, stable-sort the batch by (send time, source), insert
-	// under barrier-phase keys, and report the earliest insertion per shard.
+	// under barrier-phase keys (one engine: its own numbering), and report
+	// the earliest insertion per shard.
 	buf := h.buf[:0]
 	for s := range h.logs {
 		kept := h.logs[s][:0]
@@ -222,7 +234,12 @@ func (h *shardedHarness) flush(before Time, mins []Time) {
 			panic("harness lookahead violation")
 		}
 		node := to
-		h.engineOf(node).AtHandlerSeq(deliver, WindowSeq(at, true, ctr), fnHandler(func(any) { h.receive(node) }), nil)
+		recv := fnHandler(func(any) { h.receive(node) })
+		if len(h.engines) == 1 {
+			h.engines[0].AtHandler(deliver, recv, nil)
+		} else {
+			h.engineOf(node).AtHandlerSeq(deliver, WindowSeq(at, true, ctr), recv, nil)
+		}
 		ctr++
 		if sh := h.nodeOf[node]; deliver < mins[sh] {
 			mins[sh] = deliver
@@ -251,9 +268,11 @@ func (h *shardedHarness) run(mode WindowMode) ([][]string, Time) {
 }
 
 // TestShardedEngineDeterministicAcrossShards: every shard count, each
-// shard on its own runner, executes the one-shard reference's events at the
-// same cycles in the same order, in both window modes. A run starts one
-// goroutine per engine beyond the coordinator, so one engine starts none.
+// shard on its own runner, executes the one-engine reference's events at
+// the same cycles in the same order, in both window modes: the end-of-cycle
+// flush with plain keys and the windowed flush with cycle-tagged keys give
+// one order. A run starts one goroutine per engine beyond the coordinator,
+// so one engine starts none.
 func TestShardedEngineDeterministicAcrossShards(t *testing.T) {
 	ref, refEnd := newShardedHarness(8, 1, 4, 20).run(WindowFixed)
 	total := 0

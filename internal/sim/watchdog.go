@@ -95,6 +95,9 @@ func (s *ShardedEngine) maxNow() Time {
 // completely and its deferred sends flush in canonical order), so a
 // guarded windowed run is bit-identical to an unguarded one.
 func (s *ShardedEngine) RunGuarded(w Watchdog, limit Time) (Time, bool) {
+	if len(s.engines) == 1 {
+		return s.engines[0].RunGuarded(w, limit)
+	}
 	if !w.enabled() {
 		return s.run(limit), false
 	}

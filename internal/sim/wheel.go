@@ -317,12 +317,22 @@ func (e *Engine) stepWheel() bool {
 // The return value is the next pending deadline past the limit (Forever
 // when everything drained) — the exit probe doubles as the follow-up
 // NextEventTime the windowed driver would otherwise repeat.
+//
+// An armed end-of-cycle hook runs as soon as the cycle is over: right after
+// a drained bucket when nothing else is parked at its cycle, so the next
+// probe already sees what the hook scheduled, and otherwise as soon as the
+// probe finds nothing left in the current cycle, before any later action
+// and before any return, followed by a fresh probe.
 func (e *Engine) runWheel() Time {
 	w := &e.wh
 	for {
 		t, ok := w.next()
 		if !ok {
 			t = Forever
+		}
+		if e.hookArmed && (min(t, e.pq.minAt) > e.now || !ok && e.pq.count == 0) {
+			e.runHook()
+			continue
 		}
 		if e.pq.minAt < t {
 			// A whole cohort of pends precedes every scheduled event: batch-
@@ -387,6 +397,10 @@ func (e *Engine) runWheel() Time {
 		b.reset()
 		if b.live == 0 {
 			w.clearOcc(idx)
+		}
+		if e.hookArmed {
+			// Bucket drained and no pend left at t: cycle t is over.
+			e.runHook()
 		}
 	}
 }

@@ -8,11 +8,12 @@ import (
 // --- scheduler equivalence harness ---
 //
 // Both schedulers implement the same contract: events fire in exactly
-// ascending (deadline, sequence) order. The harness interprets a byte
-// stream as a schedule/cancel/step/drain program, replays it through an
-// engine, and records every firing; replaying the same stream through the
-// wheel and the heap (and with pooling on and off, and with plain and
-// cycle-tagged sequencing) must produce identical firing logs, clocks, and
+// ascending (deadline, sequence) order, and an armed end-of-cycle hook runs
+// at the same point of that order. The harness interprets a byte stream as
+// a schedule/cancel/step/drain/arm program, replays it through an engine,
+// and records every firing and hook run; replaying the same stream through
+// the wheel and the heap (and with pooling on and off, and with plain and
+// cycle-tagged sequencing) must produce identical logs, clocks, and
 // counters. The fuzz target and the seeded randomized test below both
 // drive this harness.
 
@@ -35,6 +36,8 @@ type streamDriver struct {
 	refs   []EventRef
 	nextID int
 	ctr    uint32
+	hooks  int  // hook runs so far; logged as fires with negative ids
+	hookAt Time // delay of the event the next hook run schedules
 }
 
 func (d *streamDriver) schedule(delay Time) {
@@ -68,6 +71,13 @@ func runSchedStream(data []byte, kind SchedulerKind, cycleSeq, pooled bool) ([]f
 	e.SetPooling(pooled)
 	d := &streamDriver{e: e}
 	h := &idHandler{drv: d}
+	e.SetCycleHook(func() {
+		d.hooks++
+		d.fires = append(d.fires, fireRec{id: -d.hooks, at: e.Now()})
+		// Delay 0 schedules into the cycle the hook is closing, which must
+		// then run before anything later.
+		d.schedule(d.hookAt)
+	})
 
 	i := 0
 	next := func() byte {
@@ -80,7 +90,7 @@ func runSchedStream(data []byte, kind SchedulerKind, cycleSeq, pooled bool) ([]f
 	}
 	for i < len(data) {
 		op, arg := next(), next()
-		switch op % 8 {
+		switch op % 9 {
 		case 0, 1:
 			d.schedule(Time(arg & 63)) // near future: the ring hot path
 		case 2:
@@ -120,6 +130,9 @@ func runSchedStream(data []byte, kind SchedulerKind, cycleSeq, pooled bool) ([]f
 			} else {
 				d.schedule(Time(arg & 15))
 			}
+		case 8:
+			d.hookAt = Time(arg & 3)
+			d.e.ArmCycleHook()
 		}
 	}
 	e.Run()
@@ -174,6 +187,7 @@ func FuzzSchedulerEquivalence(f *testing.F) {
 	f.Add([]byte{0, 10, 3, 200, 4, 0, 5, 2})
 	f.Add([]byte{2, 0xff, 7, 3, 6, 100, 1, 63, 4, 1})
 	f.Add([]byte{3, 0xff, 3, 0x01, 0, 0, 5, 0, 4, 2, 6, 0xff})
+	f.Add([]byte{0, 5, 8, 0, 5, 1, 8, 2, 2, 0x21, 6, 9, 8, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			data = data[:4096]

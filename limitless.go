@@ -213,16 +213,16 @@ type Config struct {
 	ModifyGrant bool
 	// MaxCycles aborts a run that exceeds this many cycles (0 = no bound).
 	MaxCycles int64
-	// Shards, when positive, runs the simulation on the windowed sharded
+	// Shards, when above one, runs the simulation on the windowed sharded
 	// engine: the mesh is split into contiguous node tiles, each with its
 	// own event heap and its own goroutine, executed concurrently in
 	// conservative time windows (see DESIGN.md, "Parallel simulation").
 	// Shards is an upper bound: the machine builds one tile per shard
 	// worker, min(Shards, workers, processors) tiles, since only
-	// goroutines buy speed. Results are deterministic and bit-identical
-	// for every Shards >= 1 value; the default 0 keeps the sequential
-	// engine, whose same-cycle network arbitration differs, so its cycle
-	// counts form a separate deterministic baseline. Trace workloads
+	// goroutines buy speed; the default 0, like any Shards that leaves one
+	// tile, runs one engine. Results are deterministic and bit-identical
+	// for every Shards value: every build claims the network in the same
+	// canonical (send cycle, source) order. Trace workloads
 	// (FromTrace/FromEvents) share replay state across processors and
 	// refuse Shards > 1 as requested, even where one worker would build
 	// a single tile, so whether a run is accepted never depends on the
@@ -248,7 +248,7 @@ type Config struct {
 	// holds out; a link that exhausts rmax attempts halts the run with a
 	// structured diagnostic instead of hanging. The injected schedule
 	// depends only on the spec, never on the host, and is identical for
-	// every Shards >= 1 value.
+	// every Shards value.
 	Faults string
 	// WatchdogCycles, when positive, halts a run that makes no forward
 	// progress (no memory operation commits, no software handler finishes)

@@ -31,10 +31,10 @@ func runLossy(t testing.TB, cfg limitless.Config, label string) limitless.Result
 
 // TestLossEquivalenceMatrix is the loss-tolerance acceptance matrix: every
 // scheme, run under the full fault mix including drop and corrupt, must
-// complete SC-clean on both engines, and the sharded engine's results must
-// be bit-identical for every shard count — the retransmitting transport may
-// not leak partition-dependence into anything. Fixed windows and the heap
-// scheduler are spot-checked against the same pin.
+// complete SC-clean, rerun bit-identically, and give the same Result on one
+// engine and at every windowed shard count — the retransmitting transport
+// may not leak partition-dependence into anything. Fixed windows and the
+// heap scheduler are spot-checked against the same pin.
 func TestLossEquivalenceMatrix(t *testing.T) {
 	for _, scheme := range allSchemes(t) {
 		scheme := scheme
@@ -42,28 +42,19 @@ func TestLossEquivalenceMatrix(t *testing.T) {
 			base := limitless.Config{Procs: 16, Scheme: scheme, Pointers: 4,
 				TrapService: 50}
 
-			// Sequential engine: its arbitration differs from the sharded
-			// engine's, so it is its own deterministic baseline.
-			seq := runLossy(t, base, string(scheme)+"/sequential")
-			if seq.FaultStats.Drops == 0 || seq.FaultStats.Retransmits == 0 {
-				t.Errorf("sequential: loss classes never fired: %+v", seq.FaultStats)
-			}
-			if again := runLossy(t, base, string(scheme)+"/sequential-rerun"); again != seq {
-				t.Errorf("sequential rerun diverged:\n%+v\n%+v", seq, again)
-			}
-
-			shardCfg := base
-			shardCfg.Shards, shardCfg.ShardWorkers = 1, 1
-			ref := runLossy(t, shardCfg, string(scheme)+"/shards=1")
+			ref := runLossy(t, base, string(scheme)+"/shards=0")
 			if ref.FaultStats.Drops == 0 || ref.FaultStats.Retransmits == 0 {
-				t.Errorf("sharded: loss classes never fired: %+v", ref.FaultStats)
+				t.Errorf("loss classes never fired: %+v", ref.FaultStats)
+			}
+			if again := runLossy(t, base, string(scheme)+"/rerun"); again != ref {
+				t.Errorf("rerun diverged:\n%+v\n%+v", ref, again)
 			}
 			for _, shards := range []int{2, 4} {
 				cfg := base
 				cfg.Shards, cfg.ShardWorkers = shards, shards
 				got := runLossy(t, cfg, fmt.Sprintf("%s/shards=%d", scheme, shards))
 				if got != ref {
-					t.Errorf("shards=%d diverged from shards=1 under loss:\n got %+v\nwant %+v",
+					t.Errorf("shards=%d diverged from Shards=0 under loss:\n got %+v\nwant %+v",
 						shards, got, ref)
 				}
 			}
@@ -79,6 +70,39 @@ func TestLossEquivalenceMatrix(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLossMigratoryAllSchemes is the regression matrix for a chained walk
+// that reached a reader whose RDATA was still in flight: every scheme runs
+// the migratory token ring, whose readers spin on a flag while a writer's
+// invalidation walks them, under a single drop class and under the full
+// lossy mix. Every run must complete SC-clean within the cycle bound (the
+// bug left readers spinning on stale copies forever) and give the same
+// Result on one engine and on two and four windowed shards.
+func TestLossMigratoryAllSchemes(t *testing.T) {
+	for _, scheme := range allSchemes(t) {
+		for _, faults := range []string{"7:drop=0.02", lossSpec} {
+			var ref limitless.Result
+			for i, shards := range []int{0, 2, 4} {
+				cfg := limitless.Config{Procs: 16, Scheme: scheme, Pointers: 4, TrapService: 50,
+					Faults: faults, Verify: true, WatchdogCycles: 1_000_000, MaxCycles: 1_000_000,
+					Shards: shards, ShardWorkers: shards}
+				label := fmt.Sprintf("%s/%s/shards=%d", scheme, faults, shards)
+				res, err := limitless.Run(cfg, limitless.Migratory(16, 2))
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if res.Violations != 0 {
+					t.Fatalf("%s: %d protocol violations", label, res.Violations)
+				}
+				if i == 0 {
+					ref = res
+				} else if res != ref {
+					t.Errorf("%s diverged from Shards=0:\n got %+v\nwant %+v", label, res, ref)
+				}
+			}
+		}
 	}
 }
 

@@ -52,13 +52,13 @@ func runOracles(t testing.TB, cfg limitless.Config, mk func() limitless.Workload
 
 func weather16() limitless.Workload { return limitless.Weather(16) }
 
-// oracleMatrix runs Weather at P=16 under mask on every scheme, on the
-// sequential engine and at 1, 2 and 4 shards, each shard on its own worker.
+// oracleMatrix runs Weather at P=16 under mask on every scheme, on one
+// engine and at 2 and 4 windowed shards, each shard on its own worker.
 func oracleMatrix(t *testing.T, mask machine.Oracles) {
 	for _, scheme := range allSchemes(t) {
 		scheme := scheme
 		t.Run(string(scheme), func(t *testing.T) {
-			for _, shards := range []int{0, 1, 2, 4} {
+			for _, shards := range []int{0, 2, 4} {
 				cfg := limitless.Config{Procs: 16, Scheme: scheme, Pointers: 4, TrapService: 50,
 					Verify: true, Shards: shards, ShardWorkers: shards}
 				runOracles(t, cfg, weather16, mask, fmt.Sprintf("%s/shards=%d", scheme, shards))
@@ -73,15 +73,15 @@ func TestProcModeEquivalence(t *testing.T)    { oracleMatrix(t, machine.OracleEv
 func TestWindowModeEquivalence(t *testing.T)  { oracleMatrix(t, machine.OracleFixedWindows) }
 func TestAllOraclesEquivalence(t *testing.T)  { oracleMatrix(t, machine.AllOracles) }
 
-// oraclePins holds the canonical Weather P=16 pins — 10423 cycles on the
-// sequential engine, 10411 at four shards on four workers — on the fast
-// paths, under bit alone and under every oracle at once.
+// oraclePins holds the canonical Weather P=16 pin — 10411 cycles on one
+// engine and at four shards on four workers — on the fast paths, under bit
+// alone and under every oracle at once.
 func oraclePins(t *testing.T, bit machine.Oracles) {
 	for _, mask := range []machine.Oracles{bit, machine.AllOracles} {
 		for _, pin := range []struct {
 			shards int
 			want   int64
-		}{{0, 10423}, {4, 10411}} {
+		}{{0, 10411}, {4, 10411}} {
 			cfg := limitless.Config{Procs: 16, Scheme: limitless.LimitLESS, Pointers: 4, TrapService: 50,
 				Verify: true, Shards: pin.shards, ShardWorkers: pin.shards}
 			res := runOracles(t, cfg, weather16, mask, fmt.Sprintf("shards=%d", pin.shards))
@@ -97,9 +97,9 @@ func TestProcModePins(t *testing.T)    { oraclePins(t, machine.OracleEventProc) 
 
 // oracleTrial builds one random configuration and workload from fuzz bytes
 // and checks it under the bits of must plus the nonzero mask maskB picks.
-// Its axes are scheme, four workloads, engine (sequential, or two or four
-// shards on as many workers), pointers, T_s, ModifyGrant and one or two
-// hardware contexts.
+// Its axes are scheme, four workloads, engine (one engine, or two or four
+// windowed shards on as many workers), pointers, T_s, ModifyGrant and one
+// or two hardware contexts.
 func oracleTrial(t testing.TB, must machine.Oracles, maskB, schemeB, wlB, shardsB, knobsB byte) {
 	mask := must | machine.Oracles(1+int(maskB)%int(machine.AllOracles))
 	schemes := allSchemes(t)
@@ -166,7 +166,7 @@ func TestWindowModeEquivalenceRandom(t *testing.T) {
 // fuzzOracles lets the fuzzer pick the mask (always including must), the
 // scheme, the workload, the engine and the protocol knobs.
 func fuzzOracles(f *testing.F, must machine.Oracles) {
-	f.Add(byte(14), byte(2), byte(0), byte(0), byte(0x42))   // all oracles, limitless/weather/sequential
+	f.Add(byte(14), byte(2), byte(0), byte(0), byte(0x42))   // all oracles, limitless/weather/one engine
 	f.Add(byte(0), byte(0), byte(1), byte(1), byte(0x10))    // heap, full-map/synthetic/2 shards
 	f.Add(byte(3), byte(5), byte(2), byte(0x11), byte(0xff)) // event proc, chained/migratory/4 shards
 	f.Add(byte(7), byte(3), byte(3), byte(2), byte(0x07))    // fixed windows, software-only/multigrid/4 shards

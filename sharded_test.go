@@ -10,12 +10,13 @@ import (
 
 // TestShardedEquivalenceAllSchemes is the cross-engine determinism table:
 // every directory scheme at P=16 must produce bit-identical Results — cycle
-// counts and all aggregated statistics — for Shards ∈ {1, 2, 4}, each shard
-// on its own worker. Shards=1 is the sequential execution of the windowed
-// semantics, so any divergence at 2 or 4 shards means the parallel engine
-// leaked nondeterminism (merge order, shared state, or a lookahead bug).
-// Run in CI under -race, where it doubles as the data-race probe for the
-// worker pool.
+// counts and all aggregated statistics — for Shards ∈ {0, 1, 2, 4}, each
+// shard on its own worker. Shards 0 and 1 build one engine that claims each
+// cycle's traffic at the end of the cycle; 2 and 4 run windowed shards. Any
+// divergence means the two builds disagree on the canonical claim order or
+// the parallel engine leaked nondeterminism (merge order, shared state, or
+// a lookahead bug). Run in CI under -race, where it doubles as the
+// data-race probe for the worker pool.
 func TestShardedEquivalenceAllSchemes(t *testing.T) {
 	schemes := []struct {
 		name     string
@@ -41,13 +42,13 @@ func TestShardedEquivalenceAllSchemes(t *testing.T) {
 				}
 				return res
 			}
-			ref := run(1)
+			ref := run(0)
 			if ref.Cycles == 0 || ref.Messages == 0 {
 				t.Fatalf("degenerate reference run: %+v", ref)
 			}
-			for _, shards := range []int{2, 4} {
+			for _, shards := range []int{1, 2, 4} {
 				if got := run(shards); got != ref {
-					t.Errorf("shards=%d diverged from the sequential engine:\n got %+v\nwant %+v",
+					t.Errorf("shards=%d diverged from Shards=0:\n got %+v\nwant %+v",
 						shards, got, ref)
 				}
 			}

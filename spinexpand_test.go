@@ -105,8 +105,8 @@ func flagAndCounter(nprocs int) limitless.Workload {
 }
 
 // TestSpinExpansionEquivalence is the correctness gate for running
-// spin-waits inside the processor: for every scheme, on the sequential and
-// sharded engines, and for every spinning workload — barriers (Weather,
+// spin-waits inside the processor: for every scheme, on one engine and on
+// two and four windowed shards, and for every spinning workload — barriers (Weather,
 // Multigrid, ProducerConsumer), the migratory token ring and a Custom
 // program — the Result must be bit-identical to the Next-level poll loop.
 func TestSpinExpansionEquivalence(t *testing.T) {
