@@ -167,22 +167,6 @@ func (h *processHandler) OnEvent(arg any) {
 	h.mc.process(src, m)
 }
 
-// OnEvents implements sim.BatchHandler: the timing wheel hands this
-// controller every message whose occupancy delay expires in the same cycle
-// through one call — one controller entry per (cycle, node) — instead of
-// one virtual dispatch per message. Processing order is the engine's exact
-// (deadline, sequence) order, so results are identical to OnEvent per arg.
-func (h *processHandler) OnEvents(args []any) {
-	mc := h.mc
-	for _, arg := range args {
-		a := arg.(*procArg)
-		src, m := a.src, a.msg
-		a.msg = nil
-		mc.freeArgs = append(mc.freeArgs, a)
-		mc.process(src, m)
-	}
-}
-
 // NewMemoryController builds the directory side of node id. The sink may
 // be nil for schemes that never trap (full-map, limited, private, chained).
 func NewMemoryController(eng *sim.Engine, nw *mesh.ShardPort, id mesh.NodeID, params Params, sink TrapSink) *MemoryController {

@@ -23,6 +23,15 @@ type BlockedOp struct {
 	Retries int
 }
 
+// SpinningCtx is one processor context halted inside a spin-wait: which
+// node, the address it polls and the value its last failed poll read. Its
+// polls all commit, so it never shows among the blocked operations.
+type SpinningCtx struct {
+	Node int
+	Addr directory.Addr
+	Last uint64
+}
+
 // EntryState snapshots a non-quiescent directory entry: one that is mid
 // transaction, interlocked for software, or holding an acknowledgment
 // count — the directory-side half of whatever wedged the machine.
@@ -50,6 +59,9 @@ type Diagnostic struct {
 	// Blocked lists the outstanding cache-side transactions, ordered by
 	// (node, block address).
 	Blocked []BlockedOp
+	// Spinning lists the contexts halted inside a spin-wait, ordered by
+	// (node, context).
+	Spinning []SpinningCtx
 	// Entries lists the non-quiescent directory entries, ordered by
 	// (home node, block address).
 	Entries []EntryState
@@ -97,6 +109,16 @@ func (d *Diagnostic) String() string {
 		fmt.Fprintf(&b, "    node %d %s addr=%#x issued=%d retries=%d\n",
 			op.Node, op.Type, uint64(op.Addr), op.Issued, op.Retries)
 	}
+	if len(d.Spinning) > 0 {
+		fmt.Fprintf(&b, "  spinning contexts: %d\n", len(d.Spinning))
+		for i, s := range d.Spinning {
+			if i == diagListCap {
+				fmt.Fprintf(&b, "    ... and %d more\n", len(d.Spinning)-i)
+				break
+			}
+			fmt.Fprintf(&b, "    node %d addr=%#x last=%d\n", s.Node, uint64(s.Addr), s.Last)
+		}
+	}
 	fmt.Fprintf(&b, "  non-quiescent directory entries: %d\n", len(d.Entries))
 	for i, e := range d.Entries {
 		if i == diagListCap {
@@ -131,6 +153,9 @@ func (m *Machine) buildDiagnostic(end sim.Time, reason string) *Diagnostic {
 				Issued: op.Issued, Retries: op.Retries,
 			})
 		}
+		n.Proc.Spins(func(addr directory.Addr, last uint64) {
+			d.Spinning = append(d.Spinning, SpinningCtx{Node: int(n.ID), Addr: addr, Last: last})
+		})
 		n.MC.Dir().ForEach(func(addr directory.Addr, e *directory.Entry) {
 			if e.State != directory.ReadTransaction && e.State != directory.WriteTransaction &&
 				e.Meta != directory.TransInProgress && e.AckCtr == 0 && e.Pending == 0 {

@@ -477,15 +477,15 @@ type FaultStats struct {
 func (r Result) AvgRemoteLatency() float64 { return r.Misses.AvgRemoteLatency() }
 
 // progress is the watchdog's forward-progress counter: committed memory
-// operations plus completed software-handler invocations. Retries and BUSY
-// bounces deliberately do not count, so a retry storm that commits nothing
-// trips the watchdog.
+// operations, a spin-wait counting once at its exit (proc.Progress), plus
+// completed software-handler invocations. Retries, BUSY bounces and polls
+// that fail their spin predicate deliberately do not count, so a retry
+// storm that commits nothing, or a spin on a value nobody writes, trips the
+// watchdog. Every term only grows, as RunGuarded requires.
 func (m *Machine) progress() uint64 {
 	var p uint64
 	for _, n := range m.Nodes {
-		ms := n.CC.Misses()
-		p += ms.Hits + ms.LocalMisses + ms.RemoteMisses
-		p += n.MC.Stats().SWHandled
+		p += n.Proc.Progress() + n.MC.Stats().SWHandled
 	}
 	return p
 }

@@ -129,3 +129,55 @@ func TestFaultPlanZeroRateInert(t *testing.T) {
 		t.Fatalf("zero-rate plan should be nil, got %+v", p)
 	}
 }
+
+// spinMachine builds a machine whose node 1 spins on a flag nobody ever
+// writes: every poll after the first hits in its cache, so the run is busy
+// with committed loads and makes no forward progress at all.
+func spinMachine(shards int) (*Machine, directory.Addr) {
+	cfg := Config{
+		Width: 4, Height: 4, Params: coherence.DefaultParams(16),
+		Shards:       shards,
+		ShardWorkers: shards,
+		Watchdog:     20_000,
+	}
+	m := New(cfg)
+	flag := Block(0, 1)
+	m.SetWorkload(1, 0, workload.NewThread(func(th *workload.Thread) {
+		th.SpinUntil(flag, func(v uint64) bool { return v == 1 }, 12,
+			func(_ uint64, th *workload.Thread) {})
+	}))
+	return m, flag
+}
+
+// TestWatchdogHaltsStaleSpin: polls that fail their spin predicate are not
+// progress, so a spin on a flag that never changes trips the watchdog one
+// interval into the run instead of running to the cycle limit (or, under
+// Run, forever), and the diagnostic names the spinning context.
+func TestWatchdogHaltsStaleSpin(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		m, flag := spinMachine(shards)
+		res, done := m.RunUntil(1_000_000)
+		d := m.Diagnostic()
+		if d == nil {
+			t.Fatalf("shards=%d: stale spin ran to cycle %d (done=%v) without a diagnostic", shards, res.Cycles, done)
+		}
+		if done || res.Cycles >= 2*20_000 {
+			t.Errorf("shards=%d: halted at cycle %d (done=%v), want a trip within two watchdog intervals", shards, res.Cycles, done)
+		}
+		if !strings.Contains(d.Reason, "watchdog") {
+			t.Errorf("shards=%d: reason %q does not name the watchdog", shards, d.Reason)
+		}
+		if len(d.Blocked) != 0 {
+			t.Errorf("shards=%d: blocked ops = %+v, want none (the spin's polls all commit)", shards, d.Blocked)
+		}
+		if len(d.Spinning) != 1 {
+			t.Fatalf("shards=%d: spinning contexts = %+v, want node 1 on %#x", shards, d.Spinning, uint64(flag))
+		}
+		if s := d.Spinning[0]; s.Node != 1 || s.Addr != flag || s.Last != 0 {
+			t.Errorf("shards=%d: spinning context = %+v, want node 1 on %#x, last value 0", shards, s, uint64(flag))
+		}
+		if s := d.String(); !strings.Contains(s, "spinning contexts: 1") {
+			t.Errorf("shards=%d: diagnostic dump does not list the spinning context:\n%s", shards, s)
+		}
+	}
+}

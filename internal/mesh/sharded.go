@@ -206,34 +206,17 @@ func (p *ShardPort) deliver(d *delivery, at sim.Time, seq uint64, seqKey bool) {
 }
 
 // OnEvent implements sim.Handler: it ejects one packet at its destination,
-// accounting stats to this port.
+// accounting stats to this port. Sequenced deliveries detour through this
+// port's receiver transport state (checksum, per-link order, duplicate
+// detection); everything else releases directly.
 func (p *ShardPort) OnEvent(arg any) {
-	p.eject1(arg, p.eng.Now())
-}
-
-// OnEvents implements sim.BatchHandler: every packet whose ejection lands
-// in the same cycle on this port's engine is delivered through one call,
-// saving a virtual dispatch and a clock read per packet. Ejection order is
-// the engine's (deadline, sequence) order, so delivery is identical to
-// OnEvent per arg.
-func (p *ShardPort) OnEvents(args []any) {
-	now := p.eng.Now()
-	for _, arg := range args {
-		p.eject1(arg, now)
-	}
-}
-
-// eject1 delivers one scheduled packet at cycle now. Sequenced deliveries
-// detour through this port's receiver transport state (checksum, per-link
-// order, duplicate detection); everything else releases directly.
-func (p *ShardPort) eject1(arg any, now sim.Time) {
 	d := arg.(*delivery)
 	p.inflight--
 	if d.kind == dSeq {
-		p.xr.receive(p, d, now)
+		p.xr.receive(p, d, p.eng.Now())
 		return
 	}
-	p.finishX(d, now, false)
+	p.finishX(d, p.eng.Now(), false)
 }
 
 // ShardPorts binds the network to the engines that run its nodes: nodeShard

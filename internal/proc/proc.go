@@ -98,14 +98,12 @@ type Mode uint8
 
 const (
 	// ModeFused (the default) parks each pipeline continuation — cache
-	// hits, issue cycles, compute slices, context switches — as an engine
-	// pend: a direct-dispatch slot co-scheduled with the event queue in
-	// exact (deadline, sequence) order but never allocated, bucketed, or
-	// pooled as an event. Chains of pipeline work below the next event
-	// cycle run back-to-back through the engine's fuse loop, and a
-	// continuation that lands among same-cycle events dispatches at
-	// precisely the queue position its event twin would have occupied, so
-	// fused runs are bit-identical to the event path.
+	// hits, issue cycles, compute slices, context switches — on the
+	// processor's one engine pend: an event the processor owns, so the
+	// chain never draws on or returns to the engine's event pool. The pend
+	// takes the sequence key its event twin would have drawn and fires
+	// from the same queue, at precisely the position that twin would have
+	// occupied, so fused runs are bit-identical to the event path.
 	ModeFused Mode = iota
 	// ModeEvent schedules one engine event per pipeline step — the
 	// original event-per-instruction path, kept as a cross-checked oracle.
@@ -151,6 +149,7 @@ type context struct {
 	hitVal      uint64         // committed value parked across the CacheHit latency
 	done        func(v uint64) // per-context completion callback, allocated once
 	spin        spinPhase      // spin-wait progress; pendingOp holds the spin load meanwhile
+	spinLast    uint64         // value the spin's last failed poll read
 }
 
 // spinPhase tracks a context through the poll loop of an OpLoad with Until.
@@ -183,10 +182,14 @@ type Processor struct {
 	stats    Stats
 	onIdle   func() // invoked when all contexts finish
 
+	// progress counts committed memory operations outside spin-waits plus
+	// one per spin exit (see Progress).
+	progress uint64
+
 	// The parked pipeline continuation (fused mode). Every pipeline step
 	// ends by handing exactly one continuation to sched, which parks it on
-	// the engine as simPend; the engine dispatches it in (deadline,
-	// sequence) order alongside the event queue. At most one continuation
+	// the engine as simPend; the engine fires it in (deadline, sequence)
+	// order like any other queued event. At most one continuation
 	// is ever outstanding — a chain is a chain — so a single slot
 	// suffices, and sched panics if it finds the slot occupied.
 	pend    pendAction
@@ -280,6 +283,9 @@ func New(eng *sim.Engine, cc *coherence.CacheController, timing coherence.Timing
 		c := &context{state: ctxFinished}
 		c.done = func(v uint64) {
 			c.prev = v
+			if c.spin == spinNone {
+				p.progress++
+			}
 			c.state = ctxReady
 			if !p.running {
 				p.dispatch()
@@ -314,6 +320,24 @@ func (p *Processor) SetFaultPlan(f *fault.Plan) { p.faults = f }
 // Done reports whether every context has run its workload to completion.
 func (p *Processor) Done() bool { return p.finished == len(p.contexts) }
 
+// Progress returns the processor's forward-progress count: committed
+// memory operations, except that a spin-wait counts once, when its
+// predicate holds — a poll that fails it changes nothing the program can
+// act on, so a spin on a value nobody writes never counts. The count only
+// grows.
+func (p *Processor) Progress() uint64 { return p.progress }
+
+// Spins calls fn for each context inside a spin-wait, in context order,
+// with the polled address and the value the spin's last failed poll read
+// (0 before any poll has failed).
+func (p *Processor) Spins(fn func(addr directory.Addr, last uint64)) {
+	for _, c := range p.contexts {
+		if c.spin != spinNone {
+			fn(c.pendingOp.Addr, c.spinLast)
+		}
+	}
+}
+
 // SetWorkload binds a workload to hardware context slot. It resets the
 // slot's completion state; call before Start.
 func (p *Processor) SetWorkload(slot int, wl Workload) {
@@ -341,7 +365,7 @@ func (p *Processor) Start() {
 // sched parks the chain's one continuation. In event mode it schedules the
 // corresponding engine event immediately — byte-for-byte the event chain
 // this processor always ran. In fused mode it parks the engine pend
-// instead: same deadline, same sequence key, direct dispatch.
+// instead: same deadline, same sequence key, no pooled event.
 func (p *Processor) sched(t sim.Time, k pendKind, c *context) {
 	if p.mode == ModeFused {
 		if p.pend.kind != pendNone {
@@ -467,11 +491,15 @@ func (p *Processor) step(c *context) {
 	switch {
 	case c.spin == spinPolled && !c.pendingOp.Until(c.prev):
 		c.spin = spinBackoff
+		c.spinLast = c.prev
 		op = Op{Kind: OpCompute, Cycles: c.pendingOp.Cycles}
 	case c.spin == spinBackoff:
 		c.spin = spinPolled
 		op = c.pendingOp
 	default:
+		if c.spin == spinPolled {
+			p.progress++ // the spin's one commit: the poll that satisfied it
+		}
 		c.spin = spinNone
 		var ok bool
 		op, ok = c.wl.Next(c.prev)
@@ -486,6 +514,7 @@ func (p *Processor) step(c *context) {
 				panic(fmt.Sprintf("proc: Until on a %v op", op.Kind))
 			}
 			c.spin = spinPolled
+			c.spinLast = 0
 		}
 	}
 	p.stats.Instructions++

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"limitless/internal/coherence"
+	"limitless/internal/directory"
 	"limitless/internal/proc"
 	"limitless/internal/sim"
 )
@@ -240,5 +241,45 @@ func TestSpinUntilOnlyOnLoads(t *testing.T) {
 			r.procs[0].Start()
 			r.eng.Run()
 		}()
+	}
+}
+
+// TestSpinProgress: a spin-wait is one unit of forward progress however
+// many polls it takes, so a poll that fails its predicate counts nothing,
+// and while the context spins Spins reports the polled address and the
+// value the last failed poll read.
+func TestSpinProgress(t *testing.T) {
+	params := coherence.DefaultParams(2)
+	flag := addr(0, 1)
+	for _, mode := range []proc.Mode{proc.ModeFused, proc.ModeEvent} {
+		r := newProcRig(t, 2, 1, params)
+		p := r.procs[0]
+		p.SetMode(mode)
+		p.SetWorkload(0, &script{ops: []proc.Op{
+			{Kind: proc.OpStore, Addr: flag, Value: 5, Shared: true},
+			{Kind: proc.OpLoad, Addr: flag, Shared: true, Cycles: 4, Until: pollCount(6)},
+		}})
+		p.Start()
+		var sawLast bool
+		for r.eng.Step() {
+			p.Spins(func(a directory.Addr, last uint64) {
+				if a != flag {
+					t.Errorf("%v: spin reported on %#x, want %#x", mode, uint64(a), uint64(flag))
+				}
+				sawLast = sawLast || last == 5
+				if got := p.Progress(); got != 1 {
+					t.Errorf("%v: progress %d while spinning, want 1 (the store)", mode, got)
+				}
+			})
+		}
+		if !sawLast {
+			t.Errorf("%v: the spin never reported the value its failed polls read (5)", mode)
+		}
+		if got := p.Progress(); got != 2 {
+			t.Errorf("%v: progress %d after the run, want 2 (the store, then the spin once)", mode, got)
+		}
+		p.Spins(func(a directory.Addr, _ uint64) {
+			t.Errorf("%v: finished processor still reports a spin on %#x", mode, uint64(a))
+		})
 	}
 }

@@ -11,15 +11,17 @@
 // The engine is built for throughput: the default scheduler is a timing
 // wheel — a ring of per-cycle buckets sized to the near-future horizon
 // with an overflow tier beyond it — so scheduling, cancellation, and
-// dispatch are O(1), whole cycles dispatch as batches, and the clock jumps
-// straight over dead cycles (see wheel.go; a binary-heap scheduler remains
-// selectable as the cross-check oracle). Fired and cancelled events are
-// recycled through a free list, so steady-state scheduling performs no
+// dispatch are O(1), each cycle's bucket drains in one pass, and the clock
+// jumps straight over dead cycles (see wheel.go; a binary-heap scheduler
+// remains selectable as the cross-check oracle). Fired and cancelled events
+// are recycled through a free list, so steady-state scheduling performs no
 // heap allocation, and the closure-free AtHandler path lets hot callers
 // avoid allocating a closure per event as well. Because event objects are
 // reused, the scheduling APIs hand out EventRef values — generation-checked
 // handles that keep Cancel and Scheduled safe against a recycled event's
-// next incarnation.
+// next incarnation. The one event the engine does not own is a Pend's: its
+// owner re-parks it for every step of a chain, and it queues and fires
+// exactly like any other event.
 //
 // Time is measured in processor clock cycles (the paper reports all results
 // in cycles of the 33 MHz SPARCLE clock).
@@ -44,31 +46,17 @@ type Handler interface {
 	OnEvent(arg any)
 }
 
-// BatchHandler is an optional extension of Handler. Schedulers that dispatch
-// whole cycles at once (the timing wheel) deliver a run of consecutive
-// same-handler events through a single OnEvents call instead of one virtual
-// OnEvent call per event. OnEvents(args) must behave exactly as calling
-// OnEvent(arg) for each arg in order: the batch is purely a call-overhead
-// optimization and must never change results. The heap scheduler never
-// batches, which is what lets the wheel-vs-heap cross-check tests verify
-// that claim, and Step never batches either (it executes exactly one event
-// by contract). The args slice is engine-owned scratch, valid only for the
-// duration of the call. Implementations must have a comparable (pointer-
-// shaped) dynamic type: run detection compares handler identity with ==.
-type BatchHandler interface {
-	Handler
-	OnEvents(args []any)
-}
-
 // Event is a unit of scheduled work. The callback runs at the event's
 // deadline with the engine clock already advanced to that deadline. Event
-// objects are pooled; user code holds EventRef handles, never *Event.
+// objects are pooled, except a Pend's, which its owner holds; user code
+// holds EventRef handles, never *Event.
 type Event struct {
 	at    Time
 	seq   uint64
 	index int    // position in its container (bucket slot or heap index); -1 when not queued
 	gen   uint64 // incarnation counter; bumped on every release
 	loc   uint8  // wheel tier holding the event (locRing / locOverflow)
+	pend  bool   // a Pend's event: owned by the pend, never released to the free list
 	fn    func()
 	h     Handler
 	arg   any
@@ -113,11 +101,9 @@ type Engine struct {
 	useHeap   bool
 	queued    int
 	processed uint64
-	inlined   uint64    // continuations dispatched through the pend path (subset of processed)
-	pq        pendQueue // parked inline continuations, co-scheduled with the event queue
-	free      []*Event  // recycled events; see SetPooling
+	inlined   uint64   // pend dispatches (subset of processed)
+	free      []*Event // recycled events; see SetPooling
 	noPool    bool
-	batch     []any // reusable arg buffer for fireBatch (wheel batch dispatch)
 
 	// Windowed-mode sequencing (see SetCycleSeq): seqCycle is the cycle the
 	// per-cycle counter is counting for, cycleCtr the next counter value.
@@ -151,7 +137,6 @@ func New() *Engine {
 		e.wh.buckets, e.free = m.buckets, m.free
 	}
 	e.wh.init()
-	e.pq.minAt = Forever
 	return e
 }
 
@@ -168,8 +153,9 @@ var memPool sync.Pool
 // Recycle empties the wheel's buckets and hands them, together with the
 // event free list, to the pool New draws on. Events still queued — a run
 // cut off by a cycle limit, a watchdog or an abort — are dropped with the
-// engine. The engine must not be used afterwards; a second Recycle does
-// nothing.
+// engine; a parked pend's event is never on the free list, so no later
+// engine hands it out. The engine must not be used afterwards; a second
+// Recycle does nothing.
 func (e *Engine) Recycle() {
 	if e.wh.buckets == nil {
 		return
@@ -262,8 +248,8 @@ func WindowSeq(cycle Time, flush bool, ctr uint32) uint64 {
 
 // SetCycleHook installs fn as the engine's end-of-cycle hook. The hook is
 // not an event: it runs only in a cycle that armed it (ArmCycleHook), once,
-// after every event and parked pend of that cycle — including any scheduled
-// into the cycle while it runs — and before the engine executes anything
+// after every event of that cycle, parked pends included — any scheduled
+// into the cycle while it runs too — and before the engine executes anything
 // later, or before a run whose queue has drained returns. Processed does
 // not count it, and the wheel and the heap run it at the same point of the
 // (deadline, sequence) order. The hook may schedule events, and anything it
@@ -286,24 +272,27 @@ func (e *Engine) runHook() {
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
 
-// Processed returns the number of events executed so far. Pend dispatches
-// count too: a parked continuation is exactly the event it avoided
-// allocating, so the count stays an invariant measure of simulation
-// actions — identical whether processors run fused or event-per-step, and
-// independent of how shard windows cut the run.
+// Processed returns the number of events executed so far, pend dispatches
+// included: a parked continuation is exactly the event its event-mode twin
+// would have allocated, so the count stays an invariant measure of
+// simulation actions — identical whether processors run fused or
+// event-per-step, and independent of how shard windows cut the run.
 func (e *Engine) Processed() uint64 { return e.processed }
 
 // Pending returns the number of events still queued, parked pends included.
-func (e *Engine) Pending() int { return e.queued + e.pq.count }
+func (e *Engine) Pending() int { return e.queued }
 
-// Inlined returns how many of the processed actions were dispatched through
-// the pend path rather than as scheduled events — the fused processor
-// path's event savings, reported by the throughput benchmarks.
+// Inlined returns how many of the processed events were pend dispatches —
+// the fused processor path's events that never left their owner, reported
+// by the throughput benchmarks as the pend share.
 func (e *Engine) Inlined() uint64 { return e.inlined }
 
-// schedNext returns the deadline of the earliest pending event in the
-// active scheduler structure, ignoring parked pends.
-func (e *Engine) schedNext() (t Time, ok bool) {
+// NextEventTime returns the deadline of the earliest pending event, parked
+// pends included. ok is false when nothing is pending. On the wheel the
+// probe is an O(1) occupancy-bitmap scan, which is what lets guarded runs
+// and the sharded window driver skip dead cycles without touching
+// individual events.
+func (e *Engine) NextEventTime() (t Time, ok bool) {
 	if e.useHeap {
 		if len(e.heap) == 0 {
 			return 0, false
@@ -313,169 +302,36 @@ func (e *Engine) schedNext() (t Time, ok bool) {
 	return e.wh.next()
 }
 
-// NextEventTime returns the deadline of the earliest pending action —
-// scheduled event or parked pend. ok is false when nothing is pending. On
-// the wheel the event probe is an O(1) occupancy-bitmap scan, which is what
-// lets guarded runs and the sharded window driver skip dead cycles without
-// touching individual events.
-func (e *Engine) NextEventTime() (t Time, ok bool) {
-	t, ok = e.schedNext()
-	if e.pq.minAt < t || !ok && e.pq.count > 0 {
-		return e.pq.minAt, true
-	}
-	return t, ok
-}
-
-// Pend is a parked inline continuation: one future action co-scheduled with
-// the event queue in exact (deadline, sequence) order but dispatched through
-// a direct call — no event allocation, no bucket traffic, no pooled-object
-// recycling. A fused processor owns one Pend and re-parks it for every
-// pipeline step (issue cycles, hit completions, compute slices, context
-// switches), which removes the dominant event class from the scheduler
-// while preserving the bit-exact total order of the event-per-step path.
+// Pend is a parked continuation: a handle on one Event that its owner, not
+// the engine, holds. A fused processor owns one Pend and re-parks it for
+// every pipeline step (issue cycles, hit completions, compute slices,
+// context switches), so its chain never draws on the free list. A parked
+// pend's event queues and fires exactly like an AtHandler event; the engine
+// never pools or cancels it and hands out no EventRef to it.
 type Pend struct {
-	at    Time
-	seq   uint64
-	next  *Pend // successor in its pend-ring slot (ascending seq)
-	index int   // ring slot or overflow-heap position; -1 when idle
-	loc   uint8 // pend-queue tier holding the pend (locRing / locOverflow)
-	fn    func()
+	ev Event
 }
 
 // NewPend returns an idle pend that dispatches through fn.
-func NewPend(fn func()) *Pend { return &Pend{index: -1, fn: fn} }
+func NewPend(fn func()) *Pend {
+	return &Pend{ev: Event{index: -1, pend: true, fn: fn}}
+}
 
-// Park files p to run at cycle t. The pend receives the sequence key the
-// equivalent AtHandler call would have stamped on an event — it consumes
-// the same counter at the same execution point — so the engine's merged
-// dispatch order is indistinguishable from the all-events schedule. A pend
-// may be parked again from its own dispatch (that is the chain), but never
-// while it is already waiting.
+// Park files p to run at cycle t. Its event takes the next sequence key and
+// joins the queue through the same path as an AtHandler call made at this
+// point, so it fires at exactly that call's (deadline, sequence) position.
+// A pend may be parked again from its own dispatch (that is the chain), but
+// never while it is already waiting.
 func (e *Engine) Park(p *Pend, t Time) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: parking pend at %d before now %d", t, e.now))
 	}
-	if p.index >= 0 {
+	if p.ev.index >= 0 {
 		panic("sim: Park on an already-parked pend")
 	}
-	p.at = t
-	p.seq = e.nextSeq()
-	e.pq.park(e.now, p)
-}
-
-// firePend dispatches the earliest parked pend, advancing the clock to its
-// deadline. The caller guarantees a pend is parked and that no scheduled
-// event precedes it in (deadline, sequence) order.
-func (e *Engine) firePend() {
-	p := e.pq.popMin()
-	e.now = p.at
-	e.processed++
-	e.inlined++
-	p.fn()
-}
-
-// firePendRun dispatches the run of parked pends at cycle t with sequence
-// keys below seqLimit — the pends that precede the cycle's next scheduled
-// event. The caller guarantees the earliest pend is in the ring at cycle t
-// with seq < seqLimit. Sequence keys are allocated monotonically in wall
-// order, so anything a dispatch parks or schedules draws a key above
-// seqLimit and cannot enter the run: the slot list's head segment drains
-// with the queue bookkeeping paid once instead of once per pend.
-func (e *Engine) firePendRun(t Time, seqLimit uint64) {
-	q := &e.pq
-	if q.minP.loc != locRing {
-		e.firePend() // overflow-tier pend: rare, no run to batch
-		return
-	}
-	i := q.minP.index
-	s := &q.ring[i]
-	e.now = t
-	for {
-		p := s.head
-		if p == nil || p.seq >= seqLimit {
-			break
-		}
-		s.head = p.next
-		p.next = nil
-		p.index = -1
-		q.count--
-		e.processed++
-		e.inlined++
-		p.fn()
-	}
-	if s.head == nil {
-		s.tail = nil
-		q.occ &^= 1 << uint(i)
-	}
-	q.refreshMin(t)
-}
-
-// firePendTail dispatches pends parked at cycle t after the cycle's last
-// drained event, stopping when a dispatch schedules an event: the new event
-// may target t itself and must interleave with any pend parked after it in
-// sequence order, so the caller's drain loop re-takes control. (Today every
-// pend parks strictly in the future, making an out-of-order tail park
-// impossible, but the guard keeps the engine honest rather than relying on
-// that model property.)
-func (e *Engine) firePendTail(t Time) {
-	q := &e.pq
-	if q.minP.loc != locRing {
-		e.firePend()
-		return
-	}
-	i := q.minP.index
-	s := &q.ring[i]
-	e.now = t
-	qd := e.queued
-	for {
-		p := s.head
-		if p == nil {
-			break
-		}
-		s.head = p.next
-		p.next = nil
-		p.index = -1
-		q.count--
-		e.processed++
-		e.inlined++
-		p.fn()
-		if e.queued != qd {
-			break
-		}
-	}
-	if s.head == nil {
-		s.tail = nil
-		q.occ &^= 1 << uint(i)
-	}
-	q.refreshMin(t)
-}
-
-// fireSlot dispatches the earliest parked pend's whole cohort — every pend
-// sharing its deadline — in ascending sequence order. The caller guarantees
-// the cohort precedes every scheduled event. Anything a dispatch schedules
-// at the cohort's own cycle carries a strictly larger sequence key than
-// every remaining cohort member (keys are allocated monotonically, and the
-// cohort's keys were all drawn before its first dispatch), so the detached
-// list drains without re-probing the event queue and the total (deadline,
-// sequence) order is preserved exactly. This is the pend analog of the
-// wheel's per-cycle bucket batch: the queue bookkeeping — occupancy bit,
-// cached minimum — is paid once per cohort instead of once per pend.
-func (e *Engine) fireSlot() {
-	if e.pq.minP.loc != locRing {
-		e.firePend() // overflow-tier pend: rare, no cohort to batch
-		return
-	}
-	p := e.pq.detachMinSlot()
-	e.now = p.at
-	for p != nil {
-		nxt := p.next
-		p.next = nil
-		p.index = -1
-		e.processed++
-		e.inlined++
-		p.fn()
-		p = nxt
-	}
+	p.ev.at = t
+	p.ev.seq = e.nextSeq()
+	e.enqueue(&p.ev)
 }
 
 // allocEvent takes an event from the free list (or the heap allocator) and
@@ -503,8 +359,7 @@ func (e *Engine) pastPanic(t Time) {
 }
 
 // nextSeq draws the next sequence key: cycle-tagged in windowed mode,
-// plain monotone otherwise. Events and parked pends share the counter, so
-// the merged dispatch order is identical to the all-events schedule.
+// plain monotone otherwise.
 func (e *Engine) nextSeq() uint64 {
 	if e.cycleSeq {
 		return e.nextCycleSeq()
@@ -526,8 +381,9 @@ func (e *Engine) nextCycleSeq() uint64 {
 	return s
 }
 
-// enqueue files a stamped event with the active scheduler. An event inside
-// the wheel's horizon, the common case, goes straight into its bucket.
+// enqueue files a stamped event — pooled or a pend's — with the active
+// scheduler. An event inside the wheel's horizon, the common case, goes
+// straight into its bucket.
 func (e *Engine) enqueue(ev *Event) {
 	switch {
 	case e.useHeap:
@@ -625,12 +481,12 @@ func (e *Engine) Cancel(r EventRef) {
 	e.release(r.ev)
 }
 
-// Step executes the single earliest pending action — scheduled event or
-// parked pend — advancing the clock to its deadline. It reports false when
-// nothing remains. The event object is recycled before the callback runs,
-// so the callback can immediately schedule into the freed slot. An armed
-// end-of-cycle hook runs first when the next action lies in a later cycle
-// or nothing remains; it is not the step.
+// Step executes the single earliest pending event, advancing the clock to
+// its deadline. It reports false when nothing remains. A pooled event is
+// recycled before the callback runs, so the callback can immediately
+// schedule into the freed slot. An armed end-of-cycle hook runs first when
+// the next event lies in a later cycle or nothing remains; it is not the
+// step.
 func (e *Engine) Step() bool {
 	if e.hookArmed {
 		if t, ok := e.NextEventTime(); !ok || t > e.now {
@@ -641,26 +497,29 @@ func (e *Engine) Step() bool {
 		return e.stepWheel()
 	}
 	if len(e.heap) == 0 {
-		if e.pq.count == 0 {
-			return false
-		}
-		e.firePend()
-		return true
+		return false
 	}
-	if e.pq.minAt < e.heap[0].at || (e.pq.minAt == e.heap[0].at && e.pq.minSeq < e.heap[0].seq) {
-		e.firePend()
-		return true
-	}
-	e.stepHeapEvent()
+	ev := e.heap.pop()
+	e.fire(ev, ev.at)
 	return true
 }
 
-// stepHeapEvent pops and fires the heap's earliest event unconditionally.
-func (e *Engine) stepHeapEvent() {
-	ev := e.heap.pop()
+// fire advances the clock to t and executes ev. A pooled event is recycled
+// first, so the callback can immediately schedule into the freed slot; a
+// pend's event stays with its owner, ready to be parked again.
+func (e *Engine) fire(ev *Event, t Time) {
+	if ev.at != t {
+		panic(fmt.Sprintf("sim: event due at %d fired in cycle %d", ev.at, t))
+	}
+	ev.index = -1
 	e.queued--
-	e.now = ev.at
+	e.now = t
 	e.processed++
+	if ev.pend {
+		e.inlined++
+		ev.fn()
+		return
+	}
 	fn, h, arg := ev.fn, ev.h, ev.arg
 	e.release(ev)
 	if h != nil {
@@ -676,9 +535,9 @@ func (e *Engine) Run() Time { return e.RunUntil(Forever) }
 // RunUntil executes events with deadlines at or before limit. Events
 // scheduled beyond limit stay queued. It returns the time of the last
 // executed event (or the unchanged clock when nothing ran). The clock never
-// advances past limit. On the wheel this is the batch-dispatch hot path:
-// whole per-cycle buckets drain without consulting the queue head between
-// events, and the clock jumps directly to each next non-empty cycle.
+// advances past limit. On the wheel, whole per-cycle buckets drain without
+// consulting the queue head between events, and the clock jumps directly to
+// each next non-empty cycle.
 //
 // The effective limit is re-read between cycles, so an event callback may
 // lower it mid-run with ClampRunLimit; the cycle being drained always
@@ -696,39 +555,27 @@ func (e *Engine) RunUntil(limit Time) Time {
 	return e.now
 }
 
-// runHeap is the heap scheduler's run loop: it merges the event heap and
-// the pend heap in (deadline, sequence) order, dispatching whichever is
-// earlier until both are past the run limit. It returns the next pending
-// deadline (Forever when everything drained), mirroring runWheel, and runs
-// an armed end-of-cycle hook exactly where runWheel does.
+// runHeap is the heap scheduler's run loop: it fires the heap's earliest
+// event until the next deadline is past the run limit. It returns the next
+// pending deadline (Forever when everything drained), mirroring runWheel,
+// and runs an armed end-of-cycle hook exactly where runWheel does.
 func (e *Engine) runHeap() Time {
 	for {
 		next := Forever
-		var pend, empty bool
-		switch {
-		case len(e.heap) == 0 && e.pq.count == 0:
-			empty = true
-		case len(e.heap) == 0 || e.pq.minAt < e.heap[0].at ||
-			(e.pq.minAt == e.heap[0].at && e.pq.minSeq < e.heap[0].seq):
-			next, pend = e.pq.minAt, true
-		default:
+		if len(e.heap) > 0 {
 			next = e.heap[0].at
 		}
-		if e.hookArmed && (empty || next > e.now) {
+		if e.hookArmed && next > e.now {
 			e.runHook()
 			continue
 		}
-		if empty {
+		if len(e.heap) == 0 {
 			return Forever
 		}
 		if next > e.runLimit {
 			return next
 		}
-		if pend {
-			e.firePend()
-		} else {
-			e.stepHeapEvent()
-		}
+		e.fire(e.heap.pop(), next)
 	}
 }
 

@@ -376,3 +376,81 @@ func TestCycleHookStep(t *testing.T) {
 		}
 	}
 }
+
+// TestParkParkedPendPanics: a pend is one continuation, so parking it while
+// it waits — which would drop its first deadline — is a model bug.
+func TestParkParkedPendPanics(t *testing.T) {
+	e := New()
+	p := NewPend(func() {})
+	e.Park(p, 3)
+	defer func() {
+		if recover() == nil {
+			t.Error("Park on a parked pend did not panic")
+		}
+	}()
+	e.Park(p, 4)
+}
+
+// TestParkedPendIsPending: a parked pend is a queued event to every probe —
+// Pending, NextEventTime, Step — and firing it frees it to be parked again,
+// from its own dispatch or from outside.
+func TestParkedPendIsPending(t *testing.T) {
+	for _, kind := range []SchedulerKind{SchedWheel, SchedHeap} {
+		e := New()
+		e.SetScheduler(kind)
+		var fired []Time
+		var p *Pend
+		p = NewPend(func() {
+			fired = append(fired, e.Now())
+			if len(fired) == 1 {
+				e.Park(p, e.Now()+2) // the chain: re-park from the dispatch
+			}
+		})
+		e.At(2, func() {})
+		e.Park(p, 5)
+		if e.Pending() != 2 {
+			t.Fatalf("%v: pending = %d with an event and a parked pend, want 2", kind, e.Pending())
+		}
+		e.Step()
+		if next, ok := e.NextEventTime(); !ok || next != 5 || e.Pending() != 1 {
+			t.Fatalf("%v: after one step next = %d, %v with %d pending, want the pend at 5", kind, next, ok, e.Pending())
+		}
+		e.Run()
+		e.Park(p, e.Now()+1)
+		e.Run()
+		if fmt.Sprint(fired) != "[5 7 8]" || e.Pending() != 0 {
+			t.Fatalf("%v: pend fired at %v with %d pending, want [5 7 8] and none", kind, fired, e.Pending())
+		}
+		if e.Processed() != 4 || e.Inlined() != 3 {
+			t.Fatalf("%v: processed %d, inlined %d; want 4 and 3", kind, e.Processed(), e.Inlined())
+		}
+	}
+}
+
+// TestRecycleKeepsParkedPendEvent: an engine recycled with a pend still
+// parked hands its free list and buckets on, but never the pend's event,
+// which belongs to the pend's owner.
+func TestRecycleKeepsParkedPendEvent(t *testing.T) {
+	e := New()
+	for i := 0; i < 16; i++ {
+		e.At(Time(i), func() {})
+	}
+	e.RunUntil(7) // fill the free list with fired events
+	p := NewPend(func() { t.Error("a recycled engine's pend fired") })
+	e.Park(p, 20)
+	e.Recycle()
+
+	e2 := New()
+	var refs []EventRef
+	for i := 0; i < 64; i++ {
+		refs = append(refs, e2.At(Time(i%4), func() {
+			refs = append(refs, e2.After(1, func() {}))
+		}))
+	}
+	e2.Run()
+	for _, r := range refs {
+		if r.ev == &p.ev {
+			t.Fatal("a recycled engine's parked pend event was reused")
+		}
+	}
+}

@@ -58,7 +58,7 @@ func BenchmarkSchedule(b *testing.B) {
 // BenchmarkFireDrain measures the full schedule->fire cycle: each round
 // files a burst of events across a few dozen cycles, then drains it. The
 // near mix clusters many events per cycle, which is where the wheel's
-// per-cycle batch dispatch pays off; the far mix adds overflow promotion
+// per-cycle bucket drain pays off; the far mix adds overflow promotion
 // across wheel epochs.
 func BenchmarkFireDrain(b *testing.B) {
 	const burst = 1024

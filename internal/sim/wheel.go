@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // SchedulerKind selects the engine's pending-event data structure.
 //
@@ -18,7 +15,7 @@ type SchedulerKind uint8
 
 const (
 	// SchedWheel is the hierarchical timing wheel (O(1) schedule, cancel,
-	// and pop; per-cycle batch dispatch; dead-cycle skipping).
+	// and pop; per-cycle bucket drains; dead-cycle skipping).
 	SchedWheel SchedulerKind = iota
 	// SchedHeap is the specialized binary heap (O(log n) operations),
 	// kept as the reference implementation and fallback.
@@ -105,7 +102,7 @@ func (b *wheelBucket) sortPending() {
 // bucket with live events, giving O(1) next-non-empty lookup), and an
 // overflow heap for events beyond the horizon. base only advances, and only
 // to the deadline of the next live event, so each bucket holds events of
-// exactly one cycle and a drain can dispatch the whole bucket as a batch.
+// exactly one cycle and a drain can fire the whole bucket in one pass.
 type wheel struct {
 	base     Time
 	count    int // live events in the ring
@@ -243,21 +240,12 @@ func (w *wheel) advance(t Time) {
 
 // --- engine run loops over the wheel ---
 
-// stepWheel executes the single earliest pending action — scheduled event
-// or parked pend, whichever comes first in (deadline, sequence) order.
+// stepWheel executes the single earliest pending event.
 func (e *Engine) stepWheel() bool {
 	w := &e.wh
 	t, ok := w.next()
 	if !ok {
-		if e.pq.count == 0 {
-			return false
-		}
-		e.firePend()
-		return true
-	}
-	if e.pq.minAt < t {
-		e.firePend()
-		return true
+		return false
 	}
 	w.advance(t)
 	idx := int(t) & wheelMask
@@ -272,13 +260,6 @@ func (e *Engine) stepWheel() bool {
 		panic("sim: wheel bucket live count inconsistent")
 	}
 	ev := b.evs[b.head]
-	// A same-cycle pend with an earlier sequence key dispatches first: the
-	// parked continuation holds exactly the queue position its event-mode
-	// twin would have occupied.
-	if e.pq.minAt == t && e.pq.minSeq < ev.seq {
-		e.firePend()
-		return true
-	}
 	b.evs[b.head] = nil
 	b.head++
 	b.live--
@@ -294,35 +275,24 @@ func (e *Engine) stepWheel() bool {
 	return true
 }
 
-// runWheel executes pending actions — scheduled events and parked pends —
-// with deadlines at or before e.runLimit, using per-cycle batch dispatch:
-// each iteration advances the clock directly to the next non-empty cycle
-// and drains it in full (deadline, sequence) order. Events a callback
-// schedules for the current cycle append to the draining bucket with
-// strictly larger sequence keys (engine numbering is monotone within a
-// cycle), so the drain order remains exactly ascending. The limit is
-// re-read per cycle so ClampRunLimit can end the run early at the next
-// cycle boundary.
-//
-// Pends interleave with bucket events by sequence key, so the merged order
-// is bit-identical to the all-events schedule; a chain of pends strictly
-// below the next event cycle dispatches back-to-back without re-probing
-// the occupancy bitmap as long as it schedules nothing.
-//
-// On top of the per-bucket drain sits the event-batch fast path: a run of
-// consecutive pending events sharing one BatchHandler is collected and
-// delivered through a single OnEvents call — one controller entry per
-// (cycle, handler) instead of one virtual dispatch per event.
+// runWheel executes pending events, parked pends included, with deadlines
+// at or before e.runLimit: each iteration advances the clock directly to
+// the next non-empty cycle and drains its bucket in full (deadline,
+// sequence) order. Events a callback schedules for the current cycle append
+// to the draining bucket with strictly larger sequence keys (engine
+// numbering is monotone within a cycle), so the drain order remains exactly
+// ascending. The limit is re-read per cycle so ClampRunLimit can end the
+// run early at the next cycle boundary.
 //
 // The return value is the next pending deadline past the limit (Forever
 // when everything drained) — the exit probe doubles as the follow-up
 // NextEventTime the windowed driver would otherwise repeat.
 //
 // An armed end-of-cycle hook runs as soon as the cycle is over: right after
-// a drained bucket when nothing else is parked at its cycle, so the next
-// probe already sees what the hook scheduled, and otherwise as soon as the
-// probe finds nothing left in the current cycle, before any later action
-// and before any return, followed by a fresh probe.
+// its bucket drains, so the next probe already sees what the hook
+// scheduled, or, for a hook armed outside a drain, as soon as the probe
+// finds nothing left in the current cycle, before any later event and
+// before any return, followed by a fresh probe.
 func (e *Engine) runWheel() Time {
 	w := &e.wh
 	for {
@@ -330,19 +300,8 @@ func (e *Engine) runWheel() Time {
 		if !ok {
 			t = Forever
 		}
-		if e.hookArmed && (min(t, e.pq.minAt) > e.now || !ok && e.pq.count == 0) {
+		if e.hookArmed && t > e.now {
 			e.runHook()
-			continue
-		}
-		if e.pq.minAt < t {
-			// A whole cohort of pends precedes every scheduled event: batch-
-			// dispatch the cycle's slot list, then re-probe (a dispatch may
-			// have scheduled an event below the old next deadline — a miss
-			// books its send one cycle out).
-			if e.pq.minAt > e.runLimit {
-				return e.pq.minAt
-			}
-			e.fireSlot()
 			continue
 		}
 		if !ok {
@@ -363,111 +322,20 @@ func (e *Engine) runWheel() Time {
 				b.head++
 				continue
 			}
-			// A same-cycle pend with an earlier sequence key dispatches
-			// first: the parked continuation holds exactly the queue
-			// position its event-mode twin would have occupied.
-			if e.pq.minAt == t && e.pq.minSeq < ev.seq {
-				e.firePendRun(t, ev.seq)
-				continue
-			}
 			b.evs[b.head] = nil
 			b.head++
 			b.live--
 			w.count--
-			// The BatchHandler assertion comes first: it guarantees ev.h has
-			// a comparable (pointer-shaped) dynamic type, so the handler
-			// identity tests below cannot panic on func-typed handlers.
-			if bh, ok := ev.h.(BatchHandler); ok && b.head < len(b.evs) {
-				if nxt := b.evs[b.head]; nxt != nil && nxt.h == ev.h {
-					e.fireBatch(bh, ev, b, t)
-					continue
-				}
-			}
 			e.fire(ev, t)
-		}
-		// Pends of this cycle sequenced after its last event. A dispatch
-		// could repopulate the bucket; the loop guard hands control back to
-		// the event drain if one does (the outer loop re-enters this cycle).
-		for e.pq.minAt == t && b.head >= len(b.evs) {
-			e.firePendTail(t)
-		}
-		if b.head < len(b.evs) {
-			continue
 		}
 		b.reset()
 		if b.live == 0 {
 			w.clearOcc(idx)
 		}
 		if e.hookArmed {
-			// Bucket drained and no pend left at t: cycle t is over.
+			// Bucket drained: cycle t is over.
 			e.runHook()
 		}
-	}
-}
-
-// fireBatch advances the clock to t and delivers first plus every
-// immediately following pending event sharing its handler through one
-// OnEvents call. The caller has already detached first from the bucket.
-//
-// The batch preserves the exact (deadline, sequence) total order: the
-// collected run is a contiguous ascending-seq prefix of the bucket's
-// remaining events (the bucket was sorted if dirty, and no callback runs
-// during collection), OnEvents processes args in that order, and anything a
-// callback schedules for the current cycle appends behind the run with a
-// strictly larger sequence key. Collection also stops below a same-cycle
-// parked pend's sequence key — in the all-events schedule the pend's twin
-// would have split the run there — and at a cancelled-event tombstone,
-// which the outer drain loop then skips as usual. Every event is recycled
-// before the handler runs, matching fire's contract.
-func (e *Engine) fireBatch(bh BatchHandler, first *Event, b *wheelBucket, t Time) {
-	if first.at != t {
-		panic(fmt.Sprintf("sim: wheel bucket holds event at %d in cycle %d", first.at, t))
-	}
-	w := &e.wh
-	h := first.h
-	pendSeq := ^uint64(0)
-	if e.pq.minAt == t {
-		pendSeq = e.pq.minSeq
-	}
-	batch := append(e.batch[:0], first.arg)
-	first.index = -1
-	e.release(first)
-	for b.head < len(b.evs) {
-		ev := b.evs[b.head]
-		if ev == nil || ev.h != h || ev.seq > pendSeq {
-			break
-		}
-		b.evs[b.head] = nil
-		b.head++
-		b.live--
-		w.count--
-		ev.index = -1
-		batch = append(batch, ev.arg)
-		e.release(ev)
-	}
-	e.batch = batch
-	e.queued -= len(batch)
-	e.now = t
-	e.processed += uint64(len(batch))
-	bh.OnEvents(batch)
-}
-
-// fire advances the clock to t and executes ev, recycling it first so the
-// callback can immediately schedule into the freed slot.
-func (e *Engine) fire(ev *Event, t Time) {
-	if ev.at != t {
-		panic(fmt.Sprintf("sim: wheel bucket holds event at %d in cycle %d", ev.at, t))
-	}
-	ev.index = -1
-	e.queued--
-	e.now = t
-	e.processed++
-	fn, h, arg := ev.fn, ev.h, ev.arg
-	e.release(ev)
-	if h != nil {
-		h.OnEvent(arg)
-	} else {
-		fn()
 	}
 }
 
@@ -566,203 +434,4 @@ func (q eventHeap) siftDown(i int) bool {
 	q[i] = ev
 	ev.index = i
 	return i > start
-}
-
-// --- pend queue: near-future ring + overflow heap over parked pends ---
-//
-// pendQueue orders the engine's parked inline continuations by (deadline,
-// sequence), the same total order the event queue uses. Pends are the
-// hottest object in the simulator — every fused pipeline step parks one —
-// so the structure is built for O(1) park and pop: a 64-slot ring of
-// intrusive FIFO lists indexed by deadline (slot = at mod 64), a one-word
-// occupancy bitmap, and a cached minimum so the drain loops' precedence
-// checks are two loads. Slot aliasing is impossible: a processor pend
-// parks at most ContextSwitch+TrapEntry+compute-slice cycles out, far
-// inside the 64-cycle window, and anything parked at or beyond now+64
-// waits in the overflow heap instead (compared against the ring head on
-// every refresh, so order is still exact).
-//
-// Tail-append keeps each slot list in ascending sequence order: the engine
-// allocates sequence keys monotonically in wall-execution order (per cycle
-// in windowed mode, globally otherwise), and a slot only holds pends of
-// one deadline, parked at engine times ≤ that deadline.
-type pendQueue struct {
-	count  int
-	minAt  Time   // earliest parked deadline; Forever when empty
-	minSeq uint64 // sequence key of the earliest pend
-	minP   *Pend  // the earliest pend itself
-	occ    uint64 // one bit per ring slot with a non-empty list
-	ring   [pendSlots]pendSlot
-	over   pendHeap // deadlines >= pendSlots cycles out (trap-backlogged pipes)
-}
-
-const pendSlots = 64
-
-// pendSlot is one deadline's FIFO list of parked pends (ascending seq).
-type pendSlot struct {
-	head, tail *Pend
-}
-
-// park files a stamped pend. now is the engine clock, which bounds every
-// live ring deadline into [now, now+pendSlots-1] and so keeps slot
-// indexing collision-free.
-func (q *pendQueue) park(now Time, p *Pend) {
-	q.count++
-	if p.at-now < pendSlots {
-		i := int(p.at) & (pendSlots - 1)
-		s := &q.ring[i]
-		if s.tail == nil {
-			s.head = p
-			q.occ |= 1 << uint(i)
-		} else {
-			s.tail.next = p
-		}
-		s.tail = p
-		p.index = i
-		p.loc = locRing
-	} else {
-		p.loc = locOverflow
-		q.over.push(p)
-	}
-	if p.at < q.minAt || (p.at == q.minAt && p.seq < q.minSeq) {
-		q.minAt, q.minSeq, q.minP = p.at, p.seq, p
-	}
-}
-
-// popMin unlinks and returns the earliest parked pend. The caller
-// guarantees the queue is non-empty.
-func (q *pendQueue) popMin() *Pend {
-	p := q.minP
-	q.count--
-	if p.loc == locRing {
-		i := int(p.at) & (pendSlots - 1)
-		s := &q.ring[i]
-		s.head = p.next
-		if s.head == nil {
-			s.tail = nil
-			q.occ &^= 1 << uint(i)
-		}
-		p.next = nil
-	} else {
-		q.over.pop()
-	}
-	p.index = -1
-	q.refreshMin(p.at)
-	return p
-}
-
-// refreshMin recomputes the cached minimum after a pop. now is the popped
-// pend's deadline: every surviving ring pend lies in [now, now+pendSlots-1]
-// (it was parked at an engine time <= now, within the window), so rotating
-// the occupancy word to put now's slot at bit 0 turns circular slot order
-// into deadline order and TrailingZeros finds the earliest non-empty list.
-func (q *pendQueue) refreshMin(now Time) {
-	if q.count == 0 {
-		q.minAt, q.minSeq, q.minP = Forever, 0, nil
-		return
-	}
-	if q.occ != 0 {
-		off := int(now) & (pendSlots - 1)
-		w := bits.RotateLeft64(q.occ, -off)
-		i := (off + bits.TrailingZeros64(w)) & (pendSlots - 1)
-		p := q.ring[i].head
-		if len(q.over) > 0 && pendLess(q.over[0], p) {
-			p = q.over[0]
-		}
-		q.minAt, q.minSeq, q.minP = p.at, p.seq, p
-		return
-	}
-	p := q.over[0]
-	q.minAt, q.minSeq, q.minP = p.at, p.seq, p
-}
-
-// detachMinSlot unlinks and returns the entire slot list holding the cached
-// minimum, which the caller guarantees lives in the ring. Every pend in the
-// list shares the minimum deadline (a slot holds exactly one deadline
-// inside the window) in ascending sequence order. The walk that sizes the
-// list also warms the nodes the caller is about to dispatch.
-func (q *pendQueue) detachMinSlot() *Pend {
-	i := q.minP.index
-	s := &q.ring[i]
-	head := s.head
-	s.head, s.tail = nil, nil
-	q.occ &^= 1 << uint(i)
-	n := 0
-	for p := head; p != nil; p = p.next {
-		n++
-	}
-	q.count -= n
-	q.refreshMin(q.minAt)
-	return head
-}
-
-// pendHeap is the pend queue's overflow tier: a binary min-heap over
-// (deadline, sequence) for the rare pend parked at or beyond the ring
-// window. It maintains Pend.index as the heap position.
-
-type pendHeap []*Pend
-
-func pendLess(a, b *Pend) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-func (q *pendHeap) push(p *Pend) {
-	p.index = len(*q)
-	*q = append(*q, p)
-	q.siftUp(p.index)
-}
-
-func (q *pendHeap) pop() *Pend {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[0].index = 0
-	h[n] = nil
-	*q = h[:n]
-	if n > 0 {
-		q.siftDown(0)
-	}
-	top.index = -1
-	return top
-}
-
-func (q pendHeap) siftUp(i int) {
-	p := q[i]
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !pendLess(p, q[parent]) {
-			break
-		}
-		q[i] = q[parent]
-		q[i].index = i
-		i = parent
-	}
-	q[i] = p
-	p.index = i
-}
-
-func (q pendHeap) siftDown(i int) {
-	n := len(q)
-	p := q[i]
-	for {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		if r := child + 1; r < n && pendLess(q[r], q[child]) {
-			child = r
-		}
-		if !pendLess(q[child], p) {
-			break
-		}
-		q[i] = q[child]
-		q[i].index = i
-		i = child
-	}
-	q[i] = p
-	p.index = i
 }

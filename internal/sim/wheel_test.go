@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -8,14 +9,16 @@ import (
 // --- scheduler equivalence harness ---
 //
 // Both schedulers implement the same contract: events fire in exactly
-// ascending (deadline, sequence) order, and an armed end-of-cycle hook runs
-// at the same point of that order. The harness interprets a byte stream as
-// a schedule/cancel/step/drain/arm program, replays it through an engine,
-// and records every firing and hook run; replaying the same stream through
-// the wheel and the heap (and with pooling on and off, and with plain and
-// cycle-tagged sequencing) must produce identical logs, clocks, and
-// counters. The fuzz target and the seeded randomized test below both
-// drive this harness.
+// ascending (deadline, sequence) order, parked pends included, and an armed
+// end-of-cycle hook runs at the same point of that order. The harness
+// interprets a byte stream as a schedule/cancel/step/drain/arm/park
+// program, replays it through an engine, and records every firing and hook
+// run; replaying the same stream through the wheel and the heap (and with
+// pooling on and off, and with plain and cycle-tagged sequencing) must
+// produce identical logs, clocks, and counters. So must its twin, the same
+// program with every Park replaced by an AtHandler of the same callback: a
+// pend fires exactly where that event would. The fuzz target and the
+// seeded randomized test below both drive this harness.
 
 type fireRec struct {
 	id int
@@ -38,6 +41,67 @@ type streamDriver struct {
 	ctr    uint32
 	hooks  int  // hook runs so far; logged as fires with negative ids
 	hookAt Time // delay of the event the next hook run schedules
+
+	pends     [3]*drvPend
+	twin      bool // schedule every park as an AtHandler event instead
+	pendFires int  // pend (or twin event) dispatches so far
+}
+
+// pendID is the log id of driver pend k's firings, clear of the event ids.
+func pendID(k int) int { return 1<<30 + k }
+
+// drvPend is one of the driver's continuations: a Pend parked on the
+// engine, or in twin mode the AtHandler event carrying the same callback.
+type drvPend struct {
+	d      *streamDriver
+	id     int
+	p      *Pend
+	parked bool
+	chain  int // re-parks still to file from its own dispatch
+}
+
+// file parks the continuation delay cycles out.
+func (dp *drvPend) file(delay Time) {
+	dp.parked = true
+	t := dp.d.e.Now() + delay
+	if dp.d.twin {
+		dp.d.e.AtHandler(t, dp, nil)
+	} else {
+		dp.d.e.Park(dp.p, t)
+	}
+}
+
+func (dp *drvPend) OnEvent(any) { dp.run() }
+
+// run is the continuation: log the firing and, while the chain lasts,
+// re-park from the dispatch itself — three cycles out, then into the
+// cycle being drained.
+func (dp *drvPend) run() {
+	dp.parked = false
+	dp.d.pendFires++
+	dp.d.fires = append(dp.d.fires, fireRec{id: dp.id, at: dp.d.e.Now()})
+	if dp.chain > 0 {
+		dp.chain--
+		dp.file(3 * Time(dp.chain))
+	}
+}
+
+// park files driver pend k, when it is idle: near the clock, or with bit 6
+// of arg set just short of or beyond the wheel span, and with bit 7 set
+// re-parking twice from its own dispatch.
+func (d *streamDriver) park(k int, arg byte) {
+	dp := d.pends[k]
+	if dp.parked {
+		return
+	}
+	delay := Time(arg & 31)
+	if arg&0x40 != 0 {
+		delay = wheelSpan - 8 + Time(arg&15)
+	}
+	if arg&0x80 != 0 {
+		dp.chain = 2
+	}
+	dp.file(delay)
 }
 
 func (d *streamDriver) schedule(delay Time) {
@@ -62,14 +126,30 @@ func (d *streamDriver) scheduleChained(delay, childDelay Time) {
 	}))
 }
 
+// streamRun is what one replay of an op program observed.
+type streamRun struct {
+	fires     []fireRec
+	now       Time
+	processed uint64
+	pending   string // Pending after every op and after the final drain
+	inlined   uint64
+	pendFires int
+}
+
 // runSchedStream replays data as a scheduler op program and returns the
-// firing log plus final engine state.
-func runSchedStream(data []byte, kind SchedulerKind, cycleSeq, pooled bool) ([]fireRec, Time, uint64, int) {
+// firing log plus final engine state. twin schedules every park as an
+// AtHandler event of the same callback.
+func runSchedStream(data []byte, kind SchedulerKind, cycleSeq, pooled, twin bool) streamRun {
 	e := New()
 	e.SetScheduler(kind)
 	e.SetCycleSeq(cycleSeq)
 	e.SetPooling(pooled)
-	d := &streamDriver{e: e}
+	d := &streamDriver{e: e, twin: twin}
+	for k := range d.pends {
+		dp := &drvPend{d: d, id: pendID(k)}
+		dp.p = NewPend(dp.run)
+		d.pends[k] = dp
+	}
 	h := &idHandler{drv: d}
 	e.SetCycleHook(func() {
 		d.hooks++
@@ -88,9 +168,10 @@ func runSchedStream(data []byte, kind SchedulerKind, cycleSeq, pooled bool) ([]f
 		i++
 		return b
 	}
+	var pending []int
 	for i < len(data) {
 		op, arg := next(), next()
-		switch op % 9 {
+		switch op % 10 {
 		case 0, 1:
 			d.schedule(Time(arg & 63)) // near future: the ring hot path
 		case 2:
@@ -133,35 +214,58 @@ func runSchedStream(data []byte, kind SchedulerKind, cycleSeq, pooled bool) ([]f
 		case 8:
 			d.hookAt = Time(arg & 3)
 			d.e.ArmCycleHook()
+		case 9:
+			d.park(int(arg)%len(d.pends), arg)
 		}
+		pending = append(pending, e.Pending())
 	}
 	e.Run()
-	return d.fires, e.Now(), e.Processed(), e.Pending()
+	pending = append(pending, e.Pending())
+	return streamRun{fires: d.fires, now: e.Now(), processed: e.Processed(),
+		pending: fmt.Sprint(pending), inlined: e.Inlined(), pendFires: d.pendFires}
 }
 
+// compareStreams replays data on the pooled wheel and checks that the
+// heap, the unpooled wheel and the Park-free twin on both schedulers
+// observe the same run, and that every pend dispatch counts as inlined.
 func compareStreams(t *testing.T, label string, data []byte, cycleSeq bool) {
 	t.Helper()
-	aF, aNow, aProc, aPend := runSchedStream(data, SchedWheel, cycleSeq, true)
-	bF, bNow, bProc, bPend := runSchedStream(data, SchedHeap, cycleSeq, true)
-	cF, cNow, _, _ := runSchedStream(data, SchedWheel, cycleSeq, false)
-	if aNow != bNow || aProc != bProc || aPend != bPend {
-		t.Fatalf("%s: wheel (now=%d proc=%d pend=%d) vs heap (now=%d proc=%d pend=%d)",
-			label, aNow, aProc, aPend, bNow, bProc, bPend)
+	ref := runSchedStream(data, SchedWheel, cycleSeq, true, false)
+	if ref.inlined != uint64(ref.pendFires) {
+		t.Fatalf("%s: wheel inlined %d, want its %d pend dispatches", label, ref.inlined, ref.pendFires)
 	}
-	if len(aF) != len(bF) {
-		t.Fatalf("%s: wheel fired %d events, heap fired %d", label, len(aF), len(bF))
-	}
-	for i := range aF {
-		if aF[i] != bF[i] {
-			t.Fatalf("%s: firing %d differs: wheel %+v, heap %+v", label, i, aF[i], bF[i])
+	for _, v := range []struct {
+		name         string
+		kind         SchedulerKind
+		pooled, twin bool
+	}{
+		{"heap", SchedHeap, true, false},
+		{"unpooled wheel", SchedWheel, false, false},
+		{"twin wheel", SchedWheel, true, true},
+		{"twin heap", SchedHeap, true, true},
+	} {
+		got := runSchedStream(data, v.kind, cycleSeq, v.pooled, v.twin)
+		if got.now != ref.now || got.processed != ref.processed || got.pendFires != ref.pendFires {
+			t.Fatalf("%s: wheel (now=%d proc=%d pends=%d) vs %s (now=%d proc=%d pends=%d)",
+				label, ref.now, ref.processed, ref.pendFires, v.name, got.now, got.processed, got.pendFires)
 		}
-	}
-	if cNow != aNow || len(cF) != len(aF) {
-		t.Fatalf("%s: pooling changed the wheel's execution", label)
-	}
-	for i := range aF {
-		if aF[i] != cF[i] {
-			t.Fatalf("%s: unpooled wheel firing %d differs: %+v vs %+v", label, i, aF[i], cF[i])
+		if got.pending != ref.pending {
+			t.Fatalf("%s: Pending after each op: wheel %s, %s %s", label, ref.pending, v.name, got.pending)
+		}
+		want := ref.inlined
+		if v.twin {
+			want = 0 // nothing parked: every dispatch is an ordinary event
+		}
+		if got.inlined != want {
+			t.Fatalf("%s: %s inlined %d, want %d", label, v.name, got.inlined, want)
+		}
+		if len(got.fires) != len(ref.fires) {
+			t.Fatalf("%s: wheel fired %d events, %s fired %d", label, len(ref.fires), v.name, len(got.fires))
+		}
+		for i := range ref.fires {
+			if ref.fires[i] != got.fires[i] {
+				t.Fatalf("%s: firing %d differs: wheel %+v, %s %+v", label, i, ref.fires[i], v.name, got.fires[i])
+			}
 		}
 	}
 }
@@ -181,13 +285,15 @@ func TestSchedulerEquivalenceRandom(t *testing.T) {
 }
 
 // FuzzSchedulerEquivalence is the fuzz form of the cross-check: any byte
-// stream, interpreted as a schedule/cancel program, must fire identically
-// through the wheel and the heap.
+// stream, interpreted as a schedule/cancel/park program, must fire
+// identically through the wheel and the heap, and with every Park replaced
+// by the equivalent AtHandler.
 func FuzzSchedulerEquivalence(f *testing.F) {
 	f.Add([]byte{0, 10, 3, 200, 4, 0, 5, 2})
 	f.Add([]byte{2, 0xff, 7, 3, 6, 100, 1, 63, 4, 1})
 	f.Add([]byte{3, 0xff, 3, 0x01, 0, 0, 5, 0, 4, 2, 6, 0xff})
 	f.Add([]byte{0, 5, 8, 0, 5, 1, 8, 2, 2, 0x21, 6, 9, 8, 1})
+	f.Add([]byte{9, 0x83, 0, 3, 9, 0x45, 9, 0xc2, 1, 3, 5, 2, 9, 0x80, 8, 0, 6, 40})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			data = data[:4096]
