@@ -245,6 +245,20 @@ func (c *Cache) Read(addr directory.Addr) (value uint64, hit bool) {
 	return 0, false
 }
 
+// ReadN performs n reads of addr in a row in closed form: on a hit it
+// returns the block value and leaves the LRU stamps and hit count where n
+// Read calls would; on a miss it changes nothing and reports false.
+func (c *Cache) ReadN(addr directory.Addr, n uint64) (value uint64, hit bool) {
+	l := c.slot(addr)
+	if l == nil || l.state == Invalid {
+		return 0, false
+	}
+	c.tick += n
+	l.used = c.tick
+	c.stats.ReadHits += n
+	return l.value, true
+}
+
 // Write attempts a store of value. It hits only when the line is held
 // Read-Write; a Read-Only hit is an upgrade miss (the directory must
 // invalidate the other copies first).

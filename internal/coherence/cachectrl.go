@@ -163,6 +163,11 @@ type CacheController struct {
 	tbl            *protocol.Table[cacheCtx]
 	sharedUncached bool
 	cctx           cacheCtx
+
+	// spin is the node's processor while its spin-waits may leave the
+	// event queue (SetWaker): the controller's events wake it first, and
+	// HandleMem refuses to run while it is off the queue.
+	spin Spinner
 }
 
 // txnEntry is one MSHR slot.
@@ -202,6 +207,7 @@ func (cc *CacheController) removeTxn(addr directory.Addr) *txn {
 type txnSendHandler struct{ cc *CacheController }
 
 func (h *txnSendHandler) OnEvent(arg any) {
+	h.cc.wake()
 	t := arg.(*txn)
 	h.cc.send(h.cc.home(t.msg.Addr), t.msg)
 }
@@ -215,6 +221,7 @@ type completion struct {
 type completionHandler struct{ cc *CacheController }
 
 func (h *completionHandler) OnEvent(arg any) {
+	h.cc.wake()
 	c := arg.(*completion)
 	done, v := c.done, c.value
 	c.done = nil
@@ -257,6 +264,36 @@ func (cc *CacheController) Stats() Stats { return cc.stats }
 
 // Misses returns the hit/miss latency accounting.
 func (cc *CacheController) Misses() MissStats { return cc.miss }
+
+// SetWaker hands the controller, and the network port its node receives
+// on, the node's processor while that processor's spin-waits may leave
+// the event queue (proc.Processor.Attach): each of the controller's
+// events, and each delivery to the node, wakes it first.
+func (cc *CacheController) SetWaker(w Spinner) {
+	cc.spin = w
+	cc.nw.SetWaker(cc.id, w)
+}
+
+// wake returns the node's off-queue spin, if any, to the event queue at
+// the start of one of the controller's events, settling its steps due
+// before the current cycle.
+func (cc *CacheController) wake() {
+	if cc.spin != nil {
+		cc.spin.Wake(cc.eng.Now() - 1)
+	}
+}
+
+// PollHits performs n load hits on addr in a row in closed form — the
+// cache reads and hit counts of n AccessSync loads that hit — and returns
+// the value read. It reports false, changing nothing, when the line cannot
+// be read.
+func (cc *CacheController) PollHits(addr directory.Addr, n uint64) (uint64, bool) {
+	v, ok := cc.cache.ReadN(addr, n)
+	if ok {
+		cc.miss.Hits += n
+	}
+	return v, ok
+}
 
 // Outstanding reports the number of in-flight miss transactions.
 func (cc *CacheController) Outstanding() int { return len(cc.txns) }
@@ -517,6 +554,13 @@ func (cc *CacheController) fill(addr directory.Addr, st cache.LineState, value u
 // is the MSHR transaction state, so "reply without a matching transaction"
 // shows up as a declared-impossible cell rather than a hand-coded check.
 func (cc *CacheController) HandleMem(src mesh.NodeID, m *Msg) {
+	// Every controller path that changes a cache line starts here. An
+	// off-queue spin reads its line without looking, so reaching this point
+	// with one means an event of the node forgot to wake it.
+	if cc.spin != nil && cc.spin.OffQueue() {
+		panic(fmt.Sprintf("coherence: node %d cache got %v (addr %#x) at cycle %d with its spin off the event queue: the event did not wake it",
+			cc.id, m.Type, m.Addr, cc.eng.Now()))
+	}
 	cc.stats.Received[m.Type]++
 	// Fault-injected re-deliveries never re-run the cache-side protocol
 	// engine: the original delivery already advanced the transaction, so a

@@ -11,6 +11,14 @@ import (
 	"limitless/internal/sim"
 )
 
+// Spinner is a node's processor as its controllers see it while the
+// processor's spin-waits may leave the event queue (proc.Processor.Wake).
+type Spinner interface {
+	mesh.Waker
+	// OffQueue reports whether a spin is off the event queue.
+	OffQueue() bool
+}
+
 // TrapSink is the memory controller's view of its local processor: the
 // interrupt wire of Figure 3. ProtocolTrap is raised whenever a protocol
 // packet has been forwarded to the IPI input queue (Section 4.2); the
@@ -148,6 +156,10 @@ type MemoryController struct {
 	tbl     *protocol.Table[memCtx]
 	chained bool
 	mctx    memCtx
+
+	// spin is the node's processor while its spin-waits may leave the
+	// event queue (SetWaker); each process event wakes it first.
+	spin mesh.Waker
 }
 
 // procArg carries one in-flight message through the controller-occupancy
@@ -160,6 +172,9 @@ type procArg struct {
 type processHandler struct{ mc *MemoryController }
 
 func (h *processHandler) OnEvent(arg any) {
+	if w := h.mc.spin; w != nil {
+		w.Wake(h.mc.eng.Now() - 1)
+	}
 	a := arg.(*procArg)
 	src, m := a.src, a.msg
 	a.msg = nil
@@ -200,6 +215,11 @@ func NewMemoryController(eng *sim.Engine, nw *mesh.ShardPort, id mesh.NodeID, pa
 
 // ID returns the node this controller belongs to.
 func (mc *MemoryController) ID() mesh.NodeID { return mc.id }
+
+// SetWaker hands the controller its node's processor while that
+// processor's spin-waits may leave the event queue
+// (proc.Processor.Attach): each process event wakes it first.
+func (mc *MemoryController) SetWaker(w mesh.Waker) { mc.spin = w }
 
 // Nodes returns the machine size.
 func (mc *MemoryController) Nodes() int { return mc.params.Nodes }

@@ -314,6 +314,7 @@ func (m *Machine) buildNode(id mesh.NodeID) *Node {
 				clone.Dup = true
 				src := pkt.Src
 				eng.At(eng.Now()+extra, func() {
+					p.Wake(eng.Now() - 1)
 					if clone.Type.ToMemory() {
 						mc.Handle(src, &clone)
 					} else {
@@ -520,9 +521,12 @@ func (m *Machine) drive(limit sim.Time) sim.Time {
 // Run starts every processor and drives the simulation until all
 // workloads finish. It panics on deadlock (event queue drained with
 // processors still blocked) — in a deterministic fault-free simulator that
-// is always a protocol bug, and hiding it would corrupt experiments. With
-// a fault plan or watchdog configured, the panic becomes a structured
-// Diagnostic (available via Diagnostic()) so chaos runs terminate cleanly.
+// is always a protocol bug, and hiding it would corrupt experiments. A
+// spin left off the queue when it drains polls a value nothing will ever
+// write, so it is a deadlock too, where the same spin queued step by step
+// would loop forever. With a fault plan or watchdog configured, the panic
+// becomes a structured Diagnostic (available via Diagnostic(), listing
+// the spinning contexts) so chaos runs terminate cleanly.
 func (m *Machine) Run() Result {
 	for _, n := range m.Nodes {
 		n.Proc.Start()
@@ -531,13 +535,17 @@ func (m *Machine) Run() Result {
 	if m.diag == nil {
 		for _, n := range m.Nodes {
 			if !n.Proc.Done() {
+				state := "blocked"
+				if n.Proc.OffQueue() {
+					state = "spinning on a value nothing will write"
+				}
 				if m.rec != nil {
 					m.diag = m.buildDiagnostic(end,
-						fmt.Sprintf("deadlock: event queue drained with node %d still blocked", n.ID))
+						fmt.Sprintf("deadlock: event queue drained with node %d still %s", n.ID, state))
 					break
 				}
-				panic(fmt.Sprintf("machine: deadlock — node %d still blocked at cycle %d (outstanding=%d)",
-					n.ID, end, n.CC.Outstanding()))
+				panic(fmt.Sprintf("machine: deadlock — node %d still %s at cycle %d (outstanding=%d)",
+					n.ID, state, end, n.CC.Outstanding()))
 			}
 		}
 	}

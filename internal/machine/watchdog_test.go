@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -152,14 +153,22 @@ func spinMachine(shards int) (*Machine, directory.Addr) {
 // TestWatchdogHaltsStaleSpin: polls that fail their spin predicate are not
 // progress, so a spin on a flag that never changes trips the watchdog one
 // interval into the run instead of running to the cycle limit (or, under
-// Run, forever), and the diagnostic names the spinning context.
+// Run, forever), and the diagnostic names the spinning context. On one
+// engine the spin is off the event queue when the watchdog trips; it must
+// trip on the same cycle, with the same Events and PendingEvents, as on
+// two windowed shards, where every poll is queued.
 func TestWatchdogHaltsStaleSpin(t *testing.T) {
+	var trips []string
 	for _, shards := range []int{0, 2} {
 		m, flag := spinMachine(shards)
 		res, done := m.RunUntil(1_000_000)
 		d := m.Diagnostic()
 		if d == nil {
 			t.Fatalf("shards=%d: stale spin ran to cycle %d (done=%v) without a diagnostic", shards, res.Cycles, done)
+		}
+		trips = append(trips, fmt.Sprintf("cycle %d, %d events, %d pending", res.Cycles, res.Events, d.PendingEvents))
+		if off := m.Nodes[1].Proc.OffQueue(); off != (shards == 0) {
+			t.Errorf("shards=%d: spin off the event queue = %v at the trip", shards, off)
 		}
 		if done || res.Cycles >= 2*20_000 {
 			t.Errorf("shards=%d: halted at cycle %d (done=%v), want a trip within two watchdog intervals", shards, res.Cycles, done)
@@ -179,5 +188,66 @@ func TestWatchdogHaltsStaleSpin(t *testing.T) {
 		if s := d.String(); !strings.Contains(s, "spinning contexts: 1") {
 			t.Errorf("shards=%d: diagnostic dump does not list the spinning context:\n%s", shards, s)
 		}
+	}
+	if trips[0] != trips[1] {
+		t.Errorf("the trip differs between one engine (%s) and two windowed shards (%s)", trips[0], trips[1])
+	}
+}
+
+// staleSpinMachine is spinMachine without a watchdog: a run nothing but a
+// stale spin keeps alive, with a violation recorder when record is set
+// (a fault plan installs one).
+func staleSpinMachine(record bool) *Machine {
+	cfg := Config{Width: 4, Height: 4, Params: coherence.DefaultParams(16)}
+	if record {
+		fc, err := fault.Parse("7:delay=0.05")
+		if err != nil {
+			panic(err)
+		}
+		cfg.Faults = fault.New(fc)
+	}
+	m := New(cfg)
+	m.SetWorkload(1, 0, workload.NewThread(func(th *workload.Thread) {
+		th.SpinUntil(Block(0, 1), func(v uint64) bool { return v == 1 }, 12,
+			func(_ uint64, th *workload.Thread) {})
+	}))
+	return m
+}
+
+// TestStaleSpinDeadlockPanics: with no watchdog and no cycle limit, a run
+// whose queue drains with only an off-queue spin left can never finish;
+// Run reports it as the deadlock it is instead of looping forever.
+func TestStaleSpinDeadlockPanics(t *testing.T) {
+	m := staleSpinMachine(false)
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("Run returned on a stale spin without reporting a deadlock")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "deadlock") || !strings.Contains(msg, "node 1 still spinning") {
+			t.Errorf("panic %q does not report node 1's spin as a deadlock", msg)
+		}
+	}()
+	m.Run()
+}
+
+// TestStaleSpinDeadlockDiagnostic: with a violation recorder the same
+// deadlock ends the run with a Diagnostic that lists the spinning context,
+// its spin counted as the one pending event.
+func TestStaleSpinDeadlockDiagnostic(t *testing.T) {
+	m := staleSpinMachine(true)
+	m.Run()
+	d := m.Diagnostic()
+	if d == nil {
+		t.Fatal("stale spin ended without a diagnostic")
+	}
+	if !strings.Contains(d.Reason, "deadlock") || !strings.Contains(d.Reason, "node 1 still spinning") {
+		t.Errorf("reason %q does not report node 1's spin as a deadlock", d.Reason)
+	}
+	if len(d.Spinning) != 1 || d.Spinning[0].Node != 1 || d.Spinning[0].Addr != Block(0, 1) {
+		t.Errorf("spinning contexts = %+v, want node 1 on %#x", d.Spinning, uint64(Block(0, 1)))
+	}
+	if d.PendingEvents != 1 {
+		t.Errorf("PendingEvents = %d, want 1 (the spin's next step)", d.PendingEvents)
 	}
 }

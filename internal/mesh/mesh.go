@@ -182,6 +182,9 @@ type Network struct {
 	cfg      Config
 	n        int
 	handlers []Handler
+	// wakers[id] is node id's processor while its spin-waits may leave the
+	// event queue (ShardPort.SetWaker); nil otherwise.
+	wakers []Waker
 	// chans[from][dir] for mesh channels; eject[node] for ejection ports;
 	// omega[stage*width+pos] for inter-stage channels.
 	chans []channel // indexed by linkIndex
@@ -259,6 +262,7 @@ func New(cfg Config) *Network {
 		cfg:      cfg,
 		n:        n,
 		handlers: make([]Handler, n),
+		wakers:   make([]Waker, n),
 		chans:    make([]channel, n*numDirs),
 		eject:    make([]channel, n),
 		rng:      seed,
@@ -322,6 +326,14 @@ func (nw *Network) Stats() Stats {
 // Register installs the ejection handler for node id.
 func (nw *Network) Register(id NodeID, h Handler) {
 	nw.handlers[id] = h
+}
+
+// Waker is a node's processor as the network sees it while the
+// processor's spin-waits may leave the event queue (sim.Chain).
+type Waker interface {
+	// Wake settles an off-queue spin's steps due at or before limit and
+	// returns it to the queue; it does nothing while no spin is off it.
+	Wake(limit sim.Time)
 }
 
 // XY returns the mesh coordinates of a node.

@@ -93,6 +93,7 @@ type ShardPort struct {
 	nw       *Network
 	eng      *sim.Engine
 	handlers []Handler // the network's, shared: Register fills them in
+	wakers   []Waker   // the network's, shared: SetWaker fills them in
 	shard    int
 	solo     bool // the network's only port: flushed by its engine's end-of-cycle hook
 
@@ -195,22 +196,41 @@ func (p *ShardPort) newDelivery(src, dst NodeID, flits int, payload any, injecte
 
 // deliver queues d's ejection at cycle at on this port's engine — under
 // the engine's own sequence key, or under the explicit barrier key seq
-// when seqKey is set.
+// when seqKey is set. Under the engine's own key, an off-queue spin at the
+// destination first settles through the current cycle and rejoins the
+// queue (SetWaker): in a flush its next step was drawn in the send
+// cycle or earlier, so it must sort ahead of the delivery.
 func (p *ShardPort) deliver(d *delivery, at sim.Time, seq uint64, seqKey bool) {
 	p.inflight++
 	if seqKey {
 		p.eng.AtHandlerSeq(at, seq, p, d)
-	} else {
-		p.eng.AtHandler(at, p, d)
+		return
 	}
+	if w := p.wakers[d.pkt.Dst]; w != nil {
+		w.Wake(p.eng.Now())
+	}
+	p.eng.AtHandler(at, p, d)
 }
 
+// SetWaker installs w, node id's processor, as the owner of an off-queue
+// spin the network must wake: before a one-engine port inserts a delivery
+// to the node, w settles the spin through the current cycle and returns it
+// to the queue, so the spin's next step keeps its place ahead of the
+// delivery; and each delivery wakes it before any receiver code runs. The
+// wake belongs to the network rather than to the registered handler, which
+// a caller may replace.
+func (p *ShardPort) SetWaker(id NodeID, w Waker) { p.wakers[id] = w }
+
 // OnEvent implements sim.Handler: it ejects one packet at its destination,
-// accounting stats to this port. Sequenced deliveries detour through this
-// port's receiver transport state (checksum, per-link order, duplicate
-// detection); everything else releases directly.
+// accounting stats to this port. A spin off the queue at the destination
+// rejoins it before any receiver code runs. Sequenced deliveries detour
+// through this port's receiver transport state (checksum, per-link order,
+// duplicate detection); everything else releases directly.
 func (p *ShardPort) OnEvent(arg any) {
 	d := arg.(*delivery)
+	if w := p.wakers[d.pkt.Dst]; w != nil {
+		w.Wake(p.eng.Now() - 1)
+	}
 	p.inflight--
 	if d.kind == dSeq {
 		p.xr.receive(p, d, p.eng.Now())
@@ -244,7 +264,7 @@ func (nw *Network) ShardPorts(engines []*sim.Engine, nodeShard []int, window sim
 	nw.window = window
 	nw.ports = make([]*ShardPort, len(engines))
 	for i, eng := range engines {
-		p := &ShardPort{nw: nw, eng: eng, handlers: nw.handlers, shard: i, logMin: sim.Forever}
+		p := &ShardPort{nw: nw, eng: eng, handlers: nw.handlers, wakers: nw.wakers, shard: i, logMin: sim.Forever}
 		if m, _ := portPool.Get().(*portMem); m != nil {
 			p.log, p.freeDels = m.log, m.dels
 		}

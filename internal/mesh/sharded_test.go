@@ -174,3 +174,63 @@ func TestShardedMatchesSequentialTiming(t *testing.T) {
 		t.Fatalf("merged stats wrong: %+v", s)
 	}
 }
+
+// spinner is a stand-in for a node's processor with a spin off the queue:
+// Wake logs its limit and, when the spin was off, queues the spin's next
+// step, due at at, under the key drawn right then.
+type spinner struct {
+	eng    *sim.Engine
+	off    bool
+	at     sim.Time
+	limits []sim.Time
+	order  *[]string
+}
+
+func (s *spinner) Wake(limit sim.Time) {
+	s.limits = append(s.limits, limit)
+	if !s.off {
+		return
+	}
+	s.off = false
+	s.eng.At(s.at, func() { *s.order = append(*s.order, "step") })
+}
+
+// TestWakeBeforeFlushInsert: a one-engine flush wakes an off-queue spin at
+// the destination through the send cycle before it inserts the delivery,
+// so the spin's next step, due in the delivery's cycle, keeps its place
+// ahead of it; and the delivery wakes the destination before its handler
+// runs, through the cycle before its own.
+func TestWakeBeforeFlushInsert(t *testing.T) {
+	// run sends one packet from node 0 to node 2 at cycle 3 and returns when
+	// it arrives and the order its delivery and the spin's step fired in.
+	run := func(s *spinner) (sim.Time, []string) {
+		eng, nw, port := newTest(4, 1)
+		var order []string
+		var arrived sim.Time
+		if s != nil {
+			s.eng, s.order = eng, &order
+			port.SetWaker(2, s)
+			eng.At(9, func() { s.off = true }) // the spin leaves the queue again
+		}
+		nw.Register(2, func(*Packet) {
+			arrived = eng.Now()
+			order = append(order, "delivery")
+		})
+		eng.At(3, func() { port.SendFrom(0, 2, 2, nil) })
+		eng.Run()
+		return arrived, order
+	}
+	due, _ := run(nil)
+	s := &spinner{off: true, at: due} // the spin's next step falls in the delivery's cycle
+	arrived, order := run(s)
+	if arrived != due {
+		t.Fatalf("delivery arrived at %d with a spinner, %d without", arrived, due)
+	}
+	if len(order) != 2 || order[0] != "step" || order[1] != "delivery" {
+		t.Errorf("fire order %v, want the spin's step before the delivery", order)
+	}
+	want := []sim.Time{3, due - 1}
+	if len(s.limits) != 2 || s.limits[0] != want[0] || s.limits[1] != want[1] {
+		t.Errorf("wake limits %v, want %v (the send cycle at the flush, then the cycle before the delivery)", s.limits, want)
+	}
+}

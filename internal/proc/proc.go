@@ -64,10 +64,19 @@ type Op struct {
 	// until Until(value) holds, burning Cycles (at least 1) of compute
 	// between polls, and only then calls Next with the satisfying value.
 	// Every poll and backoff is an ordinary instruction — same pipeline
-	// claims, cache accesses, sequence keys and Stats counts as plain loads
-	// and computes returned from Next one at a time — so the result is the
-	// same as that loop's; only the host-side Next calls are saved. Until
-	// must be nil on every other Kind (the processor panics).
+	// claims, cache accesses, cycles and Stats counts as plain loads and
+	// computes returned from Next one at a time — so the result is the
+	// same as that loop's; only the host-side Next calls, and the queued
+	// events of polls that cannot change anything (see Wake), are saved.
+	// Until must be nil on every other Kind (the processor panics).
+	//
+	// Until must be a pure function of the polled value while the spin
+	// lasts — state it reads may change between spins, as a barrier's epoch
+	// does, but not during one, and calls must not be counted — because the
+	// processor may evaluate it once for a run of polls that read the same
+	// value and settle the rest of the run without calling it (see Wake).
+	// The built-in predicates comply: the barriers' v >= epoch and the
+	// migratory ring's v >= myTurn.
 	Until func(v uint64) bool
 }
 
@@ -202,6 +211,11 @@ type Processor struct {
 	computeH  computeHandler
 	completeH completeHandler
 	trapH     trapHandler
+
+	// The off-queue spin (see Wake). While chain is off the queue, pend
+	// holds the spin's next step and offAt its deadline, in either mode.
+	chain sim.Chain
+	offAt sim.Time
 }
 
 // pendKind names the four pipeline continuations a step can end with.
@@ -258,6 +272,7 @@ type trapHandler struct{ p *Processor }
 
 func (h *trapHandler) OnEvent(any) {
 	p := h.p
+	p.Wake(p.eng.Now() - 1)
 	pkt := p.mc.IPIQueue().Pop()
 	if pkt == nil {
 		panic("proc: protocol trap with empty IPI queue")
@@ -299,10 +314,19 @@ func New(eng *sim.Engine, cc *coherence.CacheController, timing coherence.Timing
 
 // Attach wires the processor to its node's memory controller and trap
 // handler. Called once by the machine builder (the controller needs the
-// processor as its trap sink, so construction is two-phase).
+// processor as its trap sink, so construction is two-phase). On an engine
+// with plain sequence keys (a one-engine machine; set the engine's key
+// mode first) the processor's spin-waits may leave the event queue (see
+// Wake), so Attach also wires the wake points its controllers own: their
+// events and the network's deliveries to the node. A model that schedules
+// any other event touching the node must call Wake at its start.
 func (p *Processor) Attach(mc *coherence.MemoryController, hnd Handler) {
 	p.mc = mc
 	p.hnd = hnd
+	if !p.eng.CycleSeq() {
+		p.cc.SetWaker(p)
+		mc.SetWaker(p)
+	}
 }
 
 // Stats returns a copy of the processor counters.
@@ -365,8 +389,13 @@ func (p *Processor) Start() {
 // sched parks the chain's one continuation. In event mode it schedules the
 // corresponding engine event immediately — byte-for-byte the event chain
 // this processor always ran. In fused mode it parks the engine pend
-// instead: same deadline, same sequence key, no pooled event.
+// instead: same deadline, same sequence key, no pooled event. While the
+// spin is off the queue it only records the step, in either mode.
 func (p *Processor) sched(t sim.Time, k pendKind, c *context) {
+	if p.chain.Off() {
+		p.pend, p.offAt = pendAction{kind: k, ctx: c}, t
+		return
+	}
 	if p.mode == ModeFused {
 		if p.pend.kind != pendNone {
 			panic("proc: pipeline continuation already parked")
@@ -425,6 +454,103 @@ func (p *Processor) exec(k pendKind, c *context) {
 	}
 }
 
+// Off-queue spins.
+//
+// A spin-wait whose poll hits in the cache and fails its predicate will,
+// until an event of this node runs, hit the same line, read the same value
+// and fail the same way on every poll: nothing else can change the line or
+// claim the pipeline. With one live context such a spin leaves the event
+// queue (sim.Chain): none of its next steps — hit completion, backoff
+// slices, the next issue — is queued. The engine settles them later, each
+// at its own cycle and counted in Events, through StepChain (the same
+// pipeline code, step by step) and SkipChain (whole poll periods at once,
+// from a poll's issue).
+//
+// The spin rejoins the queue at two wake points. At the start of every
+// event of the node — a delivery, a memory-controller step, a trap, an
+// MSHR send or completion, a fault duplicate — Wake settles the steps
+// before the current cycle: every event of the node still queued when the
+// spin left was drawn before its steps, so it precedes any of them in its
+// cycle. And before the network inserts a delivery to the node, Wake
+// settles through the flush cycle: the delivery's key follows every key
+// drawn in its send cycle, the next step's among them. Either way the key
+// the next step then draws sorts, among the node's events, exactly where
+// its own key would have, and order against other nodes' events does not
+// matter (they share nothing but the canonically claimed network), so
+// every Result is bit-identical to the run with every step queued.
+
+// Wake settles the off-queue spin's steps due at or before limit and
+// returns it to the event queue; it does nothing while the spin is on the
+// queue. It implements coherence.Spinner.
+func (p *Processor) Wake(limit sim.Time) {
+	if !p.chain.Off() {
+		return
+	}
+	at := p.eng.Rejoin(&p.chain, limit)
+	a := p.pend
+	p.pend.kind = pendNone
+	p.sched(at, a.kind, a.ctx)
+}
+
+// OffQueue reports whether a spin is off the event queue. It implements
+// coherence.Spinner.
+func (p *Processor) OffQueue() bool { return p.chain.Off() }
+
+// StepChain implements sim.ChainOwner: it runs the off-queue spin's next
+// step through the ordinary pipeline code and returns the deadline of the
+// step after it.
+func (p *Processor) StepChain() sim.Time {
+	a := p.pend
+	p.pend.kind = pendNone
+	p.exec(a.kind, a.ctx)
+	return p.offAt
+}
+
+// SkipChain implements sim.ChainOwner. From a poll's issue with the
+// pipeline free, a poll period — the hit, its completion and failed
+// predicate, the backoff slices and the next issue cycle — occupies the
+// pipeline alone and ends with the pipeline free at the next issue, so
+// the periods repeat exactly and every whole period due by limit settles
+// at once. Every issue settled off the queue finds the pipeline free: its
+// own issue cycle's claim ends there, and nothing else claims the
+// pipeline while the spin is off the queue (a trap must wake it first).
+// A trap that claimed the pipeline before the spin left delays only the
+// steps before the next issue — the spin leaves at a poll's issue — and
+// those settle one by one.
+func (p *Processor) SkipChain(at, limit sim.Time) (n uint64, last, next sim.Time) {
+	if p.pend.kind != pendIssue {
+		return 0, 0, 0
+	}
+	c := p.pend.ctx
+	backoff := max(c.pendingOp.Cycles, 1)
+	hit := p.timing.CacheHit
+	end := at + hit + backoff // the period's last step: the backoff's end, where the next issue cycle is claimed
+	if end > limit {
+		return 0, 0, 0
+	}
+	period := hit + backoff + 1
+	periods := uint64((limit-end)/period) + 1
+	if v, ok := p.cc.PollHits(c.pendingOp.Addr, periods); !ok || v != c.spinLast || c.pendingOp.Until(v) {
+		p.missedWake(c)
+	}
+	slices := uint64((backoff + computeSlice - 1) / computeSlice)
+	span := sim.Time(periods) * period
+	p.stats.Instructions += 2 * periods
+	p.stats.Loads += periods
+	p.stats.Stalls += periods
+	p.stats.BusyCycles += sim.Time(periods) * (backoff + 1)
+	p.pipe.Repeat(periods*(slices+1), sim.Time(periods)*(backoff+1), at+span)
+	return periods * (slices + 2), at + span - 1, at + span
+}
+
+// missedWake reports a settled poll that would not have done what the
+// spin's failed poll did: the line changed under an off-queue spin, so an
+// event of the node ran without waking it.
+func (p *Processor) missedWake(c *context) {
+	panic(fmt.Sprintf("proc: node %d's off-queue spin on %#x would not repeat its failed poll at cycle %d: an event of the node did not wake it",
+		p.cc.ID(), uint64(c.pendingOp.Addr), p.eng.Now()))
+}
+
 // ProtocolTrap implements coherence.TrapSink: the controller has pushed a
 // protocol packet onto the IPI input queue. The trap is synchronous — it
 // claims the pipeline as soon as the current instruction completes — and
@@ -432,6 +558,10 @@ func (p *Processor) exec(k pendKind, c *context) {
 func (p *Processor) ProtocolTrap() {
 	if p.mc == nil || p.hnd == nil {
 		panic("proc: protocol trap before Attach")
+	}
+	if p.chain.Off() {
+		panic(fmt.Sprintf("proc: protocol trap at node %d, cycle %d, with its spin off the event queue: the event that raised it did not wake the spin",
+			p.cc.ID(), p.eng.Now()))
 	}
 	cost := p.timing.TrapEntry + p.timing.TrapService
 	if p.faults != nil {
@@ -497,6 +627,9 @@ func (p *Processor) step(c *context) {
 		c.spin = spinPolled
 		op = c.pendingOp
 	default:
+		if p.chain.Off() {
+			p.missedWake(c)
+		}
 		if c.spin == spinPolled {
 			p.progress++ // the spin's one commit: the poll that satisfied it
 		}
@@ -592,8 +725,17 @@ func (p *Processor) issue(c *context, op Op) {
 		// rather than the controller's pooled completion events — keeps the
 		// hot path on the fused run while the event oracle allocates its
 		// completion at the identical cycle with an identical sequence key.
+		// A spin poll that fails its predicate with no other live context
+		// takes the spin off the queue from here (see Wake).
 		c.hitVal = v
-		p.sched(p.eng.Now()+p.timing.CacheHit, pendComplete, c)
+		at := p.eng.Now() + p.timing.CacheHit
+		if c.spin == spinPolled && !p.chain.Off() && p.finished == len(p.contexts)-1 &&
+			!p.eng.CycleSeq() && !c.pendingOp.Until(v) {
+			p.eng.TakeOff(&p.chain, p, at, p.mode == ModeFused)
+		}
+		p.sched(at, pendComplete, c)
+	} else if p.chain.Off() {
+		p.missedWake(c)
 	} else if outcome == coherence.OutcomeMissRemote && len(p.contexts) > 1 {
 		// "The Alewife processors rapidly schedule another process in
 		// place of the stalled process" — switch if anyone is ready.

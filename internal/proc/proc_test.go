@@ -22,7 +22,14 @@ type procRig struct {
 
 func newProcRig(t *testing.T, nodes int, contexts int, params coherence.Params) *procRig {
 	t.Helper()
-	eng := sim.New()
+	return newProcRigOn(t, sim.New(), nodes, contexts, params)
+}
+
+// newProcRigOn builds the rig over eng. Its processors read the engine's
+// key mode as they attach: on plain keys their spins may leave the event
+// queue, on cycle-tagged keys every step stays queued.
+func newProcRigOn(t *testing.T, eng *sim.Engine, nodes int, contexts int, params coherence.Params) *procRig {
+	t.Helper()
 	params.Nodes = nodes
 	nw := mesh.New(mesh.DefaultConfig(nodes, 1))
 	port := nw.ShardPorts([]*sim.Engine{eng}, make([]int, nodes), 1)[0]
@@ -332,9 +339,10 @@ func longCompute() proc.Workload {
 // mode: node 0 runs home (long local work), node 1 takes the block's only
 // hardware pointer, and node 2 — after delay cycles of local work — reads
 // the same block, overflowing the directory and trapping node 0's
-// processor mid-work. It returns the run's end time, the cycle node 2's
-// overflowing load completed, and node 0's serviced-trap count.
-func runTrapBoundary(t *testing.T, mode proc.Mode, delay sim.Time, home proc.Workload) (end, loadDone sim.Time, traps uint64) {
+// processor mid-work. Node 3 runs node3, or nothing when it is nil. It
+// returns the run's end time, the cycle node 2's overflowing load
+// completed, and node 0's serviced-trap count.
+func runTrapBoundary(t *testing.T, mode proc.Mode, delay sim.Time, home, node3 proc.Workload) (end, loadDone sim.Time, traps uint64) {
 	t.Helper()
 	params := coherence.DefaultParams(4)
 	params.Scheme = coherence.LimitLESS
@@ -352,6 +360,9 @@ func runTrapBoundary(t *testing.T, mode proc.Mode, delay sim.Time, home proc.Wor
 		{Kind: proc.OpLoad, Addr: addr(0, 2), Shared: true},
 	}}
 	r.procs[2].SetWorkload(0, rec)
+	if node3 != nil {
+		r.procs[3].SetWorkload(0, node3)
+	}
 	for _, p := range r.procs {
 		p.Start()
 	}
@@ -387,7 +398,7 @@ func TestTrapClaimsNextSliceBoundary(t *testing.T) {
 	wantDone := map[sim.Time]sim.Time{30: 114, 34: 130, 38: 130, 42: 130, 46: 130, 50: 146}
 	for _, mode := range []proc.Mode{proc.ModeFused, proc.ModeEvent} {
 		for d, want := range wantDone {
-			end, done, traps := runTrapBoundary(t, mode, d, longCompute())
+			end, done, traps := runTrapBoundary(t, mode, d, longCompute(), nil)
 			if traps != 1 {
 				t.Fatalf("mode=%v delay=%d: %d traps serviced, want 1", mode, d, traps)
 			}

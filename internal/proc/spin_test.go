@@ -10,16 +10,6 @@ import (
 	"limitless/internal/sim"
 )
 
-// pollCount returns an Until predicate that is satisfied on its k-th call,
-// whatever the loaded value.
-func pollCount(k int) func(uint64) bool {
-	n := 0
-	return func(uint64) bool {
-		n++
-		return n == k
-	}
-}
-
 // outcome is what one run of a scenario exposes: the end time, the engine's
 // dispatch count (the Result's Events) and every processor's counters.
 type outcome struct {
@@ -32,7 +22,12 @@ type outcome struct {
 // every processor to completion under mode.
 func runScenario(t *testing.T, mode proc.Mode, nodes, contexts int, params coherence.Params, setup func(r *procRig)) outcome {
 	t.Helper()
-	r := newProcRig(t, nodes, contexts, params)
+	return runRig(t, newProcRig(t, nodes, contexts, params), mode, setup)
+}
+
+// runRig is runScenario on a rig the caller built.
+func runRig(t *testing.T, r *procRig, mode proc.Mode, setup func(r *procRig)) outcome {
+	t.Helper()
 	for _, p := range r.procs {
 		p.SetMode(mode)
 	}
@@ -64,30 +59,51 @@ func runBothModes(t *testing.T, nodes, contexts int, params coherence.Params, se
 }
 
 // TestSpinPollCounts pins the processor-side poll loop against the
-// instruction stream it replaces: a spin satisfied on poll k issues exactly
-// k loads and k-1 backoffs, counted in Stats like ordinary instructions,
-// and the run matches — end time, Events, every counter — the same loads
-// and computes returned one by one from Next. Only two Next calls happen
-// around the spin: the one that returns it and the one that receives the
-// satisfying value.
+// instruction stream it replaces. A producer on node 1 sets the flag
+// while node 0 waits on it, before its first poll or after a few; the
+// spin, satisfied on its k-th poll (read back from Stats: a predicate must
+// not count its calls), issues exactly k loads and k-1 backoffs, counted
+// in Stats like ordinary instructions, and the run matches — end time,
+// Events, every counter — the same loads and computes returned one by one
+// from Next. Only two Next calls happen around the spin: the one that
+// returns it and the one that receives the satisfying value.
 func TestSpinPollCounts(t *testing.T) {
 	params := coherence.DefaultParams(2)
 	flag := addr(0, 1)
-	for _, k := range []int{1, 2, 5} {
+	producer := func(r *procRig, set sim.Time) {
+		r.procs[1].SetWorkload(0, &script{ops: []proc.Op{
+			{Kind: proc.OpCompute, Cycles: set},
+			{Kind: proc.OpStore, Addr: flag, Value: 1, Shared: true},
+		}})
+	}
+	// wait is node 0's compute between its store of 9 and the spin, set
+	// the producer's compute before its store of 1.
+	for _, c := range []struct{ wait, set sim.Time }{{600, 100}, {1, 100}, {1, 400}} {
 		// Backoff 0 is clamped to one cycle; 40 spans several compute slices.
 		for _, backoff := range []sim.Time{0, 7, 40} {
-			label := fmt.Sprintf("k=%d/backoff=%d", k, backoff)
+			label := fmt.Sprintf("wait=%d/set=%d/backoff=%d", c.wait, c.set, backoff)
 			var spin *script
 			got := runBothModes(t, 2, 1, params, func(r *procRig) {
 				spin = &script{ops: []proc.Op{
 					{Kind: proc.OpStore, Addr: flag, Value: 9, Shared: true},
-					{Kind: proc.OpLoad, Addr: flag, Shared: true, Cycles: backoff, Until: pollCount(k)},
+					{Kind: proc.OpCompute, Cycles: c.wait},
+					{Kind: proc.OpLoad, Addr: flag, Shared: true, Cycles: backoff,
+						Until: func(v uint64) bool { return v == 1 }},
 					{Kind: proc.OpCompute, Cycles: 3},
 				}}
 				r.procs[0].SetWorkload(0, spin)
+				producer(r, c.set)
 			})
+			st := got.stats[0]
+			k := int(st.Loads)
+			if (k == 1) != (c.wait > c.set) {
+				t.Fatalf("%s: the spin polled %d times, want once exactly when the flag is set before it starts", label, k)
+			}
 			want := runBothModes(t, 2, 1, params, func(r *procRig) {
-				ops := []proc.Op{{Kind: proc.OpStore, Addr: flag, Value: 9, Shared: true}}
+				ops := []proc.Op{
+					{Kind: proc.OpStore, Addr: flag, Value: 9, Shared: true},
+					{Kind: proc.OpCompute, Cycles: c.wait},
+				}
 				for i := 0; i < k; i++ {
 					if i > 0 {
 						ops = append(ops, proc.Op{Kind: proc.OpCompute, Cycles: backoff})
@@ -96,16 +112,16 @@ func TestSpinPollCounts(t *testing.T) {
 				}
 				ops = append(ops, proc.Op{Kind: proc.OpCompute, Cycles: 3})
 				r.procs[0].SetWorkload(0, &script{ops: ops})
+				producer(r, c.set)
 			})
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("%s: spin run differs from the expanded stream:\nspin:     %+v\nexpanded: %+v", label, got, want)
 			}
-			st := got.stats[0]
-			if st.Loads != uint64(k) || st.Instructions != uint64(2*k-1)+2 {
-				t.Fatalf("%s: loads=%d instructions=%d, want %d and %d", label, st.Loads, st.Instructions, k, 2*k+1)
+			if st.Instructions != uint64(2*k-1)+3 {
+				t.Fatalf("%s: %d loads and %d instructions, want %d instructions", label, k, st.Instructions, 2*k+2)
 			}
-			if fmt.Sprint(spin.vals) != "[0 9 9 0]" {
-				t.Fatalf("%s: Next saw %v, want [0 9 9 0]", label, spin.vals)
+			if fmt.Sprint(spin.vals) != "[0 9 0 1 0]" {
+				t.Fatalf("%s: Next saw %v, want [0 9 0 1 0]", label, spin.vals)
 			}
 		}
 	}
@@ -148,11 +164,21 @@ func TestSpinProcModesAgree(t *testing.T) {
 // boundary. Both modes must reproduce the expanded load/compute/load
 // stream exactly, and sweeping the trap's arrival moves the overflowing
 // load's completion only in whole slices.
+//
+// Node 3 sets the polled block late in the backoff, so the second poll
+// misses and reads the value that satisfies the spin.
 func TestSpinTrapClaimsNextSliceBoundary(t *testing.T) {
 	block := addr(0, 3)
 	spin := func() proc.Workload {
 		return &script{ops: []proc.Op{
-			{Kind: proc.OpLoad, Addr: block, Shared: true, Cycles: 5000, Until: pollCount(2)},
+			{Kind: proc.OpLoad, Addr: block, Shared: true, Cycles: 5000,
+				Until: func(v uint64) bool { return v == 1 }},
+		}}
+	}
+	setter := func() proc.Workload {
+		return &script{ops: []proc.Op{
+			{Kind: proc.OpCompute, Cycles: 4000},
+			{Kind: proc.OpStore, Addr: block, Value: 1, Shared: true},
 		}}
 	}
 	expanded := func() proc.Workload {
@@ -165,8 +191,8 @@ func TestSpinTrapClaimsNextSliceBoundary(t *testing.T) {
 	for _, mode := range []proc.Mode{proc.ModeFused, proc.ModeEvent} {
 		var first sim.Time
 		for d := sim.Time(30); d <= 50; d += 2 {
-			end, done, traps := runTrapBoundary(t, mode, d, spin())
-			wantEnd, wantDone, wantTraps := runTrapBoundary(t, proc.ModeEvent, d, expanded())
+			end, done, traps := runTrapBoundary(t, mode, d, spin(), setter())
+			wantEnd, wantDone, wantTraps := runTrapBoundary(t, proc.ModeEvent, d, expanded(), setter())
 			if end != wantEnd || done != wantDone || traps != wantTraps {
 				t.Fatalf("mode=%v delay=%d: spin (end=%d done=%d traps=%d) differs from expanded (end=%d done=%d traps=%d)",
 					mode, d, end, done, traps, wantEnd, wantDone, wantTraps)
@@ -247,7 +273,7 @@ func TestSpinUntilOnlyOnLoads(t *testing.T) {
 // TestSpinProgress: a spin-wait is one unit of forward progress however
 // many polls it takes, so a poll that fails its predicate counts nothing,
 // and while the context spins Spins reports the polled address and the
-// value the last failed poll read.
+// value the last failed poll read. Node 1 sets the flag after a while.
 func TestSpinProgress(t *testing.T) {
 	params := coherence.DefaultParams(2)
 	flag := addr(0, 1)
@@ -257,9 +283,16 @@ func TestSpinProgress(t *testing.T) {
 		p.SetMode(mode)
 		p.SetWorkload(0, &script{ops: []proc.Op{
 			{Kind: proc.OpStore, Addr: flag, Value: 5, Shared: true},
-			{Kind: proc.OpLoad, Addr: flag, Shared: true, Cycles: 4, Until: pollCount(6)},
+			{Kind: proc.OpLoad, Addr: flag, Shared: true, Cycles: 4,
+				Until: func(v uint64) bool { return v == 7 }},
+		}})
+		r.procs[1].SetMode(mode)
+		r.procs[1].SetWorkload(0, &script{ops: []proc.Op{
+			{Kind: proc.OpCompute, Cycles: 100},
+			{Kind: proc.OpStore, Addr: flag, Value: 7, Shared: true},
 		}})
 		p.Start()
+		r.procs[1].Start()
 		var sawLast bool
 		for r.eng.Step() {
 			p.Spins(func(a directory.Addr, last uint64) {

@@ -21,7 +21,9 @@
 // handles that keep Cancel and Scheduled safe against a recycled event's
 // next incarnation. The one event the engine does not own is a Pend's: its
 // owner re-parks it for every step of a chain, and it queues and fires
-// exactly like any other event.
+// exactly like any other event. A chain whose steps nothing else reads
+// until a known event runs may leave the queue altogether; the engine
+// then settles its steps when they are needed (see chain.go).
 //
 // Time is measured in processor clock cycles (the paper reports all results
 // in cycles of the 33 MHz SPARCLE clock).
@@ -104,6 +106,7 @@ type Engine struct {
 	inlined   uint64   // pend dispatches (subset of processed)
 	free      []*Event // recycled events; see SetPooling
 	noPool    bool
+	chains    []*Chain // chains off the queue (chain.go)
 
 	// Windowed-mode sequencing (see SetCycleSeq): seqCycle is the cycle the
 	// per-cycle counter is counting for, cycleCtr the next counter value.
@@ -134,28 +137,30 @@ type Engine struct {
 func New() *Engine {
 	e := &Engine{}
 	if m, _ := memPool.Get().(*engineMem); m != nil {
-		e.wh.buckets, e.free = m.buckets, m.free
+		e.wh.buckets, e.free, e.chains = m.buckets, m.free, m.chains
 	}
 	e.wh.init()
 	return e
 }
 
 // engineMem is the run-scoped memory an engine hands to the next one: the
-// wheel's buckets, with the capacities their slices grew to, and the free
-// list of recycled events.
+// wheel's buckets, with the capacities their slices grew to, the free
+// list of recycled events and the emptied list of off-queue chains.
 type engineMem struct {
 	buckets []wheelBucket
 	free    []*Event
+	chains  []*Chain
 }
 
 var memPool sync.Pool
 
 // Recycle empties the wheel's buckets and hands them, together with the
-// event free list, to the pool New draws on. Events still queued — a run
-// cut off by a cycle limit, a watchdog or an abort — are dropped with the
-// engine; a parked pend's event is never on the free list, so no later
-// engine hands it out. The engine must not be used afterwards; a second
-// Recycle does nothing.
+// event free list, to the pool New draws on. Events still queued and
+// chains still off the queue — a run cut off by a cycle limit, a watchdog
+// or an abort — are dropped with the engine; a parked pend's event is
+// never on the free list, so no later engine hands it out, and the pooled
+// chain list keeps no pointer to a chain. The engine must not be used
+// afterwards; a second Recycle does nothing.
 func (e *Engine) Recycle() {
 	if e.wh.buckets == nil {
 		return
@@ -166,8 +171,9 @@ func (e *Engine) Recycle() {
 		b.reset()
 		b.live = 0
 	}
-	memPool.Put(&engineMem{buckets: e.wh.buckets, free: e.free})
-	e.wh.buckets, e.free = nil, nil
+	clear(e.chains)
+	memPool.Put(&engineMem{buckets: e.wh.buckets, free: e.free, chains: e.chains[:0]})
+	e.wh.buckets, e.free, e.chains = nil, nil, nil
 }
 
 // SetScheduler selects the pending-event data structure. Both schedulers
@@ -227,6 +233,10 @@ func (e *Engine) SetCycleSeq(on bool) {
 	e.cycleSeq = on
 }
 
+// CycleSeq reports whether the engine draws cycle-tagged sequence keys
+// (SetCycleSeq). Only an engine with plain keys holds off-queue chains.
+func (e *Engine) CycleSeq() bool { return e.cycleSeq }
+
 // WindowSeq builds a cycle-tagged sequence number by hand: the key an event
 // allocated at cycle with per-cycle counter ctr would receive. flush selects
 // the barrier-flush phase, ordered after all same-cycle execution-phase
@@ -273,26 +283,41 @@ func (e *Engine) runHook() {
 func (e *Engine) Now() Time { return e.now }
 
 // Processed returns the number of events executed so far, pend dispatches
-// included: a parked continuation is exactly the event its event-mode twin
-// would have allocated, so the count stays an invariant measure of
-// simulation actions — identical whether processors run fused or
-// event-per-step, and independent of how shard windows cut the run.
+// and settled off-queue steps included: a parked continuation is exactly
+// the event its event-mode twin would have allocated, and a settled step
+// the event it would have queued, so the count stays an invariant measure
+// of simulation actions — identical whether processors run fused or
+// event-per-step, whether a spin leaves the queue, and independent of how
+// shard windows cut the run.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Pending returns the number of events still queued, parked pends included.
-func (e *Engine) Pending() int { return e.queued }
+// Pending returns the number of events still queued, parked pends
+// included, plus one for each chain off the queue (its next step).
+func (e *Engine) Pending() int { return e.queued + len(e.chains) }
 
 // Inlined returns how many of the processed events were pend dispatches —
-// the fused processor path's events that never left their owner, reported
-// by the throughput benchmarks as the pend share.
+// the fused processor path's events that never left their owner, settled
+// off-queue steps of a fused owner included — reported by the throughput
+// benchmarks as the pend share.
 func (e *Engine) Inlined() uint64 { return e.inlined }
 
 // NextEventTime returns the deadline of the earliest pending event, parked
-// pends included. ok is false when nothing is pending. On the wheel the
-// probe is an O(1) occupancy-bitmap scan, which is what lets guarded runs
-// and the sharded window driver skip dead cycles without touching
-// individual events.
+// pends and the next steps of off-queue chains included. ok is false when
+// nothing is pending. On the wheel the probe is an O(1) occupancy-bitmap
+// scan, which is what lets guarded runs and the sharded window driver skip
+// dead cycles without touching individual events.
 func (e *Engine) NextEventTime() (t Time, ok bool) {
+	t, ok = e.queueNext()
+	for _, c := range e.chains {
+		if !ok || c.at < t {
+			t, ok = c.at, true
+		}
+	}
+	return t, ok
+}
+
+// queueNext returns the deadline of the earliest queued event.
+func (e *Engine) queueNext() (Time, bool) {
 	if e.useHeap {
 		if len(e.heap) == 0 {
 			return 0, false
@@ -481,15 +506,16 @@ func (e *Engine) Cancel(r EventRef) {
 	e.release(r.ev)
 }
 
-// Step executes the single earliest pending event, advancing the clock to
-// its deadline. It reports false when nothing remains. A pooled event is
-// recycled before the callback runs, so the callback can immediately
-// schedule into the freed slot. An armed end-of-cycle hook runs first when
-// the next event lies in a later cycle or nothing remains; it is not the
-// step.
+// Step executes the single earliest queued event, advancing the clock to
+// its deadline. It reports false when nothing remains queued. A pooled
+// event is recycled before the callback runs, so the callback can
+// immediately schedule into the freed slot. An armed end-of-cycle hook
+// runs first when the next event lies in a later cycle or nothing remains;
+// it is not the step. Off-queue chains settle only at their wake points,
+// as under Run, which Step loops mirror.
 func (e *Engine) Step() bool {
 	if e.hookArmed {
-		if t, ok := e.NextEventTime(); !ok || t > e.now {
+		if t, ok := e.queueNext(); !ok || t > e.now {
 			e.runHook()
 		}
 	}
@@ -541,7 +567,8 @@ func (e *Engine) Run() Time { return e.RunUntil(Forever) }
 //
 // The effective limit is re-read between cycles, so an event callback may
 // lower it mid-run with ClampRunLimit; the cycle being drained always
-// completes.
+// completes. Off-queue chains settle through the effective limit before
+// RunUntil returns, an aborted run's included (see chain.go).
 func (e *Engine) RunUntil(limit Time) Time {
 	if e.abort {
 		return e.now
@@ -549,9 +576,10 @@ func (e *Engine) RunUntil(limit Time) Time {
 	e.runLimit = limit
 	if !e.useHeap {
 		e.runWheel()
-		return e.now
+	} else {
+		e.runHeap()
 	}
-	e.runHeap()
+	e.settleChains()
 	return e.now
 }
 
@@ -583,7 +611,8 @@ func (e *Engine) runHeap() Time {
 // it executes events with deadlines at or before limit and returns the
 // next pending deadline, or Forever when the queue is empty. The windowed
 // sharded driver calls it once per shard per window, where the separate
-// probe would repeat the scan the run's exit check just did.
+// probe would repeat the scan the run's exit check just did; its engines
+// use cycle-tagged keys, so they never hold an off-queue chain.
 func (e *Engine) RunUntilNext(limit Time) Time {
 	e.runLimit = limit
 	if !e.useHeap {

@@ -31,6 +31,18 @@ func (r *Resource) Claim(from Time, dur Time) (start Time) {
 	return start
 }
 
+// Repeat records, in closed form, claims more claims of busy cycles in
+// all, the last of them ending at until: what that run of Claim calls
+// would leave behind. until must not precede the current busy-until.
+func (r *Resource) Repeat(claims uint64, busy, until Time) {
+	if until < r.busyUntil || busy < 0 {
+		panic("sim: resource repeat before its busy-until")
+	}
+	r.busyUntil = until
+	r.busy += busy
+	r.claims += claims
+}
+
 // FreeAt returns the earliest cycle at or after from when the resource is idle.
 func (r *Resource) FreeAt(from Time) Time {
 	if r.busyUntil > from {

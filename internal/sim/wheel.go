@@ -152,10 +152,26 @@ func (w *wheel) ringInsert(ev *Event) {
 	}
 	ev.index = len(b.evs)
 	ev.loc = locRing
+	if len(b.evs) == cap(b.evs) {
+		b.grow()
+	}
 	b.evs = append(b.evs, ev)
 	b.live++
 	w.count++
 	w.setOcc(idx)
+}
+
+// grow moves a full bucket's slots to an array of twice the size and
+// clears the ones it leaves. The array left behind may be the carve that
+// init shares among every bucket, which stays reachable — pooled with the
+// buckets across machines — as long as one bucket still uses it, so a
+// pointer left in it would keep a finished machine alive through any pend
+// event it names.
+func (b *wheelBucket) grow() {
+	evs := make([]*Event, len(b.evs), 2*cap(b.evs))
+	copy(evs, b.evs)
+	clear(b.evs)
+	b.evs = evs
 }
 
 // remove cancels a pending event: ring events become nil tombstones

@@ -102,7 +102,10 @@ func (t *Thread) Compute(cycles sim.Time, then Cont) {
 // single OpLoad carrying pred as Until and backoff as Cycles; the
 // processor runs the poll loop itself (see proc.Op.Until), so a spin-wait
 // costs one Next call however many polls it takes. The loop runs to
-// completion before any operation queued behind it.
+// completion before any operation queued behind it. pred must be a pure
+// function of the polled value while the spin lasts (see proc.Op.Until):
+// the processor may evaluate it once for a run of polls that read the same
+// value and settle the rest without it.
 func (t *Thread) SpinUntil(addr directory.Addr, pred func(uint64) bool, backoff sim.Time, then Cont) {
 	t.push(proc.Op{Kind: proc.OpLoad, Addr: addr, Shared: true, Cycles: backoff, Until: pred}, then)
 }

@@ -659,6 +659,10 @@ func (p *Prog) Compute(cycles int64, then func(p *Prog)) {
 // SpinUntil polls addr, with a 12-cycle backoff between polls, until pred
 // holds; then receives the satisfying value. The processor runs the polls
 // itself, so a wait costs the program one step however long it spins.
+// pred must be a pure function of the polled value while the spin lasts —
+// no call counters, no reads of state that changes during the wait —
+// because the processor evaluates it once for a run of polls that read
+// the same value.
 func (p *Prog) SpinUntil(addr Addr, pred func(uint64) bool, then func(v uint64, p *Prog)) {
 	p.t.SpinUntil(directory.Addr(addr), pred, 12, func(v uint64, t *workload.Thread) { then(v, &Prog{t}) })
 }
@@ -712,7 +716,9 @@ func NormalizeFaults(spec string) (string, error) {
 	return cfg.String(), nil
 }
 
-// Run executes the workload on a machine built from cfg.
+// Run executes the workload on a machine built from cfg. On one engine a
+// program that spins on a value nothing will write, with no MaxCycles,
+// watchdog or fault plan to end the wait, returns a deadlock error.
 func Run(cfg Config, wl Workload) (Result, error) {
 	if cfg.Procs == 0 {
 		cfg.Procs = wl.procs
@@ -748,7 +754,10 @@ func Run(cfg Config, wl Workload) (Result, error) {
 			return finishResult(m, res), fmt.Errorf("limitless: run exceeded %d cycles", cfg.MaxCycles)
 		}
 	} else {
-		res = m.Run()
+		res, err = runAll(m)
+		if err != nil {
+			return Result{}, err
+		}
 		if d := m.Diagnostic(); d != nil {
 			return finishResult(m, res), fmt.Errorf("limitless: %s", d)
 		}
@@ -759,6 +768,39 @@ func Run(cfg Config, wl Workload) (Result, error) {
 		}
 	}
 	return finishResult(m, res), nil
+}
+
+// runAll is m.Run for a caller's workload. A program that spins on a value
+// nothing will write — a SpinUntil predicate that never holds, with no
+// cycle limit or watchdog to end the wait — drains the event queue with
+// every unfinished processor's spin off it, which the machine reports as a
+// deadlock panic. That is the caller's input, not a simulator bug, so it
+// comes back as an error; every other panic passes through.
+func runAll(m *machine.Machine) (res machine.Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if !staleSpins(m) {
+				panic(r)
+			}
+			err = fmt.Errorf("limitless: %v", r)
+		}
+	}()
+	return m.Run(), nil
+}
+
+// staleSpins reports whether m's event queue holds nothing but spins off
+// it, and every unfinished processor is one of them.
+func staleSpins(m *machine.Machine) bool {
+	off := 0
+	for _, n := range m.Nodes {
+		switch {
+		case n.Proc.OffQueue():
+			off++
+		case !n.Proc.Done():
+			return false
+		}
+	}
+	return off > 0 && m.Eng.Pending() == off
 }
 
 // Sweep runs one workload under many configurations on a bounded worker
