@@ -93,12 +93,9 @@ const (
 	// OracleEventProc schedules one event per processor pipeline step
 	// instead of fusing hit and compute chains.
 	OracleEventProc
-	// OracleFixedWindows advances the sharded engine in fixed
-	// lookahead-wide windows instead of slack-adaptive ones.
-	OracleFixedWindows
 
 	// AllOracles selects every reference implementation at once.
-	AllOracles = OracleHeap | OracleBoxed | OracleEventProc | OracleFixedWindows
+	AllOracles = OracleHeap | OracleBoxed | OracleEventProc
 )
 
 // DefaultConfig returns the paper's evaluation machine: 64 processors,
@@ -218,10 +215,6 @@ func New(cfg Config) *Machine {
 	m.ports = m.Net.ShardPorts(m.engines, m.nodeShard, window)
 	m.sharded = sim.NewShardedEngine(m.engines, window,
 		func(before sim.Time, mins []sim.Time) { m.Net.FlushWindow(before, mins) })
-	if cfg.Oracles&OracleFixedWindows != 0 {
-		m.sharded.SetWindowMode(sim.WindowFixed)
-	}
-	m.sharded.SetHeldProbe(m.Net.HeldMin)
 	if cfg.Faults != nil && cfg.Faults.Config().LossEnabled() {
 		// Loss classes active: interpose the reliable transport. The
 		// retransmit timeout is floored at the lookahead window and the

@@ -474,7 +474,7 @@ func TestOraclesReachEveryLayer(t *testing.T) {
 			m.Run()
 			check := func(layer string, selected bool, bit Oracles) {
 				if selected != (mask&bit != 0) {
-					t.Errorf("oracles=%04b shards=%d: %s oracle selected = %v", mask, shards, layer, selected)
+					t.Errorf("oracles=%03b shards=%d: %s oracle selected = %v", mask, shards, layer, selected)
 				}
 			}
 			engines := m.engines
@@ -484,9 +484,6 @@ func TestOraclesReachEveryLayer(t *testing.T) {
 			for _, e := range engines {
 				check("heap scheduler", e.Scheduler() == sim.SchedHeap, OracleHeap)
 				check("event-per-instruction processor", e.Inlined() == 0, OracleEventProc)
-			}
-			if m.sharded != nil {
-				check("fixed windows", m.sharded.Mode() == sim.WindowFixed, OracleFixedWindows)
 			}
 			check("boxed storage", m.DirectoryMemory().Storage == "boxed", OracleBoxed)
 		}

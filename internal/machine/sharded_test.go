@@ -60,15 +60,29 @@ func TestShardedWorkerInvariance(t *testing.T) {
 
 // TestShardedShardCountInvariance: shard counts 1..16, each shard on its
 // own worker, all yield the windowed semantics' one deterministic answer.
+// The window cadence is partition-independent too: every window starts at
+// the global minimum deadline, which no partition changes, so every
+// windowed shard count runs the same number of windows.
 func TestShardedShardCountInvariance(t *testing.T) {
 	ref := shardedTestMachine(1, 1).Run()
 	if ref.Cycles == 0 || ref.Network.Packets == 0 {
 		t.Fatalf("degenerate reference run: %+v", ref)
 	}
+	var windows uint64
 	for _, shards := range []int{2, 4, 8, 16} {
-		got := shardedTestMachine(shards, shards).Run()
+		m := shardedTestMachine(shards, shards)
+		got := m.Run()
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("shards=%d diverged:\n got %+v\nwant %+v", shards, got, ref)
+		}
+		w := m.sharded.Windows()
+		if w == 0 {
+			t.Fatalf("shards=%d ran no windows", shards)
+		}
+		if windows == 0 {
+			windows = w
+		} else if w != windows {
+			t.Errorf("shards=%d ran %d windows, shards=2 ran %d", shards, w, windows)
 		}
 	}
 }

@@ -529,7 +529,7 @@ func (cfg Config) MinPacketLatency(minFlits int) sim.Time {
 func (nw *Network) InFlight() int {
 	n := 0
 	for _, p := range nw.ports {
-		n += p.inflight + len(p.log) - p.logHead + p.pendingRetrans
+		n += p.inflight + len(p.log) + p.pendingRetrans
 		if p.xr != nil {
 			n += p.xr.heldNow
 		}
@@ -542,6 +542,13 @@ func (nw *Network) InFlight() int {
 func (nw *Network) lookaheadPanic(e *deferredSend, at sim.Time) {
 	panic(fmt.Sprintf("mesh: lookahead violation — packet %d->%d sent at %d delivered at %d, inside the %d-cycle shard window (network latency below the lookahead)",
 		e.src, e.dst, e.at, at, nw.window))
+}
+
+// barrierPanic reports a send logged at or past the barrier of the flush
+// claiming it: an engine ran beyond its window.
+func (nw *Network) barrierPanic(e *deferredSend, before sim.Time) {
+	panic(fmt.Sprintf("mesh: send %d->%d at cycle %d logged at or past the barrier at %d (an engine ran beyond its window)",
+		e.src, e.dst, e.at, before))
 }
 
 // Recycle hands every port's send log and free delivery records to the

@@ -29,15 +29,11 @@ import (
 // would: after every event allocated during the send cycle, before any
 // allocated during a later one. Both builds therefore give one timing.
 //
-// FlushWindow takes an exclusive send-cycle threshold rather than flushing
-// everything: under adaptive windows a shard may run far ahead and log
-// sends the other shards could still precede, so only sends below the
-// threshold (chosen by the window driver so no earlier send can still
-// occur) are replayed; the rest stay logged for a later barrier. Because
-// every flushed batch lies wholly below every later batch, the
-// concatenation of batches is the same canonical claim order no matter how
-// window boundaries carve it up — which is exactly why adaptive and fixed
-// windows produce bit-identical results.
+// Every flush claims every logged send. A window runs each engine only to
+// the cycle before its barrier, and the one-engine hook flushes at the end
+// of the send cycle, so every logged send lies below the barrier; a send at
+// or past it means a driver ran an engine beyond its window, and
+// FlushWindow panics rather than claim it out of order.
 
 // deferredSend is one logged injection awaiting a window barrier. It doubles
 // as the reliable transport's attempt record: retransmissions rejoin the
@@ -54,12 +50,11 @@ type deferredSend struct {
 	kind     uint8    // xFirst, xRetrans, or xReplay
 }
 
-// sendLog holds one port's deferred sends. Between flushes the region past
-// the consumed head is the concatenation of a (cycle, src)-sorted prefix
-// retained by the previous partial flush and newer appends in engine-time
-// order; when an append lands before its predecessor, sortPending restores
-// full (cycle, src, program-order) order with a stable insertion sort —
-// near-linear on the almost-sorted log.
+// sendLog holds one port's deferred sends, appended in engine-time order
+// since the last flush; when an append lands before its predecessor (a
+// lower source in the same cycle), sortPending restores full (cycle, src,
+// program-order) order with a stable insertion sort — near-linear on the
+// almost-sorted log.
 type sendLog []deferredSend
 
 // before orders log entries by (send cycle, source node).
@@ -99,9 +94,8 @@ type ShardPort struct {
 
 	stats    Stats
 	log      sendLog
-	logHead  int      // entries below logHead were consumed by earlier flushes
-	logDirty bool     // true when an append since the last flush landed out of order
-	logMin   sim.Time // earliest pending send cycle in log; Forever when empty
+	logHead  int  // the flush's merge cursor: entries below it are claimed; 0 between flushes
+	logDirty bool // true when an append since the last flush landed out of order
 	freeDels []*delivery
 	inflight int // deliveries scheduled on this port's engine, not yet ejected
 
@@ -145,16 +139,13 @@ func (p *ShardPort) SendFrom(src, dst NodeID, flits int, payload any) {
 }
 
 // logSend appends a slot for one non-local attempt sent by src at cycle at
-// to the send log, and makes sure a flush will claim it; the caller fills
-// in the rest of the slot. The network's only port arms its engine's
-// end-of-cycle hook, so the attempt is claimed once its send cycle has
-// run. Any other port clamps its engine's current run one lookahead width
-// past the send cycle, so under adaptive windows the shard never outruns
-// the delivery of its own earliest send (under fixed windows the clamp is
-// at or beyond the window end — a no-op).
+// to the send log; the caller fills in the rest of the slot. The network's
+// only port arms its engine's end-of-cycle hook, so the attempt is claimed
+// once its send cycle has run; any other port's sends wait for the window
+// barrier.
 func (p *ShardPort) logSend(at sim.Time, src NodeID) *deferredSend {
 	n := len(p.log)
-	if n > p.logHead {
+	if n > 0 {
 		if last := &p.log[n-1]; at < last.at || at == last.at && src < last.src {
 			p.logDirty = true
 		}
@@ -164,13 +155,8 @@ func (p *ShardPort) logSend(at sim.Time, src NodeID) *deferredSend {
 	} else {
 		p.log = append(p.log, deferredSend{})
 	}
-	if at < p.logMin {
-		p.logMin = at
-	}
 	if p.solo {
 		p.eng.ArmCycleHook()
-	} else {
-		p.eng.ClampRunLimit(at + p.nw.window - 1)
 	}
 	e := &p.log[n]
 	e.at, e.src = at, src
@@ -264,7 +250,7 @@ func (nw *Network) ShardPorts(engines []*sim.Engine, nodeShard []int, window sim
 	nw.window = window
 	nw.ports = make([]*ShardPort, len(engines))
 	for i, eng := range engines {
-		p := &ShardPort{nw: nw, eng: eng, handlers: nw.handlers, wakers: nw.wakers, shard: i, logMin: sim.Forever}
+		p := &ShardPort{nw: nw, eng: eng, handlers: nw.handlers, wakers: nw.wakers, shard: i}
 		if m, _ := portPool.Get().(*portMem); m != nil {
 			p.log, p.freeDels = m.log, m.dels
 		}
@@ -291,36 +277,27 @@ type portMem struct {
 
 var portPool sync.Pool
 
-// HeldMin returns the earliest deferred send cycle still logged across all
-// shard ports, or sim.Forever when nothing is held. Like FlushWindow it
-// must only be called between windows.
-func (nw *Network) HeldMin() sim.Time {
-	min := sim.Forever
-	for _, p := range nw.ports {
-		if p.logMin < min {
-			min = p.logMin
-		}
-	}
-	return min
-}
-
-// FlushWindow applies every deferred send with send cycle strictly below
-// before; later sends stay logged. It runs single-threaded — between
-// windows, or from a one-engine network's end-of-cycle hook: each port's
-// log is restored to (send cycle, source, program order) with a
-// near-linear stable insertion sort, then a k-way merge across the
-// per-port logs replays the heads in canonical order through the
-// contention model — no combined buffer, no comparison-sort of the merged
-// batch — and inserts the resulting deliveries into the destination
-// engines. When mins is non-nil, mins[k] is lowered to the earliest delivery
-// time inserted into shard k's engine, so the window driver can maintain
-// its deadline cache without re-probing.
+// FlushWindow applies every deferred send; each must have a send cycle
+// strictly below before, the barrier, or FlushWindow panics naming the
+// send. It runs single-threaded — between windows, or from a one-engine
+// network's end-of-cycle hook: each port's log is restored to (send cycle,
+// source, program order) with a near-linear stable insertion sort, then a
+// k-way merge across the per-port logs replays the heads in canonical
+// order through the contention model — no combined buffer, no
+// comparison-sort of the merged batch — and inserts the resulting
+// deliveries into the destination engines. When mins is non-nil, mins[k]
+// is lowered to the earliest delivery time inserted into shard k's engine,
+// so the window driver can maintain its deadline cache without
+// re-probing.
 func (nw *Network) FlushWindow(before sim.Time, mins []sim.Time) {
 	ports := nw.ports
 	for _, p := range ports {
 		if p.logDirty {
-			p.log[p.logHead:].sortPending()
+			p.log.sortPending()
 			p.logDirty = false
+		}
+		if n := len(p.log); n > 0 && p.log[n-1].at >= before {
+			nw.barrierPanic(&p.log[n-1], before)
 		}
 	}
 	keyed := len(ports) > 1
@@ -339,9 +316,6 @@ func (nw *Network) FlushWindow(before sim.Time, mins []sim.Time) {
 				continue
 			}
 			c := &p.log[h]
-			if c.at >= before {
-				continue // log is sorted: this port has nothing below the threshold
-			}
 			switch {
 			case e == nil || c.before(e):
 				e, second, sp = c, e, p
@@ -364,14 +338,15 @@ func (nw *Network) FlushWindow(before sim.Time, mins []sim.Time) {
 				break
 			}
 			c := &sp.log[h]
-			if c.at >= before || (second != nil && !c.before(second)) {
+			if second != nil && !c.before(second) {
 				break
 			}
 			e = c
 		}
 	}
 	for _, p := range ports {
-		p.refreshLog()
+		p.log = p.log[:0]
+		p.logHead = 0
 	}
 }
 
@@ -406,24 +381,4 @@ func (sp *ShardPort) claim(e *deferredSend, keyed bool, ctr uint32, mins []sim.T
 	}
 	e.payload = nil // consumed entries keep no references
 	return ctr
-}
-
-// refreshLog re-derives the held minimum after a flush (the surviving
-// region is sorted, so it is the head entry). A fully consumed log resets
-// in place; a mostly consumed one compacts so the consumed prefix cannot
-// grow without bound across partial flushes.
-func (p *ShardPort) refreshLog() {
-	switch h := p.logHead; {
-	case h == len(p.log):
-		p.log = p.log[:0]
-		p.logHead = 0
-		p.logMin = sim.Forever
-	case h > 64 && h > len(p.log)/2:
-		n := copy(p.log, p.log[h:])
-		p.log = p.log[:n]
-		p.logHead = 0
-		p.logMin = p.log[0].at
-	default:
-		p.logMin = p.log[h].at
-	}
 }

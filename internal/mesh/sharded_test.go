@@ -1,6 +1,8 @@
 package mesh
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"limitless/internal/sim"
@@ -123,6 +125,26 @@ func TestFlushWindowLookaheadViolationPanics(t *testing.T) {
 		}
 	}()
 	nw.FlushWindow(sim.Forever, nil)
+}
+
+// TestFlushWindowSendPastBarrierPanics: a flush claims every logged send,
+// so a send logged at or past the barrier — an engine run beyond its
+// window — must panic and name the send, not wait in the log for a later
+// flush.
+func TestFlushWindowSendPastBarrierPanics(t *testing.T) {
+	engines, ports, nw, _ := shardedNet(t, DefaultConfig(4, 1), 2)
+	engines[0].At(12, func() { ports[0].SendFrom(1, 3, 2, nil) })
+	engines[0].Run()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("a send at cycle 12 flushed at barrier 10 did not panic")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "1->3 at cycle 12") {
+			t.Fatalf("panic %q does not name the send 1->3 at cycle 12", msg)
+		}
+	}()
+	nw.FlushWindow(10, nil)
 }
 
 func TestMinPacketLatency(t *testing.T) {

@@ -115,10 +115,8 @@ type Engine struct {
 	cycleCtr uint32
 
 	// runLimit is the limit of the RunUntil in progress. It starts at the
-	// call's limit argument and only ever decreases (ClampRunLimit), so a
-	// model can end the current run early — the adaptive sharded window
-	// uses it to stop an engine one window past its own first deferred
-	// cross-shard send.
+	// call's limit argument and only ever decreases (Abort), and off-queue
+	// chains settle through it when the run returns.
 	runLimit Time
 
 	// abort permanently halts event execution (see Abort).
@@ -566,9 +564,9 @@ func (e *Engine) Run() Time { return e.RunUntil(Forever) }
 // each next non-empty cycle.
 //
 // The effective limit is re-read between cycles, so an event callback may
-// lower it mid-run with ClampRunLimit; the cycle being drained always
-// completes. Off-queue chains settle through the effective limit before
-// RunUntil returns, an aborted run's included (see chain.go).
+// lower it mid-run with Abort; the cycle being drained always completes.
+// Off-queue chains settle through the effective limit before RunUntil
+// returns, an aborted run's included (see chain.go).
 func (e *Engine) RunUntil(limit Time) Time {
 	if e.abort {
 		return e.now
@@ -619,19 +617,6 @@ func (e *Engine) RunUntilNext(limit Time) Time {
 		return e.runWheel()
 	}
 	return e.runHeap()
-}
-
-// ClampRunLimit lowers the limit of the RunUntil currently in progress to
-// at most t. Events of the cycle being executed still complete (t is never
-// below the engine clock in well-formed use), so the run stops at the next
-// cycle boundary past t. Outside a RunUntil the clamp has no lasting
-// effect: every RunUntil call resets the limit. The adaptive sharded
-// window calls this when a model defers its first cross-shard send of a
-// window, capping the shard one lookahead width past the send cycle.
-func (e *Engine) ClampRunLimit(t Time) {
-	if t < e.runLimit {
-		e.runLimit = t
-	}
 }
 
 // Abort permanently stops event execution: the run in progress ends at the

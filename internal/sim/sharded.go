@@ -6,29 +6,6 @@ import (
 	"sync/atomic"
 )
 
-// WindowMode selects how the sharded engine derives its window boundaries.
-//
-// Adaptive lookahead is the default: each window's end is computed from
-// partition-independent quantities — every other shard's next pending
-// deadline plus the minimum cross-shard latency, the earliest deferred
-// cross-shard send plus that same latency, and each shard's own first
-// deferred send of the window (enforced inside the run via ClampRunLimit) —
-// so quiet stretches run windows tens or hundreds of cycles wide and the
-// barrier count collapses. The fixed mode is the original W-wide lockstep
-// window, kept as the cross-check oracle: both modes execute the identical
-// canonical event order, so every result is bit-identical under either —
-// the oracle differential tests and fuzz target assert it.
-type WindowMode uint8
-
-const (
-	// WindowAdaptive derives each window's end from the global slack
-	// (deadlines + deferred sends); the default.
-	WindowAdaptive WindowMode = iota
-	// WindowFixed advances in fixed W-wide windows and flushes at every
-	// barrier — the reference discipline.
-	WindowFixed
-)
-
 // ShardedEngine drives several engines in conservative lockstep time
 // windows — the classic Chandy-Misra lookahead discipline. The caller
 // partitions its model across K engines such that shards interact only
@@ -38,15 +15,19 @@ const (
 // lower bound on the latency of any cross-shard interaction (for the mesh
 // network, the minimum inject-to-eject packet latency).
 //
-// Execution is deterministic and invariant under both the shard count and
-// the window mode: window boundaries are derived from partition-independent
-// quantities, deferred sends are flushed in one canonical (send cycle,
-// source, program order) sequence regardless of how windows carve it into
-// batches, and the flush callback runs alone between windows. Each engine
-// has its own runner: the coordinator (the goroutine calling Run) executes
-// engine 0 and goroutine r executes engine r, so the caller buys
-// parallelism by partitioning its model into one engine per goroutine it
-// wants.
+// Each window starts at the global minimum pending deadline T and runs
+// every shard through T+W-1 (capped at the run limit); the barrier then
+// flushes every send the window logged. A send at cycle t, T ≤ t ≤ T+W-1,
+// delivers at t+W ≥ T+W or later, so every delivery lands at or past the
+// barrier, and nothing stays logged from one window to the next.
+//
+// Execution is deterministic and invariant under the shard count: window
+// boundaries depend only on the global minimum deadline, deferred sends are
+// flushed in one canonical (send cycle, source, program order) sequence,
+// and the flush callback runs alone between windows. Each engine has its
+// own runner: the coordinator (the goroutine calling Run) executes engine 0
+// and goroutine r executes engine r, so the caller buys parallelism by
+// partitioning its model into one engine per goroutine it wants.
 //
 // A ShardedEngine over one engine runs no windows and starts no goroutine:
 // it runs that engine straight through, and the model flushes its deferred
@@ -58,35 +39,24 @@ const (
 // order the windowed flush's cycle-tagged keys encode — so one engine gives
 // the same results as any number of windowed shards.
 //
-// The model side of the contract, in adaptive mode:
-//
-//   - flush(before, mins) must apply exactly the deferred sends with send
-//     cycle < before, in canonical order, and lower mins[shard] to the
-//     earliest event time it inserts into each shard's engine. Sends at or
-//     beyond the threshold stay logged for a later barrier.
-//   - the held probe (SetHeldProbe) must report the earliest logged send
-//     cycle, or Forever when no sends are pending.
-//   - when a model defers a cross-shard send at cycle t it must call
-//     ClampRunLimit(t+W-1) on its engine, so a shard never outruns the
-//     delivery of its own earliest send. (In fixed mode the clamp is a
-//     no-op: the window already ends at t+W or earlier.)
+// The model side of the contract: flush(before, mins) must apply every
+// deferred send — each has send cycle < before, the barrier — in canonical
+// order, and lower mins[shard] to the earliest event time it inserts into
+// each shard's engine.
 type ShardedEngine struct {
 	engines []*Engine
 	window  Time
 	flush   func(before Time, mins []Time)
-	heldMin func() Time
-	mode    WindowMode
 
 	// deadlines caches each engine's next pending deadline (Forever when
 	// its queue is empty). Runners publish their engine's slot after each
 	// window; the coordinator folds flush insertions in via the mins
 	// slice. One cache line per slot so concurrent publishes do not bounce.
 	deadlines []paddedTime
-	caps      []Time // per-shard window end, written by the coordinator before dispatch
+	end       Time   // the current window's end (exclusive), written by the coordinator before dispatch
 	mins      []Time // flush scratch: per-shard min inserted event time
 
 	windows uint64 // barriers run (coordinator-only)
-	flushes uint64 // flush callbacks actually invoked (coordinator-only)
 
 	// Worker-pool coordination. The coordinator (the goroutine calling
 	// Run) executes engine 0 inline; runners[r-1] is the goroutine for
@@ -127,9 +97,9 @@ type shardRunner struct {
 }
 
 // NewShardedEngine builds a window driver over engines, one runner per
-// engine. window is the lookahead in cycles (≥ 1); flush is invoked between
-// windows with an exclusive send-cycle threshold and must apply all
-// deferred cross-shard sends below it (see the ShardedEngine contract).
+// engine. window is the lookahead in cycles (≥ 1); flush is invoked at
+// every barrier with the window's exclusive end and must apply every
+// deferred cross-shard send (see the ShardedEngine contract).
 func NewShardedEngine(engines []*Engine, window Time, flush func(before Time, mins []Time)) *ShardedEngine {
 	if len(engines) == 0 {
 		panic("sim: sharded engine with no shards")
@@ -142,30 +112,12 @@ func NewShardedEngine(engines []*Engine, window Time, flush func(before Time, mi
 		window:    window,
 		flush:     flush,
 		deadlines: make([]paddedTime, len(engines)),
-		caps:      make([]Time, len(engines)),
 		mins:      make([]Time, len(engines)),
 	}
 }
 
-// SetWindowMode selects the window discipline. Switch only between runs.
-func (s *ShardedEngine) SetWindowMode(m WindowMode) { s.mode = m }
-
-// Mode returns the active window mode.
-func (s *ShardedEngine) Mode() WindowMode { return s.mode }
-
-// SetHeldProbe installs the deferred-send probe: it must return the
-// earliest send cycle still logged by the model, or Forever when none is.
-// Adaptive mode requires it whenever the model defers sends; without a
-// probe the engine assumes no sends are ever held.
-func (s *ShardedEngine) SetHeldProbe(f func() Time) { s.heldMin = f }
-
 // Windows returns the number of window barriers run so far.
 func (s *ShardedEngine) Windows() uint64 { return s.windows }
-
-// Flushes returns the number of flush callbacks invoked so far. In fixed
-// mode this equals Windows; in adaptive mode barriers with nothing to
-// flush skip the callback.
-func (s *ShardedEngine) Flushes() uint64 { return s.flushes }
 
 // Processed returns the total events executed across all shards.
 func (s *ShardedEngine) Processed() uint64 {
@@ -201,14 +153,6 @@ func (s *ShardedEngine) Abort() {
 // Aborted reports whether Abort was called.
 func (s *ShardedEngine) Aborted() bool { return s.aborted }
 
-// held returns the earliest deferred send cycle, or Forever.
-func (s *ShardedEngine) held() Time {
-	if s.heldMin == nil {
-		return Forever
-	}
-	return s.heldMin()
-}
-
 func (s *ShardedEngine) run(limit Time) Time {
 	if len(s.engines) == 1 {
 		return s.engines[0].RunUntil(limit)
@@ -221,17 +165,6 @@ func (s *ShardedEngine) run(limit Time) Time {
 	for i, e := range s.engines {
 		s.deadlines[i].t = nextOrForever(e)
 	}
-	if s.mode == WindowFixed {
-		s.runFixed(limit)
-	} else {
-		s.runAdaptive(limit)
-	}
-	return s.maxNow()
-}
-
-// runFixed is the reference discipline: lockstep windows of exactly the
-// lookahead width, a flush at every barrier.
-func (s *ShardedEngine) runFixed(limit Time) {
 	for !s.aborted {
 		start := Forever
 		for i := range s.deadlines {
@@ -240,133 +173,45 @@ func (s *ShardedEngine) runFixed(limit Time) {
 			}
 		}
 		if start == Forever || start > limit {
-			if s.drainHeld(limit) {
-				continue
-			}
-			return
+			break
 		}
 		end := start + s.window
 		if limit != Forever && end > limit+1 {
-			end = limit + 1 // cap is derived from limit, not the partition
+			end = limit + 1 // the end is derived from limit, not the partition
 		}
-		active, lone := 0, 0
-		for i := range s.deadlines {
-			s.caps[i] = end
-			if s.deadlines[i].t < end {
-				active++
-				lone = i
-			}
-		}
-		s.runWindow(active, lone)
+		s.runWindow(end)
 		s.doFlush(end)
 	}
+	return s.maxNow()
 }
 
-// runAdaptive derives each window's end from the global slack. One O(shards)
-// pass over the cached deadlines yields the two smallest deadlines; each
-// shard's window then ends at the earliest of: the run limit, the earliest
-// deferred send + W (a logged send must be flushed before any shard outruns
-// its delivery), and the other shards' minimum deadline + W (an undeferred
-// shard might still send as early as its next event). A shard's own first
-// deferred send caps it one W past the send cycle from inside the run
-// (ClampRunLimit). Deferred sends are flushed only once no earlier send can
-// still occur — send cycles below both the globally next deadline and the
-// earliest logged send + W — so the flush sequence is the same canonical
-// order fixed mode produces, just carved into fewer, larger batches.
-func (s *ShardedEngine) runAdaptive(limit Time) {
-	w := s.window
-	for !s.aborted {
-		min1, min2 := Forever, Forever
-		arg := -1
-		for i := range s.deadlines {
-			t := s.deadlines[i].t
-			if t < min1 {
-				min1, min2, arg = t, min1, i
-			} else if t < min2 {
-				min2 = t
-			}
-		}
-		held := s.held()
-		heldDel := Forever // earliest possible deferred delivery
-		if held != Forever {
-			heldDel = held + w
-		}
-		// Nothing executable remains at or before limit (Forever compares
-		// equal to itself, so a drained run under limit == Forever needs the
-		// explicit checks).
-		if (min1 == Forever || min1 > limit) && (heldDel == Forever || heldDel > limit) {
-			return
-		}
-		if held < min1 && held < heldDel {
-			// Sends below min(min1, held+W) are final: no shard can produce
-			// an earlier send (future sends happen at ≥ min1, and deliveries
-			// of flushed sends land at ≥ held+W). Flush that prefix and
-			// re-derive: the inserted deliveries may open an earlier window.
-			before := min1
-			if heldDel < before {
-				before = heldDel
-			}
-			s.doFlush(before)
-			continue
-		}
-		eCap := heldDel // never outrun a logged send's delivery
-		if limit != Forever && limit+1 < eCap {
-			eCap = limit + 1
-		}
-		active, lone := 0, 0
-		for i := range s.deadlines {
-			other := min1
-			if i == arg {
-				other = min2
-			}
-			end := eCap
-			if other != Forever && other+w < end {
-				end = other + w
-			}
-			s.caps[i] = end
-			if s.deadlines[i].t < end {
-				active++
-				lone = i
-			}
-		}
-		s.runWindow(active, lone)
-	}
-}
-
-// drainHeld handles the fixed-mode tail: deferred sends can remain logged
-// past the last window when their send cycles reached the window end (a
-// RunUntil cap mid-window). Flush them if any could still deliver within
-// limit; reports whether it flushed.
-func (s *ShardedEngine) drainHeld(limit Time) bool {
-	held := s.held()
-	if held == Forever || limit != Forever && held+s.window > limit {
-		return false
-	}
-	s.doFlush(held + s.window)
-	return true
-}
-
-// runWindow executes one window under the caps the coordinator just
-// published: inline when only one shard is active, else on every runner.
-func (s *ShardedEngine) runWindow(active, lone int) {
+// runWindow executes one window ending before end: inline when only one
+// shard has an event in it, else on every runner.
+func (s *ShardedEngine) runWindow(end Time) {
 	s.windows++
-	switch {
-	case active > 1:
+	s.end = end
+	active, lone := 0, 0
+	for i := range s.deadlines {
+		if s.deadlines[i].t < end {
+			active++
+			lone = i
+		}
+	}
+	if active > 1 {
 		s.dispatch()
-	case active == 1:
+	} else {
 		s.runEngine(lone)
 	}
 }
 
-// doFlush invokes the flush callback with the send-cycle threshold and
-// folds the inserted deliveries into the deadline cache.
-func (s *ShardedEngine) doFlush(before Time) {
-	s.flushes++
+// doFlush invokes the flush callback at the barrier end and folds the
+// inserted deliveries into the deadline cache.
+func (s *ShardedEngine) doFlush(end Time) {
 	mins := s.mins
 	for i := range mins {
 		mins[i] = Forever
 	}
-	s.flush(before, mins)
+	s.flush(end, mins)
 	for i, t := range mins {
 		if t < s.deadlines[i].t {
 			s.deadlines[i].t = t
@@ -374,16 +219,16 @@ func (s *ShardedEngine) doFlush(before Time) {
 	}
 }
 
-// runEngine executes engine i's events strictly before its cap and
+// runEngine executes engine i's events strictly before the window end and
 // publishes its new deadline. The cached deadline replaces the old
 // window-start probe, and the fused run+probe publishes the new deadline
 // from the run's own exit scan while the engine's wheel is still hot in
 // this goroutine's cache.
 func (s *ShardedEngine) runEngine(i int) {
-	if s.deadlines[i].t >= s.caps[i] {
+	if s.deadlines[i].t >= s.end {
 		return
 	}
-	s.deadlines[i].t = s.engines[i].RunUntilNext(s.caps[i] - 1)
+	s.deadlines[i].t = s.engines[i].RunUntilNext(s.end - 1)
 }
 
 func nextOrForever(e *Engine) Time {

@@ -174,44 +174,36 @@ func (h *shardedHarness) receive(node int) {
 	// several sources and must order them canonically.
 	h.logs[shard] = append(h.logs[shard], [3]Time{e.Now(), Time(node), Time((node + 1) % n)})
 	h.logs[shard] = append(h.logs[shard], [3]Time{e.Now(), Time(node), Time((node + 3) % n)})
-	// The model contract: a deferred send caps the sending shard's run one
-	// lookahead past the send cycle; one engine arms its flush instead.
+	// One engine arms its end-of-cycle flush; windowed shards wait for
+	// the barrier.
 	if len(h.engines) == 1 {
 		e.ArmCycleHook()
-	} else {
-		e.ClampRunLimit(e.Now() + h.latency - 1)
 	}
 }
 
-// heldMin is the harness's deferred-send probe.
-func (h *shardedHarness) heldMin() Time {
-	min := Forever
+// held counts the sends still logged.
+func (h *shardedHarness) held() int {
+	n := 0
 	for _, log := range h.logs {
-		for i := range log {
-			if log[i][0] < min {
-				min = log[i][0]
-			}
-		}
+		n += len(log)
 	}
-	return min
+	return n
 }
 
 func (h *shardedHarness) flush(before Time, mins []Time) {
-	// Mirror mesh.FlushWindow: gather the sends below the threshold, keep
-	// the rest logged, stable-sort the batch by (send time, source), insert
+	// Mirror mesh.FlushWindow: gather every logged send (all lie below
+	// the barrier), stable-sort the batch by (send time, source), insert
 	// under barrier-phase keys (one engine: its own numbering), and report
 	// the earliest insertion per shard.
 	buf := h.buf[:0]
 	for s := range h.logs {
-		kept := h.logs[s][:0]
 		for _, e := range h.logs[s] {
-			if e[0] < before {
-				buf = append(buf, e)
-			} else {
-				kept = append(kept, e)
+			if e[0] >= before {
+				panic(fmt.Sprintf("harness send at %d logged at or past the barrier at %d", e[0], before))
 			}
+			buf = append(buf, e)
 		}
-		h.logs[s] = kept
+		h.logs[s] = h.logs[s][:0]
 	}
 	for i := 1; i < len(buf); i++ { // insertion sort, stable on (time, src)
 		for j := i; j > 0; j-- {
@@ -248,15 +240,12 @@ func (h *shardedHarness) flush(before Time, mins []Time) {
 	h.buf = buf[:0]
 }
 
-func (h *shardedHarness) engine(mode WindowMode) *ShardedEngine {
-	s := NewShardedEngine(h.engines, h.latency, h.flush)
-	s.SetWindowMode(mode)
-	s.SetHeldProbe(h.heldMin)
-	return s
+func (h *shardedHarness) engine() *ShardedEngine {
+	return NewShardedEngine(h.engines, h.latency, h.flush)
 }
 
-func (h *shardedHarness) run(mode WindowMode) ([][]string, Time) {
-	s := h.engine(mode)
+func (h *shardedHarness) run() ([][]string, Time) {
+	s := h.engine()
 	for n := range h.nodeOf {
 		node := n
 		h.engineOf(node).AtHandler(Time(n%3), fnHandler(func(any) { h.receive(node) }), nil)
@@ -269,12 +258,12 @@ func (h *shardedHarness) run(mode WindowMode) ([][]string, Time) {
 
 // TestShardedEngineDeterministicAcrossShards: every shard count, each
 // shard on its own runner, executes the one-engine reference's events at
-// the same cycles in the same order, in both window modes: the end-of-cycle
-// flush with plain keys and the windowed flush with cycle-tagged keys give
-// one order. A run starts one goroutine per engine beyond the coordinator,
-// so one engine starts none.
+// the same cycles in the same order: the end-of-cycle flush with plain
+// keys and the windowed flush with cycle-tagged keys give one order. A run
+// starts one goroutine per engine beyond the coordinator, so one engine
+// starts none.
 func TestShardedEngineDeterministicAcrossShards(t *testing.T) {
-	ref, refEnd := newShardedHarness(8, 1, 4, 20).run(WindowFixed)
+	ref, refEnd := newShardedHarness(8, 1, 4, 20).run()
 	total := 0
 	for _, tr := range ref {
 		total += len(tr)
@@ -282,82 +271,79 @@ func TestShardedEngineDeterministicAcrossShards(t *testing.T) {
 	if total == 0 {
 		t.Fatal("reference run produced no events")
 	}
-	for _, mode := range []WindowMode{WindowFixed, WindowAdaptive} {
-		for _, shards := range []int{1, 2, 4, 8} {
-			h := newShardedHarness(8, shards, 4, 20)
-			got, end := h.run(mode)
-			if h.runners != shards-1 {
-				t.Fatalf("mode=%v shards=%d: started %d runner goroutines, want %d", mode, shards, h.runners, shards-1)
+	for _, shards := range []int{1, 2, 4, 8} {
+		h := newShardedHarness(8, shards, 4, 20)
+		got, end := h.run()
+		if h.runners != shards-1 {
+			t.Fatalf("shards=%d: started %d runner goroutines, want %d", shards, h.runners, shards-1)
+		}
+		if end != refEnd {
+			t.Fatalf("shards=%d: end %d != %d", shards, end, refEnd)
+		}
+		for node := range ref {
+			if len(got[node]) != len(ref[node]) {
+				t.Fatalf("shards=%d: node %d ran %d events, want %d",
+					shards, node, len(got[node]), len(ref[node]))
 			}
-			if end != refEnd {
-				t.Fatalf("mode=%v shards=%d: end %d != %d", mode, shards, end, refEnd)
-			}
-			for node := range ref {
-				if len(got[node]) != len(ref[node]) {
-					t.Fatalf("mode=%v shards=%d: node %d ran %d events, want %d",
-						mode, shards, node, len(got[node]), len(ref[node]))
-				}
-				for i := range ref[node] {
-					if got[node][i] != ref[node][i] {
-						t.Fatalf("mode=%v shards=%d: node %d event %d at %s, want %s",
-							mode, shards, node, i, got[node][i], ref[node][i])
-					}
+			for i := range ref[node] {
+				if got[node][i] != ref[node][i] {
+					t.Fatalf("shards=%d: node %d event %d at %s, want %s",
+						shards, node, i, got[node][i], ref[node][i])
 				}
 			}
 		}
 	}
 }
 
+// TestShardedEngineRunUntil: a limited run executes every event at or
+// before the limit and none after it, and leaves no send logged: the last
+// window ends at the limit and its barrier flushes every send.
 func TestShardedEngineRunUntil(t *testing.T) {
-	for _, mode := range []WindowMode{WindowFixed, WindowAdaptive} {
-		h := newShardedHarness(4, 2, 4, 100)
-		s := h.engine(mode)
-		for n := range h.nodeOf {
-			node := n
-			h.engineOf(node).AtHandler(Time(n), fnHandler(func(any) { h.receive(node) }), nil)
+	h := newShardedHarness(4, 2, 4, 100)
+	s := h.engine()
+	for n := range h.nodeOf {
+		node := n
+		h.engineOf(node).AtHandler(Time(n), fnHandler(func(any) { h.receive(node) }), nil)
+	}
+	end := s.RunUntil(50)
+	s.Stop()
+	if end > 50 {
+		t.Fatalf("RunUntil(50) executed an event at %d", end)
+	}
+	for _, e := range h.engines {
+		if nt, ok := e.NextEventTime(); ok && nt <= 50 {
+			t.Fatalf("event at %d left unexecuted below the limit", nt)
 		}
-		end := s.RunUntil(50)
-		s.Stop()
-		if end > 50 {
-			t.Fatalf("mode=%v: RunUntil(50) executed an event at %d", mode, end)
-		}
-		for _, e := range h.engines {
-			if nt, ok := e.NextEventTime(); ok && nt <= 50 {
-				t.Fatalf("mode=%v: event at %d left unexecuted below the limit", mode, nt)
-			}
-		}
-		if hm := h.heldMin(); hm != Forever && hm+h.latency <= 50 {
-			t.Fatalf("mode=%v: send at %d held past its delivery window", mode, hm)
-		}
+	}
+	if n := h.held(); n != 0 {
+		t.Fatalf("%d sends still logged after the run", n)
 	}
 }
 
 // TestShardedEngineRunUntilResume: splitting a run at arbitrary RunUntil
-// boundaries must not change the executed event sequence in either mode —
-// held sends carry across the boundary and flush in the same canonical order.
+// boundaries must not change the executed event sequence — each chunk's
+// last barrier flushes its sends in the same canonical order.
 func TestShardedEngineRunUntilResume(t *testing.T) {
-	ref, refEnd := newShardedHarness(8, 4, 4, 20).run(WindowFixed)
-	for _, mode := range []WindowMode{WindowFixed, WindowAdaptive} {
-		h := newShardedHarness(8, 4, 4, 20)
-		s := h.engine(mode)
-		for n := range h.nodeOf {
-			node := n
-			h.engineOf(node).AtHandler(Time(n%3), fnHandler(func(any) { h.receive(node) }), nil)
+	ref, refEnd := newShardedHarness(8, 4, 4, 20).run()
+	h := newShardedHarness(8, 4, 4, 20)
+	s := h.engine()
+	for n := range h.nodeOf {
+		node := n
+		h.engineOf(node).AtHandler(Time(n%3), fnHandler(func(any) { h.receive(node) }), nil)
+	}
+	for limit := Time(10); ; limit += 10 {
+		if end := s.RunUntil(limit); end >= refEnd {
+			break
 		}
-		for limit := Time(10); ; limit += 10 {
-			if end := s.RunUntil(limit); end >= refEnd {
-				break
-			}
-		}
-		end := s.Run()
-		s.Stop()
-		if end != refEnd {
-			t.Fatalf("mode=%v: chunked end %d != %d", mode, end, refEnd)
-		}
-		for node := range ref {
-			if fmt.Sprint(h.traces[node]) != fmt.Sprint(ref[node]) {
-				t.Fatalf("mode=%v: node %d trace %v != %v", mode, node, h.traces[node], ref[node])
-			}
+	}
+	end := s.Run()
+	s.Stop()
+	if end != refEnd {
+		t.Fatalf("chunked end %d != %d", end, refEnd)
+	}
+	for node := range ref {
+		if fmt.Sprint(h.traces[node]) != fmt.Sprint(ref[node]) {
+			t.Fatalf("node %d trace %v != %v", node, h.traces[node], ref[node])
 		}
 	}
 }
@@ -375,9 +361,9 @@ func TestShardedEngineWindowValidation(t *testing.T) {
 // Stop → Run → Stop cycles, with each restarted run producing the same
 // results as an uninterrupted one.
 func TestShardedEngineStopRestart(t *testing.T) {
-	ref, refEnd := newShardedHarness(8, 4, 4, 30).run(WindowFixed)
+	ref, refEnd := newShardedHarness(8, 4, 4, 30).run()
 	h := newShardedHarness(8, 4, 4, 30)
-	s := h.engine(WindowAdaptive)
+	s := h.engine()
 	for n := range h.nodeOf {
 		node := n
 		h.engineOf(node).AtHandler(Time(n%3), fnHandler(func(any) { h.receive(node) }), nil)

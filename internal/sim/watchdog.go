@@ -59,19 +59,15 @@ func (e *Engine) RunGuarded(w Watchdog, limit Time) (Time, bool) {
 	}
 }
 
-// nextTime returns a lower bound on the globally earliest executable
-// deadline across shards — the earliest pending event, or the earliest
-// deferred send plus the lookahead (its delivery cannot land sooner) — or
-// Forever when every queue is empty and no sends are held.
+// nextTime returns the globally earliest pending deadline across shards,
+// or Forever when every queue is empty. Between runs no send is logged:
+// every barrier flushes them all.
 func (s *ShardedEngine) nextTime() Time {
 	next := Forever
 	for _, e := range s.engines {
 		if t, ok := e.NextEventTime(); ok && t < next {
 			next = t
 		}
-	}
-	if h := s.held(); h != Forever && h+s.window < next {
-		next = h + s.window
 	}
 	return next
 }

@@ -297,8 +297,8 @@ func (e *Engine) stepWheel() bool {
 // sequence) order. Events a callback schedules for the current cycle append
 // to the draining bucket with strictly larger sequence keys (engine
 // numbering is monotone within a cycle), so the drain order remains exactly
-// ascending. The limit is re-read per cycle so ClampRunLimit can end the
-// run early at the next cycle boundary.
+// ascending. The limit is re-read per cycle so Abort can end the run at
+// the next cycle boundary.
 //
 // The return value is the next pending deadline past the limit (Forever
 // when everything drained) — the exit probe doubles as the follow-up

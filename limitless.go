@@ -215,8 +215,9 @@ type Config struct {
 	MaxCycles int64
 	// Shards, when above one, runs the simulation on the windowed sharded
 	// engine: the mesh is split into contiguous node tiles, each with its
-	// own event heap and its own goroutine, executed concurrently in
-	// conservative time windows (see DESIGN.md, "Parallel simulation").
+	// own event queue (a timing wheel) and its own goroutine, executed
+	// concurrently in lockstep time windows one lookahead wide (see
+	// DESIGN.md, "Parallel simulation").
 	// Shards is an upper bound: the machine builds one tile per shard
 	// worker, min(Shards, workers, processors) tiles, since only
 	// goroutines buy speed; the default 0, like any Shards that leaves one

@@ -33,8 +33,8 @@ func runLossy(t testing.TB, cfg limitless.Config, label string) limitless.Result
 // scheme, run under the full fault mix including drop and corrupt, must
 // complete SC-clean, rerun bit-identically, and give the same Result on one
 // engine and at every windowed shard count — the retransmitting transport
-// may not leak partition-dependence into anything. Fixed windows and the
-// heap scheduler are spot-checked against the same pin.
+// may not leak partition-dependence into anything. The heap scheduler is
+// spot-checked against the same pin.
 func TestLossEquivalenceMatrix(t *testing.T) {
 	for _, scheme := range allSchemes(t) {
 		scheme := scheme
@@ -58,16 +58,11 @@ func TestLossEquivalenceMatrix(t *testing.T) {
 						shards, got, ref)
 				}
 			}
-			// Orthogonal engine knobs must not interact with the transport.
-			for _, o := range []struct {
-				name string
-				mask machine.Oracles
-			}{{"fixed-window", machine.OracleFixedWindows}, {"heap", machine.OracleHeap}} {
-				cfg := base
-				cfg.Shards, cfg.ShardWorkers = 4, 4
-				if got := runLossy(t, limitless.WithOracles(cfg, o.mask), string(scheme)+"/"+o.name); got != ref {
-					t.Errorf("%s diverged under loss:\n got %+v\nwant %+v", o.name, got, ref)
-				}
+			// The engine's scheduler must not interact with the transport.
+			cfg := base
+			cfg.Shards, cfg.ShardWorkers = 4, 4
+			if got := runLossy(t, limitless.WithOracles(cfg, machine.OracleHeap), string(scheme)+"/heap"); got != ref {
+				t.Errorf("heap diverged under loss:\n got %+v\nwant %+v", got, ref)
 			}
 		})
 	}
