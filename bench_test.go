@@ -158,14 +158,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	benchThroughput(b, 0)
 }
 
-// BenchmarkSimulatorThroughputEventProc is the same run with processors on
-// the event-per-instruction oracle path: the fused-vs-event gap on a whole
-// simulation, measured on the identical (bit-identical, by construction)
-// workload.
-func BenchmarkSimulatorThroughputEventProc(b *testing.B) {
-	benchThroughput(b, machine.OracleEventProc)
-}
-
 // BenchmarkSimulatorThroughputHeap is the same run on the binary-heap
 // oracle scheduler: the wheel-vs-heap gap on a whole simulation, measured
 // on the identical (bit-identical, by construction) workload.

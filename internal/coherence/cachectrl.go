@@ -407,11 +407,10 @@ func (cc *CacheController) Access(req Request) Outcome {
 
 // AccessSync is the synchronous form of Access: on a hit it performs the
 // cache update and returns the committed value instead of scheduling a
-// completion event, leaving delivery timing to the caller. The fused
-// processor path consumes the value inline after CacheHit cycles of its
-// own pipeline cursor; the event path schedules its completion handler at
-// the same deadline Access always used. Misses behave exactly as Access:
-// the transaction machinery is engaged and the value return is meaningless.
+// completion event, leaving delivery timing to the caller. The processor
+// queues its own continuation to commit the value at the same deadline
+// Access uses, CacheHit cycles out. Misses behave exactly as Access: the
+// transaction machinery is engaged and the value return is meaningless.
 func (cc *CacheController) AccessSync(req Request) (Outcome, uint64) {
 	// The private-only baseline never caches shared data: every shared
 	// reference is an uncached round trip to the home memory module.

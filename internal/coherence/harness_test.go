@@ -34,7 +34,7 @@ type rigNode struct {
 // ProtocolTrap implements coherence.TrapSink: service the queued packet
 // after the configured trap latency.
 func (n *rigNode) ProtocolTrap() {
-	n.eng.After(n.latency, func() {
+	n.eng.At(n.eng.Now()+n.latency, func() {
 		pkt := n.mc.IPIQueue().Pop()
 		if pkt == nil {
 			panic("rig: trap with empty IPI queue")

@@ -31,7 +31,7 @@ type sentMsg struct {
 type nakedSink struct{ n *naked }
 
 func (s *nakedSink) ProtocolTrap() {
-	s.n.eng.After(1, func() {
+	s.n.eng.At(s.n.eng.Now()+1, func() {
 		pkt := s.n.mc.IPIQueue().Pop()
 		if pkt == nil {
 			panic("naked: empty IPI queue on trap")

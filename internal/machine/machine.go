@@ -90,12 +90,9 @@ const (
 	// OracleBoxed keeps directory sharer sets in heap pointer-set objects
 	// instead of packed inline/arena storage.
 	OracleBoxed
-	// OracleEventProc schedules one event per processor pipeline step
-	// instead of fusing hit and compute chains.
-	OracleEventProc
 
 	// AllOracles selects every reference implementation at once.
-	AllOracles = OracleHeap | OracleBoxed | OracleEventProc
+	AllOracles = OracleHeap | OracleBoxed
 )
 
 // DefaultConfig returns the paper's evaluation machine: 64 processors,
@@ -252,9 +249,6 @@ func (m *Machine) buildNode(id mesh.NodeID) *Node {
 	c := cache.New(cache.Config{Lines: cfg.CacheLines, Ways: cfg.CacheWays, BlockWords: cfg.Params.BlockWords})
 	cc := coherence.NewCacheController(eng, port, id, cfg.Params, HomeOf, c)
 	p := proc.New(eng, cc, cfg.Params.Timing, cfg.Contexts)
-	if cfg.Oracles&OracleEventProc != 0 {
-		p.SetMode(proc.ModeEvent)
-	}
 	mc := coherence.NewMemoryController(eng, port, id, cfg.Params, p)
 
 	node := &Node{ID: id, Cache: c, CC: cc, MC: mc, Proc: p}
@@ -409,10 +403,11 @@ func (m *Machine) Diagnostic() *Diagnostic { return m.diag }
 
 // Release hands the machine's run-scoped memory — cache pages, message
 // chunks, directory tables and entry chunks, engine buckets and event free
-// lists, port send logs and delivery records — to process-wide pools, so the next machine built in the process
-// reuses it instead of allocating. It stops the shard workers first, and
-// accepts a machine halted in any state: events still queued,
-// pends parked, a cycle-limit cut, a watchdog trip or a transport abort.
+// lists, port send logs and delivery records — to process-wide pools, so
+// the next machine built in the process reuses it instead of allocating.
+// It stops the shard workers first, and accepts a machine halted in any
+// state: events still queued, spins off the queue, a cycle-limit cut, a
+// watchdog trip or a transport abort.
 // The machine must not be used afterwards, and a second Release does
 // nothing. Callers that inspect node state after a run simply never call
 // Release.

@@ -483,7 +483,6 @@ func TestOraclesReachEveryLayer(t *testing.T) {
 			}
 			for _, e := range engines {
 				check("heap scheduler", e.Scheduler() == sim.SchedHeap, OracleHeap)
-				check("event-per-instruction processor", e.Inlined() == 0, OracleEventProc)
 			}
 			check("boxed storage", m.DirectoryMemory().Storage == "boxed", OracleBoxed)
 		}

@@ -14,12 +14,9 @@ import (
 // leave the event queue, in steps of a few cycles — each RunUntil settles
 // the off-queue spins through its limit — and reports whether a spin was
 // ever seen off the queue.
-func runOffQueue(t *testing.T, mode proc.Mode, nodes, contexts int, params coherence.Params, setup func(r *procRig)) (outcome, bool) {
+func runOffQueue(t *testing.T, nodes, contexts int, params coherence.Params, setup func(r *procRig)) (outcome, bool) {
 	t.Helper()
 	r := newProcRig(t, nodes, contexts, params)
-	for _, p := range r.procs {
-		p.SetMode(mode)
-	}
 	setup(r)
 	for _, p := range r.procs {
 		p.Start()
@@ -36,7 +33,7 @@ func runOffQueue(t *testing.T, mode proc.Mode, nodes, contexts int, params coher
 			break
 		}
 		if limit > 1_000_000 {
-			t.Fatalf("mode=%v: processors did not finish", mode)
+			t.Fatal("processors did not finish")
 		}
 	}
 	o := outcome{end: r.eng.Now(), events: r.eng.Processed()}
@@ -53,7 +50,7 @@ func runOffQueue(t *testing.T, mode proc.Mode, nodes, contexts int, params coher
 // engine draws either kind of key in the same order). With spins free to
 // leave the queue, run to the end or in short RunUntil steps, every run
 // must match the reference — end time, Events, every processor counter —
-// in both processor modes, and a spin must really have left the queue.
+// and a spin must really have left the queue.
 func TestSpinOffQueueMatchesQueued(t *testing.T) {
 	flag := addr(0, 4)
 	producer := func(r *procRig, backoffs []sim.Time) {
@@ -104,21 +101,19 @@ func TestSpinOffQueueMatchesQueued(t *testing.T) {
 		{"traps/limitless1", 1, limitless1, trapped},
 	}
 	for _, c := range cases {
-		for _, mode := range []proc.Mode{proc.ModeFused, proc.ModeEvent} {
-			tagged := sim.New()
-			tagged.SetCycleSeq(true)
-			want := runRig(t, newProcRigOn(t, tagged, 4, c.contexts, c.params), mode, c.setup)
-			whole := runScenario(t, mode, 4, c.contexts, c.params, c.setup)
-			got, off := runOffQueue(t, mode, 4, c.contexts, c.params, c.setup)
-			if fmt.Sprint(whole) != fmt.Sprint(want) {
-				t.Errorf("%s mode=%v: off-queue spins differ from queued ones:\noff-queue: %+v\nqueued:    %+v", c.name, mode, whole, want)
-			}
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Errorf("%s mode=%v: off-queue spins run in steps differ from queued ones:\noff-queue: %+v\nqueued:    %+v", c.name, mode, got, want)
-			}
-			if !off {
-				t.Errorf("%s mode=%v: no spin ever left the queue", c.name, mode)
-			}
+		tagged := sim.New()
+		tagged.SetCycleSeq(true)
+		want := runRig(t, newProcRigOn(t, tagged, 4, c.contexts, c.params), c.setup)
+		whole := runScenario(t, 4, c.contexts, c.params, c.setup)
+		got, off := runOffQueue(t, 4, c.contexts, c.params, c.setup)
+		if fmt.Sprint(whole) != fmt.Sprint(want) {
+			t.Errorf("%s: off-queue spins differ from queued ones:\noff-queue: %+v\nqueued:    %+v", c.name, whole, want)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: off-queue spins run in steps differ from queued ones:\noff-queue: %+v\nqueued:    %+v", c.name, got, want)
+		}
+		if !off {
+			t.Errorf("%s: no spin ever left the queue", c.name)
 		}
 	}
 }

@@ -102,24 +102,6 @@ type Handler interface {
 	Handle(p *ipi.Packet)
 }
 
-// Mode selects how the processor advances through instruction chains.
-type Mode uint8
-
-const (
-	// ModeFused (the default) parks each pipeline continuation — cache
-	// hits, issue cycles, compute slices, context switches — on the
-	// processor's one engine pend: an event the processor owns, so the
-	// chain never draws on or returns to the engine's event pool. The pend
-	// takes the sequence key its event twin would have drawn and fires
-	// from the same queue, at precisely the position that twin would have
-	// occupied, so fused runs are bit-identical to the event path.
-	ModeFused Mode = iota
-	// ModeEvent schedules one engine event per pipeline step — the
-	// original event-per-instruction path, kept as a cross-checked oracle.
-	// It never changes results.
-	ModeEvent
-)
-
 // Stats counts processor activity.
 type Stats struct {
 	Instructions    uint64
@@ -185,7 +167,6 @@ type Processor struct {
 	faults   *fault.Plan
 	contexts []*context
 	cur      int
-	mode     Mode
 	running  bool // an instruction chain is active
 	finished int
 	stats    Stats
@@ -195,25 +176,18 @@ type Processor struct {
 	// one per spin exit (see Progress).
 	progress uint64
 
-	// The parked pipeline continuation (fused mode). Every pipeline step
-	// ends by handing exactly one continuation to sched, which parks it on
-	// the engine as simPend; the engine fires it in (deadline, sequence)
-	// order like any other queued event. At most one continuation
-	// is ever outstanding — a chain is a chain — so a single slot
-	// suffices, and sched panics if it finds the slot occupied.
-	pend    pendAction
-	simPend *sim.Pend
-
-	// Pre-allocated sim.Handler adapters: one per event kind, so the hot
-	// loop schedules through AtHandler without allocating closures.
-	stepH     stepHandler
-	issueH    issueHandler
-	computeH  computeHandler
-	completeH completeHandler
-	trapH     trapHandler
+	// The pending pipeline continuation. Every pipeline step ends by
+	// handing exactly one continuation to sched, which records it here and
+	// queues one pooled event through pendH to run it. At most one
+	// continuation is ever outstanding — a chain is a chain — so a single
+	// slot suffices, and sched panics if it finds the slot occupied.
+	pend  pendAction
+	pendH pendHandler
+	trapH trapHandler
 
 	// The off-queue spin (see Wake). While chain is off the queue, pend
-	// holds the spin's next step and offAt its deadline, in either mode.
+	// holds the spin's next step and offAt its deadline, and nothing is
+	// queued for it.
 	chain sim.Chain
 	offAt sim.Time
 }
@@ -229,44 +203,17 @@ const (
 	pendComplete          // commit the parked hit value after CacheHit cycles
 )
 
-// pendAction is one parked continuation: what to do and for whom (the
-// deadline lives on the engine-side pend).
+// pendAction is one pending continuation: what to do and for whom (the
+// deadline lives on its queued event, or in offAt).
 type pendAction struct {
 	kind pendKind
 	ctx  *context
 }
 
-// The event-mode handlers run one pipeline step per event.
-type stepHandler struct{ p *Processor }
+// pendHandler runs the continuation its event was queued for.
+type pendHandler struct{ p *Processor }
 
-func (h *stepHandler) OnEvent(arg any) {
-	h.p.step(arg.(*context))
-}
-
-type issueHandler struct{ p *Processor }
-
-func (h *issueHandler) OnEvent(arg any) {
-	c := arg.(*context)
-	h.p.issue(c, c.pendingOp)
-}
-
-type computeHandler struct{ p *Processor }
-
-func (h *computeHandler) OnEvent(arg any) {
-	c := arg.(*context)
-	if c.computeLeft > 0 {
-		h.p.compute(c, c.computeLeft)
-	} else {
-		h.p.step(c)
-	}
-}
-
-type completeHandler struct{ p *Processor }
-
-func (h *completeHandler) OnEvent(arg any) {
-	c := arg.(*context)
-	c.done(c.hitVal)
-}
+func (h *pendHandler) OnEvent(any) { h.p.exec() }
 
 type trapHandler struct{ p *Processor }
 
@@ -287,12 +234,8 @@ func New(eng *sim.Engine, cc *coherence.CacheController, timing coherence.Timing
 		panic("proc: need at least one context")
 	}
 	p := &Processor{eng: eng, cc: cc, timing: timing}
-	p.stepH = stepHandler{p}
-	p.issueH = issueHandler{p}
-	p.computeH = computeHandler{p}
-	p.completeH = completeHandler{p}
+	p.pendH = pendHandler{p}
 	p.trapH = trapHandler{p}
-	p.simPend = sim.NewPend(p.runPend)
 	p.contexts = make([]*context, nContexts)
 	for i := range p.contexts {
 		c := &context{state: ctxFinished}
@@ -331,10 +274,6 @@ func (p *Processor) Attach(mc *coherence.MemoryController, hnd Handler) {
 
 // Stats returns a copy of the processor counters.
 func (p *Processor) Stats() Stats { return p.stats }
-
-// SetMode selects fused or event-per-instruction execution. Call before
-// Start; the two modes produce bit-identical results.
-func (p *Processor) SetMode(m Mode) { p.mode = m }
 
 // SetFaultPlan installs a fault plan whose TrapSlowdown lengthens
 // individual trap-handler executions (modeling handler-time perturbation —
@@ -386,59 +325,27 @@ func (p *Processor) Start() {
 	p.dispatch()
 }
 
-// sched parks the chain's one continuation. In event mode it schedules the
-// corresponding engine event immediately — byte-for-byte the event chain
-// this processor always ran. In fused mode it parks the engine pend
-// instead: same deadline, same sequence key, no pooled event. While the
-// spin is off the queue it only records the step, in either mode.
+// sched records the chain's one continuation, due at cycle t, and queues
+// the event that runs it; while the spin is off the queue it only records
+// the step and its deadline.
 func (p *Processor) sched(t sim.Time, k pendKind, c *context) {
+	if p.pend.kind != pendNone {
+		panic("proc: pipeline continuation already pending")
+	}
+	p.pend = pendAction{kind: k, ctx: c}
 	if p.chain.Off() {
-		p.pend, p.offAt = pendAction{kind: k, ctx: c}, t
+		p.offAt = t
 		return
 	}
-	if p.mode == ModeFused {
-		if p.pend.kind != pendNone {
-			panic("proc: pipeline continuation already parked")
-		}
-		p.pend = pendAction{kind: k, ctx: c}
-		p.eng.Park(p.simPend, t)
-		return
-	}
-	p.schedule(t, k, c)
+	p.eng.AtHandler(t, &p.pendH, nil)
 }
 
-// runPend is the engine-side pend dispatch: it pops the parked continuation
-// and executes it, exactly as the corresponding event handler would.
-func (p *Processor) runPend() {
+// exec pops the pending continuation and performs it.
+func (p *Processor) exec() {
 	a := p.pend
 	p.pend.kind = pendNone
-	p.exec(a.kind, a.ctx)
-}
-
-// schedule converts a continuation into its engine event. The deadlines
-// and handler identities match the pre-fusion event chain exactly, and a
-// fused run parks its fallback event at the same cycle the event mode
-// would have allocated it (the time of the chain's previous action), so
-// the two modes assign identical sequence keys.
-func (p *Processor) schedule(t sim.Time, k pendKind, c *context) {
-	switch k {
-	case pendStep:
-		p.eng.AtHandler(t, &p.stepH, c)
-	case pendIssue:
-		p.eng.AtHandler(t, &p.issueH, c)
-	case pendCompute:
-		p.eng.AtHandler(t, &p.computeH, c)
-	case pendComplete:
-		p.eng.AtHandler(t, &p.completeH, c)
-	default:
-		panic("proc: scheduling an empty continuation")
-	}
-}
-
-// exec performs one continuation — the same dispatch the event-mode
-// handlers perform when the corresponding event fires.
-func (p *Processor) exec(k pendKind, c *context) {
-	switch k {
+	c := a.ctx
+	switch a.kind {
 	case pendStep:
 		p.step(c)
 	case pendIssue:
@@ -486,10 +393,7 @@ func (p *Processor) Wake(limit sim.Time) {
 	if !p.chain.Off() {
 		return
 	}
-	at := p.eng.Rejoin(&p.chain, limit)
-	a := p.pend
-	p.pend.kind = pendNone
-	p.sched(at, a.kind, a.ctx)
+	p.eng.AtHandler(p.eng.Rejoin(&p.chain, limit), &p.pendH, nil)
 }
 
 // OffQueue reports whether a spin is off the event queue. It implements
@@ -500,9 +404,7 @@ func (p *Processor) OffQueue() bool { return p.chain.Off() }
 // step through the ordinary pipeline code and returns the deadline of the
 // step after it.
 func (p *Processor) StepChain() sim.Time {
-	a := p.pend
-	p.pend.kind = pendNone
-	p.exec(a.kind, a.ctx)
+	p.exec()
 	return p.offAt
 }
 
@@ -720,18 +622,16 @@ func (p *Processor) issue(c *context, op Op) {
 	outcome, v := p.cc.AccessSync(req)
 
 	if outcome == coherence.OutcomeHit {
-		// The reference commits CacheHit cycles from now. Routing the
-		// completion through the processor's own continuation machinery —
-		// rather than the controller's pooled completion events — keeps the
-		// hot path on the fused run while the event oracle allocates its
-		// completion at the identical cycle with an identical sequence key.
-		// A spin poll that fails its predicate with no other live context
-		// takes the spin off the queue from here (see Wake).
+		// The reference commits CacheHit cycles from now, through the
+		// processor's own continuation rather than the controller's
+		// completion events. A spin poll that fails its predicate with no
+		// other live context takes the spin off the queue from here (see
+		// Wake).
 		c.hitVal = v
 		at := p.eng.Now() + p.timing.CacheHit
 		if c.spin == spinPolled && !p.chain.Off() && p.finished == len(p.contexts)-1 &&
 			!p.eng.CycleSeq() && !c.pendingOp.Until(v) {
-			p.eng.TakeOff(&p.chain, p, at, p.mode == ModeFused)
+			p.eng.TakeOff(&p.chain, p, at)
 		}
 		p.sched(at, pendComplete, c)
 	} else if p.chain.Off() {

@@ -335,22 +335,19 @@ func longCompute() proc.Workload {
 	return &script{ops: []proc.Op{{Kind: proc.OpCompute, Cycles: 5000}}}
 }
 
-// runTrapBoundary drives the trap-interleave scenario under one execution
-// mode: node 0 runs home (long local work), node 1 takes the block's only
-// hardware pointer, and node 2 — after delay cycles of local work — reads
-// the same block, overflowing the directory and trapping node 0's
-// processor mid-work. Node 3 runs node3, or nothing when it is nil. It
-// returns the run's end time, the cycle node 2's overflowing load
-// completed, and node 0's serviced-trap count.
-func runTrapBoundary(t *testing.T, mode proc.Mode, delay sim.Time, home, node3 proc.Workload) (end, loadDone sim.Time, traps uint64) {
+// runTrapBoundary drives the trap-interleave scenario: node 0 runs home
+// (long local work), node 1 takes the block's only hardware pointer, and
+// node 2 — after delay cycles of local work — reads the same block,
+// overflowing the directory and trapping node 0's processor mid-work.
+// Node 3 runs node3, or nothing when it is nil. It returns the run's end
+// time, the cycle node 2's overflowing load completed, and node 0's
+// serviced-trap count.
+func runTrapBoundary(t *testing.T, delay sim.Time, home, node3 proc.Workload) (end, loadDone sim.Time, traps uint64) {
 	t.Helper()
 	params := coherence.DefaultParams(4)
 	params.Scheme = coherence.LimitLESS
 	params.Pointers = 1
 	r := newProcRig(t, 4, 1, params)
-	for _, p := range r.procs {
-		p.SetMode(mode)
-	}
 	r.procs[0].SetWorkload(0, home)
 	r.procs[1].SetWorkload(0, &script{ops: []proc.Op{
 		{Kind: proc.OpLoad, Addr: addr(0, 2), Shared: true},
@@ -374,10 +371,9 @@ func runTrapBoundary(t *testing.T, mode proc.Mode, delay sim.Time, home, node3 p
 }
 
 // TestTrapClaimsNextSliceBoundary pins the synchronous-trap interleaving
-// contract in BOTH execution modes: a protocol trap arriving mid-compute
-// claims the pipeline at the next instruction-slice boundary — never
-// mid-slice, never deferred to the end of the compute. Two observables
-// capture it exactly:
+// contract: a protocol trap arriving mid-compute claims the pipeline at the
+// next instruction-slice boundary — never mid-slice, never deferred to the
+// end of the compute. Two observables capture it exactly:
 //
 //   - The overflowing reader's load-completion time is quantized to the
 //     16-cycle compute-slice grid: sweeping the trap packet's arrival
@@ -387,29 +383,22 @@ func runTrapBoundary(t *testing.T, mode proc.Mode, delay sim.Time, home, node3 p
 //   - The run ends at 5000 + TrapEntry + TrapService: the trap's cost is
 //     serialized into the compute (which must finish all 5000 cycles),
 //     and nothing waits for the compute to end.
-//
-// Fused execution threads this path through parked pends instead of
-// events, so every observable must also be bit-identical across modes.
 func TestTrapClaimsNextSliceBoundary(t *testing.T) {
 	params := coherence.DefaultParams(4)
 	wantEnd := 5000 + params.Timing.TrapEntry + params.Timing.TrapService
 	// Arrival-delay sweep: 34-46 land in one compute slice of the home
 	// node's 16-cycle grid; 30 hits the slice before, 50 the one after.
 	wantDone := map[sim.Time]sim.Time{30: 114, 34: 130, 38: 130, 42: 130, 46: 130, 50: 146}
-	for _, mode := range []proc.Mode{proc.ModeFused, proc.ModeEvent} {
-		for d, want := range wantDone {
-			end, done, traps := runTrapBoundary(t, mode, d, longCompute(), nil)
-			if traps != 1 {
-				t.Fatalf("mode=%v delay=%d: %d traps serviced, want 1", mode, d, traps)
-			}
-			if end != wantEnd {
-				t.Errorf("mode=%v delay=%d: run ended at %d, want %d (compute + trap cost)",
-					mode, d, end, wantEnd)
-			}
-			if done != want {
-				t.Errorf("mode=%v delay=%d: overflowing load completed at %d, want %d (slice-boundary grid)",
-					mode, d, done, want)
-			}
+	for d, want := range wantDone {
+		end, done, traps := runTrapBoundary(t, d, longCompute(), nil)
+		if traps != 1 {
+			t.Fatalf("delay=%d: %d traps serviced, want 1", d, traps)
+		}
+		if end != wantEnd {
+			t.Errorf("delay=%d: run ended at %d, want %d (compute + trap cost)", d, end, wantEnd)
+		}
+		if done != want {
+			t.Errorf("delay=%d: overflowing load completed at %d, want %d (slice-boundary grid)", d, done, want)
 		}
 	}
 }

@@ -19,18 +19,15 @@ type outcome struct {
 }
 
 // runScenario builds a fresh rig, lets setup install workloads, and runs
-// every processor to completion under mode.
-func runScenario(t *testing.T, mode proc.Mode, nodes, contexts int, params coherence.Params, setup func(r *procRig)) outcome {
+// every processor to completion.
+func runScenario(t *testing.T, nodes, contexts int, params coherence.Params, setup func(r *procRig)) outcome {
 	t.Helper()
-	return runRig(t, newProcRig(t, nodes, contexts, params), mode, setup)
+	return runRig(t, newProcRig(t, nodes, contexts, params), setup)
 }
 
 // runRig is runScenario on a rig the caller built.
-func runRig(t *testing.T, r *procRig, mode proc.Mode, setup func(r *procRig)) outcome {
+func runRig(t *testing.T, r *procRig, setup func(r *procRig)) outcome {
 	t.Helper()
-	for _, p := range r.procs {
-		p.SetMode(mode)
-	}
 	setup(r)
 	for _, p := range r.procs {
 		p.Start()
@@ -39,23 +36,11 @@ func runRig(t *testing.T, r *procRig, mode proc.Mode, setup func(r *procRig)) ou
 	o := outcome{end: r.eng.Now(), events: r.eng.Processed()}
 	for i, p := range r.procs {
 		if !p.Done() {
-			t.Fatalf("mode=%v: processor %d did not finish", mode, i)
+			t.Fatalf("processor %d did not finish", i)
 		}
 		o.stats = append(o.stats, p.Stats())
 	}
 	return o
-}
-
-// runBothModes runs a scenario fused and event-per-instruction and fails
-// unless the two agree cycle for cycle.
-func runBothModes(t *testing.T, nodes, contexts int, params coherence.Params, setup func(r *procRig)) outcome {
-	t.Helper()
-	fused := runScenario(t, proc.ModeFused, nodes, contexts, params, setup)
-	event := runScenario(t, proc.ModeEvent, nodes, contexts, params, setup)
-	if fmt.Sprint(fused) != fmt.Sprint(event) {
-		t.Fatalf("fused and event execution disagree:\nfused: %+v\nevent: %+v", fused, event)
-	}
-	return fused
 }
 
 // TestSpinPollCounts pins the processor-side poll loop against the
@@ -83,7 +68,7 @@ func TestSpinPollCounts(t *testing.T) {
 		for _, backoff := range []sim.Time{0, 7, 40} {
 			label := fmt.Sprintf("wait=%d/set=%d/backoff=%d", c.wait, c.set, backoff)
 			var spin *script
-			got := runBothModes(t, 2, 1, params, func(r *procRig) {
+			got := runScenario(t, 2, 1, params, func(r *procRig) {
 				spin = &script{ops: []proc.Op{
 					{Kind: proc.OpStore, Addr: flag, Value: 9, Shared: true},
 					{Kind: proc.OpCompute, Cycles: c.wait},
@@ -99,7 +84,7 @@ func TestSpinPollCounts(t *testing.T) {
 			if (k == 1) != (c.wait > c.set) {
 				t.Fatalf("%s: the spin polled %d times, want once exactly when the flag is set before it starts", label, k)
 			}
-			want := runBothModes(t, 2, 1, params, func(r *procRig) {
+			want := runScenario(t, 2, 1, params, func(r *procRig) {
 				ops := []proc.Op{
 					{Kind: proc.OpStore, Addr: flag, Value: 9, Shared: true},
 					{Kind: proc.OpCompute, Cycles: c.wait},
@@ -129,13 +114,14 @@ func TestSpinPollCounts(t *testing.T) {
 
 // TestSpinProcModesAgree runs spinners with assorted backoffs against a
 // remote flag that a producer sets late — polls that hit, polls that miss
-// after the invalidation, backoffs across slice boundaries — and requires
-// fused and event execution to agree cycle for cycle.
+// after the invalidation, backoffs across slice boundaries — on one and two
+// contexts, and requires every spinner to finish after polling more than
+// once.
 func TestSpinProcModesAgree(t *testing.T) {
 	params := coherence.DefaultParams(4)
 	flag := addr(0, 4)
 	for _, contexts := range []int{1, 2} {
-		got := runBothModes(t, 4, contexts, params, func(r *procRig) {
+		got := runScenario(t, 4, contexts, params, func(r *procRig) {
 			r.procs[0].SetWorkload(0, &script{ops: []proc.Op{
 				{Kind: proc.OpCompute, Cycles: 300},
 				{Kind: proc.OpStore, Addr: flag, Value: 1, Shared: true},
@@ -161,9 +147,9 @@ func TestSpinProcModesAgree(t *testing.T) {
 // with the home node backing off inside a spin-wait instead of running one
 // long compute: the backoff is compute like any other, so a LimitLESS trap
 // landing mid-backoff claims the pipeline at the next 16-cycle slice
-// boundary. Both modes must reproduce the expanded load/compute/load
-// stream exactly, and sweeping the trap's arrival moves the overflowing
-// load's completion only in whole slices.
+// boundary. The spin must reproduce the expanded load/compute/load stream
+// exactly, and sweeping the trap's arrival moves the overflowing load's
+// completion only in whole slices.
 //
 // Node 3 sets the polled block late in the backoff, so the second poll
 // misses and reads the value that satisfies the spin.
@@ -188,25 +174,22 @@ func TestSpinTrapClaimsNextSliceBoundary(t *testing.T) {
 			{Kind: proc.OpLoad, Addr: block, Shared: true},
 		}}
 	}
-	for _, mode := range []proc.Mode{proc.ModeFused, proc.ModeEvent} {
-		var first sim.Time
-		for d := sim.Time(30); d <= 50; d += 2 {
-			end, done, traps := runTrapBoundary(t, mode, d, spin(), setter())
-			wantEnd, wantDone, wantTraps := runTrapBoundary(t, proc.ModeEvent, d, expanded(), setter())
-			if end != wantEnd || done != wantDone || traps != wantTraps {
-				t.Fatalf("mode=%v delay=%d: spin (end=%d done=%d traps=%d) differs from expanded (end=%d done=%d traps=%d)",
-					mode, d, end, done, traps, wantEnd, wantDone, wantTraps)
-			}
-			if traps != 1 {
-				t.Fatalf("mode=%v delay=%d: %d traps serviced, want 1", mode, d, traps)
-			}
-			if d == 30 {
-				first = done
-			}
-			if (done-first)%16 != 0 {
-				t.Errorf("mode=%v delay=%d: overflowing load completed at %d, off the slice grid through %d",
-					mode, d, done, first)
-			}
+	var first sim.Time
+	for d := sim.Time(30); d <= 50; d += 2 {
+		end, done, traps := runTrapBoundary(t, d, spin(), setter())
+		wantEnd, wantDone, wantTraps := runTrapBoundary(t, d, expanded(), setter())
+		if end != wantEnd || done != wantDone || traps != wantTraps {
+			t.Fatalf("delay=%d: spin (end=%d done=%d traps=%d) differs from expanded (end=%d done=%d traps=%d)",
+				d, end, done, traps, wantEnd, wantDone, wantTraps)
+		}
+		if traps != 1 {
+			t.Fatalf("delay=%d: %d traps serviced, want 1", d, traps)
+		}
+		if d == 30 {
+			first = done
+		}
+		if (done-first)%16 != 0 {
+			t.Errorf("delay=%d: overflowing load completed at %d, off the slice grid through %d", d, done, first)
 		}
 	}
 }
@@ -219,7 +202,7 @@ func TestSpinRemoteMissSwitchesContexts(t *testing.T) {
 	params := coherence.DefaultParams(2)
 	flag := addr(1, 5)
 	var spin *script
-	got := runBothModes(t, 2, 2, params, func(r *procRig) {
+	got := runScenario(t, 2, 2, params, func(r *procRig) {
 		spin = &script{ops: []proc.Op{
 			{Kind: proc.OpLoad, Addr: flag, Shared: true, Cycles: 8,
 				Until: func(v uint64) bool { return v == 1 }},
@@ -273,46 +256,47 @@ func TestSpinUntilOnlyOnLoads(t *testing.T) {
 // TestSpinProgress: a spin-wait is one unit of forward progress however
 // many polls it takes, so a poll that fails its predicate counts nothing,
 // and while the context spins Spins reports the polled address and the
-// value the last failed poll read. Node 1 sets the flag after a while.
+// value the last failed poll read. Node 1 sets the flag after a while;
+// the run advances one cycle at a time so every cycle's state is seen.
 func TestSpinProgress(t *testing.T) {
 	params := coherence.DefaultParams(2)
 	flag := addr(0, 1)
-	for _, mode := range []proc.Mode{proc.ModeFused, proc.ModeEvent} {
-		r := newProcRig(t, 2, 1, params)
-		p := r.procs[0]
-		p.SetMode(mode)
-		p.SetWorkload(0, &script{ops: []proc.Op{
-			{Kind: proc.OpStore, Addr: flag, Value: 5, Shared: true},
-			{Kind: proc.OpLoad, Addr: flag, Shared: true, Cycles: 4,
-				Until: func(v uint64) bool { return v == 7 }},
-		}})
-		r.procs[1].SetMode(mode)
-		r.procs[1].SetWorkload(0, &script{ops: []proc.Op{
-			{Kind: proc.OpCompute, Cycles: 100},
-			{Kind: proc.OpStore, Addr: flag, Value: 7, Shared: true},
-		}})
-		p.Start()
-		r.procs[1].Start()
-		var sawLast bool
-		for r.eng.Step() {
-			p.Spins(func(a directory.Addr, last uint64) {
-				if a != flag {
-					t.Errorf("%v: spin reported on %#x, want %#x", mode, uint64(a), uint64(flag))
-				}
-				sawLast = sawLast || last == 5
-				if got := p.Progress(); got != 1 {
-					t.Errorf("%v: progress %d while spinning, want 1 (the store)", mode, got)
-				}
-			})
+	r := newProcRig(t, 2, 1, params)
+	p := r.procs[0]
+	p.SetWorkload(0, &script{ops: []proc.Op{
+		{Kind: proc.OpStore, Addr: flag, Value: 5, Shared: true},
+		{Kind: proc.OpLoad, Addr: flag, Shared: true, Cycles: 4,
+			Until: func(v uint64) bool { return v == 7 }},
+	}})
+	r.procs[1].SetWorkload(0, &script{ops: []proc.Op{
+		{Kind: proc.OpCompute, Cycles: 100},
+		{Kind: proc.OpStore, Addr: flag, Value: 7, Shared: true},
+	}})
+	p.Start()
+	r.procs[1].Start()
+	var sawLast bool
+	for limit := sim.Time(0); r.eng.Pending() > 0; limit++ {
+		if limit > 10_000 {
+			t.Fatal("processors did not finish")
 		}
-		if !sawLast {
-			t.Errorf("%v: the spin never reported the value its failed polls read (5)", mode)
-		}
-		if got := p.Progress(); got != 2 {
-			t.Errorf("%v: progress %d after the run, want 2 (the store, then the spin once)", mode, got)
-		}
-		p.Spins(func(a directory.Addr, _ uint64) {
-			t.Errorf("%v: finished processor still reports a spin on %#x", mode, uint64(a))
+		r.eng.RunUntil(limit)
+		p.Spins(func(a directory.Addr, last uint64) {
+			if a != flag {
+				t.Errorf("spin reported on %#x, want %#x", uint64(a), uint64(flag))
+			}
+			sawLast = sawLast || last == 5
+			if got := p.Progress(); got != 1 {
+				t.Errorf("progress %d while spinning, want 1 (the store)", got)
+			}
 		})
 	}
+	if !sawLast {
+		t.Error("the spin never reported the value its failed polls read (5)")
+	}
+	if got := p.Progress(); got != 2 {
+		t.Errorf("progress %d after the run, want 2 (the store, then the spin once)", got)
+	}
+	p.Spins(func(a directory.Addr, _ uint64) {
+		t.Errorf("finished processor still reports a spin on %#x", uint64(a))
+	})
 }

@@ -25,10 +25,10 @@ package sim
 //     drains can never be woken, and RunUntil(Forever) returns with it
 //     still off (the machine reports that as a deadlock).
 //
-// Settled steps count as executed events in Processed (and in Inlined
-// when TakeOff says so), and an off-queue chain counts as one pending
-// event, at its next step's deadline, in Pending and NextEventTime. So the
-// counts a run reports are those of the same run with every step queued.
+// Settled steps count as executed events in Processed and in Inlined,
+// and an off-queue chain counts as one pending event, at its next step's
+// deadline, in Pending and NextEventTime. So the counts a run reports are
+// those of the same run with every step queued.
 // Only engines with plain sequence keys take chains off the queue: under
 // cycle-tagged keys (windowed shards) a key drawn at the wake would carry
 // the wrong cycle.
@@ -37,10 +37,9 @@ package sim
 // embeds it and takes the chain off the queue with TakeOff; while the
 // chain is on the queue, the handle is idle.
 type Chain struct {
-	owner   ChainOwner
-	at      Time // deadline of the chain's next step while off the queue
-	pos     int  // 1 + index in Engine.chains; 0 while on the queue
-	inlined bool // settled steps count in Inlined as well as Processed
+	owner ChainOwner
+	at    Time // deadline of the chain's next step while off the queue
+	pos   int  // 1 + index in Engine.chains; 0 while on the queue
 }
 
 // ChainOwner runs an off-queue chain's steps as the engine settles them.
@@ -62,10 +61,9 @@ func (c *Chain) Off() bool { return c.pos > 0 }
 
 // TakeOff takes owner's chain c off the queue with its next step due at
 // cycle at: the engine queues none of its steps until Rejoin, and settles
-// them through owner as described above. inlined counts the settled steps
-// in Inlined as well as Processed. The engine must use plain sequence
-// keys.
-func (e *Engine) TakeOff(c *Chain, owner ChainOwner, at Time, inlined bool) {
+// them through owner as described above. The engine must use plain
+// sequence keys.
+func (e *Engine) TakeOff(c *Chain, owner ChainOwner, at Time) {
 	switch {
 	case e.cycleSeq:
 		panic("sim: off-queue chain on an engine with cycle-tagged sequence keys")
@@ -74,7 +72,7 @@ func (e *Engine) TakeOff(c *Chain, owner ChainOwner, at Time, inlined bool) {
 	case at < e.now:
 		panic("sim: off-queue chain step before now")
 	}
-	c.owner, c.at, c.inlined = owner, at, inlined
+	c.owner, c.at = owner, at
 	e.chains = append(e.chains, c)
 	c.pos = len(e.chains)
 }
@@ -115,9 +113,7 @@ func (e *Engine) settle(c *Chain, limit Time) {
 			e.now = last
 		}
 		e.processed += n
-		if c.inlined {
-			e.inlined += n
-		}
+		e.inlined += n
 		c.at = next
 	}
 	if e.now < now {

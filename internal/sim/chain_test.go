@@ -22,9 +22,9 @@ func newTicker(e *Engine, every Time, closed bool) *ticker {
 	return &ticker{e: e, every: every, closed: closed}
 }
 
-func (tk *ticker) takeOff(at Time, inlined bool) {
+func (tk *ticker) takeOff(at Time) {
 	tk.next = at
-	tk.e.TakeOff(&tk.c, tk, at, inlined)
+	tk.e.TakeOff(&tk.c, tk, at)
 }
 
 func (tk *ticker) StepChain() Time {
@@ -66,7 +66,7 @@ func chainCases(fn func(name string, e *Engine, closed bool)) {
 func TestChainSettlesAtWake(t *testing.T) {
 	chainCases(func(name string, e *Engine, closed bool) {
 		tk := newTicker(e, 3, closed)
-		tk.takeOff(5, true)
+		tk.takeOff(5)
 		var order []string
 		e.At(50, func() {
 			at := e.Rejoin(&tk.c, e.Now()-1)
@@ -91,17 +91,18 @@ func TestChainSettlesAtWake(t *testing.T) {
 
 // TestChainSettlesThroughRunLimit: a run that stops at its limit settles
 // an off-queue chain through the limit, so the clock, Processed, Pending
-// and NextEventTime read as they would with every step queued.
+// and NextEventTime read as they would with every step queued, and
+// Inlined counts the settled steps.
 func TestChainSettlesThroughRunLimit(t *testing.T) {
 	chainCases(func(name string, e *Engine, closed bool) {
 		tk := newTicker(e, 3, closed)
-		tk.takeOff(5, false)
+		tk.takeOff(5)
 		e.At(100, func() {})
 		if end := e.RunUntil(20); end != 20 {
 			t.Errorf("%s: RunUntil(20) ended at %d, want 20 (the step at 20)", name, end)
 		}
-		if e.Processed() != 6 || e.Inlined() != 0 || e.Pending() != 2 {
-			t.Errorf("%s: processed=%d inlined=%d pending=%d, want 6, 0, 2", name, e.Processed(), e.Inlined(), e.Pending())
+		if e.Processed() != 6 || e.Inlined() != 6 || e.Pending() != 2 {
+			t.Errorf("%s: processed=%d inlined=%d pending=%d, want 6, 6, 2", name, e.Processed(), e.Inlined(), e.Pending())
 		}
 		if next, ok := e.NextEventTime(); !ok || next != 23 {
 			t.Errorf("%s: NextEventTime = %d, %v, want 23 (the chain's next step)", name, next, ok)
@@ -121,13 +122,14 @@ func TestChainSettlesThroughRunLimit(t *testing.T) {
 func TestChainSettlesAfterAbort(t *testing.T) {
 	chainCases(func(name string, e *Engine, closed bool) {
 		tk := newTicker(e, 5, closed)
-		tk.takeOff(5, false)
+		tk.takeOff(5)
 		e.At(30, e.Abort)
 		if end := e.RunUntil(1000); end != 30 {
 			t.Errorf("%s: aborted run ended at %d, want 30", name, end)
 		}
-		if tk.steps != 6 || e.Processed() != 7 {
-			t.Errorf("%s: %d steps settled, %d processed after the abort, want 6 (5..30) and 7", name, tk.steps, e.Processed())
+		if tk.steps != 6 || e.Processed() != 7 || e.Inlined() != 6 {
+			t.Errorf("%s: %d steps settled, %d processed, %d inlined after the abort, want 6 (5..30), 7 and 6",
+				name, tk.steps, e.Processed(), e.Inlined())
 		}
 		e.RunUntil(2000)
 		if tk.steps != 6 || e.Now() != 30 {
@@ -145,7 +147,7 @@ func TestChainSettlesAfterAbort(t *testing.T) {
 func TestChainUnlimitedRunSettlesNothing(t *testing.T) {
 	e := New()
 	tk := newTicker(e, 4, true)
-	tk.takeOff(2, false)
+	tk.takeOff(2)
 	e.At(9, func() {})
 	if end := e.Run(); end != 9 {
 		t.Errorf("Run ended at %d, want 9 (the last queued event)", end)
@@ -168,13 +170,13 @@ func TestTakeOffPanics(t *testing.T) {
 	late.At(5, func() {})
 	late.Run()
 	for name, fn := range map[string]func(){
-		"cycle-tagged": func() { newTicker(windowed, 1, false).takeOff(0, false) },
+		"cycle-tagged": func() { newTicker(windowed, 1, false).takeOff(0) },
 		"twice": func() {
 			tk := newTicker(twice, 1, false)
-			tk.takeOff(0, false)
-			tk.takeOff(1, false)
+			tk.takeOff(0)
+			tk.takeOff(1)
 		},
-		"before now": func() { newTicker(late, 1, false).takeOff(4, false) },
+		"before now": func() { newTicker(late, 1, false).takeOff(4) },
 	} {
 		func() {
 			defer func() {
@@ -192,9 +194,9 @@ func TestTakeOffPanics(t *testing.T) {
 func TestRejoinKeepsOtherChains(t *testing.T) {
 	e := New()
 	a, b, c := newTicker(e, 2, false), newTicker(e, 3, false), newTicker(e, 5, false)
-	a.takeOff(10, false)
-	b.takeOff(4, false)
-	c.takeOff(7, false)
+	a.takeOff(10)
+	b.takeOff(4)
+	c.takeOff(7)
 	e.Rejoin(&a.c, 0)
 	if e.Pending() != 2 || a.c.Off() || !b.c.Off() || !c.c.Off() {
 		t.Fatalf("after one Rejoin: pending=%d offs=%v %v %v", e.Pending(), a.c.Off(), b.c.Off(), c.c.Off())

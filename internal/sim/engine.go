@@ -10,20 +10,17 @@
 //
 // The engine is built for throughput: the default scheduler is a timing
 // wheel — a ring of per-cycle buckets sized to the near-future horizon
-// with an overflow tier beyond it — so scheduling, cancellation, and
-// dispatch are O(1), each cycle's bucket drains in one pass, and the clock
-// jumps straight over dead cycles (see wheel.go; a binary-heap scheduler
-// remains selectable as the cross-check oracle). Fired and cancelled events
-// are recycled through a free list, so steady-state scheduling performs no
-// heap allocation, and the closure-free AtHandler path lets hot callers
-// avoid allocating a closure per event as well. Because event objects are
-// reused, the scheduling APIs hand out EventRef values — generation-checked
-// handles that keep Cancel and Scheduled safe against a recycled event's
-// next incarnation. The one event the engine does not own is a Pend's: its
-// owner re-parks it for every step of a chain, and it queues and fires
-// exactly like any other event. A chain whose steps nothing else reads
-// until a known event runs may leave the queue altogether; the engine
-// then settles its steps when they are needed (see chain.go).
+// with an overflow tier beyond it — so scheduling and dispatch are O(1),
+// each cycle's bucket drains in one pass, and the clock jumps straight
+// over dead cycles (see wheel.go; a binary-heap scheduler remains
+// selectable as the cross-check oracle). Every event has one life: it is
+// taken from a free list, queued once, fired once and released back to
+// the list, so steady-state scheduling performs no heap allocation, and
+// the closure-free AtHandler path lets hot callers avoid allocating a
+// closure per event as well. Nothing outside the engine holds an event,
+// so nothing can cancel or re-queue one. A chain whose steps nothing else
+// reads until a known event runs may leave the queue altogether; the
+// engine then settles its steps when they are needed (see chain.go).
 //
 // Time is measured in processor clock cycles (the paper reports all results
 // in cycles of the 33 MHz SPARCLE clock).
@@ -49,45 +46,16 @@ type Handler interface {
 }
 
 // Event is a unit of scheduled work. The callback runs at the event's
-// deadline with the engine clock already advanced to that deadline. Event
-// objects are pooled, except a Pend's, which its owner holds; user code
-// holds EventRef handles, never *Event.
+// deadline with the engine clock already advanced to that deadline. Events
+// are pooled and never leave the engine: the scheduling calls return
+// nothing, and a fired event is released to the free list (see
+// SetPooling).
 type Event struct {
-	at    Time
-	seq   uint64
-	index int    // position in its container (bucket slot or heap index); -1 when not queued
-	gen   uint64 // incarnation counter; bumped on every release
-	loc   uint8  // wheel tier holding the event (locRing / locOverflow)
-	pend  bool   // a Pend's event: owned by the pend, never released to the free list
-	fn    func()
-	h     Handler
-	arg   any
-}
-
-// EventRef is a handle to one scheduled incarnation of an event. The zero
-// EventRef is valid and refers to nothing. Because events are recycled, the
-// handle carries the incarnation's generation: once the event fires or is
-// cancelled, the handle goes stale and reports Scheduled() == false even if
-// the underlying object has been reused for a later event.
-type EventRef struct {
-	ev  *Event
-	gen uint64
-}
-
-// Scheduled reports whether this incarnation is still pending in the queue.
-func (r EventRef) Scheduled() bool {
-	return r.ev != nil && r.ev.gen == r.gen && r.ev.index >= 0
-}
-
-// Time returns the cycle at which the event fires. ok is false when the
-// handle is stale (fired, cancelled, or zero) — every Time value, including
-// negative ones, is representable, so staleness is reported out of band
-// rather than through an in-band sentinel.
-func (r EventRef) Time() (t Time, ok bool) {
-	if !r.Scheduled() {
-		return 0, false
-	}
-	return r.ev.at, true
+	at  Time
+	seq uint64
+	fn  func()
+	h   Handler
+	arg any
 }
 
 // Engine is a deterministic discrete-event scheduler.
@@ -103,7 +71,7 @@ type Engine struct {
 	useHeap   bool
 	queued    int
 	processed uint64
-	inlined   uint64   // pend dispatches (subset of processed)
+	inlined   uint64   // off-queue steps settled (subset of processed)
 	free      []*Event // recycled events; see SetPooling
 	noPool    bool
 	chains    []*Chain // chains off the queue (chain.go)
@@ -155,10 +123,9 @@ var memPool sync.Pool
 // Recycle empties the wheel's buckets and hands them, together with the
 // event free list, to the pool New draws on. Events still queued and
 // chains still off the queue — a run cut off by a cycle limit, a watchdog
-// or an abort — are dropped with the engine; a parked pend's event is
-// never on the free list, so no later engine hands it out, and the pooled
-// chain list keeps no pointer to a chain. The engine must not be used
-// afterwards; a second Recycle does nothing.
+// or an abort — are dropped with the engine, and the pooled chain list
+// keeps no pointer to a chain. The engine must not be used afterwards; a
+// second Recycle does nothing.
 func (e *Engine) Recycle() {
 	if e.wh.buckets == nil {
 		return
@@ -167,7 +134,6 @@ func (e *Engine) Recycle() {
 		b := &e.wh.buckets[i]
 		clear(b.evs)
 		b.reset()
-		b.live = 0
 	}
 	clear(e.chains)
 	memPool.Put(&engineMem{buckets: e.wh.buckets, free: e.free, chains: e.chains[:0]})
@@ -256,11 +222,11 @@ func WindowSeq(cycle Time, flush bool, ctr uint32) uint64 {
 
 // SetCycleHook installs fn as the engine's end-of-cycle hook. The hook is
 // not an event: it runs only in a cycle that armed it (ArmCycleHook), once,
-// after every event of that cycle, parked pends included — any scheduled
-// into the cycle while it runs too — and before the engine executes anything
-// later, or before a run whose queue has drained returns. Processed does
-// not count it, and the wheel and the heap run it at the same point of the
-// (deadline, sequence) order. The hook may schedule events, and anything it
+// after every event of that cycle — any scheduled into the cycle while it
+// runs too — and before the engine executes anything later, or before a
+// run whose queue has drained returns. Processed does not count it, and
+// the wheel and the heap run it at the same point of the (deadline,
+// sequence) order. The hook may schedule events, and anything it
 // schedules draws its sequence key after every event allocated during the
 // cycle and before any allocated during a later one; this is what lets a
 // one-engine network claim a whole cycle's sends in one canonical batch.
@@ -280,27 +246,24 @@ func (e *Engine) runHook() {
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
 
-// Processed returns the number of events executed so far, pend dispatches
-// and settled off-queue steps included: a parked continuation is exactly
-// the event its event-mode twin would have allocated, and a settled step
-// the event it would have queued, so the count stays an invariant measure
-// of simulation actions — identical whether processors run fused or
-// event-per-step, whether a spin leaves the queue, and independent of how
-// shard windows cut the run.
+// Processed returns the number of events executed so far, settled
+// off-queue steps included: a settled step is the event it would have
+// queued, so the count stays an invariant measure of simulation actions —
+// identical whether a spin leaves the queue, and independent of how shard
+// windows cut the run.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Pending returns the number of events still queued, parked pends
-// included, plus one for each chain off the queue (its next step).
+// Pending returns the number of events still queued, plus one for each
+// chain off the queue (its next step).
 func (e *Engine) Pending() int { return e.queued + len(e.chains) }
 
-// Inlined returns how many of the processed events were pend dispatches —
-// the fused processor path's events that never left their owner, settled
-// off-queue steps of a fused owner included — reported by the throughput
-// benchmarks as the pend share.
+// Inlined returns how many of the processed events were off-queue steps
+// settled without being queued (see chain.go) — reported by the
+// throughput benchmarks as the off-queue share.
 func (e *Engine) Inlined() uint64 { return e.inlined }
 
-// NextEventTime returns the deadline of the earliest pending event, parked
-// pends and the next steps of off-queue chains included. ok is false when
+// NextEventTime returns the deadline of the earliest pending event, the
+// next steps of off-queue chains included. ok is false when
 // nothing is pending. On the wheel the probe is an O(1) occupancy-bitmap
 // scan, which is what lets guarded runs and the sharded window driver skip
 // dead cycles without touching individual events.
@@ -323,38 +286,6 @@ func (e *Engine) queueNext() (Time, bool) {
 		return e.heap[0].at, true
 	}
 	return e.wh.next()
-}
-
-// Pend is a parked continuation: a handle on one Event that its owner, not
-// the engine, holds. A fused processor owns one Pend and re-parks it for
-// every pipeline step (issue cycles, hit completions, compute slices,
-// context switches), so its chain never draws on the free list. A parked
-// pend's event queues and fires exactly like an AtHandler event; the engine
-// never pools or cancels it and hands out no EventRef to it.
-type Pend struct {
-	ev Event
-}
-
-// NewPend returns an idle pend that dispatches through fn.
-func NewPend(fn func()) *Pend {
-	return &Pend{ev: Event{index: -1, pend: true, fn: fn}}
-}
-
-// Park files p to run at cycle t. Its event takes the next sequence key and
-// joins the queue through the same path as an AtHandler call made at this
-// point, so it fires at exactly that call's (deadline, sequence) position.
-// A pend may be parked again from its own dispatch (that is the chain), but
-// never while it is already waiting.
-func (e *Engine) Park(p *Pend, t Time) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: parking pend at %d before now %d", t, e.now))
-	}
-	if p.ev.index >= 0 {
-		panic("sim: Park on an already-parked pend")
-	}
-	p.ev.at = t
-	p.ev.seq = e.nextSeq()
-	e.enqueue(&p.ev)
 }
 
 // allocEvent takes an event from the free list (or the heap allocator) and
@@ -404,9 +335,8 @@ func (e *Engine) nextCycleSeq() uint64 {
 	return s
 }
 
-// enqueue files a stamped event — pooled or a pend's — with the active
-// scheduler. An event inside the wheel's horizon, the common case, goes
-// straight into its bucket.
+// enqueue files a stamped event with the active scheduler. An event inside
+// the wheel's horizon, the common case, goes straight into its bucket.
 func (e *Engine) enqueue(ev *Event) {
 	switch {
 	case e.useHeap:
@@ -419,10 +349,9 @@ func (e *Engine) enqueue(ev *Event) {
 	e.queued++
 }
 
-// release retires an event incarnation: stale handles stop matching, the
-// callback state is dropped, and the object returns to the free list.
+// release retires a fired event: the callback state is dropped, and the
+// object returns to the free list.
 func (e *Engine) release(ev *Event) {
-	ev.gen++
 	ev.fn = nil
 	ev.h = nil
 	ev.arg = nil
@@ -433,31 +362,21 @@ func (e *Engine) release(ev *Event) {
 
 // At schedules fn to run at absolute cycle t. Scheduling in the past
 // panics: it would silently reorder causality.
-func (e *Engine) At(t Time, fn func()) EventRef {
+func (e *Engine) At(t Time, fn func()) {
 	ev := e.allocEvent(t)
 	ev.seq = e.nextSeq()
 	ev.fn = fn
 	e.enqueue(ev)
-	return EventRef{ev, ev.gen}
-}
-
-// After schedules fn to run delay cycles from now.
-func (e *Engine) After(delay Time, fn func()) EventRef {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", delay))
-	}
-	return e.At(e.now+delay, fn)
 }
 
 // AtHandler schedules h.OnEvent(arg) at absolute cycle t without allocating
 // a closure. Pass pointer-shaped args to keep the call allocation-free.
-func (e *Engine) AtHandler(t Time, h Handler, arg any) EventRef {
+func (e *Engine) AtHandler(t Time, h Handler, arg any) {
 	ev := e.allocEvent(t)
 	ev.seq = e.nextSeq()
 	ev.h = h
 	ev.arg = arg
 	e.enqueue(ev)
-	return EventRef{ev, ev.gen}
 }
 
 // AtHandlerSeq schedules h.OnEvent(arg) at absolute cycle t with an
@@ -468,7 +387,7 @@ func (e *Engine) AtHandler(t Time, h Handler, arg any) EventRef {
 // (t, seq) within this engine, and calls may only happen between windows —
 // never from inside an event callback — so a key below an already-fired
 // same-cycle event cannot occur.
-func (e *Engine) AtHandlerSeq(t Time, seq uint64, h Handler, arg any) EventRef {
+func (e *Engine) AtHandlerSeq(t Time, seq uint64, h Handler, arg any) {
 	if !e.cycleSeq {
 		panic("sim: AtHandlerSeq on an engine without cycle-tagged sequencing")
 	}
@@ -477,73 +396,25 @@ func (e *Engine) AtHandlerSeq(t Time, seq uint64, h Handler, arg any) EventRef {
 	ev.h = h
 	ev.arg = arg
 	e.enqueue(ev)
-	return EventRef{ev, ev.gen}
 }
 
 // AfterHandler schedules h.OnEvent(arg) delay cycles from now.
-func (e *Engine) AfterHandler(delay Time, h Handler, arg any) EventRef {
+func (e *Engine) AfterHandler(delay Time, h Handler, arg any) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", delay))
 	}
-	return e.AtHandler(e.now+delay, h, arg)
+	e.AtHandler(e.now+delay, h, arg)
 }
 
-// Cancel removes a pending event from the queue and recycles it.
-// Cancelling a stale handle — the event already ran, was already cancelled,
-// or the zero EventRef — is a no-op.
-func (e *Engine) Cancel(r EventRef) {
-	if !r.Scheduled() {
-		return
-	}
-	if e.useHeap {
-		e.heap.removeAt(r.ev.index)
-	} else {
-		e.wh.remove(r.ev)
-	}
-	e.queued--
-	e.release(r.ev)
-}
-
-// Step executes the single earliest queued event, advancing the clock to
-// its deadline. It reports false when nothing remains queued. A pooled
-// event is recycled before the callback runs, so the callback can
-// immediately schedule into the freed slot. An armed end-of-cycle hook
-// runs first when the next event lies in a later cycle or nothing remains;
-// it is not the step. Off-queue chains settle only at their wake points,
-// as under Run, which Step loops mirror.
-func (e *Engine) Step() bool {
-	if e.hookArmed {
-		if t, ok := e.queueNext(); !ok || t > e.now {
-			e.runHook()
-		}
-	}
-	if !e.useHeap {
-		return e.stepWheel()
-	}
-	if len(e.heap) == 0 {
-		return false
-	}
-	ev := e.heap.pop()
-	e.fire(ev, ev.at)
-	return true
-}
-
-// fire advances the clock to t and executes ev. A pooled event is recycled
-// first, so the callback can immediately schedule into the freed slot; a
-// pend's event stays with its owner, ready to be parked again.
+// fire advances the clock to t and executes ev. The event is released
+// first, so the callback can immediately schedule into the freed slot.
 func (e *Engine) fire(ev *Event, t Time) {
 	if ev.at != t {
 		panic(fmt.Sprintf("sim: event due at %d fired in cycle %d", ev.at, t))
 	}
-	ev.index = -1
 	e.queued--
 	e.now = t
 	e.processed++
-	if ev.pend {
-		e.inlined++
-		ev.fn()
-		return
-	}
 	fn, h, arg := ev.fn, ev.h, ev.arg
 	e.release(ev)
 	if h != nil {
@@ -631,6 +502,3 @@ func (e *Engine) Abort() {
 		e.runLimit = e.now
 	}
 }
-
-// Aborted reports whether Abort was called.
-func (e *Engine) Aborted() bool { return e.abort }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -51,13 +52,11 @@ func TestEngineClockAdvancesDuringCallback(t *testing.T) {
 
 func TestEngineAfterSchedulesRelative(t *testing.T) {
 	e := New()
-	var second Time
-	e.At(10, func() {
-		e.After(7, func() { second = e.Now() })
-	})
+	h := &recordingHandler{eng: e}
+	e.At(10, func() { e.AfterHandler(7, h, nil) })
 	e.Run()
-	if second != 17 {
-		t.Fatalf("After fired at %d, want 17", second)
+	if len(h.times) != 1 || h.times[0] != 17 {
+		t.Fatalf("AfterHandler fired at %v, want [17]", h.times)
 	}
 }
 
@@ -74,55 +73,19 @@ func TestEngineSchedulingInPastPanics(t *testing.T) {
 	e.Run()
 }
 
+// TestEngineNegativeDelayPanics: a negative relative delay is reported as
+// such, not as the past deadline it would name.
 func TestEngineNegativeDelayPanics(t *testing.T) {
 	e := New()
-	defer func() {
-		if recover() == nil {
-			t.Error("negative delay did not panic")
-		}
-	}()
-	e.After(-1, func() {})
-}
-
-func TestEngineCancel(t *testing.T) {
-	e := New()
-	ran := false
-	ev := e.At(5, func() { ran = true })
-	e.Cancel(ev)
+	e.At(10, func() {
+		defer func() {
+			if r := recover(); !strings.Contains(fmt.Sprint(r), "negative delay") {
+				t.Errorf("negative delay panicked with %v, want a negative-delay panic", r)
+			}
+		}()
+		e.AfterHandler(-1, &recordingHandler{eng: e}, nil)
+	})
 	e.Run()
-	if ran {
-		t.Fatal("cancelled event still ran")
-	}
-	if ev.Scheduled() {
-		t.Fatal("cancelled event still reports scheduled")
-	}
-	// Double-cancel, zero-handle cancel and cancel-after-run must be no-ops.
-	e.Cancel(ev)
-	e.Cancel(EventRef{})
-	ev2 := e.At(e.Now()+1, func() {})
-	e.Run()
-	e.Cancel(ev2)
-}
-
-func TestEngineCancelMiddleOfHeap(t *testing.T) {
-	e := New()
-	var order []int
-	evs := make([]EventRef, 10)
-	for i := 0; i < 10; i++ {
-		i := i
-		evs[i] = e.At(Time(i), func() { order = append(order, i) })
-	}
-	e.Cancel(evs[4])
-	e.Cancel(evs[7])
-	e.Run()
-	if len(order) != 8 {
-		t.Fatalf("ran %d events, want 8", len(order))
-	}
-	for _, v := range order {
-		if v == 4 || v == 7 {
-			t.Fatalf("cancelled event %d ran", v)
-		}
-	}
 }
 
 func TestEngineRunUntil(t *testing.T) {
@@ -153,16 +116,6 @@ func TestEngineProcessedCount(t *testing.T) {
 	e.Run()
 	if e.Processed() != 25 {
 		t.Fatalf("Processed = %d, want 25", e.Processed())
-	}
-}
-
-func TestEngineStepOnEmptyQueue(t *testing.T) {
-	e := New()
-	if e.Step() {
-		t.Fatal("Step on empty queue returned true")
-	}
-	if e.Now() != 0 {
-		t.Fatalf("clock moved on empty queue: %d", e.Now())
 	}
 }
 
@@ -295,8 +248,8 @@ func TestForeverIsLaterThanAnything(t *testing.T) {
 }
 
 // hookTrace runs a small script against an engine with an end-of-cycle
-// hook and returns its execution log. Cycle 1 holds two events, a pend and
-// an event one of them schedules into the same cycle; the first event arms
+// hook and returns its execution log. Cycle 1 holds two events and an
+// event the first schedules into the same cycle; the first event arms
 // the hook, and the hook schedules an event two cycles out. Cycle 5's event
 // arms it again as the run's last action, so a drained RunUntil must run
 // the hook before it returns.
@@ -312,7 +265,6 @@ func hookTrace(t *testing.T, kind SchedulerKind) ([]string, uint64) {
 			e.At(e.Now()+2, func() { add("fromhook") })
 		}
 	})
-	p := NewPend(func() { add("pend") })
 	e.At(1, func() {
 		add("a")
 		e.ArmCycleHook()
@@ -320,7 +272,6 @@ func hookTrace(t *testing.T, kind SchedulerKind) ([]string, uint64) {
 		e.ArmCycleHook() // arming twice in a cycle still runs the hook once
 	})
 	e.At(1, func() { add("b") })
-	e.Park(p, 1)
 	e.At(5, func() {
 		add("c")
 		e.ArmCycleHook()
@@ -335,27 +286,27 @@ func hookTrace(t *testing.T, kind SchedulerKind) ([]string, uint64) {
 }
 
 // TestCycleHook: the end-of-cycle hook runs once per armed cycle, after
-// every event and pend of that cycle (including events scheduled into the
-// cycle), before anything later and before a drained run returns. What it
+// every event of that cycle (including events scheduled into the cycle),
+// before anything later and before a drained run returns. What it
 // schedules runs in the same run, and Processed does not count it. The
 // wheel and the heap run it at the same points.
 func TestCycleHook(t *testing.T) {
-	want := []string{"a@1", "b@1", "pend@1", "child@1", "hook@1", "fromhook@3",
+	want := []string{"a@1", "b@1", "child@1", "hook@1", "fromhook@3",
 		"paused@3", "c@5", "hook@5", "drained@5"}
 	for _, kind := range []SchedulerKind{SchedWheel, SchedHeap} {
 		got, processed := hookTrace(t, kind)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("%v: trace %v, want %v", kind, got, want)
 		}
-		if processed != 6 {
-			t.Errorf("%v: processed %d, want 6 (the hook is not an event)", kind, processed)
+		if processed != 5 {
+			t.Errorf("%v: processed %d, want 5 (the hook is not an event)", kind, processed)
 		}
 	}
 }
 
-// TestCycleHookStep: Step runs an armed hook before it executes an action
-// of a later cycle, and when nothing remains, without counting it as the
-// step.
+// TestCycleHookStep: stepping a run one cycle at a time with RunUntil runs
+// an armed hook once, at the end of its cycle, before the RunUntil whose
+// limit is that cycle returns, and never counts it as an event.
 func TestCycleHookStep(t *testing.T) {
 	for _, kind := range []SchedulerKind{SchedWheel, SchedHeap} {
 		e := New()
@@ -365,92 +316,16 @@ func TestCycleHookStep(t *testing.T) {
 		e.At(2, func() { log = append(log, "x@2"); e.ArmCycleHook() })
 		e.At(2, func() { log = append(log, "y@2") })
 		e.At(4, func() { log = append(log, "z@4"); e.ArmCycleHook() })
-		for e.Step() {
+		for limit := Time(0); limit <= 6; limit++ {
+			e.RunUntil(limit)
+			log = append(log, fmt.Sprintf("|%d", limit))
 		}
-		want := "[x@2 y@2 hook@2 z@4 hook@4]"
+		want := "[|0 |1 x@2 y@2 hook@2 |2 |3 z@4 hook@4 |4 |5 |6]"
 		if got := fmt.Sprint(log); got != want {
 			t.Errorf("%v: stepped trace %s, want %s", kind, got, want)
 		}
 		if e.Processed() != 3 {
 			t.Errorf("%v: processed %d, want 3", kind, e.Processed())
-		}
-	}
-}
-
-// TestParkParkedPendPanics: a pend is one continuation, so parking it while
-// it waits — which would drop its first deadline — is a model bug.
-func TestParkParkedPendPanics(t *testing.T) {
-	e := New()
-	p := NewPend(func() {})
-	e.Park(p, 3)
-	defer func() {
-		if recover() == nil {
-			t.Error("Park on a parked pend did not panic")
-		}
-	}()
-	e.Park(p, 4)
-}
-
-// TestParkedPendIsPending: a parked pend is a queued event to every probe —
-// Pending, NextEventTime, Step — and firing it frees it to be parked again,
-// from its own dispatch or from outside.
-func TestParkedPendIsPending(t *testing.T) {
-	for _, kind := range []SchedulerKind{SchedWheel, SchedHeap} {
-		e := New()
-		e.SetScheduler(kind)
-		var fired []Time
-		var p *Pend
-		p = NewPend(func() {
-			fired = append(fired, e.Now())
-			if len(fired) == 1 {
-				e.Park(p, e.Now()+2) // the chain: re-park from the dispatch
-			}
-		})
-		e.At(2, func() {})
-		e.Park(p, 5)
-		if e.Pending() != 2 {
-			t.Fatalf("%v: pending = %d with an event and a parked pend, want 2", kind, e.Pending())
-		}
-		e.Step()
-		if next, ok := e.NextEventTime(); !ok || next != 5 || e.Pending() != 1 {
-			t.Fatalf("%v: after one step next = %d, %v with %d pending, want the pend at 5", kind, next, ok, e.Pending())
-		}
-		e.Run()
-		e.Park(p, e.Now()+1)
-		e.Run()
-		if fmt.Sprint(fired) != "[5 7 8]" || e.Pending() != 0 {
-			t.Fatalf("%v: pend fired at %v with %d pending, want [5 7 8] and none", kind, fired, e.Pending())
-		}
-		if e.Processed() != 4 || e.Inlined() != 3 {
-			t.Fatalf("%v: processed %d, inlined %d; want 4 and 3", kind, e.Processed(), e.Inlined())
-		}
-	}
-}
-
-// TestRecycleKeepsParkedPendEvent: an engine recycled with a pend still
-// parked hands its free list and buckets on, but never the pend's event,
-// which belongs to the pend's owner.
-func TestRecycleKeepsParkedPendEvent(t *testing.T) {
-	e := New()
-	for i := 0; i < 16; i++ {
-		e.At(Time(i), func() {})
-	}
-	e.RunUntil(7) // fill the free list with fired events
-	p := NewPend(func() { t.Error("a recycled engine's pend fired") })
-	e.Park(p, 20)
-	e.Recycle()
-
-	e2 := New()
-	var refs []EventRef
-	for i := 0; i < 64; i++ {
-		refs = append(refs, e2.At(Time(i%4), func() {
-			refs = append(refs, e2.After(1, func() {}))
-		}))
-	}
-	e2.Run()
-	for _, r := range refs {
-		if r.ev == &p.ev {
-			t.Fatal("a recycled engine's parked pend event was reused")
 		}
 	}
 }

@@ -16,72 +16,12 @@ func TestPoolRecyclesFiredEvents(t *testing.T) {
 		t.Fatalf("free list has %d events after one run, want 1", len(e.free))
 	}
 	first := e.free[0]
-	ref := e.At(2, func() {})
-	if ref.ev != first {
-		t.Fatal("second schedule did not reuse the pooled event")
-	}
+	e.At(2, func() {})
 	if len(e.free) != 0 {
 		t.Fatal("pooled event not removed from free list on reuse")
 	}
-}
-
-// Cancelled events are recycled too, and a cancelled incarnation can be
-// rescheduled (a fresh incarnation on the same object) without confusion.
-func TestPoolCancelThenReschedule(t *testing.T) {
-	e := New()
-	firstRan, secondRan := false, false
-	ref := e.At(5, func() { firstRan = true })
-	e.Cancel(ref)
-	if ref.Scheduled() {
-		t.Fatal("cancelled handle reports scheduled")
-	}
-	ref2 := e.At(5, func() { secondRan = true })
-	if ref2.ev != ref.ev {
-		t.Fatal("reschedule after cancel did not reuse the pooled event")
-	}
-	if ref.Scheduled() {
-		t.Fatal("stale handle aliases the rescheduled incarnation")
-	}
-	if !ref2.Scheduled() {
-		t.Fatal("fresh incarnation not scheduled")
-	}
-	// Cancelling the stale handle must not disturb the live incarnation.
-	e.Cancel(ref)
-	e.Run()
-	if firstRan {
-		t.Fatal("cancelled incarnation ran")
-	}
-	if !secondRan {
-		t.Fatal("rescheduled incarnation did not run")
-	}
-}
-
-// A recycled *Event must not report Scheduled() for its old incarnation:
-// generation checking keeps handles from aliasing across reuse.
-func TestPoolRecycledEventAliasing(t *testing.T) {
-	e := New()
-	old := e.At(1, func() {})
-	e.Run() // fires and recycles the event
-	if old.Scheduled() {
-		t.Fatal("fired handle reports scheduled")
-	}
-	fresh := e.At(10, func() {})
-	if fresh.ev != old.ev {
-		t.Fatal("expected the pool to reuse the event object")
-	}
-	if old.Scheduled() {
-		t.Fatal("old incarnation reports scheduled after its object was recycled")
-	}
-	if _, ok := old.Time(); ok {
-		t.Fatal("stale handle Time() reports ok")
-	}
-	if got, ok := fresh.Time(); !ok || got != 10 {
-		t.Fatalf("fresh handle Time() = %d, %v, want 10, true", got, ok)
-	}
-	// Cancelling through the stale handle must not cancel the new event.
-	e.Cancel(old)
-	if !fresh.Scheduled() {
-		t.Fatal("stale-handle Cancel removed a live incarnation")
+	if b := e.wh.buckets[2]; len(b.evs) != 1 || b.evs[0] != first {
+		t.Fatal("second schedule did not reuse the pooled event")
 	}
 }
 
@@ -176,26 +116,24 @@ func TestAfterHandlerNegativeDelayPanics(t *testing.T) {
 }
 
 // Property: pooling must not perturb execution order — the same schedule
-// (including interleaved cancellations) runs identically with the pool on
-// and off.
+// runs identically with the pool on and off, including events scheduled
+// from callbacks into the objects their own firings just freed.
 func TestPoolDeterminismProperty(t *testing.T) {
 	prop := func(raw []uint8) bool {
 		run := func(pool bool) []int {
 			e := New()
 			e.SetPooling(pool)
 			var order []int
-			refs := make([]EventRef, 0, len(raw))
 			for i, d := range raw {
-				i := i
-				refs = append(refs, e.At(Time(d), func() { order = append(order, i) }))
-			}
-			// Cancel every third event, then reschedule half of those.
-			for i := 2; i < len(refs); i += 3 {
-				e.Cancel(refs[i])
-				if i%2 == 0 {
-					i := i
-					e.At(Time(raw[i]), func() { order = append(order, 1000+i) })
-				}
+				i, d := i, Time(d)
+				e.At(d, func() {
+					order = append(order, i)
+					// Every third event schedules a child, half of them into
+					// the cycle being drained.
+					if i%3 == 2 {
+						e.At(e.Now()+d%2*Time(i%7), func() { order = append(order, 1000+i) })
+					}
+				})
 			}
 			e.Run()
 			return order
@@ -226,12 +164,12 @@ func TestSteadyStateSchedulingDoesNotAllocate(t *testing.T) {
 	h.times, h.args = nil, nil
 	allocs := testing.AllocsPerRun(100, func() {
 		e.AtHandler(e.Now()+1, h, nil)
-		e.Step()
+		e.RunUntil(e.Now() + 1)
 	})
 	// recordingHandler itself appends to slices; tolerate its amortized
 	// growth but nothing per-event beyond it.
 	if allocs > 1 {
-		t.Fatalf("steady-state schedule+step allocates %.1f objects/op", allocs)
+		t.Fatalf("steady-state schedule+fire allocates %.1f objects/op", allocs)
 	}
 }
 
@@ -241,7 +179,7 @@ func BenchmarkEngineAtHandler(b *testing.B) {
 	nop := nopHandler{}
 	for i := 0; i < b.N; i++ {
 		e.AtHandler(e.Now(), nop, nil)
-		e.Step()
+		e.RunUntil(e.Now())
 	}
 }
 
@@ -254,6 +192,6 @@ func BenchmarkEngineAtClosure(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.At(e.Now(), func() {})
-		e.Step()
+		e.RunUntil(e.Now())
 	}
 }

@@ -2,14 +2,14 @@ package sim
 
 import "testing"
 
-// Scheduler microbenchmarks: the same operation mixes driven through the
+// Scheduler microbenchmarks: the same operation mix driven through the
 // timing wheel and the binary-heap oracle. "near" keeps every deadline
 // inside a few dozen cycles (the machine model's native delay profile:
 // hits, hops, memory, trap dispatch); "far" salts in deadlines beyond the
 // 1024-cycle wheel horizon so the overflow tier (and the heap's extra
 // depth) shows up. Run with
 //
-//	go test -bench 'Schedule|FireDrain' -benchmem ./internal/sim
+//	go test -bench FireDrain -benchmem ./internal/sim
 //
 // and compare the wheel and heap sub-benchmarks directly.
 
@@ -24,35 +24,6 @@ func benchDelay(i int, far bool) Time {
 		return 4096 + Time(i&1023)
 	}
 	return 1 + Time(i&63)
-}
-
-// BenchmarkSchedule measures pure schedule+cancel churn (the retry-timer
-// pattern: armed, then cancelled on success) over a standing population of
-// pending events, with the clock never advancing.
-func BenchmarkSchedule(b *testing.B) {
-	for _, sched := range schedulers {
-		for _, mix := range []string{"near", "far"} {
-			far := mix == "far"
-			b.Run(sched.name+"/"+mix, func(b *testing.B) {
-				e := New()
-				e.SetScheduler(sched.kind)
-				nop := nopHandler{}
-				// Standing population so the heap pays a realistic depth;
-				// deadlines 512..911 stay clear of the churn deadlines below
-				// so the churn measures bucket reuse, not slice growth under
-				// permanently-live buckets.
-				for i := 0; i < 1024; i++ {
-					e.AtHandler(Time(512+i%400), nop, nil)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ref := e.AtHandler(e.Now()+benchDelay(i, far), nop, nil)
-					e.Cancel(ref)
-				}
-			})
-		}
-	}
 }
 
 // BenchmarkFireDrain measures the full schedule->fire cycle: each round

@@ -150,9 +150,6 @@ func (s *ShardedEngine) Abort() {
 	}
 }
 
-// Aborted reports whether Abort was called.
-func (s *ShardedEngine) Aborted() bool { return s.aborted }
-
 func (s *ShardedEngine) run(limit Time) Time {
 	if len(s.engines) == 1 {
 		return s.engines[0].RunUntil(limit)

@@ -14,8 +14,8 @@ import "math/bits"
 type SchedulerKind uint8
 
 const (
-	// SchedWheel is the hierarchical timing wheel (O(1) schedule, cancel,
-	// and pop; per-cycle bucket drains; dead-cycle skipping).
+	// SchedWheel is the hierarchical timing wheel (O(1) schedule and pop;
+	// per-cycle bucket drains; dead-cycle skipping).
 	SchedWheel SchedulerKind = iota
 	// SchedHeap is the specialized binary heap (O(log n) operations),
 	// kept as the reference implementation and fallback.
@@ -35,23 +35,15 @@ const (
 	wheelWords = int(wheelSpan) / 64
 )
 
-// Event location markers (Event.loc): which wheel tier holds the event.
-const (
-	locRing uint8 = iota
-	locOverflow
-)
-
 // wheelBucket holds every pending event of one cycle. evs[head:] are the
-// not-yet-fired slots; cancelled events leave nil tombstones that drains
-// skip. maxSeq tracks the largest sequence key ever appended since the
-// last reset: an append below it marks the bucket dirty, and a dirty
-// bucket re-sorts its pending suffix by seq before draining, so fire order
-// within the cycle is always exactly ascending seq — the same total
-// (deadline, sequence) order the heap produces.
+// not-yet-fired slots. maxSeq tracks the largest sequence key ever
+// appended since the last reset: an append below it marks the bucket
+// dirty, and a dirty bucket re-sorts its pending suffix by seq before
+// draining, so fire order within the cycle is always exactly ascending seq
+// — the same total (deadline, sequence) order the heap produces.
 type wheelBucket struct {
 	evs    []*Event
 	head   int
-	live   int // non-tombstone entries at index >= head
 	maxSeq uint64
 	dirty  bool
 }
@@ -64,25 +56,14 @@ func (b *wheelBucket) reset() {
 	b.dirty = false
 }
 
-// sortPending compacts the tombstones out of evs[head:] and insertion-sorts
-// the survivors by sequence key (unique per engine, so the sort is a total
-// order). Buckets are almost always already sorted — only barrier-phase
-// AtHandlerSeq insertions and overflow promotions can append out of order —
-// so insertion sort on the nearly-sorted suffix is the right tool.
+// sortPending insertion-sorts evs[head:] by sequence key (unique per
+// engine, so the sort is a total order). Buckets are almost always already
+// sorted — only barrier-phase AtHandlerSeq insertions and overflow
+// promotions can append out of order — so insertion sort on the
+// nearly-sorted suffix is the right tool.
 func (b *wheelBucket) sortPending() {
 	evs := b.evs
-	j := b.head
-	for i := b.head; i < len(evs); i++ {
-		if evs[i] != nil {
-			evs[j] = evs[i]
-			j++
-		}
-	}
-	for i := j; i < len(evs); i++ {
-		evs[i] = nil
-	}
-	b.evs = evs[:j]
-	for i := b.head + 1; i < j; i++ {
+	for i := b.head + 1; i < len(evs); i++ {
 		ev := evs[i]
 		k := i - 1
 		for k >= b.head && evs[k].seq > ev.seq {
@@ -91,21 +72,18 @@ func (b *wheelBucket) sortPending() {
 		}
 		evs[k+1] = ev
 	}
-	for i := b.head; i < j; i++ {
-		evs[i].index = i
-	}
 	b.dirty = false
 }
 
 // wheel is the timing-wheel scheduler: a ring of per-cycle buckets covering
 // [base, base+wheelSpan), an occupancy bitmap over the ring (one bit per
-// bucket with live events, giving O(1) next-non-empty lookup), and an
+// bucket with pending events, giving O(1) next-non-empty lookup), and an
 // overflow heap for events beyond the horizon. base only advances, and only
-// to the deadline of the next live event, so each bucket holds events of
+// to the deadline of the next pending event, so each bucket holds events of
 // exactly one cycle and a drain can fire the whole bucket in one pass.
 type wheel struct {
 	base     Time
-	count    int // live events in the ring
+	count    int // pending events in the ring
 	buckets  []wheelBucket
 	occ      [wheelWords]uint64
 	overflow eventHeap
@@ -135,7 +113,6 @@ func (w *wheel) clearOcc(idx int) { w.occ[idx>>6] &^= 1 << uint(idx&63) }
 // caller guarantees ev.at >= engine now >= w.base.
 func (w *wheel) schedule(ev *Event) {
 	if ev.at-w.base >= wheelSpan {
-		ev.loc = locOverflow
 		w.overflow.push(ev)
 		return
 	}
@@ -150,13 +127,10 @@ func (w *wheel) ringInsert(ev *Event) {
 	} else {
 		b.maxSeq = ev.seq
 	}
-	ev.index = len(b.evs)
-	ev.loc = locRing
 	if len(b.evs) == cap(b.evs) {
 		b.grow()
 	}
 	b.evs = append(b.evs, ev)
-	b.live++
 	w.count++
 	w.setOcc(idx)
 }
@@ -165,38 +139,14 @@ func (w *wheel) ringInsert(ev *Event) {
 // clears the ones it leaves. The array left behind may be the carve that
 // init shares among every bucket, which stays reachable — pooled with the
 // buckets across machines — as long as one bucket still uses it, so a
-// pointer left in it would keep a finished machine alive through any pend
-// event it names.
+// pointer left in it would keep a finished machine alive through the
+// handler and argument of an event still queued when the machine was
+// released.
 func (b *wheelBucket) grow() {
 	evs := make([]*Event, len(b.evs), 2*cap(b.evs))
 	copy(evs, b.evs)
 	clear(b.evs)
 	b.evs = evs
-}
-
-// remove cancels a pending event: ring events become nil tombstones
-// (skipped and reclaimed when their bucket drains or re-sorts), overflow
-// events leave the heap immediately. O(1) for the ring hot path.
-func (w *wheel) remove(ev *Event) {
-	if ev.loc == locOverflow {
-		w.overflow.removeAt(ev.index)
-		return
-	}
-	idx := int(ev.at) & wheelMask
-	b := &w.buckets[idx]
-	b.evs[ev.index] = nil
-	ev.index = -1
-	b.live--
-	w.count--
-	if b.live == 0 {
-		// Nothing but tombstones left: retire the bucket now rather than at
-		// its next drain, so cancel-heavy patterns (retry timers cancelled on
-		// success) do not grow bucket slices without bound. Safe even when
-		// this bucket is mid-drain — the drain loop re-reads head/len every
-		// iteration and exits cleanly on the emptied slice.
-		b.reset()
-		w.clearOcc(idx)
-	}
 }
 
 // promote refills the ring with overflow events that now fall inside the
@@ -224,7 +174,7 @@ func (w *wheel) next() (Time, bool) {
 }
 
 // scanFrom locates the first occupied bucket at or after cycle from; the
-// caller guarantees the ring is non-empty and every live event is >= from.
+// caller guarantees the ring is non-empty and every pending event is >= from.
 func (w *wheel) scanFrom(from Time) Time {
 	start := int(from) & wheelMask
 	wi, off := start>>6, uint(start&63)
@@ -256,49 +206,14 @@ func (w *wheel) advance(t Time) {
 
 // --- engine run loops over the wheel ---
 
-// stepWheel executes the single earliest pending event.
-func (e *Engine) stepWheel() bool {
-	w := &e.wh
-	t, ok := w.next()
-	if !ok {
-		return false
-	}
-	w.advance(t)
-	idx := int(t) & wheelMask
-	b := &w.buckets[idx]
-	if b.dirty {
-		b.sortPending()
-	}
-	for b.head < len(b.evs) && b.evs[b.head] == nil {
-		b.head++
-	}
-	if b.head >= len(b.evs) {
-		panic("sim: wheel bucket live count inconsistent")
-	}
-	ev := b.evs[b.head]
-	b.evs[b.head] = nil
-	b.head++
-	b.live--
-	w.count--
-	e.fire(ev, t)
-	// live == 0 means everything after head is a tombstone (the callback may
-	// have re-populated the bucket, so check after the fire): retire the
-	// bucket now, or a later probe would report this dead cycle as pending.
-	if b.live == 0 {
-		b.reset()
-		w.clearOcc(idx)
-	}
-	return true
-}
-
-// runWheel executes pending events, parked pends included, with deadlines
-// at or before e.runLimit: each iteration advances the clock directly to
-// the next non-empty cycle and drains its bucket in full (deadline,
-// sequence) order. Events a callback schedules for the current cycle append
-// to the draining bucket with strictly larger sequence keys (engine
-// numbering is monotone within a cycle), so the drain order remains exactly
-// ascending. The limit is re-read per cycle so Abort can end the run at
-// the next cycle boundary.
+// runWheel executes pending events with deadlines at or before
+// e.runLimit: each iteration advances the clock directly to the next
+// non-empty cycle and drains its bucket in full (deadline, sequence)
+// order. Events a callback schedules for the current cycle append to the
+// draining bucket with strictly larger sequence keys (engine numbering is
+// monotone within a cycle), so the drain order remains exactly ascending.
+// The limit is re-read per cycle so Abort can end the run at the next
+// cycle boundary.
 //
 // The return value is the next pending deadline past the limit (Forever
 // when everything drained) — the exit probe doubles as the follow-up
@@ -334,20 +249,13 @@ func (e *Engine) runWheel() Time {
 				b.sortPending()
 			}
 			ev := b.evs[b.head]
-			if ev == nil {
-				b.head++
-				continue
-			}
 			b.evs[b.head] = nil
 			b.head++
-			b.live--
 			w.count--
 			e.fire(ev, t)
 		}
 		b.reset()
-		if b.live == 0 {
-			w.clearOcc(idx)
-		}
+		w.clearOcc(idx)
 		if e.hookArmed {
 			// Bucket drained: cycle t is over.
 			e.runHook()
@@ -358,8 +266,7 @@ func (e *Engine) runWheel() Time {
 // --- binary min-heap over (at, seq) ---
 //
 // eventHeap is the shared heap implementation: the SchedHeap scheduler's
-// whole queue, and the wheel's overflow tier. It maintains Event.index as
-// the heap position so cancellation can remove by handle.
+// whole queue, and the wheel's overflow tier.
 
 type eventHeap []*Event
 
@@ -372,9 +279,8 @@ func less(a, b *Event) bool {
 }
 
 func (q *eventHeap) push(ev *Event) {
-	ev.index = len(*q)
 	*q = append(*q, ev)
-	q.siftUp(ev.index)
+	q.siftUp(len(*q) - 1)
 }
 
 func (q *eventHeap) pop() *Event {
@@ -382,33 +288,12 @@ func (q *eventHeap) pop() *Event {
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[0].index = 0
 	h[n] = nil
 	*q = h[:n]
 	if n > 0 {
 		q.siftDown(0)
 	}
-	top.index = -1
 	return top
-}
-
-// removeAt deletes the event at heap position i.
-func (q *eventHeap) removeAt(i int) {
-	h := *q
-	n := len(h) - 1
-	ev := h[i]
-	if i != n {
-		h[i] = h[n]
-		h[i].index = i
-	}
-	h[n] = nil
-	*q = h[:n]
-	if i != n {
-		if !q.siftDown(i) {
-			q.siftUp(i)
-		}
-	}
-	ev.index = -1
 }
 
 func (q eventHeap) siftUp(i int) {
@@ -419,19 +304,15 @@ func (q eventHeap) siftUp(i int) {
 			break
 		}
 		q[i] = q[parent]
-		q[i].index = i
 		i = parent
 	}
 	q[i] = ev
-	ev.index = i
 }
 
-// siftDown moves the event at i toward the leaves; it reports whether the
-// event moved.
-func (q eventHeap) siftDown(i int) bool {
+// siftDown moves the event at i toward the leaves.
+func (q eventHeap) siftDown(i int) {
 	n := len(q)
 	ev := q[i]
-	start := i
 	for {
 		child := 2*i + 1
 		if child >= n {
@@ -444,10 +325,7 @@ func (q eventHeap) siftDown(i int) bool {
 			break
 		}
 		q[i] = q[child]
-		q[i].index = i
 		i = child
 	}
 	q[i] = ev
-	ev.index = i
-	return i > start
 }

@@ -9,16 +9,14 @@ import (
 // --- scheduler equivalence harness ---
 //
 // Both schedulers implement the same contract: events fire in exactly
-// ascending (deadline, sequence) order, parked pends included, and an armed
-// end-of-cycle hook runs at the same point of that order. The harness
-// interprets a byte stream as a schedule/cancel/step/drain/arm/park
-// program, replays it through an engine, and records every firing and hook
-// run; replaying the same stream through the wheel and the heap (and with
-// pooling on and off, and with plain and cycle-tagged sequencing) must
-// produce identical logs, clocks, and counters. So must its twin, the same
-// program with every Park replaced by an AtHandler of the same callback: a
-// pend fires exactly where that event would. The fuzz target and the
-// seeded randomized test below both drive this harness.
+// ascending (deadline, sequence) order, and an armed end-of-cycle hook runs
+// at the same point of that order. The harness interprets a byte stream as
+// a schedule/run/arm/continue program, replays it through an engine, and
+// records every firing and hook run; replaying the same stream through the
+// wheel and the heap, with pooling on and off, and with plain and
+// cycle-tagged sequencing must produce identical logs, clocks, and
+// counters. The fuzz target and the seeded randomized test below both
+// drive this harness.
 
 type fireRec struct {
 	id int
@@ -36,62 +34,52 @@ func (h *idHandler) OnEvent(arg any) {
 type streamDriver struct {
 	e      *Engine
 	fires  []fireRec
-	refs   []EventRef
 	nextID int
 	ctr    uint32
 	hooks  int  // hook runs so far; logged as fires with negative ids
 	hookAt Time // delay of the event the next hook run schedules
 
-	pends     [3]*drvPend
-	twin      bool // schedule every park as an AtHandler event instead
-	pendFires int  // pend (or twin event) dispatches so far
+	conts [3]*drvCont
 }
 
-// pendID is the log id of driver pend k's firings, clear of the event ids.
-func pendID(k int) int { return 1<<30 + k }
+// contID is the log id of driver continuation k's firings, clear of the
+// event ids.
+func contID(k int) int { return 1<<30 + k }
 
-// drvPend is one of the driver's continuations: a Pend parked on the
-// engine, or in twin mode the AtHandler event carrying the same callback.
-type drvPend struct {
+// drvCont is one of the driver's continuations: a chain of AtHandler
+// events, each scheduled by the one before it from its own dispatch, as a
+// processor's pipeline steps are.
+type drvCont struct {
 	d      *streamDriver
 	id     int
-	p      *Pend
-	parked bool
-	chain  int // re-parks still to file from its own dispatch
+	queued bool
+	chain  int // re-schedules still to make from its own dispatch
 }
 
-// file parks the continuation delay cycles out.
-func (dp *drvPend) file(delay Time) {
-	dp.parked = true
-	t := dp.d.e.Now() + delay
-	if dp.d.twin {
-		dp.d.e.AtHandler(t, dp, nil)
-	} else {
-		dp.d.e.Park(dp.p, t)
+// file schedules the continuation delay cycles out.
+func (dc *drvCont) file(delay Time) {
+	dc.queued = true
+	dc.d.e.AtHandler(dc.d.e.Now()+delay, dc, nil)
+}
+
+// OnEvent logs the firing and, while the chain lasts, re-schedules from
+// the dispatch itself — three cycles out, then into the cycle being
+// drained.
+func (dc *drvCont) OnEvent(any) {
+	dc.queued = false
+	dc.d.fires = append(dc.d.fires, fireRec{id: dc.id, at: dc.d.e.Now()})
+	if dc.chain > 0 {
+		dc.chain--
+		dc.file(3 * Time(dc.chain))
 	}
 }
 
-func (dp *drvPend) OnEvent(any) { dp.run() }
-
-// run is the continuation: log the firing and, while the chain lasts,
-// re-park from the dispatch itself — three cycles out, then into the
-// cycle being drained.
-func (dp *drvPend) run() {
-	dp.parked = false
-	dp.d.pendFires++
-	dp.d.fires = append(dp.d.fires, fireRec{id: dp.id, at: dp.d.e.Now()})
-	if dp.chain > 0 {
-		dp.chain--
-		dp.file(3 * Time(dp.chain))
-	}
-}
-
-// park files driver pend k, when it is idle: near the clock, or with bit 6
-// of arg set just short of or beyond the wheel span, and with bit 7 set
-// re-parking twice from its own dispatch.
-func (d *streamDriver) park(k int, arg byte) {
-	dp := d.pends[k]
-	if dp.parked {
+// cont files driver continuation k, when it is not already queued: near
+// the clock, or with bit 6 of arg set just short of or beyond the wheel
+// span, and with bit 7 set re-scheduling twice from its own dispatch.
+func (d *streamDriver) cont(k int, arg byte) {
+	dc := d.conts[k]
+	if dc.queued {
 		return
 	}
 	delay := Time(arg & 31)
@@ -99,17 +87,17 @@ func (d *streamDriver) park(k int, arg byte) {
 		delay = wheelSpan - 8 + Time(arg&15)
 	}
 	if arg&0x80 != 0 {
-		dp.chain = 2
+		dc.chain = 2
 	}
-	dp.file(delay)
+	dc.file(delay)
 }
 
 func (d *streamDriver) schedule(delay Time) {
 	id := d.nextID
 	d.nextID++
-	d.refs = append(d.refs, d.e.At(d.e.Now()+delay, func() {
+	d.e.At(d.e.Now()+delay, func() {
 		d.fires = append(d.fires, fireRec{id: id, at: d.e.Now()})
-	}))
+	})
 }
 
 // scheduleChained schedules an event whose callback schedules a child —
@@ -118,12 +106,12 @@ func (d *streamDriver) scheduleChained(delay, childDelay Time) {
 	id := d.nextID
 	d.nextID += 2
 	childID := id + 1
-	d.refs = append(d.refs, d.e.At(d.e.Now()+delay, func() {
+	d.e.At(d.e.Now()+delay, func() {
 		d.fires = append(d.fires, fireRec{id: id, at: d.e.Now()})
 		d.e.At(d.e.Now()+childDelay, func() {
 			d.fires = append(d.fires, fireRec{id: childID, at: d.e.Now()})
 		})
-	}))
+	})
 }
 
 // streamRun is what one replay of an op program observed.
@@ -132,23 +120,32 @@ type streamRun struct {
 	now       Time
 	processed uint64
 	pending   string // Pending after every op and after the final drain
-	inlined   uint64
-	pendFires int
 }
 
+// Scheduler program ops: the opcode byte modulo schedOps selects one.
+const (
+	opNear     = iota // schedule near the clock: the ring hot path (two codes)
+	_                 // (second code for opNear)
+	opChained         // schedule an event that schedules a child
+	opFar             // schedule beyond the wheel horizon: the overflow tier
+	opRunShort        // run zero to two cycles past the clock
+	opRun             // run up to 199 cycles past the clock
+	opSeq             // barrier-key insertion (plain keys: a near schedule)
+	opArm             // arm the end-of-cycle hook
+	opCont            // file a driver continuation
+	schedOps
+)
+
 // runSchedStream replays data as a scheduler op program and returns the
-// firing log plus final engine state. twin schedules every park as an
-// AtHandler event of the same callback.
-func runSchedStream(data []byte, kind SchedulerKind, cycleSeq, pooled, twin bool) streamRun {
+// firing log plus final engine state.
+func runSchedStream(data []byte, kind SchedulerKind, cycleSeq, pooled bool) streamRun {
 	e := New()
 	e.SetScheduler(kind)
 	e.SetCycleSeq(cycleSeq)
 	e.SetPooling(pooled)
-	d := &streamDriver{e: e, twin: twin}
-	for k := range d.pends {
-		dp := &drvPend{d: d, id: pendID(k)}
-		dp.p = NewPend(dp.run)
-		d.pends[k] = dp
+	d := &streamDriver{e: e}
+	for k := range d.conts {
+		d.conts[k] = &drvCont{d: d, id: contID(k)}
 	}
 	h := &idHandler{drv: d}
 	e.SetCycleHook(func() {
@@ -171,27 +168,18 @@ func runSchedStream(data []byte, kind SchedulerKind, cycleSeq, pooled, twin bool
 	var pending []int
 	for i < len(data) {
 		op, arg := next(), next()
-		switch op % 10 {
-		case 0, 1:
-			d.schedule(Time(arg & 63)) // near future: the ring hot path
-		case 2:
+		switch op % schedOps {
+		case opNear, opNear + 1:
+			d.schedule(Time(arg & 63))
+		case opChained:
 			d.scheduleChained(Time(arg&31), Time(arg>>5))
-		case 3:
-			// Far future: crosses the wheel horizon into the overflow tier.
+		case opFar:
 			d.schedule(900 + Time(arg)*29)
-		case 4:
-			if len(d.refs) > 0 {
-				// Cancel an arbitrary handle; stale handles are no-ops, so
-				// this covers both live cancellation and double-cancel.
-				d.e.Cancel(d.refs[int(arg)%len(d.refs)])
-			}
-		case 5:
-			for k := 0; k < int(arg%3)+1; k++ {
-				d.e.Step()
-			}
-		case 6:
+		case opRunShort:
+			d.e.RunUntil(d.e.Now() + Time(arg%3))
+		case opRun:
 			d.e.RunUntil(d.e.Now() + Time(arg%200))
-		case 7:
+		case opSeq:
 			if cycleSeq {
 				// Barrier-style insertion: an explicit flush-phase key whose
 				// cycle tag may lag the clock (as a window barrier's send
@@ -211,53 +199,39 @@ func runSchedStream(data []byte, kind SchedulerKind, cycleSeq, pooled, twin bool
 			} else {
 				d.schedule(Time(arg & 15))
 			}
-		case 8:
+		case opArm:
 			d.hookAt = Time(arg & 3)
 			d.e.ArmCycleHook()
-		case 9:
-			d.park(int(arg)%len(d.pends), arg)
+		case opCont:
+			d.cont(int(arg)%len(d.conts), arg)
 		}
 		pending = append(pending, e.Pending())
 	}
 	e.Run()
 	pending = append(pending, e.Pending())
-	return streamRun{fires: d.fires, now: e.Now(), processed: e.Processed(),
-		pending: fmt.Sprint(pending), inlined: e.Inlined(), pendFires: d.pendFires}
+	return streamRun{fires: d.fires, now: e.Now(), processed: e.Processed(), pending: fmt.Sprint(pending)}
 }
 
-// compareStreams replays data on the pooled wheel and checks that the
-// heap, the unpooled wheel and the Park-free twin on both schedulers
-// observe the same run, and that every pend dispatch counts as inlined.
+// compareStreams replays data on the pooled wheel and checks that the heap
+// and the unpooled wheel observe the same run.
 func compareStreams(t *testing.T, label string, data []byte, cycleSeq bool) {
 	t.Helper()
-	ref := runSchedStream(data, SchedWheel, cycleSeq, true, false)
-	if ref.inlined != uint64(ref.pendFires) {
-		t.Fatalf("%s: wheel inlined %d, want its %d pend dispatches", label, ref.inlined, ref.pendFires)
-	}
+	ref := runSchedStream(data, SchedWheel, cycleSeq, true)
 	for _, v := range []struct {
-		name         string
-		kind         SchedulerKind
-		pooled, twin bool
+		name   string
+		kind   SchedulerKind
+		pooled bool
 	}{
-		{"heap", SchedHeap, true, false},
-		{"unpooled wheel", SchedWheel, false, false},
-		{"twin wheel", SchedWheel, true, true},
-		{"twin heap", SchedHeap, true, true},
+		{"heap", SchedHeap, true},
+		{"unpooled wheel", SchedWheel, false},
 	} {
-		got := runSchedStream(data, v.kind, cycleSeq, v.pooled, v.twin)
-		if got.now != ref.now || got.processed != ref.processed || got.pendFires != ref.pendFires {
-			t.Fatalf("%s: wheel (now=%d proc=%d pends=%d) vs %s (now=%d proc=%d pends=%d)",
-				label, ref.now, ref.processed, ref.pendFires, v.name, got.now, got.processed, got.pendFires)
+		got := runSchedStream(data, v.kind, cycleSeq, v.pooled)
+		if got.now != ref.now || got.processed != ref.processed {
+			t.Fatalf("%s: wheel (now=%d proc=%d) vs %s (now=%d proc=%d)",
+				label, ref.now, ref.processed, v.name, got.now, got.processed)
 		}
 		if got.pending != ref.pending {
 			t.Fatalf("%s: Pending after each op: wheel %s, %s %s", label, ref.pending, v.name, got.pending)
-		}
-		want := ref.inlined
-		if v.twin {
-			want = 0 // nothing parked: every dispatch is an ordinary event
-		}
-		if got.inlined != want {
-			t.Fatalf("%s: %s inlined %d, want %d", label, v.name, got.inlined, want)
 		}
 		if len(got.fires) != len(ref.fires) {
 			t.Fatalf("%s: wheel fired %d events, %s fired %d", label, len(ref.fires), v.name, len(got.fires))
@@ -285,15 +259,16 @@ func TestSchedulerEquivalenceRandom(t *testing.T) {
 }
 
 // FuzzSchedulerEquivalence is the fuzz form of the cross-check: any byte
-// stream, interpreted as a schedule/cancel/park program, must fire
-// identically through the wheel and the heap, and with every Park replaced
-// by the equivalent AtHandler.
+// stream, interpreted as a scheduler op program, must fire identically
+// through the wheel and the heap, pooled or not. Between them the seeds
+// use every op.
 func FuzzSchedulerEquivalence(f *testing.F) {
-	f.Add([]byte{0, 10, 3, 200, 4, 0, 5, 2})
-	f.Add([]byte{2, 0xff, 7, 3, 6, 100, 1, 63, 4, 1})
-	f.Add([]byte{3, 0xff, 3, 0x01, 0, 0, 5, 0, 4, 2, 6, 0xff})
-	f.Add([]byte{0, 5, 8, 0, 5, 1, 8, 2, 2, 0x21, 6, 9, 8, 1})
-	f.Add([]byte{9, 0x83, 0, 3, 9, 0x45, 9, 0xc2, 1, 3, 5, 2, 9, 0x80, 8, 0, 6, 40})
+	f.Add([]byte{opNear, 10, opFar, 200, opRunShort, 2, opRun, 100})
+	f.Add([]byte{opChained, 0xff, opSeq, 3, opRun, 100, opNear + 1, 63})
+	f.Add([]byte{opFar, 0xff, opFar, 0x01, opNear, 0, opRunShort, 0, opRun, 0xff})
+	f.Add([]byte{opNear, 5, opArm, 0, opRunShort, 1, opArm, 2, opChained, 0x21, opRun, 9, opArm, 1})
+	f.Add([]byte{opCont, 0x83, opNear, 3, opCont, 0x45, opCont, 0xc4, opNear + 1, 3, opRunShort, 2,
+		opRun, 40, opCont, 0x80, opArm, 0, opRun, 40})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			data = data[:4096]
@@ -310,14 +285,13 @@ func TestWheelOverflowPromotion(t *testing.T) {
 	var order []Time
 	rec := func() { order = append(order, e.Now()) }
 	e.At(5, rec)
-	e.At(2000, rec)          // beyond the 1024-cycle horizon: overflow tier
-	far := e.At(50_000, rec) // deep overflow
-	e.At(wheelSpan+5, rec)   // same bucket index as cycle 5, next epoch
-	e.Cancel(far)            // overflow cancellation
-	if end := e.Run(); end != 2000 {
-		t.Fatalf("final time = %d, want 2000", end)
+	e.At(2000, rec)        // beyond the 1024-cycle horizon: overflow tier
+	e.At(50_000, rec)      // deep overflow, promoted across many epochs
+	e.At(wheelSpan+5, rec) // same bucket index as cycle 5, next epoch
+	if end := e.Run(); end != 50_000 {
+		t.Fatalf("final time = %d, want 50000", end)
 	}
-	want := []Time{5, wheelSpan + 5, 2000}
+	want := []Time{5, wheelSpan + 5, 2000, 50_000}
 	if len(order) != len(want) {
 		t.Fatalf("fired %v, want %v", order, want)
 	}
@@ -335,40 +309,16 @@ func TestWheelDeadCycleSkip(t *testing.T) {
 	if next, ok := e.NextEventTime(); !ok || next != 3 {
 		t.Fatalf("NextEventTime = %d, %v, want 3, true", next, ok)
 	}
-	e.Step()
+	e.RunUntil(3)
 	// The clock must jump straight across ~10^12 empty cycles.
 	if next, ok := e.NextEventTime(); !ok || next != 1<<40 {
-		t.Fatalf("NextEventTime after step = %d, %v, want %d, true", next, ok, Time(1)<<40)
+		t.Fatalf("NextEventTime after cycle 3 = %d, %v, want %d, true", next, ok, Time(1)<<40)
 	}
 	if end := e.Run(); end != 1<<40 {
 		t.Fatalf("final time = %d, want %d", end, Time(1)<<40)
 	}
 	if e.Processed() != 2 {
 		t.Fatalf("processed = %d, want 2", e.Processed())
-	}
-}
-
-func TestWheelCancelMidBucket(t *testing.T) {
-	e := New()
-	var order []int
-	refs := make([]EventRef, 6)
-	for i := range refs {
-		i := i
-		refs[i] = e.At(7, func() { order = append(order, i) })
-	}
-	e.Cancel(refs[1])
-	e.Cancel(refs[4])
-	// Reschedule into the tombstoned bucket: appends after the tombstones.
-	e.At(7, func() { order = append(order, 9) })
-	e.Run()
-	want := []int{0, 2, 3, 5, 9}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
 	}
 }
 
@@ -422,14 +372,12 @@ func TestHeapSchedulerStillWorks(t *testing.T) {
 		t.Fatal("Scheduler() does not report the heap")
 	}
 	var order []int
-	refs := make([]EventRef, 10)
 	for i := 0; i < 10; i++ {
 		i := i
-		refs[i] = e.At(Time(10-i), func() { order = append(order, i) })
+		e.At(Time(10-i), func() { order = append(order, i) })
 	}
-	e.Cancel(refs[3]) // deadline 7
 	e.Run()
-	want := []int{9, 8, 7, 6, 5, 4, 2, 1, 0} // ascending deadline = descending i, minus i=3
+	want := []int{9, 8, 7, 6, 5, 4, 3, 2, 1, 0} // ascending deadline = descending i
 	if len(order) != len(want) {
 		t.Fatalf("heap fired %v, want %v", order, want)
 	}

@@ -166,3 +166,28 @@ func TestStaleSpinRunError(t *testing.T) {
 		t.Errorf("Sweep's Weather point reads %+v, want %+v", res[1], want)
 	}
 }
+
+// TestRunPanicsOnProgramPanic: Run turns only a stale-spin deadlock into an
+// error. A panic in a program's own callback is a bug in the caller's code,
+// so it leaves Run with the program's value, even while the other 15
+// processors spin off the queue on a flag nothing writes, which is what a
+// deadlock looks like.
+func TestRunPanicsOnProgramPanic(t *testing.T) {
+	const bug = "program bug"
+	flag := limitless.Block(0, 9)
+	prog := limitless.Custom(16, func(id int, pr *limitless.Prog) {
+		if id == 5 {
+			pr.Compute(200, func(*limitless.Prog) { panic(bug) })
+			return
+		}
+		pr.SpinUntil(flag, func(v uint64) bool { return v == 1 }, func(uint64, *limitless.Prog) {})
+	})
+	cfg := limitless.Config{Procs: 16, Scheme: limitless.LimitLESS, Pointers: 4, TrapService: 50}
+	defer func() {
+		if r := recover(); r != bug {
+			t.Errorf("Run panicked with %v, want the program's own %q", r, bug)
+		}
+	}()
+	_, err := limitless.Run(cfg, prog)
+	t.Errorf("Run returned with error %v instead of panicking with the program's value", err)
+}

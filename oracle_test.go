@@ -39,13 +39,13 @@ func runOracles(t testing.TB, cfg limitless.Config, mk func() limitless.Workload
 	}
 	got, err := limitless.Run(limitless.WithOracles(cfg, mask), mk())
 	if err != nil {
-		t.Fatalf("%s oracles=%03b: %v", label, mask, err)
+		t.Fatalf("%s oracles=%02b: %v", label, mask, err)
 	}
 	if mask&machine.OracleBoxed != 0 {
 		got.DirectoryBytes, got.DirectoryBytesPerEntry = want.DirectoryBytes, want.DirectoryBytesPerEntry
 	}
 	if got != want {
-		t.Fatalf("%s: oracles=%03b disagree with the fast paths:\nfast:   %+v\noracle: %+v", label, mask, want, got)
+		t.Fatalf("%s: oracles=%02b disagree with the fast paths:\nfast:   %+v\noracle: %+v", label, mask, want, got)
 	}
 	return want
 }
@@ -69,7 +69,6 @@ func oracleMatrix(t *testing.T, mask machine.Oracles) {
 
 func TestSchedulerEquivalence(t *testing.T)   { oracleMatrix(t, machine.OracleHeap) }
 func TestStorageModeEquivalence(t *testing.T) { oracleMatrix(t, machine.OracleBoxed) }
-func TestProcModeEquivalence(t *testing.T)    { oracleMatrix(t, machine.OracleEventProc) }
 func TestAllOraclesEquivalence(t *testing.T)  { oracleMatrix(t, machine.AllOracles) }
 
 // oraclePins holds the canonical Weather P=16 pin — 10411 cycles on one
@@ -92,7 +91,6 @@ func oraclePins(t *testing.T, bit machine.Oracles) {
 }
 
 func TestStorageModePins(t *testing.T) { oraclePins(t, machine.OracleBoxed) }
-func TestProcModePins(t *testing.T)    { oraclePins(t, machine.OracleEventProc) }
 
 // oracleTrial builds one random configuration and workload from fuzz bytes
 // and checks it under the bits of must plus the nonzero mask maskB picks.
@@ -154,16 +152,12 @@ func TestStorageModeEquivalenceRandom(t *testing.T) {
 	oracleRandom(t, machine.OracleBoxed, 0x9acced)
 }
 
-func TestProcModeEquivalenceRandom(t *testing.T) {
-	oracleRandom(t, machine.OracleEventProc, 0x9200de)
-}
-
 // fuzzOracles lets the fuzzer pick the mask (always including must), the
 // scheme, the workload, the engine and the protocol knobs.
 func fuzzOracles(f *testing.F, must machine.Oracles) {
-	f.Add(byte(6), byte(2), byte(0), byte(0), byte(0x42))    // all oracles, limitless/weather/one engine
+	f.Add(byte(2), byte(2), byte(0), byte(0), byte(0x42))    // all oracles, limitless/weather/one engine
 	f.Add(byte(0), byte(0), byte(1), byte(1), byte(0x10))    // heap, full-map/synthetic/2 shards
-	f.Add(byte(3), byte(5), byte(2), byte(0x11), byte(0xff)) // event proc, chained/migratory/4 shards
+	f.Add(byte(5), byte(5), byte(2), byte(0x11), byte(0xff)) // all oracles, chained/migratory/4 shards
 	f.Add(byte(1), byte(3), byte(3), byte(2), byte(0x07))    // boxed, software-only/multigrid/4 shards
 	f.Fuzz(func(t *testing.T, maskB, schemeB, wlB, shardsB, knobsB byte) {
 		oracleTrial(t, must, maskB, schemeB, wlB, shardsB, knobsB)
@@ -172,4 +166,3 @@ func fuzzOracles(f *testing.F, must machine.Oracles) {
 
 func FuzzOracleEquivalence(f *testing.F)      { fuzzOracles(f, 0) }
 func FuzzStorageModeEquivalence(f *testing.F) { fuzzOracles(f, machine.OracleBoxed) }
-func FuzzProcModeEquivalence(f *testing.F)    { fuzzOracles(f, machine.OracleEventProc) }
