@@ -170,6 +170,7 @@ func benchThroughput(b *testing.B, mask machine.Oracles) {
 	var cycles int64
 	var events uint64
 	var last limitless.Result
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := limitless.Run(cfg, limitless.Weather(benchProcs))
 		if err != nil {

@@ -12,6 +12,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"limitless/internal/directory"
@@ -117,8 +118,9 @@ type page [pageLines]line
 var absent page
 
 // pagePool recycles zeroed pages across Cache instances: Release hands a
-// cache's pages back and the next machine's fills draw on them.
-var pagePool sync.Pool
+// cache's pages back and the next machine's fills draw on them. cachePool
+// recycles the Cache structs, with their page-pointer arrays, for New.
+var pagePool, cachePool sync.Pool
 
 // Cache is one node's cache, indexed by block address. Its lines are
 // stored in pages allocated on first fill, so a node's footprint follows
@@ -156,17 +158,24 @@ func New(cfg Config) *Cache {
 		// whole simulator.
 		setMask = sets - 1
 	}
-	pages := make([]*page, (cfg.Lines+pageLines-1)/pageLines)
-	for i := range pages {
-		pages[i] = &absent
+	c, _ := cachePool.Get().(*Cache)
+	if c == nil {
+		c = new(Cache)
 	}
-	return &Cache{cfg: cfg, sets: sets, setMask: setMask, pages: pages}
+	// The page-pointer array is the one buffer a recycled cache keeps.
+	n := (cfg.Lines + pageLines - 1) / pageLines
+	*c = Cache{cfg: cfg, sets: sets, setMask: setMask, pages: slices.Grow(c.pages[:0], n)}
+	for range n {
+		c.pages = append(c.pages, &absent)
+	}
+	return c
 }
 
 // Release zeroes the cache's pages and returns them to the pool for the
-// next Cache. The cache must not be used afterwards; a second Release does
-// nothing. Callers that inspect cache contents after a run (tests,
-// diagnostics) simply never call Release.
+// next Cache, and hands the cache itself to the pool New draws on. The
+// cache must not be used afterwards, and must be released only once: a
+// cache pooled twice would serve two machines. Callers that inspect cache
+// contents after a run (tests, diagnostics) simply never call Release.
 func (c *Cache) Release() {
 	for _, p := range c.pages {
 		if p != &absent {
@@ -174,7 +183,9 @@ func (c *Cache) Release() {
 			pagePool.Put(p)
 		}
 	}
-	c.pages = nil
+	clear(c.pages)
+	*c = Cache{pages: c.pages[:0]}
+	cachePool.Put(c)
 }
 
 // Config returns the cache geometry.

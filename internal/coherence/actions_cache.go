@@ -39,6 +39,9 @@ func cacheReadFillChained(c *cacheCtx) {
 	if m.Next != ChainResupply {
 		// Prepend the new list position; older (possibly zombie) positions
 		// stay behind it in walk order.
+		if cc.chainNext == nil {
+			cc.chainNext = make(map[directory.Addr][]chainLink)
+		}
 		cc.chainNext[m.Addr] = append([]chainLink{{next: m.Next, pos: m.Pos}}, cc.chainNext[m.Addr]...)
 	}
 	cc.finish(m.Addr, m.Value)

@@ -77,7 +77,7 @@ func guardAckUnderflow(c *memCtx) bool { return c.e.AckCtr <= 0 }
 // memBusy bounces a request with BUSY; the requester retries.
 func memBusy(c *memCtx) {
 	c.mc.stats.Busies++
-	c.mc.Send(c.src, c.mc.newMsg(Msg{Type: BUSY, Addr: c.m.Addr, Next: -1}))
+	c.mc.Send(c.src, Msg{Type: BUSY, Addr: c.m.Addr, Next: -1})
 }
 
 // memDefer queues a non-retriable packet behind the Trans-In-Progress
@@ -93,6 +93,9 @@ func memDefer(c *memCtx) {
 			mc.deferFree = mc.deferFree[:n-1]
 		}
 	}
+	if mc.deferred == nil {
+		mc.deferred = make(map[directory.Addr][]deferredPkt)
+	}
 	mc.deferred[c.m.Addr] = append(q, deferredPkt{c.src, c.m})
 }
 
@@ -102,7 +105,7 @@ func memTrap(c *memCtx) { c.mc.forwardToSoftware(c.src, c.m, c.e) }
 
 // memUncachedRead answers an uncached read round trip.
 func memUncachedRead(c *memCtx) {
-	c.mc.Send(c.src, c.mc.newMsg(Msg{Type: UDATA, Addr: c.m.Addr, Value: c.e.Value, Next: -1}))
+	c.mc.Send(c.src, Msg{Type: UDATA, Addr: c.m.Addr, Value: c.e.Value, Next: -1})
 }
 
 // memUncachedWrite applies an uncached write (or atomic read-modify-write)
@@ -115,7 +118,7 @@ func memUncachedWrite(c *memCtx) {
 	} else {
 		e.Value = m.Value
 	}
-	c.mc.Send(c.src, c.mc.newMsg(Msg{Type: UACK, Addr: m.Addr, Value: old, Next: -1}))
+	c.mc.Send(c.src, Msg{Type: UACK, Addr: m.Addr, Value: old, Next: -1})
 }
 
 // --- Read-Only transitions (Table 2, transitions 1-3) ---
@@ -127,7 +130,7 @@ func memReadGrant(c *memCtx) {
 	mc, e := c.mc, c.e
 	mc.addSharer(e, c.src)
 	e.NoteSharers(e.Sharers())
-	mc.Send(c.src, mc.newMsg(Msg{Type: RDATA, Addr: c.m.Addr, Value: e.Value, Next: -1}))
+	mc.Send(c.src, Msg{Type: RDATA, Addr: c.m.Addr, Value: e.Value, Next: -1})
 }
 
 // memReadEvict handles pointer overflow the Dir_iNB way: evict a victim's
@@ -139,8 +142,8 @@ func memReadEvict(c *memCtx) {
 	e.Ptrs.Remove(victim)
 	e.Ptrs.Add(c.src)
 	mc.stats.Evictions++
-	mc.Send(victim, mc.newMsg(Msg{Type: INV, Addr: c.m.Addr, Next: -1, Evict: true}))
-	mc.Send(c.src, mc.newMsg(Msg{Type: RDATA, Addr: c.m.Addr, Value: e.Value, Next: -1}))
+	mc.Send(victim, Msg{Type: INV, Addr: c.m.Addr, Next: -1, Evict: true})
+	mc.Send(c.src, Msg{Type: RDATA, Addr: c.m.Addr, Value: e.Value, Next: -1})
 }
 
 // memReadOverflowTrap handles pointer overflow the LimitLESS way: count it
@@ -162,10 +165,10 @@ func memWriteGrant(c *memCtx) {
 	e.State = directory.ReadWrite
 	e.Chain = 0
 	if mc.params.ModifyGrant && hadCopy {
-		mc.Send(c.src, mc.newMsg(Msg{Type: MODG, Addr: c.m.Addr, Next: -1}))
+		mc.Send(c.src, Msg{Type: MODG, Addr: c.m.Addr, Next: -1})
 		return
 	}
-	mc.Send(c.src, mc.newMsg(Msg{Type: WDATA, Addr: c.m.Addr, Value: e.Value, Next: -1}))
+	mc.Send(c.src, Msg{Type: WDATA, Addr: c.m.Addr, Value: e.Value, Next: -1})
 }
 
 // memWriteInvalidate is Transition 3: invalidate every other copy, await
@@ -178,7 +181,7 @@ func memWriteInvalidate(c *memCtx) {
 	n := 0
 	for _, k := range sh {
 		if mesh.NodeID(k) != c.src {
-			mc.Send(mesh.NodeID(k), mc.newMsg(Msg{Type: INV, Addr: c.m.Addr, Next: -1}))
+			mc.Send(mesh.NodeID(k), Msg{Type: INV, Addr: c.m.Addr, Next: -1})
 			n++
 		}
 	}
@@ -203,14 +206,14 @@ func memStartReadTxn(c *memCtx) {
 	e.State = directory.ReadTransaction
 	mc.clearSharers(e)
 	e.Ptrs.Add(c.src)
-	mc.Send(owner, mc.newMsg(Msg{Type: INV, Addr: c.m.Addr, Next: -1}))
+	mc.Send(owner, Msg{Type: INV, Addr: c.m.Addr, Next: -1})
 }
 
 // memOwnerRegrant recovers from a lost modify grant: the owner's read copy
 // was displaced while its upgrade was in flight, so it never received
 // data. Memory still holds the current value.
 func memOwnerRegrant(c *memCtx) {
-	c.mc.Send(c.src, c.mc.newMsg(Msg{Type: WDATA, Addr: c.m.Addr, Value: c.e.Value, Next: -1}))
+	c.mc.Send(c.src, Msg{Type: WDATA, Addr: c.m.Addr, Value: c.e.Value, Next: -1})
 }
 
 // memStartWriteTxn is Transition 4: invalidate the owner, enter
@@ -224,7 +227,7 @@ func memStartWriteTxn(c *memCtx) {
 	e.AckCtr = 1
 	mc.clearSharers(e)
 	e.Ptrs.Add(c.src)
-	mc.Send(owner, mc.newMsg(Msg{Type: INV, Addr: c.m.Addr, Next: -1}))
+	mc.Send(owner, Msg{Type: INV, Addr: c.m.Addr, Next: -1})
 }
 
 // memWriteback is Transition 6: the owner writes the block back; the entry

@@ -3,6 +3,7 @@ package coherence
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"limitless/internal/cache"
 	"limitless/internal/directory"
@@ -136,11 +137,11 @@ type CacheController struct {
 	// pointer (a zombie) so a CINV walk can continue, and a re-read then
 	// prepends a fresh position at the head. Each CINV visit consumes
 	// exactly one entry, so no position — and in particular no tail
-	// marker — is ever lost or duplicated.
+	// marker — is ever lost or duplicated. Made on first use.
 	chainNext map[directory.Addr][]chainLink
 	// updateMode marks blocks registered for the Section 6 update-mode
 	// extension: stores travel as value-carrying UWREQ round trips and the
-	// block is only ever cached read-only.
+	// block is only ever cached read-only. Made on first use.
 	updateMode map[directory.Addr]bool
 
 	stats Stats
@@ -229,21 +230,33 @@ func (h *completionHandler) OnEvent(arg any) {
 	done(v)
 }
 
+// ccPool recycles cache controllers across machines: Recycle hands one
+// back with its buffers emptied and NewCacheController draws on it.
+var ccPool sync.Pool
+
 // NewCacheController builds the cache side of node id.
 func NewCacheController(eng *sim.Engine, nw *mesh.ShardPort, id mesh.NodeID, params Params, home Placement, c *cache.Cache) *CacheController {
 	params.validate()
 	if home == nil {
 		panic("coherence: nil placement")
 	}
-	cc := &CacheController{
-		eng:        eng,
-		nw:         nw,
-		id:         id,
-		params:     params,
-		home:       home,
-		cache:      c,
-		chainNext:  make(map[directory.Addr][]chainLink),
-		updateMode: make(map[directory.Addr]bool),
+	cc, _ := ccPool.Get().(*CacheController)
+	if cc == nil {
+		cc = new(CacheController)
+	}
+	*cc = CacheController{
+		eng:    eng,
+		nw:     nw,
+		id:     id,
+		params: params,
+		home:   home,
+		cache:  c,
+		// The buffers a recycled controller keeps, emptied by Recycle.
+		txns:       cc.txns,
+		chainNext:  cc.chainNext,
+		updateMode: cc.updateMode,
+		freeComps:  cc.freeComps,
+		freeTxns:   cc.freeTxns,
 	}
 	cc.sendH = txnSendHandler{cc}
 	cc.compH = completionHandler{cc}
@@ -352,12 +365,27 @@ func (cc *CacheController) send(dst mesh.NodeID, m *Msg) {
 // newMsg builds an outgoing message in the controller's bump arena.
 func (cc *CacheController) newMsg(m Msg) *Msg { return cc.arena.newMsg(m) }
 
-// Recycle returns the controller's message chunks to the pool for the next
-// machine. Every message the controller sent is invalid afterwards, so it
-// may only be called once nothing of the run is reachable any more
-// (Machine.Release); the controller must not be used again. A second
-// Recycle does nothing.
-func (cc *CacheController) Recycle() { cc.arena.recycle() }
+// Recycle returns the controller's message chunks to their pool, empties
+// the buffers it keeps, and hands the controller itself to the pool
+// NewCacheController draws on. Every message the controller sent is
+// invalid afterwards, so it may only be called once nothing of the run is
+// reachable any more (Machine.Release), and only once: a controller pooled
+// twice would serve two machines. Transactions still outstanding are
+// dropped with the run.
+func (cc *CacheController) Recycle() {
+	cc.arena.recycle()
+	clear(cc.txns)
+	clear(cc.chainNext)
+	clear(cc.updateMode)
+	*cc = CacheController{
+		txns:       cc.txns[:0],
+		chainNext:  cc.chainNext,
+		updateMode: cc.updateMode,
+		freeComps:  cc.freeComps,
+		freeTxns:   cc.freeTxns,
+	}
+	ccPool.Put(cc)
+}
 
 // newTxn takes an MSHR record from the free list (or the heap) and stamps
 // it with the primary request and issue time.
@@ -379,6 +407,9 @@ func (cc *CacheController) newTxn(req Request) *txn {
 // which propagates it to the read copies instead of invalidating them.
 func (cc *CacheController) SetUpdateMode(addr directory.Addr, on bool) {
 	if on {
+		if cc.updateMode == nil {
+			cc.updateMode = make(map[directory.Addr]bool)
+		}
 		cc.updateMode[addr] = true
 	} else {
 		delete(cc.updateMode, addr)

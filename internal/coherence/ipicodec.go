@@ -19,8 +19,9 @@ const (
 	flagDup     = 1 << 2
 )
 
-// EncodeIPI packs a protocol message into an IPI packet for the input queue.
-func EncodeIPI(src mesh.NodeID, m *Msg) *ipi.Packet {
+// EncodeIPI packs a protocol message into p, an empty packet (one from
+// ipi.Queue.NewPacket reuses its operand and data storage), and returns p.
+func EncodeIPI(p *ipi.Packet, src mesh.NodeID, m *Msg) *ipi.Packet {
 	flags := uint64(0)
 	if m.Evict {
 		flags |= flagEvict
@@ -32,13 +33,12 @@ func EncodeIPI(src mesh.NodeID, m *Msg) *ipi.Packet {
 		flags |= flagHasNext
 		flags |= uint64(m.Next) << 8
 	}
-	p := &ipi.Packet{
-		Src:      src,
-		Op:       ipi.Opcode(m.Type),
-		Operands: []uint64{uint64(m.Addr), flags},
-	}
+	p.Src = src
+	p.Op = ipi.Opcode(m.Type)
+	p.Operands = append(p.Operands[:0], uint64(m.Addr), flags)
+	p.Data = p.Data[:0]
 	if m.Type.HasData() {
-		p.Data = []uint64{m.Value}
+		p.Data = append(p.Data, m.Value)
 	}
 	if m.Modify != nil {
 		p.Sim = m.Modify
@@ -47,11 +47,11 @@ func EncodeIPI(src mesh.NodeID, m *Msg) *ipi.Packet {
 }
 
 // DecodeIPI unpacks an IPI protocol packet back into a message.
-func DecodeIPI(p *ipi.Packet) (src mesh.NodeID, m *Msg) {
+func DecodeIPI(p *ipi.Packet) (src mesh.NodeID, m Msg) {
 	if p.Op.IsInterrupt() {
 		panic("coherence: DecodeIPI on an interprocessor interrupt")
 	}
-	m = &Msg{
+	m = Msg{
 		Type: MsgType(p.Op),
 		Addr: directory.Addr(p.Operand(0)),
 		Next: -1,

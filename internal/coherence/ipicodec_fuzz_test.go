@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"limitless/internal/directory"
+	"limitless/internal/ipi"
 	"limitless/internal/mesh"
 )
 
@@ -32,7 +33,7 @@ func FuzzIPICodec(f *testing.F) {
 		if in.Type.HasData() {
 			in.Value = value
 		}
-		p := EncodeIPI(mesh.NodeID(src), in)
+		p := EncodeIPI(new(ipi.Packet), mesh.NodeID(src), in)
 		gotSrc, out := DecodeIPI(p)
 		if gotSrc != mesh.NodeID(src) {
 			t.Errorf("src: got %d, want %d", gotSrc, src)

@@ -174,6 +174,10 @@ func TestUpdateModeStoreTravelsAsUWREQ(t *testing.T) {
 // --- IPI codec ---
 
 func TestIPICodecRoundTrip(t *testing.T) {
+	// Every case reuses the packet the previous one handed back, as the
+	// processor's trap path does, so a field left over from an earlier
+	// shape would show.
+	q := ipi.NewQueue(1)
 	prop := func(ty uint8, addr uint32, val uint64, evict bool, next int8) bool {
 		m := &coherence.Msg{
 			Type:  coherence.MsgType(ty % uint8(coherence.NumMsgTypes)),
@@ -188,7 +192,11 @@ func TestIPICodecRoundTrip(t *testing.T) {
 			m.Next = mesh.NodeID(next)
 		}
 		src := mesh.NodeID(val % 64)
-		pkt := coherence.EncodeIPI(src, m)
+		pkt := coherence.EncodeIPI(q.NewPacket(), src, m)
+		defer q.Done(pkt)
+		if len(pkt.Operands) != 2 || (len(pkt.Data) == 1) != m.Type.HasData() {
+			return false
+		}
 		gotSrc, got := coherence.DecodeIPI(pkt)
 		if gotSrc != src || got.Type != m.Type || got.Addr != m.Addr ||
 			got.Evict != m.Evict || got.Next != m.Next {
@@ -208,7 +216,7 @@ func TestIPIPacketShapeMatchesPaper(t *testing.T) {
 	// "A read miss would generate a message with <opcode = RREQ>,
 	// <Packet Length = 2>, and <Operand0 = Address>."
 	m := &coherence.Msg{Type: coherence.RREQ, Addr: 0x123, Next: -1}
-	pkt := coherence.EncodeIPI(4, m)
+	pkt := coherence.EncodeIPI(new(ipi.Packet), 4, m)
 	if pkt.Operand(0) != 0x123 {
 		t.Fatalf("operand 0 = %#x, want the address", pkt.Operand(0))
 	}

@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"sync"
 
 	"limitless/internal/directory"
 	"limitless/internal/fault"
@@ -126,7 +127,8 @@ type MemoryController struct {
 	rec   *fault.Recorder
 
 	// deferred holds non-retriable packets (REPM/UPDATE/ACKC) that arrived
-	// while the block's meta state was Trans-In-Progress. Drained slices
+	// while the block's meta state was Trans-In-Progress; it is made on
+	// first use, which only the LimitLESS interlock reaches. Drained slices
 	// park in deferFree so overflow bursts reuse their backing arrays.
 	deferred  map[directory.Addr][]deferredPkt
 	deferFree [][]deferredPkt
@@ -182,6 +184,10 @@ func (h *processHandler) OnEvent(arg any) {
 	h.mc.process(src, m)
 }
 
+// mcPool recycles memory controllers across machines: Recycle hands one
+// back with its buffers emptied and NewMemoryController draws on it.
+var mcPool sync.Pool
+
 // NewMemoryController builds the directory side of node id. The sink may
 // be nil for schemes that never trap (full-map, limited, private, chained).
 func NewMemoryController(eng *sim.Engine, nw *mesh.ShardPort, id mesh.NodeID, params Params, sink TrapSink) *MemoryController {
@@ -195,7 +201,11 @@ func NewMemoryController(eng *sim.Engine, nw *mesh.ShardPort, id mesh.NodeID, pa
 		// in Trap-Always mode.
 		params.DefaultMeta = directory.TrapAlways
 	}
-	mc := &MemoryController{
+	mc, _ := mcPool.Get().(*MemoryController)
+	if mc == nil {
+		mc = new(MemoryController)
+	}
+	*mc = MemoryController{
 		eng:       eng,
 		nw:        nw,
 		id:        id,
@@ -203,10 +213,15 @@ func NewMemoryController(eng *sim.Engine, nw *mesh.ShardPort, id mesh.NodeID, pa
 		dir:       params.newDir(),
 		ipiq:      ipi.NewQueue(params.IPIQueueCap),
 		sink:      sink,
-		deferred:  make(map[directory.Addr][]deferredPkt, 16),
 		evictSeed: uint64(id)*2654435761 + 1,
 		tbl:       policyFor(params.Scheme).mem,
 		chained:   info.ChainedList,
+		// The buffers a recycled controller keeps, emptied by Recycle.
+		deferred:  mc.deferred,
+		deferFree: mc.deferFree,
+		freeArgs:  mc.freeArgs,
+		shBuf:     mc.shBuf,
+		ownBuf:    mc.ownBuf,
 	}
 	mc.procH = processHandler{mc}
 	mc.mctx.mc = mc
@@ -258,28 +273,47 @@ func (mc *MemoryController) entry(addr directory.Addr) *directory.Entry {
 	return e
 }
 
-// Send injects a protocol message from this node. It is used both by the
-// hardware controller and — through the IPI output interface — by the
-// LimitLESS software handler.
-func (mc *MemoryController) Send(dst mesh.NodeID, m *Msg) {
+// Send copies a protocol message into the controller's message arena and
+// injects it from this node. It is used both by the hardware controller
+// and — through the IPI output interface — by the LimitLESS software
+// handler.
+func (mc *MemoryController) Send(dst mesh.NodeID, m Msg) {
 	mc.stats.Sent[m.Type]++
 	if m.Type == INV || m.Type == CINV {
 		mc.stats.InvalidationsSent++
 	}
-	mc.nw.SendFrom(mc.id, dst, m.Flits(mc.params.BlockWords), m)
+	mc.nw.SendFrom(mc.id, dst, m.Flits(mc.params.BlockWords), mc.arena.newMsg(m))
 }
 
-// newMsg builds an outgoing message in the controller's bump arena.
-func (mc *MemoryController) newMsg(m Msg) *Msg { return mc.arena.newMsg(m) }
+// Decode unpacks a packet from the IPI input queue into the controller's
+// message arena, where the message stays valid until the machine is
+// released — after the handler that decoded it, and after the packet
+// itself, has been recycled.
+func (mc *MemoryController) Decode(p *ipi.Packet) (mesh.NodeID, *Msg) {
+	src, m := DecodeIPI(p)
+	return src, mc.arena.newMsg(m)
+}
 
-// Recycle returns the controller's message chunks and directory storage to
-// their pools for the next machine. Every message the controller sent and
-// every directory entry it held are invalid afterwards, so it may only be
-// called once nothing of the run is reachable any more (Machine.Release);
-// the controller must not be used again. A second Recycle does nothing.
+// Recycle returns the controller's message chunks, directory storage and
+// IPI queue to their pools, empties the buffers it keeps, and hands the
+// controller itself to the pool NewMemoryController draws on. Every
+// message the controller sent and every directory entry it held are
+// invalid afterwards, so it may only be called once nothing of the run is
+// reachable any more (Machine.Release), and only once: a controller pooled
+// twice would serve two machines.
 func (mc *MemoryController) Recycle() {
 	mc.arena.recycle()
 	mc.dir.Recycle()
+	mc.ipiq.Recycle()
+	clear(mc.deferred)
+	*mc = MemoryController{
+		deferred:  mc.deferred,
+		deferFree: mc.deferFree,
+		freeArgs:  mc.freeArgs,
+		shBuf:     mc.shBuf[:0],
+		ownBuf:    mc.ownBuf[:0],
+	}
+	mcPool.Put(mc)
 }
 
 // cost returns the controller occupancy for processing an incoming message.
@@ -329,7 +363,7 @@ func (mc *MemoryController) process(src mesh.NodeID, m *Msg) {
 		mc.stats.DupSuppressed++
 		if m.Type == RREQ && e.State == directory.ReadOnly && e.Meta == directory.Normal &&
 			!mc.chained && (e.Ptrs.Contains(src) || (e.Local && src == mc.id)) {
-			mc.Send(src, mc.newMsg(Msg{Type: RDATA, Addr: m.Addr, Value: e.Value, Next: -1, Dup: true}))
+			mc.Send(src, Msg{Type: RDATA, Addr: m.Addr, Value: e.Value, Next: -1, Dup: true})
 		}
 		return
 	}
@@ -352,7 +386,7 @@ func (mc *MemoryController) forwardToSoftware(src mesh.NodeID, m *Msg, e *direct
 	mc.stats.Traps++
 	e.Pending++
 	e.Meta = directory.TransInProgress
-	mc.ipiq.Push(EncodeIPI(src, m))
+	mc.ipiq.Push(EncodeIPI(mc.ipiq.NewPacket(), src, m))
 	mc.sink.ProtocolTrap()
 }
 
@@ -461,7 +495,7 @@ func (mc *MemoryController) finishReadTransaction(e *directory.Entry, addr direc
 	if chain {
 		e.Chain, pos = 1, 1
 	}
-	mc.Send(reader, mc.newMsg(Msg{Type: RDATA, Addr: addr, Value: e.Value, Next: -1, Pos: pos}))
+	mc.Send(reader, Msg{Type: RDATA, Addr: addr, Value: e.Value, Next: -1, Pos: pos})
 }
 
 func (mc *MemoryController) finishWriteTransaction(e *directory.Entry, addr directory.Addr) {
@@ -473,7 +507,7 @@ func (mc *MemoryController) finishWriteTransaction(e *directory.Entry, addr dire
 	// Reading the block out of memory for the WDATA reply costs a memory
 	// access on top of the message that completed the transaction.
 	mc.ctrl.Claim(mc.eng.Now(), mc.params.Timing.MemAccess)
-	mc.Send(writer, mc.newMsg(Msg{Type: WDATA, Addr: addr, Value: e.Value, Next: -1}))
+	mc.Send(writer, Msg{Type: WDATA, Addr: addr, Value: e.Value, Next: -1})
 }
 
 // owner returns the single expected member of the pointer set during
@@ -525,7 +559,7 @@ func (mc *MemoryController) chainedRead(src mesh.NodeID, e *directory.Entry, add
 		if len(prev) == 1 && mesh.NodeID(prev[0]) == src {
 			// Already the head (its line was displaced): resupply the data
 			// without growing the list.
-			mc.Send(src, mc.newMsg(Msg{Type: RDATA, Addr: addr, Value: e.Value, Next: ChainResupply}))
+			mc.Send(src, Msg{Type: RDATA, Addr: addr, Value: e.Value, Next: ChainResupply})
 			return
 		}
 		if len(prev) == 1 {
@@ -535,5 +569,5 @@ func (mc *MemoryController) chainedRead(src mesh.NodeID, e *directory.Entry, add
 	e.Ptrs.Clear()
 	e.Ptrs.Add(src)
 	e.Chain++
-	mc.Send(src, mc.newMsg(Msg{Type: RDATA, Addr: addr, Value: e.Value, Next: next, Pos: int32(e.Chain)}))
+	mc.Send(src, Msg{Type: RDATA, Addr: addr, Value: e.Value, Next: next, Pos: int32(e.Chain)})
 }

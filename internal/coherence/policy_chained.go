@@ -75,7 +75,7 @@ func memChainedWriteInvalidate(c *memCtx) {
 	mc.clearSharers(e)
 	e.Ptrs.Add(c.src)
 	e.Chain = 0
-	mc.Send(head, mc.newMsg(Msg{Type: CINV, Addr: c.m.Addr, Next: -1, Pos: pos}))
+	mc.Send(head, Msg{Type: CINV, Addr: c.m.Addr, Next: -1, Pos: pos})
 }
 
 // memChainedRTUpdate / memChainedRTAck complete a read transaction and

@@ -77,8 +77,8 @@ type Space struct {
 	rec   *fault.Recorder
 
 	words []uint64
-	free  map[int][]uint32
-	live  int // words currently attached to live sets
+	free  map[int][]uint32 // made on the first release
+	live  int              // words currently attached to live sets
 
 	// Oracle-mode bookkeeping: boxed sets are held here by index so the
 	// SharerSet value stays small and the recorder reaches them.
@@ -96,7 +96,7 @@ func NewSpace(n int, mode StorageMode) *Space {
 	if n > MaxNodes {
 		panic(fmt.Sprintf("directory: %d nodes exceed the packed node-ID width (max %d)", n, MaxNodes))
 	}
-	return &Space{nodes: n, mode: mode, free: make(map[int][]uint32)}
+	return &Space{nodes: n, mode: mode}
 }
 
 // Nodes returns the machine size the space's sets cover.
@@ -147,6 +147,9 @@ func (sp *Space) alloc(nwords int) uint32 {
 
 // release returns a spill area to the free list.
 func (sp *Space) release(off uint32, nwords int) {
+	if sp.free == nil {
+		sp.free = make(map[int][]uint32)
+	}
 	sp.free[nwords] = append(sp.free[nwords], off)
 	sp.live -= nwords
 }

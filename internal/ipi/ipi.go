@@ -17,6 +17,7 @@ package ipi
 
 import (
 	"fmt"
+	"sync"
 
 	"limitless/internal/mesh"
 )
@@ -72,14 +73,62 @@ type Queue struct {
 	overflow uint64    // times a push spilled
 	pushes   uint64
 	maxLen   int // high-water mark of queued packets
+	// free holds handled packets for NewPacket to refill (see Done).
+	free []*Packet
 }
+
+// queuePool recycles queues, with their buffers and free packets, across
+// machines: Recycle hands a queue back and NewQueue draws on it.
+var queuePool sync.Pool
 
 // NewQueue returns a queue whose dedicated buffer holds capacity packets.
 func NewQueue(capacity int) *Queue {
 	if capacity < 1 {
 		panic("ipi: queue capacity must be >= 1")
 	}
-	return &Queue{cap: capacity}
+	q, _ := queuePool.Get().(*Queue)
+	if q == nil {
+		q = new(Queue)
+	}
+	*q = Queue{cap: capacity, fast: q.fast, spill: q.spill, free: q.free}
+	return q
+}
+
+// NewPacket returns an empty packet for the producer to fill and Push: one
+// the consumer handed back with Done, its Operands and Data emptied with
+// their capacity kept, or a new one.
+func (q *Queue) NewPacket() *Packet {
+	n := len(q.free)
+	if n == 0 {
+		return new(Packet)
+	}
+	p := q.free[n-1]
+	q.free[n-1] = nil
+	q.free = q.free[:n-1]
+	return p
+}
+
+// Done hands back a popped packet once its handler has returned, for
+// NewPacket to reuse; nothing may read the packet afterwards.
+func (q *Queue) Done(p *Packet) {
+	*p = Packet{Operands: p.Operands[:0], Data: p.Data[:0]}
+	q.free = append(q.free, p)
+}
+
+// Recycle empties the queue, keeping the packets still queued as free
+// ones, and hands it to the pool NewQueue draws on. The queue must not be
+// used afterwards.
+func (q *Queue) Recycle() {
+	for _, p := range q.fast {
+		q.Done(p)
+	}
+	for _, p := range q.spill {
+		q.Done(p)
+	}
+	clear(q.fast[:cap(q.fast)])
+	clear(q.spill[:cap(q.spill)])
+	*q = Queue{fast: q.fast[:0], spill: q.spill[:0], free: q.free}
+	queuePool.Put(q)
 }
 
 // Push enqueues a packet. It reports whether the packet spilled past the

@@ -117,6 +117,10 @@ type Node struct {
 	// never trap). SWFull is the full-software FSM used by SoftwareOnly.
 	SW     *swdir.Handler
 	SWFull *swdir.SoftwareHandler
+
+	// m and eng are the node's machine and engine.
+	m   *Machine
+	eng *sim.Engine
 }
 
 // Machine is the assembled multiprocessor.
@@ -138,6 +142,10 @@ type Machine struct {
 
 	rec  *fault.Recorder
 	diag *Diagnostic
+
+	// released makes Release run once: its nodes' components may serve
+	// another machine by the time a second call comes.
+	released bool
 
 	// dupInj counts duplicate deliveries injected at each node's ingress.
 	// Per-node slots: each node's handler runs on its own shard's goroutine,
@@ -222,8 +230,9 @@ func New(cfg Config) *Machine {
 		m.Net.EnableTransport(cfg.Faults, window, cfg.Params.Timing.RetryBackoffMax)
 		m.Net.OnTransportStuck(func(mesh.StuckLink) { m.sharded.Abort() })
 	}
-	for id := mesh.NodeID(0); int(id) < n; id++ {
-		m.Nodes = append(m.Nodes, m.buildNode(id))
+	m.Nodes = make([]*Node, n)
+	for id := range m.Nodes {
+		m.Nodes[id] = m.buildNode(mesh.NodeID(id))
 	}
 	return m
 }
@@ -251,7 +260,7 @@ func (m *Machine) buildNode(id mesh.NodeID) *Node {
 	p := proc.New(eng, cc, cfg.Params.Timing, cfg.Contexts)
 	mc := coherence.NewMemoryController(eng, port, id, cfg.Params, p)
 
-	node := &Node{ID: id, Cache: c, CC: cc, MC: mc, Proc: p}
+	node := &Node{ID: id, Cache: c, CC: cc, MC: mc, Proc: p, m: m, eng: eng}
 	if m.rec != nil {
 		mc.SetRecorder(m.rec)
 		cc.SetRecorder(m.rec)
@@ -268,55 +277,56 @@ func (m *Machine) buildNode(id mesh.NodeID) *Node {
 		node.Handler = swdir.NewMux(node.SW)
 	}
 	p.Attach(mc, node.Handler)
+	m.Net.Register(id, node.receive)
+	return node
+}
 
-	m.Net.Register(id, func(pkt *mesh.Packet) {
-		msg, ok := pkt.Payload.(*coherence.Msg)
-		if !ok {
-			panic(fmt.Sprintf("machine: node %d received non-protocol payload %T", id, pkt.Payload))
-		}
-		// A transport replay (ack-loss retransmission of a delivered packet)
-		// is dispatched as a Dup-marked clone so the controllers' idempotent
-		// dup suppression absorbs it. The clone matters: the payload pointer
-		// is shared with the original delivery and must never be mutated.
-		if pkt.Replay {
+// receive is the node's network ejection handler: it hands each protocol
+// packet to the memory controller or the cache controller.
+func (n *Node) receive(pkt *mesh.Packet) {
+	msg, ok := pkt.Payload.(*coherence.Msg)
+	if !ok {
+		panic(fmt.Sprintf("machine: node %d received non-protocol payload %T", n.ID, pkt.Payload))
+	}
+	// A transport replay (ack-loss retransmission of a delivered packet)
+	// is dispatched as a Dup-marked clone so the controllers' idempotent
+	// dup suppression absorbs it. The clone matters: the payload pointer
+	// is shared with the original delivery and must never be mutated.
+	if pkt.Replay {
+		clone := *msg
+		clone.Dup = true
+		n.dispatch(pkt.Src, &clone)
+		return
+	}
+	// Duplicate injection happens at ingress, on the destination node's
+	// own engine: the decision hashes (delivery cycle, src, dst, block),
+	// all of which are identical across shard partitions, and the
+	// re-delivery only touches this node's controllers, so the injection
+	// is invariant under Shards.
+	if f := n.m.cfg.Faults; f != nil && !msg.Dup {
+		eng := n.eng
+		if extra, dup := f.Duplicate(eng.Now(), int(pkt.Src), int(n.ID),
+			uint64(msg.Addr)^uint64(msg.Type)); dup {
+			n.m.dupInj[n.ID]++
 			clone := *msg
 			clone.Dup = true
-			if clone.Type.ToMemory() {
-				mc.Handle(pkt.Src, &clone)
-			} else {
-				cc.HandleMem(pkt.Src, &clone)
-			}
-			return
+			src := pkt.Src
+			eng.At(eng.Now()+extra, func() {
+				n.Proc.Wake(eng.Now() - 1)
+				n.dispatch(src, &clone)
+			})
 		}
-		// Duplicate injection happens at ingress, on the destination node's
-		// own engine: the decision hashes (delivery cycle, src, dst, block),
-		// all of which are identical across shard partitions, and the
-		// re-delivery only touches this node's controllers, so the injection
-		// is invariant under Shards.
-		if f := cfg.Faults; f != nil && !msg.Dup {
-			if extra, dup := f.Duplicate(eng.Now(), int(pkt.Src), int(id),
-				uint64(msg.Addr)^uint64(msg.Type)); dup {
-				m.dupInj[id]++
-				clone := *msg
-				clone.Dup = true
-				src := pkt.Src
-				eng.At(eng.Now()+extra, func() {
-					p.Wake(eng.Now() - 1)
-					if clone.Type.ToMemory() {
-						mc.Handle(src, &clone)
-					} else {
-						cc.HandleMem(src, &clone)
-					}
-				})
-			}
-		}
-		if msg.Type.ToMemory() {
-			mc.Handle(pkt.Src, msg)
-		} else {
-			cc.HandleMem(pkt.Src, msg)
-		}
-	})
-	return node
+	}
+	n.dispatch(pkt.Src, msg)
+}
+
+// dispatch hands a protocol message to the controller it is addressed to.
+func (n *Node) dispatch(src mesh.NodeID, msg *coherence.Msg) {
+	if msg.Type.ToMemory() {
+		n.MC.Handle(src, msg)
+	} else {
+		n.CC.HandleMem(src, msg)
+	}
 }
 
 // Config returns the machine configuration.
@@ -401,22 +411,31 @@ func (m *Machine) Recorder() *fault.Recorder { return m.rec }
 // event queue with processors still blocked.
 func (m *Machine) Diagnostic() *Diagnostic { return m.diag }
 
-// Release hands the machine's run-scoped memory — cache pages, message
-// chunks, directory tables and entry chunks, engine buckets and event free
-// lists, port send logs and delivery records — to process-wide pools, so
-// the next machine built in the process reuses it instead of allocating.
-// It stops the shard workers first, and accepts a machine halted in any
-// state: events still queued, spins off the queue, a cycle-limit cut, a
-// watchdog trip or a transport abort.
-// The machine must not be used afterwards, and a second Release does
-// nothing. Callers that inspect node state after a run simply never call
-// Release.
+// Release hands the machine's run-scoped memory — every node's
+// controllers, processor, cache and IPI queue with the buffers they keep,
+// cache pages, message chunks, directory tables and entry chunks, engine
+// buckets and event free lists, port send logs and delivery records — to
+// process-wide pools, so the next machine built in the process reuses it
+// instead of allocating. It stops the shard workers first, and accepts a
+// machine halted in any state: events still queued, spins off the queue,
+// a cycle-limit cut, a watchdog trip or a transport abort.
+// The machine must not be used afterwards: its nodes' components may
+// already serve another machine. A second Release does nothing, checked
+// here rather than by each component, which cannot tell its own second
+// recycle from the first recycle of the machine that drew it from the
+// pool since. Callers that inspect node state after a run simply never
+// call Release.
 func (m *Machine) Release() {
+	if m.released {
+		return
+	}
+	m.released = true
 	m.sharded.Stop()
 	for _, n := range m.Nodes {
 		n.Cache.Release()
 		n.CC.Recycle()
 		n.MC.Recycle()
+		n.Proc.Recycle()
 	}
 	for _, e := range m.engines {
 		e.Recycle()

@@ -562,8 +562,13 @@ func (nw *Network) Recycle() {
 			continue
 		}
 		clear(p.log[:cap(p.log)])
-		portPool.Put(&portMem{log: p.log[:0], dels: p.freeDels})
-		p.log, p.freeDels = nil, nil
+		m := p.mem
+		if m == nil {
+			m = new(portMem)
+		}
+		*m = portMem{log: p.log[:0], dels: p.freeDels}
+		portPool.Put(m)
+		p.log, p.freeDels, p.mem = nil, nil, nil
 	}
 }
 

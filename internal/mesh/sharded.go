@@ -97,7 +97,8 @@ type ShardPort struct {
 	logHead  int  // the flush's merge cursor: entries below it are claimed; 0 between flushes
 	logDirty bool // true when an append since the last flush landed out of order
 	freeDels []*delivery
-	inflight int // deliveries scheduled on this port's engine, not yet ejected
+	mem      *portMem // the pool wrapper ShardPorts drew, reused by Network.Recycle
+	inflight int      // deliveries scheduled on this port's engine, not yet ejected
 
 	// Reliable transport (see transport.go): the receiver state for nodes
 	// owned by this shard, the pending retransmission-timer count, and the
@@ -253,6 +254,8 @@ func (nw *Network) ShardPorts(engines []*sim.Engine, nodeShard []int, window sim
 		p := &ShardPort{nw: nw, eng: eng, handlers: nw.handlers, wakers: nw.wakers, shard: i}
 		if m, _ := portPool.Get().(*portMem); m != nil {
 			p.log, p.freeDels = m.log, m.dels
+			*m = portMem{}
+			p.mem = m
 		}
 		p.retransH.p = p
 		if nw.tp != nil {

@@ -12,6 +12,7 @@ package proc
 
 import (
 	"fmt"
+	"sync"
 
 	"limitless/internal/coherence"
 	"limitless/internal/directory"
@@ -220,12 +221,18 @@ type trapHandler struct{ p *Processor }
 func (h *trapHandler) OnEvent(any) {
 	p := h.p
 	p.Wake(p.eng.Now() - 1)
-	pkt := p.mc.IPIQueue().Pop()
+	q := p.mc.IPIQueue()
+	pkt := q.Pop()
 	if pkt == nil {
 		panic("proc: protocol trap with empty IPI queue")
 	}
 	p.hnd.Handle(pkt)
+	q.Done(pkt)
 }
+
+// procPool recycles processors across machines: Recycle hands one back and
+// New draws on it.
+var procPool sync.Pool
 
 // New creates a processor with the given hardware contexts (SPARCLE caches
 // four register frames; pass 1 for a blocking processor).
@@ -233,26 +240,53 @@ func New(eng *sim.Engine, cc *coherence.CacheController, timing coherence.Timing
 	if nContexts < 1 {
 		panic("proc: need at least one context")
 	}
-	p := &Processor{eng: eng, cc: cc, timing: timing}
+	p, _ := procPool.Get().(*Processor)
+	if p == nil {
+		p = new(Processor)
+	}
+	// The contexts, each with its completion callback bound to p, are the
+	// one buffer a recycled processor keeps.
+	ctxs := p.contexts
+	*p = Processor{eng: eng, cc: cc, timing: timing, finished: nContexts}
 	p.pendH = pendHandler{p}
 	p.trapH = trapHandler{p}
-	p.contexts = make([]*context, nContexts)
-	for i := range p.contexts {
-		c := &context{state: ctxFinished}
-		c.done = func(v uint64) {
-			c.prev = v
-			if c.spin == spinNone {
-				p.progress++
-			}
-			c.state = ctxReady
-			if !p.running {
-				p.dispatch()
-			}
-		}
-		p.contexts[i] = c
+	for len(ctxs) < nContexts {
+		ctxs = append(ctxs, p.newContext())
 	}
-	p.finished = nContexts
+	p.contexts = ctxs[:nContexts]
+	for _, c := range p.contexts {
+		*c = context{state: ctxFinished, done: c.done}
+	}
 	return p
+}
+
+// newContext builds a context and its completion callback.
+func (p *Processor) newContext() *context {
+	c := &context{}
+	c.done = func(v uint64) {
+		c.prev = v
+		if c.spin == spinNone {
+			p.progress++
+		}
+		c.state = ctxReady
+		if !p.running {
+			p.dispatch()
+		}
+	}
+	return c
+}
+
+// Recycle empties the processor's contexts, keeping their completion
+// callbacks, and hands the processor to the pool New draws on. It may only
+// be called once nothing of the run can reach the processor any more
+// (Machine.Release), and only once: a processor pooled twice would serve
+// two machines.
+func (p *Processor) Recycle() {
+	for _, c := range p.contexts {
+		*c = context{done: c.done}
+	}
+	*p = Processor{contexts: p.contexts}
+	procPool.Put(p)
 }
 
 // Attach wires the processor to its node's memory controller and trap

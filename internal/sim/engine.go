@@ -74,7 +74,8 @@ type Engine struct {
 	inlined   uint64   // off-queue steps settled (subset of processed)
 	free      []*Event // recycled events; see SetPooling
 	noPool    bool
-	chains    []*Chain // chains off the queue (chain.go)
+	chains    []*Chain   // chains off the queue (chain.go)
+	mem       *engineMem // the pool wrapper New drew, reused by Recycle
 
 	// Windowed-mode sequencing (see SetCycleSeq): seqCycle is the cycle the
 	// per-cycle counter is counting for, cycleCtr the next counter value.
@@ -104,6 +105,8 @@ func New() *Engine {
 	e := &Engine{}
 	if m, _ := memPool.Get().(*engineMem); m != nil {
 		e.wh.buckets, e.free, e.chains = m.buckets, m.free, m.chains
+		*m = engineMem{}
+		e.mem = m
 	}
 	e.wh.init()
 	return e
@@ -136,8 +139,13 @@ func (e *Engine) Recycle() {
 		b.reset()
 	}
 	clear(e.chains)
-	memPool.Put(&engineMem{buckets: e.wh.buckets, free: e.free, chains: e.chains[:0]})
-	e.wh.buckets, e.free, e.chains = nil, nil, nil
+	m := e.mem
+	if m == nil {
+		m = new(engineMem)
+	}
+	*m = engineMem{buckets: e.wh.buckets, free: e.free, chains: e.chains[:0]}
+	memPool.Put(m)
+	e.wh.buckets, e.free, e.chains, e.mem = nil, nil, nil, nil
 }
 
 // SetScheduler selects the pending-event data structure. Both schedulers

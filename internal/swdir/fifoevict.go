@@ -49,7 +49,7 @@ func (h *FIFOEvict) Stats() Stats { return h.stats }
 // Handle implements PacketHandler: an overflow RREQ evicts the oldest
 // pointer instead of growing a software vector.
 func (h *FIFOEvict) Handle(p *ipi.Packet) {
-	src, m := coherence.DecodeIPI(p)
+	src, m := h.mc.Decode(p)
 	h.stats.PacketsHandled++
 	if _, ok := h.fifo[m.Addr]; !ok {
 		panic(fmt.Sprintf("swdir: FIFO-evict handler got unregistered address %#x", m.Addr))
@@ -99,8 +99,8 @@ func (h *FIFOEvict) Handle(p *ipi.Packet) {
 	h.fifo[m.Addr] = kept
 	h.Evictions++
 	h.stats.InvalidationsSent++
-	h.mc.Send(victim, &coherence.Msg{Type: coherence.INV, Addr: m.Addr, Next: -1, Evict: true})
-	h.mc.Send(src, &coherence.Msg{Type: coherence.RDATA, Addr: m.Addr, Value: e.Value, Next: -1})
+	h.mc.Send(victim, coherence.Msg{Type: coherence.INV, Addr: m.Addr, Next: -1, Evict: true})
+	h.mc.Send(src, coherence.Msg{Type: coherence.RDATA, Addr: m.Addr, Value: e.Value, Next: -1})
 }
 
 var _ PacketHandler = (*FIFOEvict)(nil)

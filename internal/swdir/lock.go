@@ -61,7 +61,7 @@ func (h *LockHandler) Stats() Stats { return h.stats }
 
 // Handle implements PacketHandler for lock variables.
 func (h *LockHandler) Handle(p *ipi.Packet) {
-	src, m := coherence.DecodeIPI(p)
+	src, m := h.mc.Decode(p)
 	h.stats.PacketsHandled++
 	s, ok := h.locks[m.Addr]
 	if !ok {
@@ -83,7 +83,7 @@ func (h *LockHandler) Handle(p *ipi.Packet) {
 		s.queue = append(s.queue, src)
 		if !s.transferring {
 			s.transferring = true
-			h.mc.Send(s.owner, &coherence.Msg{Type: coherence.INV, Addr: m.Addr, Next: -1})
+			h.mc.Send(s.owner, coherence.Msg{Type: coherence.INV, Addr: m.Addr, Next: -1})
 			h.stats.InvalidationsSent++
 		}
 
@@ -109,7 +109,7 @@ func (h *LockHandler) Handle(p *ipi.Packet) {
 	case coherence.RREQ:
 		// Locks are write-accessed; a read finds out who holds it only by
 		// retrying (BUSY keeps the variable out of read-only caches).
-		h.mc.Send(src, &coherence.Msg{Type: coherence.BUSY, Addr: m.Addr, Next: -1})
+		h.mc.Send(src, coherence.Msg{Type: coherence.BUSY, Addr: m.Addr, Next: -1})
 
 	default:
 		panic(fmt.Sprintf("swdir: lock handler got %v from %d", m.Type, src))
@@ -126,7 +126,7 @@ func (h *LockHandler) grant(e *directory.Entry, addr directory.Addr, s *lockStat
 	e.Ptrs.Add(n)
 	h.Grants = append(h.Grants, n)
 	h.stats.WriteTerminations++
-	h.mc.Send(n, &coherence.Msg{Type: coherence.WDATA, Addr: addr, Value: e.Value, Next: -1})
+	h.mc.Send(n, coherence.Msg{Type: coherence.WDATA, Addr: addr, Value: e.Value, Next: -1})
 }
 
 // handBack runs when the current holder's copy has been reclaimed: grant
@@ -147,7 +147,7 @@ func (h *LockHandler) handBack(e *directory.Entry, addr directory.Addr, s *lockS
 	h.grant(e, addr, s, next)
 	if len(s.queue) > 0 {
 		s.transferring = true
-		h.mc.Send(s.owner, &coherence.Msg{Type: coherence.INV, Addr: addr, Next: -1})
+		h.mc.Send(s.owner, coherence.Msg{Type: coherence.INV, Addr: addr, Next: -1})
 		h.stats.InvalidationsSent++
 	}
 }

@@ -13,16 +13,19 @@ import (
 // Alewife software system; many other implementations are possible".
 type Mux struct {
 	def      PacketHandler
-	specific map[directory.Addr]PacketHandler
+	specific map[directory.Addr]PacketHandler // made on first Bind
 }
 
 // NewMux returns a mux with the given default handler.
 func NewMux(def PacketHandler) *Mux {
-	return &Mux{def: def, specific: make(map[directory.Addr]PacketHandler)}
+	return &Mux{def: def}
 }
 
 // Bind routes packets for addr to h instead of the default.
 func (m *Mux) Bind(addr directory.Addr, h PacketHandler) {
+	if m.specific == nil {
+		m.specific = make(map[directory.Addr]PacketHandler)
+	}
 	m.specific[addr] = h
 }
 

@@ -28,7 +28,7 @@ type PacketHandler interface {
 // waiting requester), mirroring the hardware convention.
 type SoftwareHandler struct {
 	mc      Controller
-	vectors map[directory.Addr]*directory.SharerSet
+	vectors vectorTable
 	stats   Stats
 	// observer is the profiling hook (Section 6): called once per handled
 	// packet with the line's worker-set size.
@@ -37,7 +37,7 @@ type SoftwareHandler struct {
 
 // NewSoftware returns a full-protocol software handler.
 func NewSoftware(mc Controller) *SoftwareHandler {
-	return &SoftwareHandler{mc: mc, vectors: make(map[directory.Addr]*directory.SharerSet)}
+	return &SoftwareHandler{mc: mc}
 }
 
 // Stats returns a copy of the handler's counters.
@@ -50,7 +50,7 @@ func (h *SoftwareHandler) SetObserver(fn func(src mesh.NodeID, m *coherence.Msg,
 
 // WorkerSet returns the recorded reader set size for addr.
 func (h *SoftwareHandler) WorkerSet(addr directory.Addr) int {
-	if v, ok := h.vectors[addr]; ok {
+	if v, ok := h.vectors.m[addr]; ok {
 		return v.Len()
 	}
 	return 0
@@ -59,32 +59,21 @@ func (h *SoftwareHandler) WorkerSet(addr directory.Addr) int {
 // Covers reports whether the software vector records node n as a reader of
 // addr (see Handler.Covers).
 func (h *SoftwareHandler) Covers(addr directory.Addr, n mesh.NodeID) bool {
-	v, ok := h.vectors[addr]
-	return ok && v.Contains(n)
+	return h.vectors.covers(addr, n)
 }
 
 func (h *SoftwareHandler) vector(addr directory.Addr) *directory.SharerSet {
-	v, ok := h.vectors[addr]
-	if !ok {
-		nv := h.mc.Dir().Space().NewSet(-1)
-		v = &nv
-		h.vectors[addr] = v
-		h.stats.VectorsAllocated++
-		if len(h.vectors) > h.stats.MaxResident {
-			h.stats.MaxResident = len(h.vectors)
-		}
-	}
-	return v
+	return h.vectors.get(h.mc, addr, &h.stats)
 }
 
 // soleParty returns the single transaction participant recorded in the
 // hardware pointer array.
 func (h *SoftwareHandler) soleParty(e *directory.Entry) mesh.NodeID {
-	nodes := e.Ptrs.Nodes()
+	nodes := h.vectors.nodes(&e.Ptrs)
 	if len(nodes) != 1 {
 		panic(fmt.Sprintf("swdir: node %d software FSM expected one pointer, have %v", h.mc.ID(), nodes))
 	}
-	return nodes[0]
+	return mesh.NodeID(nodes[0])
 }
 
 func (h *SoftwareHandler) setSole(e *directory.Entry, n mesh.NodeID) {
@@ -95,7 +84,7 @@ func (h *SoftwareHandler) setSole(e *directory.Entry, n mesh.NodeID) {
 
 // Handle implements PacketHandler: the complete protocol FSM in software.
 func (h *SoftwareHandler) Handle(p *ipi.Packet) {
-	src, m := coherence.DecodeIPI(p)
+	src, m := h.mc.Decode(p)
 	h.stats.PacketsHandled++
 	e := h.mc.Dir().Entry(m.Addr)
 	v := h.vector(m.Addr)
@@ -116,26 +105,26 @@ func (h *SoftwareHandler) Handle(p *ipi.Packet) {
 		case directory.ReadOnly:
 			v.Add(src)
 			e.NoteSharers(v.Len())
-			h.mc.Send(src, &coherence.Msg{Type: coherence.RDATA, Addr: m.Addr, Value: e.Value, Next: -1})
+			h.mc.Send(src, coherence.Msg{Type: coherence.RDATA, Addr: m.Addr, Value: e.Value, Next: -1})
 		case directory.ReadWrite:
 			owner := h.soleParty(e)
 			e.State = directory.ReadTransaction
 			h.setSole(e, src)
-			h.mc.Send(owner, &coherence.Msg{Type: coherence.INV, Addr: m.Addr, Next: -1})
+			h.mc.Send(owner, coherence.Msg{Type: coherence.INV, Addr: m.Addr, Next: -1})
 			h.stats.InvalidationsSent++
 		default:
-			h.mc.Send(src, &coherence.Msg{Type: coherence.BUSY, Addr: m.Addr, Next: -1})
+			h.mc.Send(src, coherence.Msg{Type: coherence.BUSY, Addr: m.Addr, Next: -1})
 		}
 
 	case coherence.WREQ:
 		switch e.State {
 		case directory.ReadOnly:
 			n := 0
-			for _, k := range v.Nodes() {
-				if k == src {
+			for _, k := range h.vectors.nodes(v) {
+				if mesh.NodeID(k) == src {
 					continue
 				}
-				h.mc.Send(k, &coherence.Msg{Type: coherence.INV, Addr: m.Addr, Next: -1})
+				h.mc.Send(mesh.NodeID(k), coherence.Msg{Type: coherence.INV, Addr: m.Addr, Next: -1})
 				h.stats.InvalidationsSent++
 				n++
 			}
@@ -143,7 +132,7 @@ func (h *SoftwareHandler) Handle(p *ipi.Packet) {
 			h.setSole(e, src)
 			if n == 0 {
 				e.State = directory.ReadWrite
-				h.mc.Send(src, &coherence.Msg{Type: coherence.WDATA, Addr: m.Addr, Value: e.Value, Next: -1})
+				h.mc.Send(src, coherence.Msg{Type: coherence.WDATA, Addr: m.Addr, Value: e.Value, Next: -1})
 			} else {
 				e.State = directory.WriteTransaction
 				e.AckCtr = n
@@ -157,10 +146,10 @@ func (h *SoftwareHandler) Handle(p *ipi.Packet) {
 			e.State = directory.WriteTransaction
 			e.AckCtr = 1
 			h.setSole(e, src)
-			h.mc.Send(owner, &coherence.Msg{Type: coherence.INV, Addr: m.Addr, Next: -1})
+			h.mc.Send(owner, coherence.Msg{Type: coherence.INV, Addr: m.Addr, Next: -1})
 			h.stats.InvalidationsSent++
 		default:
-			h.mc.Send(src, &coherence.Msg{Type: coherence.BUSY, Addr: m.Addr, Next: -1})
+			h.mc.Send(src, coherence.Msg{Type: coherence.BUSY, Addr: m.Addr, Next: -1})
 		}
 
 	case coherence.REPM:
@@ -198,7 +187,7 @@ func (h *SoftwareHandler) completeAck(e *directory.Entry, addr directory.Addr) {
 		v := h.vector(addr)
 		v.Clear()
 		v.Add(reader)
-		h.mc.Send(reader, &coherence.Msg{Type: coherence.RDATA, Addr: addr, Value: e.Value, Next: -1})
+		h.mc.Send(reader, coherence.Msg{Type: coherence.RDATA, Addr: addr, Value: e.Value, Next: -1})
 	case directory.WriteTransaction:
 		e.AckCtr--
 		if e.AckCtr < 0 {
@@ -207,7 +196,7 @@ func (h *SoftwareHandler) completeAck(e *directory.Entry, addr directory.Addr) {
 		if e.AckCtr == 0 {
 			writer := h.soleParty(e)
 			e.State = directory.ReadWrite
-			h.mc.Send(writer, &coherence.Msg{Type: coherence.WDATA, Addr: addr, Value: e.Value, Next: -1})
+			h.mc.Send(writer, coherence.Msg{Type: coherence.WDATA, Addr: addr, Value: e.Value, Next: -1})
 		}
 	default:
 		panic(fmt.Sprintf("swdir: node %d acknowledgment in %v", h.mc.ID(), e.State))

@@ -38,7 +38,12 @@ type Controller interface {
 	ID() mesh.NodeID
 	Nodes() int
 	Dir() *directory.Store
-	Send(dst mesh.NodeID, m *coherence.Msg)
+	// Decode unpacks a trapped packet into the controller's message arena.
+	// The message stays valid for the rest of the run; the packet does not
+	// outlive the Handle call it was passed to.
+	Decode(p *ipi.Packet) (mesh.NodeID, *coherence.Msg)
+	// Send copies m into the controller's message arena and launches it.
+	Send(dst mesh.NodeID, m coherence.Msg)
 	Release(addr directory.Addr)
 }
 
@@ -62,15 +67,64 @@ type Stats struct {
 	InvalidationsSent uint64
 }
 
+// vectorTable is a software directory's hash table of full-map sharer sets
+// kept in the node's local memory (Section 4.4). The sets draw their spill
+// words from the same packed directory space as the hardware entries, so
+// the software extension shares the arena, recorder, and storage-mode
+// switch with the rest of the directory. buf is the owning handler's
+// sharer-walk buffer.
+type vectorTable struct {
+	m   map[directory.Addr]*directory.SharerSet
+	buf []directory.Node
+}
+
+// get returns (allocating on first use) the full-map vector for addr,
+// counting the allocation in stats.
+func (t *vectorTable) get(mc Controller, addr directory.Addr, stats *Stats) *directory.SharerSet {
+	v, ok := t.m[addr]
+	if ok {
+		return v
+	}
+	v = new(directory.SharerSet)
+	*v = mc.Dir().Space().NewSet(-1)
+	if t.m == nil {
+		t.m = make(map[directory.Addr]*directory.SharerSet)
+	}
+	t.m[addr] = v
+	stats.VectorsAllocated++
+	if len(t.m) > stats.MaxResident {
+		stats.MaxResident = len(t.m)
+	}
+	return v
+}
+
+// drop discards the vector for addr, returning its spill words to the
+// space, and reports whether there was one.
+func (t *vectorTable) drop(addr directory.Addr) bool {
+	v, ok := t.m[addr]
+	if ok {
+		v.Release()
+		delete(t.m, addr)
+	}
+	return ok
+}
+
+// covers reports whether the vector for addr records node n.
+func (t *vectorTable) covers(addr directory.Addr, n mesh.NodeID) bool {
+	v, ok := t.m[addr]
+	return ok && v.Contains(n)
+}
+
+// nodes walks set into the table's walk buffer, valid until the next walk.
+func (t *vectorTable) nodes(set *directory.SharerSet) []directory.Node {
+	t.buf = set.NodesInto(t.buf[:0])
+	return t.buf
+}
+
 // Handler is the baseline LimitLESS trap handler.
 type Handler struct {
-	mc Controller
-	// vectors is the hash table of full-map sharer sets kept in the
-	// node's local memory (Section 4.4). The sets draw their spill words
-	// from the same packed directory space as the hardware entries, so the
-	// software extension shares the arena, recorder, and storage-mode
-	// switch with the rest of the directory.
-	vectors map[directory.Addr]*directory.SharerSet
+	mc      Controller
+	vectors vectorTable
 	stats   Stats
 	// observer, when set, is invoked for every software-handled packet —
 	// the hook the profiling extension uses.
@@ -79,27 +133,27 @@ type Handler struct {
 
 // New returns a trap handler bound to a node's memory controller.
 func New(mc Controller) *Handler {
-	return &Handler{mc: mc, vectors: make(map[directory.Addr]*directory.SharerSet)}
+	return &Handler{mc: mc}
 }
 
 // Stats returns a copy of the handler's counters.
 func (h *Handler) Stats() Stats { return h.stats }
 
 // Resident returns the number of software-extended lines right now.
-func (h *Handler) Resident() int { return len(h.vectors) }
+func (h *Handler) Resident() int { return len(h.vectors.m) }
 
 // WorkerSet returns the current software-recorded worker-set size for
 // addr, counting any pointers still in hardware. Zero when the line is not
 // software-extended.
 func (h *Handler) WorkerSet(addr directory.Addr) int {
-	v, ok := h.vectors[addr]
+	v, ok := h.vectors.m[addr]
 	if !ok {
 		return 0
 	}
 	n := v.Len()
 	if e, ok := h.mc.Dir().Lookup(addr); ok {
-		for _, p := range e.Ptrs.Nodes() {
-			if !v.Contains(p) {
+		for _, p := range h.vectors.nodes(&e.Ptrs) {
+			if !v.Contains(mesh.NodeID(p)) {
 				n++
 			}
 		}
@@ -117,30 +171,19 @@ func (h *Handler) SetObserver(fn func(src mesh.NodeID, m *coherence.Msg, workerS
 // of addr. The protocol checker uses it to account for cached copies whose
 // pointers were emptied into software.
 func (h *Handler) Covers(addr directory.Addr, n mesh.NodeID) bool {
-	v, ok := h.vectors[addr]
-	return ok && v.Contains(n)
+	return h.vectors.covers(addr, n)
 }
 
 // vector returns (allocating on first use) the full-map vector for addr.
 func (h *Handler) vector(addr directory.Addr) *directory.SharerSet {
-	v, ok := h.vectors[addr]
-	if !ok {
-		nv := h.mc.Dir().Space().NewSet(-1)
-		v = &nv
-		h.vectors[addr] = v
-		h.stats.VectorsAllocated++
-		if len(h.vectors) > h.stats.MaxResident {
-			h.stats.MaxResident = len(h.vectors)
-		}
-	}
-	return v
+	return h.vectors.get(h.mc, addr, &h.stats)
 }
 
 // empty moves every hardware pointer (and the Local Bit) into the vector,
 // leaving the hardware array free to absorb more reads.
 func (h *Handler) empty(e *directory.Entry, v *directory.SharerSet) {
-	for _, p := range e.Ptrs.Nodes() {
-		v.Add(p)
+	for _, p := range h.vectors.nodes(&e.Ptrs) {
+		v.Add(mesh.NodeID(p))
 	}
 	if e.Local {
 		v.Add(h.mc.ID())
@@ -152,9 +195,7 @@ func (h *Handler) empty(e *directory.Entry, v *directory.SharerSet) {
 // free discards the software vector for addr, returning its spill words
 // to the space.
 func (h *Handler) free(addr directory.Addr) {
-	if v, ok := h.vectors[addr]; ok {
-		v.Release()
-		delete(h.vectors, addr)
+	if h.vectors.drop(addr) {
 		h.stats.VectorsFreed++
 	}
 }
@@ -163,7 +204,7 @@ func (h *Handler) free(addr directory.Addr) {
 // directory entry in a consistent state and call Release exactly once so
 // the controller clears the Trans-In-Progress interlock.
 func (h *Handler) Handle(p *ipi.Packet) {
-	src, m := coherence.DecodeIPI(p)
+	src, m := h.mc.Decode(p)
 	h.stats.PacketsHandled++
 	e := h.mc.Dir().Entry(m.Addr)
 
@@ -200,7 +241,7 @@ func (h *Handler) overflowRead(src mesh.NodeID, m *coherence.Msg, e *directory.E
 	h.empty(e, v)
 	v.Add(src)
 	e.NoteSharers(v.Len())
-	h.mc.Send(src, &coherence.Msg{Type: coherence.RDATA, Addr: m.Addr, Value: e.Value, Next: -1})
+	h.mc.Send(src, coherence.Msg{Type: coherence.RDATA, Addr: m.Addr, Value: e.Value, Next: -1})
 	// Trap-On-Write: hardware resumes servicing reads with the emptied
 	// pointer array; the next overflow (or any write) traps again.
 	e.Meta = directory.TrapOnWrite
@@ -219,13 +260,12 @@ func (h *Handler) writeTermination(src mesh.NodeID, m *coherence.Msg, e *directo
 	// transition-3 convention: the requester's stale read copy, if any, is
 	// superseded by the WDATA it is about to receive — but its cache must
 	// still drop the old copy, so invalidate it too and count the ack).
-	targets := v.Nodes()
 	n := 0
-	for _, k := range targets {
-		if k == src {
+	for _, k := range h.vectors.nodes(v) {
+		if mesh.NodeID(k) == src {
 			continue
 		}
-		h.mc.Send(k, &coherence.Msg{Type: coherence.INV, Addr: m.Addr, Next: -1})
+		h.mc.Send(mesh.NodeID(k), coherence.Msg{Type: coherence.INV, Addr: m.Addr, Next: -1})
 		h.stats.InvalidationsSent++
 		n++
 	}
@@ -242,7 +282,7 @@ func (h *Handler) writeTermination(src mesh.NodeID, m *coherence.Msg, e *directo
 	if n == 0 {
 		// No other copies: grant immediately (hardware transition 2).
 		e.State = directory.ReadWrite
-		h.mc.Send(src, &coherence.Msg{Type: coherence.WDATA, Addr: m.Addr, Value: e.Value, Next: -1})
+		h.mc.Send(src, coherence.Msg{Type: coherence.WDATA, Addr: m.Addr, Value: e.Value, Next: -1})
 	} else {
 		e.State = directory.WriteTransaction
 		e.AckCtr = n

@@ -5,6 +5,7 @@ import (
 
 	"limitless/internal/coherence"
 	"limitless/internal/directory"
+	"limitless/internal/ipi"
 	"limitless/internal/mesh"
 	"limitless/internal/swdir"
 )
@@ -20,7 +21,7 @@ type fakeCtl struct {
 
 type sent struct {
 	dst mesh.NodeID
-	msg *coherence.Msg
+	msg coherence.Msg
 }
 
 func newFake(nodes int, ptrs int) *fakeCtl {
@@ -34,7 +35,11 @@ func newFake(nodes int, ptrs int) *fakeCtl {
 func (f *fakeCtl) ID() mesh.NodeID       { return f.id }
 func (f *fakeCtl) Nodes() int            { return f.nodes }
 func (f *fakeCtl) Dir() *directory.Store { return f.dir }
-func (f *fakeCtl) Send(dst mesh.NodeID, m *coherence.Msg) {
+func (f *fakeCtl) Decode(p *ipi.Packet) (mesh.NodeID, *coherence.Msg) {
+	src, m := coherence.DecodeIPI(p)
+	return src, &m
+}
+func (f *fakeCtl) Send(dst mesh.NodeID, m coherence.Msg) {
 	f.sent = append(f.sent, sent{dst, m})
 }
 func (f *fakeCtl) Release(addr directory.Addr) { f.released = append(f.released, addr) }
@@ -56,7 +61,7 @@ func trap(f *fakeCtl, h swdir.PacketHandler, src mesh.NodeID, m *coherence.Msg) 
 	e := f.dir.Entry(m.Addr)
 	e.Meta = directory.TransInProgress
 	e.Pending++
-	h.Handle(coherence.EncodeIPI(src, m))
+	h.Handle(coherence.EncodeIPI(new(ipi.Packet), src, m))
 }
 
 func TestHandlerOverflowBuildsVector(t *testing.T) {
@@ -244,7 +249,7 @@ func TestMuxWithoutDefaultPanics(t *testing.T) {
 			t.Error("mux with no default did not panic")
 		}
 	}()
-	mux.Handle(coherence.EncodeIPI(0, &coherence.Msg{Type: coherence.RREQ, Addr: 1, Next: -1}))
+	mux.Handle(coherence.EncodeIPI(new(ipi.Packet), 0, &coherence.Msg{Type: coherence.RREQ, Addr: 1, Next: -1}))
 }
 
 func TestLockHandlerGrantsFIFO(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"limitless/internal/coherence"
 	"limitless/internal/directory"
 	"limitless/internal/ipi"
+	"limitless/internal/mesh"
 )
 
 // UpdateHandler implements the Section 6 update-mode extension: "the
@@ -22,6 +23,7 @@ import (
 type UpdateHandler struct {
 	mc      Controller
 	readers map[directory.Addr]*directory.SharerSet
+	buf     []directory.Node // sharer-walk buffer
 	stats   Stats
 	// Updates counts UPDD messages multicast.
 	Updates uint64
@@ -54,7 +56,7 @@ func (h *UpdateHandler) Stats() Stats { return h.stats }
 
 // Handle implements PacketHandler for update-mode blocks.
 func (h *UpdateHandler) Handle(p *ipi.Packet) {
-	src, m := coherence.DecodeIPI(p)
+	src, m := h.mc.Decode(p)
 	h.stats.PacketsHandled++
 	v, ok := h.readers[m.Addr]
 	if !ok {
@@ -69,7 +71,7 @@ func (h *UpdateHandler) Handle(p *ipi.Packet) {
 	switch m.Type {
 	case coherence.RREQ:
 		v.Add(src)
-		h.mc.Send(src, &coherence.Msg{Type: coherence.RDATA, Addr: m.Addr, Value: e.Value, Next: -1})
+		h.mc.Send(src, coherence.Msg{Type: coherence.RDATA, Addr: m.Addr, Value: e.Value, Next: -1})
 
 	case coherence.UWREQ:
 		old := e.Value
@@ -82,11 +84,12 @@ func (h *UpdateHandler) Handle(p *ipi.Packet) {
 		// copy needs the new value too — gets an in-place update. The
 		// writer's UPDD precedes its UACK (in-order delivery), so its
 		// copy is current by the time the store commits.
-		for _, k := range v.Nodes() {
-			h.mc.Send(k, &coherence.Msg{Type: coherence.UPDD, Addr: m.Addr, Value: e.Value, Next: -1})
+		h.buf = v.NodesInto(h.buf[:0])
+		for _, k := range h.buf {
+			h.mc.Send(mesh.NodeID(k), coherence.Msg{Type: coherence.UPDD, Addr: m.Addr, Value: e.Value, Next: -1})
 			h.Updates++
 		}
-		h.mc.Send(src, &coherence.Msg{Type: coherence.UACK, Addr: m.Addr, Value: old, Next: -1})
+		h.mc.Send(src, coherence.Msg{Type: coherence.UACK, Addr: m.Addr, Value: old, Next: -1})
 
 	case coherence.WREQ:
 		// A store from a node that has not registered the block as

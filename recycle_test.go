@@ -1,12 +1,14 @@
 package limitless_test
 
 // Run-scoped memory is recycled through process-wide pools when a machine
-// is released: cache pages, message chunks, directory tables and entry
-// chunks, engine buckets and event free lists. These tests check that a
-// machine built on recycled memory is indistinguishable from one built on
-// fresh memory, whatever state the previous machines were released in.
+// is released: every node's controllers, processor, cache and IPI queue,
+// cache pages, message chunks, directory tables and entry chunks, engine
+// buckets and event free lists. These tests check that a machine built on
+// recycled memory is indistinguishable from one built on fresh memory,
+// whatever state the previous machines were released in.
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"strings"
@@ -19,44 +21,91 @@ import (
 	"limitless/internal/machine"
 	"limitless/internal/mesh"
 	"limitless/internal/proc"
+	"limitless/internal/trace"
 	"limitless/internal/workload"
 )
 
-// TestRecycleAfterDissimilarRuns releases machines of other sizes, engines
-// and oracle configurations, halted in every way a run can halt (finished,
-// cut at a cycle limit, tripped by the watchdog, aborted by the transport),
-// between two identical runs; the two must give equal Results.
+// TestRecycleAfterDissimilarRuns releases machines of other sizes, engines,
+// schemes, handler bindings and oracle configurations, halted in every way
+// a run can halt (finished, cut at a cycle limit, tripped by the watchdog,
+// aborted by the transport), between two identical reference runs; the two
+// must give equal Results. The chain then runs again in reverse order,
+// each configuration twice in a row, so it draws the per-node objects
+// first a different configuration and then it itself left in the pools —
+// processor contexts, chained list positions, update-mode marks,
+// deferred packets, IPI packets — and must repeat its first Result each
+// time. Neighbours are chosen to touch what the one before leaves: the
+// software-only run traps on the FIFO lock's address, and a plain
+// producer-consumer run stores to the variable the update-mode run
+// registered.
 func TestRecycleAfterDissimilarRuns(t *testing.T) {
 	ref := limitless.Config{Procs: 16, Scheme: limitless.LimitLESS, Pointers: 4, TrapService: 50, Verify: true}
 	first, err := limitless.Run(ref, limitless.Weather(16))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var traced bytes.Buffer
+	if err := trace.Write(&traced, trace.Generate(trace.DefaultGen(16))); err != nil {
+		t.Fatal(err)
+	}
+	fromTrace := func() limitless.Workload {
+		wl, err := limitless.FromTrace(bytes.NewReader(traced.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wl
+	}
+	wl := func(w limitless.Workload) func() limitless.Workload {
+		return func() limitless.Workload { return w }
+	}
 	chain := []struct {
 		name    string
 		cfg     limitless.Config
-		wl      limitless.Workload
-		wantErr string // substring of the expected error; empty for none
+		wl      func() limitless.Workload // the trace workload replays shared state, so each run builds its own
+		wantErr string                    // substring of the expected error; empty for none
 	}{
-		{"p256-shards4", limitless.Config{Procs: 256, Shards: 4, ShardWorkers: 4}, limitless.Weather(256), ""},
+		{"p256-shards4", limitless.Config{Procs: 256, Shards: 4, ShardWorkers: 4}, wl(limitless.Weather(256)), ""},
 		{"lossy", limitless.Config{Procs: 64,
-			Faults: "42:delay=0.05,dup=0.02,stall=0.1,trap=0.1,drop=0.02,corrupt=0.01"}, limitless.Weather(64), ""},
+			Faults: "42:delay=0.05,dup=0.02,stall=0.1,trap=0.1,drop=0.02,corrupt=0.01"}, wl(limitless.Weather(64)), ""},
 		{"heap-boxed", limitless.WithOracles(limitless.Config{Procs: 64, Scheme: limitless.FullMap},
-			machine.OracleHeap|machine.OracleBoxed), limitless.Multigrid(64), ""},
-		{"max-cycles", limitless.Config{Procs: 64, MaxCycles: 3000}, limitless.Weather(64), "exceeded"},
+			machine.OracleHeap|machine.OracleBoxed), wl(limitless.Multigrid(64)), ""},
+		{"contexts4", limitless.Config{Procs: 64, Contexts: 4}, wl(limitless.Weather(64)), ""},
+		{"chained-migratory", limitless.Config{Procs: 16, Scheme: limitless.Chained}, wl(limitless.Migratory(16, 4)), ""},
+		{"fifo-locks", limitless.Config{Procs: 16, FIFOLocks: []limitless.Addr{limitless.LockAddr()}},
+			wl(limitless.LockContention(16, 4)), ""},
+		{"software-only", limitless.Config{Procs: 16, Scheme: limitless.SoftwareOnly}, wl(limitless.LockContention(16, 4)), ""},
+		{"update-mode", limitless.Config{Procs: 16, UpdateMode: []limitless.Addr{limitless.ProducerConsumerAddr()}},
+			wl(limitless.ProducerConsumer(16, 4)), ""},
+		{"producer-consumer", limitless.Config{Procs: 16}, wl(limitless.ProducerConsumer(16, 4)), ""},
+		{"trace", limitless.Config{Procs: 16}, fromTrace, ""},
+		{"max-cycles", limitless.Config{Procs: 64, MaxCycles: 3000}, wl(limitless.Weather(64)), "exceeded"},
 		{"watchdog", limitless.Config{Procs: 16, Pointers: 2, TrapService: 400_000, WatchdogCycles: 2_000,
-			MaxCycles: 50_000_000}, limitless.Weather(16), "watchdog"},
+			MaxCycles: 50_000_000}, wl(limitless.Weather(16)), "watchdog"},
 		{"transport-abort", limitless.Config{Procs: 16, Scheme: limitless.FullMap, Faults: "1:drop=1,rto=16,rmax=3",
 			Shards: 2, ShardWorkers: 2, WatchdogCycles: 500_000, MaxCycles: 10_000_000},
-			limitless.Weather(16), "retransmit budget"},
+			wl(limitless.Weather(16)), "retransmit budget"},
 	}
-	for _, c := range chain {
-		_, err := limitless.Run(c.cfg, c.wl)
+	run := func(i int) limitless.Result {
+		c := chain[i]
+		res, err := limitless.Run(c.cfg, c.wl())
 		switch {
 		case c.wantErr == "" && err != nil:
 			t.Fatalf("%s: %v", c.name, err)
 		case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
 			t.Fatalf("%s: error %v, want one containing %q", c.name, err, c.wantErr)
+		}
+		return res
+	}
+	results := make([]limitless.Result, len(chain))
+	for i := range chain {
+		results[i] = run(i)
+	}
+	for i := len(chain) - 1; i >= 0; i-- {
+		for _, after := range []string{"the next configuration", "itself"} {
+			if res := run(i); !reflect.DeepEqual(res, results[i]) {
+				t.Errorf("%s on the memory %s left differs from its first run:\nfirst %+v\nagain %+v",
+					chain[i].name, after, results[i], res)
+			}
 		}
 	}
 	last, err := limitless.Run(ref, limitless.Weather(16))
@@ -68,12 +117,14 @@ func TestRecycleAfterDissimilarRuns(t *testing.T) {
 	}
 }
 
-// TestRecycleDoubleRelease releases a machine twice, then keeps a machine
-// that was cut off mid-run (transactions outstanding, messages in flight,
-// events queued) alive while a second machine runs to completion. A second
-// Release that put anything back twice would hand one page, chunk or table
-// to both machines, and the second run would overwrite the first machine's
-// state.
+// TestRecycleDoubleRelease releases a machine a second time in two orders
+// — straight after the first Release, and after another machine has been
+// built from the node components the first Release pooled — while that
+// other machine, cut off mid-run (transactions outstanding, messages in
+// flight, events queued), stays alive and a third machine runs to
+// completion. A second Release that put anything back would hand the live
+// machine's controllers, pages, chunks or tables to the third one, and its
+// run would overwrite the live machine's state.
 func TestRecycleDoubleRelease(t *testing.T) {
 	build := func(wls []proc.Workload) *machine.Machine {
 		m := machine.New(machine.Config{Width: 4, Height: 4, Contexts: 1, Params: coherence.DefaultParams(16)})
@@ -88,31 +139,37 @@ func TestRecycleDoubleRelease(t *testing.T) {
 	fresh := build(multigrid())
 	want := fresh.Run()
 
-	a := build(weather())
-	a.Run()
-	a.Release()
-	a.Release()
-
-	b := build(weather())
-	if _, done := b.RunUntil(3000); done {
-		t.Fatal("weather P=16 finished within 3000 cycles; the cut must leave work in flight")
+	for _, order := range []string{"release twice, then build", "release, build, release again"} {
+		a := build(weather())
+		a.Run()
+		a.Release()
+		if order == "release twice, then build" {
+			a.Release()
+		}
+		b := build(weather())
+		if order == "release, build, release again" {
+			a.Release()
+		}
+		if _, done := b.RunUntil(3000); done {
+			t.Fatal("weather P=16 finished within 3000 cycles; the cut must leave work in flight")
+		}
+		before := snapshot(b)
+		if !strings.Contains(before, "outstanding") {
+			t.Fatal("the cut left no outstanding transaction to watch")
+		}
+		c := build(multigrid())
+		if got := c.Run(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: a machine built after a double Release ran differently:\ngot  %+v\nwant %+v", order, got, want)
+		}
+		if bad := check.EndState(c); len(bad) > 0 {
+			t.Errorf("%s: coherence violations after a double Release: %v", order, bad)
+		}
+		if after := snapshot(b); after != before {
+			t.Errorf("%s: running one machine changed another's state: a second Release handed memory to both", order)
+		}
+		c.Release()
+		b.Release()
 	}
-	before := snapshot(b)
-	if !strings.Contains(before, "outstanding") {
-		t.Fatal("the cut left no outstanding transaction to watch")
-	}
-	c := build(multigrid())
-	if got := c.Run(); !reflect.DeepEqual(got, want) {
-		t.Errorf("a machine built after a double Release ran differently:\ngot  %+v\nwant %+v", got, want)
-	}
-	if bad := check.EndState(c); len(bad) > 0 {
-		t.Errorf("coherence violations after a double Release: %v", bad)
-	}
-	if after := snapshot(b); after != before {
-		t.Errorf("running one machine changed another's state: a second Release handed memory to both")
-	}
-	c.Release()
-	b.Release()
 }
 
 // snapshot renders a machine's observable state: every directory entry,
