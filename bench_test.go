@@ -213,44 +213,13 @@ func BenchmarkFaultedThroughput(b *testing.B) {
 	b.ReportMetric(float64(retrans)/float64(b.N), "retransmits")
 }
 
-// BenchmarkShardedThroughput measures the windowed sharded engine on the
-// same 64-processor LimitLESS4 Weather run at requested shard counts 1 to
-// 64. Each point sets only Shards, and the machine builds one shard per
-// worker, so at -cpu N a point runs min(shards, N) shards: the -cpu list is
-// the real shard sweep, and every point at or above N repeats the shards-N
-// point. shards-1 runs one engine, as BenchmarkSimulatorThroughput does;
-// the speedup of the -cpu 2, 4, ... runs over it is the intra-simulation
-// parallelism gain, with the same Result at every point. It is for ad hoc
-// profiling: bash bench/run.sh gates no windowed run.
-func BenchmarkShardedThroughput(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8, 16, 64} {
-		shards := shards
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			cfg := limitless.Config{Procs: benchProcs, Scheme: limitless.LimitLESS, Pointers: 4, Shards: shards}
-			var cycles int64
-			var events uint64
-			for i := 0; i < b.N; i++ {
-				res, err := limitless.Run(cfg, limitless.Weather(benchProcs))
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles += res.Cycles
-				events += res.Events
-			}
-			b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "simcycles/s")
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
-		})
-	}
-}
-
 // BenchmarkShardedP256 is the scale point: a 256-processor (16×16 mesh)
-// LimitLESS4 Weather run with Shards: 16, which builds one shard per
-// worker: min(16, N) shards at -cpu N. Larger machines are where windowed
-// sharding has to pay off — per-engine working sets stay cache-sized while
-// the coordinator still runs one O(shards) pass per window.
+// LimitLESS4 Weather run. The name is kept from the windowed sharded
+// engine it once measured, so earlier results stay comparable; the run is
+// one engine, like every run.
 func BenchmarkShardedP256(b *testing.B) {
 	const procs = 256
-	cfg := limitless.Config{Procs: procs, Scheme: limitless.LimitLESS, Pointers: 4, Shards: 16}
+	cfg := limitless.Config{Procs: procs, Scheme: limitless.LimitLESS, Pointers: 4}
 	var cycles int64
 	var events uint64
 	var last limitless.Result
@@ -269,15 +238,15 @@ func BenchmarkShardedP256(b *testing.B) {
 }
 
 // BenchmarkShardedP1024 is the machine the packed directory exists for: a
-// 1024-processor (32x32 mesh) LimitLESS4 Weather run with Shards: 64, so
-// min(64, N) shards at -cpu N, one per worker. At this size the boxed
+// 1024-processor (32x32 mesh) LimitLESS4 Weather run on one engine, named
+// like BenchmarkShardedP256. At this size the boxed
 // sharer sets cost ~200 B/entry where the packed inline representation
 // stays at its 24 B header until a set spills, and the compact node walks
 // touch a quarter of the cache lines — the dirbytes metric pins the
 // footprint alongside the throughput.
 func BenchmarkShardedP1024(b *testing.B) {
 	const procs = 1024
-	cfg := limitless.Config{Procs: procs, Scheme: limitless.LimitLESS, Pointers: 4, Shards: 64}
+	cfg := limitless.Config{Procs: procs, Scheme: limitless.LimitLESS, Pointers: 4}
 	var cycles int64
 	var events uint64
 	var last limitless.Result

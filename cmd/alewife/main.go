@@ -6,7 +6,6 @@
 //	alewife [-scheme limitless] [-pointers 4] [-ts 50] [-procs 64]
 //	        [-workload weather|weather-opt|multigrid|synthetic|migratory|locks|prodcons]
 //	        [-workerset 8] [-contexts 1] [-trace file] [-verify]
-//	        [-shards 0] [-shard-workers 0]
 //	        [-faults seed:key=value,...] [-watchdog cycles]
 //	        [-cpuprofile file] [-memprofile file]
 //	alewife -list-schemes
@@ -21,7 +20,6 @@ import (
 	"runtime/pprof"
 
 	limitless "limitless"
-	"limitless/internal/machine"
 )
 
 var (
@@ -34,8 +32,6 @@ var (
 	ctxFlag      = flag.Int("contexts", 1, "processor hardware contexts")
 	traceFlag    = flag.String("trace", "", "replay a trace file instead of a built-in workload")
 	verifyFlag   = flag.Bool("verify", false, "run the coherence checker after the workload finishes")
-	shardsFlag   = flag.Int("shards", 0, "run on the windowed sharded engine with up to this many mesh tiles, one per shard worker (0 or one tile = one engine; never changes results)")
-	shardWFlag   = flag.Int("shard-workers", 0, "goroutines executing shards, one shard each, so it caps the tiles -shards builds (0 = GOMAXPROCS; never changes results)")
 	faultsFlag   = flag.String("faults", "", "deterministic fault injection, \"seed:key=value,...\" (keys: delay, delaymax, dup, dupdelay, stall, stallperiod, stallcycles, trap, trapextra, drop, corrupt, rto, rmax; drop/corrupt arm the reliable transport)")
 	watchdogFlag = flag.Int64("watchdog", 0, "halt with a diagnostic dump after this many cycles without forward progress (0 = off)")
 	cpuProfFlag  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
@@ -76,12 +72,6 @@ func main() {
 			*procsFlag, limitless.MaxProcs, limitless.MaxProcs)
 		os.Exit(2)
 	}
-	if *traceFlag != "" && *shardsFlag > 1 {
-		fmt.Fprintf(os.Stderr,
-			"alewife: -trace and -shards %d cannot be combined: trace replay shares one event cursor across all processors, which the parallel sharded engine would race on; drop -shards or use a generated -workload\n",
-			*shardsFlag)
-		os.Exit(2)
-	}
 	faultSpec, err := limitless.NormalizeFaults(*faultsFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "alewife: -faults:", err)
@@ -95,8 +85,6 @@ func main() {
 		TrapService:    *tsFlag,
 		Contexts:       *ctxFlag,
 		Verify:         *verifyFlag,
-		Shards:         *shardsFlag,
-		ShardWorkers:   *shardWFlag,
 		Faults:         *faultsFlag,
 		WatchdogCycles: *watchdogFlag,
 	}
@@ -181,13 +169,6 @@ func main() {
 
 	fmt.Printf("machine:   %d processors, %s with %d pointers, T_s=%d, %d context(s)\n",
 		cfg.Procs, cfg.Scheme, cfg.Pointers, cfg.TrapService, maxInt(cfg.Contexts, 1))
-	if cfg.Shards > 0 {
-		if k := machine.ShardCount(cfg.Shards, cfg.ShardWorkers, cfg.Procs); k > 1 {
-			fmt.Printf("engine:    %d windowed shards of %d requested (one per worker)\n", k, cfg.Shards)
-		} else {
-			fmt.Printf("engine:    one engine (%d shards requested)\n", cfg.Shards)
-		}
-	}
 	if faultSpec != "" {
 		fmt.Printf("faults:    %s\n", faultSpec)
 	}

@@ -9,63 +9,46 @@ import (
 
 const chaosSpec = "42:delay=0.05,dup=0.02,stall=0.1,trap=0.1"
 
-func runWeather16(t *testing.T, faults string, watchdog int64, shards int) limitless.Result {
+func runWeather16(t *testing.T, faults string, watchdog int64) limitless.Result {
 	t.Helper()
 	cfg := limitless.Config{Procs: 16, Scheme: limitless.LimitLESS, Pointers: 4,
-		TrapService: 50, Faults: faults, WatchdogCycles: watchdog,
-		Shards: shards, ShardWorkers: shards}
+		TrapService: 50, Faults: faults, WatchdogCycles: watchdog}
 	res, err := limitless.Run(cfg, limitless.Weather(16))
 	if err != nil {
-		t.Fatalf("faults=%q shards=%d: %v", faults, shards, err)
+		t.Fatalf("faults=%q: %v", faults, err)
 	}
 	return res
 }
 
 // TestFaultsZeroRateBitIdentical pins the acceptance criterion that the
 // fault subsystem is pay-for-use: an absent spec and an all-zero-rate spec
-// produce the exact pre-fault-subsystem cycle count on one engine and on
-// four windowed shards (weather at P=16: 10411 on both).
+// produce the exact pre-fault-subsystem cycle count (weather at P=16:
+// 10411).
 func TestFaultsZeroRateBitIdentical(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		shards int
-		cycles int64
-	}{
-		{"one-engine", 0, 10411},
-		{"sharded-4", 4, 10411},
-	} {
-		base := runWeather16(t, "", 0, tc.shards)
-		if base.Cycles != tc.cycles {
-			t.Errorf("%s baseline drifted: cycles = %d, want %d", tc.name, base.Cycles, tc.cycles)
-		}
-		zero := runWeather16(t, "7:", 0, tc.shards)
-		if zero != base {
-			t.Errorf("%s: zero-rate fault spec perturbed the run:\n got %+v\nwant %+v", tc.name, zero, base)
-		}
-		// A watchdog alone must observe, never steer.
-		dog := runWeather16(t, "", 1_000_000, tc.shards)
-		if dog != base {
-			t.Errorf("%s: watchdog perturbed a healthy run:\n got %+v\nwant %+v", tc.name, dog, base)
-		}
+	base := runWeather16(t, "", 0)
+	if base.Cycles != 10411 {
+		t.Errorf("baseline drifted: cycles = %d, want 10411", base.Cycles)
+	}
+	zero := runWeather16(t, "7:", 0)
+	if zero != base {
+		t.Errorf("zero-rate fault spec perturbed the run:\n got %+v\nwant %+v", zero, base)
+	}
+	// A watchdog alone must observe, never steer.
+	dog := runWeather16(t, "", 1_000_000)
+	if dog != base {
+		t.Errorf("watchdog perturbed a healthy run:\n got %+v\nwant %+v", dog, base)
 	}
 }
 
 // TestFaultsReplayable: the same fault seed replays the identical injected
-// schedule — rerunning a faulted configuration is bit-identical, and the
-// schedule is a property of the spec, not of the engine partitioning
-// (Shards 1, 2, 4 all agree).
+// schedule — rerunning a faulted configuration is bit-identical.
 func TestFaultsReplayable(t *testing.T) {
-	first := runWeather16(t, chaosSpec, 500_000, 1)
+	first := runWeather16(t, chaosSpec, 500_000)
 	if first.Cycles == 0 || first.Messages == 0 {
 		t.Fatalf("degenerate faulted run: %+v", first)
 	}
-	if again := runWeather16(t, chaosSpec, 500_000, 1); again != first {
+	if again := runWeather16(t, chaosSpec, 500_000); again != first {
 		t.Errorf("identical fault seed diverged across reruns:\n%+v\n%+v", first, again)
-	}
-	for _, shards := range []int{2, 4} {
-		if got := runWeather16(t, chaosSpec, 500_000, shards); got != first {
-			t.Errorf("shards=%d: faulted run diverged from shards=1:\n got %+v\nwant %+v", shards, got, first)
-		}
 	}
 }
 
@@ -73,8 +56,8 @@ func TestFaultsReplayable(t *testing.T) {
 // a no-op: nonzero rates must change timing, reach the duplicate
 // suppression path, and a different seed must produce a different schedule.
 func TestFaultsActuallyPerturb(t *testing.T) {
-	base := runWeather16(t, "", 0, 0)
-	faulted := runWeather16(t, chaosSpec, 0, 0)
+	base := runWeather16(t, "", 0)
+	faulted := runWeather16(t, chaosSpec, 0)
 	if faulted.Cycles == base.Cycles {
 		t.Errorf("fault injection changed nothing: both runs took %d cycles", base.Cycles)
 	}
@@ -84,7 +67,7 @@ func TestFaultsActuallyPerturb(t *testing.T) {
 	if faulted.Violations != 0 {
 		t.Errorf("survivable faults recorded %d protocol violations", faulted.Violations)
 	}
-	other := runWeather16(t, "43:delay=0.05,dup=0.02,stall=0.1,trap=0.1", 0, 0)
+	other := runWeather16(t, "43:delay=0.05,dup=0.02,stall=0.1,trap=0.1", 0)
 	if other == faulted {
 		t.Errorf("seeds 42 and 43 produced identical results — seed is not feeding the schedule")
 	}

@@ -35,10 +35,6 @@ type ChaosConfig struct {
 	Seeds int
 	// Faults is the fault mix (Seed is overridden per run).
 	Faults fault.Config
-	// Shards is the machine's shard count, each shard on its own worker:
-	// 0 or 1 runs one engine, more runs windowed shards. Every value gives
-	// the same results.
-	Shards int
 	// Watchdog is the per-run no-progress budget in cycles.
 	Watchdog sim.Time
 	// Deadline bounds each run; exceeding it is reported as a livelock.
@@ -95,9 +91,6 @@ func chaosOne(cfg ChaosConfig, seed uint64, rep *Report) []string {
 		Params:   params,
 		Faults:   fault.New(fcfg),
 		Watchdog: cfg.Watchdog,
-		Shards:   cfg.Shards,
-		// One worker per shard, so the partition built is the one asked for.
-		ShardWorkers: cfg.Shards,
 	})
 
 	obs := NewObserver()
@@ -112,7 +105,7 @@ func chaosOne(cfg ChaosConfig, seed uint64, rep *Report) []string {
 		id := id
 		rng := xorshift(seed ^ (uint64(id)+1)*0xBF58476D1CE4E5B9)
 		// Written values are node-tagged so they stay globally unique without
-		// a cross-node counter (workloads run on concurrent shard goroutines).
+		// a cross-node counter.
 		var stamp uint64
 		wl := workload.NewThread(func(t *workload.Thread) {
 			workload.Loop(t, cfg.OpsPerProc, func(_ int, t *workload.Thread, next func(*workload.Thread)) {

@@ -63,25 +63,3 @@ func TestChaosMatrix(t *testing.T) {
 		})
 	}
 }
-
-// TestChaosSharded runs the matrix's default scheme on four windowed
-// shards: the same fault plans must be survivable under sharded execution
-// (the watchdog and recorder plumbing cross the barrier machinery there).
-// One engine is the matrix itself.
-func TestChaosSharded(t *testing.T) {
-	for _, shards := range []int{4} {
-		cfg := DefaultChaos(coherence.LimitLESS, 4)
-		cfg.Shards = shards
-		cfg.Seeds = 2
-		rep := Chaos(cfg)
-		if !rep.Ok() {
-			for i, v := range rep.Violations {
-				if i == 10 {
-					t.Errorf("shards=%d: ... and %d more", shards, len(rep.Violations)-i)
-					break
-				}
-				t.Errorf("shards=%d: %s", shards, v)
-			}
-		}
-	}
-}

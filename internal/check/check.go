@@ -31,8 +31,8 @@ type Violation = fault.Violation
 // has already observed or produced on that block — the coherence
 // requirement sequential consistency builds on.
 type Observer struct {
-	// mu serializes notes: under the sharded engine, workload completions
-	// (and hence NoteRead/NoteWrite) run on concurrent shard goroutines.
+	// mu serializes notes, so one observer may watch simulations that run
+	// at once on several goroutines, as SweepN's points do.
 	mu sync.Mutex
 	// writes[addr] is the value log in commit order (index 0 = initial 0).
 	writes map[directory.Addr][]uint64

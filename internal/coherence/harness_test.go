@@ -49,7 +49,7 @@ func newRig(t *testing.T, w, h int, params coherence.Params) *rig {
 	eng := sim.New()
 	params.Nodes = w * h
 	nw := mesh.New(mesh.DefaultConfig(w, h))
-	port := nw.ShardPorts([]*sim.Engine{eng}, make([]int, w*h), 1)[0]
+	port := nw.Bind(eng, 1)
 	r := &rig{t: t, eng: eng, nw: nw}
 	for id := mesh.NodeID(0); int(id) < w*h; id++ {
 		n := &rigNode{id: id, eng: eng, latency: params.Timing.TrapEntry + params.Timing.TrapService}

@@ -185,8 +185,9 @@ type Msg struct {
 }
 
 // MinMsgFlits is the length of the shortest protocol message (header +
-// address operand; see Msg.Flits). The sharded engine's lookahead window is
-// derived from the network latency of a packet this short.
+// address operand; see Msg.Flits). The network's lookahead, the minimum
+// latency its flush asserts on every delivery, is derived from the network
+// latency of a packet this short.
 const MinMsgFlits = 2
 
 // Flits returns the packet length in flits for this message given the

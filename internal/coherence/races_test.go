@@ -47,7 +47,7 @@ func newNaked(t *testing.T, params coherence.Params) *naked {
 	eng := sim.New()
 	params.Nodes = 3
 	nw := mesh.New(mesh.DefaultConfig(3, 1))
-	port := nw.ShardPorts([]*sim.Engine{eng}, make([]int, 3), 1)[0]
+	port := nw.Bind(eng, 1)
 	n := &naked{t: t, eng: eng}
 	n.mc = coherence.NewMemoryController(eng, port, 1, params, &nakedSink{n})
 	n.hnd = swdir.New(n.mc)
@@ -293,7 +293,7 @@ func TestParamsValidation(t *testing.T) {
 				}
 			}()
 			eng := sim.New()
-			port := mesh.New(mesh.DefaultConfig(2, 2)).ShardPorts([]*sim.Engine{eng}, make([]int, 4), 1)[0]
+			port := mesh.New(mesh.DefaultConfig(2, 2)).Bind(eng, 1)
 			coherence.NewMemoryController(eng, port, 0, p, nil)
 		}()
 	}

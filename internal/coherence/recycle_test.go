@@ -19,7 +19,7 @@ func TestRecycledControllersStartEmpty(t *testing.T) {
 	build := func() (*CacheController, *MemoryController) {
 		eng := sim.New()
 		nw := mesh.New(mesh.DefaultConfig(2, 1))
-		port := nw.ShardPorts([]*sim.Engine{eng}, make([]int, 2), 1)[0]
+		port := nw.Bind(eng, 1)
 		p := DefaultParams(2)
 		cc := NewCacheController(eng, port, 0, p, HomeOf, cache.New(cache.Config{Lines: 64, BlockWords: 4}))
 		return cc, NewMemoryController(eng, port, 0, p, nil)

@@ -49,7 +49,7 @@ func TestPolicyRegistryComplete(t *testing.T) {
 // drive dispatch-violation paths directly.
 func violationRig(scheme Scheme) (*MemoryController, *CacheController) {
 	eng := sim.New()
-	port := mesh.New(mesh.DefaultConfig(1, 1)).ShardPorts([]*sim.Engine{eng}, []int{0}, 1)[0]
+	port := mesh.New(mesh.DefaultConfig(1, 1)).Bind(eng, 1)
 	p := DefaultParams(1)
 	p.Scheme = scheme
 	mc := NewMemoryController(eng, port, 0, p, nil)

@@ -4,18 +4,18 @@
 // slowdowns, and — the genuine failure classes — in-flight packet loss and
 // checksum corruption. A Plan is a pure function family over (seed,
 // simulated time, endpoints, sequence number): every decision is a
-// stateless hash of partition-independent quantities, so the same seed
-// reproduces the identical fault schedule at any shard count and across
-// reruns — faults perturb the protocol, never the determinism.
+// stateless hash of the event's own coordinates, so the same seed
+// reproduces the identical fault schedule across reruns — faults perturb
+// the protocol, never the determinism.
 //
 // The latency classes (delay, dup, stall, trap) only ever *add* latency.
 // The loss classes (drop, corrupt) destroy packets outright; the mesh's
 // reliable transport (per-link sequence numbers, checksums, timeout-driven
 // retransmission with exponential backoff) recovers them, so every workload
 // stays completable and recovery only ever adds latency too:
-// mesh.Config.MinPacketLatency remains a valid lower bound on cross-shard
-// interaction latency with any plan installed, because a retransmission is
-// just a later injection.
+// mesh.Config.MinPacketLatency remains a valid lower bound on delivery
+// latency with any plan installed, because a retransmission is just a
+// later injection.
 package fault
 
 import (
@@ -74,7 +74,7 @@ type Config struct {
 
 	// RetransTimeout is the base retransmit timeout in cycles (doubled per
 	// failed attempt, capped by the coherence layer's RetryBackoffMax and
-	// floored at the sharded engine's lookahead window). RetransMax is the
+	// floored at the network's lookahead). RetransMax is the
 	// retransmit budget per packet: a packet still unacknowledged after
 	// RetransMax resends is abandoned and the run halts with a structured
 	// diagnostic naming the stuck link.
@@ -255,7 +255,7 @@ func Parse(spec string) (Config, error) {
 
 // Plan is an immutable, concurrency-safe fault schedule. All methods are
 // pure functions of their arguments and the seed, so a Plan may be shared
-// by every shard of a parallel run. A nil *Plan injects nothing.
+// by runs on several goroutines. A nil *Plan injects nothing.
 type Plan struct {
 	cfg Config
 	// Rates as 32-bit fixed-point thresholds: a hash's low 32 bits below
@@ -374,7 +374,7 @@ func (p *Plan) TrapSlowdown(now sim.Time, node int) sim.Time {
 // from src to dst carrying per-link sequence number seq is lost in flight.
 // A retransmission hashes its own departure cycle, so every attempt is an
 // independent trial and the schedule is a pure function of canonical send
-// order — identical at any shard count.
+// order.
 func (p *Plan) Drop(at sim.Time, src, dst int, seq uint64) bool {
 	if p.dropT == 0 {
 		return false

@@ -25,10 +25,9 @@ func (v Violation) String() string {
 	return fmt.Sprintf("cycle %d node %d [%s] state=%s: %s", v.Cycle, v.Node, v.Kind, v.State, v.Msg)
 }
 
-// Recorder accumulates violations. It is safe for concurrent use: under the
-// sharded engine each node's controller runs on its shard's goroutine, and
-// several nodes may share one Recorder. Violations reports in a
-// deterministic order regardless of recording interleaving.
+// Recorder accumulates violations. It is safe for concurrent use, and
+// Violations reports in a deterministic order regardless of recording
+// interleaving.
 type Recorder struct {
 	mu   sync.Mutex
 	recs []Violation
@@ -49,7 +48,7 @@ func (r *Recorder) Len() int {
 }
 
 // Violations returns a sorted copy (by cycle, then node, then message), so
-// the report is identical across shard counts and worker interleavings.
+// the report does not depend on the order violations were recorded in.
 func (r *Recorder) Violations() []Violation {
 	r.mu.Lock()
 	out := make([]Violation, len(r.recs))

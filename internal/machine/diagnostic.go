@@ -54,7 +54,7 @@ type Diagnostic struct {
 	Reason string
 	// InFlight counts network packets injected but not yet ejected.
 	InFlight int
-	// PendingEvents counts simulation events still queued across engines.
+	// PendingEvents counts simulation events still queued.
 	PendingEvents int
 	// Blocked lists the outstanding cache-side transactions, ordered by
 	// (node, block address).
@@ -140,12 +140,10 @@ func (d *Diagnostic) String() string {
 }
 
 // buildDiagnostic snapshots the machine's in-flight state. It runs only
-// after the engines have stopped, so reading controller state is safe.
+// after the engine has stopped, so reading controller state is safe.
 func (m *Machine) buildDiagnostic(end sim.Time, reason string) *Diagnostic {
-	d := &Diagnostic{Cycle: end, Reason: reason, InFlight: m.Net.InFlight()}
-	for _, e := range m.engines {
-		d.PendingEvents += e.Pending()
-	}
+	d := &Diagnostic{Cycle: end, Reason: reason, InFlight: m.Net.InFlight(),
+		PendingEvents: m.Eng.Pending()}
 	for _, n := range m.Nodes {
 		for _, op := range n.CC.OutstandingOps() {
 			d.Blocked = append(d.Blocked, BlockedOp{

@@ -65,37 +65,34 @@ func TestDiagnosticOmitsTransportWhenQuiet(t *testing.T) {
 // every packet: the transport must exhaust its budget, abort the run, and
 // surface a structured diagnostic instead of hanging into the watchdog.
 func TestTransportStuckHaltsMachine(t *testing.T) {
-	for _, shards := range []int{0, 2} {
-		params := coherence.DefaultParams(16)
-		params.Scheme = coherence.FullMap
-		fc, err := fault.Parse("1:drop=1,rto=16,rmax=3")
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := New(Config{
-			Width: 4, Height: 4, Contexts: 1, Params: params,
-			Shards: shards, ShardWorkers: shards, Faults: fault.New(fc), Watchdog: 200_000,
-		})
-		m.SetWorkload(1, 0, workload.NewThread(func(th *workload.Thread) {
-			th.Load(Block(0, 1), func(_ uint64, th *workload.Thread) {})
-		}))
-		m.Run()
-		d := m.Diagnostic()
-		if d == nil {
-			t.Fatalf("shards=%d: lossy-dead run finished without a diagnostic", shards)
-		}
-		if !strings.Contains(d.Reason, "reliable transport") || !strings.Contains(d.Reason, "retransmit budget") {
-			t.Errorf("shards=%d: reason %q does not name the transport", shards, d.Reason)
-		}
-		if len(d.StuckLinks) == 0 {
-			t.Errorf("shards=%d: diagnostic has no stuck links", shards)
-		}
-		if d.Drops == 0 || d.Retransmits == 0 {
-			t.Errorf("shards=%d: transport counters empty: drops=%d retransmits=%d",
-				shards, d.Drops, d.Retransmits)
-		}
-		if !strings.Contains(d.String(), "stuck links:") {
-			t.Errorf("shards=%d: dump missing the stuck-link section:\n%s", shards, d)
-		}
+	params := coherence.DefaultParams(16)
+	params.Scheme = coherence.FullMap
+	fc, err := fault.Parse("1:drop=1,rto=16,rmax=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(Config{
+		Width: 4, Height: 4, Contexts: 1, Params: params,
+		Faults: fault.New(fc), Watchdog: 200_000,
+	})
+	m.SetWorkload(1, 0, workload.NewThread(func(th *workload.Thread) {
+		th.Load(Block(0, 1), func(_ uint64, th *workload.Thread) {})
+	}))
+	m.Run()
+	d := m.Diagnostic()
+	if d == nil {
+		t.Fatal("lossy-dead run finished without a diagnostic")
+	}
+	if !strings.Contains(d.Reason, "reliable transport") || !strings.Contains(d.Reason, "retransmit budget") {
+		t.Errorf("reason %q does not name the transport", d.Reason)
+	}
+	if len(d.StuckLinks) == 0 {
+		t.Error("diagnostic has no stuck links")
+	}
+	if d.Drops == 0 || d.Retransmits == 0 {
+		t.Errorf("transport counters empty: drops=%d retransmits=%d", d.Drops, d.Retransmits)
+	}
+	if !strings.Contains(d.String(), "stuck links:") {
+		t.Errorf("dump missing the stuck-link section:\n%s", d)
 	}
 }

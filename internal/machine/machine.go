@@ -6,7 +6,6 @@ package machine
 
 import (
 	"fmt"
-	"runtime"
 
 	"limitless/internal/cache"
 	"limitless/internal/coherence"
@@ -50,19 +49,13 @@ type Config struct {
 	// paths (see DESIGN.md, "Reference configuration"). Every combination
 	// gives bit-identical results; the zero value runs every fast path.
 	Oracles Oracles
-	// Shards, when above one, splits the nodes into contiguous tiles, each
-	// with its own engine and its own goroutine, executed concurrently in
-	// conservative time windows with all network traffic claimed at the
-	// window barriers. Every Shards value gives the same Result: one engine
-	// (Shards 0 or 1, or any Shards on one worker) claims each cycle's
-	// network traffic at the end of that cycle in the same canonical
-	// order. The partition never shows in results and only goroutines buy
-	// speed, so New builds one tile per worker: ShardCount clamps Shards to
-	// the worker count and to the node count.
+	// Shards is read by nothing: every machine runs on one engine.
+	//
+	// Deprecated: the windowed sharded engine it selected is gone.
 	Shards int
-	// ShardWorkers is the number of goroutines executing shards
-	// concurrently (0 = GOMAXPROCS), and so caps the shards built. It
-	// affects only wall-clock speed, never results.
+	// ShardWorkers is read by nothing.
+	//
+	// Deprecated: the windowed sharded engine it selected is gone.
 	ShardWorkers int
 	// Faults, when non-nil, injects the plan's deterministic faults —
 	// packet delays, link stall windows, duplicate deliveries, trap
@@ -84,7 +77,7 @@ type Config struct {
 type Oracles uint8
 
 const (
-	// OracleHeap runs the engines on the binary heap instead of the timing
+	// OracleHeap runs the engine on the binary heap instead of the timing
 	// wheel.
 	OracleHeap Oracles = 1 << iota
 	// OracleBoxed keeps directory sharer sets in heap pointer-set objects
@@ -118,27 +111,21 @@ type Node struct {
 	SW     *swdir.Handler
 	SWFull *swdir.SoftwareHandler
 
-	// m and eng are the node's machine and engine.
-	m   *Machine
-	eng *sim.Engine
+	// m is the node's machine.
+	m *Machine
 }
 
 // Machine is the assembled multiprocessor.
 type Machine struct {
-	// Eng is the first engine: the only one unless the machine runs
-	// windowed shards.
+	// Eng is the engine every node runs on.
 	Eng   *sim.Engine
 	Net   *mesh.Network
 	Nodes []*Node
 	cfg   Config
 
-	// One engine and network port per shard, the node→shard map, and the
-	// driver, which runs one engine straight through and several in
-	// windows.
-	engines   []*sim.Engine
-	ports     []*mesh.ShardPort
-	nodeShard []int
-	sharded   *sim.ShardedEngine
+	// port is the network's one port, which every controller sends
+	// through.
+	port *mesh.ShardPort
 
 	rec  *fault.Recorder
 	diag *Diagnostic
@@ -147,10 +134,8 @@ type Machine struct {
 	// another machine by the time a second call comes.
 	released bool
 
-	// dupInj counts duplicate deliveries injected at each node's ingress.
-	// Per-node slots: each node's handler runs on its own shard's goroutine,
-	// and no two nodes share a slot, so no synchronization is needed.
-	dupInj []uint64
+	// dupInj counts duplicate deliveries injected at the nodes' ingress.
+	dupInj uint64
 }
 
 // New builds a machine. Processors have no workloads yet; bind them with
@@ -174,7 +159,6 @@ func New(cfg Config) *Machine {
 		cfg.Params.DefaultMeta = directory.TrapAlways
 	}
 
-	cfg.Shards = ShardCount(cfg.Shards, cfg.ShardWorkers, n)
 	if cfg.Faults != nil && cfg.Params.Timing.RetryBackoffMax == 0 {
 		cfg.Params.Timing.RetryBackoffMax = 256
 	}
@@ -194,41 +178,24 @@ func New(cfg Config) *Machine {
 	mcfg.Faults = cfg.Faults
 
 	m := &Machine{cfg: cfg}
-	m.dupInj = make([]uint64, n)
 	if cfg.Faults != nil || cfg.Watchdog > 0 {
 		m.rec = &fault.Recorder{}
 	}
-	// One engine per shard. Several engines run in windows and need
-	// partition-independent cycle-tagged sequence keys; one engine keeps
-	// plain keys, and its port flushes at the end of every cycle.
-	k := max(1, cfg.Shards)
-	m.engines = make([]*sim.Engine, k)
-	for i := range m.engines {
-		e := sim.New()
-		e.SetScheduler(sched)
-		e.SetCycleSeq(k > 1)
-		m.engines[i] = e
-	}
-	m.Eng = m.engines[0]
+	// One engine, and one network port that flushes each cycle's sends at
+	// the end of the cycle.
+	m.Eng = sim.New()
+	m.Eng.SetScheduler(sched)
 	m.Net = mesh.New(mcfg)
-	// Contiguous balanced tiles: node id lives on shard id·k/n.
-	m.nodeShard = make([]int, n)
-	for id := range m.nodeShard {
-		m.nodeShard[id] = id * k / n
-	}
 	window := mcfg.MinPacketLatency(coherence.MinMsgFlits)
-	m.ports = m.Net.ShardPorts(m.engines, m.nodeShard, window)
-	m.sharded = sim.NewShardedEngine(m.engines, window,
-		func(before sim.Time, mins []sim.Time) { m.Net.FlushWindow(before, mins) })
+	m.port = m.Net.Bind(m.Eng, window)
 	if cfg.Faults != nil && cfg.Faults.Config().LossEnabled() {
 		// Loss classes active: interpose the reliable transport. The
 		// retransmit timeout is floored at the lookahead window and the
 		// backoff cap reuses the coherence layer's RetryBackoffMax. Budget
-		// exhaustion aborts the run (from the single-threaded flush) so
-		// drive() can report a structured diagnostic instead of hanging
-		// into the watchdog.
+		// exhaustion aborts the run (from the flush) so drive() can report
+		// a structured diagnostic instead of hanging into the watchdog.
 		m.Net.EnableTransport(cfg.Faults, window, cfg.Params.Timing.RetryBackoffMax)
-		m.Net.OnTransportStuck(func(mesh.StuckLink) { m.sharded.Abort() })
+		m.Net.OnTransportStuck(func(mesh.StuckLink) { m.Eng.Abort() })
 	}
 	m.Nodes = make([]*Node, n)
 	for id := range m.Nodes {
@@ -237,30 +204,15 @@ func New(cfg Config) *Machine {
 	return m
 }
 
-// ShardCount returns the number of shards New builds for the requested
-// shard and worker counts on a machine of the given node count: 0 when
-// shards is 0 (New then builds its one engine), else one shard per worker,
-// at most shards and at most one per node. workers <= 0 means GOMAXPROCS.
-func ShardCount(shards, workers, nodes int) int {
-	if shards <= 0 {
-		return 0
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return min(shards, workers, nodes)
-}
-
 func (m *Machine) buildNode(id mesh.NodeID) *Node {
 	cfg := m.cfg
-	eng := m.engines[m.nodeShard[id]]
-	port := m.ports[m.nodeShard[id]]
+	eng, port := m.Eng, m.port
 	c := cache.New(cache.Config{Lines: cfg.CacheLines, Ways: cfg.CacheWays, BlockWords: cfg.Params.BlockWords})
 	cc := coherence.NewCacheController(eng, port, id, cfg.Params, HomeOf, c)
 	p := proc.New(eng, cc, cfg.Params.Timing, cfg.Contexts)
 	mc := coherence.NewMemoryController(eng, port, id, cfg.Params, p)
 
-	node := &Node{ID: id, Cache: c, CC: cc, MC: mc, Proc: p, m: m, eng: eng}
+	node := &Node{ID: id, Cache: c, CC: cc, MC: mc, Proc: p, m: m}
 	if m.rec != nil {
 		mc.SetRecorder(m.rec)
 		cc.SetRecorder(m.rec)
@@ -298,16 +250,14 @@ func (n *Node) receive(pkt *mesh.Packet) {
 		n.dispatch(pkt.Src, &clone)
 		return
 	}
-	// Duplicate injection happens at ingress, on the destination node's
-	// own engine: the decision hashes (delivery cycle, src, dst, block),
-	// all of which are identical across shard partitions, and the
-	// re-delivery only touches this node's controllers, so the injection
-	// is invariant under Shards.
+	// Duplicate injection happens at ingress: the decision hashes
+	// (delivery cycle, src, dst, block), and the re-delivery only touches
+	// this node's controllers.
 	if f := n.m.cfg.Faults; f != nil && !msg.Dup {
-		eng := n.eng
+		eng := n.m.Eng
 		if extra, dup := f.Duplicate(eng.Now(), int(pkt.Src), int(n.ID),
 			uint64(msg.Addr)^uint64(msg.Type)); dup {
-			n.m.dupInj[n.ID]++
+			n.m.dupInj++
 			clone := *msg
 			clone.Dup = true
 			src := pkt.Src
@@ -414,11 +364,11 @@ func (m *Machine) Diagnostic() *Diagnostic { return m.diag }
 // Release hands the machine's run-scoped memory — every node's
 // controllers, processor, cache and IPI queue with the buffers they keep,
 // cache pages, message chunks, directory tables and entry chunks, engine
-// buckets and event free lists, port send logs and delivery records — to
-// process-wide pools, so the next machine built in the process reuses it
-// instead of allocating. It stops the shard workers first, and accepts a
-// machine halted in any state: events still queued, spins off the queue,
-// a cycle-limit cut, a watchdog trip or a transport abort.
+// buckets and event free lists, the port's send log and delivery records —
+// to process-wide pools, so the next machine built in the process reuses it
+// instead of allocating. It accepts a machine halted in any state: events
+// still queued, spins off the queue, a cycle-limit cut, a watchdog trip or
+// a transport abort.
 // The machine must not be used afterwards: its nodes' components may
 // already serve another machine. A second Release does nothing, checked
 // here rather than by each component, which cannot tell its own second
@@ -430,16 +380,13 @@ func (m *Machine) Release() {
 		return
 	}
 	m.released = true
-	m.sharded.Stop()
 	for _, n := range m.Nodes {
 		n.Cache.Release()
 		n.CC.Recycle()
 		n.MC.Recycle()
 		n.Proc.Recycle()
 	}
-	for _, e := range m.engines {
-		e.Recycle()
-	}
+	m.Eng.Recycle()
 	m.Net.Recycle()
 }
 
@@ -469,8 +416,7 @@ type Result struct {
 }
 
 // FaultStats counts injected faults by class, plus the reliable transport's
-// recovery actions. Every counter is accumulated in a partition-independent
-// order, so the totals are identical at any shard count.
+// recovery actions.
 type FaultStats struct {
 	Delays      uint64 // packets given extra delivery delay
 	Dups        uint64 // duplicate deliveries injected at ingress
@@ -506,11 +452,10 @@ func (m *Machine) drive(limit sim.Time) sim.Time {
 	var tripped bool
 	if m.cfg.Watchdog > 0 {
 		w := sim.Watchdog{Interval: m.cfg.Watchdog, Progress: m.progress}
-		end, tripped = m.sharded.RunGuarded(w, limit)
+		end, tripped = m.Eng.RunGuarded(w, limit)
 	} else {
-		end = m.sharded.RunUntil(limit)
+		end = m.Eng.RunUntil(limit)
 	}
-	m.sharded.Stop()
 	if stuck := m.Net.StuckLinks(); len(stuck) > 0 {
 		// The reliable transport gave up on a link and aborted the run;
 		// report the first exhaustion (canonical order, so deterministic).
@@ -577,7 +522,7 @@ func (m *Machine) RunUntil(limit sim.Time) (Result, bool) {
 }
 
 func (m *Machine) collect(end sim.Time) Result {
-	res := Result{Cycles: end, Events: m.sharded.Processed(), Network: m.Net.Stats()}
+	res := Result{Cycles: end, Events: m.Eng.Processed(), Network: m.Net.Stats()}
 	if m.rec != nil {
 		res.Violations = uint64(m.rec.Len())
 	}
@@ -617,9 +562,7 @@ func (m *Machine) collect(end sim.Time) Result {
 	res.FaultStats.Drops = ts.Drops
 	res.FaultStats.Corrupts = ts.Corrupts
 	res.FaultStats.Retransmits = ts.Retransmits + ts.Replays
-	for _, c := range m.dupInj {
-		res.FaultStats.Dups += c
-	}
+	res.FaultStats.Dups = m.dupInj
 	res.FaultStats.Traps = res.Proc.FaultTraps
 	return res
 }

@@ -465,26 +465,17 @@ func TestOraclesReachEveryLayer(t *testing.T) {
 		masks = append(masks, bit)
 	}
 	for _, mask := range masks {
-		for _, shards := range []int{0, 2} {
-			m := New(Config{Width: 4, Height: 4, Contexts: 1, Params: coherence.DefaultParams(16),
-				Shards: shards, ShardWorkers: shards, Oracles: mask})
-			for i, w := range workload.Weather(workload.DefaultWeather(16)) {
-				m.SetWorkload(mesh.NodeID(i), 0, w)
-			}
-			m.Run()
-			check := func(layer string, selected bool, bit Oracles) {
-				if selected != (mask&bit != 0) {
-					t.Errorf("oracles=%03b shards=%d: %s oracle selected = %v", mask, shards, layer, selected)
-				}
-			}
-			engines := m.engines
-			if shards == 0 {
-				engines = []*sim.Engine{m.Eng}
-			}
-			for _, e := range engines {
-				check("heap scheduler", e.Scheduler() == sim.SchedHeap, OracleHeap)
-			}
-			check("boxed storage", m.DirectoryMemory().Storage == "boxed", OracleBoxed)
+		m := New(Config{Width: 4, Height: 4, Contexts: 1, Params: coherence.DefaultParams(16), Oracles: mask})
+		for i, w := range workload.Weather(workload.DefaultWeather(16)) {
+			m.SetWorkload(mesh.NodeID(i), 0, w)
 		}
+		m.Run()
+		check := func(layer string, selected bool, bit Oracles) {
+			if selected != (mask&bit != 0) {
+				t.Errorf("oracles=%03b: %s oracle selected = %v", mask, layer, selected)
+			}
+		}
+		check("heap scheduler", m.Eng.Scheduler() == sim.SchedHeap, OracleHeap)
+		check("boxed storage", m.DirectoryMemory().Storage == "boxed", OracleBoxed)
 	}
 }

@@ -16,17 +16,11 @@ import (
 // software handler ever going to release it, so the requester bounces
 // BUSY/retry forever — a livelock with steady event traffic and zero
 // forward progress.
-func wedgeMachine(t *testing.T, shards int) (*Machine, directory.Addr) {
+func wedgeMachine(t *testing.T) (*Machine, directory.Addr) {
 	t.Helper()
 	params := coherence.DefaultParams(16)
 	params.Scheme = coherence.FullMap
-	cfg := Config{
-		Width: 4, Height: 4, Contexts: 1, Params: params,
-		Shards:       shards,
-		ShardWorkers: shards,
-		Watchdog:     20_000,
-	}
-	m := New(cfg)
+	m := New(Config{Width: 4, Height: 4, Contexts: 1, Params: params, Watchdog: 20_000})
 	addr := Block(0, 1)
 	m.Nodes[0].MC.Dir().Entry(addr).Meta = directory.TransInProgress
 	m.SetWorkload(1, 0, workload.NewThread(func(th *workload.Thread) {
@@ -36,35 +30,33 @@ func wedgeMachine(t *testing.T, shards int) (*Machine, directory.Addr) {
 }
 
 func TestWatchdogHaltsWedgedRun(t *testing.T) {
-	for _, shards := range []int{0, 2} {
-		m, addr := wedgeMachine(t, shards)
-		res := m.Run() // must terminate, not spin or panic
-		d := m.Diagnostic()
-		if d == nil {
-			t.Fatalf("shards=%d: wedged run finished without a diagnostic (cycles=%d)", shards, res.Cycles)
-		}
-		if !strings.Contains(d.Reason, "watchdog") {
-			t.Errorf("shards=%d: reason %q does not name the watchdog", shards, d.Reason)
-		}
-		if len(d.Blocked) != 1 || d.Blocked[0].Node != 1 || d.Blocked[0].Addr != addr {
-			t.Errorf("shards=%d: blocked ops = %+v, want node 1 on %#x", shards, d.Blocked, uint64(addr))
-		}
-		if d.Blocked[0].Type != coherence.RREQ {
-			t.Errorf("shards=%d: blocked op type = %v, want RREQ", shards, d.Blocked[0].Type)
-		}
-		if len(d.Entries) != 1 || d.Entries[0].Meta != directory.TransInProgress.String() {
-			t.Errorf("shards=%d: entries = %+v, want one Trans-In-Progress entry", shards, d.Entries)
-		}
-		if res.Coherence.Busies == 0 || res.Coherence.Retries == 0 {
-			t.Errorf("shards=%d: expected a BUSY/retry storm, got busies=%d retries=%d",
-				shards, res.Coherence.Busies, res.Coherence.Retries)
-		}
-		// The dump must render all its sections.
-		s := d.String()
-		for _, want := range []string{"simulation halted", "blocked operations: 1", "non-quiescent directory entries: 1"} {
-			if !strings.Contains(s, want) {
-				t.Errorf("shards=%d: diagnostic dump missing %q:\n%s", shards, want, s)
-			}
+	m, addr := wedgeMachine(t)
+	res := m.Run() // must terminate, not spin or panic
+	d := m.Diagnostic()
+	if d == nil {
+		t.Fatalf("wedged run finished without a diagnostic (cycles=%d)", res.Cycles)
+	}
+	if !strings.Contains(d.Reason, "watchdog") {
+		t.Errorf("reason %q does not name the watchdog", d.Reason)
+	}
+	if len(d.Blocked) != 1 || d.Blocked[0].Node != 1 || d.Blocked[0].Addr != addr {
+		t.Errorf("blocked ops = %+v, want node 1 on %#x", d.Blocked, uint64(addr))
+	}
+	if d.Blocked[0].Type != coherence.RREQ {
+		t.Errorf("blocked op type = %v, want RREQ", d.Blocked[0].Type)
+	}
+	if len(d.Entries) != 1 || d.Entries[0].Meta != directory.TransInProgress.String() {
+		t.Errorf("entries = %+v, want one Trans-In-Progress entry", d.Entries)
+	}
+	if res.Coherence.Busies == 0 || res.Coherence.Retries == 0 {
+		t.Errorf("expected a BUSY/retry storm, got busies=%d retries=%d",
+			res.Coherence.Busies, res.Coherence.Retries)
+	}
+	// The dump must render all its sections.
+	s := d.String()
+	for _, want := range []string{"simulation halted", "blocked operations: 1", "non-quiescent directory entries: 1"} {
+		if !strings.Contains(s, want) {
+			t.Errorf("diagnostic dump missing %q:\n%s", want, s)
 		}
 	}
 }
@@ -131,22 +123,24 @@ func TestFaultPlanZeroRateInert(t *testing.T) {
 	}
 }
 
-// spinMachine builds a machine whose node 1 spins on a flag nobody ever
-// writes: every poll after the first hits in its cache, so the run is busy
-// with committed loads and makes no forward progress at all.
-func spinMachine(shards int) (*Machine, directory.Addr) {
-	cfg := Config{
-		Width: 4, Height: 4, Params: coherence.DefaultParams(16),
-		Shards:       shards,
-		ShardWorkers: shards,
-		Watchdog:     20_000,
-	}
-	m := New(cfg)
-	flag := Block(0, 1)
+// spinMachine builds a machine whose node 1 spins on a flag it homes and
+// nobody ever writes: every poll after the first hits in its cache, so the
+// run is busy with committed loads and makes no forward progress at all.
+// With two contexts, the second holds one long compute that never gets
+// the pipeline — the spin never misses remotely, so it never yields — but
+// stays live, which keeps every poll of the spin on the event queue.
+func spinMachine(contexts int) (*Machine, directory.Addr) {
+	m := New(Config{Width: 4, Height: 4, Contexts: contexts, Params: coherence.DefaultParams(16), Watchdog: 20_000})
+	flag := Block(1, 1)
 	m.SetWorkload(1, 0, workload.NewThread(func(th *workload.Thread) {
 		th.SpinUntil(flag, func(v uint64) bool { return v == 1 }, 12,
 			func(_ uint64, th *workload.Thread) {})
 	}))
+	if contexts == 2 {
+		m.SetWorkload(1, 1, workload.NewThread(func(th *workload.Thread) {
+			th.Compute(10_000_000, func(_ uint64, th *workload.Thread) {})
+		}))
+	}
 	return m, flag
 }
 
@@ -154,43 +148,43 @@ func spinMachine(shards int) (*Machine, directory.Addr) {
 // progress, so a spin on a flag that never changes trips the watchdog one
 // interval into the run instead of running to the cycle limit (or, under
 // Run, forever), and the diagnostic names the spinning context. On one
-// engine the spin is off the event queue when the watchdog trips; it must
-// trip on the same cycle, with the same Events and PendingEvents, as on
-// two windowed shards, where every poll is queued.
+// context the spin is off the event queue when the watchdog trips; it must
+// trip on the same cycle, with the same Events and PendingEvents, as with
+// a second live context, where every poll is queued.
 func TestWatchdogHaltsStaleSpin(t *testing.T) {
 	var trips []string
-	for _, shards := range []int{0, 2} {
-		m, flag := spinMachine(shards)
+	for _, contexts := range []int{1, 2} {
+		m, flag := spinMachine(contexts)
 		res, done := m.RunUntil(1_000_000)
 		d := m.Diagnostic()
 		if d == nil {
-			t.Fatalf("shards=%d: stale spin ran to cycle %d (done=%v) without a diagnostic", shards, res.Cycles, done)
+			t.Fatalf("contexts=%d: stale spin ran to cycle %d (done=%v) without a diagnostic", contexts, res.Cycles, done)
 		}
 		trips = append(trips, fmt.Sprintf("cycle %d, %d events, %d pending", res.Cycles, res.Events, d.PendingEvents))
-		if off := m.Nodes[1].Proc.OffQueue(); off != (shards == 0) {
-			t.Errorf("shards=%d: spin off the event queue = %v at the trip", shards, off)
+		if off := m.Nodes[1].Proc.OffQueue(); off != (contexts == 1) {
+			t.Errorf("contexts=%d: spin off the event queue = %v at the trip", contexts, off)
 		}
 		if done || res.Cycles >= 2*20_000 {
-			t.Errorf("shards=%d: halted at cycle %d (done=%v), want a trip within two watchdog intervals", shards, res.Cycles, done)
+			t.Errorf("contexts=%d: halted at cycle %d (done=%v), want a trip within two watchdog intervals", contexts, res.Cycles, done)
 		}
 		if !strings.Contains(d.Reason, "watchdog") {
-			t.Errorf("shards=%d: reason %q does not name the watchdog", shards, d.Reason)
+			t.Errorf("contexts=%d: reason %q does not name the watchdog", contexts, d.Reason)
 		}
 		if len(d.Blocked) != 0 {
-			t.Errorf("shards=%d: blocked ops = %+v, want none (the spin's polls all commit)", shards, d.Blocked)
+			t.Errorf("contexts=%d: blocked ops = %+v, want none (the spin's polls all commit)", contexts, d.Blocked)
 		}
 		if len(d.Spinning) != 1 {
-			t.Fatalf("shards=%d: spinning contexts = %+v, want node 1 on %#x", shards, d.Spinning, uint64(flag))
+			t.Fatalf("contexts=%d: spinning contexts = %+v, want node 1 on %#x", contexts, d.Spinning, uint64(flag))
 		}
 		if s := d.Spinning[0]; s.Node != 1 || s.Addr != flag || s.Last != 0 {
-			t.Errorf("shards=%d: spinning context = %+v, want node 1 on %#x, last value 0", shards, s, uint64(flag))
+			t.Errorf("contexts=%d: spinning context = %+v, want node 1 on %#x, last value 0", contexts, s, uint64(flag))
 		}
 		if s := d.String(); !strings.Contains(s, "spinning contexts: 1") {
-			t.Errorf("shards=%d: diagnostic dump does not list the spinning context:\n%s", shards, s)
+			t.Errorf("contexts=%d: diagnostic dump does not list the spinning context:\n%s", contexts, s)
 		}
 	}
 	if trips[0] != trips[1] {
-		t.Errorf("the trip differs between one engine (%s) and two windowed shards (%s)", trips[0], trips[1])
+		t.Errorf("the trip differs between an off-queue spin (%s) and a queued one (%s)", trips[0], trips[1])
 	}
 }
 

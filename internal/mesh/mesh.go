@@ -131,10 +131,10 @@ type Config struct {
 	// node-ingress stall windows into every delivery. Like jitter, fault
 	// delays only ever add latency (MinPacketLatency stays a valid bound)
 	// and never reorder a (src,dst) pair. Unlike the jitter stream, fault
-	// decisions are stateless hashes, so they are identical across shard
-	// partitions. The plan's loss classes (drop, corrupt) additionally
-	// require EnableTransport: losses are then recovered by retransmission,
-	// which is just a later injection, so the latency bound still holds.
+	// decisions are stateless hashes of the packet and its cycle. The
+	// plan's loss classes (drop, corrupt) additionally require
+	// EnableTransport: losses are then recovered by retransmission, which
+	// is just a later injection, so the latency bound still holds.
 	Faults *fault.Plan
 }
 
@@ -174,10 +174,10 @@ type channel struct {
 	res sim.Resource
 }
 
-// Network is the interconnect: the shared contention model (channels,
-// ejection ports, jitter, FIFO bookkeeping) and the node handlers. Traffic
-// enters and leaves through the ports ShardPorts binds to the engines that
-// run the nodes; see sharded.go.
+// Network is the interconnect: the contention model (channels, ejection
+// ports, jitter, FIFO bookkeeping) and the node handlers. Traffic enters
+// and leaves through the port Bind attaches to the engine that runs the
+// nodes; see sharded.go.
 type Network struct {
 	cfg      Config
 	n        int
@@ -208,25 +208,23 @@ type Network struct {
 	// claim and never retained.
 	routeBuf []int
 
-	// The ports (see sharded.go): one per engine, the node→engine map, and
-	// the lookahead width.
-	ports     []*ShardPort
-	nodeShard []int
-	window    sim.Time
+	// The port (see sharded.go) and the lookahead width: the minimum
+	// latency every delivery must keep after its send.
+	port   *ShardPort
+	window sim.Time
 
 	// Reliable transport (see transport.go): nil unless a fault plan with
 	// an active loss class is installed via EnableTransport, so lossless
 	// runs pay nothing and stay bit-identical to the pre-transport engine.
 	tp *transport
 
-	// Latency-fault injection counters (claims run in canonical order, so
-	// these are partition-independent).
+	// Latency-fault injection counters.
 	fDelays, fStalls uint64
 }
 
 // delivery carries one in-flight packet from its delivery event to the
 // ejection handler without a per-packet closure; the handler receives a
-// pointer to the embedded packet, and the record returns to its port's free
+// pointer to the embedded packet, and the record returns to the port's free
 // list once the handler is done with it. Sequenced deliveries (kind dSeq)
 // additionally carry the reliable transport's framing: the per-link
 // sequence number and the header checksum the receiver validates.
@@ -247,8 +245,8 @@ const (
 	numDirs
 )
 
-// New creates a network. Bind it to its engines with ShardPorts, and
-// register a handler per node with Register before any traffic is sent.
+// New creates a network. Bind it to its engine with Bind, and register a
+// handler per node with Register before any traffic is sent.
 func New(cfg Config) *Network {
 	if cfg.Width <= 0 || cfg.Height <= 0 {
 		panic("mesh: non-positive dimensions")
@@ -306,21 +304,33 @@ func (nw *Network) Nodes() int { return nw.n }
 // Config returns the network configuration.
 func (nw *Network) Config() Config { return nw.cfg }
 
-// Stats returns the accumulated statistics, folded from the ports'
-// counters; all of them are sums or maxima, so the merge is independent of
-// the partition.
-func (nw *Network) Stats() Stats {
-	var s Stats
-	for _, p := range nw.ports {
-		s.Packets += p.stats.Packets
-		s.Flits += p.stats.Flits
-		s.TotalLatency += p.stats.TotalLatency
-		s.LocalPackets += p.stats.LocalPackets
-		if p.stats.MaxLatency > s.MaxLatency {
-			s.MaxLatency = p.stats.MaxLatency
-		}
+// Stats returns the accumulated statistics.
+func (nw *Network) Stats() Stats { return nw.port.stats }
+
+// Bind attaches the network to the engine that runs its nodes and returns
+// the port the controllers inject through. window is the lookahead width
+// (MinPacketLatency of the smallest message), which every delivery must
+// keep after its send. The port installs the engine's end-of-cycle hook as
+// its flush, so each cycle's sends are claimed as soon as the cycle's last
+// event has run.
+func (nw *Network) Bind(eng *sim.Engine, window sim.Time) *ShardPort {
+	if window < 1 {
+		panic(fmt.Sprintf("mesh: lookahead window %d < 1", window))
 	}
-	return s
+	nw.window = window
+	p := &ShardPort{nw: nw, eng: eng, handlers: nw.handlers, wakers: nw.wakers}
+	if m, _ := portPool.Get().(*portMem); m != nil {
+		p.log, p.freeDels = m.log, m.dels
+		*m = portMem{}
+		p.mem = m
+	}
+	p.retransH.p = p
+	if nw.tp != nil {
+		p.xr = newXrecv()
+	}
+	nw.port = p
+	eng.SetCycleHook(func() { nw.FlushWindow(eng.Now() + 1) })
+	return p
 }
 
 // Register installs the ejection handler for node id.
@@ -500,11 +510,12 @@ func (nw *Network) claimPath(now sim.Time, src, dst NodeID, flits int) sim.Time 
 //
 // where the first hop costs HopLatency (Mesh2D, Omega, Circuit) or
 // IdealLatency (Ideal); contention, extra hops, and jitter only add to it.
-// This bound is the lookahead that makes windowed sharded execution sound:
-// a packet sent inside a window can never be delivered inside it. The
+// This bound is the network's lookahead: a packet sent at cycle t is never
+// delivered before t plus the bound, which the flush asserts on every
+// claim and the reliable transport floors its retransmit timeout at. The
 // result is clamped to ≥ 1 cycle; configurations whose true minimum is 0
-// (all latency constants zero) cannot be sharded, which the window flush
-// detects and reports.
+// (all latency constants zero) break that floor, which the flush detects
+// and reports.
 func (cfg Config) MinPacketLatency(minFlits int) sim.Time {
 	if minFlits < 1 {
 		minFlits = 1
@@ -521,18 +532,15 @@ func (cfg Config) MinPacketLatency(minFlits int) sim.Time {
 }
 
 // InFlight returns the number of packets currently between injection and
-// ejection — scheduled deliveries, sends deferred in the port logs, the
+// ejection — scheduled deliveries, sends deferred in the port log, the
 // reliable transport's pending retransmission timers and receiver-held
-// out-of-order arrivals. It must only be called while no engine is
-// executing (between windows or after the engines have halted); the
-// watchdog's diagnostic dump is the intended caller.
+// out-of-order arrivals. It must only be called while the engine is not
+// executing; the watchdog's diagnostic dump is the intended caller.
 func (nw *Network) InFlight() int {
-	n := 0
-	for _, p := range nw.ports {
-		n += p.inflight + len(p.log) + p.pendingRetrans
-		if p.xr != nil {
-			n += p.xr.heldNow
-		}
+	p := nw.port
+	n := p.inflight + len(p.log) + p.pendingRetrans
+	if p.xr != nil {
+		n += p.xr.heldNow
 	}
 	return n
 }
@@ -540,36 +548,35 @@ func (nw *Network) InFlight() int {
 // lookaheadPanic reports a delivery at cycle at that lands inside the
 // lookahead window of e's send.
 func (nw *Network) lookaheadPanic(e *deferredSend, at sim.Time) {
-	panic(fmt.Sprintf("mesh: lookahead violation — packet %d->%d sent at %d delivered at %d, inside the %d-cycle shard window (network latency below the lookahead)",
+	panic(fmt.Sprintf("mesh: lookahead violation — packet %d->%d sent at %d delivered at %d, inside the %d-cycle lookahead (network latency below the lookahead)",
 		e.src, e.dst, e.at, at, nw.window))
 }
 
 // barrierPanic reports a send logged at or past the barrier of the flush
-// claiming it: an engine ran beyond its window.
+// claiming it: the engine ran beyond the barrier.
 func (nw *Network) barrierPanic(e *deferredSend, before sim.Time) {
-	panic(fmt.Sprintf("mesh: send %d->%d at cycle %d logged at or past the barrier at %d (an engine ran beyond its window)",
+	panic(fmt.Sprintf("mesh: send %d->%d at cycle %d logged at or past the barrier at %d (the engine ran beyond the barrier)",
 		e.src, e.dst, e.at, before))
 }
 
-// Recycle hands every port's send log and free delivery records to the
-// pool ShardPorts draws on, so the next network built in the process reuses
-// them. Sends still logged and packets still in flight — a run cut off by
-// a cycle limit, a watchdog or an abort — are dropped with the network.
-// The network must not be used afterwards; a second Recycle does nothing.
+// Recycle hands the port's send log and free delivery records to the pool
+// Bind draws on, so the next network built in the process reuses them.
+// Sends still logged and packets still in flight — a run cut off by a
+// cycle limit, a watchdog or an abort — are dropped with the network. The
+// network must not be used afterwards; a second Recycle does nothing.
 func (nw *Network) Recycle() {
-	for _, p := range nw.ports {
-		if p.log == nil && p.freeDels == nil {
-			continue
-		}
-		clear(p.log[:cap(p.log)])
-		m := p.mem
-		if m == nil {
-			m = new(portMem)
-		}
-		*m = portMem{log: p.log[:0], dels: p.freeDels}
-		portPool.Put(m)
-		p.log, p.freeDels, p.mem = nil, nil, nil
+	p := nw.port
+	if p.log == nil && p.freeDels == nil {
+		return
 	}
+	clear(p.log[:cap(p.log)])
+	m := p.mem
+	if m == nil {
+		m = new(portMem)
+	}
+	*m = portMem{log: p.log[:0], dels: p.freeDels}
+	portPool.Put(m)
+	p.log, p.freeDels, p.mem = nil, nil, nil
 }
 
 // ChannelUtilization returns the mean busy fraction across all mesh

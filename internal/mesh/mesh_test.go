@@ -17,7 +17,7 @@ func newTest(w, h int) (*sim.Engine, *Network, *ShardPort) {
 
 // onePort binds every node of nw to eng through one port.
 func onePort(eng *sim.Engine, nw *Network) *ShardPort {
-	return nw.ShardPorts([]*sim.Engine{eng}, make([]int, nw.Nodes()), nw.Config().MinPacketLatency(1))[0]
+	return nw.Bind(eng, nw.Config().MinPacketLatency(1))
 }
 
 func TestCoordinateRoundTrip(t *testing.T) {

@@ -8,48 +8,37 @@ import (
 	"limitless/internal/sim"
 )
 
-func shardedNet(t *testing.T, cfg Config, shards int) ([]*sim.Engine, []*ShardPort, *Network, []int) {
-	t.Helper()
-	n := cfg.Width * cfg.Height
-	engines := make([]*sim.Engine, shards)
-	for i := range engines {
-		engines[i] = sim.New()
-		engines[i].SetCycleSeq(true)
-	}
-	nodeShard := make([]int, n)
-	for id := range nodeShard {
-		nodeShard[id] = id * shards / n
-	}
+// portNet builds a network on cfg bound to a fresh engine, with the
+// lookahead of a two-flit message.
+func portNet(cfg Config) (*sim.Engine, *ShardPort, *Network) {
+	eng := sim.New()
 	nw := New(cfg)
-	ports := nw.ShardPorts(engines, nodeShard, cfg.MinPacketLatency(2))
-	return engines, ports, nw, nodeShard
+	return eng, nw.Bind(eng, cfg.MinPacketLatency(2)), nw
 }
 
-// TestFlushWindowCanonicalMerge: same-cycle sends logged on different shards
-// in arbitrary shard order must claim the shared ejection channel in source
-// order, so the inbox merge — not the log order — decides contention.
+// TestFlushWindowCanonicalMerge: same-cycle sends logged in either order
+// must claim the shared ejection channel in source order, so the canonical
+// order — not the log order — decides contention.
 func TestFlushWindowCanonicalMerge(t *testing.T) {
 	cfg := DefaultConfig(4, 1)
 	run := func(reversed bool) []sim.Time {
-		engines, ports, nw, _ := shardedNet(t, cfg, 2)
+		eng, p, nw := portNet(cfg)
 		var got []sim.Time
 		for id := 0; id < 4; id++ {
 			nw.Register(NodeID(id), func(pkt *Packet) {
-				got = append(got, engines[1].Now(), sim.Time(pkt.Src))
+				got = append(got, eng.Now(), sim.Time(pkt.Src))
 			})
 		}
-		// Nodes 1 (shard 0) and 2 (shard 1) both send to node 3 (shard 1)
-		// at cycle 0. Gathering order across ports must not matter.
-		a, b := ports[0], ports[1]
+		// Nodes 1 and 2 both send to node 3 at cycle 0. The order they log
+		// in must not matter.
 		if reversed {
-			b.SendFrom(2, 3, 2, nil)
-			a.SendFrom(1, 3, 2, nil)
+			p.SendFrom(2, 3, 2, nil)
+			p.SendFrom(1, 3, 2, nil)
 		} else {
-			a.SendFrom(1, 3, 2, nil)
-			b.SendFrom(2, 3, 2, nil)
+			p.SendFrom(1, 3, 2, nil)
+			p.SendFrom(2, 3, 2, nil)
 		}
-		nw.FlushWindow(sim.Forever, nil)
-		engines[1].Run()
+		eng.Run()
 		return got
 	}
 	first := run(false)
@@ -59,7 +48,7 @@ func TestFlushWindowCanonicalMerge(t *testing.T) {
 	}
 	for i := range first {
 		if first[i] != second[i] {
-			t.Fatalf("merge depends on log order: %v vs %v", first, second)
+			t.Fatalf("claim order depends on log order: %v vs %v", first, second)
 		}
 	}
 	// Source order must win the ejection channel: node 1 before node 2.
@@ -72,20 +61,18 @@ func TestFlushWindowCanonicalMerge(t *testing.T) {
 }
 
 // TestFlushWindowFIFOPairOrder: two same-cycle sends from one source keep
-// their program order through the merge (sort stability).
+// their program order through the flush (sort stability).
 func TestFlushWindowFIFOPairOrder(t *testing.T) {
-	cfg := DefaultConfig(4, 1)
-	engines, ports, nw, _ := shardedNet(t, cfg, 2)
+	eng, p, nw := portNet(DefaultConfig(4, 1))
 	var got []uint64
 	for id := 0; id < 4; id++ {
 		nw.Register(NodeID(id), func(pkt *Packet) {
 			got = append(got, pkt.Payload.(uint64))
 		})
 	}
-	ports[0].SendFrom(0, 3, 2, uint64(1))
-	ports[0].SendFrom(0, 3, 2, uint64(2))
-	nw.FlushWindow(sim.Forever, nil)
-	engines[1].Run()
+	p.SendFrom(0, 3, 2, uint64(1))
+	p.SendFrom(0, 3, 2, uint64(2))
+	eng.Run()
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("per-source order not preserved: %v", got)
 	}
@@ -93,12 +80,11 @@ func TestFlushWindowFIFOPairOrder(t *testing.T) {
 
 func TestShardPortLocalDelivery(t *testing.T) {
 	cfg := DefaultConfig(4, 1)
-	engines, ports, nw, nodeShard := shardedNet(t, cfg, 2)
+	eng, p, nw := portNet(cfg)
 	delivered := sim.Time(-1)
-	nw.Register(2, func(pkt *Packet) { delivered = engines[nodeShard[2]].Now() })
-	p := ports[nodeShard[2]]
+	nw.Register(2, func(pkt *Packet) { delivered = eng.Now() })
 	p.SendFrom(2, 2, 2, nil)
-	engines[nodeShard[2]].Run()
+	eng.Run()
 	if delivered != cfg.LocalLatency {
 		t.Fatalf("local delivery at %d, want %d", delivered, cfg.LocalLatency)
 	}
@@ -106,7 +92,7 @@ func TestShardPortLocalDelivery(t *testing.T) {
 		t.Fatalf("local packet not accounted: %+v", p.Stats())
 	}
 	if nw.Stats().LocalPackets != 1 {
-		t.Fatal("port stats not folded into network stats")
+		t.Fatal("port stats not reported as network stats")
 	}
 }
 
@@ -114,27 +100,27 @@ func TestFlushWindowLookaheadViolationPanics(t *testing.T) {
 	cfg := DefaultConfig(4, 1)
 	// Zero every latency constant: the true minimum latency collapses to 0
 	// while MinPacketLatency clamps to 1, so the flush must detect the
-	// violated window rather than deliver into the past.
+	// violated lookahead rather than deliver into the past.
 	cfg.HopLatency, cfg.FlitCycle, cfg.InjectLatency = 0, 0, 0
-	engines, ports, nw, _ := shardedNet(t, cfg, 2)
-	_ = engines
-	ports[0].SendFrom(0, 3, 2, nil)
+	_, p, nw := portNet(cfg)
+	p.SendFrom(0, 3, 2, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("flush with zero network latency did not panic")
 		}
 	}()
-	nw.FlushWindow(sim.Forever, nil)
+	nw.FlushWindow(sim.Forever)
 }
 
 // TestFlushWindowSendPastBarrierPanics: a flush claims every logged send,
-// so a send logged at or past the barrier — an engine run beyond its
-// window — must panic and name the send, not wait in the log for a later
-// flush.
+// so a send logged at or past the barrier — the engine run beyond the
+// flush a caller drives itself — must panic and name the send, not wait in
+// the log for a later flush.
 func TestFlushWindowSendPastBarrierPanics(t *testing.T) {
-	engines, ports, nw, _ := shardedNet(t, DefaultConfig(4, 1), 2)
-	engines[0].At(12, func() { ports[0].SendFrom(1, 3, 2, nil) })
-	engines[0].Run()
+	eng, p, nw := portNet(DefaultConfig(4, 1))
+	eng.SetCycleHook(func() {}) // the test drives the flush
+	eng.At(12, func() { p.SendFrom(1, 3, 2, nil) })
+	eng.Run()
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -144,7 +130,7 @@ func TestFlushWindowSendPastBarrierPanics(t *testing.T) {
 			t.Fatalf("panic %q does not name the send 1->3 at cycle 12", msg)
 		}
 	}()
-	nw.FlushWindow(10, nil)
+	nw.FlushWindow(10)
 }
 
 func TestMinPacketLatency(t *testing.T) {
@@ -164,36 +150,35 @@ func TestMinPacketLatency(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesSequentialTiming: an uncontended packet flushed at a
-// window barrier takes exactly the same cycles as on one engine, whose port
-// flushes at the end of the send cycle.
+// TestShardedMatchesSequentialTiming: an uncontended packet whose flush
+// the caller drives — as a model checker choosing which logged send to
+// deliver next would — takes exactly the same cycles as one flushed by the
+// engine's end-of-cycle hook.
 func TestShardedMatchesSequentialTiming(t *testing.T) {
 	cfg := DefaultConfig(4, 4)
-	// One-engine reference.
-	seqEng := sim.New()
-	seqNW := New(cfg)
-	seqPort := onePort(seqEng, seqNW)
-	var seqAt sim.Time
-	for id := 0; id < 16; id++ {
-		seqNW.Register(NodeID(id), func(*Packet) { seqAt = seqEng.Now() })
+	run := func(driven bool) (sim.Time, Stats) {
+		eng, p, nw := portNet(cfg)
+		var at sim.Time
+		for id := 0; id < 16; id++ {
+			nw.Register(NodeID(id), func(*Packet) { at = eng.Now() })
+		}
+		if driven {
+			eng.SetCycleHook(func() {})
+		}
+		p.SendFrom(0, 15, 3, nil)
+		if driven {
+			nw.FlushWindow(1)
+		}
+		eng.Run()
+		return at, nw.Stats()
 	}
-	seqPort.SendFrom(0, 15, 3, nil)
-	seqEng.Run()
-
-	engines, ports, nw, nodeShard := shardedNet(t, cfg, 4)
-	var shAt sim.Time
-	for id := 0; id < 16; id++ {
-		nw.Register(NodeID(id), func(*Packet) { shAt = engines[nodeShard[15]].Now() })
+	hookAt, _ := run(false)
+	drivenAt, s := run(true)
+	if drivenAt != hookAt {
+		t.Fatalf("driven flush delivered at %d, end-of-cycle hook at %d", drivenAt, hookAt)
 	}
-	ports[nodeShard[0]].SendFrom(0, 15, 3, nil)
-	nw.FlushWindow(sim.Forever, nil)
-	engines[nodeShard[15]].Run()
-	if shAt != seqAt {
-		t.Fatalf("sharded uncontended delivery at %d, sequential at %d", shAt, seqAt)
-	}
-	s := nw.Stats()
-	if s.Packets != 1 || s.Flits != 3 || s.TotalLatency != shAt {
-		t.Fatalf("merged stats wrong: %+v", s)
+	if s.Packets != 1 || s.Flits != 3 || s.TotalLatency != drivenAt {
+		t.Fatalf("stats wrong: %+v", s)
 	}
 }
 
@@ -217,7 +202,7 @@ func (s *spinner) Wake(limit sim.Time) {
 	s.eng.At(s.at, func() { *s.order = append(*s.order, "step") })
 }
 
-// TestWakeBeforeFlushInsert: a one-engine flush wakes an off-queue spin at
+// TestWakeBeforeFlushInsert: the flush wakes an off-queue spin at
 // the destination through the send cycle before it inserts the delivery,
 // so the spin's next step, due in the delivery's cycle, keeps its place
 // ahead of it; and the delivery wakes the destination before its handler

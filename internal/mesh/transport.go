@@ -16,11 +16,10 @@ package mesh
 // Determinism. Loss decisions are stateless hashes of (seed, departure
 // cycle, src, dst, seq) — see internal/fault — and sequence numbers are
 // assigned in the canonical (send cycle, source, program order) claim
-// order, which is the same order at any shard count. A retransmission is
-// just a later injection replayed through the ordinary contention model, so
-// it arrives at least MinPacketLatency after its departure: the lookahead
-// bound that makes windowed sharded execution sound survives untouched, and
-// schedules stay bit-identical across reruns and shard counts.
+// order. A retransmission is just a later injection replayed through the
+// ordinary contention model, so it arrives at least MinPacketLatency after
+// its departure: the lookahead bound the flush asserts survives untouched,
+// and schedules stay bit-identical across reruns.
 //
 // Degradation. A packet still unacknowledged after its retransmit budget
 // (fault.Config.RetransMax) is abandoned: the transport records a StuckLink
@@ -69,9 +68,7 @@ func linkKey(src, dst NodeID) uint64 {
 	return uint64(uint32(src))<<32 | uint64(uint32(dst))
 }
 
-// TransportStats aggregates the reliable transport's activity. Every
-// counter is a sum over partition-independent events, so the totals are
-// identical at any shard count.
+// TransportStats aggregates the reliable transport's activity.
 type TransportStats struct {
 	Seqs          uint64 // packets entering the transport (first attempts)
 	Drops         uint64 // attempts lost in flight
@@ -95,7 +92,7 @@ type StuckLink struct {
 }
 
 // transport is the sender-side reliable-delivery state. It is touched only
-// by FlushWindow, which runs single-threaded, so it needs no locking.
+// by FlushWindow.
 type transport struct {
 	plan       *fault.Plan
 	rto        sim.Time // base retransmit timeout, floored at the lookahead window
@@ -215,10 +212,8 @@ type heldDel struct {
 	d   *delivery
 }
 
-// xrecv is one receiver's transport state: per-link expected sequence
-// numbers and the out-of-order hold buffer. Each ShardPort has one — each
-// link's destination lives on exactly one engine, so no receiver state is
-// shared between goroutines.
+// xrecv is the receivers' transport state: per-link expected sequence
+// numbers and the out-of-order hold buffer.
 type xrecv struct {
 	expected map[uint64]uint64
 	held     map[uint64][]heldDel
@@ -288,10 +283,10 @@ func (r *xrecv) receive(s *ShardPort, d *delivery, now sim.Time) {
 // EnableTransport interposes the reliable transport for plan's loss
 // classes. window is the machine's lookahead width (MinPacketLatency of the
 // smallest protocol message): the effective retransmit timeout is floored
-// there so a retransmission never departs before the engines could have
-// advanced past its scheduling point. backoffMax caps the exponential
+// there, so a retransmission departs at least one lookahead after the
+// attempt it replaces. backoffMax caps the exponential
 // backoff (the coherence layer's RetryBackoffMax semantics). Call before
-// any traffic, before or after ShardPorts.
+// any traffic, before or after Bind.
 func (nw *Network) EnableTransport(plan *fault.Plan, window, backoffMax sim.Time) {
 	if plan == nil || !plan.Config().LossEnabled() {
 		panic("mesh: EnableTransport requires a plan with an active loss class")
@@ -315,16 +310,16 @@ func (nw *Network) EnableTransport(plan *fault.Plan, window, backoffMax sim.Time
 		rmax:       cfg.RetransMax,
 		nextSeq:    make(map[uint64]uint64),
 	}
-	for _, p := range nw.ports {
-		p.xr = newXrecv()
+	if nw.port != nil {
+		nw.port.xr = newXrecv()
 	}
 }
 
 // TransportActive reports whether the reliable transport is interposed.
 func (nw *Network) TransportActive() bool { return nw.tp != nil }
 
-// OnTransportStuck installs the callback invoked (from FlushWindow, in a
-// single-threaded context) when a packet exhausts its retransmit budget.
+// OnTransportStuck installs the callback invoked (from FlushWindow) when a
+// packet exhausts its retransmit budget.
 // The machine uses it to abort the run.
 func (nw *Network) OnTransportStuck(fn func(StuckLink)) {
 	if nw.tp == nil {
@@ -342,8 +337,8 @@ func (nw *Network) StuckLinks() []StuckLink {
 	return nw.tp.stuck
 }
 
-// TransportStats returns the transport's counters, folding the per-receiver
-// state in. Like Stats, the merge is partition-independent.
+// TransportStats returns the transport's counters, the receiver's
+// included.
 func (nw *Network) TransportStats() TransportStats {
 	var ts TransportStats
 	tp := nw.tp
@@ -352,60 +347,34 @@ func (nw *Network) TransportStats() TransportStats {
 	}
 	ts.Seqs, ts.Drops, ts.Corrupts = tp.seqs, tp.drops, tp.corrupts
 	ts.Retransmits, ts.Replays = tp.retransmits, tp.replays
-	for _, p := range nw.ports {
-		if p.xr != nil {
-			ts.ChecksumDrops += p.xr.csumDrops
-			ts.DupArrivals += p.xr.dupArrivals
-		}
+	if xr := nw.port.xr; xr != nil {
+		ts.ChecksumDrops, ts.DupArrivals = xr.csumDrops, xr.dupArrivals
 	}
 	return ts
 }
 
 // FaultCounts reports how many latency faults the contention model injected
-// (delay-jittered packets, stall-delayed arrivals). Claims happen in
-// canonical order, so the counts are partition-independent.
+// (delay-jittered packets, stall-delayed arrivals).
 func (nw *Network) FaultCounts() (delays, stalls uint64) {
 	return nw.fDelays, nw.fStalls
 }
 
 // flushX applies the loss verdict to one canonical-order attempt in
-// FlushWindow: the arrival (if any) is inserted into the destination
-// engine, and the follow-up attempt (if any) becomes a retransmission timer
-// on the source port's engine — both under barrier-phase sequence keys
-// drawn from the shared counter stream when keyed (several engines), else
-// under the engine's own numbering, and both fed back into the window
-// driver's deadline cache. Returns the advanced counter.
-func (nw *Network) flushX(e *deferredSend, sp *ShardPort, at sim.Time, keyed bool, ctr uint32, mins []sim.Time) uint32 {
+// FlushWindow: the arrival (if any) is inserted into the engine, and the
+// follow-up attempt (if any) becomes a retransmission timer.
+func (nw *Network) flushX(e *deferredSend, p *ShardPort, at sim.Time) {
 	v := nw.tp.verdict(e, at)
 	if v.deliver {
-		var seq uint64
-		if keyed {
-			seq = sim.WindowSeq(e.at, true, ctr)
-			ctr++
-		}
-		dp := nw.ports[nw.nodeShard[e.dst]]
-		d := dp.newDelivery(e.src, e.dst, e.flits, e.payload, e.first)
+		d := p.newDelivery(e.src, e.dst, e.flits, e.payload, e.first)
 		d.kind, d.seq, d.sum = dSeq, e.seq, v.sum
-		dp.deliver(d, at, seq, keyed)
-		if mins != nil && at < mins[dp.shard] {
-			mins[dp.shard] = at
-		}
+		p.deliver(d, at)
 	}
 	if v.resend {
-		r := sp.takeRetrans()
+		r := p.takeRetrans()
 		*r = v.next
-		sp.pendingRetrans++
-		if keyed {
-			sp.eng.AtHandlerSeq(r.at, sim.WindowSeq(e.at, true, ctr), &sp.retransH, r)
-			ctr++
-		} else {
-			sp.eng.AtHandler(r.at, &sp.retransH, r)
-		}
-		if mins != nil && r.at < mins[sp.shard] {
-			mins[sp.shard] = r.at
-		}
+		p.pendingRetrans++
+		p.eng.AtHandler(r.at, &p.retransH, r)
 	}
-	return ctr
 }
 
 func (p *ShardPort) takeRetrans() *deferredSend {
@@ -418,11 +387,10 @@ func (p *ShardPort) takeRetrans() *deferredSend {
 	return &deferredSend{}
 }
 
-// portRetrans fires a retransmission timer on the source port's engine:
-// the recorded attempt rejoins the port's send log exactly as SendFrom logs
-// a first attempt (it was allocated by a flush and is freed here on the
-// engine's goroutine — the phases never overlap), so the attempt is
-// flushed in canonical order.
+// portRetrans fires a retransmission timer: the recorded attempt rejoins
+// the port's send log exactly as SendFrom logs a first attempt (it was
+// allocated by a flush and is freed here), so the attempt is flushed in
+// canonical order.
 type portRetrans struct{ p *ShardPort }
 
 func (h *portRetrans) OnEvent(arg any) {

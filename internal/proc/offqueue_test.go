@@ -10,10 +10,10 @@ import (
 	"limitless/internal/sim"
 )
 
-// runOffQueue runs a scenario on the plain-keyed rig, where spins may
-// leave the event queue, in steps of a few cycles — each RunUntil settles
-// the off-queue spins through its limit — and reports whether a spin was
-// ever seen off the queue.
+// runOffQueue runs a scenario on the rig, where spins may leave the event
+// queue, in steps of a few cycles — each RunUntil settles the off-queue
+// spins through its limit — and reports whether a spin was ever seen off
+// the queue.
 func runOffQueue(t *testing.T, nodes, contexts int, params coherence.Params, setup func(r *procRig)) (outcome, bool) {
 	t.Helper()
 	r := newProcRig(t, nodes, contexts, params)
@@ -43,41 +43,77 @@ func runOffQueue(t *testing.T, nodes, contexts int, params coherence.Params, set
 	return o, off
 }
 
+// pollLoop expands every spin-wait of inner back into the loop a workload
+// would otherwise run through Next: a plain load, then — while Until
+// rejects the loaded value — a backoff compute and the load again, each
+// one Next call. A plain load is no spin to the processor, so every step
+// of the loop stays on the event queue.
+type pollLoop struct {
+	inner     proc.Workload
+	spin      proc.Op // the spin load being polled; Until is nil outside a spin
+	backedOff bool    // the last op returned was the backoff
+}
+
+func (l *pollLoop) Next(prev uint64) (proc.Op, bool) {
+	if l.spin.Until != nil {
+		switch {
+		case l.backedOff:
+			l.backedOff = false
+			return l.poll(), true
+		case !l.spin.Until(prev):
+			l.backedOff = true
+			return proc.Op{Kind: proc.OpCompute, Cycles: l.spin.Cycles}, true
+		}
+		l.spin = proc.Op{}
+	}
+	op, ok := l.inner.Next(prev)
+	if ok && op.Until != nil {
+		l.spin = op
+		return l.poll(), true
+	}
+	return op, ok
+}
+
+// poll is the spin load without its spin fields: an ordinary OpLoad.
+func (l *pollLoop) poll() proc.Op {
+	return proc.Op{Kind: proc.OpLoad, Addr: l.spin.Addr, Shared: l.spin.Shared}
+}
+
 // TestSpinOffQueueMatchesQueued: spinners with assorted backoffs wait for
 // a flag a producer sets late, on one and two contexts, and a LimitLESS_1
-// home spins while overflow traps land on it. The reference runs the rig
-// on an engine with cycle-tagged keys, where every step stays queued (one
-// engine draws either kind of key in the same order). With spins free to
-// leave the queue, run to the end or in short RunUntil steps, every run
-// must match the reference — end time, Events, every processor counter —
-// and a spin must really have left the queue.
+// home spins while overflow traps land on it. The reference runs every
+// spin as the poll loop a workload would run through Next, where every
+// step stays queued. With spins free to leave the queue, run to the end or
+// in short RunUntil steps, every run must match the reference — end time,
+// Events, every processor counter — and a spin must really have left the
+// queue.
 func TestSpinOffQueueMatchesQueued(t *testing.T) {
 	flag := addr(0, 4)
-	producer := func(r *procRig, backoffs []sim.Time) {
-		r.procs[0].SetWorkload(0, &script{ops: []proc.Op{
-			{Kind: proc.OpCompute, Cycles: 300},
-			{Kind: proc.OpStore, Addr: flag, Value: 1, Shared: true},
-		}})
+	producer := func(r *procRig, wl func(...proc.Op) proc.Workload, backoffs []sim.Time) {
+		r.procs[0].SetWorkload(0, wl(
+			proc.Op{Kind: proc.OpCompute, Cycles: 300},
+			proc.Op{Kind: proc.OpStore, Addr: flag, Value: 1, Shared: true},
+		))
 		for id, b := range backoffs {
-			r.procs[id+1].SetWorkload(0, &script{ops: []proc.Op{
-				{Kind: proc.OpLoad, Addr: flag, Shared: true, Cycles: b,
+			r.procs[id+1].SetWorkload(0, wl(
+				proc.Op{Kind: proc.OpLoad, Addr: flag, Shared: true, Cycles: b,
 					Until: func(v uint64) bool { return v == 1 }},
-				{Kind: proc.OpCompute, Cycles: 10},
-			}})
+				proc.Op{Kind: proc.OpCompute, Cycles: 10},
+			))
 		}
 	}
 	limitless1 := coherence.DefaultParams(4)
 	limitless1.Pointers = 1
 	block := addr(0, 2)
-	trapped := func(r *procRig) {
+	trapped := func(r *procRig, wl func(...proc.Op) proc.Workload) {
 		// The home spins on a flag it caches while readers overflow its one
 		// hardware pointer, so LimitLESS traps claim its pipeline mid-spin,
 		// until the last reader sets the flag.
-		r.procs[0].SetWorkload(0, &script{ops: []proc.Op{
-			{Kind: proc.OpStore, Addr: flag, Value: 2, Shared: true},
-			{Kind: proc.OpLoad, Addr: flag, Shared: true, Cycles: 12,
+		r.procs[0].SetWorkload(0, wl(
+			proc.Op{Kind: proc.OpStore, Addr: flag, Value: 2, Shared: true},
+			proc.Op{Kind: proc.OpLoad, Addr: flag, Shared: true, Cycles: 12,
 				Until: func(v uint64) bool { return v == 1 }},
-		}})
+		))
 		for id := 1; id < 4; id++ {
 			ops := []proc.Op{
 				{Kind: proc.OpCompute, Cycles: sim.Time(30 * id)},
@@ -87,30 +123,34 @@ func TestSpinOffQueueMatchesQueued(t *testing.T) {
 				ops = append(ops, proc.Op{Kind: proc.OpCompute, Cycles: 200},
 					proc.Op{Kind: proc.OpStore, Addr: flag, Value: 1, Shared: true})
 			}
-			r.procs[id].SetWorkload(0, &script{ops: ops})
+			r.procs[id].SetWorkload(0, wl(ops...))
 		}
 	}
 	cases := []struct {
 		name     string
 		contexts int
 		params   coherence.Params
-		setup    func(r *procRig)
+		setup    func(r *procRig, wl func(...proc.Op) proc.Workload)
 	}{
-		{"backoffs/1ctx", 1, coherence.DefaultParams(4), func(r *procRig) { producer(r, []sim.Time{0, 5, 40}) }},
-		{"backoffs/2ctx", 2, coherence.DefaultParams(4), func(r *procRig) { producer(r, []sim.Time{12, 40, 3}) }},
+		{"backoffs/1ctx", 1, coherence.DefaultParams(4), func(r *procRig, wl func(...proc.Op) proc.Workload) {
+			producer(r, wl, []sim.Time{0, 5, 40})
+		}},
+		{"backoffs/2ctx", 2, coherence.DefaultParams(4), func(r *procRig, wl func(...proc.Op) proc.Workload) {
+			producer(r, wl, []sim.Time{12, 40, 3})
+		}},
 		{"traps/limitless1", 1, limitless1, trapped},
 	}
+	spins := func(ops ...proc.Op) proc.Workload { return &script{ops: ops} }
+	loops := func(ops ...proc.Op) proc.Workload { return &pollLoop{inner: &script{ops: ops}} }
 	for _, c := range cases {
-		tagged := sim.New()
-		tagged.SetCycleSeq(true)
-		want := runRig(t, newProcRigOn(t, tagged, 4, c.contexts, c.params), c.setup)
-		whole := runScenario(t, 4, c.contexts, c.params, c.setup)
-		got, off := runOffQueue(t, 4, c.contexts, c.params, c.setup)
+		want := runScenario(t, 4, c.contexts, c.params, func(r *procRig) { c.setup(r, loops) })
+		whole := runScenario(t, 4, c.contexts, c.params, func(r *procRig) { c.setup(r, spins) })
+		got, off := runOffQueue(t, 4, c.contexts, c.params, func(r *procRig) { c.setup(r, spins) })
 		if fmt.Sprint(whole) != fmt.Sprint(want) {
-			t.Errorf("%s: off-queue spins differ from queued ones:\noff-queue: %+v\nqueued:    %+v", c.name, whole, want)
+			t.Errorf("%s: off-queue spins differ from the queued poll loop:\noff-queue: %+v\nqueued:    %+v", c.name, whole, want)
 		}
 		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("%s: off-queue spins run in steps differ from queued ones:\noff-queue: %+v\nqueued:    %+v", c.name, got, want)
+			t.Errorf("%s: off-queue spins run in steps differ from the queued poll loop:\noff-queue: %+v\nqueued:    %+v", c.name, got, want)
 		}
 		if !off {
 			t.Errorf("%s: no spin ever left the queue", c.name)

@@ -291,19 +291,16 @@ func (p *Processor) Recycle() {
 
 // Attach wires the processor to its node's memory controller and trap
 // handler. Called once by the machine builder (the controller needs the
-// processor as its trap sink, so construction is two-phase). On an engine
-// with plain sequence keys (a one-engine machine; set the engine's key
-// mode first) the processor's spin-waits may leave the event queue (see
-// Wake), so Attach also wires the wake points its controllers own: their
-// events and the network's deliveries to the node. A model that schedules
-// any other event touching the node must call Wake at its start.
+// processor as its trap sink, so construction is two-phase). The
+// processor's spin-waits may leave the event queue (see Wake), so Attach
+// also wires the wake points its controllers own: their events and the
+// network's deliveries to the node. A model that schedules any other event
+// touching the node must call Wake at its start.
 func (p *Processor) Attach(mc *coherence.MemoryController, hnd Handler) {
 	p.mc = mc
 	p.hnd = hnd
-	if !p.eng.CycleSeq() {
-		p.cc.SetWaker(p)
-		mc.SetWaker(p)
-	}
+	p.cc.SetWaker(p)
+	mc.SetWaker(p)
 }
 
 // Stats returns a copy of the processor counters.
@@ -664,7 +661,7 @@ func (p *Processor) issue(c *context, op Op) {
 		c.hitVal = v
 		at := p.eng.Now() + p.timing.CacheHit
 		if c.spin == spinPolled && !p.chain.Off() && p.finished == len(p.contexts)-1 &&
-			!p.eng.CycleSeq() && !c.pendingOp.Until(v) {
+			!c.pendingOp.Until(v) {
 			p.eng.TakeOff(&p.chain, p, at)
 		}
 		p.sched(at, pendComplete, c)

@@ -22,17 +22,10 @@ type procRig struct {
 
 func newProcRig(t *testing.T, nodes int, contexts int, params coherence.Params) *procRig {
 	t.Helper()
-	return newProcRigOn(t, sim.New(), nodes, contexts, params)
-}
-
-// newProcRigOn builds the rig over eng. Its processors read the engine's
-// key mode as they attach: on plain keys their spins may leave the event
-// queue, on cycle-tagged keys every step stays queued.
-func newProcRigOn(t *testing.T, eng *sim.Engine, nodes int, contexts int, params coherence.Params) *procRig {
-	t.Helper()
+	eng := sim.New()
 	params.Nodes = nodes
 	nw := mesh.New(mesh.DefaultConfig(nodes, 1))
-	port := nw.ShardPorts([]*sim.Engine{eng}, make([]int, nodes), 1)[0]
+	port := nw.Bind(eng, 1)
 	r := &procRig{eng: eng}
 	for id := mesh.NodeID(0); int(id) < nodes; id++ {
 		c := cache.New(cache.Config{Lines: 64, BlockWords: params.BlockWords})

@@ -81,7 +81,7 @@ const (
 // Table is an immutable transition table plus its dispatch index and
 // per-row coverage counters. The counters are atomics and the enable flag
 // is an atomic bool, so coverage can be toggled and read while simulations
-// run on other goroutines (the sharded engine, parallel sweeps).
+// run on other goroutines (parallel sweeps).
 type Table[C any] struct {
 	spec   Spec
 	rows   []Row[C]

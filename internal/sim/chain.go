@@ -29,9 +29,6 @@ package sim
 // and an off-queue chain counts as one pending event, at its next step's
 // deadline, in Pending and NextEventTime. So the counts a run reports are
 // those of the same run with every step queued.
-// Only engines with plain sequence keys take chains off the queue: under
-// cycle-tagged keys (windowed shards) a key drawn at the wake would carry
-// the wrong cycle.
 
 // Chain is the engine's handle on one owner's chain of steps. The owner
 // embeds it and takes the chain off the queue with TakeOff; while the
@@ -61,12 +58,9 @@ func (c *Chain) Off() bool { return c.pos > 0 }
 
 // TakeOff takes owner's chain c off the queue with its next step due at
 // cycle at: the engine queues none of its steps until Rejoin, and settles
-// them through owner as described above. The engine must use plain
-// sequence keys.
+// them through owner as described above.
 func (e *Engine) TakeOff(c *Chain, owner ChainOwner, at Time) {
 	switch {
-	case e.cycleSeq:
-		panic("sim: off-queue chain on an engine with cycle-tagged sequence keys")
 	case c.pos > 0:
 		panic("sim: TakeOff on a chain already off the queue")
 	case at < e.now:

@@ -160,17 +160,13 @@ func TestChainUnlimitedRunSettlesNothing(t *testing.T) {
 	}
 }
 
-// TestTakeOffPanics: a chain cannot leave the queue on an engine with
-// cycle-tagged keys, twice, or before now.
+// TestTakeOffPanics: a chain cannot leave the queue twice, or before now.
 func TestTakeOffPanics(t *testing.T) {
-	windowed := New()
-	windowed.SetCycleSeq(true)
 	twice := New()
 	late := New()
 	late.At(5, func() {})
 	late.Run()
 	for name, fn := range map[string]func(){
-		"cycle-tagged": func() { newTicker(windowed, 1, false).takeOff(0) },
 		"twice": func() {
 			tk := newTicker(twice, 1, false)
 			tk.takeOff(0)

@@ -77,12 +77,6 @@ type Engine struct {
 	chains    []*Chain   // chains off the queue (chain.go)
 	mem       *engineMem // the pool wrapper New drew, reused by Recycle
 
-	// Windowed-mode sequencing (see SetCycleSeq): seqCycle is the cycle the
-	// per-cycle counter is counting for, cycleCtr the next counter value.
-	cycleSeq bool
-	seqCycle Time
-	cycleCtr uint32
-
 	// runLimit is the limit of the RunUntil in progress. It starts at the
 	// call's limit argument and only ever decreases (Abort), and off-queue
 	// chains settle through it when the run returns.
@@ -177,57 +171,6 @@ func (e *Engine) Scheduler() SchedulerKind {
 // event order depends solely on (time, sequence)).
 func (e *Engine) SetPooling(on bool) { e.noPool = !on }
 
-// Cycle-tagged sequence layout (windowed mode). A sequence number encodes
-// (allocation cycle, phase, per-cycle counter) so that tie-breaking among
-// same-deadline events depends only on each event's allocation cycle and its
-// scheduling order within that cycle — quantities that are identical no
-// matter how a sharded run partitions nodes across engines. Phase orders
-// barrier-flush insertions (phase 1) after events allocated during cycle
-// execution at the same cycle (phase 0).
-const (
-	seqCtrBits    = 24
-	seqPhaseShift = seqCtrBits
-	seqCycleShift = seqCtrBits + 1
-	seqCtrLimit   = 1 << seqCtrBits
-	seqCycleLimit = Time(1) << (64 - seqCycleShift)
-)
-
-// SetCycleSeq switches the engine between plain monotone sequence numbers
-// (the default) and cycle-tagged sequence numbers. Windowed sharded
-// execution requires cycle tagging on every participating engine so that
-// same-deadline tie-breaks are invariant under the shard partition. Switch
-// only while the queue is empty; mixing the two numbering schemes in one
-// queue would compare unrelated keys.
-func (e *Engine) SetCycleSeq(on bool) {
-	if e.queued > 0 {
-		panic("sim: SetCycleSeq with events pending")
-	}
-	e.cycleSeq = on
-}
-
-// CycleSeq reports whether the engine draws cycle-tagged sequence keys
-// (SetCycleSeq). Only an engine with plain keys holds off-queue chains.
-func (e *Engine) CycleSeq() bool { return e.cycleSeq }
-
-// WindowSeq builds a cycle-tagged sequence number by hand: the key an event
-// allocated at cycle with per-cycle counter ctr would receive. flush selects
-// the barrier-flush phase, ordered after all same-cycle execution-phase
-// events. Used by window barriers to stamp cross-shard insertions with a
-// partition-independent key.
-func WindowSeq(cycle Time, flush bool, ctr uint32) uint64 {
-	if cycle < 0 || cycle >= seqCycleLimit {
-		panic(fmt.Sprintf("sim: cycle %d out of range for cycle-tagged seq", cycle))
-	}
-	if ctr >= seqCtrLimit {
-		panic("sim: per-cycle sequence counter overflow")
-	}
-	s := uint64(cycle)<<seqCycleShift | uint64(ctr)
-	if flush {
-		s |= 1 << seqPhaseShift
-	}
-	return s
-}
-
 // SetCycleHook installs fn as the engine's end-of-cycle hook. The hook is
 // not an event: it runs only in a cycle that armed it (ArmCycleHook), once,
 // after every event of that cycle — any scheduled into the cycle while it
@@ -257,8 +200,7 @@ func (e *Engine) Now() Time { return e.now }
 // Processed returns the number of events executed so far, settled
 // off-queue steps included: a settled step is the event it would have
 // queued, so the count stays an invariant measure of simulation actions —
-// identical whether a spin leaves the queue, and independent of how shard
-// windows cut the run.
+// identical whether a spin leaves the queue.
 func (e *Engine) Processed() uint64 { return e.processed }
 
 // Pending returns the number of events still queued, plus one for each
@@ -273,8 +215,8 @@ func (e *Engine) Inlined() uint64 { return e.inlined }
 // NextEventTime returns the deadline of the earliest pending event, the
 // next steps of off-queue chains included. ok is false when
 // nothing is pending. On the wheel the probe is an O(1) occupancy-bitmap
-// scan, which is what lets guarded runs and the sharded window driver skip
-// dead cycles without touching individual events.
+// scan, which is what lets guarded runs skip dead cycles without touching
+// individual events.
 func (e *Engine) NextEventTime() (t Time, ok bool) {
 	t, ok = e.queueNext()
 	for _, c := range e.chains {
@@ -320,26 +262,11 @@ func (e *Engine) pastPanic(t Time) {
 	panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 }
 
-// nextSeq draws the next sequence key: cycle-tagged in windowed mode,
-// plain monotone otherwise.
+// nextSeq draws the next sequence key. Keys only grow, so ties between
+// same-deadline events break in scheduling order.
 func (e *Engine) nextSeq() uint64 {
-	if e.cycleSeq {
-		return e.nextCycleSeq()
-	}
 	s := e.seq
 	e.seq++
-	return s
-}
-
-// nextCycleSeq draws the next cycle-tagged key: the per-cycle counter
-// restarts whenever the clock has moved since the last draw.
-func (e *Engine) nextCycleSeq() uint64 {
-	if e.now != e.seqCycle {
-		e.seqCycle = e.now
-		e.cycleCtr = 0
-	}
-	s := WindowSeq(e.now, false, e.cycleCtr)
-	e.cycleCtr++
 	return s
 }
 
@@ -382,25 +309,6 @@ func (e *Engine) At(t Time, fn func()) {
 func (e *Engine) AtHandler(t Time, h Handler, arg any) {
 	ev := e.allocEvent(t)
 	ev.seq = e.nextSeq()
-	ev.h = h
-	ev.arg = arg
-	e.enqueue(ev)
-}
-
-// AtHandlerSeq schedules h.OnEvent(arg) at absolute cycle t with an
-// explicit sequence key instead of the engine's own numbering. Window
-// barriers use this to insert cross-shard deliveries under a WindowSeq key
-// so that tie-breaking is identical across shard partitions. Keys must be
-// cycle-tagged (the engine must be in SetCycleSeq mode) and unique per
-// (t, seq) within this engine, and calls may only happen between windows —
-// never from inside an event callback — so a key below an already-fired
-// same-cycle event cannot occur.
-func (e *Engine) AtHandlerSeq(t Time, seq uint64, h Handler, arg any) {
-	if !e.cycleSeq {
-		panic("sim: AtHandlerSeq on an engine without cycle-tagged sequencing")
-	}
-	ev := e.allocEvent(t)
-	ev.seq = seq
 	ev.h = h
 	ev.arg = arg
 	e.enqueue(ev)
@@ -461,10 +369,9 @@ func (e *Engine) RunUntil(limit Time) Time {
 }
 
 // runHeap is the heap scheduler's run loop: it fires the heap's earliest
-// event until the next deadline is past the run limit. It returns the next
-// pending deadline (Forever when everything drained), mirroring runWheel,
-// and runs an armed end-of-cycle hook exactly where runWheel does.
-func (e *Engine) runHeap() Time {
+// event until the next deadline is past the run limit, and runs an armed
+// end-of-cycle hook exactly where runWheel does.
+func (e *Engine) runHeap() {
 	for {
 		next := Forever
 		if len(e.heap) > 0 {
@@ -474,28 +381,11 @@ func (e *Engine) runHeap() Time {
 			e.runHook()
 			continue
 		}
-		if len(e.heap) == 0 {
-			return Forever
-		}
-		if next > e.runLimit {
-			return next
+		if len(e.heap) == 0 || next > e.runLimit {
+			return
 		}
 		e.fire(e.heap.pop(), next)
 	}
-}
-
-// RunUntilNext is RunUntil fused with the follow-up NextEventTime probe:
-// it executes events with deadlines at or before limit and returns the
-// next pending deadline, or Forever when the queue is empty. The windowed
-// sharded driver calls it once per shard per window, where the separate
-// probe would repeat the scan the run's exit check just did; its engines
-// use cycle-tagged keys, so they never hold an off-queue chain.
-func (e *Engine) RunUntilNext(limit Time) Time {
-	e.runLimit = limit
-	if !e.useHeap {
-		return e.runWheel()
-	}
-	return e.runHeap()
 }
 
 // Abort permanently stops event execution: the run in progress ends at the

@@ -40,6 +40,67 @@ func TestEngineTieBreakIsFIFO(t *testing.T) {
 	}
 }
 
+// TestCycleSeqExecutionOrder: same-deadline events run in the order they
+// were scheduled, whatever cycle scheduled them: an event queued at cycle 3
+// for cycle 10 runs after the five queued at cycle 0.
+func TestCycleSeqExecutionOrder(t *testing.T) {
+	for _, kind := range []SchedulerKind{SchedWheel, SchedHeap} {
+		e := New()
+		e.SetScheduler(kind)
+		var got []int
+		for i := 0; i < 5; i++ {
+			e.At(10, func() { got = append(got, i) })
+		}
+		e.At(3, func() { e.At(10, func() { got = append(got, 5) }) })
+		e.Run()
+		if fmt.Sprint(got) != "[0 1 2 3 4 5]" {
+			t.Fatalf("%v: order %v", kind, got)
+		}
+	}
+}
+
+type fnHandler func(arg any)
+
+func (f fnHandler) OnEvent(arg any) { f(arg) }
+
+// TestAtHandlerSeqInterleaving: events the end-of-cycle hook schedules
+// draw keys after every event allocated during the hook's cycle, arming
+// it included, and before any allocated later. Same-deadline events
+// therefore run by allocation cycle, the hook's after the cycle's own, and
+// then by scheduling order: the order the network's flush relies on for
+// the deliveries it inserts.
+func TestAtHandlerSeqInterleaving(t *testing.T) {
+	for _, kind := range []SchedulerKind{SchedWheel, SchedHeap} {
+		e := New()
+		e.SetScheduler(kind)
+		var got, flush []string
+		mark := func(s string) Handler { return fnHandler(func(any) { got = append(got, s) }) }
+		e.SetCycleHook(func() {
+			for _, s := range flush {
+				e.AtHandler(10, mark(s), nil)
+			}
+			flush = flush[:0]
+		})
+		e.At(0, func() {
+			flush = append(flush, "flush-c0")
+			e.ArmCycleHook()
+			e.AtHandler(10, mark("exec-c0-a"), nil)
+		})
+		e.At(0, func() { e.AtHandler(10, mark("exec-c0-b"), nil) })
+		e.At(4, func() {
+			flush = append(flush, "flush-c4")
+			e.ArmCycleHook()
+		})
+		e.At(4, func() { e.AtHandler(10, mark("exec-c4"), nil) })
+		e.At(5, func() { e.AtHandler(10, mark("exec-c5"), nil) })
+		e.Run()
+		want := "[exec-c0-a exec-c0-b flush-c0 exec-c4 flush-c4 exec-c5]"
+		if fmt.Sprint(got) != want {
+			t.Fatalf("%v: order %v, want %s", kind, got, want)
+		}
+	}
+}
+
 func TestEngineClockAdvancesDuringCallback(t *testing.T) {
 	e := New()
 	var seen Time
@@ -86,6 +147,18 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 		e.AfterHandler(-1, &recordingHandler{eng: e}, nil)
 	})
 	e.Run()
+}
+
+func TestNextEventTime(t *testing.T) {
+	e := New()
+	if _, ok := e.NextEventTime(); ok {
+		t.Fatal("empty engine reported a next event")
+	}
+	e.At(7, func() {})
+	e.At(3, func() {})
+	if at, ok := e.NextEventTime(); !ok || at != 3 {
+		t.Fatalf("next = %d, %v; want 3, true", at, ok)
+	}
 }
 
 func TestEngineRunUntil(t *testing.T) {

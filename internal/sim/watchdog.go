@@ -58,66 +58,3 @@ func (e *Engine) RunGuarded(w Watchdog, limit Time) (Time, bool) {
 		last = cur
 	}
 }
-
-// nextTime returns the globally earliest pending deadline across shards,
-// or Forever when every queue is empty. Between runs no send is logged:
-// every barrier flushes them all.
-func (s *ShardedEngine) nextTime() Time {
-	next := Forever
-	for _, e := range s.engines {
-		if t, ok := e.NextEventTime(); ok && t < next {
-			next = t
-		}
-	}
-	return next
-}
-
-// maxNow returns the latest shard clock — the sharded analogue of the time
-// of the last executed event.
-func (s *ShardedEngine) maxNow() Time {
-	var last Time
-	for _, e := range s.engines {
-		if e.Now() > last {
-			last = e.Now()
-		}
-	}
-	return last
-}
-
-// RunGuarded is the windowed analogue of Engine.RunGuarded: it drives the
-// shard windows in chunks of Interval cycles and trips when the progress
-// counter stalls while events remain within limit. Chunk boundaries cannot
-// split a cycle (run caps each window at chunk+1, so cycle chunk executes
-// completely and its deferred sends flush in canonical order), so a
-// guarded windowed run is bit-identical to an unguarded one.
-func (s *ShardedEngine) RunGuarded(w Watchdog, limit Time) (Time, bool) {
-	if len(s.engines) == 1 {
-		return s.engines[0].RunGuarded(w, limit)
-	}
-	if !w.enabled() {
-		return s.run(limit), false
-	}
-	last := w.Progress()
-	for {
-		next := s.nextTime()
-		if next == Forever || next > limit {
-			return s.maxNow(), false
-		}
-		chunk := next + w.Interval - 1
-		if chunk > limit || chunk < next {
-			chunk = limit
-		}
-		s.run(chunk)
-		if s.aborted {
-			return s.maxNow(), false
-		}
-		cur := w.Progress()
-		if cur == last {
-			if t := s.nextTime(); t != Forever && t <= limit {
-				return s.maxNow(), true
-			}
-			return s.maxNow(), false
-		}
-		last = cur
-	}
-}

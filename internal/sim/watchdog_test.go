@@ -75,51 +75,3 @@ func TestRunGuardedDisabledMatchesRunUntil(t *testing.T) {
 			gotNow, wantNow, b.Processed(), a.Processed())
 	}
 }
-
-func TestShardedRunGuardedTrips(t *testing.T) {
-	engines := []*Engine{New(), New()}
-	for _, e := range engines {
-		e.SetCycleSeq(true)
-	}
-	r := &selfRescheduler{eng: engines[0], period: 4}
-	engines[0].AtHandler(0, r, nil)
-
-	var progress uint64
-	s := NewShardedEngine(engines, 2, func(Time, []Time) {})
-	defer s.Stop()
-	w := Watchdog{Interval: 64, Progress: func() uint64 { return progress }}
-	now, tripped := s.RunGuarded(w, 1_000_000)
-	if !tripped {
-		t.Fatalf("sharded watchdog did not trip (now=%d)", now)
-	}
-	if now > 200 {
-		t.Errorf("sharded watchdog tripped late: now=%d", now)
-	}
-}
-
-func TestShardedRunGuardedBitIdenticalToRun(t *testing.T) {
-	build := func() (*ShardedEngine, *selfRescheduler) {
-		engines := []*Engine{New(), New()}
-		for _, e := range engines {
-			e.SetCycleSeq(true)
-		}
-		r := &selfRescheduler{eng: engines[0], period: 3, limit: 200}
-		engines[0].AtHandler(0, r, nil)
-		r2 := &selfRescheduler{eng: engines[1], period: 7, limit: 90}
-		engines[1].AtHandler(1, r2, nil)
-		return NewShardedEngine(engines, 2, func(Time, []Time) {}), r
-	}
-	sa, ra := build()
-	sb, rb := build()
-	wantNow := sa.RunUntil(450)
-	var calls uint64
-	w := Watchdog{Interval: 10, Progress: func() uint64 { calls++; return calls }}
-	gotNow, tripped := sb.RunGuarded(w, 450)
-	if tripped {
-		t.Fatal("always-progressing watchdog tripped")
-	}
-	if gotNow != wantNow || sa.Processed() != sb.Processed() || ra.fires != rb.fires {
-		t.Errorf("guarded sharded run diverged: now %d vs %d, processed %d vs %d",
-			gotNow, wantNow, sb.Processed(), sa.Processed())
-	}
-}

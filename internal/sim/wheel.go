@@ -36,43 +36,21 @@ const (
 )
 
 // wheelBucket holds every pending event of one cycle. evs[head:] are the
-// not-yet-fired slots. maxSeq tracks the largest sequence key ever
-// appended since the last reset: an append below it marks the bucket
-// dirty, and a dirty bucket re-sorts its pending suffix by seq before
-// draining, so fire order within the cycle is always exactly ascending seq
-// — the same total (deadline, sequence) order the heap produces.
+// not-yet-fired slots. Sequence keys only grow and an event joins the
+// bucket when its key is drawn, or when the overflow tier promotes it, in
+// key order, as soon as its cycle enters the horizon and so before any
+// later key for the cycle is drawn. Appends therefore arrive in ascending
+// key order, and a bucket drains in the same total (deadline, sequence)
+// order the heap produces.
 type wheelBucket struct {
-	evs    []*Event
-	head   int
-	maxSeq uint64
-	dirty  bool
+	evs  []*Event
+	head int
 }
 
 // reset clears a fully drained bucket, keeping the slice capacity.
 func (b *wheelBucket) reset() {
 	b.evs = b.evs[:0]
 	b.head = 0
-	b.maxSeq = 0
-	b.dirty = false
-}
-
-// sortPending insertion-sorts evs[head:] by sequence key (unique per
-// engine, so the sort is a total order). Buckets are almost always already
-// sorted — only barrier-phase AtHandlerSeq insertions and overflow
-// promotions can append out of order — so insertion sort on the
-// nearly-sorted suffix is the right tool.
-func (b *wheelBucket) sortPending() {
-	evs := b.evs
-	for i := b.head + 1; i < len(evs); i++ {
-		ev := evs[i]
-		k := i - 1
-		for k >= b.head && evs[k].seq > ev.seq {
-			evs[k+1] = evs[k]
-			k--
-		}
-		evs[k+1] = ev
-	}
-	b.dirty = false
 }
 
 // wheel is the timing-wheel scheduler: a ring of per-cycle buckets covering
@@ -122,11 +100,6 @@ func (w *wheel) schedule(ev *Event) {
 func (w *wheel) ringInsert(ev *Event) {
 	idx := int(ev.at) & wheelMask
 	b := &w.buckets[idx]
-	if ev.seq < b.maxSeq {
-		b.dirty = true
-	} else {
-		b.maxSeq = ev.seq
-	}
 	if len(b.evs) == cap(b.evs) {
 		b.grow()
 	}
@@ -160,8 +133,8 @@ func (w *wheel) promote() {
 
 // next returns the earliest pending deadline without advancing the clock
 // base past it. The occupancy bitmap makes the ring scan a handful of word
-// tests, which is what lets guarded runs and the sharded window barrier
-// probe the next deadline cheaply and jump over dead cycles.
+// tests, which is what lets guarded runs probe the next deadline cheaply
+// and jump over dead cycles.
 func (w *wheel) next() (Time, bool) {
 	w.promote()
 	if w.count > 0 {
@@ -215,16 +188,12 @@ func (w *wheel) advance(t Time) {
 // The limit is re-read per cycle so Abort can end the run at the next
 // cycle boundary.
 //
-// The return value is the next pending deadline past the limit (Forever
-// when everything drained) — the exit probe doubles as the follow-up
-// NextEventTime the windowed driver would otherwise repeat.
-//
 // An armed end-of-cycle hook runs as soon as the cycle is over: right after
 // its bucket drains, so the next probe already sees what the hook
 // scheduled, or, for a hook armed outside a drain, as soon as the probe
 // finds nothing left in the current cycle, before any later event and
 // before any return, followed by a fresh probe.
-func (e *Engine) runWheel() Time {
+func (e *Engine) runWheel() {
 	w := &e.wh
 	for {
 		t, ok := w.next()
@@ -235,19 +204,13 @@ func (e *Engine) runWheel() Time {
 			e.runHook()
 			continue
 		}
-		if !ok {
-			return Forever
-		}
-		if t > e.runLimit {
-			return t
+		if !ok || t > e.runLimit {
+			return
 		}
 		w.advance(t)
 		idx := int(t) & wheelMask
 		b := &w.buckets[idx]
 		for b.head < len(b.evs) {
-			if b.dirty {
-				b.sortPending()
-			}
 			ev := b.evs[b.head]
 			b.evs[b.head] = nil
 			b.head++

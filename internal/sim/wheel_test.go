@@ -13,29 +13,19 @@ import (
 // at the same point of that order. The harness interprets a byte stream as
 // a schedule/run/arm/continue program, replays it through an engine, and
 // records every firing and hook run; replaying the same stream through the
-// wheel and the heap, with pooling on and off, and with plain and
-// cycle-tagged sequencing must produce identical logs, clocks, and
-// counters. The fuzz target and the seeded randomized test below both
-// drive this harness.
+// wheel and the heap, with pooling on and off, must produce identical logs,
+// clocks, and counters. The fuzz target and the seeded randomized test
+// below both drive this harness.
 
 type fireRec struct {
 	id int
 	at Time
 }
 
-type idHandler struct {
-	drv *streamDriver
-}
-
-func (h *idHandler) OnEvent(arg any) {
-	h.drv.fires = append(h.drv.fires, fireRec{id: arg.(int), at: h.drv.e.Now()})
-}
-
 type streamDriver struct {
 	e      *Engine
 	fires  []fireRec
 	nextID int
-	ctr    uint32
 	hooks  int  // hook runs so far; logged as fires with negative ids
 	hookAt Time // delay of the event the next hook run schedules
 
@@ -130,7 +120,7 @@ const (
 	opFar             // schedule beyond the wheel horizon: the overflow tier
 	opRunShort        // run zero to two cycles past the clock
 	opRun             // run up to 199 cycles past the clock
-	opSeq             // barrier-key insertion (plain keys: a near schedule)
+	opShort           // schedule up to 15 cycles past the clock
 	opArm             // arm the end-of-cycle hook
 	opCont            // file a driver continuation
 	schedOps
@@ -138,16 +128,14 @@ const (
 
 // runSchedStream replays data as a scheduler op program and returns the
 // firing log plus final engine state.
-func runSchedStream(data []byte, kind SchedulerKind, cycleSeq, pooled bool) streamRun {
+func runSchedStream(data []byte, kind SchedulerKind, pooled bool) streamRun {
 	e := New()
 	e.SetScheduler(kind)
-	e.SetCycleSeq(cycleSeq)
 	e.SetPooling(pooled)
 	d := &streamDriver{e: e}
 	for k := range d.conts {
 		d.conts[k] = &drvCont{d: d, id: contID(k)}
 	}
-	h := &idHandler{drv: d}
 	e.SetCycleHook(func() {
 		d.hooks++
 		d.fires = append(d.fires, fireRec{id: -d.hooks, at: e.Now()})
@@ -179,26 +167,8 @@ func runSchedStream(data []byte, kind SchedulerKind, cycleSeq, pooled bool) stre
 			d.e.RunUntil(d.e.Now() + Time(arg%3))
 		case opRun:
 			d.e.RunUntil(d.e.Now() + Time(arg%200))
-		case opSeq:
-			if cycleSeq {
-				// Barrier-style insertion: an explicit flush-phase key whose
-				// cycle tag may lag the clock (as a window barrier's send
-				// cycle does), so it can land below keys already appended to
-				// the target bucket and force the out-of-order sort path.
-				// The monotone counter keeps every key unique; flush phase
-				// keeps them disjoint from engine-assigned keys.
-				id := d.nextID
-				d.nextID++
-				cyc := d.e.Now() - Time(arg&7)
-				if cyc < 0 {
-					cyc = 0
-				}
-				key := WindowSeq(cyc, true, d.ctr)
-				d.ctr++
-				d.e.AtHandlerSeq(d.e.Now()+Time(arg&63)+1, key, h, id)
-			} else {
-				d.schedule(Time(arg & 15))
-			}
+		case opShort:
+			d.schedule(Time(arg & 15))
 		case opArm:
 			d.hookAt = Time(arg & 3)
 			d.e.ArmCycleHook()
@@ -214,9 +184,9 @@ func runSchedStream(data []byte, kind SchedulerKind, cycleSeq, pooled bool) stre
 
 // compareStreams replays data on the pooled wheel and checks that the heap
 // and the unpooled wheel observe the same run.
-func compareStreams(t *testing.T, label string, data []byte, cycleSeq bool) {
+func compareStreams(t *testing.T, label string, data []byte) {
 	t.Helper()
-	ref := runSchedStream(data, SchedWheel, cycleSeq, true)
+	ref := runSchedStream(data, SchedWheel, true)
 	for _, v := range []struct {
 		name   string
 		kind   SchedulerKind
@@ -225,7 +195,7 @@ func compareStreams(t *testing.T, label string, data []byte, cycleSeq bool) {
 		{"heap", SchedHeap, true},
 		{"unpooled wheel", SchedWheel, false},
 	} {
-		got := runSchedStream(data, v.kind, cycleSeq, v.pooled)
+		got := runSchedStream(data, v.kind, v.pooled)
 		if got.now != ref.now || got.processed != ref.processed {
 			t.Fatalf("%s: wheel (now=%d proc=%d) vs %s (now=%d proc=%d)",
 				label, ref.now, ref.processed, v.name, got.now, got.processed)
@@ -245,16 +215,14 @@ func compareStreams(t *testing.T, label string, data []byte, cycleSeq bool) {
 }
 
 // TestSchedulerEquivalenceRandom replays seeded random op streams through
-// both schedulers in both sequencing modes and demands identical (at, seq)
-// fire order — the randomized counterpart of FuzzSchedulerEquivalence.
+// both schedulers and demands identical (at, seq) fire order — the randomized counterpart of FuzzSchedulerEquivalence.
 func TestSchedulerEquivalenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x1f1e33))
 	for round := 0; round < 200; round++ {
 		n := rng.Intn(400) + 2
 		data := make([]byte, n)
 		rng.Read(data)
-		compareStreams(t, "plain", data, false)
-		compareStreams(t, "cycle-seq", data, true)
+		compareStreams(t, "random", data)
 	}
 }
 
@@ -264,7 +232,7 @@ func TestSchedulerEquivalenceRandom(t *testing.T) {
 // use every op.
 func FuzzSchedulerEquivalence(f *testing.F) {
 	f.Add([]byte{opNear, 10, opFar, 200, opRunShort, 2, opRun, 100})
-	f.Add([]byte{opChained, 0xff, opSeq, 3, opRun, 100, opNear + 1, 63})
+	f.Add([]byte{opChained, 0xff, opShort, 3, opRun, 100, opNear + 1, 63})
 	f.Add([]byte{opFar, 0xff, opFar, 0x01, opNear, 0, opRunShort, 0, opRun, 0xff})
 	f.Add([]byte{opNear, 5, opArm, 0, opRunShort, 1, opArm, 2, opChained, 0x21, opRun, 9, opArm, 1})
 	f.Add([]byte{opCont, 0x83, opNear, 3, opCont, 0x45, opCont, 0xc4, opNear + 1, 3, opRunShort, 2,
@@ -273,8 +241,7 @@ func FuzzSchedulerEquivalence(f *testing.F) {
 		if len(data) > 4096 {
 			data = data[:4096]
 		}
-		compareStreams(t, "plain", data, false)
-		compareStreams(t, "cycle-seq", data, true)
+		compareStreams(t, "fuzz", data)
 	})
 }
 
@@ -321,36 +288,6 @@ func TestWheelDeadCycleSkip(t *testing.T) {
 		t.Fatalf("processed = %d, want 2", e.Processed())
 	}
 }
-
-// TestWheelBarrierKeySort forces the out-of-order insertion path: explicit
-// barrier keys appended below the bucket's running maximum must still fire
-// in ascending key order.
-func TestWheelBarrierKeySort(t *testing.T) {
-	e := New()
-	e.SetCycleSeq(true)
-	var order []int
-	h := &orderHandler{eng: e, out: &order}
-	e.AtHandlerSeq(5, WindowSeq(0, true, 3), h, 3)
-	e.AtHandlerSeq(5, WindowSeq(0, true, 0), h, 0) // below maxSeq: dirties the bucket
-	e.AtHandlerSeq(5, WindowSeq(0, true, 2), h, 2)
-	e.AtHandlerSeq(5, WindowSeq(0, true, 1), h, 1)
-	e.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("barrier keys fired out of order: %v", order)
-		}
-	}
-	if len(order) != 4 {
-		t.Fatalf("fired %d events, want 4", len(order))
-	}
-}
-
-type orderHandler struct {
-	eng *Engine
-	out *[]int
-}
-
-func (h *orderHandler) OnEvent(arg any) { *h.out = append(*h.out, arg.(int)) }
 
 func TestSetSchedulerPanicsWithPending(t *testing.T) {
 	e := New()

@@ -140,8 +140,7 @@ type RowCoverage struct {
 
 // EnableTransitionCoverage toggles the per-row hit counters on every
 // scheme's transition tables. The counters are atomic, so the toggle and
-// the counting are safe while simulations run (including on the sharded
-// engine and under Sweep).
+// the counting are safe while simulations run (including under Sweep).
 func EnableTransitionCoverage(on bool) { coherence.SetTableCoverage(on) }
 
 // ResetTransitionCoverage zeroes the coverage counters.
@@ -213,25 +212,15 @@ type Config struct {
 	ModifyGrant bool
 	// MaxCycles aborts a run that exceeds this many cycles (0 = no bound).
 	MaxCycles int64
-	// Shards, when above one, runs the simulation on the windowed sharded
-	// engine: the mesh is split into contiguous node tiles, each with its
-	// own event queue (a timing wheel) and its own goroutine, executed
-	// concurrently in lockstep time windows one lookahead wide (see
+	// Shards is read by nothing: every simulation runs on one engine, and
+	// Sweep and SweepN spread configurations over cores instead (see
 	// DESIGN.md, "Parallel simulation").
-	// Shards is an upper bound: the machine builds one tile per shard
-	// worker, min(Shards, workers, processors) tiles, since only
-	// goroutines buy speed; the default 0, like any Shards that leaves one
-	// tile, runs one engine. Results are deterministic and bit-identical
-	// for every Shards value: every build claims the network in the same
-	// canonical (send cycle, source) order. Trace workloads
-	// (FromTrace/FromEvents) share replay state across processors and
-	// refuse Shards > 1 as requested, even where one worker would build
-	// a single tile, so whether a run is accepted never depends on the
-	// host.
+	//
+	// Deprecated: the windowed sharded engine it selected is gone.
 	Shards int
-	// ShardWorkers is the number of goroutines executing shards, each
-	// running one tile, so it also caps the tiles built (0 = GOMAXPROCS).
-	// It affects only wall-clock speed, never results.
+	// ShardWorkers is read by nothing.
+	//
+	// Deprecated: the windowed sharded engine it selected is gone.
 	ShardWorkers int
 	// Faults is a deterministic fault-injection spec, "seed:key=value,...".
 	// Keys: delay/delaymax (per-packet delivery jitter), dup/dupdelay
@@ -248,8 +237,7 @@ type Config struct {
 	// any workload remains completable as long as the retransmit budget
 	// holds out; a link that exhausts rmax attempts halts the run with a
 	// structured diagnostic instead of hanging. The injected schedule
-	// depends only on the spec, never on the host, and is identical for
-	// every Shards value.
+	// depends only on the spec, never on the host.
 	Faults string
 	// WatchdogCycles, when positive, halts a run that makes no forward
 	// progress (no memory operation commits, no software handler finishes)
@@ -325,8 +313,7 @@ func (c Config) build() (*machine.Machine, error) {
 		contexts = 1
 	}
 	mc := machine.Config{Width: w, Height: h, Contexts: contexts, Params: params, CacheWays: c.CacheWays,
-		Oracles: c.oracles, Shards: c.Shards, ShardWorkers: c.ShardWorkers,
-		Watchdog: sim.Time(c.WatchdogCycles)}
+		Oracles: c.oracles, Watchdog: sim.Time(c.WatchdogCycles)}
 	if c.Faults != "" {
 		fcfg, err := fault.Parse(c.Faults)
 		if err != nil {
@@ -442,7 +429,7 @@ type Result struct {
 
 // FaultStats counts injected faults by class, plus the reliable
 // transport's recovery work. The totals depend only on the Faults spec and
-// the workload, never on Shards or the host.
+// the workload, never on the host.
 type FaultStats struct {
 	// Delays is packets given extra delivery delay.
 	Delays uint64
@@ -509,10 +496,6 @@ func resultFrom(r machine.Result) Result {
 type Workload struct {
 	procs int
 	build func() []proc.Workload
-	// unshardable marks workloads whose per-processor programs share
-	// mutable Go-level state (the trace replayer), which the parallel
-	// sharded engine cannot execute safely.
-	unshardable bool
 }
 
 // Procs returns the processor count the workload was built for.
@@ -626,9 +609,7 @@ func FromEvents(events []trace.Event) (Workload, error) {
 	if err != nil {
 		return Workload{}, err
 	}
-	// The post-mortem scheduler's threads coordinate through shared
-	// replayer state, so this workload must stay on a single goroutine.
-	return Workload{procs: pm.Threads(), build: pm.Workloads, unshardable: true}, nil
+	return Workload{procs: pm.Threads(), build: pm.Workloads}, nil
 }
 
 // Prog is the custom-workload programming surface: continuation-passing
@@ -717,17 +698,12 @@ func NormalizeFaults(spec string) (string, error) {
 	return cfg.String(), nil
 }
 
-// Run executes the workload on a machine built from cfg. On one engine a
-// program that spins on a value nothing will write, with no MaxCycles,
-// watchdog or fault plan to end the wait, returns a deadlock error.
+// Run executes the workload on a machine built from cfg. A program that
+// spins on a value nothing will write, with no MaxCycles, watchdog or
+// fault plan to end the wait, returns a deadlock error.
 func Run(cfg Config, wl Workload) (Result, error) {
 	if cfg.Procs == 0 {
 		cfg.Procs = wl.procs
-	}
-	if wl.unshardable && cfg.Shards > 1 {
-		return Result{}, fmt.Errorf(
-			"limitless: incompatible options: a trace workload (FromTrace/FromEvents, the -trace flag) cannot run with Shards=%d (the -shards flag): trace replay shares one event cursor across all processors, which the parallel sharded engine would race on; rerun with Shards <= 1 or a generated workload",
-			cfg.Shards)
 	}
 	if cfg.Procs != wl.procs {
 		return Result{}, fmt.Errorf("limitless: config has %d processors but workload was built for %d",

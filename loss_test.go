@@ -31,9 +31,7 @@ func runLossy(t testing.TB, cfg limitless.Config, label string) limitless.Result
 
 // TestLossEquivalenceMatrix is the loss-tolerance acceptance matrix: every
 // scheme, run under the full fault mix including drop and corrupt, must
-// complete SC-clean, rerun bit-identically, and give the same Result on one
-// engine and at every windowed shard count — the retransmitting transport
-// may not leak partition-dependence into anything. The heap scheduler is
+// complete SC-clean and rerun bit-identically. The heap scheduler is
 // spot-checked against the same pin.
 func TestLossEquivalenceMatrix(t *testing.T) {
 	for _, scheme := range allSchemes(t) {
@@ -42,26 +40,15 @@ func TestLossEquivalenceMatrix(t *testing.T) {
 			base := limitless.Config{Procs: 16, Scheme: scheme, Pointers: 4,
 				TrapService: 50}
 
-			ref := runLossy(t, base, string(scheme)+"/shards=0")
+			ref := runLossy(t, base, string(scheme))
 			if ref.FaultStats.Drops == 0 || ref.FaultStats.Retransmits == 0 {
 				t.Errorf("loss classes never fired: %+v", ref.FaultStats)
 			}
 			if again := runLossy(t, base, string(scheme)+"/rerun"); again != ref {
 				t.Errorf("rerun diverged:\n%+v\n%+v", ref, again)
 			}
-			for _, shards := range []int{2, 4} {
-				cfg := base
-				cfg.Shards, cfg.ShardWorkers = shards, shards
-				got := runLossy(t, cfg, fmt.Sprintf("%s/shards=%d", scheme, shards))
-				if got != ref {
-					t.Errorf("shards=%d diverged from Shards=0 under loss:\n got %+v\nwant %+v",
-						shards, got, ref)
-				}
-			}
 			// The engine's scheduler must not interact with the transport.
-			cfg := base
-			cfg.Shards, cfg.ShardWorkers = 4, 4
-			if got := runLossy(t, limitless.WithOracles(cfg, machine.OracleHeap), string(scheme)+"/heap"); got != ref {
+			if got := runLossy(t, limitless.WithOracles(base, machine.OracleHeap), string(scheme)+"/heap"); got != ref {
 				t.Errorf("heap diverged under loss:\n got %+v\nwant %+v", got, ref)
 			}
 		})
@@ -73,29 +60,19 @@ func TestLossEquivalenceMatrix(t *testing.T) {
 // the migratory token ring, whose readers spin on a flag while a writer's
 // invalidation walks them, under a single drop class and under the full
 // lossy mix. Every run must complete SC-clean within the cycle bound (the
-// bug left readers spinning on stale copies forever) and give the same
-// Result on one engine and on two and four windowed shards.
+// bug left readers spinning on stale copies forever).
 func TestLossMigratoryAllSchemes(t *testing.T) {
 	for _, scheme := range allSchemes(t) {
 		for _, faults := range []string{"7:drop=0.02", lossSpec} {
-			var ref limitless.Result
-			for i, shards := range []int{0, 2, 4} {
-				cfg := limitless.Config{Procs: 16, Scheme: scheme, Pointers: 4, TrapService: 50,
-					Faults: faults, Verify: true, WatchdogCycles: 1_000_000, MaxCycles: 1_000_000,
-					Shards: shards, ShardWorkers: shards}
-				label := fmt.Sprintf("%s/%s/shards=%d", scheme, faults, shards)
-				res, err := limitless.Run(cfg, limitless.Migratory(16, 2))
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if res.Violations != 0 {
-					t.Fatalf("%s: %d protocol violations", label, res.Violations)
-				}
-				if i == 0 {
-					ref = res
-				} else if res != ref {
-					t.Errorf("%s diverged from Shards=0:\n got %+v\nwant %+v", label, res, ref)
-				}
+			cfg := limitless.Config{Procs: 16, Scheme: scheme, Pointers: 4, TrapService: 50,
+				Faults: faults, Verify: true, WatchdogCycles: 1_000_000, MaxCycles: 1_000_000}
+			label := fmt.Sprintf("%s/%s", scheme, faults)
+			res, err := limitless.Run(cfg, limitless.Migratory(16, 2))
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if res.Violations != 0 {
+				t.Fatalf("%s: %d protocol violations", label, res.Violations)
 			}
 		}
 	}
@@ -132,25 +109,22 @@ func TestLossActuallyPerturbs(t *testing.T) {
 // transport cannot beat (every attempt dropped) returns a structured error
 // naming the stuck link instead of hanging into the watchdog.
 func TestTransportStuckDiagnostic(t *testing.T) {
-	for _, shards := range []int{0, 2} {
-		cfg := limitless.Config{Procs: 16, Scheme: limitless.FullMap,
-			Faults: "1:drop=1,rto=16,rmax=3", Shards: shards, ShardWorkers: shards,
-			WatchdogCycles: 500_000, MaxCycles: 10_000_000}
-		_, err := limitless.Run(cfg, limitless.Weather(16))
-		if err == nil {
-			t.Fatalf("shards=%d: all-drop run returned no error", shards)
-		}
-		for _, want := range []string{"reliable transport", "retransmit budget", "stuck links"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("shards=%d: error does not mention %q:\n%s", shards, want, err)
-			}
+	cfg := limitless.Config{Procs: 16, Scheme: limitless.FullMap,
+		Faults: "1:drop=1,rto=16,rmax=3", WatchdogCycles: 500_000, MaxCycles: 10_000_000}
+	_, err := limitless.Run(cfg, limitless.Weather(16))
+	if err == nil {
+		t.Fatal("all-drop run returned no error")
+	}
+	for _, want := range []string{"reliable transport", "retransmit budget", "stuck links"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error does not mention %q:\n%s", want, err)
 		}
 	}
 }
 
 // lossTrial builds one randomized lossy configuration from fuzz bytes and
-// cross-checks shard counts 1, 2, and 4 against each other. Shared by the
-// randomized test and FuzzLossEquivalence.
+// cross-checks its run against a rerun and against the same run under
+// every oracle. Shared by the randomized test and FuzzLossEquivalence.
 func lossTrial(t testing.TB, schemeB, ratesB, knobsB byte) {
 	schemes := allSchemes(t)
 	scheme := schemes[int(schemeB)%len(schemes)]
@@ -162,15 +136,17 @@ func lossTrial(t testing.TB, schemeB, ratesB, knobsB byte) {
 	spec := fmt.Sprintf("%d:drop=%.2f,corrupt=%.3f,delay=0.03,dup=0.01", seed, drop, corrupt)
 
 	cfg := limitless.Config{Procs: 16, Scheme: scheme, Pointers: 1 + int(knobsB>>4)%4,
-		TrapService: 50, Faults: spec, Shards: 1, ShardWorkers: 1}
+		TrapService: 50, Faults: spec}
 	label := fmt.Sprintf("%s/%s", scheme, spec)
-	ref := runLossy(t, cfg, label+"/shards=1")
-	for _, shards := range []int{2, 4} {
-		cfg.Shards, cfg.ShardWorkers = shards, shards
-		if got := runLossy(t, cfg, fmt.Sprintf("%s/shards=%d", label, shards)); got != ref {
-			t.Fatalf("%s: shards=%d diverged from shards=1:\n got %+v\nwant %+v",
-				label, shards, got, ref)
-		}
+	ref := runLossy(t, cfg, label)
+	if got := runLossy(t, cfg, label+"/rerun"); got != ref {
+		t.Fatalf("%s: rerun diverged:\n got %+v\nwant %+v", label, got, ref)
+	}
+	got := runLossy(t, limitless.WithOracles(cfg, machine.AllOracles), label+"/oracles")
+	// Boxed storage may differ only in the measured directory footprint.
+	got.DirectoryBytes, got.DirectoryBytesPerEntry = ref.DirectoryBytes, ref.DirectoryBytesPerEntry
+	if got != ref {
+		t.Fatalf("%s: every oracle at once diverged from the fast paths:\n got %+v\nwant %+v", label, got, ref)
 	}
 }
 
@@ -189,8 +165,8 @@ func TestLossEquivalenceRandom(t *testing.T) {
 }
 
 // FuzzLossEquivalence lets the fuzzer drive the scheme, loss rates, and
-// seed; every reachable lossy configuration must produce bit-identical
-// results at shard counts 1, 2, and 4.
+// seed; every reachable lossy configuration must rerun bit-identically and
+// give the same Result under every oracle.
 func FuzzLossEquivalence(f *testing.F) {
 	f.Add(byte(2), byte(0x1a), byte(0x42)) // limitless, drop+corrupt
 	f.Add(byte(0), byte(0x07), byte(0x01)) // full-map, drop-heavy

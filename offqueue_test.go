@@ -38,13 +38,12 @@ func runFor(cfg limitless.Config, w limitless.Workload) runOutcome {
 	return o
 }
 
-// TestOffQueueSpinEquivalence is the gate for off-queue spin-waits. On one
-// engine a spin's cache-hit polls leave the event queue and settle when an
-// event of the node wakes them (proc.Processor.Wake); its two oracles keep
-// every step queued: two windowed shards, where spins never leave the
-// queue, and the Next-level poll loop, whose plain loads are no spin to
-// the processor. All three runs must agree in every Result field and in
-// the error a cut or a halt reports. The cases put wakes where they are
+// TestOffQueueSpinEquivalence is the gate for off-queue spin-waits. A
+// spin's cache-hit polls leave the event queue and settle when an event of
+// the node wakes them (proc.Processor.Wake); the oracle keeps every step
+// queued: the Next-level poll loop, whose plain loads are no spin to the
+// processor. Both runs must agree in every Result field and in the error a
+// cut or a halt reports. The cases put wakes where they are
 // hardest: LimitLESS_1 traps reaching spinning homes every epoch, a
 // 40-cycle backoff (three compute slices) on a two-context processor,
 // the migratory token ring, the chaos and lossy fault mixes, and cycle
@@ -85,15 +84,7 @@ func TestOffQueueSpinEquivalence(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			off := runFor(c.cfg, c.mk())
-			sharded := c.cfg
-			sharded.Shards, sharded.ShardWorkers = 2, 2
-			queued := runFor(sharded, c.mk())
-			expanded := runFor(c.cfg, limitless.WrapPrograms(c.mk(), func(w proc.Workload) proc.Workload {
-				return &spinExpander{inner: w}
-			}))
-			if off != queued {
-				t.Errorf("off-queue spins and two windowed shards disagree:\noff-queue: %+v\nsharded:   %+v", off, queued)
-			}
+			expanded := runFor(c.cfg, expand(c.mk()))
 			if off != expanded {
 				t.Errorf("off-queue spins and the Next-level poll loop disagree:\noff-queue: %+v\nexpanded:  %+v", off, expanded)
 			}
@@ -106,9 +97,10 @@ func TestOffQueueSpinEquivalence(t *testing.T) {
 
 // TestOffQueueSpinCutLandsOnLimit: every processor spins on a flag nobody
 // writes, so the queue drains early and the spins stay off it. A cycle
-// limit still cuts the run where a run with every step queued stops — on
-// the last poll step at or before the limit, with every step up to it
-// counted — however far the limit lies past the last queued event.
+// limit still cuts the run where the Next-level poll loop, with every step
+// queued, stops — on the last poll step at or before the limit, with every
+// step up to it counted — however far the limit lies past the last queued
+// event.
 func TestOffQueueSpinCutLandsOnLimit(t *testing.T) {
 	flag := limitless.Block(0, 9)
 	stale := limitless.Custom(16, func(_ int, pr *limitless.Prog) {
@@ -118,11 +110,9 @@ func TestOffQueueSpinCutLandsOnLimit(t *testing.T) {
 	for _, limit := range []int64{300, 301, 350, 100_000} {
 		cfg.MaxCycles = limit
 		off := runFor(cfg, stale)
-		sharded := cfg
-		sharded.Shards, sharded.ShardWorkers = 2, 2
-		queued := runFor(sharded, stale)
+		queued := runFor(cfg, expand(stale))
 		if off != queued {
-			t.Errorf("limit %d: off-queue and queued cuts disagree:\noff-queue: %+v\nsharded:   %+v", limit, off, queued)
+			t.Errorf("limit %d: off-queue and queued cuts disagree:\noff-queue: %+v\nqueued:    %+v", limit, off, queued)
 		}
 		if c := int64(off.res.Cycles); c > limit || c < limit-14 {
 			t.Errorf("limit %d: cut at cycle %d, want within one poll period (14 cycles) of the limit", limit, c)
@@ -133,8 +123,9 @@ func TestOffQueueSpinCutLandsOnLimit(t *testing.T) {
 // TestStaleSpinRunError: a Custom program spinning on a flag nothing
 // writes, run with no cycle limit, watchdog or fault plan, drains the
 // queue with every spin off it. Run reports that deadlock as an error
-// instead of panicking out of the library, and a Sweep that includes such
-// a point still returns every other point's result.
+// instead of panicking out of the library, whatever the deprecated Shards
+// and ShardWorkers say, and a Sweep that includes such a point still
+// returns every other point's result.
 func TestStaleSpinRunError(t *testing.T) {
 	flag := limitless.Block(0, 9)
 	stale := limitless.Custom(16, func(_ int, pr *limitless.Prog) {
@@ -146,6 +137,11 @@ func TestStaleSpinRunError(t *testing.T) {
 	}
 	if _, err := limitless.Run(cfg, stale); !isStale(err) {
 		t.Fatalf("Run on a stale spin returned %v, want a deadlock error naming the spin", err)
+	}
+	sharded := cfg
+	sharded.Shards, sharded.ShardWorkers = 2, 2
+	if _, err := limitless.Run(sharded, stale); !isStale(err) {
+		t.Fatalf("Run on a stale spin at Shards=2 returned %v, want a deadlock error naming the spin", err)
 	}
 	weather := cfg
 	weather.Pointers = 5

@@ -52,17 +52,13 @@ func runOracles(t testing.TB, cfg limitless.Config, mk func() limitless.Workload
 
 func weather16() limitless.Workload { return limitless.Weather(16) }
 
-// oracleMatrix runs Weather at P=16 under mask on every scheme, on one
-// engine and at 2 and 4 windowed shards, each shard on its own worker.
+// oracleMatrix runs Weather at P=16 under mask on every scheme.
 func oracleMatrix(t *testing.T, mask machine.Oracles) {
 	for _, scheme := range allSchemes(t) {
 		scheme := scheme
 		t.Run(string(scheme), func(t *testing.T) {
-			for _, shards := range []int{0, 2, 4} {
-				cfg := limitless.Config{Procs: 16, Scheme: scheme, Pointers: 4, TrapService: 50,
-					Verify: true, Shards: shards, ShardWorkers: shards}
-				runOracles(t, cfg, weather16, mask, fmt.Sprintf("%s/shards=%d", scheme, shards))
-			}
+			cfg := limitless.Config{Procs: 16, Scheme: scheme, Pointers: 4, TrapService: 50, Verify: true}
+			runOracles(t, cfg, weather16, mask, string(scheme))
 		})
 	}
 }
@@ -71,21 +67,15 @@ func TestSchedulerEquivalence(t *testing.T)   { oracleMatrix(t, machine.OracleHe
 func TestStorageModeEquivalence(t *testing.T) { oracleMatrix(t, machine.OracleBoxed) }
 func TestAllOraclesEquivalence(t *testing.T)  { oracleMatrix(t, machine.AllOracles) }
 
-// oraclePins holds the canonical Weather P=16 pin — 10411 cycles on one
-// engine and at four shards on four workers — on the fast paths, under bit
-// alone and under every oracle at once.
+// oraclePins holds the canonical Weather P=16 pin — 10411 cycles — on the
+// fast paths, under bit alone and under every oracle at once.
 func oraclePins(t *testing.T, bit machine.Oracles) {
+	const want = 10411
 	for _, mask := range []machine.Oracles{bit, machine.AllOracles} {
-		for _, pin := range []struct {
-			shards int
-			want   int64
-		}{{0, 10411}, {4, 10411}} {
-			cfg := limitless.Config{Procs: 16, Scheme: limitless.LimitLESS, Pointers: 4, TrapService: 50,
-				Verify: true, Shards: pin.shards, ShardWorkers: pin.shards}
-			res := runOracles(t, cfg, weather16, mask, fmt.Sprintf("shards=%d", pin.shards))
-			if res.Cycles != pin.want {
-				t.Errorf("shards=%d: cycles = %d, want %d", pin.shards, res.Cycles, pin.want)
-			}
+		cfg := limitless.Config{Procs: 16, Scheme: limitless.LimitLESS, Pointers: 4, TrapService: 50, Verify: true}
+		res := runOracles(t, cfg, weather16, mask, "weather16")
+		if res.Cycles != want {
+			t.Errorf("oracles=%02b: cycles = %d, want %d", mask, res.Cycles, want)
 		}
 	}
 }
@@ -94,10 +84,9 @@ func TestStorageModePins(t *testing.T) { oraclePins(t, machine.OracleBoxed) }
 
 // oracleTrial builds one random configuration and workload from fuzz bytes
 // and checks it under the bits of must plus the nonzero mask maskB picks.
-// Its axes are scheme, four workloads, engine (one engine, or two or four
-// windowed shards on as many workers), pointers, T_s, ModifyGrant and one
+// Its axes are scheme, four workloads, pointers, T_s, ModifyGrant and one
 // or two hardware contexts.
-func oracleTrial(t testing.TB, must machine.Oracles, maskB, schemeB, wlB, shardsB, knobsB byte) {
+func oracleTrial(t testing.TB, must machine.Oracles, maskB, schemeB, wlB, knobsB byte) {
 	mask := must | machine.Oracles(1+int(maskB)%int(machine.AllOracles))
 	schemes := allSchemes(t)
 	scheme := schemes[int(schemeB)%len(schemes)]
@@ -119,19 +108,16 @@ func oracleTrial(t testing.TB, must machine.Oracles, maskB, schemeB, wlB, shards
 		wlName = "multigrid"
 	}
 
-	shards := []int{0, 2, 4}[int(shardsB)%3]
 	cfg := limitless.Config{
-		Procs:        procs,
-		Scheme:       scheme,
-		Pointers:     1 + int(knobsB>>4)%4,
-		TrapService:  25 + int64(knobsB%4)*25,
-		ModifyGrant:  knobsB&1 != 0,
-		Contexts:     1 + int(knobsB>>2)%2,
-		Shards:       shards,
-		ShardWorkers: shards,
+		Procs:       procs,
+		Scheme:      scheme,
+		Pointers:    1 + int(knobsB>>4)%4,
+		TrapService: 25 + int64(knobsB%4)*25,
+		ModifyGrant: knobsB&1 != 0,
+		Contexts:    1 + int(knobsB>>2)%2,
 	}
-	label := fmt.Sprintf("%s/%s/ptrs=%d/ts=%d/mg=%v/ctx=%d/shards=%d",
-		scheme, wlName, cfg.Pointers, cfg.TrapService, cfg.ModifyGrant, cfg.Contexts, cfg.Shards)
+	label := fmt.Sprintf("%s/%s/ptrs=%d/ts=%d/mg=%v/ctx=%d",
+		scheme, wlName, cfg.Pointers, cfg.TrapService, cfg.ModifyGrant, cfg.Contexts)
 	runOracles(t, cfg, mk, mask, label)
 }
 
@@ -142,9 +128,9 @@ func oracleRandom(t *testing.T, must machine.Oracles, seed int64) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	for round := 0; round < 12; round++ {
-		var b [5]byte
+		var b [4]byte
 		rng.Read(b[:])
-		oracleTrial(t, must, b[0], b[1], b[2], b[3], b[4])
+		oracleTrial(t, must, b[0], b[1], b[2], b[3])
 	}
 }
 
@@ -153,14 +139,14 @@ func TestStorageModeEquivalenceRandom(t *testing.T) {
 }
 
 // fuzzOracles lets the fuzzer pick the mask (always including must), the
-// scheme, the workload, the engine and the protocol knobs.
+// scheme, the workload and the protocol knobs.
 func fuzzOracles(f *testing.F, must machine.Oracles) {
-	f.Add(byte(2), byte(2), byte(0), byte(0), byte(0x42))    // all oracles, limitless/weather/one engine
-	f.Add(byte(0), byte(0), byte(1), byte(1), byte(0x10))    // heap, full-map/synthetic/2 shards
-	f.Add(byte(5), byte(5), byte(2), byte(0x11), byte(0xff)) // all oracles, chained/migratory/4 shards
-	f.Add(byte(1), byte(3), byte(3), byte(2), byte(0x07))    // boxed, software-only/multigrid/4 shards
-	f.Fuzz(func(t *testing.T, maskB, schemeB, wlB, shardsB, knobsB byte) {
-		oracleTrial(t, must, maskB, schemeB, wlB, shardsB, knobsB)
+	f.Add(byte(2), byte(2), byte(0), byte(0x42)) // all oracles, limitless/weather
+	f.Add(byte(0), byte(0), byte(1), byte(0x10)) // heap, full-map/synthetic
+	f.Add(byte(5), byte(5), byte(2), byte(0xff)) // all oracles, chained/migratory
+	f.Add(byte(1), byte(3), byte(3), byte(0x07)) // boxed, software-only/multigrid
+	f.Fuzz(func(t *testing.T, maskB, schemeB, wlB, knobsB byte) {
+		oracleTrial(t, must, maskB, schemeB, wlB, knobsB)
 	})
 }
 

@@ -64,7 +64,7 @@ func TestRecycleAfterDissimilarRuns(t *testing.T) {
 		wl      func() limitless.Workload // the trace workload replays shared state, so each run builds its own
 		wantErr string                    // substring of the expected error; empty for none
 	}{
-		{"p256-shards4", limitless.Config{Procs: 256, Shards: 4, ShardWorkers: 4}, wl(limitless.Weather(256)), ""},
+		{"p256", limitless.Config{Procs: 256}, wl(limitless.Weather(256)), ""},
 		{"lossy", limitless.Config{Procs: 64,
 			Faults: "42:delay=0.05,dup=0.02,stall=0.1,trap=0.1,drop=0.02,corrupt=0.01"}, wl(limitless.Weather(64)), ""},
 		{"heap-boxed", limitless.WithOracles(limitless.Config{Procs: 64, Scheme: limitless.FullMap},
@@ -82,7 +82,7 @@ func TestRecycleAfterDissimilarRuns(t *testing.T) {
 		{"watchdog", limitless.Config{Procs: 16, Pointers: 2, TrapService: 400_000, WatchdogCycles: 2_000,
 			MaxCycles: 50_000_000}, wl(limitless.Weather(16)), "watchdog"},
 		{"transport-abort", limitless.Config{Procs: 16, Scheme: limitless.FullMap, Faults: "1:drop=1,rto=16,rmax=3",
-			Shards: 2, ShardWorkers: 2, WatchdogCycles: 500_000, MaxCycles: 10_000_000},
+			WatchdogCycles: 500_000, MaxCycles: 10_000_000},
 			wl(limitless.Weather(16)), "retransmit budget"},
 	}
 	run := func(i int) limitless.Result {
@@ -209,9 +209,6 @@ func TestRecycleSweepMatchesSequential(t *testing.T) {
 			TrapService: int64(40 + i)} // a distinct T_s per point lets mk find its workload
 		if i%4 == 3 {
 			cfg.Procs = 64
-		}
-		if i%3 == 1 {
-			cfg.Shards, cfg.ShardWorkers = 2, 2
 		}
 		if i == 5 {
 			cfg.Faults = "7:delay=0.05,dup=0.02,drop=0.02,corrupt=0.01"

@@ -1,22 +1,20 @@
 package limitless_test
 
 import (
-	"strings"
 	"testing"
 
 	limitless "limitless"
 	"limitless/internal/trace"
 )
 
-// TestShardedEquivalenceAllSchemes is the cross-engine determinism table:
-// every directory scheme at P=16 must produce bit-identical Results — cycle
-// counts and all aggregated statistics — for Shards ∈ {0, 1, 2, 4}, each
-// shard on its own worker. Shards 0 and 1 build one engine that claims each
-// cycle's traffic at the end of the cycle; 2 and 4 run windowed shards. Any
-// divergence means the two builds disagree on the canonical claim order or
-// the parallel engine leaked nondeterminism (merge order, shared state, or
-// a lookahead bug). Run in CI under -race, where it doubles as the
-// data-race probe for the worker pool.
+// The deprecated Shards and ShardWorkers fields of Config are read by
+// nothing: every run uses one engine. These tests hold that contract at
+// the facade, so configurations that still set the fields keep their
+// Results.
+
+// TestShardedEquivalenceAllSchemes: every directory scheme at P=16 gives
+// the bit-identical Result — cycle counts and every aggregated statistic —
+// for Shards ∈ {0, 1, 2, 4}, each with as many ShardWorkers.
 func TestShardedEquivalenceAllSchemes(t *testing.T) {
 	schemes := []struct {
 		name     string
@@ -56,9 +54,9 @@ func TestShardedEquivalenceAllSchemes(t *testing.T) {
 	}
 }
 
-// TestShardedRepeatable: the same sharded configuration run twice is
-// bit-identical — the parallel engine must not import wall-clock
-// scheduling into the simulation.
+// TestShardedRepeatable: the same configuration run twice is bit-identical
+// — nothing of the host, the goroutine schedule included, reaches the
+// simulation.
 func TestShardedRepeatable(t *testing.T) {
 	cfg := limitless.Config{Procs: 16, Scheme: limitless.LimitLESS, Pointers: 4,
 		TrapService: 50, Shards: 4, ShardWorkers: 4}
@@ -71,40 +69,36 @@ func TestShardedRepeatable(t *testing.T) {
 		t.Fatal(err)
 	}
 	if first != second {
-		t.Fatalf("two identical sharded runs diverged:\n%+v\n%+v", first, second)
+		t.Fatalf("two identical runs diverged:\n%+v\n%+v", first, second)
 	}
 }
 
-// TestShardedRejectsTraceWorkloads: the post-mortem trace replayer shares
-// mutable scheduling state across processors, which the parallel shards
-// cannot touch concurrently; Run must refuse rather than race.
-func TestShardedRejectsTraceWorkloads(t *testing.T) {
+// TestTraceWorkloadIgnoresShards: a trace workload runs under any config;
+// at Shards: 4 it gives the Result it gives at Shards: 0.
+func TestTraceWorkloadIgnoresShards(t *testing.T) {
 	events := []trace.Event{
-		{Thread: 0, Kind: trace.Load, Addr: 64, Shared: true},
+		{Thread: 0, Kind: trace.Store, Addr: 64, Value: 7, Shared: true},
 		{Thread: 1, Kind: trace.Load, Addr: 64, Shared: true},
+		{Thread: 2, Kind: trace.Load, Addr: 64, Shared: true},
+		{Thread: 3, Kind: trace.Load, Addr: 128, Shared: true},
 	}
-	wl, err := limitless.FromEvents(events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The refusal depends on the requested Shards alone, never on the shards
-	// the host's workers would build: with one worker the machine would run
-	// one shard, and the trace workload is still refused.
-	for _, workers := range []int{0, 1, 2} {
-		cfg := limitless.Config{Scheme: limitless.FullMap, Shards: 2, ShardWorkers: workers}
-		_, err = limitless.Run(cfg, wl)
-		if err == nil {
-			t.Fatalf("trace workload with Shards=2 ShardWorkers=%d did not error", workers)
+	run := func(shards int) limitless.Result {
+		wl, err := limitless.FromEvents(events)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// The refusal must name both sides of the conflict and the way out.
-		for _, want := range []string{"trace", "Shards=2", "-shards", "Shards <= 1"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("rejection %q does not mention %q", err, want)
-			}
+		cfg := limitless.Config{Scheme: limitless.FullMap, Shards: shards, ShardWorkers: shards}
+		res, err := limitless.Run(cfg, wl)
+		if err != nil {
+			t.Fatalf("trace workload with Shards=%d: %v", shards, err)
 		}
+		return res
 	}
-	cfg := limitless.Config{Scheme: limitless.FullMap, Shards: 1}
-	if _, err := limitless.Run(cfg, wl); err != nil {
-		t.Fatalf("trace workload with Shards=1 should run sequentially: %v", err)
+	ref := run(0)
+	if ref.Cycles == 0 || ref.Messages == 0 {
+		t.Fatalf("degenerate trace run: %+v", ref)
+	}
+	if got := run(4); got != ref {
+		t.Fatalf("trace workload at Shards=4 diverged from Shards=0:\n got %+v\nwant %+v", got, ref)
 	}
 }

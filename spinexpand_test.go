@@ -45,6 +45,13 @@ func (s *spinExpander) poll() proc.Op {
 	return proc.Op{Kind: proc.OpLoad, Addr: s.spin.Addr, Shared: s.spin.Shared}
 }
 
+// expand wraps every program of w in a spinExpander.
+func expand(w limitless.Workload) limitless.Workload {
+	return limitless.WrapPrograms(w, func(p proc.Workload) proc.Workload {
+		return &spinExpander{inner: p}
+	})
+}
+
 // nextCounter counts the Next calls a processor makes into its program.
 type nextCounter struct {
 	inner proc.Workload
@@ -105,10 +112,10 @@ func flagAndCounter(nprocs int) limitless.Workload {
 }
 
 // TestSpinExpansionEquivalence is the correctness gate for running
-// spin-waits inside the processor: for every scheme, on one engine and on
-// two and four windowed shards, and for every spinning workload — barriers (Weather,
-// Multigrid, ProducerConsumer), the migratory token ring and a Custom
-// program — the Result must be bit-identical to the Next-level poll loop.
+// spin-waits inside the processor: for every scheme and every spinning
+// workload — barriers (Weather, Multigrid, ProducerConsumer), the
+// migratory token ring and a Custom program — the Result must be
+// bit-identical to the Next-level poll loop.
 func TestSpinExpansionEquivalence(t *testing.T) {
 	const procs = 16
 	workloads := []struct {
@@ -124,14 +131,9 @@ func TestSpinExpansionEquivalence(t *testing.T) {
 	for _, scheme := range allSchemes(t) {
 		scheme := scheme
 		t.Run(string(scheme), func(t *testing.T) {
-			for _, shards := range []int{0, 2, 4} {
-				cfg := limitless.Config{
-					Procs: procs, Scheme: scheme, Pointers: 4, TrapService: 50,
-					Verify: true, Shards: shards, ShardWorkers: shards,
-				}
-				for _, w := range workloads {
-					runSpinExpanded(t, cfg, w.mk, fmt.Sprintf("%s/shards=%d/%s", scheme, shards, w.name))
-				}
+			cfg := limitless.Config{Procs: procs, Scheme: scheme, Pointers: 4, TrapService: 50, Verify: true}
+			for _, w := range workloads {
+				runSpinExpanded(t, cfg, w.mk, fmt.Sprintf("%s/%s", scheme, w.name))
 			}
 		})
 	}
