@@ -29,7 +29,7 @@ var (
 	procsFlag    = flag.Int("procs", 64, "processor count")
 	wlFlag       = flag.String("workload", "weather", "weather, weather-opt, multigrid, synthetic, migratory, locks, prodcons")
 	wsFlag       = flag.Int("workerset", 8, "worker-set size for the synthetic workload")
-	ctxFlag      = flag.Int("contexts", 1, "processor hardware contexts")
+	ctxFlag      = flag.Int("contexts", 1, "processor hardware contexts (every workload fills context 0 only, so the value changes no result)")
 	traceFlag    = flag.String("trace", "", "replay a trace file instead of a built-in workload")
 	verifyFlag   = flag.Bool("verify", false, "run the coherence checker after the workload finishes")
 	faultsFlag   = flag.String("faults", "", "deterministic fault injection, \"seed:key=value,...\" (keys: delay, delaymax, dup, dupdelay, stall, stallperiod, stallcycles, trap, trapextra, drop, corrupt, rto, rmax; drop/corrupt arm the reliable transport)")

@@ -1,0 +1,162 @@
+package limitless
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// testOnlyExports lists the exported functions and methods under internal/
+// that only tests call, each with a test that needs it. Keys are
+// "pkg.Func" or "pkg.Type.Method".
+var testOnlyExports = map[string]string{
+	// The unpooled reference the pooled engine is compared against.
+	"sim.Engine.SetPooling": "FuzzSchedulerEquivalence",
+	"sim.Engine.Scheduler":  "TestOraclesReachEveryLayer",
+	"cache.Cache.Occupancy": "FuzzCacheEquivalence",
+	"mesh.Network.Distance": "TestRouteLengthEqualsDistance",
+	// Software-directory state the handler tests inspect.
+	"swdir.Handler.Resident":      "TestHandlerOverflowBuildsVector",
+	"swdir.LockHandler.QueueLen":  "TestLockHandlerGrantsFIFO",
+	"swdir.UpdateHandler.Readers": "TestUpdateHandlerMulticasts",
+	"workload.Barrier.Depth":      "TestBarrierJoinsAllProcessors",
+	"workload.Barrier.NumNodes":   "TestBarrierDepthAndNodes",
+	"stats.Histogram.Max":         "TestHistogramPercentileBounds",
+	// The check harness: the explorer and the chaos matrix are run by
+	// their tests.
+	"check.Chaos":          "TestChaosMatrix",
+	"check.DefaultChaos":   "TestChaosMatrix",
+	"check.Explore":        "TestExploreAllSchemes",
+	"check.DefaultExplore": "TestExploreAllSchemes",
+	"check.Report.Ok":      "TestExploreAllSchemes",
+}
+
+// TestNoTestOnlyExports fails when an exported function or method declared
+// in a non-test file under internal/ is referenced by no non-test file of
+// the repository outside its own declaration, unless testOnlyExports names
+// it; it fails too on an allowlist entry that names no such export or no
+// test. It reads every Go file under the module root (bench/ included),
+// skipping dot-directories such as .bench_build and testdata.
+//
+// References match by identifier name alone: any non-test use of a name
+// counts for every declaration of that name. A shared name can therefore
+// hide a test-only export, but never raises a false alarm.
+func TestNoTestOnlyExports(t *testing.T) {
+	type decl struct {
+		key, name  string
+		file       string
+		start, end token.Pos
+	}
+	fset := token.NewFileSet()
+	var decls []decl
+	uses := map[string][]token.Pos{} // identifier name -> non-test positions
+	tests := map[string]bool{}       // functions declared in test files
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			for _, dl := range f.Decls {
+				if fd, ok := dl.(*ast.FuncDecl); ok && fd.Recv == nil {
+					tests[fd.Name.Name] = true
+				}
+			}
+			return nil
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				uses[id.Name] = append(uses[id.Name], id.Pos())
+			}
+			return true
+		})
+		if !strings.HasPrefix(filepath.ToSlash(path), "internal/") {
+			return nil
+		}
+		for _, dl := range f.Decls {
+			fd, ok := dl.(*ast.FuncDecl)
+			if !ok || !fd.Name.IsExported() {
+				continue
+			}
+			key := f.Name.Name + "." + fd.Name.Name
+			if fd.Recv != nil {
+				key = f.Name.Name + "." + recvName(fd.Recv.List[0].Type) + "." + fd.Name.Name
+			}
+			decls = append(decls, decl{key, fd.Name.Name, path, fd.Pos(), fd.End()})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(decls) == 0 {
+		t.Fatal("found no exported declarations under internal/")
+	}
+
+	found := map[string]bool{}
+	var unlisted []string
+	for _, d := range decls {
+		used := false
+		for _, p := range uses[d.name] {
+			if p < d.start || p >= d.end {
+				used = true
+				break
+			}
+		}
+		if used {
+			continue
+		}
+		found[d.key] = true
+		if _, ok := testOnlyExports[d.key]; !ok {
+			unlisted = append(unlisted, d.key+" ("+d.file+")")
+		}
+	}
+	sort.Strings(unlisted)
+	for _, k := range unlisted {
+		t.Errorf("%s: only tests reach it; delete it, or list it in testOnlyExports with the test that needs it", k)
+	}
+	for k, test := range testOnlyExports {
+		if !found[k] {
+			t.Errorf("testOnlyExports lists %s, which is not a test-only export; remove the entry", k)
+		}
+		if !tests[test] {
+			t.Errorf("testOnlyExports: %s names %s, which no test file declares", k, test)
+		}
+	}
+}
+
+// recvName returns the type name of a method receiver: T for T, *T, T[P]
+// and *T[P].
+func recvName(x ast.Expr) string {
+	for {
+		switch e := x.(type) {
+		case *ast.StarExpr:
+			x = e.X
+		case *ast.IndexExpr:
+			x = e.X
+		case *ast.IndexListExpr:
+			x = e.X
+		case *ast.Ident:
+			return e.Name
+		default:
+			return "?"
+		}
+	}
+}

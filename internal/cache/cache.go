@@ -52,13 +52,10 @@ type Config struct {
 	// geometry). Lines must be divisible by Ways. Replacement within a
 	// set is LRU.
 	Ways int
-	// BlockWords is the number of data words per block (4 in Alewife:
-	// 16 bytes of 4-byte words). Used for packet sizing, not storage.
-	BlockWords int
 }
 
 // DefaultConfig returns the Alewife cache geometry.
-func DefaultConfig() Config { return Config{Lines: 4096, BlockWords: 4} }
+func DefaultConfig() Config { return Config{Lines: 4096} }
 
 // Victim describes a block displaced by a conflicting fill.
 type Victim struct {
@@ -68,38 +65,15 @@ type Victim struct {
 	Dirty bool
 }
 
-// Stats counts cache activity.
-type Stats struct {
-	ReadHits   uint64
-	ReadMisses uint64
-	WriteHits  uint64
-	// WriteMisses counts both misses on Invalid lines and write requests
-	// that hit a Read-Only line (upgrade misses): either way the processor
-	// must ask the directory for write permission.
-	WriteMisses   uint64
-	Replacements  uint64
-	Invalidations uint64
-}
-
-// HitRate returns the fraction of accesses satisfied locally.
-func (s Stats) HitRate() float64 {
-	hits := s.ReadHits + s.WriteHits
-	total := hits + s.ReadMisses + s.WriteMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(hits) / float64(total)
-}
-
-// line is one cache line. Field order matters: the three words lead and the
-// three byte-sized fields share the tail word, so the struct packs into 32
-// bytes instead of 48 and stays pointer-free (the GC never scans a page).
+// line is one cache line; it holds a block exactly when its state is not
+// Invalid. Field order matters: the three words lead and the two
+// byte-sized fields share the tail word, so the struct packs into 32 bytes
+// and stays pointer-free (the GC never scans a page).
 type line struct {
 	tag   directory.Addr
 	value uint64
 	used  uint64 // LRU timestamp
 	state LineState
-	valid bool
 	dirty bool
 }
 
@@ -132,7 +106,6 @@ type Cache struct {
 	setMask int     // sets-1 when sets is a power of two (every real geometry), else -1
 	pages   []*page // line i lives in pages[i/pageLines]; &absent until filled
 	tick    uint64
-	stats   Stats
 }
 
 // New returns an empty cache.
@@ -145,9 +118,6 @@ func New(cfg Config) *Cache {
 	}
 	if cfg.Lines%cfg.Ways != 0 {
 		panic("cache: Lines must be divisible by Ways")
-	}
-	if cfg.BlockWords < 1 {
-		panic("cache: need at least one word per block")
 	}
 	sets := cfg.Lines / cfg.Ways
 	setMask := -1
@@ -188,12 +158,6 @@ func (c *Cache) Release() {
 	cachePool.Put(c)
 }
 
-// Config returns the cache geometry.
-func (c *Cache) Config() Config { return c.cfg }
-
-// Stats returns a copy of the counters.
-func (c *Cache) Stats() Stats { return c.stats }
-
 // setIndex maps addr onto its set.
 func (c *Cache) setIndex(addr directory.Addr) int {
 	if c.setMask >= 0 {
@@ -207,11 +171,12 @@ func (c *Cache) at(i int) *line {
 	return &c.pages[uint(i)/pageLines][uint(i)%pageLines]
 }
 
-// slot returns the way holding addr, or nil.
+// slot returns the way holding addr, or nil; a line it returns is never
+// Invalid.
 func (c *Cache) slot(addr directory.Addr) *line {
 	i := c.setIndex(addr) * c.cfg.Ways
 	for end := i + c.cfg.Ways; i < end; i++ {
-		if l := c.at(i); l.valid && l.tag == addr {
+		if l := c.at(i); l.state != Invalid && l.tag == addr {
 			return l
 		}
 	}
@@ -233,40 +198,36 @@ func (c *Cache) State(addr directory.Addr) LineState {
 	return l.state
 }
 
-// Peek returns the cached value of addr without touching hit/miss
-// statistics. Used by the cache controller's read-modify-write path.
+// Peek returns the cached value of addr without touching its LRU stamp.
+// Used by the cache controller's read-modify-write path.
 func (c *Cache) Peek(addr directory.Addr) (value uint64, ok bool) {
 	l := c.slot(addr)
-	if l == nil || l.state == Invalid {
+	if l == nil {
 		return 0, false
 	}
 	return l.value, true
 }
 
-// Read attempts a load. On a hit it returns the block value. A miss on a
-// line in any state is reported as a read miss.
+// Read attempts a load. On a hit it returns the block value.
 func (c *Cache) Read(addr directory.Addr) (value uint64, hit bool) {
 	l := c.slot(addr)
-	if l != nil && l.state != Invalid {
-		c.touch(l)
-		c.stats.ReadHits++
-		return l.value, true
+	if l == nil {
+		return 0, false
 	}
-	c.stats.ReadMisses++
-	return 0, false
+	c.touch(l)
+	return l.value, true
 }
 
 // ReadN performs n reads of addr in a row in closed form: on a hit it
-// returns the block value and leaves the LRU stamps and hit count where n
-// Read calls would; on a miss it changes nothing and reports false.
+// returns the block value and leaves the LRU stamps where n Read calls
+// would; on a miss it changes nothing and reports false.
 func (c *Cache) ReadN(addr directory.Addr, n uint64) (value uint64, hit bool) {
 	l := c.slot(addr)
-	if l == nil || l.state == Invalid {
+	if l == nil {
 		return 0, false
 	}
 	c.tick += n
 	l.used = c.tick
-	c.stats.ReadHits += n
 	return l.value, true
 }
 
@@ -275,15 +236,13 @@ func (c *Cache) ReadN(addr directory.Addr, n uint64) (value uint64, hit bool) {
 // invalidate the other copies first).
 func (c *Cache) Write(addr directory.Addr, value uint64) (hit bool) {
 	l := c.slot(addr)
-	if l != nil && l.state == ReadWrite {
-		c.touch(l)
-		l.value = value
-		l.dirty = true
-		c.stats.WriteHits++
-		return true
+	if l == nil || l.state != ReadWrite {
+		return false
 	}
-	c.stats.WriteMisses++
-	return false
+	c.touch(l)
+	l.value = value
+	l.dirty = true
+	return true
 }
 
 // Fill installs addr with the given state and value, as delivered by an
@@ -309,7 +268,7 @@ func (c *Cache) Fill(addr directory.Addr, state LineState, value uint64) (v Vict
 	vi := i
 	for end := i + c.cfg.Ways; i < end; i++ {
 		w := c.at(i)
-		if !w.valid || w.state == Invalid {
+		if w.state == Invalid {
 			vi = i
 			break
 		}
@@ -318,10 +277,9 @@ func (c *Cache) Fill(addr directory.Addr, state LineState, value uint64) (v Vict
 		}
 	}
 	victim := c.at(vi)
-	if victim.valid && victim.state != Invalid {
+	if victim.state != Invalid {
 		v = Victim{Addr: victim.tag, State: victim.state, Value: victim.value, Dirty: victim.dirty}
 		displaced = true
-		c.stats.Replacements++
 	}
 	if p := &c.pages[uint(vi)/pageLines]; *p == &absent {
 		// The first fill into this page: give it storage of its own.
@@ -331,7 +289,7 @@ func (c *Cache) Fill(addr directory.Addr, state LineState, value uint64) (v Vict
 		}
 		victim = c.at(vi)
 	}
-	*victim = line{valid: true, tag: addr, state: state, value: value}
+	*victim = line{tag: addr, state: state, value: value}
 	c.touch(victim)
 	return v, displaced
 }
@@ -341,34 +299,19 @@ func (c *Cache) Fill(addr directory.Addr, state LineState, value uint64) (v Vict
 // reports present=false when the block was not cached.
 func (c *Cache) Invalidate(addr directory.Addr) (value uint64, dirty bool, present bool) {
 	l := c.slot(addr)
-	if l == nil || l.state == Invalid {
+	if l == nil {
 		return 0, false, false
 	}
 	value, dirty = l.value, l.dirty
 	*l = line{}
-	c.stats.Invalidations++
 	return value, dirty, true
-}
-
-// Downgrade moves a Read-Write line to Read-Only, returning its value (for
-// an UPDATE writeback). Unused by the base protocol — Figure 2 invalidates
-// the owner on a read transaction — but needed by the Section 6
-// update-mode extension.
-func (c *Cache) Downgrade(addr directory.Addr) (value uint64, ok bool) {
-	l := c.slot(addr)
-	if l == nil || l.state != ReadWrite {
-		return 0, false
-	}
-	l.state = ReadOnly
-	l.dirty = false
-	return l.value, true
 }
 
 // Update overwrites the value of a cached block without changing its
 // state, as the Section 6 update-mode extension does on remote writes.
 func (c *Cache) Update(addr directory.Addr, value uint64) bool {
 	l := c.slot(addr)
-	if l == nil || l.state == Invalid {
+	if l == nil {
 		return false
 	}
 	l.value = value
@@ -380,7 +323,7 @@ func (c *Cache) Occupancy() int {
 	n := 0
 	for _, p := range c.pages {
 		for i := range p {
-			if p[i].valid && p[i].state != Invalid {
+			if p[i].state != Invalid {
 				n++
 			}
 		}

@@ -13,7 +13,6 @@ type flatCache struct {
 	ways, sets int
 	lines      []line
 	tick       uint64
-	stats      Stats
 }
 
 func newFlat(cfg Config) *flatCache {
@@ -28,7 +27,7 @@ func (f *flatCache) set(addr directory.Addr) []line {
 func (f *flatCache) slot(addr directory.Addr) *line {
 	set := f.set(addr)
 	for i := range set {
-		if set[i].valid && set[i].tag == addr {
+		if set[i].state != Invalid && set[i].tag == addr {
 			return &set[i]
 		}
 	}
@@ -49,7 +48,7 @@ func (f *flatCache) State(addr directory.Addr) LineState {
 
 func (f *flatCache) Peek(addr directory.Addr) (uint64, bool) {
 	l := f.slot(addr)
-	if l == nil || l.state == Invalid {
+	if l == nil {
 		return 0, false
 	}
 	return l.value, true
@@ -57,26 +56,22 @@ func (f *flatCache) Peek(addr directory.Addr) (uint64, bool) {
 
 func (f *flatCache) Read(addr directory.Addr) (uint64, bool) {
 	l := f.slot(addr)
-	if l != nil && l.state != Invalid {
-		f.touch(l)
-		f.stats.ReadHits++
-		return l.value, true
+	if l == nil {
+		return 0, false
 	}
-	f.stats.ReadMisses++
-	return 0, false
+	f.touch(l)
+	return l.value, true
 }
 
 func (f *flatCache) Write(addr directory.Addr, value uint64) bool {
 	l := f.slot(addr)
-	if l != nil && l.state == ReadWrite {
-		f.touch(l)
-		l.value = value
-		l.dirty = true
-		f.stats.WriteHits++
-		return true
+	if l == nil || l.state != ReadWrite {
+		return false
 	}
-	f.stats.WriteMisses++
-	return false
+	f.touch(l)
+	l.value = value
+	l.dirty = true
+	return true
 }
 
 func (f *flatCache) Fill(addr directory.Addr, state LineState, value uint64) (v Victim, displaced bool) {
@@ -89,7 +84,7 @@ func (f *flatCache) Fill(addr directory.Addr, state LineState, value uint64) (v 
 	victim := &set[0]
 	for i := range set {
 		w := &set[i]
-		if !w.valid || w.state == Invalid {
+		if w.state == Invalid {
 			victim = w
 			break
 		}
@@ -97,39 +92,28 @@ func (f *flatCache) Fill(addr directory.Addr, state LineState, value uint64) (v 
 			victim = w
 		}
 	}
-	if victim.valid && victim.state != Invalid {
+	if victim.state != Invalid {
 		v = Victim{Addr: victim.tag, State: victim.state, Value: victim.value, Dirty: victim.dirty}
 		displaced = true
-		f.stats.Replacements++
 	}
-	*victim = line{valid: true, tag: addr, state: state, value: value}
+	*victim = line{tag: addr, state: state, value: value}
 	f.touch(victim)
 	return v, displaced
 }
 
 func (f *flatCache) Invalidate(addr directory.Addr) (uint64, bool, bool) {
 	l := f.slot(addr)
-	if l == nil || l.state == Invalid {
+	if l == nil {
 		return 0, false, false
 	}
 	value, dirty := l.value, l.dirty
 	*l = line{}
-	f.stats.Invalidations++
 	return value, dirty, true
-}
-
-func (f *flatCache) Downgrade(addr directory.Addr) (uint64, bool) {
-	l := f.slot(addr)
-	if l == nil || l.state != ReadWrite {
-		return 0, false
-	}
-	l.state, l.dirty = ReadOnly, false
-	return l.value, true
 }
 
 func (f *flatCache) Update(addr directory.Addr, value uint64) bool {
 	l := f.slot(addr)
-	if l == nil || l.state == Invalid {
+	if l == nil {
 		return false
 	}
 	l.value = value
@@ -139,7 +123,7 @@ func (f *flatCache) Update(addr directory.Addr, value uint64) bool {
 func (f *flatCache) Occupancy() int {
 	n := 0
 	for _, l := range f.lines {
-		if l.valid && l.state != Invalid {
+		if l.state != Invalid {
 			n++
 		}
 	}
@@ -150,21 +134,21 @@ func (f *flatCache) Occupancy() int {
 // and odd set counts, and sets of three ways that straddle page boundaries
 // (96 lines: set 21 holds lines 63-65).
 var equivGeometries = []Config{
-	{Lines: 128, Ways: 1, BlockWords: 4},
-	{Lines: 128, Ways: 2, BlockWords: 4},
-	{Lines: 96, Ways: 3, BlockWords: 4},
-	{Lines: 192, Ways: 4, BlockWords: 4},
-	{Lines: 384, Ways: 3, BlockWords: 4},
-	{Lines: 8, Ways: 4, BlockWords: 4},
+	{Lines: 128, Ways: 1},
+	{Lines: 128, Ways: 2},
+	{Lines: 96, Ways: 3},
+	{Lines: 192, Ways: 4},
+	{Lines: 384, Ways: 3},
+	{Lines: 8, Ways: 4},
 }
 
 // FuzzCacheEquivalence drives one op stream through the paged cache and the
-// flat reference model and demands identical return values, victims and
-// Stats after every operation, and State and Peek of the touched block.
-// The first byte picks the geometry; each op is four bytes: kind, a
-// two-byte address over four times the line count (so sets conflict), and
-// a value. The paged cache is released at the end, so later inputs run on
-// recycled pages.
+// flat reference model and demands identical return values and victims
+// after every operation, and State and Peek of the touched block. The
+// first byte picks the geometry; each op is four bytes: kind (kinds 5 and
+// 7 do nothing), a two-byte address over four times the line count (so
+// sets conflict), and a value. The paged cache is released at the end, so
+// later inputs run on recycled pages.
 func FuzzCacheEquivalence(f *testing.F) {
 	f.Add([]byte{2, 2, 0, 0, 5, 1, 0, 0, 6, 0, 1, 0, 7, 4, 0, 0, 0})
 	rng := rand.New(rand.NewSource(1))
@@ -212,12 +196,6 @@ func FuzzCacheEquivalence(f *testing.F) {
 				if v != rv || d != rd || p != rp {
 					t.Fatalf("op %d Invalidate(%#x) = (%d,%v,%v), reference (%d,%v,%v)", op, addr, v, d, p, rv, rd, rp)
 				}
-			case 5:
-				v, ok := c.Downgrade(addr)
-				rv, rok := ref.Downgrade(addr)
-				if v != rv || ok != rok {
-					t.Fatalf("op %d Downgrade(%#x) = (%d,%v), reference (%d,%v)", op, addr, v, ok, rv, rok)
-				}
 			case 6:
 				if ok, rok := c.Update(addr, val), ref.Update(addr, val); ok != rok {
 					t.Fatalf("op %d Update(%#x) = %v, reference %v", op, addr, ok, rok)
@@ -230,9 +208,6 @@ func FuzzCacheEquivalence(f *testing.F) {
 			rv, rok := ref.Peek(addr)
 			if v != rv || ok != rok {
 				t.Fatalf("op %d Peek(%#x) = (%d,%v), reference (%d,%v)", op, addr, v, ok, rv, rok)
-			}
-			if c.Stats() != ref.stats {
-				t.Fatalf("op %d Stats = %+v, reference %+v", op, c.Stats(), ref.stats)
 			}
 		}
 		if n, rn := c.Occupancy(), ref.Occupancy(); n != rn {

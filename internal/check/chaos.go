@@ -4,12 +4,9 @@ import (
 	"fmt"
 
 	"limitless/internal/coherence"
-	"limitless/internal/directory"
 	"limitless/internal/fault"
 	"limitless/internal/machine"
-	"limitless/internal/mesh"
 	"limitless/internal/sim"
-	"limitless/internal/workload"
 )
 
 // ChaosConfig parameterizes the fault-injection harness: the schedule
@@ -93,49 +90,7 @@ func chaosOne(cfg ChaosConfig, seed uint64, rep *Report) []string {
 		Watchdog: cfg.Watchdog,
 	})
 
-	obs := NewObserver()
-	nodes := cfg.Width * cfg.Height
-
-	blocks := make([]directory.Addr, cfg.Blocks)
-	for i := range blocks {
-		blocks[i] = coherence.BlockAt(mesh.NodeID(i%2), uint64(16+i))
-	}
-
-	for id := 0; id < nodes; id++ {
-		id := id
-		rng := xorshift(seed ^ (uint64(id)+1)*0xBF58476D1CE4E5B9)
-		// Written values are node-tagged so they stay globally unique without
-		// a cross-node counter.
-		var stamp uint64
-		wl := workload.NewThread(func(t *workload.Thread) {
-			workload.Loop(t, cfg.OpsPerProc, func(_ int, t *workload.Thread, next func(*workload.Thread)) {
-				blk := blocks[rng.next()%uint64(len(blocks))]
-				switch rng.next() % 4 {
-				case 0:
-					stamp++
-					v := uint64(id+1)<<32 | stamp
-					t.Store(blk, v, func(_ uint64, t *workload.Thread) {
-						obs.NoteWrite(mesh.NodeID(id), blk, v)
-						next(t)
-					})
-				case 1:
-					stamp++
-					v := uint64(id+1)<<32 | stamp
-					t.RMW(blk, func(uint64) uint64 { return v }, func(old uint64, t *workload.Thread) {
-						obs.NoteRead(mesh.NodeID(id), blk, old)
-						obs.NoteWrite(mesh.NodeID(id), blk, v)
-						next(t)
-					})
-				default:
-					t.Load(blk, func(v uint64, t *workload.Thread) {
-						obs.NoteRead(mesh.NodeID(id), blk, v)
-						next(t)
-					})
-				}
-			}, func(*workload.Thread) {})
-		})
-		m.SetWorkload(mesh.NodeID(id), 0, wl)
-	}
+	obs := contend(m, seed, cfg.Blocks, cfg.OpsPerProc)
 
 	res, done := m.RunUntil(cfg.Deadline)
 	r, w := obs.Ops()

@@ -99,52 +99,7 @@ func exploreOne(cfg ExploreConfig, seed uint64, rep *Report) []string {
 		Params: params, Mesh: &mcfg,
 	})
 
-	obs := NewObserver()
-	nodes := cfg.Width * cfg.Height
-
-	// Contended blocks, all homed at the first two nodes.
-	blocks := make([]directory.Addr, cfg.Blocks)
-	for i := range blocks {
-		blocks[i] = coherence.BlockAt(mesh.NodeID(i%2), uint64(16+i))
-	}
-
-	// Each write carries a globally unique value so the observer can map
-	// values back to the write log unambiguously.
-	var stamp uint64
-
-	for id := 0; id < nodes; id++ {
-		id := id
-		rng := xorshift(seed ^ (uint64(id)+1)*0xBF58476D1CE4E5B9)
-		wl := workload.NewThread(func(t *workload.Thread) {
-			workload.Loop(t, cfg.OpsPerProc, func(_ int, t *workload.Thread, next func(*workload.Thread)) {
-				blk := blocks[rng.next()%uint64(len(blocks))]
-				switch rng.next() % 4 {
-				case 0: // write
-					stamp++
-					v := stamp
-					t.Store(blk, v, func(_ uint64, t *workload.Thread) {
-						obs.NoteWrite(mesh.NodeID(id), blk, v)
-						next(t)
-					})
-				case 1: // read-modify-write
-					stamp++
-					v := stamp
-					t.RMW(blk, func(uint64) uint64 { return v }, func(old uint64, t *workload.Thread) {
-						// An RMW observes the old value and installs v.
-						obs.NoteRead(mesh.NodeID(id), blk, old)
-						obs.NoteWrite(mesh.NodeID(id), blk, v)
-						next(t)
-					})
-				default: // read (twice as likely)
-					t.Load(blk, func(v uint64, t *workload.Thread) {
-						obs.NoteRead(mesh.NodeID(id), blk, v)
-						next(t)
-					})
-				}
-			}, func(*workload.Thread) {})
-		})
-		m.SetWorkload(mesh.NodeID(id), 0, wl)
-	}
+	obs := contend(m, seed, cfg.Blocks, cfg.OpsPerProc)
 
 	res, done := m.RunUntil(cfg.Deadline)
 	r, w := obs.Ops()
@@ -158,4 +113,56 @@ func exploreOne(cfg ExploreConfig, seed uint64, rep *Report) []string {
 	violations = append(violations, EndState(m)...)
 	violations = append(violations, SingleWriter(m)...)
 	return violations
+}
+
+// contend binds the random contended workload the explorer and the chaos
+// harness share to every processor of m and returns the observer it
+// reports to. Each processor issues ops operations on blocks contended
+// blocks, homed at nodes 0 and 1 to concentrate conflicts, drawn from a
+// per-node xorshift stream derived from seed: a store or a
+// read-modify-write a quarter of the time each, a load otherwise.
+func contend(m *machine.Machine, seed uint64, blocks, ops int) *Observer {
+	obs := NewObserver()
+	blks := make([]directory.Addr, blocks)
+	for i := range blks {
+		blks[i] = coherence.BlockAt(mesh.NodeID(i%2), uint64(16+i))
+	}
+	for id := range m.Nodes {
+		node := mesh.NodeID(id)
+		rng := xorshift(seed ^ (uint64(id)+1)*0xBF58476D1CE4E5B9)
+		// Written values are node-tagged, so they stay globally unique
+		// without a cross-node counter and the observer can map each value
+		// back to its write.
+		var stamp uint64
+		wl := workload.NewThread(func(t *workload.Thread) {
+			workload.Loop(t, ops, func(_ int, t *workload.Thread, next func(*workload.Thread)) {
+				blk := blks[rng.next()%uint64(len(blks))]
+				switch rng.next() % 4 {
+				case 0: // write
+					stamp++
+					v := uint64(id+1)<<32 | stamp
+					t.Store(blk, v, func(_ uint64, t *workload.Thread) {
+						obs.NoteWrite(node, blk, v)
+						next(t)
+					})
+				case 1: // read-modify-write
+					stamp++
+					v := uint64(id+1)<<32 | stamp
+					t.RMW(blk, func(uint64) uint64 { return v }, func(old uint64, t *workload.Thread) {
+						// An RMW observes the old value and installs v.
+						obs.NoteRead(node, blk, old)
+						obs.NoteWrite(node, blk, v)
+						next(t)
+					})
+				default: // read (twice as likely)
+					t.Load(blk, func(v uint64, t *workload.Thread) {
+						obs.NoteRead(node, blk, v)
+						next(t)
+					})
+				}
+			}, func(*workload.Thread) {})
+		})
+		m.SetWorkload(node, 0, wl)
+	}
+	return obs
 }

@@ -133,12 +133,12 @@ func memReadGrant(c *memCtx) {
 	mc.Send(c.src, Msg{Type: RDATA, Addr: c.m.Addr, Value: e.Value, Next: -1})
 }
 
-// memReadEvict handles pointer overflow the Dir_iNB way: evict a victim's
-// copy, record the new reader, grant.
+// memReadEvict handles pointer overflow the Dir_iNB way: evict the oldest
+// recorded copy (FIFO), record the new reader, grant.
 func memReadEvict(c *memCtx) {
 	mc, e := c.mc, c.e
 	mc.stats.PointerOverflows++
-	victim := mc.pickVictim(e)
+	victim := e.Ptrs.Oldest()
 	e.Ptrs.Remove(victim)
 	e.Ptrs.Add(c.src)
 	mc.stats.Evictions++

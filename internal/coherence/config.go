@@ -26,16 +26,6 @@ const (
 	Chained = protocol.Chained
 )
 
-// EvictPolicy selects the victim when a limited directory overflows.
-type EvictPolicy uint8
-
-const (
-	// EvictOldest removes the least recently added pointer (FIFO).
-	EvictOldest EvictPolicy = iota
-	// EvictPseudoRandom removes a deterministic pseudo-random pointer.
-	EvictPseudoRandom
-)
-
 // Timing collects the latency parameters of the machine model. All values
 // are in processor cycles. Defaults are calibrated so a 64-node machine
 // reproduces the paper's T_h ≈ 35-cycle average remote access latency.

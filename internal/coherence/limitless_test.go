@@ -177,7 +177,7 @@ func TestIPICodecRoundTrip(t *testing.T) {
 	// Every case reuses the packet the previous one handed back, as the
 	// processor's trap path does, so a field left over from an earlier
 	// shape would show.
-	q := ipi.NewQueue(1)
+	q := ipi.NewQueue()
 	prop := func(ty uint8, addr uint32, val uint64, evict bool, next int8) bool {
 		m := &coherence.Msg{
 			Type:  coherence.MsgType(ty % uint8(coherence.NumMsgTypes)),

@@ -41,13 +41,6 @@ type Params struct {
 	BlockWords int
 	// Timing is the latency model.
 	Timing Timing
-	// EvictPolicy picks limited-directory victims.
-	EvictPolicy EvictPolicy
-	// IPIQueueCap is the dedicated IPI input buffer size.
-	IPIQueueCap int
-	// DefaultMeta is the meta state for fresh directory entries: Normal
-	// for hardware-first schemes, TrapAlways for SoftwareOnly.
-	DefaultMeta directory.Meta
 	// ModifyGrant enables the footnote-1 optimization: an upgrade by the
 	// block's sole reader is answered with a dataless MODG instead of
 	// WDATA ("the Alewife machine will actually support an optimization
@@ -65,14 +58,11 @@ type Params struct {
 // four hardware pointers on a 64-node machine.
 func DefaultParams(nodes int) Params {
 	return Params{
-		Scheme:      LimitLESS,
-		Pointers:    4,
-		Nodes:       nodes,
-		BlockWords:  4,
-		Timing:      DefaultTiming(),
-		EvictPolicy: EvictOldest,
-		IPIQueueCap: 8,
-		DefaultMeta: directory.Normal,
+		Scheme:     LimitLESS,
+		Pointers:   4,
+		Nodes:      nodes,
+		BlockWords: 4,
+		Timing:     DefaultTiming(),
 	}
 }
 
@@ -135,10 +125,9 @@ type MemoryController struct {
 
 	// procH dispatches delayed message processing without a per-message
 	// closure; the (src, msg) pair rides in a pooled procArg.
-	procH     processHandler
-	freeArgs  []*procArg
-	arena     msgArena
-	evictSeed uint64
+	procH    processHandler
+	freeArgs []*procArg
+	arena    msgArena
 
 	// Reusable sharer-walk buffers. shBuf backs the dispatch context's
 	// memoized sharer list (valid for one dispatch; dispatch never nests),
@@ -153,11 +142,14 @@ type MemoryController struct {
 	ownBuf []directory.Node
 
 	// tbl is the scheme's memory-side transition table. chained caches
-	// SchemeInfo.ChainedList for the duplicate-RREQ echo check, and mctx is
-	// the reusable dispatch scratch context.
-	tbl     *protocol.Table[memCtx]
-	chained bool
-	mctx    memCtx
+	// SchemeInfo.ChainedList for the duplicate-RREQ echo check, freshMeta
+	// is the meta state of fresh directory entries (Normal for
+	// hardware-first schemes, Trap-Always when SchemeInfo.TrapDefault),
+	// and mctx is the reusable dispatch scratch context.
+	tbl       *protocol.Table[memCtx]
+	chained   bool
+	freshMeta directory.Meta
+	mctx      memCtx
 
 	// spin is the node's processor while its spin-waits may leave the
 	// event queue (SetWaker); each process event wakes it first.
@@ -192,14 +184,12 @@ var mcPool sync.Pool
 // be nil for schemes that never trap (full-map, limited, private, chained).
 func NewMemoryController(eng *sim.Engine, nw *mesh.ShardPort, id mesh.NodeID, params Params, sink TrapSink) *MemoryController {
 	params.validate()
-	if params.IPIQueueCap < 1 {
-		params.IPIQueueCap = 8
-	}
 	info := params.Scheme.Info()
-	if info.TrapDefault && params.DefaultMeta == directory.Normal {
+	freshMeta := directory.Normal
+	if info.TrapDefault {
 		// Software-only coherence means every entry starts — and stays —
 		// in Trap-Always mode.
-		params.DefaultMeta = directory.TrapAlways
+		freshMeta = directory.TrapAlways
 	}
 	mc, _ := mcPool.Get().(*MemoryController)
 	if mc == nil {
@@ -211,11 +201,11 @@ func NewMemoryController(eng *sim.Engine, nw *mesh.ShardPort, id mesh.NodeID, pa
 		id:        id,
 		params:    params,
 		dir:       params.newDir(),
-		ipiq:      ipi.NewQueue(params.IPIQueueCap),
+		ipiq:      ipi.NewQueue(),
 		sink:      sink,
-		evictSeed: uint64(id)*2654435761 + 1,
 		tbl:       policyFor(params.Scheme).mem,
 		chained:   info.ChainedList,
+		freshMeta: freshMeta,
 		// The buffers a recycled controller keeps, emptied by Recycle.
 		deferred:  mc.deferred,
 		deferFree: mc.deferFree,
@@ -268,7 +258,7 @@ func (mc *MemoryController) SetRecorder(r *fault.Recorder) {
 func (mc *MemoryController) entry(addr directory.Addr) *directory.Entry {
 	e, created := mc.dir.EntryOrCreate(addr)
 	if created {
-		e.Meta = mc.params.DefaultMeta
+		e.Meta = mc.freshMeta
 	}
 	return e
 }
@@ -532,20 +522,6 @@ func (mc *MemoryController) owner(e *directory.Entry) (_ mesh.NodeID, ok bool) {
 			mc.id, nodes, e.State))
 	}
 	return mesh.NodeID(nodes[0]), true
-}
-
-// pickVictim selects the pointer a limited directory reclaims.
-func (mc *MemoryController) pickVictim(e *directory.Entry) mesh.NodeID {
-	if mc.params.EvictPolicy == EvictOldest {
-		return e.Ptrs.Oldest()
-	}
-	// Deterministic xorshift pseudo-random choice over the sorted walk.
-	mc.evictSeed ^= mc.evictSeed << 13
-	mc.evictSeed ^= mc.evictSeed >> 7
-	mc.evictSeed ^= mc.evictSeed << 17
-	mc.ownBuf = e.Ptrs.NodesInto(mc.ownBuf[:0])
-	nodes := mc.ownBuf
-	return mesh.NodeID(nodes[mc.evictSeed%uint64(len(nodes))])
 }
 
 // chainedRead implements the linked-list read path: the new reader becomes

@@ -3,8 +3,8 @@ package coherence
 import "limitless/internal/protocol"
 
 // Limited directory (Dir_iNB): i hardware pointers, no broadcast. Pointer
-// overflow on a read is resolved by evicting a previously recorded copy
-// (FIFO or pseudo-random victim, Params.EvictPolicy).
+// overflow on a read is resolved by evicting the oldest recorded copy
+// (FIFO).
 func init() {
 	roRREQ := []memRow{
 		{State: stRO, Meta: anyKey, Msg: uint8(RREQ), ID: "ro-rreq-grant", Guard: guardRORecordable, Action: memReadGrant,

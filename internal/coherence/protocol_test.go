@@ -253,22 +253,6 @@ func TestLimitedEvictionAckDoesNotCorruptWriteTransaction(t *testing.T) {
 	}
 }
 
-func TestLimitedPseudoRandomEviction(t *testing.T) {
-	p := params(coherence.LimitedNB, 2)
-	p.EvictPolicy = coherence.EvictPseudoRandom
-	r := newRig(t, 3, 3, p)
-	r.read(2, blk)
-	r.read(3, blk)
-	r.read(4, blk)
-	e := r.entry(blk)
-	if e.Ptrs.Len() != 2 || !e.Ptrs.Contains(4) {
-		t.Fatalf("pointers = %v", e.Ptrs.Nodes())
-	}
-	if r.nodes[1].mc.Stats().Evictions != 1 {
-		t.Fatal("no eviction recorded")
-	}
-}
-
 // --- Local Bit (Section 4.3) ---
 
 func TestLocalBitAbsorbsHomeRead(t *testing.T) {

@@ -102,9 +102,6 @@ func NewSpace(n int, mode StorageMode) *Space {
 // Nodes returns the machine size the space's sets cover.
 func (sp *Space) Nodes() int { return sp.nodes }
 
-// Mode returns the backend the space builds sets with.
-func (sp *Space) Mode() StorageMode { return sp.mode }
-
 // SetRecorder installs a violation recorder: out-of-range node IDs and
 // malformed set shapes are then recorded as structured violations (and the
 // operation dropped) instead of panicking, matching the controllers'

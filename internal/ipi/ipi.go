@@ -10,9 +10,10 @@
 // (MSB set; software-defined interprocessor messages).
 //
 // The IPI input queue is the buffer through which the controller hands
-// packets to the processor; it is "large enough for several protocol
-// packets and overflows into the network receive queue", and forwarding a
-// packet to it raises a synchronous interrupt.
+// packets to the processor, and forwarding a packet to it raises a
+// synchronous interrupt. The paper's queue is "large enough for several
+// protocol packets and overflows into the network receive queue"; that
+// overflow, and the network block it causes, are not timed here.
 package ipi
 
 import (
@@ -62,17 +63,13 @@ func (p *Packet) Operand(i int) uint64 {
 	return p.Operands[i]
 }
 
-// Queue is the IPI input queue: a bounded FIFO that overflows into an
-// unbounded backing queue (modelling spill into the network receive queue,
-// which in hardware blocks the network — the condition that makes IPI
-// traps synchronous).
+// Queue is the IPI input queue: one FIFO of packets waiting for the
+// processor. In hardware a dedicated buffer holds several packets and
+// overflows into the network receive queue, which blocks the network; this
+// model times neither the buffer nor the block, so the queue is unbounded.
 type Queue struct {
-	cap      int
-	fast     []*Packet // the dedicated IPI buffer
-	spill    []*Packet // overflow into the network receive queue
-	overflow uint64    // times a push spilled
-	pushes   uint64
-	maxLen   int // high-water mark of queued packets
+	pkts   []*Packet
+	maxLen int // high-water mark of queued packets
 	// free holds handled packets for NewPacket to refill (see Done).
 	free []*Packet
 }
@@ -81,16 +78,13 @@ type Queue struct {
 // machines: Recycle hands a queue back and NewQueue draws on it.
 var queuePool sync.Pool
 
-// NewQueue returns a queue whose dedicated buffer holds capacity packets.
-func NewQueue(capacity int) *Queue {
-	if capacity < 1 {
-		panic("ipi: queue capacity must be >= 1")
-	}
+// NewQueue returns an empty queue.
+func NewQueue() *Queue {
 	q, _ := queuePool.Get().(*Queue)
 	if q == nil {
 		q = new(Queue)
 	}
-	*q = Queue{cap: capacity, fast: q.fast, spill: q.spill, free: q.free}
+	*q = Queue{pkts: q.pkts, free: q.free}
 	return q
 }
 
@@ -119,74 +113,36 @@ func (q *Queue) Done(p *Packet) {
 // ones, and hands it to the pool NewQueue draws on. The queue must not be
 // used afterwards.
 func (q *Queue) Recycle() {
-	for _, p := range q.fast {
+	for _, p := range q.pkts {
 		q.Done(p)
 	}
-	for _, p := range q.spill {
-		q.Done(p)
-	}
-	clear(q.fast[:cap(q.fast)])
-	clear(q.spill[:cap(q.spill)])
-	*q = Queue{fast: q.fast[:0], spill: q.spill[:0], free: q.free}
+	clear(q.pkts[:cap(q.pkts)])
+	*q = Queue{pkts: q.pkts[:0], free: q.free}
 	queuePool.Put(q)
 }
 
-// Push enqueues a packet. It reports whether the packet spilled past the
-// dedicated buffer into the receive queue (the situation that, in
-// hardware, blocks the network and forces a synchronous trap).
-func (q *Queue) Push(p *Packet) (spilled bool) {
-	q.pushes++
-	if len(q.fast) < q.cap && len(q.spill) == 0 {
-		q.fast = append(q.fast, p)
-		q.note()
-		return false
-	}
-	q.spill = append(q.spill, p)
-	q.overflow++
-	q.note()
-	return true
-}
-
-// note records the current depth into the high-water mark.
-func (q *Queue) note() {
-	if n := q.Len(); n > q.maxLen {
+// Push enqueues a packet at the tail.
+func (q *Queue) Push(p *Packet) {
+	q.pkts = append(q.pkts, p)
+	if n := len(q.pkts); n > q.maxLen {
 		q.maxLen = n
 	}
 }
 
-// Pop removes and returns the packet at the head of the queue, refilling
-// the dedicated buffer from the spill queue. It returns nil when empty.
+// Pop removes and returns the packet at the head of the queue, or nil when
+// it is empty.
 func (q *Queue) Pop() *Packet {
-	if len(q.fast) == 0 {
+	if len(q.pkts) == 0 {
 		return nil
 	}
-	p := q.fast[0]
-	copy(q.fast, q.fast[1:])
-	q.fast = q.fast[:len(q.fast)-1]
-	if len(q.spill) > 0 {
-		q.fast = append(q.fast, q.spill[0])
-		copy(q.spill, q.spill[1:])
-		q.spill = q.spill[:len(q.spill)-1]
-	}
+	p := q.pkts[0]
+	copy(q.pkts, q.pkts[1:])
+	q.pkts = q.pkts[:len(q.pkts)-1]
 	return p
 }
 
-// Peek returns the head packet without removing it, or nil when empty.
-func (q *Queue) Peek() *Packet {
-	if len(q.fast) == 0 {
-		return nil
-	}
-	return q.fast[0]
-}
-
-// Len returns the number of queued packets (dedicated buffer + spill).
-func (q *Queue) Len() int { return len(q.fast) + len(q.spill) }
-
-// Overflows returns how many pushes spilled into the receive queue.
-func (q *Queue) Overflows() uint64 { return q.overflow }
-
-// Pushes returns the total number of packets ever enqueued.
-func (q *Queue) Pushes() uint64 { return q.pushes }
+// Len returns the number of queued packets.
+func (q *Queue) Len() int { return len(q.pkts) }
 
 // MaxLen returns the deepest the queue has ever been — a diagnostic for
 // watchdog dumps (a wedged software handler shows up as a high-water IPI

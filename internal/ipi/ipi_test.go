@@ -39,7 +39,7 @@ func TestPacketOperandBoundsPanics(t *testing.T) {
 }
 
 func TestQueueFIFO(t *testing.T) {
-	q := NewQueue(4)
+	q := NewQueue()
 	for i := uint64(0); i < 3; i++ {
 		q.Push(&Packet{Op: Opcode(i)})
 	}
@@ -54,71 +54,11 @@ func TestQueueFIFO(t *testing.T) {
 	}
 }
 
-func TestQueueSpill(t *testing.T) {
-	q := NewQueue(2)
-	spills := 0
-	for i := 0; i < 5; i++ {
-		if q.Push(&Packet{Op: Opcode(i)}) {
-			spills++
-		}
-	}
-	if spills != 3 {
-		t.Fatalf("spilled %d pushes, want 3", spills)
-	}
-	if q.Overflows() != 3 {
-		t.Fatalf("Overflows = %d, want 3", q.Overflows())
-	}
-	if q.Len() != 5 {
-		t.Fatalf("Len = %d, want 5", q.Len())
-	}
-	// Order must be preserved across the spill boundary.
-	for i := 0; i < 5; i++ {
-		p := q.Pop()
-		if p.Op != Opcode(i) {
-			t.Fatalf("pop %d = op %d; spill broke FIFO order", i, p.Op)
-		}
-	}
-}
-
-func TestQueuePeek(t *testing.T) {
-	q := NewQueue(2)
-	if q.Peek() != nil {
-		t.Fatal("Peek on empty != nil")
-	}
-	q.Push(&Packet{Op: 9})
-	if q.Peek().Op != 9 {
-		t.Fatal("Peek wrong packet")
-	}
-	if q.Len() != 1 {
-		t.Fatal("Peek consumed the packet")
-	}
-}
-
-func TestQueueRefillsFromSpill(t *testing.T) {
-	q := NewQueue(1)
-	q.Push(&Packet{Op: 0})
-	q.Push(&Packet{Op: 1}) // spills
-	q.Pop()
-	// After the pop, the spilled packet must be reachable.
-	if p := q.Pop(); p == nil || p.Op != 1 {
-		t.Fatalf("spilled packet lost: %v", p)
-	}
-}
-
-func TestNewQueueRejectsZeroCapacity(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewQueue(0) did not panic")
-		}
-	}()
-	NewQueue(0)
-}
-
 // Property: any push/pop sequence preserves FIFO order and never loses or
-// duplicates packets, regardless of capacity.
+// duplicates packets.
 func TestQueueFIFOProperty(t *testing.T) {
-	prop := func(capRaw uint8, ops []bool) bool {
-		q := NewQueue(int(capRaw%5) + 1)
+	prop := func(ops []bool) bool {
+		q := NewQueue()
 		next := Opcode(0)
 		expect := Opcode(0)
 		for _, push := range ops {

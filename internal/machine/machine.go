@@ -40,8 +40,6 @@ type Config struct {
 	// Contexts is the number of hardware contexts per processor (SPARCLE
 	// has 4; 1 gives a blocking processor).
 	Contexts int
-	// CacheLines overrides the cache geometry (default 4096 = 64 KB).
-	CacheLines int
 	// CacheWays sets the cache associativity (default 1, Alewife's
 	// direct-mapped geometry).
 	CacheWays int
@@ -152,12 +150,6 @@ func New(cfg Config) *Machine {
 	if cfg.Params.BlockWords == 0 {
 		cfg.Params.BlockWords = 4
 	}
-	if cfg.CacheLines == 0 {
-		cfg.CacheLines = 4096
-	}
-	if cfg.Params.Scheme.Info().TrapDefault {
-		cfg.Params.DefaultMeta = directory.TrapAlways
-	}
 
 	if cfg.Faults != nil && cfg.Params.Timing.RetryBackoffMax == 0 {
 		cfg.Params.Timing.RetryBackoffMax = 256
@@ -207,7 +199,7 @@ func New(cfg Config) *Machine {
 func (m *Machine) buildNode(id mesh.NodeID) *Node {
 	cfg := m.cfg
 	eng, port := m.Eng, m.port
-	c := cache.New(cache.Config{Lines: cfg.CacheLines, Ways: cfg.CacheWays, BlockWords: cfg.Params.BlockWords})
+	c := cache.New(cache.Config{Lines: cache.DefaultConfig().Lines, Ways: cfg.CacheWays})
 	cc := coherence.NewCacheController(eng, port, id, cfg.Params, HomeOf, c)
 	p := proc.New(eng, cc, cfg.Params.Timing, cfg.Contexts)
 	mc := coherence.NewMemoryController(eng, port, id, cfg.Params, p)

@@ -170,10 +170,6 @@ func (s Stats) AvgLatency() float64 {
 	return float64(s.TotalLatency) / float64(s.Packets)
 }
 
-type channel struct {
-	res sim.Resource
-}
-
 // Network is the interconnect: the contention model (channels, ejection
 // ports, jitter, FIFO bookkeeping) and the node handlers. Traffic enters
 // and leaves through the port Bind attaches to the engine that runs the
@@ -187,9 +183,9 @@ type Network struct {
 	wakers []Waker
 	// chans[from][dir] for mesh channels; eject[node] for ejection ports;
 	// omega[stage*width+pos] for inter-stage channels.
-	chans []channel // indexed by linkIndex
-	eject []channel
-	omega []channel
+	chans []sim.Resource // indexed by linkIndex
+	eject []sim.Resource
+	omega []sim.Resource
 	// omegaStages and omegaWidth describe the shuffle network (width is
 	// the node count rounded up to a power of two).
 	omegaStages, omegaWidth int
@@ -261,8 +257,8 @@ func New(cfg Config) *Network {
 		n:        n,
 		handlers: make([]Handler, n),
 		wakers:   make([]Waker, n),
-		chans:    make([]channel, n*numDirs),
-		eject:    make([]channel, n),
+		chans:    make([]sim.Resource, n*numDirs),
+		eject:    make([]sim.Resource, n),
 		rng:      seed,
 		pairLast: make(map[uint64]sim.Time),
 	}
@@ -282,7 +278,7 @@ func New(cfg Config) *Network {
 			stages = 1
 		}
 		nw.omegaWidth, nw.omegaStages = width, stages
-		nw.omega = make([]channel, stages*width)
+		nw.omega = make([]sim.Resource, stages*width)
 	}
 	return nw
 }
@@ -429,7 +425,7 @@ func (nw *Network) claimPath(now sim.Time, src, dst NodeID, flits int) sim.Time 
 			id := src
 			for _, l := range nw.legs(src, dst) {
 				for k := 0; k < l.hops; k++ {
-					start := nw.chans[nw.linkIndex(id, l.dir)].res.Claim(head, serial)
+					start := nw.chans[nw.linkIndex(id, l.dir)].Claim(head, serial)
 					head = start + nw.cfg.HopLatency
 					id += NodeID(l.step)
 				}
@@ -444,7 +440,7 @@ func (nw *Network) claimPath(now sim.Time, src, dst NodeID, flits int) sim.Time 
 		for changed := true; changed; {
 			changed = false
 			for _, li := range path {
-				if f := nw.chans[li].res.FreeAt(start); f > start {
+				if f := nw.chans[li].FreeAt(start); f > start {
 					start = f
 					changed = true
 				}
@@ -452,7 +448,7 @@ func (nw *Network) claimPath(now sim.Time, src, dst NodeID, flits int) sim.Time 
 		}
 		hold := sim.Time(len(path))*nw.cfg.HopLatency + serial
 		for _, li := range path {
-			nw.chans[li].res.Claim(start, hold)
+			nw.chans[li].Claim(start, hold)
 		}
 		head = start + sim.Time(len(path))*nw.cfg.HopLatency
 	case Ideal:
@@ -466,8 +462,7 @@ func (nw *Network) claimPath(now sim.Time, src, dst NodeID, flits int) sim.Time 
 		for s := 0; s < k; s++ {
 			bit := (uint(dst) >> (k - 1 - s)) & 1
 			pos = ((pos << 1) | bit) & uint(nw.omegaWidth-1)
-			ch := &nw.omega[s*nw.omegaWidth+int(pos)]
-			start := ch.res.Claim(head, serial)
+			start := nw.omega[s*nw.omegaWidth+int(pos)].Claim(head, serial)
 			head = start + nw.cfg.HopLatency
 		}
 	}
@@ -487,7 +482,7 @@ func (nw *Network) claimPath(now sim.Time, src, dst NodeID, flits int) sim.Time 
 	}
 
 	// Ejection channel: all packets entering a node serialize here.
-	start := nw.eject[dst].res.Claim(head, serial)
+	start := nw.eject[dst].Claim(head, serial)
 	at := start + serial
 
 	// Jitter and fault delays must never reorder a (src,dst) pair: enforce
@@ -577,23 +572,4 @@ func (nw *Network) Recycle() {
 	*m = portMem{log: p.log[:0], dels: p.freeDels}
 	portPool.Put(m)
 	p.log, p.freeDels, p.mem = nil, nil, nil
-}
-
-// ChannelUtilization returns the mean busy fraction across all mesh
-// channels given the elapsed simulated time.
-func (nw *Network) ChannelUtilization(elapsed sim.Time) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	var busy sim.Time
-	for i := range nw.chans {
-		busy += nw.chans[i].res.BusyCycles()
-	}
-	return float64(busy) / float64(int64(elapsed)*int64(len(nw.chans)))
-}
-
-// EjectBusy returns total ejection-channel occupancy at a node — a direct
-// measure of hot-spot concentration.
-func (nw *Network) EjectBusy(id NodeID) sim.Time {
-	return nw.eject[id].res.BusyCycles()
 }

@@ -22,6 +22,9 @@ func onePort(eng *sim.Engine, nw *Network) *ShardPort {
 
 func TestCoordinateRoundTrip(t *testing.T) {
 	_, nw, _ := newTest(8, 8)
+	if nw.Nodes() != 64 {
+		t.Fatalf("nodes = %d, want 64", nw.Nodes())
+	}
 	for id := NodeID(0); id < 64; id++ {
 		x, y := nw.XY(id)
 		if nw.ID(x, y) != id {
@@ -491,25 +494,6 @@ func TestSwitchingStrings(t *testing.T) {
 	}
 	if Topology(9).String() == "" {
 		t.Fatal("unknown topology has empty name")
-	}
-}
-
-func TestChannelUtilizationAndEjectBusy(t *testing.T) {
-	eng, nw, p := newTest(4, 1)
-	nw.Register(3, func(p *Packet) {})
-	p.SendFrom(0, 3, 8, nil)
-	eng.Run()
-	if u := nw.ChannelUtilization(eng.Now()); u <= 0 || u > 1 {
-		t.Fatalf("channel utilization = %v", u)
-	}
-	if nw.EjectBusy(3) != 8 {
-		t.Fatalf("eject busy = %d, want 8", nw.EjectBusy(3))
-	}
-	if nw.ChannelUtilization(0) != 0 {
-		t.Fatal("utilization over zero elapsed != 0")
-	}
-	if nw.Nodes() != 4 {
-		t.Fatalf("nodes = %d", nw.Nodes())
 	}
 }
 

@@ -171,7 +171,6 @@ type Processor struct {
 	running  bool // an instruction chain is active
 	finished int
 	stats    Stats
-	onIdle   func() // invoked when all contexts finish
 
 	// progress counts committed memory operations outside spin-waits plus
 	// one per spin exit (see Progress).
@@ -345,9 +344,6 @@ func (p *Processor) SetWorkload(slot int, wl Workload) {
 	p.finished--
 }
 
-// OnIdle registers a callback invoked when the last context finishes.
-func (p *Processor) OnIdle(fn func()) { p.onIdle = fn }
-
 // Start begins execution at the current simulation time.
 func (p *Processor) Start() {
 	if p.running {
@@ -472,7 +468,7 @@ func (p *Processor) SkipChain(at, limit sim.Time) (n uint64, last, next sim.Time
 	p.stats.Loads += periods
 	p.stats.Stalls += periods
 	p.stats.BusyCycles += sim.Time(periods) * (backoff + 1)
-	p.pipe.Repeat(periods*(slices+1), sim.Time(periods)*(backoff+1), at+span)
+	p.pipe.Repeat(at + span)
 	return periods * (slices + 2), at + span - 1, at + span
 }
 
@@ -515,11 +511,6 @@ func (p *Processor) ProtocolTrap() {
 func (p *Processor) dispatch() {
 	p.running = false
 	if p.Done() {
-		if p.onIdle != nil {
-			fn := p.onIdle
-			p.onIdle = nil
-			fn()
-		}
 		return
 	}
 	// Prefer the current context (no switch cost), then round-robin.

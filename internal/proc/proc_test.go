@@ -28,7 +28,7 @@ func newProcRig(t *testing.T, nodes int, contexts int, params coherence.Params) 
 	port := nw.Bind(eng, 1)
 	r := &procRig{eng: eng}
 	for id := mesh.NodeID(0); int(id) < nodes; id++ {
-		c := cache.New(cache.Config{Lines: 64, BlockWords: params.BlockWords})
+		c := cache.New(cache.Config{Lines: 64})
 		cc := coherence.NewCacheController(eng, port, id, params, coherence.HomeOf, c)
 		p := proc.New(eng, cc, params.Timing, contexts)
 		mc := coherence.NewMemoryController(eng, port, id, params, p)
@@ -89,18 +89,6 @@ func TestProcessorRunsScript(t *testing.T) {
 	st := r.procs[0].Stats()
 	if st.Instructions != 3 || st.Loads != 1 || st.Stores != 1 {
 		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestProcessorOnIdleFires(t *testing.T) {
-	r := newProcRig(t, 2, 1, coherence.DefaultParams(2))
-	r.procs[0].SetWorkload(0, &script{ops: []proc.Op{{Kind: proc.OpCompute, Cycles: 5}}})
-	fired := false
-	r.procs[0].OnIdle(func() { fired = true })
-	r.procs[0].Start()
-	r.eng.Run()
-	if !fired {
-		t.Fatal("OnIdle never fired")
 	}
 }
 

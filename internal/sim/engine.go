@@ -17,10 +17,11 @@
 // taken from a free list, queued once, fired once and released back to
 // the list, so steady-state scheduling performs no heap allocation, and
 // the closure-free AtHandler path lets hot callers avoid allocating a
-// closure per event as well. Nothing outside the engine holds an event,
-// so nothing can cancel or re-queue one. A chain whose steps nothing else
-// reads until a known event runs may leave the queue altogether; the
-// engine then settles its steps when they are needed (see chain.go).
+// closure per event as well (At, which takes a closure, is a thin adapter
+// over it). Nothing outside the engine holds an event, so nothing can
+// cancel or re-queue one. A chain whose steps nothing else reads until a
+// known event runs may leave the queue altogether; the engine then
+// settles its steps when they are needed (see chain.go).
 //
 // Time is measured in processor clock cycles (the paper reports all results
 // in cycles of the 33 MHz SPARCLE clock).
@@ -53,7 +54,6 @@ type Handler interface {
 type Event struct {
 	at  Time
 	seq uint64
-	fn  func()
 	h   Handler
 	arg any
 }
@@ -287,7 +287,6 @@ func (e *Engine) enqueue(ev *Event) {
 // release retires a fired event: the callback state is dropped, and the
 // object returns to the free list.
 func (e *Engine) release(ev *Event) {
-	ev.fn = nil
 	ev.h = nil
 	ev.arg = nil
 	if !e.noPool {
@@ -295,14 +294,16 @@ func (e *Engine) release(ev *Event) {
 	}
 }
 
+// funcHandler runs the func() an event carries as its argument; it is
+// what makes At an adapter over AtHandler. A func value is pointer-shaped,
+// so it becomes the argument without allocating.
+type funcHandler struct{}
+
+func (funcHandler) OnEvent(arg any) { arg.(func())() }
+
 // At schedules fn to run at absolute cycle t. Scheduling in the past
 // panics: it would silently reorder causality.
-func (e *Engine) At(t Time, fn func()) {
-	ev := e.allocEvent(t)
-	ev.seq = e.nextSeq()
-	ev.fn = fn
-	e.enqueue(ev)
-}
+func (e *Engine) At(t Time, fn func()) { e.AtHandler(t, funcHandler{}, fn) }
 
 // AtHandler schedules h.OnEvent(arg) at absolute cycle t without allocating
 // a closure. Pass pointer-shaped args to keep the call allocation-free.
@@ -331,13 +332,9 @@ func (e *Engine) fire(ev *Event, t Time) {
 	e.queued--
 	e.now = t
 	e.processed++
-	fn, h, arg := ev.fn, ev.h, ev.arg
+	h, arg := ev.h, ev.arg
 	e.release(ev)
-	if h != nil {
-		h.OnEvent(arg)
-	} else {
-		fn()
-	}
+	h.OnEvent(arg)
 }
 
 // Run executes events until the queue drains and returns the final time.

@@ -11,8 +11,6 @@ package sim
 // time at which the server frees up.
 type Resource struct {
 	busyUntil Time
-	busy      Time // total cycles of occupancy, for utilization stats
-	claims    uint64
 }
 
 // Claim reserves the resource for dur cycles starting no earlier than from.
@@ -26,21 +24,17 @@ func (r *Resource) Claim(from Time, dur Time) (start Time) {
 		start = r.busyUntil
 	}
 	r.busyUntil = start + dur
-	r.busy += dur
-	r.claims++
 	return start
 }
 
-// Repeat records, in closed form, claims more claims of busy cycles in
-// all, the last of them ending at until: what that run of Claim calls
-// would leave behind. until must not precede the current busy-until.
-func (r *Resource) Repeat(claims uint64, busy, until Time) {
-	if until < r.busyUntil || busy < 0 {
+// Repeat records, in closed form, a run of Claim calls whose last claim
+// ends at until: what that run would leave behind. until must not precede
+// the current busy-until.
+func (r *Resource) Repeat(until Time) {
+	if until < r.busyUntil {
 		panic("sim: resource repeat before its busy-until")
 	}
 	r.busyUntil = until
-	r.busy += busy
-	r.claims += claims
 }
 
 // FreeAt returns the earliest cycle at or after from when the resource is idle.
@@ -50,9 +44,3 @@ func (r *Resource) FreeAt(from Time) Time {
 	}
 	return from
 }
-
-// BusyCycles returns the total occupancy accumulated across all claims.
-func (r *Resource) BusyCycles() Time { return r.busy }
-
-// Claims returns the number of claims made against the resource.
-func (r *Resource) Claims() uint64 { return r.claims }

@@ -29,11 +29,6 @@ func (m *Mux) Bind(addr directory.Addr, h PacketHandler) {
 	m.specific[addr] = h
 }
 
-// Unbind restores default routing for addr.
-func (m *Mux) Unbind(addr directory.Addr) {
-	delete(m.specific, addr)
-}
-
 // Handle implements PacketHandler.
 func (m *Mux) Handle(p *ipi.Packet) {
 	addr := directory.Addr(p.Operand(0))

@@ -181,7 +181,10 @@ type Config struct {
 	// (default 50, the low end of the paper's Alewife estimate).
 	TrapService int64
 	// Contexts is the number of processor hardware contexts (default 1;
-	// SPARCLE supports 4).
+	// SPARCLE supports 4). Every workload this package builds gives each
+	// processor one program, bound to context 0, so the other contexts
+	// stay empty and through Run the value changes no Result. Block
+	// multithreading is reachable only below this package for now.
 	Contexts int
 	// Topology picks the interconnect: "mesh" (default; wormhole-routed
 	// 2-D mesh), "circuit" (circuit-switched mesh), "omega" (multistage
@@ -243,7 +246,13 @@ type Config struct {
 	// progress (no memory operation commits, no software handler finishes)
 	// for that many cycles while events are still firing. The run then
 	// returns an error carrying a structured diagnostic of the wedged state
-	// instead of spinning forever.
+	// instead of spinning forever. A wait must be a Prog.SpinUntil for the
+	// watchdog to see it. A hand-rolled poll loop issues plain loads one at
+	// a time (Prog.Load in a loop, which the processor receives one by one
+	// from the program's Next), and every poll commits a load that counts
+	// as progress. Such a loop on a value nothing writes never trips the
+	// watchdog, and without MaxCycles it never ends. SpinUntil is the form
+	// the watchdog and the deadlock error understand.
 	WatchdogCycles int64
 
 	// oracles selects the reference implementations the fast paths are
@@ -618,7 +627,10 @@ type Prog struct {
 	t *workload.Thread
 }
 
-// Load reads addr; then receives the value.
+// Load reads addr; then receives the value. Every Load commits, so the
+// watchdog counts it as progress: wait for a value with SpinUntil, not
+// with a loop of Loads, which on a value nothing writes never trips
+// WatchdogCycles and without MaxCycles never ends.
 func (p *Prog) Load(addr Addr, then func(v uint64, p *Prog)) {
 	p.t.Load(directory.Addr(addr), func(v uint64, t *workload.Thread) { then(v, &Prog{t}) })
 }
@@ -644,7 +656,11 @@ func (p *Prog) Compute(cycles int64, then func(p *Prog)) {
 // pred must be a pure function of the polled value while the spin lasts —
 // no call counters, no reads of state that changes during the wait —
 // because the processor evaluates it once for a run of polls that read
-// the same value.
+// the same value. SpinUntil is the wait the watchdog and the deadlock
+// error understand: its failed polls are not progress, so a spin on a
+// value nothing writes trips WatchdogCycles, and with nothing to end the
+// wait it ends as the deadlock error Run describes. A hand-rolled loop of
+// Loads gets neither (see WatchdogCycles).
 func (p *Prog) SpinUntil(addr Addr, pred func(uint64) bool, then func(v uint64, p *Prog)) {
 	p.t.SpinUntil(directory.Addr(addr), pred, 12, func(v uint64, t *workload.Thread) { then(v, &Prog{t}) })
 }

@@ -45,9 +45,10 @@ func runFor(cfg limitless.Config, w limitless.Workload) runOutcome {
 // processor. Both runs must agree in every Result field and in the error a
 // cut or a halt reports. The cases put wakes where they are
 // hardest: LimitLESS_1 traps reaching spinning homes every epoch, a
-// 40-cycle backoff (three compute slices) on a two-context processor,
-// the migratory token ring, the chaos and lossy fault mixes, and cycle
-// limits that cut runs inside spins.
+// 40-cycle backoff (three compute slices) with Contexts: 2 (still one
+// live context per processor, since every facade workload fills context
+// 0 only), the migratory token ring, the chaos and lossy fault mixes, and
+// cycle limits that cut runs inside spins.
 func TestOffQueueSpinEquivalence(t *testing.T) {
 	const procs = 16
 	slow := func(mk func() limitless.Workload) func() limitless.Workload {

@@ -84,8 +84,9 @@ func TestStorageModePins(t *testing.T) { oraclePins(t, machine.OracleBoxed) }
 
 // oracleTrial builds one random configuration and workload from fuzz bytes
 // and checks it under the bits of must plus the nonzero mask maskB picks.
-// Its axes are scheme, four workloads, pointers, T_s, ModifyGrant and one
-// or two hardware contexts.
+// Its axes are scheme, four workloads, pointers, T_s, ModifyGrant and
+// Contexts of one or two; either way each processor runs one live
+// context, since every facade workload fills context 0 only.
 func oracleTrial(t testing.TB, must machine.Oracles, maskB, schemeB, wlB, knobsB byte) {
 	mask := must | machine.Oracles(1+int(maskB)%int(machine.AllOracles))
 	schemes := allSchemes(t)
