@@ -18,6 +18,8 @@ var testOnlyExports = map[string]string{
 	// The unpooled reference the pooled engine is compared against.
 	"sim.Engine.SetPooling": "FuzzSchedulerEquivalence",
 	"sim.Engine.Scheduler":  "TestOraclesReachEveryLayer",
+	// The closure form of AtHandler keeps the engine tests readable.
+	"sim.Engine.At":         "TestEngineRunsEventsInTimeOrder",
 	"cache.Cache.Occupancy": "FuzzCacheEquivalence",
 	"mesh.Network.Distance": "TestRouteLengthEqualsDistance",
 	// Software-directory state the handler tests inspect.

@@ -359,7 +359,7 @@ func (cc *CacheController) protocolBug(context string, src mesh.NodeID, m *Msg) 
 
 func (cc *CacheController) send(dst mesh.NodeID, m *Msg) {
 	cc.stats.Sent[m.Type]++
-	cc.nw.SendFrom(cc.id, dst, m.Flits(cc.params.BlockWords), m)
+	cc.nw.SendFrom(cc.id, dst, m.Flits(), m)
 }
 
 // newMsg builds an outgoing message in the controller's bump arena.

@@ -223,12 +223,12 @@ func TestIPIPacketShapeMatchesPaper(t *testing.T) {
 	if pkt.Op.IsInterrupt() {
 		t.Fatal("protocol opcode classified as interrupt")
 	}
-	if m.Flits(4) != 2 {
-		t.Fatalf("RREQ length = %d flits, want 2", m.Flits(4))
+	if m.Flits() != 2 {
+		t.Fatalf("RREQ length = %d flits, want 2", m.Flits())
 	}
 	data := &coherence.Msg{Type: coherence.RDATA, Addr: 0x123, Value: 9, Next: -1}
-	if data.Flits(4) != 6 {
-		t.Fatalf("RDATA length = %d flits, want 6 (header+addr+4 data words)", data.Flits(4))
+	if data.Flits() != 6 {
+		t.Fatalf("RDATA length = %d flits, want 6 (header+addr+4 data words)", data.Flits())
 	}
 }
 

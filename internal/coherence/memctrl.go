@@ -37,8 +37,6 @@ type Params struct {
 	Pointers int
 	// Nodes is the machine size (for full-map vectors).
 	Nodes int
-	// BlockWords sizes data packets.
-	BlockWords int
 	// Timing is the latency model.
 	Timing Timing
 	// ModifyGrant enables the footnote-1 optimization: an upgrade by the
@@ -58,20 +56,16 @@ type Params struct {
 // four hardware pointers on a 64-node machine.
 func DefaultParams(nodes int) Params {
 	return Params{
-		Scheme:     LimitLESS,
-		Pointers:   4,
-		Nodes:      nodes,
-		BlockWords: 4,
-		Timing:     DefaultTiming(),
+		Scheme:   LimitLESS,
+		Pointers: 4,
+		Nodes:    nodes,
+		Timing:   DefaultTiming(),
 	}
 }
 
 func (p Params) validate() {
 	if p.Nodes < 1 {
 		panic("coherence: Params.Nodes must be >= 1")
-	}
-	if p.BlockWords < 1 {
-		panic("coherence: Params.BlockWords must be >= 1")
 	}
 	if policyFor(p.Scheme) == nil {
 		panic(fmt.Sprintf("coherence: scheme %v has no registered policy", p.Scheme))
@@ -272,7 +266,7 @@ func (mc *MemoryController) Send(dst mesh.NodeID, m Msg) {
 	if m.Type == INV || m.Type == CINV {
 		mc.stats.InvalidationsSent++
 	}
-	mc.nw.SendFrom(mc.id, dst, m.Flits(mc.params.BlockWords), mc.arena.newMsg(m))
+	mc.nw.SendFrom(mc.id, dst, m.Flits(), mc.arena.newMsg(m))
 }
 
 // Decode unpacks a packet from the IPI input queue into the controller's
@@ -282,6 +276,16 @@ func (mc *MemoryController) Send(dst mesh.NodeID, m Msg) {
 func (mc *MemoryController) Decode(p *ipi.Packet) (mesh.NodeID, *Msg) {
 	src, m := DecodeIPI(p)
 	return src, mc.arena.newMsg(m)
+}
+
+// DupOf copies m into the controller's message arena marked as a duplicate
+// delivery (Msg.Dup), for a re-delivery of a message the node has already
+// received. Like Decode's message, the copy stays valid until the machine
+// is released, however long the controllers keep it.
+func (mc *MemoryController) DupOf(m *Msg) *Msg {
+	c := mc.arena.newMsg(*m)
+	c.Dup = true
+	return c
 }
 
 // Recycle returns the controller's message chunks, directory storage and

@@ -190,17 +190,21 @@ type Msg struct {
 // latency of a packet this short.
 const MinMsgFlits = 2
 
-// Flits returns the packet length in flits for this message given the
-// block size: one header word, one address operand, one extra operand for
-// chained messages, and the data words when present (Figure 4's uniform
+// BlockWords is the block size in words: the data a data-bearing message
+// carries, one word per flit.
+const BlockWords = 4
+
+// Flits returns the packet length in flits for this message: one header
+// word, one address operand, one extra operand for chained messages, and
+// the block's BlockWords data words when present (Figure 4's uniform
 // packet format).
-func (m *Msg) Flits(blockWords int) int {
+func (m *Msg) Flits() int {
 	n := 2 // header + address operand
 	if m.Type == CINV || (m.Type == RDATA && m.Next >= 0) {
 		n++
 	}
 	if m.Type.HasData() {
-		n += blockWords
+		n += BlockWords
 	}
 	return n
 }

@@ -280,9 +280,8 @@ func TestStatsAdd(t *testing.T) {
 
 func TestParamsValidation(t *testing.T) {
 	bad := []coherence.Params{
-		{Scheme: coherence.LimitLESS, Pointers: 0, Nodes: 4, BlockWords: 4},
-		{Scheme: coherence.FullMap, Nodes: 0, BlockWords: 4},
-		{Scheme: coherence.FullMap, Nodes: 4, BlockWords: 0},
+		{Scheme: coherence.LimitLESS, Pointers: 0, Nodes: 4},
+		{Scheme: coherence.FullMap, Nodes: 0},
 	}
 	for i, p := range bad {
 		p := p

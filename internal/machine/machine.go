@@ -6,6 +6,7 @@ package machine
 
 import (
 	"fmt"
+	"sync"
 
 	"limitless/internal/cache"
 	"limitless/internal/coherence"
@@ -147,9 +148,6 @@ func New(cfg Config) *Machine {
 	}
 	n := cfg.Width * cfg.Height
 	cfg.Params.Nodes = n
-	if cfg.Params.BlockWords == 0 {
-		cfg.Params.BlockWords = 4
-	}
 
 	if cfg.Faults != nil && cfg.Params.Timing.RetryBackoffMax == 0 {
 		cfg.Params.Timing.RetryBackoffMax = 256
@@ -233,13 +231,11 @@ func (n *Node) receive(pkt *mesh.Packet) {
 		panic(fmt.Sprintf("machine: node %d received non-protocol payload %T", n.ID, pkt.Payload))
 	}
 	// A transport replay (ack-loss retransmission of a delivered packet)
-	// is dispatched as a Dup-marked clone so the controllers' idempotent
-	// dup suppression absorbs it. The clone matters: the payload pointer
+	// is dispatched as a Dup-marked copy so the controllers' idempotent
+	// dup suppression absorbs it. The copy matters: the payload pointer
 	// is shared with the original delivery and must never be mutated.
 	if pkt.Replay {
-		clone := *msg
-		clone.Dup = true
-		n.dispatch(pkt.Src, &clone)
+		n.dispatch(pkt.Src, n.MC.DupOf(msg))
 		return
 	}
 	// Duplicate injection happens at ingress: the decision hashes
@@ -250,16 +246,40 @@ func (n *Node) receive(pkt *mesh.Packet) {
 		if extra, dup := f.Duplicate(eng.Now(), int(pkt.Src), int(n.ID),
 			uint64(msg.Addr)^uint64(msg.Type)); dup {
 			n.m.dupInj++
-			clone := *msg
-			clone.Dup = true
-			src := pkt.Src
-			eng.At(eng.Now()+extra, func() {
-				n.Proc.Wake(eng.Now() - 1)
-				n.dispatch(src, &clone)
-			})
+			d, _ := dupPool.Get().(*dupArrival)
+			if d == nil {
+				d = new(dupArrival)
+			}
+			d.n, d.src, d.msg = n, pkt.Src, n.MC.DupOf(msg)
+			eng.AtHandler(eng.Now()+extra, dupHandler{}, d)
 		}
 	}
 	n.dispatch(pkt.Src, msg)
+}
+
+// dupArrival is one injected duplicate on its way to node n's controllers.
+// The records are pooled process-wide: each returns to dupPool as its
+// event fires, so machines share them and a run allocates none once the
+// pool holds a previous run's. Its message is an arena copy, which stays
+// valid after the record is reused, as the controllers that keep it need.
+type dupArrival struct {
+	n   *Node
+	src mesh.NodeID
+	msg *coherence.Msg
+}
+
+var dupPool sync.Pool
+
+// dupHandler delivers a dupArrival when its event fires.
+type dupHandler struct{}
+
+func (dupHandler) OnEvent(arg any) {
+	d := arg.(*dupArrival)
+	n, src, msg := d.n, d.src, d.msg
+	*d = dupArrival{}
+	dupPool.Put(d)
+	n.Proc.Wake(n.m.Eng.Now() - 1)
+	n.dispatch(src, msg)
 }
 
 // dispatch hands a protocol message to the controller it is addressed to.

@@ -197,8 +197,14 @@ type Network struct {
 	widthShift int
 	widthMask  int
 
-	rng      uint64
-	pairLast map[uint64]sim.Time // last scheduled delivery per (src,dst)
+	rng uint64
+
+	// The link table: one record per (source, destination) link in use,
+	// found through linkIdx (keyed src<<32|dst) once per claim and then
+	// reached by index. It exists only when jitter, a fault plan or the
+	// reliable transport is on; a lossless run leaves linkIdx nil.
+	linkIdx map[uint64]int32
+	links   []link
 
 	// routeBuf is route()'s reusable path buffer, consumed within one
 	// claim and never retained.
@@ -216,18 +222,33 @@ type Network struct {
 
 	// Latency-fault injection counters.
 	fDelays, fStalls uint64
+
+	// mem is the pool wrapper New drew, holding the spare memory this
+	// network has not taken; Recycle refills it.
+	mem *portMem
+}
+
+// link is one (source, destination) link's state: the FIFO floor jitter
+// and fault delays may not deliver below, and the reliable transport's
+// sender and receiver sequence numbers.
+type link struct {
+	last     sim.Time // last scheduled delivery on the link
+	next     uint64   // sender's next sequence number, assigned in canonical order
+	expected uint64   // receiver's next in-order sequence number
 }
 
 // delivery carries one in-flight packet from its delivery event to the
 // ejection handler without a per-packet closure; the handler receives a
 // pointer to the embedded packet, and the record returns to the port's free
 // list once the handler is done with it. Sequenced deliveries (kind dSeq)
-// additionally carry the reliable transport's framing: the per-link
-// sequence number and the header checksum the receiver validates.
+// additionally carry the reliable transport's framing: the link's index in
+// the link table, the per-link sequence number and the header checksum the
+// receiver validates.
 type delivery struct {
 	pkt      Packet
 	injected sim.Time
 	kind     uint8 // dPlain or dSeq
+	link     int32
 	seq      uint64
 	sum      uint32
 }
@@ -252,15 +273,17 @@ func New(cfg Config) *Network {
 	if seed == 0 {
 		seed = 0x9E3779B97F4A7C15
 	}
-	nw := &Network{
-		cfg:      cfg,
-		n:        n,
-		handlers: make([]Handler, n),
-		wakers:   make([]Waker, n),
-		chans:    make([]sim.Resource, n*numDirs),
-		eject:    make([]sim.Resource, n),
-		rng:      seed,
-		pairLast: make(map[uint64]sim.Time),
+	m, _ := portPool.Get().(*portMem)
+	if m == nil {
+		m = new(portMem)
+	}
+	nw := &Network{cfg: cfg, n: n, rng: seed, mem: m}
+	nw.handlers, m.handlers = reuse(m.handlers, n), nil
+	nw.wakers, m.wakers = reuse(m.wakers, n), nil
+	nw.chans, m.chans = reuse(m.chans, n*numDirs), nil
+	nw.eject, m.eject = reuse(m.eject, n), nil
+	if cfg.JitterMax > 0 || cfg.Faults != nil {
+		nw.linkTable()
 	}
 	nw.widthShift = -1
 	if w := cfg.Width; w&(w-1) == 0 {
@@ -278,9 +301,45 @@ func New(cfg Config) *Network {
 			stages = 1
 		}
 		nw.omegaWidth, nw.omegaStages = width, stages
-		nw.omega = make([]sim.Resource, stages*width)
+		nw.omega, m.omega = reuse(m.omega, stages*width), nil
 	}
 	return nw
+}
+
+// reuse returns s resliced to n elements when its array is large enough,
+// or a new slice. Recycle zeroes a pooled array over its whole capacity,
+// so either way the n elements start zero.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// linkTable arms the link table, taking the pooled one when there is one.
+func (nw *Network) linkTable() {
+	if nw.linkIdx != nil {
+		return
+	}
+	m := nw.mem
+	nw.linkIdx, nw.links = m.linkIdx, m.links[:0]
+	m.linkIdx, m.links = nil, nil
+	if nw.linkIdx == nil {
+		nw.linkIdx = make(map[uint64]int32)
+	}
+}
+
+// linkOf returns the index of the (src, dst) link's record in the link
+// table, adding a zero record on the link's first use.
+func (nw *Network) linkOf(src, dst NodeID) int32 {
+	key := uint64(src)<<32 | uint64(uint32(dst))
+	li, ok := nw.linkIdx[key]
+	if !ok {
+		li = int32(len(nw.links))
+		nw.links = append(nw.links, link{})
+		nw.linkIdx[key] = li
+	}
+	return li
 }
 
 // jitter returns the next deterministic pseudo-random delay.
@@ -314,15 +373,13 @@ func (nw *Network) Bind(eng *sim.Engine, window sim.Time) *ShardPort {
 		panic(fmt.Sprintf("mesh: lookahead window %d < 1", window))
 	}
 	nw.window = window
-	p := &ShardPort{nw: nw, eng: eng, handlers: nw.handlers, wakers: nw.wakers}
-	if m, _ := portPool.Get().(*portMem); m != nil {
-		p.log, p.freeDels = m.log, m.dels
-		*m = portMem{}
-		p.mem = m
-	}
+	m := nw.mem
+	p := &ShardPort{nw: nw, eng: eng, handlers: nw.handlers, wakers: nw.wakers,
+		log: m.log, freeDels: m.dels, freeRetrans: m.retrans}
+	m.log, m.dels, m.retrans = nil, nil, nil
 	p.retransH.p = p
 	if nw.tp != nil {
-		p.xr = newXrecv()
+		p.xr = newXrecv(m)
 	}
 	nw.port = p
 	eng.SetCycleHook(func() { nw.FlushWindow(eng.Now() + 1) })
@@ -413,9 +470,11 @@ func (nw *Network) route(src, dst NodeID) []int {
 
 // claimPath walks a packet's route for an injection at cycle now, claiming
 // the traversed channels and the destination's ejection port, and returns
-// the delivery cycle. This is the network's entire contention model; every
-// packet between distinct nodes goes through it from FlushWindow.
-func (nw *Network) claimPath(now sim.Time, src, dst NodeID, flits int) sim.Time {
+// the delivery cycle and the index of the (src, dst) link's record, or -1
+// when the link table is off. This is the network's entire contention
+// model; every packet between distinct nodes goes through it from
+// FlushWindow.
+func (nw *Network) claimPath(now sim.Time, src, dst NodeID, flits int) (sim.Time, int32) {
 	serial := sim.Time(flits) * nw.cfg.FlitCycle
 	head := now + nw.cfg.InjectLatency
 
@@ -486,15 +545,18 @@ func (nw *Network) claimPath(now sim.Time, src, dst NodeID, flits int) sim.Time 
 	at := start + serial
 
 	// Jitter and fault delays must never reorder a (src,dst) pair: enforce
-	// FIFO delivery.
-	if nw.cfg.JitterMax > 0 || nw.cfg.Faults != nil {
-		key := uint64(src)<<32 | uint64(uint32(dst))
-		if last := nw.pairLast[key]; at <= last {
-			at = last + 1
+	// FIFO delivery. Without them a pair's claims already deliver in
+	// order, so under the transport alone the floor never moves a delivery.
+	li := int32(-1)
+	if nw.linkIdx != nil {
+		li = nw.linkOf(src, dst)
+		l := &nw.links[li]
+		if at <= l.last {
+			at = l.last + 1
 		}
-		nw.pairLast[key] = at
+		l.last = at
 	}
-	return at
+	return at, li
 }
 
 // MinPacketLatency returns a lower bound on the inject-to-eject latency of
@@ -554,22 +616,43 @@ func (nw *Network) barrierPanic(e *deferredSend, before sim.Time) {
 		e.src, e.dst, e.at, before))
 }
 
-// Recycle hands the port's send log and free delivery records to the pool
-// Bind draws on, so the next network built in the process reuses them.
-// Sends still logged and packets still in flight — a run cut off by a
-// cycle limit, a watchdog or an abort — are dropped with the network. The
-// network must not be used afterwards; a second Recycle does nothing.
+// Recycle hands the network's per-node arrays, the port's send log, free
+// delivery records and retransmission records, and the link table and
+// hold buffer to the pool New draws on, so the next network built in the
+// process reuses them. Sends still logged, packets still in flight and
+// arrivals still held — a run cut off by a cycle limit, a watchdog or an
+// abort — are dropped with the network. The network must not be used
+// afterwards; a second Recycle does nothing.
 func (nw *Network) Recycle() {
-	p := nw.port
-	if p.log == nil && p.freeDels == nil {
+	m := nw.mem
+	if m == nil {
 		return
 	}
-	clear(p.log[:cap(p.log)])
-	m := p.mem
-	if m == nil {
-		m = new(portMem)
+	nw.mem = nil
+	clear(nw.handlers[:cap(nw.handlers)])
+	clear(nw.wakers[:cap(nw.wakers)])
+	clear(nw.chans[:cap(nw.chans)])
+	clear(nw.eject[:cap(nw.eject)])
+	m.handlers, m.wakers, m.chans, m.eject = nw.handlers, nw.wakers, nw.chans, nw.eject
+	if nw.omega != nil {
+		clear(nw.omega[:cap(nw.omega)])
+		m.omega = nw.omega
 	}
-	*m = portMem{log: p.log[:0], dels: p.freeDels}
+	if nw.linkIdx != nil {
+		clear(nw.linkIdx)
+		m.linkIdx, m.links = nw.linkIdx, nw.links[:0]
+	}
+	if p := nw.port; p != nil {
+		clear(p.log[:cap(p.log)])
+		m.log, m.dels, m.retrans = p.log[:0], p.freeDels, p.freeRetrans
+		if xr := p.xr; xr != nil {
+			clear(xr.held)
+			m.held, m.spareHeld = xr.held, xr.spare
+			xr.held, xr.spare = nil, nil
+		}
+		p.log, p.freeDels, p.freeRetrans = nil, nil, nil
+	}
+	nw.handlers, nw.wakers, nw.chans, nw.eject, nw.omega = nil, nil, nil, nil, nil
+	nw.linkIdx, nw.links = nil, nil
 	portPool.Put(m)
-	p.log, p.freeDels, p.mem = nil, nil, nil
 }

@@ -90,8 +90,7 @@ type ShardPort struct {
 	log      sendLog
 	logDirty bool // true when an append since the last flush landed out of order
 	freeDels []*delivery
-	mem      *portMem // the pool wrapper Bind drew, reused by Network.Recycle
-	inflight int      // deliveries scheduled on the engine, not yet ejected
+	inflight int // deliveries scheduled on the engine, not yet ejected
 
 	// Reliable transport (see transport.go): the receiver state, the
 	// pending retransmission-timer count, and the pooled attempt records
@@ -206,11 +205,24 @@ func (p *ShardPort) OnEvent(arg any) {
 	p.finishX(d, p.eng.Now(), false)
 }
 
-// portMem is the run-scoped memory a port hands to the next one: its send
-// log's backing array and its free delivery records (see Network.Recycle).
+// portMem is the run-scoped memory a network and its port hand to the
+// next ones (see Network.Recycle): the per-node arrays, the send log's
+// backing array, the free delivery and retransmission records, and the
+// link table and hold buffer. While a network runs, its wrapper holds only
+// what the network did not take.
 type portMem struct {
-	log  sendLog
-	dels []*delivery
+	handlers            []Handler
+	wakers              []Waker
+	chans, eject, omega []sim.Resource
+
+	log     sendLog
+	dels    []*delivery
+	retrans []*deferredSend
+
+	linkIdx   map[uint64]int32
+	links     []link
+	held      map[int32][]heldDel
+	spareHeld [][]heldDel
 }
 
 var portPool sync.Pool
@@ -244,12 +256,12 @@ func (nw *Network) FlushWindow(before sim.Time) {
 // violation panics rather than silently corrupting the timing model.
 func (p *ShardPort) claim(e *deferredSend) {
 	nw := p.nw
-	at := nw.claimPath(e.at, e.src, e.dst, e.flits)
+	at, li := nw.claimPath(e.at, e.src, e.dst, e.flits)
 	if at < e.at+nw.window {
 		nw.lookaheadPanic(e, at)
 	}
 	if nw.tp != nil {
-		nw.flushX(e, p, at)
+		nw.flushX(e, p, at, li)
 	} else {
 		p.deliver(p.newDelivery(e.src, e.dst, e.flits, e.payload, e.at), at)
 	}

@@ -63,11 +63,6 @@ func xsum(src, dst NodeID, flits int, seq uint64) uint32 {
 	return uint32(x)
 }
 
-// linkKey packs a (src, dst) pair into one map key.
-func linkKey(src, dst NodeID) uint64 {
-	return uint64(uint32(src))<<32 | uint64(uint32(dst))
-}
-
 // TransportStats aggregates the reliable transport's activity.
 type TransportStats struct {
 	Seqs          uint64 // packets entering the transport (first attempts)
@@ -92,15 +87,14 @@ type StuckLink struct {
 }
 
 // transport is the sender-side reliable-delivery state. It is touched only
-// by FlushWindow.
+// by FlushWindow. Each link's next sequence number lives in the network's
+// link table.
 type transport struct {
 	plan       *fault.Plan
 	rto        sim.Time // base retransmit timeout, floored at the lookahead window
 	backoffMax sim.Time // exponential-backoff cap (Timing.RetryBackoffMax semantics)
 	nackLat    sim.Time // corrupt-arrival nack turnaround before the resend departs
 	rmax       int      // retransmit budget per packet
-
-	nextSeq map[uint64]uint64 // per-link next sequence number, assigned in canonical order
 
 	seqs, drops, corrupts, retransmits, replays uint64
 
@@ -118,14 +112,14 @@ type xverdict struct {
 	next    deferredSend
 }
 
-// verdict decides the fate of attempt e arriving (if it arrives) at cycle
-// at. It assigns the sequence number on first attempts and accumulates the
-// per-class counters; callers schedule the delivery and/or follow-up.
-func (tp *transport) verdict(e *deferredSend, at sim.Time) xverdict {
+// verdict decides the fate of attempt e on link l arriving (if it arrives)
+// at cycle at. It assigns the sequence number on first attempts and
+// accumulates the per-class counters; callers schedule the delivery and/or
+// follow-up.
+func (tp *transport) verdict(e *deferredSend, at sim.Time, l *link) xverdict {
 	if e.kind == xFirst {
-		link := linkKey(e.src, e.dst)
-		e.seq = tp.nextSeq[link]
-		tp.nextSeq[link] = e.seq + 1
+		e.seq = l.next
+		l.next++
 		e.first = e.at
 		tp.seqs++
 	}
@@ -142,14 +136,14 @@ func (tp *transport) verdict(e *deferredSend, at sim.Time) xverdict {
 	}
 	if tp.plan.Drop(e.at, int(e.src), int(e.dst), e.seq) {
 		tp.drops++
-		return tp.followUp(e, e.at+tp.backoff(e.attempt))
+		return tp.followUp(e, e.at+tp.backoff(e.attempt), l)
 	}
 	if tp.plan.Corrupt(e.at, int(e.src), int(e.dst), e.seq) {
 		tp.corrupts++
 		// Delivered with a broken checksum: the receiver discards it and
 		// nacks, so the resend departs one control-message turnaround after
 		// the corrupted arrival.
-		v := tp.followUp(e, at+tp.nackLat)
+		v := tp.followUp(e, at+tp.nackLat, l)
 		v.deliver = true
 		v.sum = sum ^ xsumMask
 		return v
@@ -166,12 +160,12 @@ func (tp *transport) verdict(e *deferredSend, at sim.Time) xverdict {
 }
 
 // followUp prepares the retransmission of failed attempt e departing at
-// depart, or records the link as stuck when the budget is exhausted.
-func (tp *transport) followUp(e *deferredSend, depart sim.Time) xverdict {
+// depart, or records its link l as stuck when the budget is exhausted.
+func (tp *transport) followUp(e *deferredSend, depart sim.Time, l *link) xverdict {
 	if int(e.attempt)+1 > tp.rmax {
 		s := StuckLink{
 			Src: e.src, Dst: e.dst,
-			Seq: e.seq, NextSeq: tp.nextSeq[linkKey(e.src, e.dst)],
+			Seq: e.seq, NextSeq: l.next,
 			Attempts:  int(e.attempt) + 1,
 			FirstSent: e.first, LastSent: e.at,
 		}
@@ -212,19 +206,28 @@ type heldDel struct {
 	d   *delivery
 }
 
-// xrecv is the receivers' transport state: per-link expected sequence
-// numbers and the out-of-order hold buffer.
+// xrecv is the receivers' transport state: the out-of-order hold buffer,
+// keyed by link index. Each link's expected sequence number lives in the
+// network's link table. The buffer holds no entry for a link with nothing
+// parked, and the in-order path reads it only while something is parked
+// somewhere.
 type xrecv struct {
-	expected map[uint64]uint64
-	held     map[uint64][]heldDel
-	heldNow  int // arrivals currently parked (counted by InFlight)
+	held    map[int32][]heldDel
+	spare   [][]heldDel // emptied hold arrays, reused by the next link to park
+	heldNow int         // arrivals currently parked (counted by InFlight)
 
 	csumDrops   uint64
 	dupArrivals uint64
 }
 
-func newXrecv() *xrecv {
-	return &xrecv{expected: make(map[uint64]uint64), held: make(map[uint64][]heldDel)}
+// newXrecv builds the receiver state on the hold buffer pooled in m, if any.
+func newXrecv(m *portMem) *xrecv {
+	r := &xrecv{held: m.held, spare: m.spareHeld}
+	m.held, m.spareHeld = nil, nil
+	if r.held == nil {
+		r.held = make(map[int32][]heldDel)
+	}
+	return r
 }
 
 // receive classifies one sequenced arrival: checksum-discard, in-order
@@ -237,26 +240,11 @@ func (r *xrecv) receive(s *ShardPort, d *delivery, now sim.Time) {
 		s.discardX(d)
 		return
 	}
-	link := linkKey(pkt.Src, pkt.Dst)
-	exp := r.expected[link]
+	li := d.link
+	exp := s.nw.links[li].expected
 	switch {
 	case d.seq > exp:
-		// A predecessor on this link was lost and is still being recovered:
-		// park this arrival until the gap fills. A replay of an already-held
-		// sequence is discarded (its original always arrives first — per-link
-		// deliveries are strictly monotone in claim order).
-		hl := r.held[link]
-		i := sort.Search(len(hl), func(j int) bool { return hl[j].seq >= d.seq })
-		if i < len(hl) && hl[i].seq == d.seq {
-			r.dupArrivals++
-			s.discardX(d)
-			return
-		}
-		hl = append(hl, heldDel{})
-		copy(hl[i+1:], hl[i:])
-		hl[i] = heldDel{seq: d.seq, d: d}
-		r.held[link] = hl
-		r.heldNow++
+		r.hold(s, d, li)
 	case d.seq < exp:
 		// Already accepted once: an ack-loss replay. Deliver it marked so the
 		// controllers' dup suppression absorbs it.
@@ -265,19 +253,63 @@ func (r *xrecv) receive(s *ShardPort, d *delivery, now sim.Time) {
 	default:
 		s.finishX(d, now, false)
 		exp++
-		hl := r.held[link]
-		for len(hl) > 0 && hl[0].seq == exp {
-			hd := hl[0].d
-			copy(hl, hl[1:])
-			hl[len(hl)-1] = heldDel{}
-			hl = hl[:len(hl)-1]
-			r.heldNow--
-			s.finishX(hd, now, false)
-			exp++
+		if r.heldNow > 0 {
+			exp = r.release(s, li, exp, now)
 		}
-		r.held[link] = hl
-		r.expected[link] = exp
+		s.nw.links[li].expected = exp
 	}
+}
+
+// hold parks arrival d on link li, whose predecessor was lost and is still
+// being recovered, until the gap fills. A replay of an already-held
+// sequence is discarded (its original always arrives first — per-link
+// deliveries are strictly monotone in claim order).
+func (r *xrecv) hold(s *ShardPort, d *delivery, li int32) {
+	hl := r.held[li]
+	i := sort.Search(len(hl), func(j int) bool { return hl[j].seq >= d.seq })
+	if i < len(hl) && hl[i].seq == d.seq {
+		r.dupArrivals++
+		s.discardX(d)
+		return
+	}
+	if hl == nil {
+		if n := len(r.spare); n > 0 {
+			hl = r.spare[n-1]
+			r.spare[n-1] = nil
+			r.spare = r.spare[:n-1]
+		}
+	}
+	hl = append(hl, heldDel{})
+	copy(hl[i+1:], hl[i:])
+	hl[i] = heldDel{seq: d.seq, d: d}
+	r.held[li] = hl
+	r.heldNow++
+}
+
+// release hands the handlers the arrivals held on link li that the
+// in-order arrival before exp has made consecutive, and returns the link's
+// next expected sequence number. A link left with nothing held leaves the
+// buffer, its array kept for the next link to park.
+func (r *xrecv) release(s *ShardPort, li int32, exp uint64, now sim.Time) uint64 {
+	hl := r.held[li]
+	if len(hl) == 0 || hl[0].seq != exp {
+		return exp
+	}
+	n := 0
+	for ; n < len(hl) && hl[n].seq == exp; n++ {
+		r.heldNow--
+		s.finishX(hl[n].d, now, false)
+		exp++
+	}
+	rest := copy(hl, hl[n:])
+	clear(hl[rest:])
+	if rest == 0 {
+		delete(r.held, li)
+		r.spare = append(r.spare, hl[:0])
+	} else {
+		r.held[li] = hl[:rest]
+	}
+	return exp
 }
 
 // EnableTransport interposes the reliable transport for plan's loss
@@ -308,10 +340,10 @@ func (nw *Network) EnableTransport(plan *fault.Plan, window, backoffMax sim.Time
 		backoffMax: backoffMax,
 		nackLat:    nw.cfg.MinPacketLatency(1),
 		rmax:       cfg.RetransMax,
-		nextSeq:    make(map[uint64]uint64),
 	}
+	nw.linkTable()
 	if nw.port != nil {
-		nw.port.xr = newXrecv()
+		nw.port.xr = newXrecv(nw.mem)
 	}
 }
 
@@ -360,13 +392,14 @@ func (nw *Network) FaultCounts() (delays, stalls uint64) {
 }
 
 // flushX applies the loss verdict to one canonical-order attempt in
-// FlushWindow: the arrival (if any) is inserted into the engine, and the
-// follow-up attempt (if any) becomes a retransmission timer.
-func (nw *Network) flushX(e *deferredSend, p *ShardPort, at sim.Time) {
-	v := nw.tp.verdict(e, at)
+// FlushWindow, claimed on link li: the arrival (if any) is inserted into
+// the engine, carrying the link index to the receiver, and the follow-up
+// attempt (if any) becomes a retransmission timer.
+func (nw *Network) flushX(e *deferredSend, p *ShardPort, at sim.Time, li int32) {
+	v := nw.tp.verdict(e, at, &nw.links[li])
 	if v.deliver {
 		d := p.newDelivery(e.src, e.dst, e.flits, e.payload, e.first)
-		d.kind, d.seq, d.sum = dSeq, e.seq, v.sum
+		d.kind, d.link, d.seq, d.sum = dSeq, li, e.seq, v.sum
 		p.deliver(d, at)
 	}
 	if v.resend {

@@ -202,7 +202,9 @@ type Config struct {
 	Verify bool
 	// FIFOLocks places these addresses under the Section 6 FIFO-lock
 	// handler. UpdateMode places addresses under update coherence.
-	// ProfileAddrs places addresses in Trap-Always profiling mode.
+	// ProfileAddrs places addresses in Trap-Always profiling mode. The
+	// private-only scheme refuses all three with an error: it sends shared
+	// references uncached, and these handlers serve cached requests only.
 	FIFOLocks    []Addr
 	UpdateMode   []Addr
 	ProfileAddrs []Addr
@@ -307,6 +309,20 @@ func (c Config) build() (*machine.Machine, error) {
 	scheme, err := resolveScheme(c.Scheme)
 	if err != nil {
 		return nil, err
+	}
+	if scheme == coherence.PrivateOnly {
+		// A private-only machine sends every shared reference uncached,
+		// and the Section 6 handlers these fields bind serve cached
+		// requests only.
+		for _, f := range []struct {
+			name  string
+			addrs []Addr
+		}{{"FIFOLocks", c.FIFOLocks}, {"UpdateMode", c.UpdateMode}, {"ProfileAddrs", c.ProfileAddrs}} {
+			if len(f.addrs) > 0 {
+				return nil, fmt.Errorf("limitless: scheme %s cannot take Config.%s: it sends shared references uncached, and the Section 6 handler that field binds serves cached requests only",
+					PrivateOnly, f.name)
+			}
+		}
 	}
 	params := coherence.DefaultParams(w * h)
 	params.Scheme = scheme

@@ -2,6 +2,7 @@ package limitless_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	limitless "limitless"
@@ -41,6 +42,43 @@ func TestRunRejectsUnknownScheme(t *testing.T) {
 	cfg := limitless.Config{Procs: 4, Scheme: "nonsense"}
 	if _, err := limitless.Run(cfg, limitless.Multigrid(4)); err == nil {
 		t.Fatal("unknown scheme accepted")
+	}
+}
+
+// TestPrivateOnlyRefusesSoftwareHandlers checks the four Config fields
+// that bind Section 6 handlers under the private-only scheme. It sends
+// shared references uncached, which the FIFO-lock, update-mode and
+// profiling handlers cannot serve (each used to panic inside Run), so
+// build refuses those three with an error naming the scheme and the
+// field; the migratory handler is never reached and its run completes.
+func TestPrivateOnlyRefusesSoftwareHandlers(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		cfg   limitless.Config
+		wl    limitless.Workload
+	}{
+		{"FIFOLocks", limitless.Config{FIFOLocks: []limitless.Addr{limitless.LockAddr()}},
+			limitless.LockContention(16, 3)},
+		{"UpdateMode", limitless.Config{UpdateMode: []limitless.Addr{limitless.ProducerConsumerAddr()}},
+			limitless.ProducerConsumer(16, 3)},
+		{"ProfileAddrs", limitless.Config{ProfileAddrs: []limitless.Addr{limitless.LockAddr()}},
+			limitless.LockContention(16, 3)},
+		{"Migratory", limitless.Config{Migratory: []limitless.Addr{limitless.RotatingAddr()}},
+			limitless.RotatingReaders(16)},
+	} {
+		cfg := c.cfg
+		cfg.Procs, cfg.Scheme, cfg.Verify = 16, limitless.PrivateOnly, true
+		_, err := limitless.Run(cfg, c.wl)
+		if c.field == "Migratory" {
+			if err != nil {
+				t.Errorf("private-only with Migratory: %v", err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "Config."+c.field) ||
+			!strings.Contains(err.Error(), string(limitless.PrivateOnly)) {
+			t.Errorf("private-only with %s: error %v, want one naming the scheme and Config.%s", c.field, err, c.field)
+		}
 	}
 }
 

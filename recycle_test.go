@@ -3,9 +3,12 @@ package limitless_test
 // Run-scoped memory is recycled through process-wide pools when a machine
 // is released: every node's controllers, processor, cache and IPI queue,
 // cache pages, message chunks, directory tables and entry chunks, engine
-// buckets and event free lists. These tests check that a machine built on
-// recycled memory is indistinguishable from one built on fresh memory,
-// whatever state the previous machines were released in.
+// buckets and event free lists, the network's per-node arrays, send log,
+// delivery and retransmission records, link table and hold buffer; the
+// injected duplicates' records return to their pool as they fire. These
+// tests check that a machine built on recycled memory is
+// indistinguishable from one built on fresh memory, whatever state the
+// previous machines were released in.
 
 import (
 	"bytes"
@@ -25,8 +28,9 @@ import (
 	"limitless/internal/workload"
 )
 
-// TestRecycleAfterDissimilarRuns releases machines of other sizes, engines,
-// schemes, handler bindings and oracle configurations, halted in every way
+// TestRecycleAfterDissimilarRuns releases machines of other sizes,
+// topologies, fault plans, engines, schemes, handler bindings and oracle
+// configurations, halted in every way
 // a run can halt (finished, cut at a cycle limit, tripped by the watchdog,
 // aborted by the transport), between two identical reference runs; the two
 // must give equal Results. The chain then runs again in reverse order,
@@ -65,8 +69,20 @@ func TestRecycleAfterDissimilarRuns(t *testing.T) {
 		wantErr string                    // substring of the expected error; empty for none
 	}{
 		{"p256", limitless.Config{Procs: 256}, wl(limitless.Weather(256)), ""},
-		{"lossy", limitless.Config{Procs: 64,
-			Faults: "42:delay=0.05,dup=0.02,stall=0.1,trap=0.1,drop=0.02,corrupt=0.01"}, wl(limitless.Weather(64)), ""},
+		// The network's per-node arrays come back sized by node count and
+		// topology: the omega machine draws the mesh arrays of a larger
+		// machine, and its inter-stage channels serve the next omega run.
+		{"omega", limitless.Config{Procs: 16, Topology: "omega"}, wl(limitless.Weather(16)), ""},
+		// Two lossy machines of other sizes and seeds: each draws the link
+		// table, hold buffer, retransmission and duplicate records the
+		// other left, and then its own. The second is then cut at a cycle
+		// where arrivals are held, so the next lossy run draws a hold
+		// buffer released with arrivals in it.
+		{"lossy", limitless.Config{Procs: 64, Faults: lossyFaults}, wl(limitless.Weather(64)), ""},
+		{"lossy16", limitless.Config{Procs: 16, Faults: "7:dup=0.1,drop=0.05,corrupt=0.02"},
+			wl(limitless.Weather(16)), ""},
+		{"lossy16-cut", limitless.Config{Procs: 16, Faults: "7:dup=0.1,drop=0.05,corrupt=0.02", MaxCycles: 5750},
+			wl(limitless.Weather(16)), "exceeded"},
 		{"heap-boxed", limitless.WithOracles(limitless.Config{Procs: 64, Scheme: limitless.FullMap},
 			machine.OracleHeap|machine.OracleBoxed), wl(limitless.Multigrid(64)), ""},
 		// One live context per processor (the facade fills context 0
