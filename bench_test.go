@@ -269,16 +269,6 @@ func BenchmarkAblationFFT(b *testing.B) {
 		func() limitless.Workload { return limitless.FFT(benchProcs, 2) })
 }
 
-func BenchmarkAblationAssociativity(b *testing.B) {
-	for _, ways := range []int{1, 2, 4} {
-		ways := ways
-		b.Run(fmt.Sprintf("ways-%d", ways), func(b *testing.B) {
-			runB(b, limitless.Config{Procs: benchProcs, Scheme: limitless.LimitLESS, Pointers: 4, CacheWays: ways},
-				func() limitless.Workload { return limitless.Weather(benchProcs) })
-		})
-	}
-}
-
 func BenchmarkAblationTopology(b *testing.B) {
 	for _, topo := range []string{"mesh", "circuit", "omega", "ideal"} {
 		topo := topo

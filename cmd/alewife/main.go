@@ -72,6 +72,16 @@ func main() {
 			*procsFlag, limitless.MaxProcs, limitless.MaxProcs)
 		os.Exit(2)
 	}
+	// The header below echoes these two, so a value the facade would
+	// replace by its default is refused rather than misreported.
+	if *pointersFlag < 1 {
+		fmt.Fprintf(os.Stderr, "alewife: -pointers %d: need at least 1 hardware pointer\n", *pointersFlag)
+		os.Exit(2)
+	}
+	if *tsFlag < 1 {
+		fmt.Fprintf(os.Stderr, "alewife: -ts %d: T_s must be at least 1 cycle\n", *tsFlag)
+		os.Exit(2)
+	}
 	faultSpec, err := limitless.NormalizeFaults(*faultsFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "alewife: -faults:", err)

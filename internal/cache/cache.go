@@ -3,8 +3,6 @@
 // cache-side protocol states of Table 1 — Invalid, Read-Only, Read-Write —
 // plus per-line data, and reports replacement victims so the cache
 // controller can issue REPM (replace-modified) messages for dirty lines.
-// Set-associative geometries (LRU replacement) are supported for
-// ablations; Alewife itself is direct-mapped.
 //
 // Block data is modelled as a single version word; see the directory
 // package for why that suffices for consistency checking.
@@ -45,13 +43,9 @@ func (s LineState) String() string {
 
 // Config describes cache geometry in block-granularity terms.
 type Config struct {
-	// Lines is the total number of lines. The Alewife cache is 64 KB of
-	// 16-byte blocks: 4096 lines.
+	// Lines is the total number of lines, a power of two. The Alewife
+	// cache is 64 KB of 16-byte blocks: 4096 lines.
 	Lines int
-	// Ways is the set associativity (0 or 1 = direct-mapped, Alewife's
-	// geometry). Lines must be divisible by Ways. Replacement within a
-	// set is LRU.
-	Ways int
 }
 
 // DefaultConfig returns the Alewife cache geometry.
@@ -66,22 +60,20 @@ type Victim struct {
 }
 
 // line is one cache line; it holds a block exactly when its state is not
-// Invalid. Field order matters: the three words lead and the two
-// byte-sized fields share the tail word, so the struct packs into 32 bytes
-// and stays pointer-free (the GC never scans a page).
+// Invalid. The two words lead and the two byte-sized fields share the
+// tail word, so the struct packs into 24 bytes and stays pointer-free
+// (the GC never scans a page).
 type line struct {
 	tag   directory.Addr
 	value uint64
-	used  uint64 // LRU timestamp
 	state LineState
 	dirty bool
 }
 
-// pageLines is the number of lines in one page: 2 KiB of line storage.
+// pageLines is the number of lines in one page: 1.5 KiB of line storage.
 const pageLines = 64
 
-// page is a run of pageLines consecutive lines of the set-major line
-// array.
+// page is a run of pageLines consecutive lines.
 type page [pageLines]line
 
 // absent stands in for every page no Fill has reached yet. Its lines are
@@ -91,102 +83,64 @@ type page [pageLines]line
 // real page before installing a line.
 var absent page
 
-// pagePool recycles zeroed pages across Cache instances: Release hands a
-// cache's pages back and the next machine's fills draw on them. cachePool
-// recycles the Cache structs, with their page-pointer arrays, for New.
-var pagePool, cachePool sync.Pool
+// cachePool recycles the Cache structs, with their page-pointer arrays
+// and spare pages, for New.
+var cachePool sync.Pool
 
-// Cache is one node's cache, indexed by block address. Its lines are
-// stored in pages allocated on first fill, so a node's footprint follows
-// the blocks it actually caches: the paper's workloads touch a few pages
-// of the 64 a 4096-line cache spans.
+// Cache is one node's direct-mapped cache, indexed by block address. Its
+// lines are stored in pages allocated on first fill, so a node's footprint
+// follows the blocks it actually caches: the paper's workloads touch a few
+// pages of the 64 a 4096-line cache spans.
 type Cache struct {
-	cfg     Config
-	sets    int
-	setMask int     // sets-1 when sets is a power of two (every real geometry), else -1
-	pages   []*page // line i lives in pages[i/pageLines]; &absent until filled
-	tick    uint64
+	mask  uint    // Lines-1: a block's line is its address masked
+	pages []*page // line i lives in pages[i/pageLines]; &absent until filled
+	spare []*page // zeroed pages of an earlier run, for Fill to take first
 }
 
-// New returns an empty cache.
+// New returns an empty cache. It panics unless cfg.Lines is a positive
+// power of two, so a block's line is its address masked.
 func New(cfg Config) *Cache {
-	if cfg.Lines < 1 {
-		panic("cache: need at least one line")
-	}
-	if cfg.Ways < 1 {
-		cfg.Ways = 1
-	}
-	if cfg.Lines%cfg.Ways != 0 {
-		panic("cache: Lines must be divisible by Ways")
-	}
-	sets := cfg.Lines / cfg.Ways
-	setMask := -1
-	if sets&(sets-1) == 0 {
-		// Power-of-two set count: index with a mask instead of the hardware
-		// divide a variable modulo compiles to — set selection runs on every
-		// access, making the divide one of the hottest instructions in the
-		// whole simulator.
-		setMask = sets - 1
+	if cfg.Lines < 1 || cfg.Lines&(cfg.Lines-1) != 0 {
+		panic("cache: Lines must be a positive power of two")
 	}
 	c, _ := cachePool.Get().(*Cache)
 	if c == nil {
 		c = new(Cache)
 	}
-	// The page-pointer array is the one buffer a recycled cache keeps.
+	// A recycled cache keeps its page-pointer array and its spare pages.
 	n := (cfg.Lines + pageLines - 1) / pageLines
-	*c = Cache{cfg: cfg, sets: sets, setMask: setMask, pages: slices.Grow(c.pages[:0], n)}
+	*c = Cache{mask: uint(cfg.Lines - 1), pages: slices.Grow(c.pages[:0], n), spare: c.spare}
 	for range n {
 		c.pages = append(c.pages, &absent)
 	}
 	return c
 }
 
-// Release zeroes the cache's pages and returns them to the pool for the
-// next Cache, and hands the cache itself to the pool New draws on. The
-// cache must not be used afterwards, and must be released only once: a
-// cache pooled twice would serve two machines. Callers that inspect cache
+// Release zeroes the cache's pages and keeps them as spares for the next
+// machine's fills, and hands the cache to the pool New draws on. The cache
+// must not be used afterwards, and must be released only once: a cache
+// pooled twice would serve two machines. Callers that inspect cache
 // contents after a run (tests, diagnostics) simply never call Release.
 func (c *Cache) Release() {
 	for _, p := range c.pages {
 		if p != &absent {
 			*p = page{}
-			pagePool.Put(p)
+			c.spare = append(c.spare, p)
 		}
 	}
 	clear(c.pages)
-	*c = Cache{pages: c.pages[:0]}
+	*c = Cache{pages: c.pages[:0], spare: c.spare}
 	cachePool.Put(c)
 }
 
-// setIndex maps addr onto its set.
-func (c *Cache) setIndex(addr directory.Addr) int {
-	if c.setMask >= 0 {
-		return int(addr) & c.setMask
-	}
-	return int(addr) % c.sets
-}
-
-// at returns line i of the set-major line array.
-func (c *Cache) at(i int) *line {
-	return &c.pages[uint(i)/pageLines][uint(i)%pageLines]
-}
-
-// slot returns the way holding addr, or nil; a line it returns is never
+// slot returns the line holding addr, or nil; a line it returns is never
 // Invalid.
 func (c *Cache) slot(addr directory.Addr) *line {
-	i := c.setIndex(addr) * c.cfg.Ways
-	for end := i + c.cfg.Ways; i < end; i++ {
-		if l := c.at(i); l.state != Invalid && l.tag == addr {
-			return l
-		}
+	i := uint(addr) & c.mask
+	if l := &c.pages[i/pageLines][i%pageLines]; l.state != Invalid && l.tag == addr {
+		return l
 	}
 	return nil
-}
-
-// touch refreshes a line's LRU stamp.
-func (c *Cache) touch(l *line) {
-	c.tick++
-	l.used = c.tick
 }
 
 // State returns the protocol state of addr (Invalid when not present).
@@ -198,36 +152,12 @@ func (c *Cache) State(addr directory.Addr) LineState {
 	return l.state
 }
 
-// Peek returns the cached value of addr without touching its LRU stamp.
-// Used by the cache controller's read-modify-write path.
-func (c *Cache) Peek(addr directory.Addr) (value uint64, ok bool) {
-	l := c.slot(addr)
-	if l == nil {
-		return 0, false
-	}
-	return l.value, true
-}
-
 // Read attempts a load. On a hit it returns the block value.
 func (c *Cache) Read(addr directory.Addr) (value uint64, hit bool) {
 	l := c.slot(addr)
 	if l == nil {
 		return 0, false
 	}
-	c.touch(l)
-	return l.value, true
-}
-
-// ReadN performs n reads of addr in a row in closed form: on a hit it
-// returns the block value and leaves the LRU stamps where n Read calls
-// would; on a miss it changes nothing and reports false.
-func (c *Cache) ReadN(addr directory.Addr, n uint64) (value uint64, hit bool) {
-	l := c.slot(addr)
-	if l == nil {
-		return 0, false
-	}
-	c.tick += n
-	l.used = c.tick
 	return l.value, true
 }
 
@@ -239,58 +169,38 @@ func (c *Cache) Write(addr directory.Addr, value uint64) (hit bool) {
 	if l == nil || l.state != ReadWrite {
 		return false
 	}
-	c.touch(l)
 	l.value = value
 	l.dirty = true
 	return true
 }
 
 // Fill installs addr with the given state and value, as delivered by an
-// RDATA or WDATA message. When the slot holds a different valid block, that
+// RDATA or WDATA message. When the line holds a different valid block, that
 // block is displaced and returned as a victim (the controller sends REPM
 // for dirty victims; clean read-only victims are dropped silently, leaving
 // a stale directory pointer, exactly as in the paper's protocol where only
-// "Replace Modified" generates traffic).
+// "Replace Modified" generates traffic). A block already resident is
+// refilled in place.
 func (c *Cache) Fill(addr directory.Addr, state LineState, value uint64) (v Victim, displaced bool) {
 	if state == Invalid {
 		panic("cache: Fill with Invalid state")
 	}
-	// Refill in place when the block is already resident.
-	if l := c.slot(addr); l != nil {
-		c.touch(l)
-		l.state = state
-		l.value = value
-		l.dirty = false
-		return Victim{}, false
-	}
-	// Pick a way: first invalid, else LRU victim.
-	i := c.setIndex(addr) * c.cfg.Ways
-	vi := i
-	for end := i + c.cfg.Ways; i < end; i++ {
-		w := c.at(i)
-		if w.state == Invalid {
-			vi = i
-			break
-		}
-		if w.used < c.at(vi).used {
-			vi = i
-		}
-	}
-	victim := c.at(vi)
-	if victim.state != Invalid {
-		v = Victim{Addr: victim.tag, State: victim.state, Value: victim.value, Dirty: victim.dirty}
-		displaced = true
-	}
-	if p := &c.pages[uint(vi)/pageLines]; *p == &absent {
+	i := uint(addr) & c.mask
+	p := &c.pages[i/pageLines]
+	if *p == &absent {
 		// The first fill into this page: give it storage of its own.
-		*p, _ = pagePool.Get().(*page)
-		if *p == nil {
+		if n := len(c.spare); n > 0 {
+			*p, c.spare = c.spare[n-1], c.spare[:n-1]
+		} else {
 			*p = new(page)
 		}
-		victim = c.at(vi)
 	}
-	*victim = line{tag: addr, state: state, value: value}
-	c.touch(victim)
+	l := &(*p)[i%pageLines]
+	if l.state != Invalid && l.tag != addr {
+		v = Victim{Addr: l.tag, State: l.state, Value: l.value, Dirty: l.dirty}
+		displaced = true
+	}
+	*l = line{tag: addr, state: state, value: value}
 	return v, displaced
 }
 

@@ -157,7 +157,7 @@ func TestOccupancy(t *testing.T) {
 }
 
 func TestNewPanicsOnBadConfig(t *testing.T) {
-	for _, cfg := range []Config{{Lines: 0}, {Lines: -4}} {
+	for _, cfg := range []Config{{Lines: 0}, {Lines: -4}, {Lines: 96}} {
 		cfg := cfg
 		func() {
 			defer func() {
@@ -213,100 +213,6 @@ func TestCacheValueProperty(t *testing.T) {
 			}
 		}
 		return c.Occupancy() <= 4
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// --- Set associativity ---
-
-func TestTwoWayAvoidsDirectMappedConflict(t *testing.T) {
-	// 0x10 and 0x18 conflict in an 8-line direct-mapped cache but
-	// co-reside in a 2-way 8-line cache (4 sets).
-	c := New(Config{Lines: 8, Ways: 2})
-	c.Fill(0x10, ReadOnly, 1)
-	if _, displaced := c.Fill(0x18, ReadOnly, 2); displaced {
-		t.Fatal("2-way cache displaced a co-residable block")
-	}
-	if v, hit := c.Read(0x10); !hit || v != 1 {
-		t.Fatalf("first block lost: (%d,%v)", v, hit)
-	}
-	if v, hit := c.Read(0x18); !hit || v != 2 {
-		t.Fatalf("second block lost: (%d,%v)", v, hit)
-	}
-}
-
-func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
-	c := New(Config{Lines: 8, Ways: 2})
-	// Set 0 holds addresses ≡ 0 mod 4: 0x10(16), 0x18(24)? 16%4=0, 24%4=0,
-	// 32%4=0. Fill two ways, touch the first, fill a third.
-	c.Fill(0x10, ReadOnly, 1)
-	c.Fill(0x18, ReadOnly, 2)
-	c.Read(0x10) // 0x10 now most recently used
-	v, displaced := c.Fill(0x20, ReadOnly, 3)
-	if !displaced || v.Addr != 0x18 {
-		t.Fatalf("victim = %+v (displaced=%v), want 0x18", v, displaced)
-	}
-	if c.State(0x10) != ReadOnly {
-		t.Fatal("recently used block was evicted")
-	}
-}
-
-func TestRefillInPlaceDoesNotDisplace(t *testing.T) {
-	c := New(Config{Lines: 8, Ways: 2})
-	c.Fill(0x10, ReadOnly, 1)
-	c.Fill(0x18, ReadOnly, 2)
-	if _, displaced := c.Fill(0x10, ReadWrite, 5); displaced {
-		t.Fatal("in-place refill displaced a block")
-	}
-	if c.State(0x10) != ReadWrite || c.State(0x18) != ReadOnly {
-		t.Fatal("refill corrupted the set")
-	}
-}
-
-func TestInvalidWaysRejected(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Lines not divisible by Ways accepted")
-		}
-	}()
-	New(Config{Lines: 8, Ways: 3})
-}
-
-// Property: a 4-way cache behaves like a reference map bounded by set
-// capacity, and never reports phantom hits.
-func TestAssociativeCacheProperty(t *testing.T) {
-	type op struct {
-		Kind  uint8
-		Addr  uint8
-		Value uint16
-	}
-	prop := func(ops []op) bool {
-		c := New(Config{Lines: 8, Ways: 4})
-		want := make(map[directory.Addr]uint64)
-		for _, o := range ops {
-			a := directory.Addr(o.Addr % 16)
-			switch o.Kind % 3 {
-			case 0:
-				v, displaced := c.Fill(a, ReadWrite, uint64(o.Value))
-				if displaced {
-					delete(want, v.Addr)
-				}
-				want[a] = uint64(o.Value)
-			case 1:
-				if c.Write(a, uint64(o.Value)) {
-					want[a] = uint64(o.Value)
-				}
-			case 2:
-				v, hit := c.Read(a)
-				exp, cached := want[a]
-				if hit != cached || (hit && v != exp) {
-					return false
-				}
-			}
-		}
-		return c.Occupancy() <= 8
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

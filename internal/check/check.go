@@ -160,7 +160,7 @@ func EndState(m *machine.Machine) []string {
 						blame("entry %#x Read-Only but node %d holds it Read-Write", addr, n.ID)
 					}
 					if st == cache.ReadOnly {
-						if v, _ := n.Cache.Peek(addr); v != e.Value {
+						if v, _ := n.Cache.Read(addr); v != e.Value {
 							blame("entry %#x value %d but node %d caches %d", addr, e.Value, n.ID, v)
 						}
 						if !covered(m, home, e, addr, n.ID) {

@@ -178,7 +178,7 @@ func TestLitmusAtomicity(t *testing.T) {
 				e := m.Nodes[0].MC.Dir().Entry(ctr)
 				final = e.Value
 				for _, n := range m.Nodes {
-					if v, ok := n.Cache.Peek(ctr); ok && v > final {
+					if v, ok := n.Cache.Read(ctr); ok && v > final {
 						final = v
 					}
 				}

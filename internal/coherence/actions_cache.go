@@ -16,7 +16,7 @@ import (
 // guardHasCopy accepts a modify grant when the read copy it relies on is
 // still resident.
 func guardHasCopy(c *cacheCtx) bool {
-	_, ok := c.cc.cache.Peek(c.m.Addr)
+	_, ok := c.cc.cache.Read(c.m.Addr)
 	return ok
 }
 
@@ -80,7 +80,7 @@ func cacheWriteFillChained(c *cacheCtx) {
 // ownership without a data transfer (the footnote 1 optimization).
 func cacheModgUpgrade(c *cacheCtx) {
 	cc, m, t := c.cc, c.m, c.t
-	old, _ := cc.cache.Peek(m.Addr)
+	old, _ := cc.cache.Read(m.Addr)
 	newVal, result := t.req.Value, t.req.Value
 	if t.req.Modify != nil {
 		newVal = t.req.Modify(old)

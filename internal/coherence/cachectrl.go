@@ -296,12 +296,12 @@ func (cc *CacheController) wake() {
 	}
 }
 
-// PollHits performs n load hits on addr in a row in closed form — the
-// cache reads and hit counts of n AccessSync loads that hit — and returns
-// the value read. It reports false, changing nothing, when the line cannot
-// be read.
+// PollHits performs n load hits on addr in a row in closed form: n
+// AccessSync loads that hit all return the line's value, so it reads the
+// line once and counts n hits. It reports false, changing nothing, when
+// the line cannot be read.
 func (cc *CacheController) PollHits(addr directory.Addr, n uint64) (uint64, bool) {
-	v, ok := cc.cache.ReadN(addr, n)
+	v, ok := cc.cache.Read(addr)
 	if ok {
 		cc.miss.Hits += n
 	}
@@ -463,7 +463,7 @@ func (cc *CacheController) AccessSync(req Request) (Outcome, uint64) {
 		}
 	case Store:
 		if req.Modify != nil {
-			if old, ok := cc.cache.Peek(req.Addr); ok && cc.cache.State(req.Addr) == cache.ReadWrite {
+			if old, ok := cc.cache.Read(req.Addr); ok && cc.cache.State(req.Addr) == cache.ReadWrite {
 				if !cc.cache.Write(req.Addr, req.Modify(old)) {
 					panic("coherence: RMW write missed on owned line")
 				}

@@ -263,3 +263,50 @@ func TestChainedWalkWaitsForInFlightRDATA(t *testing.T) {
 		})
 	}
 }
+
+// --- Closed-form spin polls ---
+
+func TestPollHitsOnResidentLine(t *testing.T) {
+	r := newRig(t, 3, 3, params(coherence.FullMap, 0))
+	r.write(8, blk, 7)
+	r.read(4, blk) // node 4 holds a Read-Only copy of 7
+	cc := r.nodes[4].cc
+	before := cc.Misses()
+	v, ok := cc.PollHits(blk, 5)
+	if !ok || v != 7 {
+		t.Fatalf("PollHits = (%d,%v), want (7,true)", v, ok)
+	}
+	want := before
+	want.Hits += 5
+	if got := cc.Misses(); got != want {
+		t.Fatalf("miss stats after 5 polled hits = %+v, want %+v", got, want)
+	}
+	if st := cc.Cache().State(blk); st != cache.ReadOnly {
+		t.Fatalf("line state after PollHits = %v, want Read-Only", st)
+	}
+	if v, _ := cc.Cache().Read(blk); v != 7 {
+		t.Fatalf("line value after PollHits = %d, want 7", v)
+	}
+}
+
+func TestPollHitsWithoutLineCountsNothing(t *testing.T) {
+	r := newRig(t, 3, 3, params(coherence.FullMap, 0))
+	cc := r.nodes[4].cc
+	poll := func(what string) {
+		t.Helper()
+		before := cc.Misses()
+		if v, ok := cc.PollHits(blk, 5); ok || v != 0 {
+			t.Fatalf("PollHits on %s line = (%d,%v), want (0,false)", what, v, ok)
+		}
+		if got := cc.Misses(); got != before {
+			t.Fatalf("PollHits on %s line changed miss stats: %+v, want %+v", what, got, before)
+		}
+	}
+	poll("an absent")
+	r.read(4, blk)
+	r.write(8, blk, 3) // invalidates node 4's copy
+	if st := cc.Cache().State(blk); st != cache.Invalid {
+		t.Fatalf("node 4's copy after a remote write is %v, want Invalid", st)
+	}
+	poll("an invalidated")
+}

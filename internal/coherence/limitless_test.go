@@ -320,7 +320,7 @@ func TestModifyGrantUpgradesWithoutData(t *testing.T) {
 	if got := r.nodes[1].mc.Stats().Sent[coherence.WDATA]; got != 0 {
 		t.Fatalf("WDATA sent = %d, want 0 (grant carried no data)", got)
 	}
-	if v, _ := r.nodes[4].cc.Cache().Peek(blk); v != 9 {
+	if v, _ := r.nodes[4].cc.Cache().Read(blk); v != 9 {
 		t.Fatalf("owner's value = %d, want 9", v)
 	}
 	// The upgraded copy must behave like any Read-Write line.
@@ -365,7 +365,7 @@ func TestModifyGrantRMWKeepsOldValue(t *testing.T) {
 	if old != 10 {
 		t.Fatalf("RMW old value = %d, want 10", old)
 	}
-	if v, _ := r.nodes[4].cc.Cache().Peek(blk); v != 30 {
+	if v, _ := r.nodes[4].cc.Cache().Read(blk); v != 30 {
 		t.Fatalf("RMW result = %d, want 30", v)
 	}
 }

@@ -86,7 +86,7 @@ func TestT3WriteInvalidatesReaders(t *testing.T) {
 		}
 	}
 	// And the owner's copy holds the stored value.
-	if v, ok := r.nodes[8].cc.Cache().Peek(blk); !ok || v != 42 {
+	if v, ok := r.nodes[8].cc.Cache().Read(blk); !ok || v != 42 {
 		t.Fatalf("owner copy = (%d,%v)", v, ok)
 	}
 }
@@ -122,7 +122,7 @@ func TestT4T8OwnershipTransfer(t *testing.T) {
 	if e.Value != 10 {
 		t.Fatalf("memory value = %d, want 10 (old owner's data)", e.Value)
 	}
-	if v, _ := r.nodes[3].cc.Cache().Peek(blk); v != 20 {
+	if v, _ := r.nodes[3].cc.Cache().Read(blk); v != 20 {
 		t.Fatalf("new owner's copy = %d, want 20", v)
 	}
 }

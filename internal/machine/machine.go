@@ -41,9 +41,6 @@ type Config struct {
 	// Contexts is the number of hardware contexts per processor (SPARCLE
 	// has 4; 1 gives a blocking processor).
 	Contexts int
-	// CacheWays sets the cache associativity (default 1, Alewife's
-	// direct-mapped geometry).
-	CacheWays int
 	// Oracles selects reference implementations in place of the fast
 	// paths (see DESIGN.md, "Reference configuration"). Every combination
 	// gives bit-identical results; the zero value runs every fast path.
@@ -197,7 +194,7 @@ func New(cfg Config) *Machine {
 func (m *Machine) buildNode(id mesh.NodeID) *Node {
 	cfg := m.cfg
 	eng, port := m.Eng, m.port
-	c := cache.New(cache.Config{Lines: cache.DefaultConfig().Lines, Ways: cfg.CacheWays})
+	c := cache.New(cache.DefaultConfig())
 	cc := coherence.NewCacheController(eng, port, id, cfg.Params, HomeOf, c)
 	p := proc.New(eng, cc, cfg.Params.Timing, cfg.Contexts)
 	mc := coherence.NewMemoryController(eng, port, id, cfg.Params, p)

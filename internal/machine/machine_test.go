@@ -250,7 +250,7 @@ func TestRMWAtomicity(t *testing.T) {
 			// the owner's copy when the directory says Read-Write.
 			if e.State == directory.ReadWrite {
 				owner := e.Ptrs.Nodes()[0]
-				if v, ok := m.Nodes[owner].Cache.Peek(ctr); ok {
+				if v, ok := m.Nodes[owner].Cache.Read(ctr); ok {
 					total = v
 				}
 			}

@@ -191,7 +191,7 @@ func TestMigratoryFinalCount(t *testing.T) {
 	total := e.Value
 	if e.State.String() == "Read-Write" {
 		owner := e.Ptrs.Nodes()[0]
-		if v, ok := m.Nodes[owner].Cache.Peek(cfg.TokenAddr()); ok {
+		if v, ok := m.Nodes[owner].Cache.Read(cfg.TokenAddr()); ok {
 			total = v
 		}
 	}

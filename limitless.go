@@ -165,13 +165,13 @@ func Block(home, index int) Addr {
 	return Addr(coherence.BlockAt(mesh.NodeID(home), uint64(index)))
 }
 
-// Config describes one simulated machine.
+// Config describes one simulated machine. A zero Pointers, TrapService,
+// Contexts, HopLatency, MaxCycles or WatchdogCycles selects the documented
+// default; a negative one is refused with an error.
 type Config struct {
-	// Procs is the processor count; it must have an integer square root
-	// or be expressible as Width*Height when those are set explicitly.
+	// Procs is the processor count. The mesh is square when Procs has an
+	// integer square root, else the most square rectangle of Procs nodes.
 	Procs int
-	// Width, Height override the mesh shape (0 = square from Procs).
-	Width, Height int
 	// Scheme picks the protocol (default LimitLESS).
 	Scheme Scheme
 	// Pointers is the hardware pointer count (the i of Dir_iNB and
@@ -194,9 +194,6 @@ type Config struct {
 	// calibrated default of 1). Raising it emulates physically larger or
 	// slower machines, growing T_h while T_s stays fixed.
 	HopLatency int64
-	// CacheWays sets cache associativity (default 1: Alewife is
-	// direct-mapped; higher values for ablations).
-	CacheWays int
 	// Verify runs the structural coherence checker after the workload
 	// finishes and fails the run on any violation.
 	Verify bool
@@ -269,9 +266,6 @@ func DefaultConfig() Config {
 }
 
 func (c Config) shape() (w, h int, err error) {
-	if c.Width > 0 && c.Height > 0 {
-		return c.Width, c.Height, nil
-	}
 	n := c.Procs
 	if n <= 0 {
 		return 0, 0, fmt.Errorf("limitless: config needs Procs > 0")
@@ -301,9 +295,20 @@ func (c Config) build() (*machine.Machine, error) {
 	if err != nil {
 		return nil, err
 	}
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"Pointers", int64(c.Pointers)}, {"TrapService", c.TrapService}, {"Contexts", int64(c.Contexts)},
+		{"HopLatency", c.HopLatency}, {"MaxCycles", c.MaxCycles}, {"WatchdogCycles", c.WatchdogCycles},
+	} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("limitless: Config.%s is %d; it may not be negative (0 selects its default)", f.name, f.v)
+		}
+	}
 	if w*h > MaxProcs {
 		return nil, fmt.Errorf(
-			"limitless: %d processors exceed the packed directory's %d-node limit (node IDs are 16-bit); reduce Procs/Width*Height to at most %d",
+			"limitless: %d processors exceed the packed directory's %d-node limit (node IDs are 16-bit); reduce Procs to at most %d",
 			w*h, MaxProcs, MaxProcs)
 	}
 	scheme, err := resolveScheme(c.Scheme)
@@ -337,7 +342,7 @@ func (c Config) build() (*machine.Machine, error) {
 	if contexts <= 0 {
 		contexts = 1
 	}
-	mc := machine.Config{Width: w, Height: h, Contexts: contexts, Params: params, CacheWays: c.CacheWays,
+	mc := machine.Config{Width: w, Height: h, Contexts: contexts, Params: params,
 		Oracles: c.oracles, Watchdog: sim.Time(c.WatchdogCycles)}
 	if c.Faults != "" {
 		fcfg, err := fault.Parse(c.Faults)

@@ -82,6 +82,27 @@ func TestPrivateOnlyRefusesSoftwareHandlers(t *testing.T) {
 	}
 }
 
+func TestConfigRefusesNegativeValues(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		set   func(*limitless.Config)
+	}{
+		{"Pointers", func(c *limitless.Config) { c.Pointers = -3 }},
+		{"TrapService", func(c *limitless.Config) { c.TrapService = -5 }},
+		{"Contexts", func(c *limitless.Config) { c.Contexts = -1 }},
+		{"HopLatency", func(c *limitless.Config) { c.HopLatency = -1 }},
+		{"MaxCycles", func(c *limitless.Config) { c.MaxCycles = -1 }},
+		{"WatchdogCycles", func(c *limitless.Config) { c.WatchdogCycles = -1 }},
+	} {
+		cfg := limitless.Config{Procs: 16, Scheme: limitless.LimitedNB}
+		c.set(&cfg)
+		_, err := limitless.Run(cfg, limitless.Weather(16))
+		if err == nil || !strings.Contains(err.Error(), "Config."+c.field) {
+			t.Errorf("negative %s: error %v, want one naming Config.%s", c.field, err, c.field)
+		}
+	}
+}
+
 func TestRunInfersProcsFromWorkload(t *testing.T) {
 	cfg := limitless.Config{Scheme: limitless.FullMap}
 	res, err := limitless.Run(cfg, limitless.Multigrid(16))

@@ -201,7 +201,7 @@ func snapshot(m *machine.Machine) string {
 			fmt.Fprintf(&sb, "entry %#x %v %v %v ack=%d local=%v value=%d pending=%d\n",
 				addr, e.State, e.Meta, e.Ptrs.Nodes(), e.AckCtr, e.Local, e.Value, e.Pending)
 			for _, n := range m.Nodes {
-				v, ok := n.Cache.Peek(addr)
+				v, ok := n.Cache.Read(addr)
 				fmt.Fprintf(&sb, "  node %d %v %d %v\n", n.ID, n.Cache.State(addr), v, ok)
 			}
 		})
