@@ -28,7 +28,7 @@ var (
 	tsFlag       = flag.Int64("ts", 50, "T_s: software trap service latency in cycles")
 	procsFlag    = flag.Int("procs", 64, "processor count")
 	wlFlag       = flag.String("workload", "weather", "weather, weather-opt, multigrid, synthetic, migratory, locks, prodcons")
-	wsFlag       = flag.Int("workerset", 8, "worker-set size for the synthetic workload")
+	wsFlag       = flag.Int("workerset", 8, "worker-set size for the synthetic workload (1 to procs-1)")
 	ctxFlag      = flag.Int("contexts", 1, "processor hardware contexts (every workload fills context 0 only, so the value changes no result)")
 	traceFlag    = flag.String("trace", "", "replay a trace file instead of a built-in workload")
 	verifyFlag   = flag.Bool("verify", false, "run the coherence checker after the workload finishes")
@@ -80,6 +80,13 @@ func main() {
 	}
 	if *tsFlag < 1 {
 		fmt.Fprintf(os.Stderr, "alewife: -ts %d: T_s must be at least 1 cycle\n", *tsFlag)
+		os.Exit(2)
+	}
+	// Each synthetic variable is read by the -workerset processors that
+	// follow its owner, so the size must leave the owner out.
+	if *traceFlag == "" && *wlFlag == "synthetic" && (*wsFlag < 1 || *wsFlag > *procsFlag-1) {
+		fmt.Fprintf(os.Stderr, "alewife: -workerset %d: the synthetic workload needs a worker-set of 1 to %d (procs-1) readers\n",
+			*wsFlag, *procsFlag-1)
 		os.Exit(2)
 	}
 	faultSpec, err := limitless.NormalizeFaults(*faultsFlag)

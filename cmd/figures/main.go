@@ -18,12 +18,8 @@ import (
 	"os"
 
 	limitless "limitless"
-	"limitless/internal/coherence"
 	"limitless/internal/experiments"
-	"limitless/internal/machine"
-	"limitless/internal/mesh"
 	"limitless/internal/stats"
-	"limitless/internal/workload"
 )
 
 var (
@@ -291,7 +287,7 @@ func ablation(procs int) {
 	fmt.Println("   per node, run sequentially on 1 context vs overlapped on 2:")
 	tb := stats.NewTable("Contexts", "Mcycles", "Context switches")
 	for _, ctxs := range []int{1, 2} {
-		cycles, switches := contextStudy(procs, ctxs)
+		cycles, switches := experiments.ContextStudy(procs, ctxs)
 		tb.Row(ctxs, fmt.Sprintf("%.3f", float64(cycles)/1e6), switches)
 	}
 	fmt.Println(tb)
@@ -369,43 +365,4 @@ func ablation(procs int) {
 	fmt.Println("FIFO eviction keeps zero software state and spreads single evictions of")
 	fmt.Println("readers that were never coming back — the Section 6 trade for data")
 	fmt.Println("known to migrate.")
-}
-
-// contextStudy measures block multithreading: each node runs two
-// independent remote reference streams; with a second hardware context
-// their miss latencies overlap.
-func contextStudy(procs, contexts int) (cycles int64, switches uint64) {
-	params := coherence.DefaultParams(procs)
-	params.Scheme = coherence.LimitLESS
-	params.Pointers = 4
-	w := 1
-	for w*w < procs {
-		w++
-	}
-	m := machine.New(machine.Config{Width: w, Height: procs / w, Contexts: contexts, Params: params})
-
-	stream := func(t *workload.Thread, p, lane int, then func(*workload.Thread)) {
-		neighbour := mesh.NodeID((p + 1 + lane) % procs)
-		workload.Loop(t, 24, func(i int, t *workload.Thread, next func(*workload.Thread)) {
-			t.Load(coherence.BlockAt(neighbour, uint64(100+lane*64+i)), func(_ uint64, t *workload.Thread) { next(t) })
-		}, then)
-	}
-
-	for p := 0; p < procs; p++ {
-		p := p
-		if contexts == 1 {
-			m.SetWorkload(mesh.NodeID(p), 0, workload.NewThread(func(t *workload.Thread) {
-				stream(t, p, 0, func(t *workload.Thread) { stream(t, p, 1, func(*workload.Thread) {}) })
-			}))
-			continue
-		}
-		m.SetWorkload(mesh.NodeID(p), 0, workload.NewThread(func(t *workload.Thread) {
-			stream(t, p, 0, func(*workload.Thread) {})
-		}))
-		m.SetWorkload(mesh.NodeID(p), 1, workload.NewThread(func(t *workload.Thread) {
-			stream(t, p, 1, func(*workload.Thread) {})
-		}))
-	}
-	res := m.Run()
-	return int64(res.Cycles), res.Proc.ContextSwitches
 }

@@ -37,19 +37,15 @@ var (
 
 func main() {
 	flag.Parse()
+	if *procsFlag < 1 {
+		fmt.Fprintf(os.Stderr, "worksets: -procs %d: need at least 1 processor\n", *procsFlag)
+		os.Exit(2)
+	}
 
 	params := coherence.DefaultParams(*procsFlag)
 	params.Scheme = coherence.LimitLESS
 	params.Pointers = *pointersFlag
-	w := 1
-	for w*w < *procsFlag {
-		w++
-	}
-	h := *procsFlag / w
-	if w*h != *procsFlag {
-		h = *procsFlag
-		w = 1
-	}
+	w, h := machine.Shape(*procsFlag)
 	m := machine.New(machine.Config{Width: w, Height: h, Contexts: 1, Params: params})
 
 	var wls []proc.Workload

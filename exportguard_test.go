@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -29,13 +30,12 @@ var testOnlyExports = map[string]string{
 	"workload.Barrier.Depth":      "TestBarrierJoinsAllProcessors",
 	"workload.Barrier.NumNodes":   "TestBarrierDepthAndNodes",
 	"stats.Histogram.Max":         "TestHistogramPercentileBounds",
-	// The check harness: the explorer and the chaos matrix are run by
-	// their tests.
-	"check.Chaos":          "TestChaosMatrix",
-	"check.DefaultChaos":   "TestChaosMatrix",
-	"check.Explore":        "TestExploreAllSchemes",
-	"check.DefaultExplore": "TestExploreAllSchemes",
-	"check.Report.Ok":      "TestExploreAllSchemes",
+	// The check harness: its driver and its two presets are run by their
+	// tests.
+	"check.Run":       "TestExploreAllSchemes",
+	"check.Explore":   "TestExploreAllSchemes",
+	"check.Chaos":     "TestChaosMatrix",
+	"check.Report.Ok": "TestExploreAllSchemes",
 }
 
 // TestNoTestOnlyExports fails when an exported function or method declared
@@ -45,19 +45,25 @@ var testOnlyExports = map[string]string{
 // test. It reads every Go file under the module root (bench/ included),
 // skipping dot-directories such as .bench_build and testdata.
 //
-// References match by identifier name alone: any non-test use of a name
-// counts for every declaration of that name. A shared name can therefore
-// hide a test-only export, but never raises a false alarm.
+// A top-level function F of package p counts as used only where it is
+// named: as the selector p.F in a file that imports p, or as a bare F in a
+// non-test file of p itself, so a same-named declaration elsewhere cannot
+// hide a test-only export. A method matches by name alone: any non-test
+// use of the name counts for every method of that name, which can hide a
+// test-only method but never raises a false alarm.
 func TestNoTestOnlyExports(t *testing.T) {
 	type decl struct {
 		key, name  string
+		pkg        string // import path of the declaring package
+		method     bool
 		file       string
 		start, end token.Pos
 	}
 	fset := token.NewFileSet()
 	var decls []decl
-	uses := map[string][]token.Pos{} // identifier name -> non-test positions
-	tests := map[string]bool{}       // functions declared in test files
+	names := map[string][]token.Pos{} // identifier name -> non-test positions
+	funcs := map[string][]token.Pos{} // "importpath.F" -> non-test positions naming function F
+	tests := map[string]bool{}        // functions declared in test files
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -83,9 +89,33 @@ func TestNoTestOnlyExports(t *testing.T) {
 			}
 			return nil
 		}
+		// Import paths follow the directory tree under the module path;
+		// no internal package is imported under an alias.
+		self := "limitless/" + filepath.ToSlash(filepath.Dir(path))
+		imports := map[string]string{} // local name -> import path
+		for _, im := range f.Imports {
+			p, _ := strconv.Unquote(im.Path.Value)
+			name := p[strings.LastIndex(p, "/")+1:]
+			if im.Name != nil {
+				name = im.Name.Name
+			}
+			imports[name] = p
+		}
+		selected := map[*ast.Ident]bool{}
 		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				selected[sel.Sel] = true
+				if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					k := imports[x.Name] + "." + sel.Sel.Name
+					funcs[k] = append(funcs[k], sel.Sel.Pos())
+				}
+			}
 			if id, ok := n.(*ast.Ident); ok {
-				uses[id.Name] = append(uses[id.Name], id.Pos())
+				names[id.Name] = append(names[id.Name], id.Pos())
+				if !selected[id] {
+					k := self + "." + id.Name
+					funcs[k] = append(funcs[k], id.Pos())
+				}
 			}
 			return true
 		})
@@ -101,7 +131,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 			if fd.Recv != nil {
 				key = f.Name.Name + "." + recvName(fd.Recv.List[0].Type) + "." + fd.Name.Name
 			}
-			decls = append(decls, decl{key, fd.Name.Name, path, fd.Pos(), fd.End()})
+			decls = append(decls, decl{key, fd.Name.Name, self, fd.Recv != nil, path, fd.Pos(), fd.End()})
 		}
 		return nil
 	})
@@ -115,8 +145,12 @@ func TestNoTestOnlyExports(t *testing.T) {
 	found := map[string]bool{}
 	var unlisted []string
 	for _, d := range decls {
+		uses := funcs[d.pkg+"."+d.name]
+		if d.method {
+			uses = names[d.name]
+		}
 		used := false
-		for _, p := range uses[d.name] {
+		for _, p := range uses {
 			if p < d.start || p >= d.end {
 				used = true
 				break

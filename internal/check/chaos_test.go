@@ -43,11 +43,11 @@ func TestChaosMatrix(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			cfg := DefaultChaos(tc.scheme, tc.pointers)
+			cfg := Chaos(tc.scheme, tc.pointers)
 			if testing.Short() {
 				cfg.Seeds = 2
 			}
-			rep := Chaos(cfg)
+			rep := Run(cfg)
 			if !rep.Ok() {
 				for i, v := range rep.Violations {
 					if i == 10 {

@@ -1,8 +1,11 @@
 // Package check verifies the coherence protocols: a per-location
 // sequential-consistency observer for live runs, structural end-state
-// invariants over directories and caches, and a schedule explorer that
-// perturbs message orderings (deterministic jitter) across many seeds and
-// schemes — the simulation analogue of model-checking the protocol.
+// invariants over directories and caches, and one harness (Run) that
+// drives a random contended workload under a seeded fault plan across
+// many seeds and schemes. Its two presets are Explore, whose plan's delay
+// class perturbs message orderings on a small machine — the simulation
+// analogue of model-checking the protocol — and Chaos, every fault class
+// under a watchdog.
 package check
 
 import (

@@ -58,7 +58,7 @@ func TestObserverTracksAddressesIndependently(t *testing.T) {
 func TestEndStateOnCleanMachine(t *testing.T) {
 	params := coherence.DefaultParams(4)
 	m := machine.New(machine.Config{Width: 2, Height: 2, Contexts: 1, Params: params})
-	a := machine.Block(0, 9)
+	a := coherence.BlockAt(0, 9)
 	m.SetWorkload(0, 0, workload.NewThread(func(th *workload.Thread) {
 		th.Store(a, 5, func(_ uint64, th *workload.Thread) {})
 	}))
@@ -77,7 +77,7 @@ func TestEndStateOnCleanMachine(t *testing.T) {
 func TestEndStateDetectsCorruption(t *testing.T) {
 	params := coherence.DefaultParams(4)
 	m := machine.New(machine.Config{Width: 2, Height: 2, Contexts: 1, Params: params})
-	a := machine.Block(0, 9)
+	a := coherence.BlockAt(0, 9)
 	m.SetWorkload(0, 0, workload.NewThread(func(th *workload.Thread) {
 		th.Store(a, 5, func(_ uint64, th *workload.Thread) {})
 	}))
@@ -107,11 +107,11 @@ func TestExploreAllSchemes(t *testing.T) {
 	for _, sc := range schemes {
 		sc := sc
 		t.Run(sc.s.String(), func(t *testing.T) {
-			cfg := DefaultExplore(sc.s, sc.ptrs)
+			cfg := Explore(sc.s, sc.ptrs)
 			if testing.Short() {
 				cfg.Seeds = 5
 			}
-			rep := Explore(cfg)
+			rep := Run(cfg)
 			if !rep.Ok() {
 				max := len(rep.Violations)
 				if max > 5 {
@@ -130,11 +130,11 @@ func TestExploreLargerMachine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("3x3 exploration")
 	}
-	cfg := DefaultExplore(coherence.LimitLESS, 2)
+	cfg := Explore(coherence.LimitLESS, 2)
 	cfg.Width, cfg.Height = 3, 3
 	cfg.Seeds = 10
 	cfg.Blocks = 4
-	rep := Explore(cfg)
+	rep := Run(cfg)
 	if !rep.Ok() {
 		max := len(rep.Violations)
 		if max > 5 {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"limitless/internal/coherence"
+	"limitless/internal/fault"
 	"limitless/internal/machine"
 	"limitless/internal/mesh"
 	"limitless/internal/protocol"
@@ -12,18 +13,30 @@ import (
 )
 
 // Classic memory-model litmus tests, run under every scheme and a sweep of
-// jittered message schedules. The Alewife protocol "enforces sequential
+// delayed message schedules. The Alewife protocol "enforces sequential
 // consistency" (Section 2), so the forbidden outcomes must never appear.
 
-// litmusMachine builds a 2x2 machine with jittered delivery.
+// litmusMachine builds a 2x2 machine on the exploration preset's delay
+// plan, seeded by seed, with every delay at most 30 cycles.
 func litmusMachine(scheme coherence.Scheme, ptrs int, seed uint64) *machine.Machine {
-	params := coherence.DefaultParams(4)
-	params.Scheme = scheme
-	params.Pointers = ptrs
-	mcfg := mesh.DefaultConfig(2, 2)
-	mcfg.JitterMax = 30
-	mcfg.JitterSeed = seed
-	return machine.New(machine.Config{Width: 2, Height: 2, Contexts: 1, Params: params, Mesh: &mcfg})
+	cfg := Explore(scheme, ptrs)
+	cfg.Faults.Seed = seed
+	cfg.Faults.DelayMax = 30
+	return machine.New(machine.Config{Width: 2, Height: 2, Contexts: 1, Params: cfg.Params, Faults: fault.New(cfg.Faults)})
+}
+
+// litmusRun runs m to completion and fails on a halt or on any recorded
+// protocol violation: the fault plan installs a violation recorder, which
+// turns a protocol-impossible message into a record instead of a panic.
+func litmusRun(t *testing.T, m *machine.Machine, seed uint64) {
+	t.Helper()
+	m.Run()
+	if d := m.Diagnostic(); d != nil {
+		t.Fatalf("seed %d: %s", seed, d)
+	}
+	for _, v := range m.Recorder().Violations() {
+		t.Fatalf("seed %d: recorded violation: %s", seed, v)
+	}
 }
 
 // litmusSchemes enumerates the protocol registry: every scheme that caches
@@ -53,8 +66,8 @@ var litmusSchemes = func() (out []struct {
 // TestLitmusMessagePassing: MP. P0: x=1; y=1. P1: r1=y; r2=x.
 // Forbidden under SC: r1=1 && r2=0.
 func TestLitmusMessagePassing(t *testing.T) {
-	x := machine.Block(0, 20)
-	y := machine.Block(1, 21)
+	x := coherence.BlockAt(0, 20)
+	y := coherence.BlockAt(1, 21)
 	for _, sc := range litmusSchemes {
 		sc := sc
 		t.Run(sc.s.String(), func(t *testing.T) {
@@ -74,7 +87,7 @@ func TestLitmusMessagePassing(t *testing.T) {
 				}))
 				m.SetWorkload(2, 0, noop())
 				m.SetWorkload(3, 0, noop())
-				m.Run()
+				litmusRun(t, m, seed)
 				if r1 == 1 && r2 == 0 {
 					t.Fatalf("seed %d: MP violation r1=1 r2=0", seed)
 				}
@@ -86,8 +99,8 @@ func TestLitmusMessagePassing(t *testing.T) {
 // TestLitmusStoreBuffering: SB. P0: x=1; r1=y. P1: y=1; r2=x.
 // Forbidden under SC: r1=0 && r2=0.
 func TestLitmusStoreBuffering(t *testing.T) {
-	x := machine.Block(0, 22)
-	y := machine.Block(1, 23)
+	x := coherence.BlockAt(0, 22)
+	y := coherence.BlockAt(1, 23)
 	for _, sc := range litmusSchemes {
 		sc := sc
 		t.Run(sc.s.String(), func(t *testing.T) {
@@ -106,7 +119,7 @@ func TestLitmusStoreBuffering(t *testing.T) {
 				}))
 				m.SetWorkload(2, 0, noop())
 				m.SetWorkload(3, 0, noop())
-				m.Run()
+				litmusRun(t, m, seed)
 				if r1 == 0 && r2 == 0 {
 					t.Fatalf("seed %d: SB violation r1=r2=0 (store buffering visible)", seed)
 				}
@@ -118,7 +131,7 @@ func TestLitmusStoreBuffering(t *testing.T) {
 // TestLitmusCoherenceCO: two writers to one location; two observers must
 // not see the writes in opposite orders (coherence order is global).
 func TestLitmusCoherenceCO(t *testing.T) {
-	x := machine.Block(0, 24)
+	x := coherence.BlockAt(0, 24)
 	for _, sc := range litmusSchemes {
 		sc := sc
 		t.Run(sc.s.String(), func(t *testing.T) {
@@ -143,7 +156,7 @@ func TestLitmusCoherenceCO(t *testing.T) {
 						th.Load(x, func(v uint64, th *workload.Thread) { b2 = v })
 					})
 				}))
-				m.Run()
+				litmusRun(t, m, seed)
 				// Forbidden: observer A sees 1 then 2 while B sees 2 then 1.
 				if a1 == 1 && a2 == 2 && b1 == 2 && b2 == 1 {
 					t.Fatalf("seed %d: CO violation: observers disagree on write order", seed)
@@ -157,9 +170,9 @@ func TestLitmusCoherenceCO(t *testing.T) {
 }
 
 // TestLitmusAtomicity: concurrent fetch-and-adds never lose updates, under
-// jitter, on every scheme.
+// delayed delivery, on every scheme.
 func TestLitmusAtomicity(t *testing.T) {
-	ctr := machine.Block(0, 25)
+	ctr := coherence.BlockAt(0, 25)
 	for _, sc := range litmusSchemes {
 		sc := sc
 		t.Run(sc.s.String(), func(t *testing.T) {
@@ -173,7 +186,7 @@ func TestLitmusAtomicity(t *testing.T) {
 						}, func(*workload.Thread) {})
 					}))
 				}
-				m.Run()
+				litmusRun(t, m, seed)
 				var final uint64
 				e := m.Nodes[0].MC.Dir().Entry(ctr)
 				final = e.Value

@@ -98,7 +98,7 @@ func cacheModgUpgrade(c *cacheCtx) {
 // as owner) for the data.
 func cacheModgRefetch(c *cacheCtx) {
 	c.cc.stats.Retries++
-	c.cc.send(c.cc.home(c.m.Addr), c.t.msg)
+	c.cc.send(HomeOf(c.m.Addr), c.t.msg)
 }
 
 // cacheInvalidate answers an INV: return the dirty data as UPDATE, or
@@ -124,7 +124,7 @@ func cacheBusyRetry(c *cacheCtx) {
 	// The transaction could complete before the retry fires only if a
 	// response overtook the BUSY; with in-order delivery it cannot, so the
 	// entry is still live when sendH runs.
-	backoff := cc.params.Timing.RetryBackoff
+	backoff := RetryBackoff
 	if max := cc.params.Timing.RetryBackoffMax; max > 0 {
 		for i := 1; i < t.retries && backoff < max; i++ {
 			backoff <<= 1
@@ -265,7 +265,7 @@ func (cc *CacheController) chainWalk(addr directory.Addr) {
 	stack := cc.chainNext[addr]
 	if len(stack) == 0 {
 		// Defensive: a walk reached a cache with no recorded position.
-		cc.send(cc.home(addr), cc.newMsg(Msg{Type: ACKC, Addr: addr, Next: -1}))
+		cc.send(HomeOf(addr), cc.newMsg(Msg{Type: ACKC, Addr: addr, Next: -1}))
 		return
 	}
 	link := stack[0]
@@ -279,5 +279,5 @@ func (cc *CacheController) chainWalk(addr directory.Addr) {
 		return
 	}
 	// Tail of the list: acknowledge to the home.
-	cc.send(cc.home(addr), cc.newMsg(Msg{Type: ACKC, Addr: addr, Next: -1}))
+	cc.send(HomeOf(addr), cc.newMsg(Msg{Type: ACKC, Addr: addr, Next: -1}))
 }

@@ -21,8 +21,8 @@ func BlockAt(home mesh.NodeID, index uint64) directory.Addr {
 	return directory.Addr(uint64(home)<<HomeShift | index)
 }
 
-// HomeOf recovers the home node of a block address. It is the default
-// Placement for machines built by the machine package.
+// HomeOf recovers the home node of a block address: the node whose memory
+// module and directory govern the block.
 func HomeOf(addr directory.Addr) mesh.NodeID {
 	return mesh.NodeID(addr >> HomeShift)
 }

@@ -13,11 +13,6 @@ import (
 	"limitless/internal/sim"
 )
 
-// Placement maps a block address to its home node — the node whose memory
-// module and directory govern the block. Memory (and with it the
-// directory) is distributed among the processing nodes (Section 1).
-type Placement func(directory.Addr) mesh.NodeID
-
 // Op is a processor memory operation.
 type Op uint8
 
@@ -123,7 +118,6 @@ type CacheController struct {
 	nw     *mesh.ShardPort
 	id     mesh.NodeID
 	params Params
-	home   Placement
 
 	cache *cache.Cache
 	// txns is the MSHR table: outstanding miss transactions, at most one
@@ -210,7 +204,7 @@ type txnSendHandler struct{ cc *CacheController }
 func (h *txnSendHandler) OnEvent(arg any) {
 	h.cc.wake()
 	t := arg.(*txn)
-	h.cc.send(h.cc.home(t.msg.Addr), t.msg)
+	h.cc.send(HomeOf(t.msg.Addr), t.msg)
 }
 
 // completion carries one Done callback from commit event to invocation.
@@ -235,11 +229,8 @@ func (h *completionHandler) OnEvent(arg any) {
 var ccPool sync.Pool
 
 // NewCacheController builds the cache side of node id.
-func NewCacheController(eng *sim.Engine, nw *mesh.ShardPort, id mesh.NodeID, params Params, home Placement, c *cache.Cache) *CacheController {
+func NewCacheController(eng *sim.Engine, nw *mesh.ShardPort, id mesh.NodeID, params Params, c *cache.Cache) *CacheController {
 	params.validate()
-	if home == nil {
-		panic("coherence: nil placement")
-	}
 	cc, _ := ccPool.Get().(*CacheController)
 	if cc == nil {
 		cc = new(CacheController)
@@ -249,7 +240,6 @@ func NewCacheController(eng *sim.Engine, nw *mesh.ShardPort, id mesh.NodeID, par
 		nw:     nw,
 		id:     id,
 		params: params,
-		home:   home,
 		cache:  c,
 		// The buffers a recycled controller keeps, emptied by Recycle.
 		txns:       cc.txns,
@@ -418,7 +408,7 @@ func (cc *CacheController) SetUpdateMode(addr directory.Addr, on bool) {
 
 // missOutcome classifies a miss by where its home memory is.
 func (cc *CacheController) missOutcome(addr directory.Addr) Outcome {
-	if cc.home(addr) == cc.id {
+	if HomeOf(addr) == cc.id {
 		return OutcomeMissLocal
 	}
 	return OutcomeMissRemote
@@ -431,7 +421,7 @@ func (cc *CacheController) missOutcome(addr directory.Addr) Outcome {
 func (cc *CacheController) Access(req Request) Outcome {
 	out, v := cc.AccessSync(req)
 	if out == OutcomeHit {
-		cc.complete(req, v, cc.params.Timing.CacheHit)
+		cc.complete(req, v, CacheHit)
 	}
 	return out
 }
@@ -493,7 +483,7 @@ func (cc *CacheController) accessMiss(req Request) Outcome {
 		t.msg = cc.newMsg(Msg{Type: WREQ, Addr: req.Addr, Next: -1})
 	}
 	cc.txns = append(cc.txns, txnEntry{req.Addr, t})
-	cc.eng.AfterHandler(cc.params.Timing.CacheHit, &cc.sendH, t)
+	cc.eng.AfterHandler(CacheHit, &cc.sendH, t)
 	return cc.missOutcome(req.Addr)
 }
 
@@ -511,7 +501,7 @@ func (cc *CacheController) uncached(req Request) Outcome {
 	}
 	cc.txns = append(cc.txns, txnEntry{req.Addr, t})
 	cc.miss.UncachedTrips++
-	cc.eng.AfterHandler(cc.params.Timing.CacheHit, &cc.sendH, t)
+	cc.eng.AfterHandler(CacheHit, &cc.sendH, t)
 	return cc.missOutcome(req.Addr)
 }
 
@@ -540,7 +530,7 @@ func (cc *CacheController) finish(addr directory.Addr, value uint64) {
 	}
 
 	elapsed := cc.eng.Now() - t.issued
-	if cc.home(addr) == cc.id {
+	if HomeOf(addr) == cc.id {
 		cc.miss.LocalMisses++
 		cc.miss.LocalCycles += elapsed
 	} else {
@@ -575,7 +565,7 @@ func (cc *CacheController) finish(addr directory.Addr, value uint64) {
 func (cc *CacheController) fill(addr directory.Addr, st cache.LineState, value uint64) {
 	victim, displaced := cc.cache.Fill(addr, st, value)
 	if displaced && victim.State == cache.ReadWrite {
-		cc.send(cc.home(victim.Addr), cc.newMsg(Msg{Type: REPM, Addr: victim.Addr, Value: victim.Value, Next: -1}))
+		cc.send(HomeOf(victim.Addr), cc.newMsg(Msg{Type: REPM, Addr: victim.Addr, Value: victim.Value, Next: -1}))
 	}
 }
 

@@ -169,15 +169,6 @@ func TestChainedHeadResupplyAfterDisplacement(t *testing.T) {
 	}
 }
 
-func TestNilPlacementPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("nil placement accepted")
-		}
-	}()
-	coherence.NewCacheController(nil, nil, 0, params(coherence.FullMap, 0), nil, nil)
-}
-
 // --- Chained walk overtaking an RDATA ---
 
 // TestChainedWalkWaitsForInFlightRDATA delivers a chained CINV to a reader

@@ -26,21 +26,37 @@ const (
 	Chained = protocol.Chained
 )
 
-// Timing collects the latency parameters of the machine model. All values
-// are in processor cycles. Defaults are calibrated so a 64-node machine
-// reproduces the paper's T_h ≈ 35-cycle average remote access latency.
-type Timing struct {
+// The fixed latencies of the machine model, in processor cycles. They are
+// facts of Alewife, not experiment variables: the paper varies only the
+// scheme, the pointer count and T_s. Together with the mesh's constants
+// they reproduce the paper's T_h ≈ 35-cycle average remote access latency
+// on a 64-node machine.
+const (
 	// CacheHit is the time for a load/store satisfied locally.
-	CacheHit sim.Time
+	CacheHit sim.Time = 1
 	// CtrlOccupancy is the controller's per-message processing time
 	// (directory lookup and state update).
-	CtrlOccupancy sim.Time
+	CtrlOccupancy sim.Time = 2
 	// MemAccess is the additional time to read or write the block in DRAM
 	// for data-bearing replies.
-	MemAccess sim.Time
+	MemAccess sim.Time = 5
 	// RetryBackoff is how long a cache waits after a BUSY before
-	// re-sending its request.
-	RetryBackoff sim.Time
+	// re-sending its request: fixed, as in the paper's model, unless
+	// Timing.RetryBackoffMax makes it escalate.
+	RetryBackoff sim.Time = 16
+	// TrapEntry is the time from controller interrupt to the first
+	// instruction of the trap handler (5–10 cycles on SPARCLE, Section 4.1).
+	TrapEntry sim.Time = 7
+	// ContextSwitch is the block-multithreading switch time (11 cycles on
+	// SPARCLE, Section 4.1).
+	ContextSwitch sim.Time = 11
+)
+
+// Timing holds the latencies a configuration may vary.
+type Timing struct {
+	// TrapService is T_s: the full-map-emulation latency per trapped
+	// packet (the paper sweeps 25–150; Alewife's estimate is 50–100).
+	TrapService sim.Time
 	// RetryBackoffMax, when positive, makes the BUSY backoff escalate: the
 	// wait doubles with each consecutive BUSY on the same transaction, up
 	// to this cap. Zero keeps the fixed RetryBackoff (the paper's model).
@@ -48,29 +64,6 @@ type Timing struct {
 	// storms; bounded exponential backoff keeps them from saturating the
 	// home controller while still guaranteeing deterministic retry times.
 	RetryBackoffMax sim.Time
-	// TrapEntry is the time from controller interrupt to the first
-	// instruction of the trap handler (5–10 cycles on SPARCLE, Section 4.1).
-	TrapEntry sim.Time
-	// TrapService is T_s: the full-map-emulation latency per trapped
-	// packet (the paper sweeps 25–150; Alewife's estimate is 50–100).
-	TrapService sim.Time
-	// ContextSwitch is the block-multithreading switch time (11 cycles on
-	// SPARCLE).
-	ContextSwitch sim.Time
-}
-
-// DefaultTiming returns the calibrated Alewife-like parameters with
-// T_s = 50 (the lower of the paper's Alewife estimates).
-func DefaultTiming() Timing {
-	return Timing{
-		CacheHit:      1,
-		CtrlOccupancy: 2,
-		MemAccess:     5,
-		RetryBackoff:  16,
-		TrapEntry:     7,
-		TrapService:   50,
-		ContextSwitch: 11,
-	}
 }
 
 // Stats aggregates protocol activity at one node (or, summed, machine-wide).

@@ -52,9 +52,9 @@ func newRig(t *testing.T, w, h int, params coherence.Params) *rig {
 	port := nw.Bind(eng, 1)
 	r := &rig{t: t, eng: eng, nw: nw}
 	for id := mesh.NodeID(0); int(id) < w*h; id++ {
-		n := &rigNode{id: id, eng: eng, latency: params.Timing.TrapEntry + params.Timing.TrapService}
+		n := &rigNode{id: id, eng: eng, latency: coherence.TrapEntry + params.Timing.TrapService}
 		c := cache.New(cache.Config{Lines: 64})
-		n.cc = coherence.NewCacheController(eng, port, id, params, coherence.HomeOf, c)
+		n.cc = coherence.NewCacheController(eng, port, id, params, c)
 		n.mc = coherence.NewMemoryController(eng, port, id, params, n)
 		if params.Scheme.Info().TrapDefault {
 			n.hnd = swdir.NewSoftware(n.mc)

@@ -145,7 +145,7 @@ func TestOverflowReadLatencyIncludesTs(t *testing.T) {
 	hwLat := r.eng.Now() - before
 
 	extra := overflowLat - hwLat
-	ts := p.Timing.TrapService + p.Timing.TrapEntry
+	ts := p.Timing.TrapService + coherence.TrapEntry
 	if extra < ts || extra > ts+30 {
 		t.Fatalf("software overflow cost %d cycles over hardware, want about %d", extra, ts)
 	}

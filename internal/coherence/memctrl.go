@@ -37,7 +37,7 @@ type Params struct {
 	Pointers int
 	// Nodes is the machine size (for full-map vectors).
 	Nodes int
-	// Timing is the latency model.
+	// Timing holds the variable latencies; the fixed ones are constants.
 	Timing Timing
 	// ModifyGrant enables the footnote-1 optimization: an upgrade by the
 	// block's sole reader is answered with a dataless MODG instead of
@@ -53,13 +53,14 @@ type Params struct {
 }
 
 // DefaultParams returns the paper's baseline configuration: LimitLESS with
-// four hardware pointers on a 64-node machine.
+// four hardware pointers on a 64-node machine, with T_s = 50 (the lower of
+// the paper's Alewife estimates).
 func DefaultParams(nodes int) Params {
 	return Params{
 		Scheme:   LimitLESS,
 		Pointers: 4,
 		Nodes:    nodes,
-		Timing:   DefaultTiming(),
+		Timing:   Timing{TrapService: 50},
 	}
 }
 
@@ -312,10 +313,10 @@ func (mc *MemoryController) Recycle() {
 
 // cost returns the controller occupancy for processing an incoming message.
 func (mc *MemoryController) cost(t MsgType) sim.Time {
-	c := mc.params.Timing.CtrlOccupancy
+	c := CtrlOccupancy
 	switch t {
 	case RREQ, WREQ, REPM, UPDATE, URREQ, UWREQ:
-		c += mc.params.Timing.MemAccess
+		c += MemAccess
 	}
 	return c
 }
@@ -500,7 +501,7 @@ func (mc *MemoryController) finishWriteTransaction(e *directory.Entry, addr dire
 	e.State = directory.ReadWrite
 	// Reading the block out of memory for the WDATA reply costs a memory
 	// access on top of the message that completed the transaction.
-	mc.ctrl.Claim(mc.eng.Now(), mc.params.Timing.MemAccess)
+	mc.ctrl.Claim(mc.eng.Now(), MemAccess)
 	mc.Send(writer, Msg{Type: WDATA, Addr: addr, Value: e.Value, Next: -1})
 }
 

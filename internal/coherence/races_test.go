@@ -299,14 +299,20 @@ func TestParamsValidation(t *testing.T) {
 }
 
 func TestDefaultTimingMatchesPaper(t *testing.T) {
-	tm := coherence.DefaultTiming()
-	if tm.ContextSwitch != 11 {
-		t.Errorf("context switch = %d, want 11 (SPARCLE)", tm.ContextSwitch)
+	if coherence.ContextSwitch != 11 {
+		t.Errorf("context switch = %d, want 11 (SPARCLE)", coherence.ContextSwitch)
 	}
-	if tm.TrapEntry < 5 || tm.TrapEntry > 10 {
-		t.Errorf("trap entry = %d, want 5-10 (Section 4.1)", tm.TrapEntry)
+	if coherence.TrapEntry < 5 || coherence.TrapEntry > 10 {
+		t.Errorf("trap entry = %d, want 5-10 (Section 4.1)", coherence.TrapEntry)
 	}
+	if coherence.RetryBackoff != 16 {
+		t.Errorf("BUSY backoff = %d, want the fixed 16 cycles", coherence.RetryBackoff)
+	}
+	tm := coherence.DefaultParams(64).Timing
 	if tm.TrapService < 50 || tm.TrapService > 100 {
 		t.Errorf("T_s = %d, want within the Alewife estimate 50-100", tm.TrapService)
+	}
+	if tm.RetryBackoffMax != 0 {
+		t.Errorf("RetryBackoffMax = %d, want 0 (the paper's fixed backoff)", tm.RetryBackoffMax)
 	}
 }

@@ -21,7 +21,7 @@ func TestRecycledControllersStartEmpty(t *testing.T) {
 		nw := mesh.New(mesh.DefaultConfig(2, 1))
 		port := nw.Bind(eng, 1)
 		p := DefaultParams(2)
-		cc := NewCacheController(eng, port, 0, p, HomeOf, cache.New(cache.Config{Lines: 64}))
+		cc := NewCacheController(eng, port, 0, p, cache.New(cache.Config{Lines: 64}))
 		return cc, NewMemoryController(eng, port, 0, p, nil)
 	}
 	cc, mc := build()

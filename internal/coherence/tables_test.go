@@ -53,7 +53,7 @@ func violationRig(scheme Scheme) (*MemoryController, *CacheController) {
 	p := DefaultParams(1)
 	p.Scheme = scheme
 	mc := NewMemoryController(eng, port, 0, p, nil)
-	cc := NewCacheController(eng, port, 0, p, HomeOf, cache.New(cache.Config{Lines: 8}))
+	cc := NewCacheController(eng, port, 0, p, cache.New(cache.Config{Lines: 8}))
 	return mc, cc
 }
 

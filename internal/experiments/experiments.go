@@ -221,27 +221,6 @@ func FIFOEvictComparison(procs int) (plain, fifo limitless.Result, err error) {
 	return
 }
 
-// Verify re-checks a figure's expected ordering, returning a descriptive
-// error when the shape is broken. Used by tests and by cmd/figures -check.
-func Verify(name string, bars []Bar, wantOrder []string) error {
-	byName := map[string]int64{}
-	for _, b := range bars {
-		byName[b.Name] = b.Cycles()
-	}
-	for i := 1; i < len(wantOrder); i++ {
-		a, b := wantOrder[i-1], wantOrder[i]
-		ca, oka := byName[a]
-		cb, okb := byName[b]
-		if !oka || !okb {
-			return fmt.Errorf("%s: missing bar %q or %q", name, a, b)
-		}
-		if ca < cb {
-			return fmt.Errorf("%s: expected %s (%d) >= %s (%d)", name, a, ca, b, cb)
-		}
-	}
-	return nil
-}
-
 // MemoryRow is one line of the directory-memory-overhead comparison — the
 // paper's core O(N) vs O(N²) argument (Sections 1 and 3.1).
 type MemoryRow struct {
@@ -303,28 +282,26 @@ func Storage() ([]StorageRow, error) {
 	return rows, nil
 }
 
-// StoragePoint runs Weather on a square machine of procs processors,
-// built as limitless.Run builds it (default T_s = 50), once with packed
-// and once with boxed sharer sets, and reports both measured footprints.
+// StoragePoint runs Weather on a machine of procs processors, built as
+// limitless.Run builds it (the most square mesh, default T_s = 50), once
+// with packed and once with boxed sharer sets, and reports both measured
+// footprints.
 func StoragePoint(procs int, scheme limitless.Scheme, pointers int) (StorageRow, error) {
 	info, ok := protocol.ByName(string(scheme))
 	if !ok {
 		return StorageRow{}, fmt.Errorf("experiments: unknown scheme %q", scheme)
 	}
-	side := 1
-	for side*side < procs {
-		side++
+	if procs < 1 {
+		return StorageRow{}, fmt.Errorf("experiments: need at least 1 processor, got %d", procs)
 	}
-	if side*side != procs {
-		return StorageRow{}, fmt.Errorf("experiments: %d processors is not a square mesh", procs)
-	}
+	w, h := machine.Shape(procs)
 	params := coherence.DefaultParams(procs)
 	params.Scheme = info.ID
 	if pointers > 0 {
 		params.Pointers = pointers
 	}
 	bytesPerEntry := func(oracles machine.Oracles) float64 {
-		m := machine.New(machine.Config{Width: side, Height: side, Contexts: 1, Params: params, Oracles: oracles})
+		m := machine.New(machine.Config{Width: w, Height: h, Contexts: 1, Params: params, Oracles: oracles})
 		defer m.Release()
 		for i, w := range workload.Weather(workload.DefaultWeather(procs)) {
 			m.SetWorkload(mesh.NodeID(i), 0, w)
@@ -333,4 +310,42 @@ func StoragePoint(procs int, scheme limitless.Scheme, pointers int) (StorageRow,
 		return m.DirectoryMemory().MeasuredBytesPerEntry
 	}
 	return StorageRow{Nodes: procs, Packed: bytesPerEntry(0), Boxed: bytesPerEntry(machine.OracleBoxed)}, nil
+}
+
+// ContextStudy measures block multithreading on the most square machine
+// of procs processors (the shape limitless.Run builds): each node runs two
+// independent remote reference streams, one after the other on one
+// context, or overlapped on two hardware contexts, where their miss
+// latencies overlap.
+func ContextStudy(procs, contexts int) (cycles int64, switches uint64) {
+	params := coherence.DefaultParams(procs)
+	params.Scheme = coherence.LimitLESS
+	params.Pointers = 4
+	w, h := machine.Shape(procs)
+	m := machine.New(machine.Config{Width: w, Height: h, Contexts: contexts, Params: params})
+
+	stream := func(t *workload.Thread, p, lane int, then func(*workload.Thread)) {
+		neighbour := mesh.NodeID((p + 1 + lane) % procs)
+		workload.Loop(t, 24, func(i int, t *workload.Thread, next func(*workload.Thread)) {
+			t.Load(coherence.BlockAt(neighbour, uint64(100+lane*64+i)), func(_ uint64, t *workload.Thread) { next(t) })
+		}, then)
+	}
+
+	for p := 0; p < procs; p++ {
+		p := p
+		if contexts == 1 {
+			m.SetWorkload(mesh.NodeID(p), 0, workload.NewThread(func(t *workload.Thread) {
+				stream(t, p, 0, func(t *workload.Thread) { stream(t, p, 1, func(*workload.Thread) {}) })
+			}))
+			continue
+		}
+		m.SetWorkload(mesh.NodeID(p), 0, workload.NewThread(func(t *workload.Thread) {
+			stream(t, p, 0, func(*workload.Thread) {})
+		}))
+		m.SetWorkload(mesh.NodeID(p), 1, workload.NewThread(func(t *workload.Thread) {
+			stream(t, p, 1, func(*workload.Thread) {})
+		}))
+	}
+	res := m.Run()
+	return int64(res.Cycles), res.Proc.ContextSwitches
 }

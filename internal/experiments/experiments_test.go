@@ -151,6 +151,27 @@ func TestFIFOEvictTradesVectorsForTraps(t *testing.T) {
 	}
 }
 
+// Verify re-checks a figure's expected ordering, returning a descriptive
+// error when the shape is broken.
+func Verify(name string, bars []Bar, wantOrder []string) error {
+	byName := map[string]int64{}
+	for _, b := range bars {
+		byName[b.Name] = b.Cycles()
+	}
+	for i := 1; i < len(wantOrder); i++ {
+		a, b := wantOrder[i-1], wantOrder[i]
+		ca, oka := byName[a]
+		cb, okb := byName[b]
+		if !oka || !okb {
+			return fmt.Errorf("%s: missing bar %q or %q", name, a, b)
+		}
+		if ca < cb {
+			return fmt.Errorf("%s: expected %s (%d) >= %s (%d)", name, a, ca, b, cb)
+		}
+	}
+	return nil
+}
+
 func TestVerifyDetectsBrokenOrder(t *testing.T) {
 	bars := []Bar{{Name: "a"}, {Name: "b"}}
 	bars[0].Result.Cycles = 10
@@ -217,5 +238,23 @@ func TestPackedStorageReducesFootprint(t *testing.T) {
 	if row.Reduction() < 4 {
 		t.Errorf("full-map P=256: boxed %.1f B/entry / packed %.1f B/entry = %.2fx, want >= 4x",
 			row.Boxed, row.Packed, row.Reduction())
+	}
+}
+
+// TestContextStudyNonSquare runs the block-multithreading study at P=8,
+// which has no square mesh and whose ⌈√P⌉ does not divide it: the study
+// must build all eight nodes (the most square 4×2 mesh), one context must
+// never switch, and a second context must switch at least once.
+func TestContextStudyNonSquare(t *testing.T) {
+	cycles1, switches1 := ContextStudy(8, 1)
+	cycles2, switches2 := ContextStudy(8, 2)
+	if cycles1 <= 0 || cycles2 <= 0 {
+		t.Fatalf("cycles = %d (1 context), %d (2 contexts), want both positive", cycles1, cycles2)
+	}
+	if switches1 != 0 {
+		t.Errorf("one context made %d context switches, want 0", switches1)
+	}
+	if switches2 == 0 {
+		t.Error("two contexts made no context switch")
 	}
 }

@@ -76,7 +76,7 @@ func TestTransportStuckHaltsMachine(t *testing.T) {
 		Faults: fault.New(fc), Watchdog: 200_000,
 	})
 	m.SetWorkload(1, 0, workload.NewThread(func(th *workload.Thread) {
-		th.Load(Block(0, 1), func(_ uint64, th *workload.Thread) {})
+		th.Load(coherence.BlockAt(0, 1), func(_ uint64, th *workload.Thread) {})
 	}))
 	m.Run()
 	d := m.Diagnostic()

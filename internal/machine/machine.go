@@ -19,15 +19,18 @@ import (
 	"limitless/internal/swdir"
 )
 
-// Block returns the block address for the index-th block homed at node
-// home (see coherence.BlockAt).
-func Block(home mesh.NodeID, index uint64) directory.Addr {
-	return coherence.BlockAt(home, index)
-}
-
-// HomeOf recovers the home node of a block address.
-func HomeOf(addr directory.Addr) mesh.NodeID {
-	return coherence.HomeOf(addr)
+// Shape returns the most square Width × Height mesh of n nodes: the
+// factorization n = w·h with the smallest w ≥ √n, so a square count gives
+// a square and a prime count an n × 1 row. It panics unless n ≥ 1.
+func Shape(n int) (w, h int) {
+	if n < 1 {
+		panic(fmt.Sprintf("machine: no mesh shape for %d nodes", n))
+	}
+	w = 1
+	for w*w < n || n%w != 0 {
+		w++
+	}
+	return w, n / w
 }
 
 // Config describes a machine.
@@ -36,7 +39,8 @@ type Config struct {
 	Width, Height int
 	// Params is the coherence configuration (scheme, pointers, timing).
 	Params coherence.Params
-	// Mesh overrides network timing; zero value uses mesh.DefaultConfig.
+	// Mesh overrides the network's topology, switching and hop latency;
+	// nil uses mesh.DefaultConfig.
 	Mesh *mesh.Config
 	// Contexts is the number of hardware contexts per processor (SPARCLE
 	// has 4; 1 gives a blocking processor).
@@ -83,14 +87,6 @@ const (
 	// AllOracles selects every reference implementation at once.
 	AllOracles = OracleHeap | OracleBoxed
 )
-
-// DefaultConfig returns the paper's evaluation machine: 64 processors,
-// LimitLESS with four pointers.
-func DefaultConfig() Config {
-	cfg := Config{Width: 8, Height: 8, Contexts: 1}
-	cfg.Params = coherence.DefaultParams(64)
-	return cfg
-}
 
 // Node is one Alewife processing node.
 type Node struct {
@@ -173,15 +169,15 @@ func New(cfg Config) *Machine {
 	m.Eng = sim.New()
 	m.Eng.SetScheduler(sched)
 	m.Net = mesh.New(mcfg)
-	window := mcfg.MinPacketLatency(coherence.MinMsgFlits)
-	m.port = m.Net.Bind(m.Eng, window)
+	lookahead := mcfg.MinPacketLatency(coherence.MinMsgFlits)
+	m.port = m.Net.Bind(m.Eng, lookahead)
 	if cfg.Faults != nil && cfg.Faults.Config().LossEnabled() {
 		// Loss classes active: interpose the reliable transport. The
-		// retransmit timeout is floored at the lookahead window and the
+		// retransmit timeout is floored at the lookahead and the
 		// backoff cap reuses the coherence layer's RetryBackoffMax. Budget
 		// exhaustion aborts the run (from the flush) so drive() can report
 		// a structured diagnostic instead of hanging into the watchdog.
-		m.Net.EnableTransport(cfg.Faults, window, cfg.Params.Timing.RetryBackoffMax)
+		m.Net.EnableTransport(cfg.Faults, lookahead, cfg.Params.Timing.RetryBackoffMax)
 		m.Net.OnTransportStuck(func(mesh.StuckLink) { m.Eng.Abort() })
 	}
 	m.Nodes = make([]*Node, n)
@@ -195,7 +191,7 @@ func (m *Machine) buildNode(id mesh.NodeID) *Node {
 	cfg := m.cfg
 	eng, port := m.Eng, m.port
 	c := cache.New(cache.DefaultConfig())
-	cc := coherence.NewCacheController(eng, port, id, cfg.Params, HomeOf, c)
+	cc := coherence.NewCacheController(eng, port, id, cfg.Params, c)
 	p := proc.New(eng, cc, cfg.Params.Timing, cfg.Contexts)
 	mc := coherence.NewMemoryController(eng, port, id, cfg.Params, p)
 
@@ -299,7 +295,7 @@ func (m *Machine) SetWorkload(id mesh.NodeID, slot int, wl proc.Workload) {
 // RegisterFIFOLock declares addr a FIFO lock (Section 6) at its home node
 // and returns the handler for fairness inspection.
 func (m *Machine) RegisterFIFOLock(addr directory.Addr) *swdir.LockHandler {
-	home := m.Nodes[HomeOf(addr)]
+	home := m.Nodes[coherence.HomeOf(addr)]
 	h := swdir.NewLock(home.MC)
 	h.Register(addr)
 	home.Handler.Bind(addr, h)
@@ -310,7 +306,7 @@ func (m *Machine) RegisterFIFOLock(addr directory.Addr) *swdir.LockHandler {
 // home traps every request to an update handler, and every cache routes
 // stores to it as value-carrying round trips.
 func (m *Machine) RegisterUpdateMode(addr directory.Addr) *swdir.UpdateHandler {
-	home := m.Nodes[HomeOf(addr)]
+	home := m.Nodes[coherence.HomeOf(addr)]
 	h := swdir.NewUpdate(home.MC)
 	h.Register(addr)
 	home.Handler.Bind(addr, h)
@@ -324,7 +320,7 @@ func (m *Machine) RegisterUpdateMode(addr directory.Addr) *swdir.UpdateHandler {
 // overflows FIFO-evict the oldest reader in software instead of extending
 // the directory.
 func (m *Machine) RegisterMigratory(addr directory.Addr) *swdir.FIFOEvict {
-	home := m.Nodes[HomeOf(addr)]
+	home := m.Nodes[coherence.HomeOf(addr)]
 	h := swdir.NewFIFOEvict(home.MC)
 	h.Register(addr)
 	home.Handler.Bind(addr, h)
@@ -335,7 +331,7 @@ func (m *Machine) RegisterMigratory(addr directory.Addr) *swdir.FIFOEvict {
 // transaction is observed in software (the Section 6 profiling extension)
 // and returns the software handler recording it.
 func (m *Machine) Profile(addr directory.Addr) *swdir.SoftwareHandler {
-	home := m.Nodes[HomeOf(addr)]
+	home := m.Nodes[coherence.HomeOf(addr)]
 	h := swdir.NewSoftware(home.MC)
 	home.MC.Dir().Entry(addr).Meta = directory.TrapAlways
 	home.Handler.Bind(addr, h)

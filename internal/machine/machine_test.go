@@ -70,7 +70,7 @@ func TestLocalReadAfterWrite(t *testing.T) {
 		params := params
 		t.Run(fmt.Sprintf("%v-%d", params.Scheme, params.Pointers), func(t *testing.T) {
 			m := newMachine(t, params)
-			a := Block(0, 100)
+			a := coherence.BlockAt(0, 100)
 			m.SetWorkload(0, 0, scripted(t, 0, []expect{
 				{load: false, addr: a, value: 42},
 				{load: true, addr: a, value: 42, check: true},
@@ -88,10 +88,10 @@ func TestRemoteProducerConsumer(t *testing.T) {
 		params := params
 		t.Run(fmt.Sprintf("%v-%d", params.Scheme, params.Pointers), func(t *testing.T) {
 			m := newMachine(t, params)
-			a := Block(5, 3) // homed at node 5
+			a := coherence.BlockAt(5, 3) // homed at node 5
 			// Node 1 writes, then sets a flag; node 2 spins on the flag
 			// and reads the value.
-			flag := Block(6, 1)
+			flag := coherence.BlockAt(6, 1)
 			m.SetWorkload(1, 0, workload.NewThread(func(th *workload.Thread) {
 				th.Store(a, 77, func(_ uint64, th *workload.Thread) {
 					th.Store(flag, 1, func(_ uint64, th *workload.Thread) {})
@@ -117,8 +117,8 @@ func TestManyReadersOneWriter(t *testing.T) {
 		params := params
 		t.Run(fmt.Sprintf("%v-%d", params.Scheme, params.Pointers), func(t *testing.T) {
 			m := newMachine(t, params)
-			hot := Block(0, 1)
-			ready := Block(0, 2)
+			hot := coherence.BlockAt(0, 1)
+			ready := coherence.BlockAt(0, 2)
 			// Node 0 initializes hot=5 and raises ready; all others read
 			// hot (worker-set 15 > any pointer count), then node 0
 			// rewrites it; readers re-read until they see the new value.
@@ -166,8 +166,8 @@ func TestWriteInvalidatesAllReaders(t *testing.T) {
 		params := params
 		t.Run(fmt.Sprintf("%v-%d", params.Scheme, params.Pointers), func(t *testing.T) {
 			m := newMachine(t, params)
-			v := Block(3, 4)
-			phase := Block(3, 5)
+			v := coherence.BlockAt(3, 4)
+			phase := coherence.BlockAt(3, 5)
 			// All nodes read v (=0), node 7 writes v=1 then phase=1;
 			// all nodes spin on phase then read v expecting exactly 1.
 			for id := mesh.NodeID(0); id < 16; id++ {
@@ -213,9 +213,9 @@ func TestDeterminism(t *testing.T) {
 		for _, w := range []mesh.NodeID{0, 3, 9} {
 			w := w
 			m.SetWorkload(w, 0, scripted(t, w, []expect{
-				{addr: Block(5, 1), value: uint64(w)},
-				{load: true, addr: Block(6, 2)},
-				{addr: Block(5, 1), value: uint64(w) + 1},
+				{addr: coherence.BlockAt(5, 1), value: uint64(w)},
+				{load: true, addr: coherence.BlockAt(6, 2)},
+				{addr: coherence.BlockAt(5, 1), value: uint64(w) + 1},
 			}))
 		}
 		res := m.Run()
@@ -233,7 +233,7 @@ func TestRMWAtomicity(t *testing.T) {
 		params := params
 		t.Run(fmt.Sprintf("%v-%d", params.Scheme, params.Pointers), func(t *testing.T) {
 			m := newMachine(t, params)
-			ctr := Block(2, 6)
+			ctr := coherence.BlockAt(2, 6)
 			const perProc = 5
 			for id := mesh.NodeID(0); id < 16; id++ {
 				m.SetWorkload(id, 0, workload.NewThread(func(th *workload.Thread) {
@@ -294,8 +294,8 @@ func TestWorkerSetCensus(t *testing.T) {
 	params := coherence.DefaultParams(16)
 	params.Scheme = coherence.FullMap
 	m := newMachine(t, params)
-	wide := Block(0, 3)
-	narrow := Block(1, 4)
+	wide := coherence.BlockAt(0, 3)
+	narrow := coherence.BlockAt(1, 4)
 	for id := mesh.NodeID(0); id < 16; id++ {
 		id := id
 		m.SetWorkload(id, 0, workload.NewThread(func(th *workload.Thread) {
@@ -351,7 +351,7 @@ func TestMachinePanicsOnBadShape(t *testing.T) {
 func TestProfilePlacesTrapAlways(t *testing.T) {
 	params := coherence.DefaultParams(16)
 	m := newMachine(t, params)
-	hot := Block(0, 1)
+	hot := coherence.BlockAt(0, 1)
 	h := m.Profile(hot)
 	// One node reads the profiled block; the software handler must see it.
 	m.SetWorkload(3, 0, workload.NewThread(func(th *workload.Thread) {
@@ -382,7 +382,7 @@ func TestRegisterMigratoryFIFOEvicts(t *testing.T) {
 	params.Scheme = coherence.LimitLESS
 	params.Pointers = 2
 	m := newMachine(t, params)
-	tok := Block(0, 40)
+	tok := coherence.BlockAt(0, 40)
 	h := m.RegisterMigratory(tok)
 	// Readers 1..5 arrive in turn; pointer overflows are FIFO-evicted in
 	// software instead of growing a vector.
@@ -439,7 +439,7 @@ func TestDirectoryMemoryAccounting(t *testing.T) {
 	params.Scheme = coherence.LimitLESS
 	params.Pointers = 2
 	m := newMachine(t, params)
-	hot := Block(0, 1)
+	hot := coherence.BlockAt(0, 1)
 	for id := mesh.NodeID(0); id < 16; id++ {
 		m.SetWorkload(id, 0, workload.NewThread(func(th *workload.Thread) {
 			th.Load(hot, func(_ uint64, th *workload.Thread) {})

@@ -16,8 +16,8 @@ func TestSoftwareOnlyAckStarvationRegression(t *testing.T) {
 	params.Scheme = coherence.SoftwareOnly
 	params.Pointers = 1
 	m := New(Config{Width: 4, Height: 4, Contexts: 1, Params: params})
-	hot := Block(0, 1)
-	ready := Block(0, 2)
+	hot := coherence.BlockAt(0, 1)
+	ready := coherence.BlockAt(0, 2)
 	m.SetWorkload(0, 0, workload.NewThread(func(th *workload.Thread) {
 		th.Store(hot, 5, func(_ uint64, th *workload.Thread) {
 			th.Store(ready, 1, func(_ uint64, th *workload.Thread) {
@@ -48,7 +48,7 @@ func TestSoftwareOnlyAckStarvationRegression(t *testing.T) {
 			name string
 			addr uint64
 		}{{"hot", 1}, {"ready", 2}} {
-			e := m.Nodes[0].MC.Dir().Entry(Block(0, a.addr))
+			e := m.Nodes[0].MC.Dir().Entry(coherence.BlockAt(0, a.addr))
 			t.Logf("%s: state=%v meta=%v ptrs=%v ackctr=%d value=%d pending=%d",
 				a.name, e.State, e.Meta, e.Ptrs.Nodes(), e.AckCtr, e.Value, e.Pending)
 		}

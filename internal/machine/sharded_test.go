@@ -21,8 +21,8 @@ func shardedTestMachine(shards, workers int) *Machine {
 	params.Pointers = 4
 	m := New(Config{Width: 4, Height: 4, Contexts: 1, Params: params,
 		Shards: shards, ShardWorkers: workers})
-	hot := Block(0, 1)
-	flag := Block(5, 1)
+	hot := coherence.BlockAt(0, 1)
+	flag := coherence.BlockAt(5, 1)
 	for id := mesh.NodeID(0); id < 16; id++ {
 		id := id
 		m.SetWorkload(id, 0, workload.NewThread(func(th *workload.Thread) {
@@ -33,7 +33,7 @@ func shardedTestMachine(shards, workers int) *Machine {
 					return
 				}
 				th.Load(hot, func(_ uint64, th *workload.Thread) {
-					th.Store(Block(id, 1), uint64(i), func(_ uint64, th *workload.Thread) {
+					th.Store(coherence.BlockAt(id, 1), uint64(i), func(_ uint64, th *workload.Thread) {
 						th.Compute(sim.Time(id%3)+1, func(_ uint64, th *workload.Thread) {
 							step(i-1, 0, th)
 						})
@@ -122,7 +122,7 @@ func TestShardedEngineCount(t *testing.T) {
 			}
 			for id := mesh.NodeID(0); int(id) < nodes; id++ {
 				m.SetWorkload(id, 0, workload.NewThread(func(th *workload.Thread) {
-					th.Store(Block(id, 1), 1, func(_ uint64, th *workload.Thread) {})
+					th.Store(coherence.BlockAt(id, 1), 1, func(_ uint64, th *workload.Thread) {})
 				}))
 			}
 			if res := m.Run(); res.Cycles == 0 {

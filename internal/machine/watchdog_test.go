@@ -21,7 +21,7 @@ func wedgeMachine(t *testing.T) (*Machine, directory.Addr) {
 	params := coherence.DefaultParams(16)
 	params.Scheme = coherence.FullMap
 	m := New(Config{Width: 4, Height: 4, Contexts: 1, Params: params, Watchdog: 20_000})
-	addr := Block(0, 1)
+	addr := coherence.BlockAt(0, 1)
 	m.Nodes[0].MC.Dir().Entry(addr).Meta = directory.TransInProgress
 	m.SetWorkload(1, 0, workload.NewThread(func(th *workload.Thread) {
 		th.Load(addr, func(_ uint64, th *workload.Thread) {})
@@ -65,7 +65,7 @@ func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 	params := coherence.DefaultParams(16)
 	cfg := Config{Width: 4, Height: 4, Contexts: 1, Params: params, Watchdog: 20_000}
 	m := New(cfg)
-	addr := Block(0, 1)
+	addr := coherence.BlockAt(0, 1)
 	m.SetWorkload(1, 0, workload.NewThread(func(th *workload.Thread) {
 		th.Store(addr, 7, func(_ uint64, th *workload.Thread) {
 			th.Load(addr, func(v uint64, th *workload.Thread) {
@@ -93,12 +93,12 @@ func TestRecorderConvertsDispatchPanic(t *testing.T) {
 	m := New(cfg)
 	// An unsolicited ACKC against a quiescent Read-Only entry has no
 	// transaction to count against — a dispatch-path violation.
-	addr := Block(0, 2)
+	addr := coherence.BlockAt(0, 2)
 	m.Eng.At(0, func() {
 		m.Nodes[0].MC.Handle(3, &coherence.Msg{Type: coherence.ACKC, Addr: addr, Next: -1})
 	})
 	m.SetWorkload(1, 0, workload.NewThread(func(th *workload.Thread) {
-		th.Load(Block(0, 3), func(_ uint64, th *workload.Thread) {})
+		th.Load(coherence.BlockAt(0, 3), func(_ uint64, th *workload.Thread) {})
 	}))
 	res := m.Run()
 	if m.Diagnostic() != nil {
@@ -131,7 +131,7 @@ func TestFaultPlanZeroRateInert(t *testing.T) {
 // stays live, which keeps every poll of the spin on the event queue.
 func spinMachine(contexts int) (*Machine, directory.Addr) {
 	m := New(Config{Width: 4, Height: 4, Contexts: contexts, Params: coherence.DefaultParams(16), Watchdog: 20_000})
-	flag := Block(1, 1)
+	flag := coherence.BlockAt(1, 1)
 	m.SetWorkload(1, 0, workload.NewThread(func(th *workload.Thread) {
 		th.SpinUntil(flag, func(v uint64) bool { return v == 1 }, 12,
 			func(_ uint64, th *workload.Thread) {})
@@ -202,7 +202,7 @@ func staleSpinMachine(record bool) *Machine {
 	}
 	m := New(cfg)
 	m.SetWorkload(1, 0, workload.NewThread(func(th *workload.Thread) {
-		th.SpinUntil(Block(0, 1), func(v uint64) bool { return v == 1 }, 12,
+		th.SpinUntil(coherence.BlockAt(0, 1), func(v uint64) bool { return v == 1 }, 12,
 			func(_ uint64, th *workload.Thread) {})
 	}))
 	return m
@@ -238,8 +238,8 @@ func TestStaleSpinDeadlockDiagnostic(t *testing.T) {
 	if !strings.Contains(d.Reason, "deadlock") || !strings.Contains(d.Reason, "node 1 still spinning") {
 		t.Errorf("reason %q does not report node 1's spin as a deadlock", d.Reason)
 	}
-	if len(d.Spinning) != 1 || d.Spinning[0].Node != 1 || d.Spinning[0].Addr != Block(0, 1) {
-		t.Errorf("spinning contexts = %+v, want node 1 on %#x", d.Spinning, uint64(Block(0, 1)))
+	if len(d.Spinning) != 1 || d.Spinning[0].Node != 1 || d.Spinning[0].Addr != coherence.BlockAt(0, 1) {
+		t.Errorf("spinning contexts = %+v, want node 1 on %#x", d.Spinning, uint64(coherence.BlockAt(0, 1)))
 	}
 	if d.PendingEvents != 1 {
 		t.Errorf("PendingEvents = %d, want 1 (the spin's next step)", d.PendingEvents)

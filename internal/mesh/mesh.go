@@ -105,51 +105,47 @@ type Packet struct {
 // Payload pointer is fine — the network never touches it after delivery).
 type Handler func(pkt *Packet)
 
-// Config sets the network shape and timing.
+// The network's fixed timing, in cycles, calibrated with the default
+// HopLatency so that a 64-node machine shows the paper's T_h ≈ 35-cycle
+// average remote access latency (Section 3.1).
+const (
+	FlitCycle     sim.Time = 1 // cycles per flit on a channel
+	InjectLatency sim.Time = 1 // network-interface injection overhead
+	LocalLatency  sim.Time = 1 // latency for src==dst delivery (no network)
+	IdealLatency  sim.Time = 8 // end-to-end latency for the Ideal topology
+)
+
+// Config sets the network shape and the settings an experiment varies.
 type Config struct {
 	Width, Height int
 	Topology      Topology
 	// Switching applies to the Mesh2D topology: wormhole (default) or
 	// circuit switched.
-	Switching     Switching
-	HopLatency    sim.Time // router pipeline delay per hop
-	FlitCycle     sim.Time // cycles per flit on a channel
-	InjectLatency sim.Time // network-interface injection overhead
-	LocalLatency  sim.Time // latency for src==dst delivery (no network)
-	IdealLatency  sim.Time // end-to-end latency for the Ideal topology
+	Switching  Switching
+	HopLatency sim.Time // router pipeline delay per hop
 
-	// JitterMax, when positive, adds a deterministic pseudo-random delay
-	// in [0, JitterMax) to each packet, seeded by JitterSeed. Delivery
-	// between any (source, destination) pair stays FIFO — the coherence
-	// protocol relies on in-order point-to-point delivery — but the
-	// relative order of packets on different pairs is perturbed. The
-	// protocol checker uses this to explore message interleavings.
-	JitterMax  sim.Time
-	JitterSeed uint64
-
-	// Faults, when non-nil, injects the plan's packet-delay jitter and
-	// node-ingress stall windows into every delivery. Like jitter, fault
-	// delays only ever add latency (MinPacketLatency stays a valid bound)
-	// and never reorder a (src,dst) pair. Unlike the jitter stream, fault
-	// decisions are stateless hashes of the packet and its cycle. The
-	// plan's loss classes (drop, corrupt) additionally require
-	// EnableTransport: losses are then recovered by retransmission, which
-	// is just a later injection, so the latency bound still holds.
+	// Faults, when non-nil, injects the plan's packet delays and
+	// node-ingress stall windows into every delivery. Fault delays only
+	// ever add latency (MinPacketLatency stays a valid bound) and never
+	// reorder a (src,dst) pair: the coherence protocol relies on in-order
+	// point-to-point delivery, but the relative order of packets on
+	// different pairs is perturbed, which the protocol checker uses to
+	// explore message interleavings. Fault decisions are stateless hashes
+	// of the packet and its cycle. The plan's loss classes (drop, corrupt)
+	// additionally require EnableTransport: losses are then recovered by
+	// retransmission, which is just a later injection, so the latency
+	// bound still holds.
 	Faults *fault.Plan
 }
 
-// DefaultConfig returns timing calibrated so that a 64-node machine shows
-// the paper's T_h ≈ 35-cycle average remote access latency (Section 3.1).
+// DefaultConfig returns the paper's wormhole-routed mesh with a one-cycle
+// hop latency.
 func DefaultConfig(width, height int) Config {
 	return Config{
-		Width:         width,
-		Height:        height,
-		Topology:      Mesh2D,
-		HopLatency:    1,
-		FlitCycle:     1,
-		InjectLatency: 1,
-		LocalLatency:  1,
-		IdealLatency:  8,
+		Width:      width,
+		Height:     height,
+		Topology:   Mesh2D,
+		HopLatency: 1,
 	}
 }
 
@@ -171,7 +167,7 @@ func (s Stats) AvgLatency() float64 {
 }
 
 // Network is the interconnect: the contention model (channels, ejection
-// ports, jitter, FIFO bookkeeping) and the node handlers. Traffic enters
+// ports, fault delays, FIFO bookkeeping) and the node handlers. Traffic enters
 // and leaves through the port Bind attaches to the engine that runs the
 // nodes; see sharded.go.
 type Network struct {
@@ -197,12 +193,10 @@ type Network struct {
 	widthShift int
 	widthMask  int
 
-	rng uint64
-
 	// The link table: one record per (source, destination) link in use,
 	// found through linkIdx (keyed src<<32|dst) once per claim and then
-	// reached by index. It exists only when jitter, a fault plan or the
-	// reliable transport is on; a lossless run leaves linkIdx nil.
+	// reached by index. It exists only when a fault plan or the reliable
+	// transport is on; a run without a fault plan leaves linkIdx nil.
 	linkIdx map[uint64]int32
 	links   []link
 
@@ -210,10 +204,10 @@ type Network struct {
 	// claim and never retained.
 	routeBuf []int
 
-	// The port (see sharded.go) and the lookahead width: the minimum
-	// latency every delivery must keep after its send.
-	port   *ShardPort
-	window sim.Time
+	// The port (see sharded.go) and the lookahead: the minimum latency
+	// every delivery must keep after its send.
+	port      *ShardPort
+	lookahead sim.Time
 
 	// Reliable transport (see transport.go): nil unless a fault plan with
 	// an active loss class is installed via EnableTransport, so lossless
@@ -228,8 +222,8 @@ type Network struct {
 	mem *portMem
 }
 
-// link is one (source, destination) link's state: the FIFO floor jitter
-// and fault delays may not deliver below, and the reliable transport's
+// link is one (source, destination) link's state: the FIFO floor fault
+// delays may not deliver below, and the reliable transport's
 // sender and receiver sequence numbers.
 type link struct {
 	last     sim.Time // last scheduled delivery on the link
@@ -269,20 +263,16 @@ func New(cfg Config) *Network {
 		panic("mesh: non-positive dimensions")
 	}
 	n := cfg.Width * cfg.Height
-	seed := cfg.JitterSeed
-	if seed == 0 {
-		seed = 0x9E3779B97F4A7C15
-	}
 	m, _ := portPool.Get().(*portMem)
 	if m == nil {
 		m = new(portMem)
 	}
-	nw := &Network{cfg: cfg, n: n, rng: seed, mem: m}
+	nw := &Network{cfg: cfg, n: n, mem: m}
 	nw.handlers, m.handlers = reuse(m.handlers, n), nil
 	nw.wakers, m.wakers = reuse(m.wakers, n), nil
 	nw.chans, m.chans = reuse(m.chans, n*numDirs), nil
 	nw.eject, m.eject = reuse(m.eject, n), nil
-	if cfg.JitterMax > 0 || cfg.Faults != nil {
+	if cfg.Faults != nil {
 		nw.linkTable()
 	}
 	nw.widthShift = -1
@@ -342,17 +332,6 @@ func (nw *Network) linkOf(src, dst NodeID) int32 {
 	return li
 }
 
-// jitter returns the next deterministic pseudo-random delay.
-func (nw *Network) jitter() sim.Time {
-	if nw.cfg.JitterMax <= 0 {
-		return 0
-	}
-	nw.rng ^= nw.rng << 13
-	nw.rng ^= nw.rng >> 7
-	nw.rng ^= nw.rng << 17
-	return sim.Time(nw.rng % uint64(nw.cfg.JitterMax))
-}
-
 // Nodes returns the node count.
 func (nw *Network) Nodes() int { return nw.n }
 
@@ -363,16 +342,16 @@ func (nw *Network) Config() Config { return nw.cfg }
 func (nw *Network) Stats() Stats { return nw.port.stats }
 
 // Bind attaches the network to the engine that runs its nodes and returns
-// the port the controllers inject through. window is the lookahead width
-// (MinPacketLatency of the smallest message), which every delivery must
-// keep after its send. The port installs the engine's end-of-cycle hook as
-// its flush, so each cycle's sends are claimed as soon as the cycle's last
-// event has run.
-func (nw *Network) Bind(eng *sim.Engine, window sim.Time) *ShardPort {
-	if window < 1 {
-		panic(fmt.Sprintf("mesh: lookahead window %d < 1", window))
+// the port the controllers inject through. lookahead is the minimum
+// latency (MinPacketLatency of the smallest message), which every delivery
+// must keep after its send. The port installs the engine's end-of-cycle
+// hook as its flush, so each cycle's sends are claimed as soon as the
+// cycle's last event has run.
+func (nw *Network) Bind(eng *sim.Engine, lookahead sim.Time) *ShardPort {
+	if lookahead < 1 {
+		panic(fmt.Sprintf("mesh: lookahead %d < 1", lookahead))
 	}
-	nw.window = window
+	nw.lookahead = lookahead
 	m := nw.mem
 	p := &ShardPort{nw: nw, eng: eng, handlers: nw.handlers, wakers: nw.wakers,
 		log: m.log, freeDels: m.dels, freeRetrans: m.retrans}
@@ -475,8 +454,8 @@ func (nw *Network) route(src, dst NodeID) []int {
 // model; every packet between distinct nodes goes through it from
 // FlushWindow.
 func (nw *Network) claimPath(now sim.Time, src, dst NodeID, flits int) (sim.Time, int32) {
-	serial := sim.Time(flits) * nw.cfg.FlitCycle
-	head := now + nw.cfg.InjectLatency
+	serial := sim.Time(flits) * FlitCycle
+	head := now + InjectLatency
 
 	switch nw.cfg.Topology {
 	case Mesh2D:
@@ -511,7 +490,7 @@ func (nw *Network) claimPath(now sim.Time, src, dst NodeID, flits int) (sim.Time
 		}
 		head = start + sim.Time(len(path))*nw.cfg.HopLatency
 	case Ideal:
-		head += nw.cfg.IdealLatency
+		head += IdealLatency
 	case Omega:
 		// Destination-tag routing through the shuffle-exchange stages:
 		// after stage s the packet sits on inter-stage channel
@@ -526,7 +505,6 @@ func (nw *Network) claimPath(now sim.Time, src, dst NodeID, flits int) (sim.Time
 		}
 	}
 
-	head += nw.jitter()
 	if f := nw.cfg.Faults; f != nil {
 		if d := f.PacketDelay(now, int(src), int(dst)); d > 0 {
 			nw.fDelays++
@@ -544,9 +522,11 @@ func (nw *Network) claimPath(now sim.Time, src, dst NodeID, flits int) (sim.Time
 	start := nw.eject[dst].Claim(head, serial)
 	at := start + serial
 
-	// Jitter and fault delays must never reorder a (src,dst) pair: enforce
-	// FIFO delivery. Without them a pair's claims already deliver in
-	// order, so under the transport alone the floor never moves a delivery.
+	// Fault delays must never reorder a (src,dst) pair: the floor keeps
+	// each delivery after the pair's previous one. The ejection claim
+	// above already orders a destination's deliveries by claim order,
+	// which within a pair is send order, so the floor does not move a
+	// delivery under the present contention model.
 	li := int32(-1)
 	if nw.linkIdx != nil {
 		li = nw.linkOf(src, dst)
@@ -566,26 +546,21 @@ func (nw *Network) claimPath(now sim.Time, src, dst NodeID, flits int) (sim.Time
 //	at ≥ now + InjectLatency + (first hop) + minFlits·FlitCycle
 //
 // where the first hop costs HopLatency (Mesh2D, Omega, Circuit) or
-// IdealLatency (Ideal); contention, extra hops, and jitter only add to it.
-// This bound is the network's lookahead: a packet sent at cycle t is never
-// delivered before t plus the bound, which the flush asserts on every
-// claim and the reliable transport floors its retransmit timeout at. The
-// result is clamped to ≥ 1 cycle; configurations whose true minimum is 0
-// (all latency constants zero) break that floor, which the flush detects
-// and reports.
+// IdealLatency (Ideal); contention, extra hops and fault delays only add
+// to it. This bound is the network's lookahead: a packet sent at cycle t
+// is never delivered before t plus the bound, which the flush asserts on
+// every claim and the reliable transport floors its retransmit timeout at.
+// A port bound with a longer lookahead than the network keeps breaks that
+// floor, which the flush detects and reports.
 func (cfg Config) MinPacketLatency(minFlits int) sim.Time {
 	if minFlits < 1 {
 		minFlits = 1
 	}
 	hop := cfg.HopLatency
 	if cfg.Topology == Ideal {
-		hop = cfg.IdealLatency
+		hop = IdealLatency
 	}
-	w := cfg.InjectLatency + hop + sim.Time(minFlits)*cfg.FlitCycle
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return InjectLatency + hop + sim.Time(minFlits)*FlitCycle
 }
 
 // InFlight returns the number of packets currently between injection and
@@ -603,10 +578,10 @@ func (nw *Network) InFlight() int {
 }
 
 // lookaheadPanic reports a delivery at cycle at that lands inside the
-// lookahead window of e's send.
+// lookahead of e's send.
 func (nw *Network) lookaheadPanic(e *deferredSend, at sim.Time) {
 	panic(fmt.Sprintf("mesh: lookahead violation — packet %d->%d sent at %d delivered at %d, inside the %d-cycle lookahead (network latency below the lookahead)",
-		e.src, e.dst, e.at, at, nw.window))
+		e.src, e.dst, e.at, at, nw.lookahead))
 }
 
 // barrierPanic reports a send logged at or past the barrier of the flush

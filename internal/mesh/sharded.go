@@ -13,13 +13,13 @@ import (
 // the port's send log. The port arms its engine's end-of-cycle hook, and
 // the hook's FlushWindow replays the cycle's deferred sends in canonical
 // (send cycle, source node, per-source program order) through the
-// contention model (channels, ejection ports, jitter), then inserts the
+// contention model (channels, ejection ports, fault delays), then inserts the
 // delivery events into the engine. The deliveries take the engine's own
 // next sequence numbers, which order them after every event allocated
 // during the send cycle and before any allocated during a later one.
 //
 // The canonical order is what the timing depends on: the channel and
-// ejection resources, the jitter stream, and the FIFO bookkeeping are
+// ejection resources, the link table, and the FIFO bookkeeping are
 // touched only by the flush, in an order derived from quantities the
 // model fixes (send cycle, source, program order) rather than from the
 // order in which same-cycle events happened to run.
@@ -119,7 +119,7 @@ func (p *ShardPort) SendFrom(src, dst NodeID, flits int, payload any) {
 	now := p.eng.Now()
 	if src == dst {
 		p.stats.LocalPackets++
-		p.deliver(p.newDelivery(src, dst, flits, payload, now), now+nw.cfg.LocalLatency)
+		p.deliver(p.newDelivery(src, dst, flits, payload, now), now+LocalLatency)
 		return
 	}
 	e := p.logSend(now, src)
@@ -251,13 +251,13 @@ func (nw *Network) FlushWindow(before sim.Time) {
 // claim replays one logged attempt through the contention model and
 // inserts the delivery, and under the reliable transport the follow-up
 // attempt, into the engine. Every delivery must land at least one
-// lookahead width after its send — the latency floor the transport's
+// lookahead after its send — the latency floor the transport's
 // retransmit timeout and any caller driving the flush rely on — and a
 // violation panics rather than silently corrupting the timing model.
 func (p *ShardPort) claim(e *deferredSend) {
 	nw := p.nw
 	at, li := nw.claimPath(e.at, e.src, e.dst, e.flits)
-	if at < e.at+nw.window {
+	if at < e.at+nw.lookahead {
 		nw.lookaheadPanic(e, at)
 	}
 	if nw.tp != nil {

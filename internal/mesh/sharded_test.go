@@ -85,8 +85,8 @@ func TestShardPortLocalDelivery(t *testing.T) {
 	nw.Register(2, func(pkt *Packet) { delivered = eng.Now() })
 	p.SendFrom(2, 2, 2, nil)
 	eng.Run()
-	if delivered != cfg.LocalLatency {
-		t.Fatalf("local delivery at %d, want %d", delivered, cfg.LocalLatency)
+	if delivered != LocalLatency {
+		t.Fatalf("local delivery at %d, want %d", delivered, LocalLatency)
 	}
 	if p.Stats().LocalPackets != 1 {
 		t.Fatalf("local packet not accounted: %+v", p.Stats())
@@ -98,15 +98,21 @@ func TestShardPortLocalDelivery(t *testing.T) {
 
 func TestFlushWindowLookaheadViolationPanics(t *testing.T) {
 	cfg := DefaultConfig(4, 1)
-	// Zero every latency constant: the true minimum latency collapses to 0
-	// while MinPacketLatency clamps to 1, so the flush must detect the
-	// violated lookahead rather than deliver into the past.
-	cfg.HopLatency, cfg.FlitCycle, cfg.InjectLatency = 0, 0, 0
-	_, p, nw := portNet(cfg)
-	p.SendFrom(0, 3, 2, nil)
+	// Bind a lookahead one cycle longer than the network keeps: a two-flit
+	// packet to the neighbouring node arrives after exactly
+	// MinPacketLatency(2) cycles, inside the bound lookahead, so the flush
+	// must detect the violation rather than deliver inside it.
+	eng := sim.New()
+	nw := New(cfg)
+	p := nw.Bind(eng, cfg.MinPacketLatency(2)+1)
+	p.SendFrom(0, 1, 2, nil)
 	defer func() {
-		if recover() == nil {
-			t.Fatal("flush with zero network latency did not panic")
+		r := recover()
+		if r == nil {
+			t.Fatal("a delivery inside the lookahead did not panic")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "lookahead violation") {
+			t.Fatalf("panic %q is not the lookahead violation", msg)
 		}
 	}()
 	nw.FlushWindow(sim.Forever)
@@ -135,7 +141,7 @@ func TestFlushWindowSendPastBarrierPanics(t *testing.T) {
 
 func TestMinPacketLatency(t *testing.T) {
 	cfg := DefaultConfig(8, 8)
-	// inject(1) + hop(1) + 2 flits · 1 = 4: the default lookahead window.
+	// inject(1) + hop(1) + 2 flits · 1 = 4: the default lookahead.
 	if w := cfg.MinPacketLatency(2); w != 4 {
 		t.Fatalf("mesh window = %d, want 4", w)
 	}
@@ -144,9 +150,11 @@ func TestMinPacketLatency(t *testing.T) {
 	if w := ideal.MinPacketLatency(2); w != 1+8+2 {
 		t.Fatalf("ideal window = %d, want 11", w)
 	}
-	degenerate := Config{Width: 2, Height: 2}
-	if w := degenerate.MinPacketLatency(0); w != 1 {
-		t.Fatalf("degenerate window = %d, want clamp to 1", w)
+	// With no hop latency the fixed inject and flit cycles remain: a
+	// request for fewer than one flit counts one.
+	zeroHop := Config{Width: 2, Height: 2}
+	if w := zeroHop.MinPacketLatency(0); w != InjectLatency+FlitCycle {
+		t.Fatalf("zero-hop window = %d, want %d", w, InjectLatency+FlitCycle)
 	}
 }
 

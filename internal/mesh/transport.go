@@ -91,7 +91,7 @@ type StuckLink struct {
 // link table.
 type transport struct {
 	plan       *fault.Plan
-	rto        sim.Time // base retransmit timeout, floored at the lookahead window
+	rto        sim.Time // base retransmit timeout, floored at the lookahead
 	backoffMax sim.Time // exponential-backoff cap (Timing.RetryBackoffMax semantics)
 	nackLat    sim.Time // corrupt-arrival nack turnaround before the resend departs
 	rmax       int      // retransmit budget per packet
@@ -313,23 +313,23 @@ func (r *xrecv) release(s *ShardPort, li int32, exp uint64, now sim.Time) uint64
 }
 
 // EnableTransport interposes the reliable transport for plan's loss
-// classes. window is the machine's lookahead width (MinPacketLatency of the
+// classes. lookahead is the machine's lookahead (MinPacketLatency of the
 // smallest protocol message): the effective retransmit timeout is floored
 // there, so a retransmission departs at least one lookahead after the
 // attempt it replaces. backoffMax caps the exponential
 // backoff (the coherence layer's RetryBackoffMax semantics). Call before
 // any traffic, before or after Bind.
-func (nw *Network) EnableTransport(plan *fault.Plan, window, backoffMax sim.Time) {
+func (nw *Network) EnableTransport(plan *fault.Plan, lookahead, backoffMax sim.Time) {
 	if plan == nil || !plan.Config().LossEnabled() {
 		panic("mesh: EnableTransport requires a plan with an active loss class")
 	}
 	cfg := plan.Config()
 	rto := cfg.RetransTimeout
-	if window < 1 {
-		window = 1
+	if lookahead < 1 {
+		lookahead = 1
 	}
-	if rto < window {
-		rto = window
+	if rto < lookahead {
+		rto = lookahead
 	}
 	if backoffMax < rto {
 		backoffMax = rto
@@ -386,7 +386,7 @@ func (nw *Network) TransportStats() TransportStats {
 }
 
 // FaultCounts reports how many latency faults the contention model injected
-// (delay-jittered packets, stall-delayed arrivals).
+// (delayed packets, stall-delayed arrivals).
 func (nw *Network) FaultCounts() (delays, stalls uint64) {
 	return nw.fDelays, nw.fStalls
 }

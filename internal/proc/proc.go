@@ -452,7 +452,7 @@ func (p *Processor) SkipChain(at, limit sim.Time) (n uint64, last, next sim.Time
 	}
 	c := p.pend.ctx
 	backoff := max(c.pendingOp.Cycles, 1)
-	hit := p.timing.CacheHit
+	hit := coherence.CacheHit
 	end := at + hit + backoff // the period's last step: the backoff's end, where the next issue cycle is claimed
 	if end > limit {
 		return 0, 0, 0
@@ -492,7 +492,7 @@ func (p *Processor) ProtocolTrap() {
 		panic(fmt.Sprintf("proc: protocol trap at node %d, cycle %d, with its spin off the event queue: the event that raised it did not wake the spin",
 			p.cc.ID(), p.eng.Now()))
 	}
-	cost := p.timing.TrapEntry + p.timing.TrapService
+	cost := coherence.TrapEntry + p.timing.TrapService
 	if p.faults != nil {
 		if d := p.faults.TrapSlowdown(p.eng.Now(), int(p.cc.ID())); d > 0 {
 			cost += d
@@ -524,9 +524,9 @@ func (p *Processor) dispatch() {
 		if idx != p.cur && n > 1 {
 			p.stats.ContextSwitches++
 			p.cur = idx
-			start := p.pipe.Claim(p.eng.Now(), p.timing.ContextSwitch)
-			p.stats.BusyCycles += p.timing.ContextSwitch
-			p.sched(start+p.timing.ContextSwitch, pendStep, p.contexts[idx])
+			start := p.pipe.Claim(p.eng.Now(), coherence.ContextSwitch)
+			p.stats.BusyCycles += coherence.ContextSwitch
+			p.sched(start+coherence.ContextSwitch, pendStep, p.contexts[idx])
 			return
 		}
 		p.cur = idx
@@ -650,7 +650,7 @@ func (p *Processor) issue(c *context, op Op) {
 		// other live context takes the spin off the queue from here (see
 		// Wake).
 		c.hitVal = v
-		at := p.eng.Now() + p.timing.CacheHit
+		at := p.eng.Now() + coherence.CacheHit
 		if c.spin == spinPolled && !p.chain.Off() && p.finished == len(p.contexts)-1 &&
 			!c.pendingOp.Until(v) {
 			p.eng.TakeOff(&p.chain, p, at)

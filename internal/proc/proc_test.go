@@ -29,7 +29,7 @@ func newProcRig(t *testing.T, nodes int, contexts int, params coherence.Params) 
 	r := &procRig{eng: eng}
 	for id := mesh.NodeID(0); int(id) < nodes; id++ {
 		c := cache.New(cache.Config{Lines: 64})
-		cc := coherence.NewCacheController(eng, port, id, params, coherence.HomeOf, c)
+		cc := coherence.NewCacheController(eng, port, id, params, c)
 		p := proc.New(eng, cc, params.Timing, contexts)
 		mc := coherence.NewMemoryController(eng, port, id, params, p)
 		p.Attach(mc, swdir.New(mc))
@@ -173,7 +173,7 @@ func TestTrapServiceChargesProcessor(t *testing.T) {
 	if st.TrapsServiced == 0 {
 		t.Fatal("home processor serviced no traps")
 	}
-	wantPer := params.Timing.TrapEntry + params.Timing.TrapService
+	wantPer := coherence.TrapEntry + params.Timing.TrapService
 	if st.TrapCycles != sim.Time(st.TrapsServiced)*wantPer {
 		t.Fatalf("trap cycles = %d for %d traps, want %d each", st.TrapCycles, st.TrapsServiced, wantPer)
 	}
@@ -234,7 +234,7 @@ func TestNewProcessorRejectsZeroContexts(t *testing.T) {
 			t.Error("New with 0 contexts did not panic")
 		}
 	}()
-	proc.New(sim.New(), nil, coherence.DefaultTiming(), 0)
+	proc.New(sim.New(), nil, coherence.Timing{}, 0)
 }
 
 func TestKindStrings(t *testing.T) {
@@ -366,7 +366,7 @@ func runTrapBoundary(t *testing.T, delay sim.Time, home, node3 proc.Workload) (e
 //     and nothing waits for the compute to end.
 func TestTrapClaimsNextSliceBoundary(t *testing.T) {
 	params := coherence.DefaultParams(4)
-	wantEnd := 5000 + params.Timing.TrapEntry + params.Timing.TrapService
+	wantEnd := 5000 + coherence.TrapEntry + params.Timing.TrapService
 	// Arrival-delay sweep: 34-46 land in one compute slice of the home
 	// node's 16-cycle grid; 30 hits the slice before, 50 the one after.
 	wantDone := map[sim.Time]sim.Time{30: 114, 34: 130, 38: 130, 42: 130, 46: 130, 50: 146}

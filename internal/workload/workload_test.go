@@ -231,7 +231,7 @@ func TestBarrierRejectsBadConfig(t *testing.T) {
 func TestThreadSpinUntil(t *testing.T) {
 	params := coherence.DefaultParams(4)
 	m := machine.New(machine.Config{Width: 2, Height: 2, Contexts: 1, Params: params})
-	flag := machine.Block(1, 1)
+	flag := coherence.BlockAt(1, 1)
 	var sawAt sim.Time
 	m.SetWorkload(0, 0, workload.NewThread(func(th *workload.Thread) {
 		th.Compute(500, func(_ uint64, th *workload.Thread) {

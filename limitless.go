@@ -265,25 +265,6 @@ func DefaultConfig() Config {
 	return Config{Procs: 64, Scheme: LimitLESS, Pointers: 4, TrapService: 50}
 }
 
-func (c Config) shape() (w, h int, err error) {
-	n := c.Procs
-	if n <= 0 {
-		return 0, 0, fmt.Errorf("limitless: config needs Procs > 0")
-	}
-	for w := 1; w*w <= n; w++ {
-		if w*w == n {
-			return w, w, nil
-		}
-	}
-	// Fall back to the most square rectangle.
-	for w := 1; w <= n; w++ {
-		if n%w == 0 && w*w >= n {
-			return w, n / w, nil
-		}
-	}
-	return 1, n, nil
-}
-
 // MaxProcs is the largest machine the packed directory can address: node
 // IDs are stored as 16-bit values, so a configuration may not exceed
 // 65536 processors.
@@ -291,10 +272,10 @@ const MaxProcs = directory.MaxNodes
 
 // build constructs the internal machine.
 func (c Config) build() (*machine.Machine, error) {
-	w, h, err := c.shape()
-	if err != nil {
-		return nil, err
+	if c.Procs <= 0 {
+		return nil, fmt.Errorf("limitless: config needs Procs > 0")
 	}
+	w, h := machine.Shape(c.Procs)
 	for _, f := range []struct {
 		name string
 		v    int64
@@ -569,7 +550,10 @@ func FFT(nprocs, iters int) Workload {
 }
 
 // Synthetic is the worker-set microbenchmark validating the Section 3.1
-// analytic model: every shared variable is read by workerSet processors.
+// analytic model: every shared variable is read by workerSet processors,
+// the ones that follow its owner. workerSet must lie in 1..nprocs-1: a
+// smaller value runs as 1, and a larger one wraps each reader's
+// subscriptions onto repeated variables and its own.
 func Synthetic(nprocs, workerSet int) Workload {
 	return Workload{procs: nprocs, build: func() []proc.Workload {
 		return workload.Synthetic(workload.DefaultSynthetic(nprocs, workerSet))
