@@ -1,18 +1,19 @@
 package limitless_test
 
 // Allocation-regression gate for the one-engine hot path. The
-// zero-alloc work (message arenas, MSHR free lists, hoisted workload
-// continuations), run-scoped buffers (cache pages, message chunks,
-// directory tables and entry chunks, engine buckets, the network's
-// per-node arrays) and pooled per-node objects (controllers, processors,
+// zero-alloc work (messages recycled by the network port once delivered,
+// MSHR free lists, hoisted workload continuations), run-scoped buffers
+// (cache pages, directory tables and entry chunks, engine buckets, the
+// network's per-node arrays and spare messages) and pooled per-node
+// objects (controllers, processors,
 // caches and IPI queues with their packets, all handed back through
 // Machine.Release) brought the benchmark Weather run from ~114k
 // allocations and 3.4 MB per simulation down to ~3.4k and ~123 KB. The
 // lossy Weather run (the benchmark's fault plan, reliable transport
 // armed) allocates the same: its link table and hold buffer come back
 // with the network, its retransmission and duplicate records are pooled,
-// and its duplicated and replayed messages live in the message arenas
-// (~4.7k allocations and ~376 KB before). Most of what is left is the
+// and its duplicated and replayed messages are copies held by value in
+// those records and in the node (~4.7k allocations and ~376 KB before). Most of what is left is the
 // workload generators' per-thread continuations and barrier trees, built
 // afresh for every run. This test pins the steady state so an accidental
 // per-event, per-message or per-trap allocation (each fires hundreds to
@@ -57,8 +58,10 @@ const raceAllocCeiling = 9400
 // three measure ~123 KB, ~94 KB and ~498 KB. An object or buffer that
 // stops being recycled at Machine.Release trips them: a P=64 node's
 // memory controller alone took ~2 KB, a Weather run fills ~0.6 MB of
-// cache pages and over 1 MB of message chunks, and the lossy run's link
-// table and maps took ~110 KB.
+// cache pages, and the lossy run's link table and maps took ~110 KB. A
+// run's messages are the most it has in flight at once (64–69 at P=64
+// and 256 at P=256, against 23.8k–93.8k sent), and they come back with
+// the network as its spare list.
 const (
 	weatherBytesCeiling    = 168_000
 	multigridBytesCeiling  = 131_000

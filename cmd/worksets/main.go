@@ -41,6 +41,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "worksets: -procs %d: need at least 1 processor\n", *procsFlag)
 		os.Exit(2)
 	}
+	if *pointersFlag < 1 {
+		fmt.Fprintf(os.Stderr, "worksets: -pointers %d: need at least 1 hardware pointer\n", *pointersFlag)
+		os.Exit(2)
+	}
 
 	params := coherence.DefaultParams(*procsFlag)
 	params.Scheme = coherence.LimitLESS

@@ -109,10 +109,10 @@ func cacheInvalidate(c *cacheCtx) {
 	value, dirty, present := cc.cache.Invalidate(m.Addr)
 	delete(cc.chainNext, m.Addr)
 	if present && dirty {
-		cc.send(c.src, cc.newMsg(Msg{Type: UPDATE, Addr: m.Addr, Value: value, Next: -1}))
+		cc.send(c.src, Msg{Type: UPDATE, Addr: m.Addr, Value: value, Next: -1})
 		return
 	}
-	cc.send(c.src, cc.newMsg(Msg{Type: ACKC, Addr: m.Addr, Next: -1, Evict: m.Evict}))
+	cc.send(c.src, Msg{Type: ACKC, Addr: m.Addr, Next: -1, Evict: m.Evict})
 }
 
 // cacheBusyRetry re-sends the transaction's request after the bounded
@@ -265,7 +265,7 @@ func (cc *CacheController) chainWalk(addr directory.Addr) {
 	stack := cc.chainNext[addr]
 	if len(stack) == 0 {
 		// Defensive: a walk reached a cache with no recorded position.
-		cc.send(HomeOf(addr), cc.newMsg(Msg{Type: ACKC, Addr: addr, Next: -1}))
+		cc.send(HomeOf(addr), Msg{Type: ACKC, Addr: addr, Next: -1})
 		return
 	}
 	link := stack[0]
@@ -275,9 +275,9 @@ func (cc *CacheController) chainWalk(addr directory.Addr) {
 		cc.chainNext[addr] = stack[1:]
 	}
 	if link.next >= 0 {
-		cc.send(link.next, cc.newMsg(Msg{Type: CINV, Addr: addr, Next: -1, Pos: link.pos - 1}))
+		cc.send(link.next, Msg{Type: CINV, Addr: addr, Next: -1, Pos: link.pos - 1})
 		return
 	}
 	// Tail of the list: acknowledge to the home.
-	cc.send(HomeOf(addr), cc.newMsg(Msg{Type: ACKC, Addr: addr, Next: -1}))
+	cc.send(HomeOf(addr), Msg{Type: ACKC, Addr: addr, Next: -1})
 }

@@ -96,7 +96,7 @@ func memDefer(c *memCtx) {
 	if mc.deferred == nil {
 		mc.deferred = make(map[directory.Addr][]deferredPkt)
 	}
-	mc.deferred[c.m.Addr] = append(q, deferredPkt{c.src, c.m})
+	mc.deferred[c.m.Addr] = append(q, deferredPkt{c.src, *c.m})
 }
 
 // memTrap hands the packet to the software handler through the IPI queue

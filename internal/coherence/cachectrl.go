@@ -98,7 +98,7 @@ func (m MissStats) AvgRemoteLatency() float64 {
 // at most one per block per cache.
 type txn struct {
 	req    Request
-	msg    *Msg
+	msg    Msg // the request, sent afresh on each (re)send
 	issued sim.Time
 	queued []Request
 	// retries counts consecutive BUSY responses; it drives the bounded
@@ -149,7 +149,6 @@ type CacheController struct {
 	compH     completionHandler
 	freeComps []*completion
 	freeTxns  []*txn
-	arena     msgArena
 
 	// tbl is the scheme's cache-side transition table. sharedUncached
 	// caches SchemeInfo.SharedUncached (the private-only baseline routes
@@ -347,23 +346,18 @@ func (cc *CacheController) protocolBug(context string, src mesh.NodeID, m *Msg) 
 		cc.id, context, m.Type, src, m.Addr))
 }
 
-func (cc *CacheController) send(dst mesh.NodeID, m *Msg) {
+// send injects a protocol message from this node.
+func (cc *CacheController) send(dst mesh.NodeID, m Msg) {
 	cc.stats.Sent[m.Type]++
-	cc.nw.SendFrom(cc.id, dst, m.Flits(), m)
+	sendMsg(cc.nw, cc.id, dst, &m)
 }
 
-// newMsg builds an outgoing message in the controller's bump arena.
-func (cc *CacheController) newMsg(m Msg) *Msg { return cc.arena.newMsg(m) }
-
-// Recycle returns the controller's message chunks to their pool, empties
-// the buffers it keeps, and hands the controller itself to the pool
-// NewCacheController draws on. Every message the controller sent is
-// invalid afterwards, so it may only be called once nothing of the run is
-// reachable any more (Machine.Release), and only once: a controller pooled
-// twice would serve two machines. Transactions still outstanding are
-// dropped with the run.
+// Recycle empties the buffers the controller keeps and hands it to the
+// pool NewCacheController draws on. It may only be called once nothing of
+// the run is reachable any more (Machine.Release), and only once: a
+// controller pooled twice would serve two machines. Transactions still
+// outstanding are dropped with the run.
 func (cc *CacheController) Recycle() {
-	cc.arena.recycle()
 	clear(cc.txns)
 	clear(cc.chainNext)
 	clear(cc.updateMode)
@@ -478,9 +472,9 @@ func (cc *CacheController) accessMiss(req Request) Outcome {
 	}
 	t := cc.newTxn(req)
 	if req.Op == Load {
-		t.msg = cc.newMsg(Msg{Type: RREQ, Addr: req.Addr, Next: -1})
+		t.msg = Msg{Type: RREQ, Addr: req.Addr, Next: -1}
 	} else {
-		t.msg = cc.newMsg(Msg{Type: WREQ, Addr: req.Addr, Next: -1})
+		t.msg = Msg{Type: WREQ, Addr: req.Addr, Next: -1}
 	}
 	cc.txns = append(cc.txns, txnEntry{req.Addr, t})
 	cc.eng.AfterHandler(CacheHit, &cc.sendH, t)
@@ -495,9 +489,9 @@ func (cc *CacheController) uncached(req Request) Outcome {
 	}
 	t := cc.newTxn(req)
 	if req.Op == Load {
-		t.msg = cc.newMsg(Msg{Type: URREQ, Addr: req.Addr, Next: -1})
+		t.msg = Msg{Type: URREQ, Addr: req.Addr, Next: -1}
 	} else {
-		t.msg = cc.newMsg(Msg{Type: UWREQ, Addr: req.Addr, Value: req.Value, Next: -1, Modify: req.Modify})
+		t.msg = Msg{Type: UWREQ, Addr: req.Addr, Value: req.Value, Next: -1, Modify: req.Modify}
 	}
 	cc.txns = append(cc.txns, txnEntry{req.Addr, t})
 	cc.miss.UncachedTrips++
@@ -552,7 +546,7 @@ func (cc *CacheController) finish(addr directory.Addr, value uint64) {
 	}
 	t.queued = t.queued[:0]
 	t.req = Request{}
-	t.msg = nil
+	t.msg = Msg{}
 	t.retries = 0
 	t.walkParked = false
 	cc.freeTxns = append(cc.freeTxns, t)
@@ -565,7 +559,7 @@ func (cc *CacheController) finish(addr directory.Addr, value uint64) {
 func (cc *CacheController) fill(addr directory.Addr, st cache.LineState, value uint64) {
 	victim, displaced := cc.cache.Fill(addr, st, value)
 	if displaced && victim.State == cache.ReadWrite {
-		cc.send(HomeOf(victim.Addr), cc.newMsg(Msg{Type: REPM, Addr: victim.Addr, Value: victim.Value, Next: -1}))
+		cc.send(HomeOf(victim.Addr), Msg{Type: REPM, Addr: victim.Addr, Value: victim.Value, Next: -1})
 	}
 }
 

@@ -197,7 +197,9 @@ func TestChainedWalkWaitsForInFlightRDATA(t *testing.T) {
 			const late = 3                                     // the reader whose RDATA is held back
 			tc.before(r)
 
-			// Hold node 3's RDATA in the network's hands until the walk arrives.
+			// Hold node 3's RDATA in the network's hands until the walk
+			// arrives. The network recycles the payload once the handler
+			// returns, so the held RDATA is a copy.
 			var heldSrc mesh.NodeID
 			var held *coherence.Msg
 			cinvs := 0
@@ -206,7 +208,8 @@ func TestChainedWalkWaitsForInFlightRDATA(t *testing.T) {
 				m := pkt.Payload.(*coherence.Msg)
 				switch {
 				case m.Type == coherence.RDATA && m.Addr == blk && held == nil && heldSrc == 0:
-					heldSrc, held = pkt.Src, m
+					c := *m
+					heldSrc, held = pkt.Src, &c
 				case m.Type.ToMemory():
 					n3.mc.Handle(pkt.Src, m)
 				default:

@@ -90,9 +90,10 @@ func (p Params) newDir() *directory.Store {
 	return directory.NewStore(directory.NewSpace(p.Nodes, p.Storage), p.setMax())
 }
 
+// deferredPkt is one packet held behind the Trans-In-Progress interlock.
 type deferredPkt struct {
 	src mesh.NodeID
-	msg *Msg
+	msg Msg
 }
 
 // MemoryController is the memory side of one node: the directory for every
@@ -122,7 +123,10 @@ type MemoryController struct {
 	// closure; the (src, msg) pair rides in a pooled procArg.
 	procH    processHandler
 	freeArgs []*procArg
-	arena    msgArena
+
+	// decoded is the message Decode unpacked last, valid until the next
+	// Decode.
+	decoded Msg
 
 	// Reusable sharer-walk buffers. shBuf backs the dispatch context's
 	// memoized sharer list (valid for one dispatch; dispatch never nests),
@@ -151,24 +155,23 @@ type MemoryController struct {
 	spin mesh.Waker
 }
 
-// procArg carries one in-flight message through the controller-occupancy
-// delay between Handle and process.
+// procArg carries one message through the controller-occupancy delay
+// between Handle and process.
 type procArg struct {
 	src mesh.NodeID
-	msg *Msg
+	msg Msg
 }
 
 type processHandler struct{ mc *MemoryController }
 
 func (h *processHandler) OnEvent(arg any) {
-	if w := h.mc.spin; w != nil {
-		w.Wake(h.mc.eng.Now() - 1)
+	mc := h.mc
+	if w := mc.spin; w != nil {
+		w.Wake(mc.eng.Now() - 1)
 	}
 	a := arg.(*procArg)
-	src, m := a.src, a.msg
-	a.msg = nil
-	h.mc.freeArgs = append(h.mc.freeArgs, a)
-	h.mc.process(src, m)
+	mc.process(a.src, &a.msg)
+	mc.freeArgs = append(mc.freeArgs, a)
 }
 
 // mcPool recycles memory controllers across machines: Recycle hands one
@@ -258,46 +261,41 @@ func (mc *MemoryController) entry(addr directory.Addr) *directory.Entry {
 	return e
 }
 
-// Send copies a protocol message into the controller's message arena and
-// injects it from this node. It is used both by the hardware controller
-// and — through the IPI output interface — by the LimitLESS software
-// handler.
+// Send injects a protocol message from this node. It is used both by the
+// hardware controller and — through the IPI output interface — by the
+// LimitLESS software handler.
 func (mc *MemoryController) Send(dst mesh.NodeID, m Msg) {
 	mc.stats.Sent[m.Type]++
 	if m.Type == INV || m.Type == CINV {
 		mc.stats.InvalidationsSent++
 	}
-	mc.nw.SendFrom(mc.id, dst, m.Flits(), mc.arena.newMsg(m))
+	sendMsg(mc.nw, mc.id, dst, &m)
 }
 
 // Decode unpacks a packet from the IPI input queue into the controller's
-// message arena, where the message stays valid until the machine is
-// released — after the handler that decoded it, and after the packet
-// itself, has been recycled.
+// decode buffer. The message stays valid until the next Decode: a handler
+// decodes once per trap, and handlers never nest.
 func (mc *MemoryController) Decode(p *ipi.Packet) (mesh.NodeID, *Msg) {
-	src, m := DecodeIPI(p)
-	return src, mc.arena.newMsg(m)
+	var src mesh.NodeID
+	src, mc.decoded = DecodeIPI(p)
+	return src, &mc.decoded
 }
 
-// DupOf copies m into the controller's message arena marked as a duplicate
-// delivery (Msg.Dup), for a re-delivery of a message the node has already
-// received. Like Decode's message, the copy stays valid until the machine
-// is released, however long the controllers keep it.
-func (mc *MemoryController) DupOf(m *Msg) *Msg {
-	c := mc.arena.newMsg(*m)
+// DupOf returns a copy of m marked as a duplicate delivery (Msg.Dup), for a
+// re-delivery of a message the node has already received.
+func DupOf(m *Msg) Msg {
+	c := *m
 	c.Dup = true
 	return c
 }
 
-// Recycle returns the controller's message chunks, directory storage and
-// IPI queue to their pools, empties the buffers it keeps, and hands the
-// controller itself to the pool NewMemoryController draws on. Every
-// message the controller sent and every directory entry it held are
-// invalid afterwards, so it may only be called once nothing of the run is
-// reachable any more (Machine.Release), and only once: a controller pooled
-// twice would serve two machines.
+// Recycle returns the controller's directory storage and IPI queue to
+// their pools, empties the buffers it keeps, and hands the controller
+// itself to the pool NewMemoryController draws on. Every directory entry
+// it held is invalid afterwards, so it may only be called once nothing of
+// the run is reachable any more (Machine.Release), and only once: a
+// controller pooled twice would serve two machines.
 func (mc *MemoryController) Recycle() {
-	mc.arena.recycle()
 	mc.dir.Recycle()
 	mc.ipiq.Recycle()
 	clear(mc.deferred)
@@ -323,7 +321,8 @@ func (mc *MemoryController) cost(t MsgType) sim.Time {
 
 // Handle accepts a protocol packet delivered by the network for a block
 // homed at this node. Processing is serialized through the controller's
-// occupancy resource and then dispatched to the protocol engine.
+// occupancy resource and then dispatched to the protocol engine. Handle
+// keeps a copy of m, which the caller may reuse once it returns.
 func (mc *MemoryController) Handle(src mesh.NodeID, m *Msg) {
 	cost := mc.cost(m.Type)
 	start := mc.ctrl.Claim(mc.eng.Now(), cost)
@@ -335,7 +334,7 @@ func (mc *MemoryController) Handle(src mesh.NodeID, m *Msg) {
 	} else {
 		a = &procArg{}
 	}
-	a.src, a.msg = src, m
+	a.src, a.msg = src, *m
 	mc.eng.AtHandler(start+cost, &mc.procH, a)
 }
 
@@ -400,11 +399,12 @@ func (mc *MemoryController) Release(addr directory.Addr) {
 	mc.stats.SWHandled++
 	pending := mc.deferred[addr]
 	delete(mc.deferred, addr)
-	for _, d := range pending {
+	for i := range pending {
 		// Account for controller occupancy, but do not let later-arriving
 		// traffic overtake: process now.
+		d := &pending[i]
 		mc.ctrl.Claim(mc.eng.Now(), mc.cost(d.msg.Type))
-		mc.process(d.src, d.msg)
+		mc.process(d.src, &d.msg)
 	}
 	if pending != nil {
 		// Recycle the drained slice. The map entry was deleted before the

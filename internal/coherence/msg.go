@@ -17,7 +17,6 @@ package coherence
 
 import (
 	"fmt"
-	"sync"
 
 	"limitless/internal/directory"
 	"limitless/internal/mesh"
@@ -213,58 +212,14 @@ func (m *Msg) String() string {
 	return fmt.Sprintf("%s addr=%#x val=%d", m.Type, m.Addr, m.Value)
 }
 
-// msgArenaChunk is the bump-arena granularity: messages per chunk.
-const msgArenaChunk = 64
-
-// msgChunk is one arena chunk, linked to the chunk its arena filled before
-// it so recycle can walk every chunk without a side list.
-type msgChunk struct {
-	msgs [msgArenaChunk]Msg
-	prev *msgChunk
-}
-
-// msgChunkPool recycles zeroed chunks across controllers: a released
-// controller's chunks serve the next machine's messages.
-var msgChunkPool sync.Pool
-
-// msgArena bump-allocates protocol messages in chunks. Message lifetimes
-// are unpredictable — deferred queues, transaction records, the IPI input
-// queue and in-flight packets all retain a *Msg past its dispatch — so a
-// single message is never recycled during a run: an exhausted chunk stays
-// linked and its messages stay valid. The arena's chunks are recycled only
-// as a whole, when the controller's machine is released and no message of
-// the run can be reached any more. The win is in allocator pressure: one
-// chunk per msgArenaChunk messages, and no allocation at all once the pool
-// holds a previous run's chunks.
-type msgArena struct {
-	cur  *msgChunk
-	used int // messages handed out from cur
-}
-
-// newMsg copies m into the arena and returns its stable address.
-func (a *msgArena) newMsg(m Msg) *Msg {
-	if a.cur == nil || a.used == msgArenaChunk {
-		c, _ := msgChunkPool.Get().(*msgChunk)
-		if c == nil {
-			c = new(msgChunk)
-		}
-		c.prev = a.cur
-		a.cur, a.used = c, 0
+// sendMsg injects a copy of m from src to dst through port p, in a payload
+// the port hands back once the packet's last delivery returns: a run
+// touches only as many messages as it has in flight.
+func sendMsg(p *mesh.ShardPort, src, dst mesh.NodeID, m *Msg) {
+	pm, ok := p.Spare().(*Msg)
+	if !ok {
+		pm = new(Msg)
 	}
-	p := &a.cur.msgs[a.used]
-	a.used++
-	*p = m
-	return p
-}
-
-// recycle zeroes every chunk and returns it to the pool. The arena is
-// empty afterwards, so a second recycle does nothing.
-func (a *msgArena) recycle() {
-	for c := a.cur; c != nil; {
-		prev := c.prev
-		*c = msgChunk{}
-		msgChunkPool.Put(c)
-		c = prev
-	}
-	a.cur, a.used = nil, 0
+	*pm = *m
+	p.SendFrom(src, dst, pm.Flits(), pm)
 }

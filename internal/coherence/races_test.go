@@ -24,7 +24,7 @@ type naked struct {
 
 type sentMsg struct {
 	dst mesh.NodeID
-	msg *coherence.Msg
+	msg coherence.Msg
 }
 
 // nakedSink services traps immediately.
@@ -51,9 +51,11 @@ func newNaked(t *testing.T, params coherence.Params) *naked {
 	n := &naked{t: t, eng: eng}
 	n.mc = coherence.NewMemoryController(eng, port, 1, params, &nakedSink{n})
 	n.hnd = swdir.New(n.mc)
+	// The recorders keep copies: the network recycles each payload once
+	// its handler returns.
 	record := func(id mesh.NodeID) mesh.Handler {
 		return func(pkt *mesh.Packet) {
-			n.sent = append(n.sent, sentMsg{id, pkt.Payload.(*coherence.Msg)})
+			n.sent = append(n.sent, sentMsg{id, *pkt.Payload.(*coherence.Msg)})
 		}
 	}
 	nw.Register(0, record(0))
@@ -74,7 +76,7 @@ func (n *naked) inject(src mesh.NodeID, m *coherence.Msg) {
 func (n *naked) lastTo(dst mesh.NodeID) *coherence.Msg {
 	for i := len(n.sent) - 1; i >= 0; i-- {
 		if n.sent[i].dst == dst {
-			return n.sent[i].msg
+			return &n.sent[i].msg
 		}
 	}
 	return nil

@@ -29,7 +29,7 @@ func TestRecycledControllersStartEmpty(t *testing.T) {
 	cc.txns = append(cc.txns, txnEntry{addr, &txn{}})
 	cc.chainNext = map[directory.Addr][]chainLink{addr: {{next: 1, pos: 2}}}
 	cc.SetUpdateMode(addr, true)
-	mc.deferred = map[directory.Addr][]deferredPkt{addr: {{src: 1, msg: &Msg{Type: ACKC, Addr: addr}}}}
+	mc.deferred = map[directory.Addr][]deferredPkt{addr: {{src: 1, msg: Msg{Type: ACKC, Addr: addr}}}}
 	cc.Recycle()
 	mc.Recycle()
 

@@ -48,21 +48,21 @@ func table2Rows() []table2Row {
 			state: directory.ReadOnly, ptrs: nil, value: 9,
 			src: i, msg: coherence.RREQ,
 			wantState: directory.ReadOnly, wantPtrs: []mesh.NodeID{i}, wantValue: 9,
-			wantOut: []sentMsg{{i, &coherence.Msg{Type: coherence.RDATA, Value: 9}}},
+			wantOut: []sentMsg{{i, coherence.Msg{Type: coherence.RDATA, Value: 9}}},
 		},
 		{
 			name: "2a: WREQ with P={} grants WDATA", row: "ro-wreq-grant",
 			state: directory.ReadOnly, ptrs: nil, value: 4,
 			src: i, msg: coherence.WREQ,
 			wantState: directory.ReadWrite, wantPtrs: []mesh.NodeID{i}, wantValue: 4,
-			wantOut: []sentMsg{{i, &coherence.Msg{Type: coherence.WDATA, Value: 4}}},
+			wantOut: []sentMsg{{i, coherence.Msg{Type: coherence.WDATA, Value: 4}}},
 		},
 		{
 			name: "2b: WREQ with P={i} grants WDATA", row: "ro-wreq-grant",
 			state: directory.ReadOnly, ptrs: []mesh.NodeID{i}, value: 4,
 			src: i, msg: coherence.WREQ,
 			wantState: directory.ReadWrite, wantPtrs: []mesh.NodeID{i}, wantValue: 4,
-			wantOut: []sentMsg{{i, &coherence.Msg{Type: coherence.WDATA, Value: 4}}},
+			wantOut: []sentMsg{{i, coherence.Msg{Type: coherence.WDATA, Value: 4}}},
 		},
 		{
 			name: "3a: WREQ from outsider invalidates every pointer", row: "ro-wreq-invalidate",
@@ -70,8 +70,8 @@ func table2Rows() []table2Row {
 			src: mesh.NodeID(1), msg: coherence.WREQ, // home's own processor writes
 			wantState: directory.WriteTransaction, wantPtrs: []mesh.NodeID{1}, wantAckCtr: 2, wantValue: 4,
 			wantOut: []sentMsg{
-				{i, &coherence.Msg{Type: coherence.INV}},
-				{j, &coherence.Msg{Type: coherence.INV}},
+				{i, coherence.Msg{Type: coherence.INV}},
+				{j, coherence.Msg{Type: coherence.INV}},
 			},
 		},
 		{
@@ -79,21 +79,21 @@ func table2Rows() []table2Row {
 			state: directory.ReadOnly, ptrs: []mesh.NodeID{i, j}, value: 4,
 			src: i, msg: coherence.WREQ,
 			wantState: directory.WriteTransaction, wantPtrs: []mesh.NodeID{i}, wantAckCtr: 1, wantValue: 4,
-			wantOut: []sentMsg{{j, &coherence.Msg{Type: coherence.INV}}},
+			wantOut: []sentMsg{{j, coherence.Msg{Type: coherence.INV}}},
 		},
 		{
 			name: "4: WREQ in Read-Write invalidates the owner", row: "rw-wreq",
 			state: directory.ReadWrite, ptrs: []mesh.NodeID{i}, value: 4,
 			src: j, msg: coherence.WREQ,
 			wantState: directory.WriteTransaction, wantPtrs: []mesh.NodeID{j}, wantAckCtr: 1, wantValue: 4,
-			wantOut: []sentMsg{{i, &coherence.Msg{Type: coherence.INV}}},
+			wantOut: []sentMsg{{i, coherence.Msg{Type: coherence.INV}}},
 		},
 		{
 			name: "5: RREQ in Read-Write invalidates the owner", row: "rw-rreq",
 			state: directory.ReadWrite, ptrs: []mesh.NodeID{i}, value: 4,
 			src: j, msg: coherence.RREQ,
 			wantState: directory.ReadTransaction, wantPtrs: []mesh.NodeID{j}, wantValue: 4,
-			wantOut: []sentMsg{{i, &coherence.Msg{Type: coherence.INV}}},
+			wantOut: []sentMsg{{i, coherence.Msg{Type: coherence.INV}}},
 		},
 		{
 			name: "6: REPM from the owner empties the directory", row: "rw-repm",
@@ -107,14 +107,14 @@ func table2Rows() []table2Row {
 			state: directory.WriteTransaction, ptrs: []mesh.NodeID{i}, ackCtr: 2, value: 4,
 			src: j, msg: coherence.RREQ,
 			wantState: directory.WriteTransaction, wantPtrs: []mesh.NodeID{i}, wantAckCtr: 2, wantValue: 4,
-			wantOut: []sentMsg{{j, &coherence.Msg{Type: coherence.BUSY}}},
+			wantOut: []sentMsg{{j, coherence.Msg{Type: coherence.BUSY}}},
 		},
 		{
 			name: "7b: WREQ during Write-Transaction bounces BUSY", row: "wt-wreq-busy",
 			state: directory.WriteTransaction, ptrs: []mesh.NodeID{i}, ackCtr: 2, value: 4,
 			src: j, msg: coherence.WREQ,
 			wantState: directory.WriteTransaction, wantPtrs: []mesh.NodeID{i}, wantAckCtr: 2, wantValue: 4,
-			wantOut: []sentMsg{{j, &coherence.Msg{Type: coherence.BUSY}}},
+			wantOut: []sentMsg{{j, coherence.Msg{Type: coherence.BUSY}}},
 		},
 		{
 			name: "7c: ACKC with AckCtr != 1 decrements", row: "wt-ackc",
@@ -135,28 +135,28 @@ func table2Rows() []table2Row {
 			state: directory.WriteTransaction, ptrs: []mesh.NodeID{i}, ackCtr: 1, value: 4,
 			src: j, msg: coherence.ACKC,
 			wantState: directory.ReadWrite, wantPtrs: []mesh.NodeID{i}, wantAckCtr: 0, wantValue: 4,
-			wantOut: []sentMsg{{i, &coherence.Msg{Type: coherence.WDATA, Value: 4}}},
+			wantOut: []sentMsg{{i, coherence.Msg{Type: coherence.WDATA, Value: 4}}},
 		},
 		{
 			name: "8b: UPDATE grants WDATA with the returned data", row: "wt-update",
 			state: directory.WriteTransaction, ptrs: []mesh.NodeID{i}, ackCtr: 1, value: 4,
 			src: j, msg: coherence.UPDATE, val: 30,
 			wantState: directory.ReadWrite, wantPtrs: []mesh.NodeID{i}, wantAckCtr: 0, wantValue: 30,
-			wantOut: []sentMsg{{i, &coherence.Msg{Type: coherence.WDATA, Value: 30}}},
+			wantOut: []sentMsg{{i, coherence.Msg{Type: coherence.WDATA, Value: 30}}},
 		},
 		{
 			name: "9a: RREQ during Read-Transaction bounces BUSY", row: "rt-rreq-busy",
 			state: directory.ReadTransaction, ptrs: []mesh.NodeID{i}, value: 4,
 			src: j, msg: coherence.RREQ,
 			wantState: directory.ReadTransaction, wantPtrs: []mesh.NodeID{i}, wantValue: 4,
-			wantOut: []sentMsg{{j, &coherence.Msg{Type: coherence.BUSY}}},
+			wantOut: []sentMsg{{j, coherence.Msg{Type: coherence.BUSY}}},
 		},
 		{
 			name: "9b: WREQ during Read-Transaction bounces BUSY", row: "rt-wreq-busy",
 			state: directory.ReadTransaction, ptrs: []mesh.NodeID{i}, value: 4,
 			src: j, msg: coherence.WREQ,
 			wantState: directory.ReadTransaction, wantPtrs: []mesh.NodeID{i}, wantValue: 4,
-			wantOut: []sentMsg{{j, &coherence.Msg{Type: coherence.BUSY}}},
+			wantOut: []sentMsg{{j, coherence.Msg{Type: coherence.BUSY}}},
 		},
 		{
 			name: "9c: REPM during Read-Transaction is absorbed", row: "rt-repm-absorb",
@@ -170,7 +170,7 @@ func table2Rows() []table2Row {
 			state: directory.ReadTransaction, ptrs: []mesh.NodeID{i}, value: 4,
 			src: j, msg: coherence.UPDATE, val: 44,
 			wantState: directory.ReadOnly, wantPtrs: []mesh.NodeID{i}, wantValue: 44,
-			wantOut: []sentMsg{{i, &coherence.Msg{Type: coherence.RDATA, Value: 44}}},
+			wantOut: []sentMsg{{i, coherence.Msg{Type: coherence.RDATA, Value: 44}}},
 		},
 	}
 }

@@ -128,6 +128,10 @@ type Machine struct {
 
 	// dupInj counts duplicate deliveries injected at the nodes' ingress.
 	dupInj uint64
+
+	// replay is the Dup-marked copy of a transport replay while it
+	// dispatches; dispatches never nest, so the nodes share one.
+	replay coherence.Msg
 }
 
 // New builds a machine. Processors have no workloads yet; bind them with
@@ -225,10 +229,11 @@ func (n *Node) receive(pkt *mesh.Packet) {
 	}
 	// A transport replay (ack-loss retransmission of a delivered packet)
 	// is dispatched as a Dup-marked copy so the controllers' idempotent
-	// dup suppression absorbs it. The copy matters: the payload pointer
-	// is shared with the original delivery and must never be mutated.
+	// dup suppression absorbs it. The payload is the network's: a handler
+	// reads it and never writes it.
 	if pkt.Replay {
-		n.dispatch(pkt.Src, n.MC.DupOf(msg))
+		n.m.replay = coherence.DupOf(msg)
+		n.dispatch(pkt.Src, &n.m.replay)
 		return
 	}
 	// Duplicate injection happens at ingress: the decision hashes
@@ -243,7 +248,7 @@ func (n *Node) receive(pkt *mesh.Packet) {
 			if d == nil {
 				d = new(dupArrival)
 			}
-			d.n, d.src, d.msg = n, pkt.Src, n.MC.DupOf(msg)
+			d.n, d.src, d.msg = n, pkt.Src, coherence.DupOf(msg)
 			eng.AtHandler(eng.Now()+extra, dupHandler{}, d)
 		}
 	}
@@ -251,14 +256,13 @@ func (n *Node) receive(pkt *mesh.Packet) {
 }
 
 // dupArrival is one injected duplicate on its way to node n's controllers.
-// The records are pooled process-wide: each returns to dupPool as its
-// event fires, so machines share them and a run allocates none once the
-// pool holds a previous run's. Its message is an arena copy, which stays
-// valid after the record is reused, as the controllers that keep it need.
+// The records are pooled process-wide: each returns to dupPool once its
+// event has dispatched the copy it carries, so machines share them and a
+// run allocates none once the pool holds a previous run's.
 type dupArrival struct {
 	n   *Node
 	src mesh.NodeID
-	msg *coherence.Msg
+	msg coherence.Msg
 }
 
 var dupPool sync.Pool
@@ -268,14 +272,15 @@ type dupHandler struct{}
 
 func (dupHandler) OnEvent(arg any) {
 	d := arg.(*dupArrival)
-	n, src, msg := d.n, d.src, d.msg
+	n := d.n
+	n.Proc.Wake(n.m.Eng.Now() - 1)
+	n.dispatch(d.src, &d.msg)
 	*d = dupArrival{}
 	dupPool.Put(d)
-	n.Proc.Wake(n.m.Eng.Now() - 1)
-	n.dispatch(src, msg)
 }
 
 // dispatch hands a protocol message to the controller it is addressed to.
+// Neither keeps msg past the call.
 func (n *Node) dispatch(src mesh.NodeID, msg *coherence.Msg) {
 	if msg.Type.ToMemory() {
 		n.MC.Handle(src, msg)
@@ -368,8 +373,8 @@ func (m *Machine) Diagnostic() *Diagnostic { return m.diag }
 
 // Release hands the machine's run-scoped memory — every node's
 // controllers, processor, cache and IPI queue with the buffers they keep,
-// cache pages, message chunks, directory tables and entry chunks, engine
-// buckets and event free lists, the port's send log and delivery records —
+// cache pages, directory tables and entry chunks, engine buckets and event
+// free lists, the port's send log, delivery records and spare payloads —
 // to process-wide pools, so the next machine built in the process reuses it
 // instead of allocating. It accepts a machine halted in any state: events
 // still queued, spins off the queue, a cycle-limit cut, a watchdog trip or

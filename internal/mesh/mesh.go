@@ -86,7 +86,9 @@ func (s Switching) String() string {
 // Packet is the unit of network transfer. Payload is opaque to the network;
 // the coherence layer stores its protocol message there. Flits is the
 // packet length in flits (the paper's uniform packet format: header word +
-// operands + data words; one word per flit).
+// operands + data words; one word per flit). The network owns the payload
+// from SendFrom until the packet's last delivery returns, then hands it to
+// the next sender through ShardPort.Spare.
 type Packet struct {
 	Src, Dst NodeID
 	Flits    int
@@ -99,10 +101,10 @@ type Packet struct {
 	Replay bool
 }
 
-// Handler receives packets ejected at a node. The packet is only valid for
-// the duration of the call: the network recycles it as soon as the handler
-// returns, so handlers must copy out anything they need (retaining the
-// Payload pointer is fine — the network never touches it after delivery).
+// Handler receives packets ejected at a node. The packet and its payload
+// are only valid for the duration of the call: the network recycles both
+// as soon as the handler returns, so handlers must copy out anything they
+// need, the payload's contents included.
 type Handler func(pkt *Packet)
 
 // The network's fixed timing, in cycles, calibrated with the default
@@ -194,9 +196,9 @@ type Network struct {
 	widthMask  int
 
 	// The link table: one record per (source, destination) link in use,
-	// found through linkIdx (keyed src<<32|dst) once per claim and then
-	// reached by index. It exists only when a fault plan or the reliable
-	// transport is on; a run without a fault plan leaves linkIdx nil.
+	// found through linkIdx (keyed src<<32|dst) once per claimed attempt
+	// and then reached by index. Only the reliable transport uses it, so
+	// EnableTransport arms it and every other run leaves linkIdx nil.
 	linkIdx map[uint64]int32
 	links   []link
 
@@ -222,26 +224,28 @@ type Network struct {
 	mem *portMem
 }
 
-// link is one (source, destination) link's state: the FIFO floor fault
-// delays may not deliver below, and the reliable transport's
-// sender and receiver sequence numbers.
+// link is one (source, destination) link's reliable-transport state: the
+// sender's and the receiver's sequence numbers.
 type link struct {
-	last     sim.Time // last scheduled delivery on the link
-	next     uint64   // sender's next sequence number, assigned in canonical order
-	expected uint64   // receiver's next in-order sequence number
+	next     uint64 // sender's next sequence number, assigned in canonical order
+	expected uint64 // receiver's next in-order sequence number
 }
 
 // delivery carries one in-flight packet from its delivery event to the
 // ejection handler without a per-packet closure; the handler receives a
-// pointer to the embedded packet, and the record returns to the port's free
-// list once the handler is done with it. Sequenced deliveries (kind dSeq)
-// additionally carry the reliable transport's framing: the link's index in
-// the link table, the per-link sequence number and the header checksum the
-// receiver validates.
+// pointer to the embedded packet, and the record and its payload return to
+// the port's free lists once the handler is done with them. Sequenced
+// deliveries (kind dSeq) additionally carry the reliable transport's
+// framing: the link's index in the link table, the per-link sequence
+// number and the header checksum the receiver validates. keep marks an
+// arrival a later attempt of the same packet follows with the same payload
+// (a corrupted arrival's retransmission, an ack-lost arrival's replay), so
+// its release leaves the payload to that attempt.
 type delivery struct {
 	pkt      Packet
 	injected sim.Time
 	kind     uint8 // dPlain or dSeq
+	keep     bool
 	link     int32
 	seq      uint64
 	sum      uint32
@@ -272,9 +276,6 @@ func New(cfg Config) *Network {
 	nw.wakers, m.wakers = reuse(m.wakers, n), nil
 	nw.chans, m.chans = reuse(m.chans, n*numDirs), nil
 	nw.eject, m.eject = reuse(m.eject, n), nil
-	if cfg.Faults != nil {
-		nw.linkTable()
-	}
 	nw.widthShift = -1
 	if w := cfg.Width; w&(w-1) == 0 {
 		nw.widthShift = bits.TrailingZeros(uint(w))
@@ -308,9 +309,6 @@ func reuse[T any](s []T, n int) []T {
 
 // linkTable arms the link table, taking the pooled one when there is one.
 func (nw *Network) linkTable() {
-	if nw.linkIdx != nil {
-		return
-	}
 	m := nw.mem
 	nw.linkIdx, nw.links = m.linkIdx, m.links[:0]
 	m.linkIdx, m.links = nil, nil
@@ -354,8 +352,8 @@ func (nw *Network) Bind(eng *sim.Engine, lookahead sim.Time) *ShardPort {
 	nw.lookahead = lookahead
 	m := nw.mem
 	p := &ShardPort{nw: nw, eng: eng, handlers: nw.handlers, wakers: nw.wakers,
-		log: m.log, freeDels: m.dels, freeRetrans: m.retrans}
-	m.log, m.dels, m.retrans = nil, nil, nil
+		log: m.log, freeDels: m.dels, freeRetrans: m.retrans, spare: m.spare}
+	m.log, m.dels, m.retrans, m.spare = nil, nil, nil, nil
 	p.retransH.p = p
 	if nw.tp != nil {
 		p.xr = newXrecv(m)
@@ -449,11 +447,14 @@ func (nw *Network) route(src, dst NodeID) []int {
 
 // claimPath walks a packet's route for an injection at cycle now, claiming
 // the traversed channels and the destination's ejection port, and returns
-// the delivery cycle and the index of the (src, dst) link's record, or -1
-// when the link table is off. This is the network's entire contention
-// model; every packet between distinct nodes goes through it from
-// FlushWindow.
-func (nw *Network) claimPath(now sim.Time, src, dst NodeID, flits int) (sim.Time, int32) {
+// the delivery cycle. This is the network's entire contention model; every
+// packet between distinct nodes goes through it from FlushWindow.
+//
+// Fault delays never reorder a (src, dst) pair. Every claim to a
+// destination ends on its ejection port, a busy-until resource, so each
+// delivery to it lands after the one claimed before it, whatever delay the
+// packet took on the way; and within a pair, claim order is send order.
+func (nw *Network) claimPath(now sim.Time, src, dst NodeID, flits int) sim.Time {
 	serial := sim.Time(flits) * FlitCycle
 	head := now + InjectLatency
 
@@ -520,23 +521,7 @@ func (nw *Network) claimPath(now sim.Time, src, dst NodeID, flits int) (sim.Time
 
 	// Ejection channel: all packets entering a node serialize here.
 	start := nw.eject[dst].Claim(head, serial)
-	at := start + serial
-
-	// Fault delays must never reorder a (src,dst) pair: the floor keeps
-	// each delivery after the pair's previous one. The ejection claim
-	// above already orders a destination's deliveries by claim order,
-	// which within a pair is send order, so the floor does not move a
-	// delivery under the present contention model.
-	li := int32(-1)
-	if nw.linkIdx != nil {
-		li = nw.linkOf(src, dst)
-		l := &nw.links[li]
-		if at <= l.last {
-			at = l.last + 1
-		}
-		l.last = at
-	}
-	return at, li
+	return start + serial
 }
 
 // MinPacketLatency returns a lower bound on the inject-to-eject latency of
@@ -592,12 +577,13 @@ func (nw *Network) barrierPanic(e *deferredSend, before sim.Time) {
 }
 
 // Recycle hands the network's per-node arrays, the port's send log, free
-// delivery records and retransmission records, and the link table and
-// hold buffer to the pool New draws on, so the next network built in the
-// process reuses them. Sends still logged, packets still in flight and
-// arrivals still held — a run cut off by a cycle limit, a watchdog or an
-// abort — are dropped with the network. The network must not be used
-// afterwards; a second Recycle does nothing.
+// delivery records, retransmission records and spare payloads, and the
+// link table and hold buffer to the pool New draws on, so the next network
+// built in the process reuses them. Sends still logged, packets still in
+// flight and arrivals still held — a run cut off by a cycle limit, a
+// watchdog or an abort — are dropped with the network, their payloads
+// with them. The network must not be used afterwards; a second Recycle
+// does nothing.
 func (nw *Network) Recycle() {
 	m := nw.mem
 	if m == nil {
@@ -619,13 +605,13 @@ func (nw *Network) Recycle() {
 	}
 	if p := nw.port; p != nil {
 		clear(p.log[:cap(p.log)])
-		m.log, m.dels, m.retrans = p.log[:0], p.freeDels, p.freeRetrans
+		m.log, m.dels, m.retrans, m.spare = p.log[:0], p.freeDels, p.freeRetrans, p.spare
 		if xr := p.xr; xr != nil {
 			clear(xr.held)
 			m.held, m.spareHeld = xr.held, xr.spare
 			xr.held, xr.spare = nil, nil
 		}
-		p.log, p.freeDels, p.freeRetrans = nil, nil, nil
+		p.log, p.freeDels, p.freeRetrans, p.spare = nil, nil, nil, nil
 	}
 	nw.handlers, nw.wakers, nw.chans, nw.eject, nw.omega = nil, nil, nil, nil, nil
 	nw.linkIdx, nw.links = nil, nil

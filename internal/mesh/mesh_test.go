@@ -366,34 +366,66 @@ func TestOmegaDeliversEverywhere(t *testing.T) {
 	}
 }
 
-// TestJitterPreservesPairFIFO: the fault plan's delay class, here on every
-// packet, perturbs delivery times but must never reorder a (source,
-// destination) pair.
+// TestJitterPreservesPairFIFO: the fault plan's delay and stall classes
+// perturb delivery times but never reorder a (source, destination) pair,
+// on every topology. One packet leaves per cycle and each hashes to its own
+// delay or stall, so a later packet can reach the destination's ejection
+// port first; it still lands after its predecessor, because the ejection
+// port is claimed in send order within a pair and hands out each claim
+// only after the one before it has finished.
 func TestJitterPreservesPairFIFO(t *testing.T) {
-	eng := sim.New()
-	cfg := DefaultConfig(4, 4)
-	cfg.Faults = fault.New(fault.Config{Seed: 12345, DelayRate: 1, DelayMax: 50})
-	nw := New(cfg)
-	p := onePort(eng, nw)
-	var seq []int
-	nw.Register(15, func(p *Packet) { seq = append(seq, p.Payload.(int)) })
-	// One packet per cycle: each send hashes to its own delay, so without
-	// the floor a later packet with a shorter delay would overtake.
-	for i := 0; i < 20; i++ {
-		i := i
-		eng.At(sim.Time(i), func() { p.SendFrom(0, 15, 2, i) })
+	plans := []struct {
+		name           string
+		fc             fault.Config
+		delays, stalls bool
+	}{
+		{"delay", fault.Config{Seed: 12345, DelayRate: 1, DelayMax: 50}, true, false},
+		{"stall", fault.Config{Seed: 12345, StallRate: 0.5, StallPeriod: 7, StallCycles: 5}, false, true},
+		{"delay-stall", fault.Config{Seed: 99, DelayRate: 1, DelayMax: 50,
+			StallRate: 0.5, StallPeriod: 7, StallCycles: 5}, true, true},
 	}
-	eng.Run()
-	if len(seq) != 20 {
-		t.Fatalf("delivered %d, want 20", len(seq))
+	topologies := []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"wormhole", func(*Config) {}},
+		{"circuit", func(c *Config) { c.Switching = Circuit }},
+		{"ideal", func(c *Config) { c.Topology = Ideal }},
+		{"omega", func(c *Config) { c.Topology = Omega }},
 	}
-	for i := 1; i < len(seq); i++ {
-		if seq[i] < seq[i-1] {
-			t.Fatalf("delays reordered a (src,dst) pair: %v", seq)
+	for _, pl := range plans {
+		for _, topo := range topologies {
+			t.Run(pl.name+"/"+topo.name, func(t *testing.T) {
+				eng := sim.New()
+				cfg := DefaultConfig(4, 4)
+				topo.set(&cfg)
+				cfg.Faults = fault.New(pl.fc)
+				nw := New(cfg)
+				p := onePort(eng, nw)
+				var seq []int
+				nw.Register(15, func(p *Packet) { seq = append(seq, p.Payload.(int)) })
+				for i := 0; i < 20; i++ {
+					i := i
+					eng.At(sim.Time(i), func() { p.SendFrom(0, 15, 2, i) })
+				}
+				eng.Run()
+				if len(seq) != 20 {
+					t.Fatalf("delivered %d, want 20", len(seq))
+				}
+				for i := 1; i < len(seq); i++ {
+					if seq[i] < seq[i-1] {
+						t.Fatalf("faults reordered a (src,dst) pair: %v", seq)
+					}
+				}
+				delays, stalls := nw.FaultCounts()
+				if pl.delays && delays != 20 {
+					t.Fatalf("%d packets delayed, want all 20", delays)
+				}
+				if pl.stalls != (stalls > 0) {
+					t.Fatalf("%d packets stalled under plan %s", stalls, pl.name)
+				}
+			})
 		}
-	}
-	if delays, _ := nw.FaultCounts(); delays != 20 {
-		t.Fatalf("%d packets delayed, want all 20", delays)
 	}
 }
 

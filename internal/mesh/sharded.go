@@ -19,8 +19,8 @@ import (
 // during the send cycle and before any allocated during a later one.
 //
 // The canonical order is what the timing depends on: the channel and
-// ejection resources, the link table, and the FIFO bookkeeping are
-// touched only by the flush, in an order derived from quantities the
+// ejection resources and the transport's link table are touched only by
+// the flush, in an order derived from quantities the
 // model fixes (send cycle, source, program order) rather than from the
 // order in which same-cycle events happened to run.
 //
@@ -92,6 +92,10 @@ type ShardPort struct {
 	freeDels []*delivery
 	inflight int // deliveries scheduled on the engine, not yet ejected
 
+	// spare holds the payloads whose packets have made their last
+	// delivery, for Spare to hand to the next sender.
+	spare []any
+
 	// Reliable transport (see transport.go): the receiver state, the
 	// pending retransmission-timer count, and the pooled attempt records
 	// (allocated by the flush, freed when the timer fires).
@@ -107,7 +111,10 @@ func (p *ShardPort) Stats() Stats { return p.stats }
 // SendFrom injects a packet from node src at the engine's current cycle.
 // Local deliveries are scheduled immediately on the engine; everything else
 // is logged for FlushWindow. The payload reaches the destination's handler;
-// the packet around it is the network's own.
+// the packet around it is the network's own. SendFrom takes ownership of
+// the payload: the sender must not touch it again, and once the packet's
+// last delivery returns (or the receiver discards it) the port puts it on
+// the spare list Spare draws from.
 func (p *ShardPort) SendFrom(src, dst NodeID, flits int, payload any) {
 	if flits <= 0 {
 		panic("mesh: packet with no flits")
@@ -125,6 +132,20 @@ func (p *ShardPort) SendFrom(src, dst NodeID, flits int, payload any) {
 	e := p.logSend(now, src)
 	e.dst, e.flits, e.payload = dst, flits, payload
 	e.seq, e.first, e.attempt, e.kind = 0, 0, 0, xFirst
+}
+
+// Spare returns a payload whose packet has made its last delivery, for
+// the caller to refill and send, or nil when none is spare. It may be of
+// any type a sender has sent through the port.
+func (p *ShardPort) Spare() any {
+	n := len(p.spare)
+	if n == 0 {
+		return nil
+	}
+	pl := p.spare[n-1]
+	p.spare[n-1] = nil
+	p.spare = p.spare[:n-1]
+	return pl
 }
 
 // logSend appends a slot for one non-local attempt sent by src at cycle at
@@ -207,9 +228,9 @@ func (p *ShardPort) OnEvent(arg any) {
 
 // portMem is the run-scoped memory a network and its port hand to the
 // next ones (see Network.Recycle): the per-node arrays, the send log's
-// backing array, the free delivery and retransmission records, and the
-// link table and hold buffer. While a network runs, its wrapper holds only
-// what the network did not take.
+// backing array, the free delivery and retransmission records, the spare
+// payloads, and the link table and hold buffer. While a network runs, its
+// wrapper holds only what the network did not take.
 type portMem struct {
 	handlers            []Handler
 	wakers              []Waker
@@ -218,6 +239,7 @@ type portMem struct {
 	log     sendLog
 	dels    []*delivery
 	retrans []*deferredSend
+	spare   []any
 
 	linkIdx   map[uint64]int32
 	links     []link
@@ -256,12 +278,12 @@ func (nw *Network) FlushWindow(before sim.Time) {
 // violation panics rather than silently corrupting the timing model.
 func (p *ShardPort) claim(e *deferredSend) {
 	nw := p.nw
-	at, li := nw.claimPath(e.at, e.src, e.dst, e.flits)
+	at := nw.claimPath(e.at, e.src, e.dst, e.flits)
 	if at < e.at+nw.lookahead {
 		nw.lookaheadPanic(e, at)
 	}
 	if nw.tp != nil {
-		nw.flushX(e, p, at, li)
+		nw.flushX(e, p, at)
 	} else {
 		p.deliver(p.newDelivery(e.src, e.dst, e.flits, e.payload, e.at), at)
 	}

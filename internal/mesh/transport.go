@@ -237,7 +237,7 @@ func (r *xrecv) receive(s *ShardPort, d *delivery, now sim.Time) {
 	pkt := &d.pkt
 	if d.sum != xsum(pkt.Src, pkt.Dst, pkt.Flits, d.seq) {
 		r.csumDrops++
-		s.discardX(d)
+		s.recycle(d)
 		return
 	}
 	li := d.link
@@ -263,13 +263,17 @@ func (r *xrecv) receive(s *ShardPort, d *delivery, now sim.Time) {
 // hold parks arrival d on link li, whose predecessor was lost and is still
 // being recovered, until the gap fills. A replay of an already-held
 // sequence is discarded (its original always arrives first — per-link
-// deliveries are strictly monotone in claim order).
+// deliveries are strictly monotone in claim order). The replay carries the
+// held arrival's payload, so the held arrival becomes its last delivery and
+// releases it.
 func (r *xrecv) hold(s *ShardPort, d *delivery, li int32) {
 	hl := r.held[li]
 	i := sort.Search(len(hl), func(j int) bool { return hl[j].seq >= d.seq })
 	if i < len(hl) && hl[i].seq == d.seq {
 		r.dupArrivals++
-		s.discardX(d)
+		hl[i].d.keep = false
+		d.keep = true
+		s.recycle(d)
 		return
 	}
 	if hl == nil {
@@ -392,14 +396,17 @@ func (nw *Network) FaultCounts() (delays, stalls uint64) {
 }
 
 // flushX applies the loss verdict to one canonical-order attempt in
-// FlushWindow, claimed on link li: the arrival (if any) is inserted into
-// the engine, carrying the link index to the receiver, and the follow-up
-// attempt (if any) becomes a retransmission timer.
-func (nw *Network) flushX(e *deferredSend, p *ShardPort, at sim.Time, li int32) {
+// FlushWindow, arriving (if it arrives) at cycle at: the arrival is
+// inserted into the engine, carrying its link's index to the receiver, and
+// the follow-up attempt (if any) becomes a retransmission timer. An arrival
+// with a follow-up shares its payload with it, so its release keeps the
+// payload; replays never chain, so a packet's last arrival releases it.
+func (nw *Network) flushX(e *deferredSend, p *ShardPort, at sim.Time) {
+	li := nw.linkOf(e.src, e.dst)
 	v := nw.tp.verdict(e, at, &nw.links[li])
 	if v.deliver {
 		d := p.newDelivery(e.src, e.dst, e.flits, e.payload, e.first)
-		d.kind, d.link, d.seq, d.sum = dSeq, li, e.seq, v.sum
+		d.kind, d.keep, d.link, d.seq, d.sum = dSeq, v.resend, li, e.seq, v.sum
 		p.deliver(d, at)
 	}
 	if v.resend {
@@ -437,7 +444,7 @@ func (h *portRetrans) OnEvent(arg any) {
 
 // finishX releases one delivery to the destination handler, marked as a
 // replay when the transport's receiver identified a duplicate, and then
-// recycles the record.
+// recycles the record and its payload.
 func (p *ShardPort) finishX(d *delivery, now sim.Time, replay bool) {
 	pkt := &d.pkt
 	lat := now - d.injected
@@ -453,15 +460,19 @@ func (p *ShardPort) finishX(d *delivery, now sim.Time, replay bool) {
 	}
 	pkt.Replay = replay
 	h(pkt)
-	pkt.Payload = nil
-	pkt.Replay = false
-	p.freeDels = append(p.freeDels, d)
+	p.recycle(d)
 }
 
-// discardX recycles a delivery the receiver refused (checksum failure or
-// duplicate-of-held) without invoking the handler.
-func (p *ShardPort) discardX(d *delivery) {
+// recycle returns a delivery record to the free list once the handler has
+// returned, or once the receiver refused the arrival (checksum failure or
+// duplicate-of-held) without invoking it. Its payload goes to the spare
+// list, unless a later attempt of the same packet carries it.
+func (p *ShardPort) recycle(d *delivery) {
+	if pl := d.pkt.Payload; pl != nil && !d.keep {
+		p.spare = append(p.spare, pl)
+	}
 	d.pkt.Payload = nil
 	d.pkt.Replay = false
+	d.keep = false
 	p.freeDels = append(p.freeDels, d)
 }

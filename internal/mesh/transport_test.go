@@ -186,3 +186,108 @@ func TestEnableTransportRequiresLoss(t *testing.T) {
 	}()
 	nw.EnableTransport(fault.New(fault.Config{Seed: 1, DelayRate: 0.5}), 4, 0)
 }
+
+// TestTransportPayloadOwnership: the network owns a payload from SendFrom
+// until its packet's last delivery returns, and then hands it back through
+// Spare exactly once. Every node sends distinct pointer payloads, local
+// ones included, and every handler drains Spare as a sender would. A
+// handler must never see a payload Spare has returned, and Spare must
+// never return one before its packet's delivery: either means the port
+// released a payload a later attempt still carried (a corrupted arrival's
+// retransmission, an ack-lost arrival's replay, a held arrival whose
+// replay was discarded). With drops, some replays must meet their
+// original still held, so the duplicate-of-held path runs.
+func TestTransportPayloadOwnership(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		fc   *fault.Config
+	}{
+		{"no-plan", nil},
+		{"drop", &fault.Config{Seed: 11, DropRate: 0.4, RetransMax: 40}},
+		{"corrupt", &fault.Config{Seed: 7, CorruptRate: 0.5, RetransMax: 40}},
+		{"drop-corrupt-delay-stall", &fault.Config{Seed: 5, DropRate: 0.3, CorruptRate: 0.2,
+			DelayRate: 0.3, StallRate: 0.2, RetransMax: 40}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.New()
+			cfg := DefaultConfig(4, 4)
+			if tc.fc != nil {
+				cfg.Faults = fault.New(*tc.fc)
+			}
+			nw := New(cfg)
+			if tc.fc != nil {
+				nw.EnableTransport(cfg.Faults, cfg.MinPacketLatency(2), 0)
+			}
+			p := onePort(eng, nw)
+
+			type token struct {
+				src, dst NodeID
+				n        int
+			}
+			delivered := map[*token]int{} // non-replay deliveries
+			back := map[*token]int{}      // returns through Spare
+			last := map[[2]NodeID]int{}   // per-link order
+			replays := 0
+			drain := func() {
+				for pl := p.Spare(); pl != nil; pl = p.Spare() {
+					tk := pl.(*token)
+					if delivered[tk] == 0 {
+						t.Fatalf("%+v came back from Spare before its delivery", *tk)
+					}
+					if back[tk]++; back[tk] > 1 {
+						t.Fatalf("%+v came back from Spare twice", *tk)
+					}
+				}
+			}
+			for id := NodeID(0); id < 16; id++ {
+				nw.Register(id, func(pkt *Packet) {
+					tk := pkt.Payload.(*token)
+					if back[tk] > 0 {
+						t.Fatalf("%+v reached node %d after Spare returned it", *tk, pkt.Dst)
+					}
+					if pkt.Replay {
+						replays++
+					} else {
+						delivered[tk]++
+						k := [2]NodeID{tk.src, tk.dst}
+						if tk.n <= last[k] {
+							t.Fatalf("%+v delivered after payload %d of its link", *tk, last[k])
+						}
+						last[k] = tk.n
+					}
+					drain()
+				})
+			}
+			const perSrc = 50
+			var sent []*token
+			for i := 1; i <= perSrc; i++ {
+				for src := NodeID(0); src < 16; src++ {
+					tk := &token{src: src, dst: (src*5 + NodeID(i)*7) % 16, n: i}
+					sent = append(sent, tk)
+					eng.At(sim.Time(3*i), func() { p.SendFrom(tk.src, tk.dst, 2, tk) })
+				}
+			}
+			eng.Run()
+			drain()
+
+			for _, tk := range sent {
+				if delivered[tk] != 1 || back[tk] != 1 {
+					t.Fatalf("%+v delivered %d times and came back %d times, want once each",
+						*tk, delivered[tk], back[tk])
+				}
+			}
+			if n := nw.InFlight(); n != 0 {
+				t.Fatalf("%d packets in flight at quiescence", n)
+			}
+			if s := nw.StuckLinks(); len(s) != 0 {
+				t.Fatalf("stuck links: %v", s)
+			}
+			ts := nw.TransportStats()
+			if tc.fc != nil && tc.fc.DropRate > 0 && ts.DupArrivals <= uint64(replays) {
+				t.Fatalf("%d duplicate arrivals, %d of them delivered Replay-marked: no replay met its original held",
+					ts.DupArrivals, replays)
+			}
+			t.Logf("%d payloads; transport %+v; %d replays delivered", len(sent), ts, replays)
+		})
+	}
+}

@@ -38,11 +38,11 @@ type Controller interface {
 	ID() mesh.NodeID
 	Nodes() int
 	Dir() *directory.Store
-	// Decode unpacks a trapped packet into the controller's message arena.
-	// The message stays valid for the rest of the run; the packet does not
-	// outlive the Handle call it was passed to.
+	// Decode unpacks a trapped packet into a message the controller
+	// holds. The message stays valid until the next Decode, so for the
+	// rest of the Handle call; the packet does not outlive that call.
 	Decode(p *ipi.Packet) (mesh.NodeID, *coherence.Msg)
-	// Send copies m into the controller's message arena and launches it.
+	// Send copies m into a network payload and launches it.
 	Send(dst mesh.NodeID, m coherence.Msg)
 	Release(addr directory.Addr)
 }

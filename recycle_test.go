@@ -2,9 +2,9 @@ package limitless_test
 
 // Run-scoped memory is recycled through process-wide pools when a machine
 // is released: every node's controllers, processor, cache and IPI queue,
-// cache pages, message chunks, directory tables and entry chunks, engine
-// buckets and event free lists, the network's per-node arrays, send log,
-// delivery and retransmission records, link table and hold buffer; the
+// cache pages, directory tables and entry chunks, engine buckets and event
+// free lists, the network's per-node arrays, send log, delivery and
+// retransmission records, spare messages, link table and hold buffer; the
 // injected duplicates' records return to their pool as they fire. These
 // tests check that a machine built on recycled memory is
 // indistinguishable from one built on fresh memory, whatever state the
@@ -140,9 +140,9 @@ func TestRecycleAfterDissimilarRuns(t *testing.T) {
 // built from the node components the first Release pooled — while that
 // other machine, cut off mid-run (transactions outstanding, messages in
 // flight, events queued), stays alive and a third machine runs to
-// completion. A second Release that put anything back would hand the live
-// machine's controllers, pages, chunks or tables to the third one, and its
-// run would overwrite the live machine's state.
+// completion. A second Release that put anything back would hand the
+// live machine's controllers, pages, messages or tables to the third one,
+// and its run would overwrite the live machine's state.
 func TestRecycleDoubleRelease(t *testing.T) {
 	build := func(wls []proc.Workload) *machine.Machine {
 		m := machine.New(machine.Config{Width: 4, Height: 4, Contexts: 1, Params: coherence.DefaultParams(16)})
