@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	limitless "limitless"
-	"limitless/internal/machine"
 )
 
 const benchProcs = 64
@@ -155,18 +154,7 @@ func BenchmarkAblationUpdateModeProducerConsumer(b *testing.B) {
 // --- Simulator throughput (engineering metric, not a paper figure) ---
 
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	benchThroughput(b, 0)
-}
-
-// BenchmarkSimulatorThroughputHeap is the same run on the binary-heap
-// oracle scheduler: the wheel-vs-heap gap on a whole simulation, measured
-// on the identical (bit-identical, by construction) workload.
-func BenchmarkSimulatorThroughputHeap(b *testing.B) {
-	benchThroughput(b, machine.OracleHeap)
-}
-
-func benchThroughput(b *testing.B, mask machine.Oracles) {
-	cfg := limitless.WithOracles(limitless.Config{Procs: benchProcs, Scheme: limitless.LimitLESS, Pointers: 4}, mask)
+	cfg := limitless.Config{Procs: benchProcs, Scheme: limitless.LimitLESS, Pointers: 4}
 	var cycles int64
 	var events uint64
 	var last limitless.Result

@@ -31,6 +31,11 @@ var (
 
 func main() {
 	flag.Parse()
+	if *procsFlag < 1 || *procsFlag > limitless.MaxProcs {
+		fmt.Fprintf(os.Stderr, "figures: -procs %d: need 1 to %d processors\n",
+			*procsFlag, limitless.MaxProcs)
+		os.Exit(2)
+	}
 	switch *figFlag {
 	case "all":
 		spec()
@@ -178,16 +183,16 @@ func memory() {
 	fmt.Println("while a line's worker-set actually exceeds the hardware pointers.")
 }
 
-// storage prints the measured simulator-side counterpart of the memory
-// model: bytes per directory entry under the packed inline/arena sharer
-// sets against the boxed pointer-set oracle, from real Weather runs at
-// the paper's machine size and the ROADMAP's P=256 / P=1024 scale
-// points. The packed header is 24 B at every machine size; the boxed
-// cost grows with N (full-map) or stays at the Limited object's ~72 B
-// minimum, which is the Table-2-style argument restated for the
-// simulator's own memory.
+// storage prints the simulator-side counterpart of the memory model:
+// bytes per directory entry under the packed inline/arena sharer sets,
+// measured, against the boxed pointer sets they replaced, computed from
+// the boxed layout for the same Weather runs, at the paper's machine size
+// and the P=256 / P=1024 scale points. The packed header is 24 B at every
+// machine size; the boxed cost grows with N (full-map) or stays near the
+// limited set's 104 B, which is the Table-2-style argument restated for
+// the simulator's own memory.
 func storage() {
-	header("Directory storage — measured bytes/entry, packed vs boxed (Weather)")
+	header("Directory storage — bytes/entry, packed (measured) vs boxed (computed) (Weather)")
 	tb := stats.NewTable("Nodes", "Scheme", "Packed B/entry", "Boxed B/entry", "Reduction")
 	for _, r := range must(experiments.Storage()) {
 		tb.Row(r.Nodes, r.Scheme, fmt.Sprintf("%.1f", r.Packed), fmt.Sprintf("%.1f", r.Boxed),
@@ -195,9 +200,11 @@ func storage() {
 	}
 	fmt.Println(tb)
 	fmt.Println("Packed sets hold up to four 16-bit pointers inline in the 24-byte entry")
-	fmt.Println("header and spill wide worker-sets to words from a per-store arena; the")
-	fmt.Println("boxed oracle allocates a heap object per entry, so its full-map cost")
-	fmt.Println("grows with the machine while the packed header does not.")
+	fmt.Println("header and spill wide worker-sets to words from a per-store arena. The")
+	fmt.Println("boxed column is computed from the boxed layout, not measured: a heap")
+	fmt.Println("object per set (16 B interface + 32 B object + 8 B per bit-vector word")
+	fmt.Println("or pointer), for every entry and every resident software vector, so its")
+	fmt.Println("full-map cost grows with the machine while the packed header does not.")
 }
 
 func model(procs int) {

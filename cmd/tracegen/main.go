@@ -24,6 +24,23 @@ var (
 
 func main() {
 	flag.Parse()
+	// The generator turns threads or phases below 1 into a one-event trace
+	// and reads a negative hot-read count as 0, so a value below its floor
+	// is refused before any file is created.
+	for _, f := range []struct {
+		name     string
+		v, floor int
+		need     string
+	}{
+		{"threads", *threadsFlag, 1, "at least 1 thread"},
+		{"phases", *phasesFlag, 1, "at least 1 phase"},
+		{"hotreads", *hotFlag, 0, "a hot-read count of 0 or more"},
+	} {
+		if f.v < f.floor {
+			fmt.Fprintf(os.Stderr, "tracegen: -%s %d: need %s\n", f.name, f.v, f.need)
+			os.Exit(2)
+		}
+	}
 	cfg := trace.DefaultGen(*threadsFlag)
 	cfg.Phases = *phasesFlag
 	cfg.HotReads = *hotFlag

@@ -1,9 +1,6 @@
 package limitless
 
-import (
-	"limitless/internal/machine"
-	"limitless/internal/proc"
-)
+import "limitless/internal/proc"
 
 // WrapPrograms returns w with every per-processor program passed through
 // wrap when the workload is built, so tests can interpose on the
@@ -18,11 +15,4 @@ func WrapPrograms(w Workload, wrap func(proc.Workload) proc.Workload) Workload {
 		return wls
 	}
 	return w
-}
-
-// WithOracles returns cfg with the reference implementations in mask
-// selected in place of the fast paths.
-func WithOracles(cfg Config, mask machine.Oracles) Config {
-	cfg.oracles = mask
-	return cfg
 }

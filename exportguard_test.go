@@ -16,9 +16,6 @@ import (
 // that only tests call, each with a test that needs it. Keys are
 // "pkg.Func" or "pkg.Type.Method".
 var testOnlyExports = map[string]string{
-	// The unpooled reference the pooled engine is compared against.
-	"sim.Engine.SetPooling": "FuzzSchedulerEquivalence",
-	"sim.Engine.Scheduler":  "TestOraclesReachEveryLayer",
 	// The closure form of AtHandler keeps the engine tests readable.
 	"sim.Engine.At":         "TestEngineRunsEventsInTimeOrder",
 	"cache.Cache.Occupancy": "FuzzCacheEquivalence",

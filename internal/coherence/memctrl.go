@@ -45,11 +45,6 @@ type Params struct {
 	// of this transition that would send a modify grant (MODG), rather
 	// than write data (WDATA)").
 	ModifyGrant bool
-	// Storage selects the sharer-set backend: packed inline sets spilling
-	// to a per-store word arena (the default), or the original boxed
-	// PointerSet implementations kept as a cross-checking oracle. The two
-	// are bit-identical in every cycle count and statistic.
-	Storage directory.StorageMode
 }
 
 // DefaultParams returns the paper's baseline configuration: LimitLESS with
@@ -87,7 +82,7 @@ func (p Params) setMax() int {
 
 // newDir builds the node's directory store on a fresh word arena.
 func (p Params) newDir() *directory.Store {
-	return directory.NewStore(directory.NewSpace(p.Nodes, p.Storage), p.setMax())
+	return directory.NewStore(directory.NewSpace(p.Nodes), p.setMax())
 }
 
 // deferredPkt is one packet held behind the Trans-In-Progress interlock.

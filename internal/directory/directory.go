@@ -12,11 +12,8 @@ package directory
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"sync"
-
-	"limitless/internal/mesh"
 )
 
 // Addr is a block-aligned physical address. The cache layer converts word
@@ -85,227 +82,6 @@ func (m Meta) String() string {
 	}
 }
 
-// PointerSet records which caches hold copies of a block. Implementations
-// differ in capacity: the full-map bit vector never overflows; the limited
-// pointer array refuses to grow past its hardware capacity, which is the
-// event that triggers eviction (Dir_iNB) or a software trap (LimitLESS).
-type PointerSet interface {
-	// Add records node n. It reports false — leaving the set unchanged —
-	// when the set is full and n is not already a member.
-	Add(n mesh.NodeID) bool
-	// Remove deletes n, reporting whether it was present.
-	Remove(n mesh.NodeID) bool
-	// Contains reports membership.
-	Contains(n mesh.NodeID) bool
-	// Len returns the number of recorded pointers.
-	Len() int
-	// Nodes returns the members in ascending order (a fresh slice).
-	Nodes() []mesh.NodeID
-	// NodesInto appends the members in ascending order to out and returns
-	// the extended slice — the allocation-free counterpart of Nodes for
-	// hot paths that own a reusable buffer.
-	NodesInto(out []mesh.NodeID) []mesh.NodeID
-	// Clear empties the set. The LimitLESS trap handler uses this to
-	// "empty the hardware pointers" into its software vector.
-	Clear()
-	// Cap returns the maximum size, or -1 when unbounded.
-	Cap() int
-}
-
-// BitVector is a full-map pointer set: one presence bit per processor,
-// packed into words. Its memory cost is what the paper's O(N²) complaint
-// is about; here it also serves as the software-extended directory the
-// LimitLESS trap handler allocates in local memory.
-type BitVector struct {
-	words []uint64
-	n     int
-	// sp, set when the vector was built by an oracle-mode Space, routes
-	// out-of-range accesses through the installed fault.Recorder as
-	// structured violations instead of panics.
-	sp *Space
-}
-
-// NewBitVector returns an empty bit vector covering nodes [0, n).
-func NewBitVector(n int) *BitVector {
-	return &BitVector{words: make([]uint64, (n+63)/64), n: n}
-}
-
-// check validates n, reporting whether the access may proceed. With a
-// recorder installed (guarded runs) an out-of-range node is recorded as a
-// structured violation and the operation becomes a no-op; without one it
-// panics — a bad node ID in a fault-free deterministic simulation is a
-// protocol bug that must fail loudly.
-func (b *BitVector) check(n mesh.NodeID) bool {
-	if n >= 0 && int(n) < b.n {
-		return true
-	}
-	msg := fmt.Sprintf("node %d outside bit vector of %d", n, b.n)
-	if b.sp != nil && b.sp.violation("directory-range", "", msg) {
-		return false
-	}
-	panic("directory: " + msg)
-}
-
-// Add implements PointerSet; it never overflows.
-func (b *BitVector) Add(n mesh.NodeID) bool {
-	if !b.check(n) {
-		return false
-	}
-	b.words[n/64] |= 1 << (uint(n) % 64)
-	return true
-}
-
-// Remove implements PointerSet.
-func (b *BitVector) Remove(n mesh.NodeID) bool {
-	if !b.check(n) {
-		return false
-	}
-	mask := uint64(1) << (uint(n) % 64)
-	had := b.words[n/64]&mask != 0
-	b.words[n/64] &^= mask
-	return had
-}
-
-// Contains implements PointerSet.
-func (b *BitVector) Contains(n mesh.NodeID) bool {
-	if !b.check(n) {
-		return false
-	}
-	return b.words[n/64]&(1<<(uint(n)%64)) != 0
-}
-
-// Len implements PointerSet.
-func (b *BitVector) Len() int {
-	total := 0
-	for _, w := range b.words {
-		total += bits.OnesCount64(w)
-	}
-	return total
-}
-
-// Nodes implements PointerSet.
-func (b *BitVector) Nodes() []mesh.NodeID {
-	return b.NodesInto(make([]mesh.NodeID, 0, b.Len()))
-}
-
-// NodesInto implements PointerSet. Bit order is ascending already.
-func (b *BitVector) NodesInto(out []mesh.NodeID) []mesh.NodeID {
-	for wi, w := range b.words {
-		for w != 0 {
-			bit := bits.TrailingZeros64(w)
-			out = append(out, mesh.NodeID(wi*64+bit))
-			w &^= 1 << uint(bit)
-		}
-	}
-	return out
-}
-
-// Clear implements PointerSet.
-func (b *BitVector) Clear() {
-	for i := range b.words {
-		b.words[i] = 0
-	}
-}
-
-// Cap implements PointerSet (-1: unbounded up to machine size).
-func (b *BitVector) Cap() int { return -1 }
-
-// Limited is the hardware pointer array of a limited or LimitLESS
-// directory entry: at most cap simultaneous pointers.
-type Limited struct {
-	ptrs []mesh.NodeID
-	max  int
-}
-
-// NewLimited returns an empty pointer array with capacity max (the paper's
-// subscript in Dir_iNB / LimitLESS_i).
-func NewLimited(max int) *Limited {
-	if max < 1 {
-		panic("directory: limited pointer array needs capacity >= 1")
-	}
-	return &Limited{ptrs: make([]mesh.NodeID, 0, max), max: max}
-}
-
-// Add implements PointerSet.
-func (l *Limited) Add(n mesh.NodeID) bool {
-	if l.Contains(n) {
-		return true
-	}
-	if len(l.ptrs) >= l.max {
-		return false
-	}
-	l.ptrs = append(l.ptrs, n)
-	return true
-}
-
-// Remove implements PointerSet.
-func (l *Limited) Remove(n mesh.NodeID) bool {
-	for i, p := range l.ptrs {
-		if p == n {
-			l.ptrs = append(l.ptrs[:i], l.ptrs[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// Contains implements PointerSet.
-func (l *Limited) Contains(n mesh.NodeID) bool {
-	for _, p := range l.ptrs {
-		if p == n {
-			return true
-		}
-	}
-	return false
-}
-
-// Len implements PointerSet.
-func (l *Limited) Len() int { return len(l.ptrs) }
-
-// Nodes implements PointerSet.
-func (l *Limited) Nodes() []mesh.NodeID {
-	return l.NodesInto(make([]mesh.NodeID, 0, len(l.ptrs)))
-}
-
-// NodesInto implements PointerSet. The pointer array is tiny (the i of
-// Dir_iNB, single digits), so insertion sort beats sort.Slice and — unlike
-// it — performs no reflection allocation.
-func (l *Limited) NodesInto(out []mesh.NodeID) []mesh.NodeID {
-	base := len(out)
-	for _, p := range l.ptrs {
-		j := len(out)
-		out = append(out, p)
-		for j > base && out[j-1] > p {
-			out[j] = out[j-1]
-			j--
-		}
-		out[j] = p
-	}
-	return out
-}
-
-// Clear implements PointerSet.
-func (l *Limited) Clear() { l.ptrs = l.ptrs[:0] }
-
-// Cap implements PointerSet.
-func (l *Limited) Cap() int { return l.max }
-
-// Oldest returns the least-recently-added pointer, the FIFO eviction
-// victim. It panics on an empty set.
-func (l *Limited) Oldest() mesh.NodeID {
-	if len(l.ptrs) == 0 {
-		panic("directory: Oldest on empty pointer array")
-	}
-	return l.ptrs[0]
-}
-
-// InOrder returns the pointers in arrival order (oldest first) — the
-// information FIFO eviction policies need, which the sorted Nodes view
-// discards.
-func (l *Limited) InOrder() []mesh.NodeID {
-	return append([]mesh.NodeID(nil), l.ptrs...)
-}
-
 // Entry is one directory entry: protocol state, meta state, the hardware
 // pointer set, the acknowledgment counter used by write transactions, the
 // Local Bit of Section 4.3, and the memory block's data value.
@@ -316,8 +92,8 @@ func (l *Limited) InOrder() []mesh.NodeID {
 type Entry struct {
 	State State
 	Meta  Meta
-	// Ptrs is the hardware sharer set, held inline as a packed value (or
-	// delegating to a boxed PointerSet oracle — see packed.go).
+	// Ptrs is the hardware sharer set, held inline as a packed value (see
+	// packed.go).
 	Ptrs   SharerSet
 	AckCtr int
 	// Local is the Local Bit: a dedicated pointer for the home node's own

@@ -1,11 +1,6 @@
 package directory
 
-import (
-	"testing"
-	"testing/quick"
-
-	"limitless/internal/mesh"
-)
+import "testing"
 
 func TestStateStrings(t *testing.T) {
 	cases := map[State]string{
@@ -37,155 +32,8 @@ func TestMetaStrings(t *testing.T) {
 	}
 }
 
-func TestBitVectorBasics(t *testing.T) {
-	b := NewBitVector(64)
-	if b.Len() != 0 || b.Cap() != -1 {
-		t.Fatalf("fresh vector: len=%d cap=%d", b.Len(), b.Cap())
-	}
-	for _, n := range []mesh.NodeID{0, 13, 63} {
-		if !b.Add(n) {
-			t.Fatalf("Add(%d) overflowed a bit vector", n)
-		}
-	}
-	if b.Len() != 3 {
-		t.Fatalf("len = %d, want 3", b.Len())
-	}
-	if !b.Contains(13) || b.Contains(14) {
-		t.Fatal("membership wrong")
-	}
-	nodes := b.Nodes()
-	want := []mesh.NodeID{0, 13, 63}
-	for i := range want {
-		if nodes[i] != want[i] {
-			t.Fatalf("Nodes() = %v, want %v", nodes, want)
-		}
-	}
-	if !b.Remove(13) {
-		t.Fatal("Remove(13) = false")
-	}
-	if b.Remove(13) {
-		t.Fatal("second Remove(13) = true")
-	}
-	b.Clear()
-	if b.Len() != 0 {
-		t.Fatalf("after Clear len = %d", b.Len())
-	}
-}
-
-func TestBitVectorAddIdempotent(t *testing.T) {
-	b := NewBitVector(8)
-	b.Add(3)
-	b.Add(3)
-	if b.Len() != 1 {
-		t.Fatalf("duplicate Add changed Len to %d", b.Len())
-	}
-}
-
-func TestBitVectorOutOfRangePanics(t *testing.T) {
-	b := NewBitVector(8)
-	for _, n := range []mesh.NodeID{-1, 8, 100} {
-		n := n
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Add(%d) did not panic", n)
-				}
-			}()
-			b.Add(n)
-		}()
-	}
-}
-
-func TestBitVectorSpansWords(t *testing.T) {
-	b := NewBitVector(130)
-	for _, n := range []mesh.NodeID{0, 63, 64, 127, 128, 129} {
-		b.Add(n)
-	}
-	if b.Len() != 6 {
-		t.Fatalf("len = %d, want 6", b.Len())
-	}
-	nodes := b.Nodes()
-	if nodes[len(nodes)-1] != 129 {
-		t.Fatalf("Nodes tail = %v", nodes)
-	}
-}
-
-func TestLimitedCapacity(t *testing.T) {
-	l := NewLimited(4)
-	if l.Cap() != 4 {
-		t.Fatalf("cap = %d", l.Cap())
-	}
-	for n := mesh.NodeID(0); n < 4; n++ {
-		if !l.Add(n) {
-			t.Fatalf("Add(%d) failed below capacity", n)
-		}
-	}
-	if l.Add(9) {
-		t.Fatal("Add beyond capacity succeeded")
-	}
-	if l.Len() != 4 {
-		t.Fatalf("failed Add changed set: len=%d", l.Len())
-	}
-	// Adding an existing member of a full set succeeds (it is a hit).
-	if !l.Add(2) {
-		t.Fatal("Add of existing member reported overflow")
-	}
-	if !l.Remove(2) {
-		t.Fatal("Remove(2) failed")
-	}
-	if !l.Add(9) {
-		t.Fatal("Add after Remove failed")
-	}
-}
-
-func TestLimitedOldestIsFIFO(t *testing.T) {
-	l := NewLimited(3)
-	l.Add(5)
-	l.Add(2)
-	l.Add(8)
-	if l.Oldest() != 5 {
-		t.Fatalf("Oldest = %d, want 5", l.Oldest())
-	}
-	l.Remove(5)
-	if l.Oldest() != 2 {
-		t.Fatalf("Oldest after removal = %d, want 2", l.Oldest())
-	}
-}
-
-func TestLimitedOldestEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Oldest on empty did not panic")
-		}
-	}()
-	NewLimited(2).Oldest()
-}
-
-func TestLimitedNodesSorted(t *testing.T) {
-	l := NewLimited(4)
-	for _, n := range []mesh.NodeID{7, 1, 4} {
-		l.Add(n)
-	}
-	nodes := l.Nodes()
-	want := []mesh.NodeID{1, 4, 7}
-	for i := range want {
-		if nodes[i] != want[i] {
-			t.Fatalf("Nodes = %v, want %v", nodes, want)
-		}
-	}
-}
-
-func TestNewLimitedRejectsZeroCapacity(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewLimited(0) did not panic")
-		}
-	}()
-	NewLimited(0)
-}
-
 func TestEntrySharersCountsLocalBit(t *testing.T) {
-	sp := NewSpace(16, StoragePacked)
+	sp := NewSpace(16)
 	e := &Entry{State: ReadOnly, Ptrs: sp.NewSet(4)}
 	e.Ptrs.Add(1)
 	e.Ptrs.Add(2)
@@ -199,7 +47,7 @@ func TestEntrySharersCountsLocalBit(t *testing.T) {
 }
 
 func TestStoreCreatesUncachedReadOnly(t *testing.T) {
-	s := NewStore(NewSpace(16, StoragePacked), 4)
+	s := NewStore(NewSpace(16), 4)
 	if _, ok := s.Lookup(0x100); ok {
 		t.Fatal("Lookup created an entry")
 	}
@@ -216,7 +64,7 @@ func TestStoreCreatesUncachedReadOnly(t *testing.T) {
 }
 
 func TestStoreForEachOrdered(t *testing.T) {
-	s := NewStore(NewSpace(4, StoragePacked), -1)
+	s := NewStore(NewSpace(4), -1)
 	for _, a := range []Addr{0x30, 0x10, 0x20} {
 		s.Entry(a)
 	}
@@ -230,79 +78,10 @@ func TestStoreForEachOrdered(t *testing.T) {
 	}
 }
 
-// Property: a BitVector behaves exactly like a reference set for any
-// operation sequence.
-func TestBitVectorMatchesReferenceSet(t *testing.T) {
-	type op struct {
-		Kind byte
-		Node uint8
-	}
-	prop := func(ops []op) bool {
-		b := NewBitVector(64)
-		ref := make(map[mesh.NodeID]bool)
-		for _, o := range ops {
-			n := mesh.NodeID(o.Node % 64)
-			switch o.Kind % 3 {
-			case 0:
-				b.Add(n)
-				ref[n] = true
-			case 1:
-				got := b.Remove(n)
-				want := ref[n]
-				delete(ref, n)
-				if got != want {
-					return false
-				}
-			case 2:
-				if b.Contains(n) != ref[n] {
-					return false
-				}
-			}
-		}
-		if b.Len() != len(ref) {
-			return false
-		}
-		for _, n := range b.Nodes() {
-			if !ref[n] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: a Limited set never exceeds capacity, and Add returns false
-// only when full with a non-member.
-func TestLimitedCapacityProperty(t *testing.T) {
-	prop := func(capRaw uint8, nodes []uint8) bool {
-		c := int(capRaw%8) + 1
-		l := NewLimited(c)
-		for _, raw := range nodes {
-			n := mesh.NodeID(raw % 16)
-			member := l.Contains(n)
-			full := l.Len() == c
-			ok := l.Add(n)
-			if ok != (member || !full) {
-				return false
-			}
-			if l.Len() > c {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // The open-addressing store must keep exact map semantics through growth:
 // every entry stays findable, pointers stay stable, and Len tracks count.
 func TestStoreGrowthKeepsEntriesStable(t *testing.T) {
-	s := NewStore(NewSpace(64, StoragePacked), 4)
+	s := NewStore(NewSpace(64), 4)
 	const n = 4096 // forces several doublings past the pre-sized table
 	ptrs := make(map[Addr]*Entry, n)
 	for i := 0; i < n; i++ {
@@ -348,7 +127,7 @@ func TestStoreGrowthKeepsEntriesStable(t *testing.T) {
 // Address zero is a valid block (home 0, index 0) and must not be confused
 // with an empty slot.
 func TestStoreAddrZero(t *testing.T) {
-	s := NewStore(NewSpace(16, StoragePacked), 2)
+	s := NewStore(NewSpace(16), 2)
 	if _, ok := s.Lookup(0); ok {
 		t.Fatal("Lookup(0) on empty store")
 	}
@@ -364,7 +143,7 @@ func TestStoreAddrZero(t *testing.T) {
 }
 
 func BenchmarkStoreEntry(b *testing.B) {
-	s := NewStore(NewSpace(64, StoragePacked), 4)
+	s := NewStore(NewSpace(64), 4)
 	for i := 0; i < 1024; i++ {
 		s.Entry(Addr(uint64(i%64)<<24 | uint64(i)))
 	}

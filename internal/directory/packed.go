@@ -10,12 +10,14 @@ import (
 )
 
 // This file holds the packed sharer-set storage: the simulator-side answer
-// to the paper's own memory argument. The boxed PointerSet implementations
-// (BitVector, Limited) cost an interface header plus a heap object plus a
-// slice per directory entry — at P=1024 the simulator's full-map entry was
-// paying more for Go object overhead than for presence bits, which both
-// defeats the scheme being modelled and blocks scaling the machine past
-// the paper's 64 processors.
+// to the paper's own memory argument. A boxed set — an interface value
+// pointing at a heap object that holds a slice — costs a 16-byte interface
+// header, a 32-byte object and the slice's words per directory entry: at
+// P=1024 a full-map entry paid more for Go object overhead than for
+// presence bits, which both defeats the scheme being modelled and blocks
+// scaling the machine past the paper's 64 processors. The boxed sets were
+// measured against this storage and then deleted (DESIGN.md, Verdicts);
+// experiments.StoragePoint computes their footprint from that layout.
 //
 // A SharerSet is a 24-byte value held inline in Entry. Up to inlineCap
 // node IDs live in a fixed array of 16-bit Nodes (the small-worker-set
@@ -26,11 +28,6 @@ import (
 // arrays wider than the inline capacity. Cleared sets return their words
 // to a size-keyed free list, so write transactions recycle spill storage
 // instead of leaking it.
-//
-// The boxed implementations stay selectable as a cross-checked oracle
-// (StorageBoxed), following the repo's wheel-vs-heap discipline: every
-// scheme must produce bit-identical cycle counts under either backend, and
-// the differential matrix plus fuzz targets assert it.
 
 // Node is the compact node-ID type of the packed directory: a 16-bit
 // hardware pointer, wide enough for the ROADMAP's P=1024 meshes with room
@@ -41,28 +38,17 @@ type Node uint16
 // MaxNodes is the largest machine the 16-bit packed node IDs address.
 const MaxNodes = 1 << 16
 
-// StorageMode selects the sharer-set backend.
+// StorageMode named a sharer-set backend when there were two.
+//
+// Deprecated: packed storage is the only backend. NewSpace still accepts
+// StoragePacked for its last caller, bench/replay.go; once that call drops
+// the argument, the type goes.
 type StorageMode uint8
 
-const (
-	// StoragePacked is the default: inline small-set storage spilling to
-	// per-store arena words.
-	StoragePacked StorageMode = iota
-	// StorageBoxed keeps the original heap-allocated PointerSet
-	// implementations as a cross-checking oracle.
-	StorageBoxed
-)
-
-func (m StorageMode) String() string {
-	switch m {
-	case StoragePacked:
-		return "packed"
-	case StorageBoxed:
-		return "boxed"
-	default:
-		return fmt.Sprintf("StorageMode(%d)", uint8(m))
-	}
-}
+// StoragePacked is the packed backend, the only one.
+//
+// Deprecated: see StorageMode.
+const StoragePacked StorageMode = 0
 
 // Space is a per-store word arena: the backing storage every packed set of
 // one node's directory (hardware entries and software-extended vectors
@@ -73,30 +59,23 @@ func (m StorageMode) String() string {
 // deterministic.
 type Space struct {
 	nodes int
-	mode  StorageMode
 	rec   *fault.Recorder
 
 	words []uint64
 	free  map[int][]uint32 // made on the first release
 	live  int              // words currently attached to live sets
-
-	// Oracle-mode bookkeeping: boxed sets are held here by index so the
-	// SharerSet value stays small and the recorder reaches them.
-	boxed      []PointerSet
-	boxedFree  []uint32
-	boxedBytes int
 }
 
-// NewSpace returns an empty arena for sets over nodes [0, n) using the
-// given backend.
-func NewSpace(n int, mode StorageMode) *Space {
+// NewSpace returns an empty arena for sets over nodes [0, n). The optional
+// StorageMode argument is ignored (see StorageMode).
+func NewSpace(n int, _ ...StorageMode) *Space {
 	if n < 1 {
 		panic("directory: Space needs nodes >= 1")
 	}
 	if n > MaxNodes {
 		panic(fmt.Sprintf("directory: %d nodes exceed the packed node-ID width (max %d)", n, MaxNodes))
 	}
-	return &Space{nodes: n, mode: mode}
+	return &Space{nodes: n}
 }
 
 // Nodes returns the machine size the space's sets cover.
@@ -108,10 +87,9 @@ func (sp *Space) Nodes() int { return sp.nodes }
 // dispatch-path downgrade.
 func (sp *Space) SetRecorder(r *fault.Recorder) { sp.rec = r }
 
-// Bytes returns the resident spill storage: live arena words plus, in
-// oracle mode, the boxed implementations' heap footprint. Per-entry
-// SharerSet headers are not included (see SetHeaderBytes).
-func (sp *Space) Bytes() int { return sp.live*8 + sp.boxedBytes }
+// Bytes returns the resident spill storage: the live arena words.
+// Per-entry SharerSet headers are not included (see SetHeaderBytes).
+func (sp *Space) Bytes() int { return sp.live * 8 }
 
 // violation records (or raises) a set-shape violation.
 func (sp *Space) violation(kind, state, msg string) bool {
@@ -160,31 +138,6 @@ func (sp *Space) NewSet(max int) SharerSet {
 	if max > maxBounded {
 		panic(fmt.Sprintf("directory: pointer capacity %d exceeds the packed limit %d", max, maxBounded))
 	}
-	if sp.mode == StorageBoxed {
-		var ps PointerSet
-		var footprint int
-		if max < 0 {
-			bv := NewBitVector(sp.nodes)
-			bv.sp = sp
-			ps = bv
-			// Interface header + struct (slice header + n) + words.
-			footprint = 16 + 32 + 8*len(bv.words)
-		} else {
-			ps = NewLimited(max)
-			footprint = 16 + 32 + 8*max
-		}
-		var idx uint32
-		if n := len(sp.boxedFree); n > 0 {
-			idx = sp.boxedFree[n-1]
-			sp.boxedFree = sp.boxedFree[:n-1]
-			sp.boxed[idx] = ps
-		} else {
-			idx = uint32(len(sp.boxed))
-			sp.boxed = append(sp.boxed, ps)
-		}
-		sp.boxedBytes += footprint
-		return SharerSet{sp: sp, flags: flagBoxed, max: int16(max), off: idx}
-	}
 	return SharerSet{sp: sp, max: int16(max)}
 }
 
@@ -198,26 +151,27 @@ const (
 	// the int16 field.
 	maxBounded = 1<<15 - 1
 
-	flagBoxed   uint8 = 1 << 0
-	flagSpilled uint8 = 1 << 1
+	flagSpilled uint8 = 1 << 0
 )
 
 // SetHeaderBytes is the per-entry cost of the inline SharerSet value,
 // used by the measured bytes-per-entry accounting.
 var SetHeaderBytes = int(unsafe.Sizeof(SharerSet{}))
 
-// SharerSet records which caches hold copies of a block — the packed
-// replacement for the boxed PointerSet held in every directory entry. The
-// zero value is unusable; sets are built by Space.NewSet (directly or
-// through a Store). Methods mirror the PointerSet interface, plus the
-// FIFO views (Oldest, InOrder) the eviction policies need.
+// SharerSet records which caches hold copies of a block. Its capacity is
+// what distinguishes the protocols: an unbounded full-map set never
+// overflows; a limited pointer array refuses to grow past its hardware
+// capacity, which is the event that triggers eviction (Dir_iNB) or a
+// software trap (LimitLESS). The zero value is unusable; sets are built by
+// Space.NewSet (directly or through a Store). Besides the set operations
+// it offers the FIFO views (Oldest, InOrder) the eviction policies need.
 type SharerSet struct {
 	sp     *Space
 	inline [inlineCap]Node // members in arrival order while unspilled
 	count  uint8           // inline member count (unspilled only)
 	flags  uint8
 	max    int16  // pointer capacity; -1 unbounded
-	off    uint32 // arena word offset (spilled) or boxed index (boxed)
+	off    uint32 // arena word offset (spilled)
 }
 
 // spillWords returns the arena footprint of this set once spilled: a bit
@@ -279,9 +233,6 @@ func (s *SharerSet) Add(n mesh.NodeID) bool {
 	if !s.checkRange(n) {
 		return false
 	}
-	if s.flags&flagBoxed != 0 {
-		return s.sp.boxed[s.off].Add(n)
-	}
 	if s.flags&flagSpilled == 0 {
 		for i := 0; i < int(s.count); i++ {
 			if s.inline[i] == Node(n) {
@@ -322,9 +273,6 @@ func (s *SharerSet) Remove(n mesh.NodeID) bool {
 	if !s.checkRange(n) {
 		return false
 	}
-	if s.flags&flagBoxed != 0 {
-		return s.sp.boxed[s.off].Remove(n)
-	}
 	if s.flags&flagSpilled == 0 {
 		for i := 0; i < int(s.count); i++ {
 			if s.inline[i] == Node(n) {
@@ -360,9 +308,6 @@ func (s *SharerSet) Contains(n mesh.NodeID) bool {
 	if !s.checkRange(n) {
 		return false
 	}
-	if s.flags&flagBoxed != 0 {
-		return s.sp.boxed[s.off].Contains(n)
-	}
 	if s.flags&flagSpilled == 0 {
 		for i := 0; i < int(s.count); i++ {
 			if s.inline[i] == Node(n) {
@@ -385,9 +330,6 @@ func (s *SharerSet) Contains(n mesh.NodeID) bool {
 
 // Len returns the number of recorded pointers.
 func (s *SharerSet) Len() int {
-	if s.flags&flagBoxed != 0 {
-		return s.sp.boxed[s.off].Len()
-	}
 	if s.flags&flagSpilled == 0 {
 		return int(s.count)
 	}
@@ -405,12 +347,6 @@ func (s *SharerSet) Len() int {
 // extended slice — the allocation-free walk the hot paths use, in the
 // compact node type.
 func (s *SharerSet) NodesInto(out []Node) []Node {
-	if s.flags&flagBoxed != 0 {
-		for _, n := range s.sp.boxed[s.off].Nodes() {
-			out = append(out, Node(n))
-		}
-		return out
-	}
 	if s.flags&flagSpilled == 0 {
 		return insertNodes(out, s.inline[:s.count])
 	}
@@ -440,8 +376,7 @@ func (s *SharerSet) NodesInto(out []Node) []Node {
 	return out
 }
 
-// insertNodes appends src to out keeping out[base:] ascending — the same
-// insertion sort the boxed Limited uses, so walk order is bit-identical.
+// insertNodes appends src to out keeping out[base:] ascending.
 func insertNodes(out []Node, src []Node) []Node {
 	base := len(out)
 	for _, p := range src {
@@ -459,9 +394,6 @@ func insertNodes(out []Node, src []Node) []Node {
 // Nodes returns the members in ascending order as full node IDs (a fresh
 // slice; tests and cold paths only).
 func (s *SharerSet) Nodes() []mesh.NodeID {
-	if s.flags&flagBoxed != 0 {
-		return s.sp.boxed[s.off].Nodes()
-	}
 	compact := s.NodesInto(make([]Node, 0, s.Len()))
 	out := make([]mesh.NodeID, len(compact))
 	for i, n := range compact {
@@ -474,10 +406,6 @@ func (s *SharerSet) Nodes() []mesh.NodeID {
 // the space's free list (the "unspill"), so the storage of a wide sharer
 // set is reclaimed the moment a write transaction clears it.
 func (s *SharerSet) Clear() {
-	if s.flags&flagBoxed != 0 {
-		s.sp.boxed[s.off].Clear()
-		return
-	}
 	if s.flags&flagSpilled != 0 {
 		s.sp.release(s.off, s.spillWords())
 		s.flags &^= flagSpilled
@@ -488,9 +416,6 @@ func (s *SharerSet) Clear() {
 
 // Cap returns the hardware pointer capacity, or -1 when unbounded.
 func (s *SharerSet) Cap() int {
-	if s.flags&flagBoxed != 0 {
-		return s.sp.boxed[s.off].Cap()
-	}
 	return int(s.max)
 }
 
@@ -504,15 +429,6 @@ func (s *SharerSet) Oldest() mesh.NodeID {
 			return 0
 		}
 		panic("directory: Oldest on empty pointer array")
-	}
-	if s.flags&flagBoxed != 0 {
-		if lim, ok := s.sp.boxed[s.off].(*Limited); ok {
-			return lim.Oldest()
-		}
-		if s.sp.violation("directory-shape", "", "Oldest on a full-map pointer set") {
-			return 0
-		}
-		panic("directory: Oldest on a full-map pointer set")
 	}
 	if s.flags&flagSpilled == 0 {
 		return mesh.NodeID(s.inline[0])
@@ -530,12 +446,6 @@ func (s *SharerSet) Oldest() mesh.NodeID {
 // information FIFO eviction needs, which the sorted Nodes view discards.
 // Unbounded sets, which never evict, fall back to ascending order.
 func (s *SharerSet) InOrder() []mesh.NodeID {
-	if s.flags&flagBoxed != 0 {
-		if lim, ok := s.sp.boxed[s.off].(*Limited); ok {
-			return lim.InOrder()
-		}
-		return s.sp.boxed[s.off].Nodes()
-	}
 	if s.flags&flagSpilled == 0 {
 		out := make([]mesh.NodeID, s.count)
 		for i := 0; i < int(s.count); i++ {
@@ -554,26 +464,9 @@ func (s *SharerSet) InOrder() []mesh.NodeID {
 	return s.Nodes()
 }
 
-// Release empties the set and returns every resource it holds — spill
-// words or the boxed oracle object — to the space. The software directory
-// calls it when it frees a vector.
+// Release empties the set and returns its spill words to the space. The
+// software directory calls it when it frees a vector.
 func (s *SharerSet) Release() {
-	if s.flags&flagBoxed != 0 {
-		var footprint int
-		switch ps := s.sp.boxed[s.off].(type) {
-		case *BitVector:
-			footprint = 16 + 32 + 8*len(ps.words)
-		case *Limited:
-			footprint = 16 + 32 + 8*ps.max
-		}
-		s.sp.boxedBytes -= footprint
-		s.sp.boxed[s.off] = nil
-		s.sp.boxedFree = append(s.sp.boxedFree, s.off)
-		s.off = 0
-		s.flags &^= flagBoxed
-		s.sp = nil
-		return
-	}
 	s.Clear()
 	s.sp = nil
 }

@@ -1,6 +1,8 @@
 package directory
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -8,7 +10,72 @@ import (
 	"limitless/internal/mesh"
 )
 
-// Property: a packed SharerSet behaves exactly like a reference set for
+// refSet is the reference model of a sharer set: membership in a map,
+// arrival order in a list, and the limited pointer array's capacity rule
+// (Add of a non-member is refused at capacity; a negative max is
+// unbounded).
+type refSet struct {
+	max   int
+	in    map[mesh.NodeID]bool
+	order []mesh.NodeID
+}
+
+func newRefSet(max int) *refSet { return &refSet{max: max, in: map[mesh.NodeID]bool{}} }
+
+func (r *refSet) add(n mesh.NodeID) bool {
+	if r.in[n] {
+		return true
+	}
+	if r.max >= 0 && len(r.order) >= r.max {
+		return false
+	}
+	r.in[n] = true
+	r.order = append(r.order, n)
+	return true
+}
+
+func (r *refSet) remove(n mesh.NodeID) bool {
+	if !r.in[n] {
+		return false
+	}
+	delete(r.in, n)
+	i := slices.Index(r.order, n)
+	r.order = slices.Delete(r.order, i, i+1)
+	return true
+}
+
+func (r *refSet) clear() {
+	clear(r.in)
+	r.order = r.order[:0]
+}
+
+// diff compares s with the reference in every observable — Len, Cap, the
+// ascending Nodes walk and, for bounded sets, arrival order and the FIFO
+// victim — and returns the first difference, or "" when they agree.
+func (r *refSet) diff(s *SharerSet) string {
+	if s.Len() != len(r.order) {
+		return fmt.Sprintf("Len %d, reference %d", s.Len(), len(r.order))
+	}
+	if s.Cap() != r.max {
+		return fmt.Sprintf("Cap %d, reference %d", s.Cap(), r.max)
+	}
+	sorted := slices.Sorted(slices.Values(r.order))
+	if got := s.Nodes(); !slices.Equal(got, sorted) {
+		return fmt.Sprintf("Nodes %v, reference %v", got, sorted)
+	}
+	if r.max < 0 {
+		return "" // full-map spill keeps no arrival order
+	}
+	if got := s.InOrder(); !slices.Equal(got, r.order) {
+		return fmt.Sprintf("InOrder %v, reference %v", got, r.order)
+	}
+	if len(r.order) > 0 && s.Oldest() != r.order[0] {
+		return fmt.Sprintf("Oldest %d, reference %d", s.Oldest(), r.order[0])
+	}
+	return ""
+}
+
+// Property: a packed SharerSet behaves exactly like the reference set for
 // any operation sequence, across the inline/spilled boundary in both
 // directions (Clear unspills, so the sequence add×5 / clear / add×5
 // exercises spill → unspill → re-spill).
@@ -29,72 +96,39 @@ func TestSharerSetMatchesReferenceSet(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			sp := NewSpace(tc.nodes, StoragePacked)
+			sp := NewSpace(tc.nodes)
 			prop := func(ops []op) bool {
 				s := sp.NewSet(tc.max)
 				defer s.Release()
-				ref := make(map[mesh.NodeID]bool)
-				var order []mesh.NodeID // arrival order, for bounded sets
+				ref := newRefSet(tc.max)
 				for _, o := range ops {
 					n := mesh.NodeID(int(o.Node) % tc.nodes)
 					switch o.Kind % 5 {
 					case 0:
-						full := tc.max > 0 && len(ref) >= tc.max
-						ok := s.Add(n)
-						if ref[n] {
-							if !ok {
-								return false
-							}
-						} else if full {
-							if ok {
-								return false
-							}
-						} else {
-							if !ok {
-								return false
-							}
-							ref[n] = true
-							order = append(order, n)
+						if s.Add(n) != ref.add(n) {
+							return false
 						}
 					case 1:
-						got := s.Remove(n)
-						want := ref[n]
-						delete(ref, n)
-						for i, k := range order {
-							if k == n {
-								order = append(order[:i], order[i+1:]...)
-								break
-							}
-						}
-						if got != want {
+						if s.Remove(n) != ref.remove(n) {
 							return false
 						}
 					case 2:
-						if s.Contains(n) != ref[n] {
+						if s.Contains(n) != ref.in[n] {
 							return false
 						}
 					case 3:
-						// FIFO eviction: Oldest must name the earliest
-						// surviving arrival (bounded sets only — full-map
-						// spill discards arrival order).
-						if tc.max > 0 && len(ref) > 0 {
-							if got, want := s.Oldest(), order[0]; got != want {
-								return false
-							}
+						if d := ref.diff(&s); d != "" {
+							t.Log(d)
+							return false
 						}
 					case 4:
 						s.Clear()
-						ref = make(map[mesh.NodeID]bool)
-						order = nil
+						ref.clear()
 					}
 				}
-				if s.Len() != len(ref) {
+				if d := ref.diff(&s); d != "" {
+					t.Log(d)
 					return false
-				}
-				for _, n := range s.Nodes() {
-					if !ref[n] {
-						return false
-					}
 				}
 				return true
 			}
@@ -105,10 +139,10 @@ func TestSharerSetMatchesReferenceSet(t *testing.T) {
 	}
 }
 
-// Nodes must come back ascending — the order the boxed oracle's walks
-// produce — in every representation (inline, lane-spilled, bit-spilled).
+// Nodes must come back ascending in every representation (inline,
+// lane-spilled, bit-spilled), across the 64-bit words of a bit vector.
 func TestSharerSetNodesSorted(t *testing.T) {
-	sp := NewSpace(128, StoragePacked)
+	sp := NewSpace(128)
 	for _, max := range []int{-1, 6} {
 		s := sp.NewSet(max)
 		for _, n := range []mesh.NodeID{77, 3, 120, 41, 9, 55} {
@@ -134,12 +168,19 @@ func TestSharerSetNodesSorted(t *testing.T) {
 		}
 		s.Release()
 	}
+	wide := NewSpace(130).NewSet(-1)
+	for _, n := range []mesh.NodeID{129, 64, 0, 127, 63, 128} {
+		wide.Add(n)
+	}
+	if got := fmt.Sprint(wide.Nodes()); got != "[0 63 64 127 128 129]" {
+		t.Fatalf("three-word bit vector: Nodes() = %s, want [0 63 64 127 128 129]", got)
+	}
 }
 
 // Clear on a spilled set must return its words to the space; Release on a
 // software vector likewise. The arena's live count is the invariant.
 func TestSpaceReclaimsSpillWords(t *testing.T) {
-	sp := NewSpace(1024, StoragePacked)
+	sp := NewSpace(1024)
 	if sp.Bytes() != 0 {
 		t.Fatalf("fresh space measures %d bytes", sp.Bytes())
 	}
@@ -173,109 +214,78 @@ func TestSpaceReclaimsSpillWords(t *testing.T) {
 	}
 }
 
-// TestSpaceFootprintP1024 is the unit-level form of the tentpole's memory
-// claim at the ROADMAP's target machine size: across a population of
-// full-map entries with the paper's worker-set profile (mostly small sets,
-// a spilled tail), packed storage must measure at least 4x smaller than
-// the boxed oracle. An unspilled entry costs the 24-byte header against
-// the boxed 200 B (interface word pair + vector struct + sixteen
-// 64-bit words), so even a quarter of entries spilling leaves margin.
+// TestSpaceFootprintP1024 is the unit-level form of the packed storage's
+// memory claim at the ROADMAP's target machine size: across a population
+// of full-map entries with the paper's worker-set profile (mostly small
+// sets, a spilled tail), packed storage must measure at least 4x smaller
+// than the boxed sets it replaced. Their footprint is computed from the
+// boxed layout: beside the 24-byte header, every entry held a 16-byte
+// interface header, a 32-byte vector object and sixteen 64-bit words, so
+// even a quarter of entries spilling leaves margin.
 func TestSpaceFootprintP1024(t *testing.T) {
 	const nodes = 1024
-	measure := func(mode StorageMode) int {
-		sp := NewSpace(nodes, mode)
-		st := NewStore(sp, -1)
-		for i := 0; i < 1000; i++ {
-			e := st.Entry(Addr(uint64(i%64)<<24 | uint64(i)))
-			sharers := 2
-			if i%10 == 0 {
-				sharers = 12 // the spilled tail: wide worker-sets
-			}
-			for k := 0; k < sharers; k++ {
-				e.Ptrs.Add(mesh.NodeID((i + k*37) % nodes))
-			}
+	st := NewStore(NewSpace(nodes), -1)
+	for i := 0; i < 1000; i++ {
+		e := st.Entry(Addr(uint64(i%64)<<24 | uint64(i)))
+		sharers := 2
+		if i%10 == 0 {
+			sharers = 12 // the spilled tail: wide worker-sets
 		}
-		return st.SetBytes()
+		for k := 0; k < sharers; k++ {
+			e.Ptrs.Add(mesh.NodeID((i + k*37) % nodes))
+		}
 	}
-	packed := measure(StoragePacked)
-	boxed := measure(StorageBoxed)
+	packed := st.SetBytes()
+	boxed := st.Len() * (SetHeaderBytes + 16 + 32 + 8*nodes/64)
 	if ratio := float64(boxed) / float64(packed); ratio < 4 {
 		t.Errorf("P=1024 full-map: boxed %d B / packed %d B = %.2fx, want >= 4x", boxed, packed, ratio)
 	}
 }
 
 // pointerSetOps replays one fuzz-provided op stream against a packed set
-// and the boxed oracle of the same shape, failing on the first divergence
-// in any observable: Add/Remove return values, Contains, Len, Cap, the
-// sorted Nodes view, and (bounded shapes) arrival order and Oldest.
+// and the reference set of the same shape, failing on the first
+// divergence in any observable: Add/Remove return values, Contains, and
+// everything refSet.diff compares.
 func pointerSetOps(t *testing.T, maxB byte, data []byte) {
 	nodes := 64
 	max := -1
 	if maxB%4 != 0 {
 		max = 1 + int(maxB)%9 // 1..9: both inline-only and lane-spilled shapes
 	}
-	psp := NewSpace(nodes, StoragePacked)
-	bsp := NewSpace(nodes, StorageBoxed)
-	p := psp.NewSet(max)
-	b := bsp.NewSet(max)
-
-	check := func(stage string) {
-		if p.Len() != b.Len() {
-			t.Fatalf("%s: Len %d vs %d", stage, p.Len(), b.Len())
-		}
-		if p.Cap() != b.Cap() {
-			t.Fatalf("%s: Cap %d vs %d", stage, p.Cap(), b.Cap())
-		}
-		pn, bn := p.Nodes(), b.Nodes()
-		for i := range pn {
-			if pn[i] != bn[i] {
-				t.Fatalf("%s: Nodes %v vs %v", stage, pn, bn)
-			}
-		}
-		if max > 0 {
-			po, bo := p.InOrder(), b.InOrder()
-			for i := range po {
-				if po[i] != bo[i] {
-					t.Fatalf("%s: InOrder %v vs %v", stage, po, bo)
-				}
-			}
-			if p.Len() > 0 && p.Oldest() != b.Oldest() {
-				t.Fatalf("%s: Oldest %d vs %d", stage, p.Oldest(), b.Oldest())
-			}
-		}
-	}
-
+	sp := NewSpace(nodes)
+	s := sp.NewSet(max)
+	ref := newRefSet(max)
 	for i := 0; i+1 < len(data); i += 2 {
 		n := mesh.NodeID(int(data[i+1]) % nodes)
 		switch data[i] % 4 {
 		case 0:
-			if got, want := p.Add(n), b.Add(n); got != want {
-				t.Fatalf("op %d: Add(%d) %v vs %v", i, n, got, want)
+			if got, want := s.Add(n), ref.add(n); got != want {
+				t.Fatalf("op %d: Add(%d) %v, reference %v", i, n, got, want)
 			}
 		case 1:
-			if got, want := p.Remove(n), b.Remove(n); got != want {
-				t.Fatalf("op %d: Remove(%d) %v vs %v", i, n, got, want)
+			if got, want := s.Remove(n), ref.remove(n); got != want {
+				t.Fatalf("op %d: Remove(%d) %v, reference %v", i, n, got, want)
 			}
 		case 2:
-			if got, want := p.Contains(n), b.Contains(n); got != want {
-				t.Fatalf("op %d: Contains(%d) %v vs %v", i, n, got, want)
+			if got, want := s.Contains(n), ref.in[n]; got != want {
+				t.Fatalf("op %d: Contains(%d) %v, reference %v", i, n, got, want)
 			}
 		case 3:
-			p.Clear()
-			b.Clear()
+			s.Clear()
+			ref.clear()
 		}
-		check("after op")
+		if d := ref.diff(&s); d != "" {
+			t.Fatalf("after op %d: %s", i, d)
+		}
 	}
-	p.Release()
-	b.Release()
-	if psp.Bytes() != 0 {
-		t.Fatalf("packed space leaked %d bytes", psp.Bytes())
+	s.Release()
+	if sp.Bytes() != 0 {
+		t.Fatalf("space leaked %d bytes", sp.Bytes())
 	}
 }
 
-// FuzzPointerSetEquivalence drives packed sets and the boxed oracle with
-// arbitrary op streams over both full-map and bounded shapes — the
-// set-level counterpart of the whole-machine FuzzStorageModeEquivalence.
+// FuzzPointerSetEquivalence drives packed sets and the reference set with
+// arbitrary op streams over both full-map and bounded shapes.
 func FuzzPointerSetEquivalence(f *testing.F) {
 	f.Add(byte(0), []byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 2, 3, 1, 2, 3, 0})
 	f.Add(byte(5), []byte{0, 9, 0, 8, 0, 7, 0, 6, 0, 5, 0, 4, 1, 9, 2, 5})
@@ -288,44 +298,56 @@ func FuzzPointerSetEquivalence(f *testing.F) {
 // Out-of-range node IDs and malformed-shape walks must flow through an
 // installed fault.Recorder as structured violations — the operation
 // becomes a benign no-op — and still panic (a protocol bug, not a modeled
-// fault) when no recorder is present. Covers both storage backends, since
-// the boxed BitVector has its own range check.
+// fault) when no recorder is present.
 func TestSpaceViolationsThroughRecorder(t *testing.T) {
-	for _, mode := range []StorageMode{StoragePacked, StorageBoxed} {
-		t.Run(mode.String(), func(t *testing.T) {
-			sp := NewSpace(16, mode)
-			var rec fault.Recorder
-			sp.SetRecorder(&rec)
+	// The subtest keeps the name of the packed-word storage every set uses.
+	t.Run("packed", func(t *testing.T) {
+		sp := NewSpace(16)
+		var rec fault.Recorder
+		sp.SetRecorder(&rec)
 
-			s := sp.NewSet(4)
-			if s.Add(99) {
-				t.Error("out-of-range Add reported success")
-			}
-			if s.Len() != 0 {
-				t.Errorf("out-of-range Add mutated the set: len %d", s.Len())
-			}
-			s.Oldest() // empty bounded set: shape violation, not a panic
-			if rec.Len() < 2 {
-				t.Fatalf("recorded %d violations, want >= 2 (range + shape)", rec.Len())
-			}
-			kinds := map[string]bool{}
-			for _, v := range rec.Violations() {
-				kinds[v.Kind] = true
-			}
-			if !kinds["directory-range"] || !kinds["directory-shape"] {
-				t.Errorf("violation kinds = %v, want directory-range and directory-shape", kinds)
-			}
+		s := sp.NewSet(4)
+		if s.Add(99) {
+			t.Error("out-of-range Add reported success")
+		}
+		if s.Len() != 0 {
+			t.Errorf("out-of-range Add mutated the set: len %d", s.Len())
+		}
+		s.Oldest() // empty bounded set: shape violation, not a panic
+		if rec.Len() < 2 {
+			t.Fatalf("recorded %d violations, want >= 2 (range + shape)", rec.Len())
+		}
+		kinds := map[string]bool{}
+		for _, v := range rec.Violations() {
+			kinds[v.Kind] = true
+		}
+		if !kinds["directory-range"] || !kinds["directory-shape"] {
+			t.Errorf("violation kinds = %v, want directory-range and directory-shape", kinds)
+		}
 
-			// Without a recorder the same misuse must panic.
-			bare := NewSpace(16, mode).NewSet(4)
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Error("out-of-range Add without a recorder did not panic")
-					}
-				}()
-				bare.Add(99)
-			}()
-		})
+		// Without a recorder the same misuse must panic.
+		bare := NewSpace(16).NewSet(4)
+		mustPanic(t, "out-of-range Add(99) without a recorder", func() { bare.Add(99) })
+		mustPanic(t, "out-of-range Add(-1) without a recorder", func() { bare.Add(-1) })
+		mustPanic(t, "Oldest on an empty set without a recorder", func() { bare.Oldest() })
+	})
+}
+
+// A pointer array needs a capacity of at least one; -1 is the unbounded
+// full-map set, and anything past the int16 field is refused too.
+func TestNewSetRejectsBadCapacity(t *testing.T) {
+	sp := NewSpace(16)
+	for _, max := range []int{0, -2, maxBounded + 1} {
+		mustPanic(t, fmt.Sprintf("NewSet(%d)", max), func() { sp.NewSet(max) })
 	}
+}
+
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	fn()
 }

@@ -11,9 +11,11 @@ import (
 
 	limitless "limitless"
 	"limitless/internal/coherence"
+	"limitless/internal/directory"
 	"limitless/internal/machine"
 	"limitless/internal/mesh"
 	"limitless/internal/protocol"
+	"limitless/internal/swdir"
 	"limitless/internal/workload"
 )
 
@@ -248,19 +250,21 @@ func MemoryModel() []MemoryRow {
 	return rows
 }
 
-// StorageRow is one line of the measured directory-storage comparison:
-// the simulator's own bytes per directory entry under packed sharer sets
-// and under the boxed pointer-set oracle.
+// StorageRow is one line of the directory-storage comparison: the
+// simulator's own bytes per directory entry under packed sharer sets,
+// measured, and under the boxed sets they replaced, computed from the
+// boxed layout for the same run.
 type StorageRow struct {
-	Nodes         int
-	Scheme        string
-	Packed, Boxed float64 // measured bytes per directory entry
+	Nodes  int
+	Scheme string
+	Packed float64 // measured bytes per directory entry
+	Boxed  float64 // computed bytes per directory entry (see StoragePoint)
 }
 
 // Reduction is the boxed footprint over the packed one.
 func (r StorageRow) Reduction() float64 { return r.Boxed / r.Packed }
 
-// Storage measures Weather's directory footprint, packed and boxed, for
+// Storage reports Weather's directory footprint, packed and boxed, for
 // full-map and LimitLESS4 at the paper's machine size and the P=256 and
 // P=1024 scale points.
 func Storage() ([]StorageRow, error) {
@@ -283,9 +287,11 @@ func Storage() ([]StorageRow, error) {
 }
 
 // StoragePoint runs Weather on a machine of procs processors, built as
-// limitless.Run builds it (the most square mesh, default T_s = 50), once
-// with packed and once with boxed sharer sets, and reports both measured
-// footprints.
+// limitless.Run builds it (the most square mesh, default T_s = 50), and
+// reports its measured packed footprint beside the boxed one. The boxed
+// sets are gone from the simulator, so that column is computed: every
+// entry keeps its packed header, plus one boxed hardware set, plus its
+// share of the software vectors resident at the end of the run.
 func StoragePoint(procs int, scheme limitless.Scheme, pointers int) (StorageRow, error) {
 	info, ok := protocol.ByName(string(scheme))
 	if !ok {
@@ -300,17 +306,42 @@ func StoragePoint(procs int, scheme limitless.Scheme, pointers int) (StorageRow,
 	if pointers > 0 {
 		params.Pointers = pointers
 	}
-	bytesPerEntry := func(oracles machine.Oracles) float64 {
-		m := machine.New(machine.Config{Width: w, Height: h, Contexts: 1, Params: params, Oracles: oracles})
-		defer m.Release()
-		for i, w := range workload.Weather(workload.DefaultWeather(procs)) {
-			m.SetWorkload(mesh.NodeID(i), 0, w)
-		}
-		m.Run()
-		return m.DirectoryMemory().MeasuredBytesPerEntry
+	m := machine.New(machine.Config{Width: w, Height: h, Contexts: 1, Params: params})
+	defer m.Release()
+	for i, w := range workload.Weather(workload.DefaultWeather(procs)) {
+		m.SetWorkload(mesh.NodeID(i), 0, w)
 	}
-	return StorageRow{Nodes: procs, Packed: bytesPerEntry(0), Boxed: bytesPerEntry(machine.OracleBoxed)}, nil
+	m.Run()
+	dm := m.DirectoryMemory()
+	row := StorageRow{Nodes: procs, Packed: dm.MeasuredBytesPerEntry}
+	if dm.Entries == 0 {
+		return row, nil
+	}
+	var resident uint64
+	for _, n := range m.Nodes {
+		var st swdir.Stats
+		switch {
+		case n.SW != nil:
+			st = n.SW.Stats()
+		case n.SWFull != nil:
+			st = n.SWFull.Stats()
+		}
+		resident += st.VectorsAllocated - st.VectorsFreed
+	}
+	vector := boxedSetBytes((procs + 63) / 64)
+	hw := vector
+	if !info.FullMapStorage {
+		hw = boxedSetBytes(params.Pointers)
+	}
+	row.Boxed = float64(directory.SetHeaderBytes+hw) + float64(resident)*float64(vector)/float64(dm.Entries)
+	return row, nil
 }
+
+// boxedSetBytes is the footprint of one boxed sharer set holding words
+// 64-bit words (bit-vector words for a full-map set, one per pointer for
+// a limited one): a 16-byte interface header, a 32-byte object of a slice
+// header and a size, and the words.
+func boxedSetBytes(words int) int { return 16 + 32 + 8*words }
 
 // ContextStudy measures block multithreading on the most square machine
 // of procs processors (the shape limitless.Run builds): each node runs two

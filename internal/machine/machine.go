@@ -45,10 +45,6 @@ type Config struct {
 	// Contexts is the number of hardware contexts per processor (SPARCLE
 	// has 4; 1 gives a blocking processor).
 	Contexts int
-	// Oracles selects reference implementations in place of the fast
-	// paths (see DESIGN.md, "Reference configuration"). Every combination
-	// gives bit-identical results; the zero value runs every fast path.
-	Oracles Oracles
 	// Shards is read by nothing: every machine runs on one engine.
 	//
 	// Deprecated: the windowed sharded engine it selected is gone.
@@ -71,22 +67,6 @@ type Config struct {
 	// Diagnostic instead of spinning forever.
 	Watchdog sim.Time
 }
-
-// Oracles is a bitmask of reference implementations, each the slow twin a
-// fast path was built from and is cross-checked against.
-type Oracles uint8
-
-const (
-	// OracleHeap runs the engine on the binary heap instead of the timing
-	// wheel.
-	OracleHeap Oracles = 1 << iota
-	// OracleBoxed keeps directory sharer sets in heap pointer-set objects
-	// instead of packed inline/arena storage.
-	OracleBoxed
-
-	// AllOracles selects every reference implementation at once.
-	AllOracles = OracleHeap | OracleBoxed
-)
 
 // Node is one Alewife processing node.
 type Node struct {
@@ -149,14 +129,6 @@ func New(cfg Config) *Machine {
 	if cfg.Faults != nil && cfg.Params.Timing.RetryBackoffMax == 0 {
 		cfg.Params.Timing.RetryBackoffMax = 256
 	}
-	sched := sim.SchedWheel
-	if cfg.Oracles&OracleHeap != 0 {
-		sched = sim.SchedHeap
-	}
-	if cfg.Oracles&OracleBoxed != 0 {
-		cfg.Params.Storage = directory.StorageBoxed
-	}
-
 	mcfg := mesh.DefaultConfig(cfg.Width, cfg.Height)
 	if cfg.Mesh != nil {
 		mcfg = *cfg.Mesh
@@ -171,7 +143,6 @@ func New(cfg Config) *Machine {
 	// One engine, and one network port that flushes each cycle's sends at
 	// the end of the cycle.
 	m.Eng = sim.New()
-	m.Eng.SetScheduler(sched)
 	m.Net = mesh.New(mcfg)
 	lookahead := mcfg.MinPacketLatency(coherence.MinMsgFlits)
 	m.port = m.Net.Bind(m.Eng, lookahead)

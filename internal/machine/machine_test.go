@@ -454,28 +454,3 @@ func TestDirectoryMemoryAccounting(t *testing.T) {
 		t.Fatalf("software peak = %d bits, want 16 (one vector of 16 bits)", dm.SoftwareVectorBitsPeak)
 	}
 }
-
-// TestOraclesReachEveryLayer checks that each bit of Config.Oracles, alone
-// and with every other, selects the reference implementation in the layer
-// it names and nowhere else, so a differential test over the mask can never
-// pass because a bit reaches nothing.
-func TestOraclesReachEveryLayer(t *testing.T) {
-	masks := []Oracles{0, AllOracles}
-	for bit := OracleHeap; bit&AllOracles != 0; bit <<= 1 {
-		masks = append(masks, bit)
-	}
-	for _, mask := range masks {
-		m := New(Config{Width: 4, Height: 4, Contexts: 1, Params: coherence.DefaultParams(16), Oracles: mask})
-		for i, w := range workload.Weather(workload.DefaultWeather(16)) {
-			m.SetWorkload(mesh.NodeID(i), 0, w)
-		}
-		m.Run()
-		check := func(layer string, selected bool, bit Oracles) {
-			if selected != (mask&bit != 0) {
-				t.Errorf("oracles=%03b: %s oracle selected = %v", mask, layer, selected)
-			}
-		}
-		check("heap scheduler", m.Eng.Scheduler() == sim.SchedHeap, OracleHeap)
-		check("boxed storage", m.DirectoryMemory().Storage == "boxed", OracleBoxed)
-	}
-}

@@ -28,13 +28,10 @@ type DirectoryMemory struct {
 	// line's worker-set exceeds the hardware pointers.
 	SoftwareVectorBitsPeak int
 
-	// Storage names the simulator's own sharer-set representation
-	// ("packed" or "boxed"); the fields below measure it, as distinct
-	// from the modeled hardware cost above.
-	Storage string
-	// MeasuredBytes is the simulator's live directory storage: the
-	// per-entry set headers plus every spill word and boxed set in the
-	// arena, summed over all nodes.
+	// MeasuredBytes is the simulator's own live directory storage, as
+	// distinct from the modeled hardware cost above: the per-entry packed
+	// set headers plus every spill word in the arena, summed over all
+	// nodes.
 	MeasuredBytes int
 	// MeasuredBytesPerEntry is MeasuredBytes / Entries (0 when no entry
 	// was ever touched).
@@ -105,7 +102,6 @@ func (m *Machine) DirectoryMemory() DirectoryMemory {
 		HardwareBitsPerEntry:   per,
 		HardwareBits:           entries * per,
 		SoftwareVectorBitsPeak: swPeak,
-		Storage:                m.cfg.Params.Storage.String(),
 		MeasuredBytes:          measured,
 	}
 	if entries > 0 {

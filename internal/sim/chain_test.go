@@ -47,15 +47,11 @@ func (tk *ticker) SkipChain(at, limit Time) (uint64, Time, Time) {
 	return n, tk.next - tk.every, tk.next
 }
 
-// chainCases runs fn on a fresh engine for each scheduler, with the
-// ticker's closed form off and on.
+// chainCases runs fn on a fresh engine with the ticker's closed form off
+// and on.
 func chainCases(fn func(name string, e *Engine, closed bool)) {
-	for _, kind := range []SchedulerKind{SchedWheel, SchedHeap} {
-		for _, closed := range []bool{false, true} {
-			e := New()
-			e.SetScheduler(kind)
-			fn(fmt.Sprintf("sched=%d/closed=%v", kind, closed), e, closed)
-		}
+	for _, closed := range []bool{false, true} {
+		fn(fmt.Sprintf("closed=%v", closed), New(), closed)
 	}
 }
 

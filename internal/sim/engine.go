@@ -8,12 +8,11 @@
 // counts. Determinism is what lets the test suite assert exact execution
 // times and lets the protocol model checker replay interleavings.
 //
-// The engine is built for throughput: the default scheduler is a timing
-// wheel — a ring of per-cycle buckets sized to the near-future horizon
-// with an overflow tier beyond it — so scheduling and dispatch are O(1),
-// each cycle's bucket drains in one pass, and the clock jumps straight
-// over dead cycles (see wheel.go; a binary-heap scheduler remains
-// selectable as the cross-check oracle). Every event has one life: it is
+// The engine is built for throughput: its queue is a timing wheel — a
+// ring of per-cycle buckets sized to the near-future horizon with an
+// overflow tier beyond it — so scheduling and dispatch are O(1), each
+// cycle's bucket drains in one pass, and the clock jumps straight over
+// dead cycles (see wheel.go). Every event has one life: it is
 // taken from a free list, queued once, fired once and released back to
 // the list, so steady-state scheduling performs no heap allocation, and
 // the closure-free AtHandler path lets hot callers avoid allocating a
@@ -49,8 +48,7 @@ type Handler interface {
 // Event is a unit of scheduled work. The callback runs at the event's
 // deadline with the engine clock already advanced to that deadline. Events
 // are pooled and never leave the engine: the scheduling calls return
-// nothing, and a fired event is released to the free list (see
-// SetPooling).
+// nothing, and a fired event is released to the free list.
 type Event struct {
 	at  Time
 	seq uint64
@@ -60,20 +58,17 @@ type Event struct {
 
 // Engine is a deterministic discrete-event scheduler.
 //
-// The zero value is ready to use (with the timing-wheel scheduler). Engine
-// is not safe for concurrent use; one simulation runs on one goroutine.
-// Run many engines in parallel for parameter sweeps.
+// The zero value is ready to use. Engine is not safe for concurrent use;
+// one simulation runs on one goroutine. Run many engines in parallel for
+// parameter sweeps.
 type Engine struct {
 	now       Time
 	seq       uint64
 	wh        wheel
-	heap      eventHeap
-	useHeap   bool
 	queued    int
 	processed uint64
-	inlined   uint64   // off-queue steps settled (subset of processed)
-	free      []*Event // recycled events; see SetPooling
-	noPool    bool
+	inlined   uint64     // off-queue steps settled (subset of processed)
+	free      []*Event   // recycled events (see release)
 	chains    []*Chain   // chains off the queue (chain.go)
 	mem       *engineMem // the pool wrapper New drew, reused by Recycle
 
@@ -91,10 +86,9 @@ type Engine struct {
 	hookArmed bool
 }
 
-// New returns an engine with the clock at cycle 0, using the timing-wheel
-// scheduler. Call SetScheduler to select the heap fallback. The wheel's
-// buckets and the event free list come from a recycled engine when one is
-// pooled (see Recycle).
+// New returns an engine with the clock at cycle 0. The wheel's buckets and
+// the event free list come from a recycled engine when one is pooled (see
+// Recycle).
 func New() *Engine {
 	e := &Engine{}
 	if m, _ := memPool.Get().(*engineMem); m != nil {
@@ -142,45 +136,15 @@ func (e *Engine) Recycle() {
 	e.wh.buckets, e.free, e.chains, e.mem = nil, nil, nil, nil
 }
 
-// SetScheduler selects the pending-event data structure. Both schedulers
-// fire events in identical (time, sequence) order, so results are
-// bit-identical under either; the heap exists as a cross-check oracle and
-// fallback. Switch only while the queue is empty — migrating pending
-// events between structures is not supported.
-func (e *Engine) SetScheduler(k SchedulerKind) {
-	if e.queued > 0 {
-		panic("sim: SetScheduler with events pending")
-	}
-	e.useHeap = k == SchedHeap
-	if !e.useHeap {
-		e.wh.init()
-	}
-}
-
-// Scheduler returns the active scheduler kind.
-func (e *Engine) Scheduler() SchedulerKind {
-	if e.useHeap {
-		return SchedHeap
-	}
-	return SchedWheel
-}
-
-// SetPooling enables or disables event recycling. Pooling is on by default;
-// disabling it makes every schedule allocate a fresh Event, which is useful
-// only to cross-check that pooling does not perturb results (it must not —
-// event order depends solely on (time, sequence)).
-func (e *Engine) SetPooling(on bool) { e.noPool = !on }
-
 // SetCycleHook installs fn as the engine's end-of-cycle hook. The hook is
 // not an event: it runs only in a cycle that armed it (ArmCycleHook), once,
 // after every event of that cycle — any scheduled into the cycle while it
 // runs too — and before the engine executes anything later, or before a
-// run whose queue has drained returns. Processed does not count it, and
-// the wheel and the heap run it at the same point of the (deadline,
-// sequence) order. The hook may schedule events, and anything it
-// schedules draws its sequence key after every event allocated during the
-// cycle and before any allocated during a later one; this is what lets a
-// one-engine network claim a whole cycle's sends in one canonical batch.
+// run whose queue has drained returns. Processed does not count it. The
+// hook may schedule events, and anything it schedules draws its sequence
+// key after every event allocated during the cycle and before any
+// allocated during a later one; this is what lets a one-engine network
+// claim a whole cycle's sends in one canonical batch.
 func (e *Engine) SetCycleHook(fn func()) { e.hook = fn }
 
 // ArmCycleHook requests one run of the installed end-of-cycle hook at the
@@ -218,24 +182,13 @@ func (e *Engine) Inlined() uint64 { return e.inlined }
 // scan, which is what lets guarded runs skip dead cycles without touching
 // individual events.
 func (e *Engine) NextEventTime() (t Time, ok bool) {
-	t, ok = e.queueNext()
+	t, ok = e.wh.next()
 	for _, c := range e.chains {
 		if !ok || c.at < t {
 			t, ok = c.at, true
 		}
 	}
 	return t, ok
-}
-
-// queueNext returns the deadline of the earliest queued event.
-func (e *Engine) queueNext() (Time, bool) {
-	if e.useHeap {
-		if len(e.heap) == 0 {
-			return 0, false
-		}
-		return e.heap[0].at, true
-	}
-	return e.wh.next()
 }
 
 // allocEvent takes an event from the free list (or the heap allocator) and
@@ -270,15 +223,12 @@ func (e *Engine) nextSeq() uint64 {
 	return s
 }
 
-// enqueue files a stamped event with the active scheduler. An event inside
-// the wheel's horizon, the common case, goes straight into its bucket.
+// enqueue files a stamped event with the wheel. An event inside the
+// wheel's horizon, the common case, goes straight into its bucket.
 func (e *Engine) enqueue(ev *Event) {
-	switch {
-	case e.useHeap:
-		e.heap.push(ev)
-	case ev.at-e.wh.base < wheelSpan:
+	if ev.at-e.wh.base < wheelSpan {
 		e.wh.ringInsert(ev)
-	default:
+	} else {
 		e.wh.schedule(ev)
 	}
 	e.queued++
@@ -289,9 +239,7 @@ func (e *Engine) enqueue(ev *Event) {
 func (e *Engine) release(ev *Event) {
 	ev.h = nil
 	ev.arg = nil
-	if !e.noPool {
-		e.free = append(e.free, ev)
-	}
+	e.free = append(e.free, ev)
 }
 
 // funcHandler runs the func() an event carries as its argument; it is
@@ -343,9 +291,9 @@ func (e *Engine) Run() Time { return e.RunUntil(Forever) }
 // RunUntil executes events with deadlines at or before limit. Events
 // scheduled beyond limit stay queued. It returns the time of the last
 // executed event (or the unchanged clock when nothing ran). The clock never
-// advances past limit. On the wheel, whole per-cycle buckets drain without
-// consulting the queue head between events, and the clock jumps directly to
-// each next non-empty cycle.
+// advances past limit. Whole per-cycle buckets drain without consulting the
+// queue head between events, and the clock jumps directly to each next
+// non-empty cycle.
 //
 // The effective limit is re-read between cycles, so an event callback may
 // lower it mid-run with Abort; the cycle being drained always completes.
@@ -356,33 +304,9 @@ func (e *Engine) RunUntil(limit Time) Time {
 		return e.now
 	}
 	e.runLimit = limit
-	if !e.useHeap {
-		e.runWheel()
-	} else {
-		e.runHeap()
-	}
+	e.runWheel()
 	e.settleChains()
 	return e.now
-}
-
-// runHeap is the heap scheduler's run loop: it fires the heap's earliest
-// event until the next deadline is past the run limit, and runs an armed
-// end-of-cycle hook exactly where runWheel does.
-func (e *Engine) runHeap() {
-	for {
-		next := Forever
-		if len(e.heap) > 0 {
-			next = e.heap[0].at
-		}
-		if e.hookArmed && next > e.now {
-			e.runHook()
-			continue
-		}
-		if len(e.heap) == 0 || next > e.runLimit {
-			return
-		}
-		e.fire(e.heap.pop(), next)
-	}
 }
 
 // Abort permanently stops event execution: the run in progress ends at the

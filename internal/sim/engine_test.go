@@ -44,18 +44,15 @@ func TestEngineTieBreakIsFIFO(t *testing.T) {
 // were scheduled, whatever cycle scheduled them: an event queued at cycle 3
 // for cycle 10 runs after the five queued at cycle 0.
 func TestCycleSeqExecutionOrder(t *testing.T) {
-	for _, kind := range []SchedulerKind{SchedWheel, SchedHeap} {
-		e := New()
-		e.SetScheduler(kind)
-		var got []int
-		for i := 0; i < 5; i++ {
-			e.At(10, func() { got = append(got, i) })
-		}
-		e.At(3, func() { e.At(10, func() { got = append(got, 5) }) })
-		e.Run()
-		if fmt.Sprint(got) != "[0 1 2 3 4 5]" {
-			t.Fatalf("%v: order %v", kind, got)
-		}
+	e := New()
+	var got []int
+	for i := 0; i < 5; i++ {
+		e.At(10, func() { got = append(got, i) })
+	}
+	e.At(3, func() { e.At(10, func() { got = append(got, 5) }) })
+	e.Run()
+	if fmt.Sprint(got) != "[0 1 2 3 4 5]" {
+		t.Fatalf("order %v", got)
 	}
 }
 
@@ -70,34 +67,31 @@ func (f fnHandler) OnEvent(arg any) { f(arg) }
 // then by scheduling order: the order the network's flush relies on for
 // the deliveries it inserts.
 func TestAtHandlerSeqInterleaving(t *testing.T) {
-	for _, kind := range []SchedulerKind{SchedWheel, SchedHeap} {
-		e := New()
-		e.SetScheduler(kind)
-		var got, flush []string
-		mark := func(s string) Handler { return fnHandler(func(any) { got = append(got, s) }) }
-		e.SetCycleHook(func() {
-			for _, s := range flush {
-				e.AtHandler(10, mark(s), nil)
-			}
-			flush = flush[:0]
-		})
-		e.At(0, func() {
-			flush = append(flush, "flush-c0")
-			e.ArmCycleHook()
-			e.AtHandler(10, mark("exec-c0-a"), nil)
-		})
-		e.At(0, func() { e.AtHandler(10, mark("exec-c0-b"), nil) })
-		e.At(4, func() {
-			flush = append(flush, "flush-c4")
-			e.ArmCycleHook()
-		})
-		e.At(4, func() { e.AtHandler(10, mark("exec-c4"), nil) })
-		e.At(5, func() { e.AtHandler(10, mark("exec-c5"), nil) })
-		e.Run()
-		want := "[exec-c0-a exec-c0-b flush-c0 exec-c4 flush-c4 exec-c5]"
-		if fmt.Sprint(got) != want {
-			t.Fatalf("%v: order %v, want %s", kind, got, want)
+	e := New()
+	var got, flush []string
+	mark := func(s string) Handler { return fnHandler(func(any) { got = append(got, s) }) }
+	e.SetCycleHook(func() {
+		for _, s := range flush {
+			e.AtHandler(10, mark(s), nil)
 		}
+		flush = flush[:0]
+	})
+	e.At(0, func() {
+		flush = append(flush, "flush-c0")
+		e.ArmCycleHook()
+		e.AtHandler(10, mark("exec-c0-a"), nil)
+	})
+	e.At(0, func() { e.AtHandler(10, mark("exec-c0-b"), nil) })
+	e.At(4, func() {
+		flush = append(flush, "flush-c4")
+		e.ArmCycleHook()
+	})
+	e.At(4, func() { e.AtHandler(10, mark("exec-c4"), nil) })
+	e.At(5, func() { e.AtHandler(10, mark("exec-c5"), nil) })
+	e.Run()
+	want := "[exec-c0-a exec-c0-b flush-c0 exec-c4 flush-c4 exec-c5]"
+	if fmt.Sprint(got) != want {
+		t.Fatalf("order %v, want %s", got, want)
 	}
 }
 
@@ -320,10 +314,9 @@ func TestForeverIsLaterThanAnything(t *testing.T) {
 // the hook, and the hook schedules an event two cycles out. Cycle 5's event
 // arms it again as the run's last action, so a drained RunUntil must run
 // the hook before it returns.
-func hookTrace(t *testing.T, kind SchedulerKind) ([]string, uint64) {
+func hookTrace(t *testing.T) ([]string, uint64) {
 	t.Helper()
 	e := New()
-	e.SetScheduler(kind)
 	var log []string
 	add := func(s string) { log = append(log, fmt.Sprintf("%s@%d", s, e.Now())) }
 	e.SetCycleHook(func() {
@@ -344,7 +337,7 @@ func hookTrace(t *testing.T, kind SchedulerKind) ([]string, uint64) {
 		e.ArmCycleHook()
 	})
 	if end := e.RunUntil(4); end != 3 {
-		t.Fatalf("%v: RunUntil(4) ended at %d, want 3", kind, end)
+		t.Fatalf("RunUntil(4) ended at %d, want 3", end)
 	}
 	add("paused")
 	e.Run()
@@ -355,19 +348,16 @@ func hookTrace(t *testing.T, kind SchedulerKind) ([]string, uint64) {
 // TestCycleHook: the end-of-cycle hook runs once per armed cycle, after
 // every event of that cycle (including events scheduled into the cycle),
 // before anything later and before a drained run returns. What it
-// schedules runs in the same run, and Processed does not count it. The
-// wheel and the heap run it at the same points.
+// schedules runs in the same run, and Processed does not count it.
 func TestCycleHook(t *testing.T) {
 	want := []string{"a@1", "b@1", "child@1", "hook@1", "fromhook@3",
 		"paused@3", "c@5", "hook@5", "drained@5"}
-	for _, kind := range []SchedulerKind{SchedWheel, SchedHeap} {
-		got, processed := hookTrace(t, kind)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("%v: trace %v, want %v", kind, got, want)
-		}
-		if processed != 5 {
-			t.Errorf("%v: processed %d, want 5 (the hook is not an event)", kind, processed)
-		}
+	got, processed := hookTrace(t)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("trace %v, want %v", got, want)
+	}
+	if processed != 5 {
+		t.Errorf("processed %d, want 5 (the hook is not an event)", processed)
 	}
 }
 
@@ -375,24 +365,21 @@ func TestCycleHook(t *testing.T) {
 // an armed hook once, at the end of its cycle, before the RunUntil whose
 // limit is that cycle returns, and never counts it as an event.
 func TestCycleHookStep(t *testing.T) {
-	for _, kind := range []SchedulerKind{SchedWheel, SchedHeap} {
-		e := New()
-		e.SetScheduler(kind)
-		var log []string
-		e.SetCycleHook(func() { log = append(log, fmt.Sprintf("hook@%d", e.Now())) })
-		e.At(2, func() { log = append(log, "x@2"); e.ArmCycleHook() })
-		e.At(2, func() { log = append(log, "y@2") })
-		e.At(4, func() { log = append(log, "z@4"); e.ArmCycleHook() })
-		for limit := Time(0); limit <= 6; limit++ {
-			e.RunUntil(limit)
-			log = append(log, fmt.Sprintf("|%d", limit))
-		}
-		want := "[|0 |1 x@2 y@2 hook@2 |2 |3 z@4 hook@4 |4 |5 |6]"
-		if got := fmt.Sprint(log); got != want {
-			t.Errorf("%v: stepped trace %s, want %s", kind, got, want)
-		}
-		if e.Processed() != 3 {
-			t.Errorf("%v: processed %d, want 3", kind, e.Processed())
-		}
+	e := New()
+	var log []string
+	e.SetCycleHook(func() { log = append(log, fmt.Sprintf("hook@%d", e.Now())) })
+	e.At(2, func() { log = append(log, "x@2"); e.ArmCycleHook() })
+	e.At(2, func() { log = append(log, "y@2") })
+	e.At(4, func() { log = append(log, "z@4"); e.ArmCycleHook() })
+	for limit := Time(0); limit <= 6; limit++ {
+		e.RunUntil(limit)
+		log = append(log, fmt.Sprintf("|%d", limit))
+	}
+	want := "[|0 |1 x@2 y@2 hook@2 |2 |3 z@4 hook@4 |4 |5 |6]"
+	if got := fmt.Sprint(log); got != want {
+		t.Errorf("stepped trace %s, want %s", got, want)
+	}
+	if e.Processed() != 3 {
+		t.Errorf("processed %d, want 3", e.Processed())
 	}
 }

@@ -115,37 +115,37 @@ func TestAfterHandlerNegativeDelayPanics(t *testing.T) {
 	e.AfterHandler(-1, &recordingHandler{eng: e}, nil)
 }
 
-// Property: pooling must not perturb execution order — the same schedule
-// runs identically with the pool on and off, including events scheduled
+// Property: pooling must not perturb execution order — events fire in
+// the reference's (deadline, scheduling order), including events scheduled
 // from callbacks into the objects their own firings just freed.
 func TestPoolDeterminismProperty(t *testing.T) {
 	prop := func(raw []uint8) bool {
-		run := func(pool bool) []int {
-			e := New()
-			e.SetPooling(pool)
-			var order []int
-			for i, d := range raw {
-				i, d := i, Time(d)
-				e.At(d, func() {
-					order = append(order, i)
-					// Every third event schedules a child, half of them into
-					// the cycle being drained.
-					if i%3 == 2 {
-						e.At(e.Now()+d%2*Time(i%7), func() { order = append(order, 1000+i) })
-					}
-				})
-			}
-			e.Run()
-			return order
+		e := New()
+		var sched, fires []fireRec
+		schedule := func(at Time, child func()) {
+			id := len(sched)
+			sched = append(sched, fireRec{id: id, at: at})
+			e.At(at, func() {
+				fires = append(fires, fireRec{id: id, at: e.Now()})
+				if child != nil {
+					child()
+				}
+			})
 		}
-		a, b := run(true), run(false)
-		if len(a) != len(b) {
+		for i, d := range raw {
+			i, d := i, Time(d)
+			var child func()
+			// Every third event schedules a child, half of them into the
+			// cycle being drained.
+			if i%3 == 2 {
+				child = func() { schedule(e.Now()+d%2*Time(i%7), nil) }
+			}
+			schedule(d, child)
+		}
+		e.Run()
+		if diff := sortedDiff(sched, fires); diff != "" {
+			t.Log(diff)
 			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
 		}
 		return true
 	}

@@ -2,26 +2,6 @@ package sim
 
 import "math/bits"
 
-// SchedulerKind selects the engine's pending-event data structure.
-//
-// The timing wheel is the default: nearly every event in the machine model
-// (cache hits, per-hop mesh latencies, memory access, trap dispatch) is
-// scheduled only a handful of cycles into the future, so an O(1) ring of
-// per-cycle buckets beats the O(log n) heap on every hot operation. The
-// heap remains selectable as a cross-check oracle: both schedulers fire
-// events in exactly (deadline, sequence) order, so every simulation result
-// is bit-identical under either.
-type SchedulerKind uint8
-
-const (
-	// SchedWheel is the hierarchical timing wheel (O(1) schedule and pop;
-	// per-cycle bucket drains; dead-cycle skipping).
-	SchedWheel SchedulerKind = iota
-	// SchedHeap is the specialized binary heap (O(log n) operations),
-	// kept as the reference implementation and fallback.
-	SchedHeap
-)
-
 // Wheel geometry. The ring holds one bucket per cycle over a power-of-two
 // near-future horizon; events beyond the horizon wait in the overflow heap
 // and are promoted into the ring as the clock crosses wheel epochs. 1024
@@ -40,8 +20,7 @@ const (
 // bucket when its key is drawn, or when the overflow tier promotes it, in
 // key order, as soon as its cycle enters the horizon and so before any
 // later key for the cycle is drawn. Appends therefore arrive in ascending
-// key order, and a bucket drains in the same total (deadline, sequence)
-// order the heap produces.
+// key order, and a bucket drains in total (deadline, sequence) order.
 type wheelBucket struct {
 	evs  []*Event
 	head int
@@ -53,12 +32,21 @@ func (b *wheelBucket) reset() {
 	b.head = 0
 }
 
-// wheel is the timing-wheel scheduler: a ring of per-cycle buckets covering
-// [base, base+wheelSpan), an occupancy bitmap over the ring (one bit per
-// bucket with pending events, giving O(1) next-non-empty lookup), and an
-// overflow heap for events beyond the horizon. base only advances, and only
-// to the deadline of the next pending event, so each bucket holds events of
-// exactly one cycle and a drain can fire the whole bucket in one pass.
+// wheel is the engine's pending-event queue: a ring of per-cycle buckets
+// covering [base, base+wheelSpan), an occupancy bitmap over the ring (one
+// bit per bucket with pending events, giving O(1) next-non-empty lookup),
+// and an overflow heap for events beyond the horizon. base only advances,
+// and only to the deadline of the next pending event, so each bucket holds
+// events of exactly one cycle and a drain can fire the whole bucket in one
+// pass.
+//
+// Nearly every event in the machine model (cache hits, per-hop mesh
+// latencies, memory access, trap dispatch) is scheduled only a handful of
+// cycles into the future, so the O(1) ring beats an O(log n) binary heap
+// on every hot operation: measured on whole simulations, a binary-heap
+// queue cost 28–36% of the simulator's throughput (DESIGN.md, Verdicts).
+// Events fire in exactly (deadline, sequence) order either way, so the
+// choice of queue never changes a result.
 type wheel struct {
 	base     Time
 	count    int // pending events in the ring
@@ -228,8 +216,7 @@ func (e *Engine) runWheel() {
 
 // --- binary min-heap over (at, seq) ---
 //
-// eventHeap is the shared heap implementation: the SchedHeap scheduler's
-// whole queue, and the wheel's overflow tier.
+// eventHeap is the wheel's overflow tier.
 
 type eventHeap []*Event
 

@@ -1,21 +1,25 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// --- scheduler equivalence harness ---
+// --- scheduler reference harness ---
 //
-// Both schedulers implement the same contract: events fire in exactly
-// ascending (deadline, sequence) order, and an armed end-of-cycle hook runs
-// at the same point of that order. The harness interprets a byte stream as
-// a schedule/run/arm/continue program, replays it through an engine, and
-// records every firing and hook run; replaying the same stream through the
-// wheel and the heap, with pooling on and off, must produce identical logs,
-// clocks, and counters. The fuzz target and the seeded randomized test
-// below both drive this harness.
+// The engine's contract: every event fires once, in exactly ascending
+// (deadline, sequence) order, where the sequence is the order the events
+// were scheduled in; an armed end-of-cycle hook runs in the cycle that
+// armed it, after every event of that cycle and before any later one; and
+// RunUntil fires everything due by its limit and nothing later. The
+// harness interprets a byte stream as a schedule/run/arm/continue program,
+// replays it through the engine, and logs every schedule call, firing and
+// hook run. The reference is the schedule log itself: sorted by (deadline,
+// scheduling order), it is the order the engine must fire in. The fuzz
+// target and the seeded randomized test below both drive it.
 
 type fireRec struct {
 	id int
@@ -24,24 +28,64 @@ type fireRec struct {
 
 type streamDriver struct {
 	e      *Engine
-	fires  []fireRec
-	nextID int
-	hooks  int  // hook runs so far; logged as fires with negative ids
+	sched  []fireRec // every event scheduled; id is the index, so scheduling order
+	fired  []bool    // by id
+	fires  []fireRec // firings and hook runs (negative ids), in order
+	nfired int
+	hooks  int  // hook runs so far
 	hookAt Time // delay of the event the next hook run schedules
+	armed  bool // the hook is armed, in cycle armAt
+	armAt  Time
+	limit  Time // limit of the RunUntil in progress
+	errs   []string
 
 	conts [3]*drvCont
 }
 
-// contID is the log id of driver continuation k's firings, clear of the
-// event ids.
-func contID(k int) int { return 1<<30 + k }
+func (d *streamDriver) errorf(format string, args ...any) {
+	d.errs = append(d.errs, fmt.Sprintf(format, args...))
+}
+
+// add logs one schedule call for deadline at and returns its id.
+func (d *streamDriver) add(at Time) int {
+	d.sched = append(d.sched, fireRec{id: len(d.sched), at: at})
+	d.fired = append(d.fired, false)
+	return len(d.sched) - 1
+}
+
+// fire logs the firing of event id, which must be its first, at its own
+// deadline and within the run's limit.
+func (d *streamDriver) fire(id int) {
+	now := d.e.Now()
+	switch {
+	case d.fired[id]:
+		d.errorf("event %d fired twice", id)
+	case d.sched[id].at != now:
+		d.errorf("event %d due at %d fired in cycle %d", id, d.sched[id].at, now)
+	case now > d.limit:
+		d.errorf("event %d fired in cycle %d, past the run limit %d", id, now, d.limit)
+	}
+	d.fired[id] = true
+	d.nfired++
+	d.fires = append(d.fires, fireRec{id: id, at: now})
+}
+
+// unfiredBy returns an event due at or before t that has not fired, if any.
+func (d *streamDriver) unfiredBy(t Time) (fireRec, bool) {
+	for _, r := range d.sched {
+		if !d.fired[r.id] && r.at <= t {
+			return r, true
+		}
+	}
+	return fireRec{}, false
+}
 
 // drvCont is one of the driver's continuations: a chain of AtHandler
 // events, each scheduled by the one before it from its own dispatch, as a
 // processor's pipeline steps are.
 type drvCont struct {
 	d      *streamDriver
-	id     int
+	id     int // the pending firing's event id
 	queued bool
 	chain  int // re-schedules still to make from its own dispatch
 }
@@ -49,7 +93,9 @@ type drvCont struct {
 // file schedules the continuation delay cycles out.
 func (dc *drvCont) file(delay Time) {
 	dc.queued = true
-	dc.d.e.AtHandler(dc.d.e.Now()+delay, dc, nil)
+	at := dc.d.e.Now() + delay
+	dc.id = dc.d.add(at)
+	dc.d.e.AtHandler(at, dc, nil)
 }
 
 // OnEvent logs the firing and, while the chain lasts, re-schedules from
@@ -57,7 +103,7 @@ func (dc *drvCont) file(delay Time) {
 // drained.
 func (dc *drvCont) OnEvent(any) {
 	dc.queued = false
-	dc.d.fires = append(dc.d.fires, fireRec{id: dc.id, at: dc.d.e.Now()})
+	dc.d.fire(dc.id)
 	if dc.chain > 0 {
 		dc.chain--
 		dc.file(3 * Time(dc.chain))
@@ -83,33 +129,50 @@ func (d *streamDriver) cont(k int, arg byte) {
 }
 
 func (d *streamDriver) schedule(delay Time) {
-	id := d.nextID
-	d.nextID++
-	d.e.At(d.e.Now()+delay, func() {
-		d.fires = append(d.fires, fireRec{id: id, at: d.e.Now()})
-	})
+	at := d.e.Now() + delay
+	id := d.add(at)
+	d.e.At(at, func() { d.fire(id) })
 }
 
 // scheduleChained schedules an event whose callback schedules a child —
 // exercising mid-drain insertion into the current and nearby buckets.
 func (d *streamDriver) scheduleChained(delay, childDelay Time) {
-	id := d.nextID
-	d.nextID += 2
-	childID := id + 1
-	d.e.At(d.e.Now()+delay, func() {
-		d.fires = append(d.fires, fireRec{id: id, at: d.e.Now()})
-		d.e.At(d.e.Now()+childDelay, func() {
-			d.fires = append(d.fires, fireRec{id: childID, at: d.e.Now()})
-		})
+	at := d.e.Now() + delay
+	id := d.add(at)
+	d.e.At(at, func() {
+		d.fire(id)
+		d.schedule(childDelay)
 	})
 }
 
-// streamRun is what one replay of an op program observed.
-type streamRun struct {
-	fires     []fireRec
-	now       Time
-	processed uint64
-	pending   string // Pending after every op and after the final drain
+// hook is the end-of-cycle hook: it must run only while armed, in the
+// armed cycle, once every event due by then has fired.
+func (d *streamDriver) hook() {
+	now := d.e.Now()
+	d.hooks++
+	if !d.armed || now != d.armAt {
+		d.errorf("hook %d ran in cycle %d; armed=%v in cycle %d", d.hooks, now, d.armed, d.armAt)
+	}
+	if r, ok := d.unfiredBy(now); ok {
+		d.errorf("hook %d ran in cycle %d before event %d due at %d", d.hooks, now, r.id, r.at)
+	}
+	d.armed = false
+	d.fires = append(d.fires, fireRec{id: -d.hooks, at: now})
+	// Delay 0 schedules into the cycle the hook is closing, which must
+	// then run before anything later.
+	d.schedule(d.hookAt)
+}
+
+// run is one RunUntil: everything due by limit fires, nothing later.
+func (d *streamDriver) run(limit Time) {
+	d.limit = limit
+	d.e.RunUntil(limit)
+	if now := d.e.Now(); now > limit {
+		d.errorf("RunUntil(%d) left the clock at %d", limit, now)
+	}
+	if r, ok := d.unfiredBy(limit); ok {
+		d.errorf("RunUntil(%d) returned with event %d due at %d unfired", limit, r.id, r.at)
+	}
 }
 
 // Scheduler program ops: the opcode byte modulo schedOps selects one.
@@ -126,23 +189,15 @@ const (
 	schedOps
 )
 
-// runSchedStream replays data as a scheduler op program and returns the
-// firing log plus final engine state.
-func runSchedStream(data []byte, kind SchedulerKind, pooled bool) streamRun {
+// runSchedStream replays data as a scheduler op program and returns every
+// departure from the reference it observed.
+func runSchedStream(data []byte) []string {
 	e := New()
-	e.SetScheduler(kind)
-	e.SetPooling(pooled)
 	d := &streamDriver{e: e}
 	for k := range d.conts {
-		d.conts[k] = &drvCont{d: d, id: contID(k)}
+		d.conts[k] = &drvCont{d: d}
 	}
-	e.SetCycleHook(func() {
-		d.hooks++
-		d.fires = append(d.fires, fireRec{id: -d.hooks, at: e.Now()})
-		// Delay 0 schedules into the cycle the hook is closing, which must
-		// then run before anything later.
-		d.schedule(d.hookAt)
-	})
+	e.SetCycleHook(d.hook)
 
 	i := 0
 	next := func() byte {
@@ -153,7 +208,6 @@ func runSchedStream(data []byte, kind SchedulerKind, pooled bool) streamRun {
 		i++
 		return b
 	}
-	var pending []int
 	for i < len(data) {
 		op, arg := next(), next()
 		switch op % schedOps {
@@ -164,62 +218,88 @@ func runSchedStream(data []byte, kind SchedulerKind, pooled bool) streamRun {
 		case opFar:
 			d.schedule(900 + Time(arg)*29)
 		case opRunShort:
-			d.e.RunUntil(d.e.Now() + Time(arg%3))
+			d.run(e.Now() + Time(arg%3))
 		case opRun:
-			d.e.RunUntil(d.e.Now() + Time(arg%200))
+			d.run(e.Now() + Time(arg%200))
 		case opShort:
 			d.schedule(Time(arg & 15))
 		case opArm:
 			d.hookAt = Time(arg & 3)
-			d.e.ArmCycleHook()
+			if !d.armed {
+				d.armed, d.armAt = true, e.Now()
+			}
+			e.ArmCycleHook()
 		case opCont:
 			d.cont(int(arg)%len(d.conts), arg)
 		}
-		pending = append(pending, e.Pending())
+		if want := len(d.sched) - d.nfired; e.Pending() != want {
+			d.errorf("op %d: Pending %d, want %d scheduled and unfired", i/2, e.Pending(), want)
+		}
 	}
-	e.Run()
-	pending = append(pending, e.Pending())
-	return streamRun{fires: d.fires, now: e.Now(), processed: e.Processed(), pending: fmt.Sprint(pending)}
+	d.run(Forever)
+	if d.armed {
+		d.errorf("a hook armed in cycle %d never ran", d.armAt)
+	}
+	if e.Pending() != 0 || e.Processed() != uint64(len(d.sched)) {
+		d.errorf("drained engine: Pending %d, Processed %d, want 0 and %d", e.Pending(), e.Processed(), len(d.sched))
+	}
+	var last Time
+	var order []fireRec
+	for _, f := range d.fires {
+		if f.id >= 0 {
+			order = append(order, f)
+			last = f.at
+		}
+	}
+	if e.Now() != last {
+		d.errorf("final clock %d, last firing in cycle %d", e.Now(), last)
+	}
+	if diff := sortedDiff(d.sched, order); diff != "" {
+		d.errorf("%s", diff)
+	}
+	return d.errs
 }
 
-// compareStreams replays data on the pooled wheel and checks that the heap
-// and the unpooled wheel observe the same run.
+// sortedDiff compares a firing log with the reference: the schedule log
+// sorted by (deadline, scheduling order). It returns the first difference,
+// or "" when the engine fired exactly the reference order.
+func sortedDiff(sched, fires []fireRec) string {
+	ref := slices.Clone(sched)
+	slices.SortStableFunc(ref, func(a, b fireRec) int { return cmp.Compare(a.at, b.at) })
+	for i := range ref {
+		if i >= len(fires) {
+			return fmt.Sprintf("fired %d events, scheduled %d", len(fires), len(ref))
+		}
+		if fires[i] != ref[i] {
+			return fmt.Sprintf("firing %d is %+v, the (deadline, sequence) order has %+v", i, fires[i], ref[i])
+		}
+	}
+	if len(fires) > len(ref) {
+		return fmt.Sprintf("fired %d events, scheduled %d", len(fires), len(ref))
+	}
+	return ""
+}
+
+// compareStreams replays data through the engine and fails on the first
+// departure from the reference.
 func compareStreams(t *testing.T, label string, data []byte) {
 	t.Helper()
-	ref := runSchedStream(data, SchedWheel, true)
-	for _, v := range []struct {
-		name   string
-		kind   SchedulerKind
-		pooled bool
-	}{
-		{"heap", SchedHeap, true},
-		{"unpooled wheel", SchedWheel, false},
-	} {
-		got := runSchedStream(data, v.kind, v.pooled)
-		if got.now != ref.now || got.processed != ref.processed {
-			t.Fatalf("%s: wheel (now=%d proc=%d) vs %s (now=%d proc=%d)",
-				label, ref.now, ref.processed, v.name, got.now, got.processed)
-		}
-		if got.pending != ref.pending {
-			t.Fatalf("%s: Pending after each op: wheel %s, %s %s", label, ref.pending, v.name, got.pending)
-		}
-		if len(got.fires) != len(ref.fires) {
-			t.Fatalf("%s: wheel fired %d events, %s fired %d", label, len(ref.fires), v.name, len(got.fires))
-		}
-		for i := range ref.fires {
-			if ref.fires[i] != got.fires[i] {
-				t.Fatalf("%s: firing %d differs: wheel %+v, %s %+v", label, i, ref.fires[i], v.name, got.fires[i])
-			}
-		}
+	if errs := runSchedStream(data); len(errs) > 0 {
+		t.Fatalf("%s: %s (%d departures from the reference in all)", label, errs[0], len(errs))
 	}
 }
 
-// TestSchedulerEquivalenceRandom replays seeded random op streams through
-// both schedulers and demands identical (at, seq) fire order — the randomized counterpart of FuzzSchedulerEquivalence.
+// TestSchedulerEquivalenceRandom replays seeded random op streams and
+// demands the reference's (deadline, sequence) fire order — the randomized
+// counterpart of FuzzSchedulerEquivalence. The last stream is long enough
+// for the free list to hand every event object out thousands of times.
 func TestSchedulerEquivalenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x1f1e33))
-	for round := 0; round < 200; round++ {
+	for round := 0; round <= 200; round++ {
 		n := rng.Intn(400) + 2
+		if round == 200 {
+			n = 40_000
+		}
 		data := make([]byte, n)
 		rng.Read(data)
 		compareStreams(t, "random", data)
@@ -227,9 +307,8 @@ func TestSchedulerEquivalenceRandom(t *testing.T) {
 }
 
 // FuzzSchedulerEquivalence is the fuzz form of the cross-check: any byte
-// stream, interpreted as a scheduler op program, must fire identically
-// through the wheel and the heap, pooled or not. Between them the seeds
-// use every op.
+// stream, interpreted as a scheduler op program, must fire in the
+// reference order. Between them the seeds use every op.
 func FuzzSchedulerEquivalence(f *testing.F) {
 	f.Add([]byte{opNear, 10, opFar, 200, opRunShort, 2, opRun, 100})
 	f.Add([]byte{opChained, 0xff, opShort, 3, opRun, 100, opNear + 1, 63})
@@ -289,44 +368,8 @@ func TestWheelDeadCycleSkip(t *testing.T) {
 	}
 }
 
-func TestSetSchedulerPanicsWithPending(t *testing.T) {
-	e := New()
-	e.At(5, func() {})
-	defer func() {
-		if recover() == nil {
-			t.Error("SetScheduler with pending events did not panic")
-		}
-	}()
-	e.SetScheduler(SchedHeap)
-}
-
-// TestHeapSchedulerStillWorks drives the canonical ordering tests through
-// the heap fallback so the oracle itself keeps its own coverage.
-func TestHeapSchedulerStillWorks(t *testing.T) {
-	e := New()
-	e.SetScheduler(SchedHeap)
-	if e.Scheduler() != SchedHeap {
-		t.Fatal("Scheduler() does not report the heap")
-	}
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		e.At(Time(10-i), func() { order = append(order, i) })
-	}
-	e.Run()
-	want := []int{9, 8, 7, 6, 5, 4, 3, 2, 1, 0} // ascending deadline = descending i
-	if len(order) != len(want) {
-		t.Fatalf("heap fired %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("heap fired %v, want %v", order, want)
-		}
-	}
-}
-
 // TestWheelSteadyStateDoesNotAllocate: the ring hot path must stay
-// allocation-free once bucket slices are warm, like the heap before it.
+// allocation-free once bucket slices are warm.
 func TestWheelSteadyStateDoesNotAllocate(t *testing.T) {
 	e := New()
 	nop := nopHandler{}

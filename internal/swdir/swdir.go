@@ -70,9 +70,8 @@ type Stats struct {
 // vectorTable is a software directory's hash table of full-map sharer sets
 // kept in the node's local memory (Section 4.4). The sets draw their spill
 // words from the same packed directory space as the hardware entries, so
-// the software extension shares the arena, recorder, and storage-mode
-// switch with the rest of the directory. buf is the owning handler's
-// sharer-walk buffer.
+// the software extension shares the arena and recorder with the rest of
+// the directory. buf is the owning handler's sharer-walk buffer.
 type vectorTable struct {
 	m   map[directory.Addr]*directory.SharerSet
 	buf []directory.Node

@@ -28,7 +28,7 @@ func newFake(nodes int, ptrs int) *fakeCtl {
 	return &fakeCtl{
 		id:    0,
 		nodes: nodes,
-		dir:   directory.NewStore(directory.NewSpace(nodes, directory.StoragePacked), ptrs),
+		dir:   directory.NewStore(directory.NewSpace(nodes), ptrs),
 	}
 }
 

@@ -253,10 +253,6 @@ type Config struct {
 	// watchdog, and without MaxCycles it never ends. SpinUntil is the form
 	// the watchdog and the deadlock error understand.
 	WatchdogCycles int64
-
-	// oracles selects the reference implementations the fast paths are
-	// cross-checked against; tests set it, results never depend on it.
-	oracles machine.Oracles
 }
 
 // DefaultConfig returns the paper's evaluation machine: 64 processors,
@@ -324,7 +320,7 @@ func (c Config) build() (*machine.Machine, error) {
 		contexts = 1
 	}
 	mc := machine.Config{Width: w, Height: h, Contexts: contexts, Params: params,
-		Oracles: c.oracles, Watchdog: sim.Time(c.WatchdogCycles)}
+		Watchdog: sim.Time(c.WatchdogCycles)}
 	if c.Faults != "" {
 		fcfg, err := fault.Parse(c.Faults)
 		if err != nil {

@@ -29,8 +29,8 @@ import (
 )
 
 // TestRecycleAfterDissimilarRuns releases machines of other sizes,
-// topologies, fault plans, engines, schemes, handler bindings and oracle
-// configurations, halted in every way
+// topologies, fault plans, schemes and handler bindings, halted in every
+// way
 // a run can halt (finished, cut at a cycle limit, tripped by the watchdog,
 // aborted by the transport), between two identical reference runs; the two
 // must give equal Results. The chain then runs again in reverse order,
@@ -83,8 +83,7 @@ func TestRecycleAfterDissimilarRuns(t *testing.T) {
 			wl(limitless.Weather(16)), ""},
 		{"lossy16-cut", limitless.Config{Procs: 16, Faults: "7:dup=0.1,drop=0.05,corrupt=0.02", MaxCycles: 5750},
 			wl(limitless.Weather(16)), "exceeded"},
-		{"heap-boxed", limitless.WithOracles(limitless.Config{Procs: 64, Scheme: limitless.FullMap},
-			machine.OracleHeap|machine.OracleBoxed), wl(limitless.Multigrid(64)), ""},
+		{"fullmap-multigrid", limitless.Config{Procs: 64, Scheme: limitless.FullMap}, wl(limitless.Multigrid(64)), ""},
 		// One live context per processor (the facade fills context 0
 		// only); the case checks that a four-slot context array is reused.
 		{"contexts4", limitless.Config{Procs: 64, Contexts: 4}, wl(limitless.Weather(64)), ""},
